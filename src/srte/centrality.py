@@ -11,6 +11,7 @@ from the sum, mirroring the s != v != t restriction of the individual score.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,30 +112,105 @@ def group_betweenness(
 
 
 def greedy_group_select(
-    network: FlowNetwork, k: int, weighted: bool = False
+    network: FlowNetwork, k: int, weighted: bool = False,
+    cache: ShortestPathCache | None = None,
 ) -> list[int]:
     """Greedy group-betweenness selection; prefixes are valid smaller selections.
 
     Each round adds the node with maximal group score when joined to the
-    current set (exact comparison, lowest index on ties).
+    current set (exact comparison, lowest index on ties). ``cache``, if
+    given, must hold the DAGs of the analysis network.
+    """
+    return greedy_group_scores(network, k, weighted, cache)[0]
+
+
+def greedy_group_scores(
+    network: FlowNetwork, k: int, weighted: bool = False,
+    cache: ShortestPathCache | None = None,
+) -> tuple[list[int], list[Fraction]]:
+    """Greedy picks and the exact group betweenness of every prefix.
+
+    Successive group-betweenness updates (Puzis, Elovici and Dolev 2007):
+    avoid[s][t] counts the shortest s-t paths that miss the chosen group, and
+    adding v covers avoid[s][v] * avoid[v][t] of them on every pair (s, t)
+    with d(s, v) + d(v, t) == d(s, t). Scores are integers in units of 1 / L,
+    L the LCM of all sigma_st, so every comparison is exact. Setup is O(n^3);
+    each candidate then costs O(n^2).
     """
     n = network.node_count
     if not (1 <= k <= n):
         raise ValueError(f"k must be in [1, {n}], got {k}")
     net = _analysis_network(network, weighted)
-    cache = ShortestPathCache(net)
+    cache = cache or ShortestPathCache(net)
+    dags = [cache.forward(s) for s in range(n)]
+    # Integer distances (scaled by the LCM of their denominators) keep ties
+    # exact and compare far faster than Fractions.
+    scale = math.lcm(
+        *(d.denominator for g in dags for d in g.dist if d is not None)
+    )
+    dist = [
+        [None if d is None else d.numerator * (scale // d.denominator)
+         for d in g.dist]
+        for g in dags
+    ]
+    sigma = [list(g.sigma) for g in dags]
+    for s in range(n):
+        sigma[s][s] = 0  # (s, s) is no pair
+    unit = math.lcm(*(c for row in sigma for c in row if c))
+    weight = [[unit // c if c else 0 for c in row] for row in sigma]
+    # through[v] holds (s, [(t, weight[s][t]), ...]) for every pair with
+    # s != v != t that has v on a shortest s-t path. settled[0] is the source.
+    through: list[list[tuple[int, list[tuple[int, int]]]]] = [
+        [] for _ in range(n)
+    ]
+    for s in range(n):
+        ds, ws = dist[s], weight[s]
+        for v in dags[s].settled[1:]:
+            dsv, dv = ds[v], dist[v]
+            targets = [
+                (t, ws[t]) for t in dags[v].settled[1:]
+                if t != s and dsv + dv[t] == ds[t]
+            ]
+            if targets:
+                through[v].append((s, targets))
+
+    avoid = [row[:] for row in sigma]
+    live = list(range(n))
     chosen: list[int] = []
+    scores: list[Fraction] = []
+    score = 0
     for _ in range(k):
-        best_v = None
-        best_score = None
-        for v in range(n):
-            if v in chosen:
-                continue
-            score = group_betweenness(net, chosen + [v], cache=cache)
-            if best_score is None or score > best_score:
-                best_v, best_score = v, score
-        chosen.append(best_v)
-    return chosen
+        best_v = best_score = None
+        for v in live:
+            av = avoid[v]
+            gained = 0
+            for s, targets in through[v]:
+                a = avoid[s][v]
+                if a:
+                    gained += a * sum(av[t] * w for t, w in targets)
+            # Pairs with v as an endpoint leave the sum once v joins.
+            lost = sum(
+                (sigma[v][u] - av[u]) * weight[v][u]
+                + (sigma[u][v] - avoid[u][v]) * weight[u][v]
+                for u in live
+            )
+            candidate = score + gained - lost
+            if best_score is None or candidate > best_score:
+                best_v, best_score = v, candidate
+        v, score = best_v, best_score
+        av = avoid[v]
+        for s, targets in through[v]:
+            a, row = avoid[s][v], avoid[s]
+            if a:
+                for t, _ in targets:
+                    row[t] -= a * av[t]
+        live.remove(v)
+        for row in avoid:
+            row[v] = 0
+        avoid[v] = [0] * n
+        chosen.append(v)
+        scores.append(Fraction(score, unit))
+    return chosen, scores
 
 
 def degree_centrality(

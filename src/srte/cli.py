@@ -196,8 +196,12 @@ def cmd_solve(args) -> int:
 def _parse_axis(spec: str) -> list[int]:
     if ":" in spec:
         lo, hi = spec.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in spec.split(",")]
+        values = list(range(int(lo), int(hi) + 1))
+    else:
+        values = [int(x) for x in spec.split(",")]
+    if not values:
+        raise UsageError(f"empty sweep axis {spec!r}")
+    return values
 
 
 def cmd_sweep(args) -> int:
@@ -260,15 +264,10 @@ def cmd_centrality(args) -> int:
         raise UsageError(f"cannot read topology: {exc}") from exc
     print("node,score,rank")
     if args.method == "gsp":
-        order = centrality_mod.greedy_group_select(
+        order, prefix_scores = centrality_mod.greedy_group_scores(
             network, args.k or network.node_count, args.weighted
         )
-        cache = None
-        for rank, v in enumerate(order, start=1):
-            score = centrality_mod.group_betweenness(
-                network.inverse_capacity_costs() if args.weighted else network,
-                order[:rank],
-            )
+        for rank, (v, score) in enumerate(zip(order, prefix_scores), start=1):
             print(f"{network.node_names[v]},{_fmt(float(score))},{rank}")
         return 0
     if args.method == "sp":

@@ -12,6 +12,7 @@ detection downstream never depends on floating point.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,6 +25,11 @@ class TopologyError(ValueError):
 
 class DemandError(ValueError):
     """Raised for malformed or invalid demand input."""
+
+
+def _check_scale(scale: float) -> None:
+    if not 0 < scale < math.inf:  # also rejects NaN
+        raise DemandError(f"scale must be positive and finite, got {scale}")
 
 
 @dataclass(frozen=True)
@@ -117,6 +123,8 @@ class Commodity:
     def __post_init__(self):
         if self.source == self.sink:
             raise DemandError("commodity source equals sink")
+        if not math.isfinite(self.demand):
+            raise DemandError(f"non-finite demand {self.demand}")
         if self.demand < 0:
             raise DemandError(f"negative demand {self.demand}")
 
@@ -129,13 +137,13 @@ class DemandMatrix:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise DemandError("scale must be positive")
+        _check_scale(self.scale)
         pairs = [(c.source, c.sink) for c in self.commodities]
         if len(set(pairs)) != len(pairs):
             raise DemandError("duplicate (source, sink) pair")
 
     def scaled(self, factor: float) -> "DemandMatrix":
+        _check_scale(factor)
         return DemandMatrix(
             tuple(
                 Commodity(c.source, c.sink, c.demand * factor)
@@ -233,8 +241,7 @@ def serialize_topology(network: FlowNetwork) -> str:
 
 def parse_demands(text: str, scale: float = 1.0) -> ParsedDemands:
     """Parse a DEMANDS file; duplicate (s, t) rows are summed, volumes scaled."""
-    if scale <= 0:
-        raise DemandError("scale must be positive")
+    _check_scale(scale)
     merged: dict[tuple[str, str], float] = {}
     order: list[tuple[str, str]] = []
     for lineno, fields in _iter_lines(text):
@@ -247,6 +254,8 @@ def parse_demands(text: str, scale: float = 1.0) -> ParsedDemands:
             volume = float(fields[3])
         except ValueError:
             raise DemandError(f"line {lineno}: bad volume {fields[3]!r}") from None
+        if not math.isfinite(volume):
+            raise DemandError(f"line {lineno}: non-finite volume {fields[3]!r}")
         if volume < 0:
             raise DemandError(f"line {lineno}: negative demand")
         if s == t:

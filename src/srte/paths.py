@@ -31,19 +31,19 @@ class ShortestPathDag:
 
     ``dist[v]`` is None for unreachable nodes (sigma 0, no predecessors).
     ``preds[v]`` lists the indices of edges (u, v) with
-    dist[v] == dist[u] + cost(u, v) exactly.
+    dist[v] == dist[u] + cost(u, v) exactly. ``settled`` lists the reachable
+    nodes in the order Dijkstra settled them.
     """
 
     source: int
     dist: tuple[Optional[Fraction], ...]
     sigma: tuple[int, ...]
     preds: tuple[tuple[int, ...], ...]
+    settled: tuple[int, ...]
 
     def order(self) -> list[int]:
         """Reachable nodes sorted by increasing distance (index tie-break)."""
-        reach = [v for v in range(len(self.dist)) if self.dist[v] is not None]
-        reach.sort(key=lambda v: (self.dist[v], v))
-        return reach
+        return list(self.settled)
 
 
 def _dijkstra_counting(network: FlowNetwork, start: int, reverse: bool):
@@ -55,12 +55,16 @@ def _dijkstra_counting(network: FlowNetwork, start: int, reverse: bool):
     dist[start] = Fraction(0)
     sigma[start] = 1
     done = [False] * n
+    # Costs are positive, so popping by (distance, index) settles the nodes
+    # in exactly that order.
+    settled: list[int] = []
     heap: list[tuple[Fraction, int]] = [(Fraction(0), start)]
     while heap:
         d, u = heapq.heappop(heap)
         if done[u]:
             continue
         done[u] = True
+        settled.append(u)
         edge_ids = network.in_edges[u] if reverse else network.out_edges[u]
         for eid in edge_ids:
             e = network.edges[eid]
@@ -78,13 +82,15 @@ def _dijkstra_counting(network: FlowNetwork, start: int, reverse: bool):
         tuple(dist),
         tuple(sigma),
         tuple(tuple(p) for p in preds),
+        tuple(settled),
     )
 
 
 def sp_dag(network: FlowNetwork, source: int) -> ShortestPathDag:
     """Shortest-path DAG from ``source`` with exact distances and counts."""
-    dist, sigma, preds = _dijkstra_counting(network, source, reverse=False)
-    return ShortestPathDag(source, dist, sigma, preds)
+    return ShortestPathDag(
+        source, *_dijkstra_counting(network, source, reverse=False)
+    )
 
 
 def sp_dag_reverse(network: FlowNetwork, sink: int) -> ShortestPathDag:
@@ -92,8 +98,9 @@ def sp_dag_reverse(network: FlowNetwork, sink: int) -> ShortestPathDag:
 
     ``preds[v]`` lists outgoing edges of v on some shortest v -> sink path.
     """
-    dist, sigma, preds = _dijkstra_counting(network, sink, reverse=True)
-    return ShortestPathDag(sink, dist, sigma, preds)
+    return ShortestPathDag(
+        sink, *_dijkstra_counting(network, sink, reverse=True)
+    )
 
 
 @dataclass(frozen=True)

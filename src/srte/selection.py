@@ -185,11 +185,15 @@ def centrality_select(
     """Top-k selection by a structural centrality, then one TE solve."""
     if method not in _CENTRALITY_METHODS:
         raise ValueError(f"unknown centrality method {method!r}")
+    cache = cache or ShortestPathCache(network)
     if method == "sp":
         mids = list(betweenness(network, weighted).ordering[:k])
         label = "TopK-SP"
     elif method == "gsp":
-        mids = greedy_group_select(network, k, weighted)
+        # The cache holds DAGs of the given costs; weighted GSP uses 1/capacity.
+        mids = greedy_group_select(
+            network, k, weighted, cache=None if weighted else cache
+        )
         label = "TopK-GSP"
     elif method == "degree":
         mids = list(degree_centrality(network, weighted).ordering[:k])
@@ -197,7 +201,6 @@ def centrality_select(
     else:
         mids = random_select(network, k, seed)
         label = "Random"
-    cache = cache or ShortestPathCache(network)
     solution = solve_with_middlepoints(
         cache, demands, mids, max_middlepoints, objective
     )

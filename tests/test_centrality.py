@@ -8,11 +8,12 @@ import pytest
 from srte.centrality import (
     betweenness,
     degree_centrality,
+    greedy_group_scores,
     greedy_group_select,
     group_betweenness,
     random_select,
 )
-from srte.graph import random_digraph
+from srte.graph import random_connected_digraph, random_digraph
 
 from conftest import enumerate_shortest_paths, floyd_warshall_counting, make_net
 
@@ -132,6 +133,47 @@ class TestGreedyGroupSelect:
             greedy_group_select(net, 0)
         with pytest.raises(ValueError):
             greedy_group_select(net, 3)
+
+
+def symmetric_cycle(n):
+    """Bidirected n-cycle with unit capacities: every node and pair ties."""
+    return make_net(
+        [(v, (v + 1) % n, 1) for v in range(n)]
+        + [((v + 1) % n, v, 1) for v in range(n)]
+    )
+
+
+GREEDY_CASES = [
+    # (network, k, weighted)
+    *[(random_digraph(8, 0.2, seed, max_capacity=4), 8, False)
+      for seed in range(3)],
+    *[(random_digraph(9, 0.3, seed, max_capacity=4), 4, True)
+      for seed in range(3)],
+    (random_connected_digraph(10, 25, 1, max_capacity=3), 10, True),
+    (symmetric_cycle(6), 6, False),
+    (symmetric_cycle(7), 4, True),
+    (make_net([(0, 1, 1), (2, 3, 1)]), 4, False),
+]
+
+
+@pytest.mark.parametrize("net,k,weighted", GREEDY_CASES)
+def test_greedy_matches_from_scratch_definition(net, k, weighted):
+    """Each pick is the lowest-index argmax of group_betweenness(chosen + [v])
+    and each returned score is the prefix's exact group betweenness."""
+    analysis = net.inverse_capacity_costs() if weighted else net
+    picks, scores = greedy_group_scores(net, k, weighted)
+    assert len(picks) == len(scores) == k
+    for i in range(k):
+        chosen = picks[:i]
+        gains = {
+            v: group_betweenness(analysis, chosen + [v])
+            for v in range(net.node_count)
+            if v not in chosen
+        }
+        best = max(gains.values())
+        assert picks[i] == min(v for v, g in gains.items() if g == best)
+        assert isinstance(scores[i], Fraction)
+        assert scores[i] == group_betweenness(analysis, picks[: i + 1])
 
 
 class TestDegreeCentrality:

@@ -5,7 +5,9 @@ import pathlib
 
 import pytest
 
+from srte.centrality import group_betweenness
 from srte.cli import main
+from srte.graph import parse_topology
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -209,6 +211,69 @@ class TestCentrality:
         rows = out.strip().splitlines()[1:]
         assert len(rows) == 3
         assert [r.split(",")[2] for r in rows] == ["1", "2", "3"]
+
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_gsp_scores_are_exact_prefix_group_betweenness(
+        self, capsys, weighted
+    ):
+        topo = DATA / "net10.topo"
+        code, out, _ = run(
+            capsys, "centrality", "--topology", topo, "--method", "gsp",
+            *(["--weighted"] if weighted else []),
+        )
+        assert code == 0
+        net = parse_topology(topo.read_text())
+        analysis = net.inverse_capacity_costs() if weighted else net
+        rows = [r.split(",") for r in out.strip().splitlines()[1:]]
+        assert len(rows) == net.node_count
+        for rank in range(1, len(rows) + 1):
+            prefix = [net.node_index(name) for name, _, _ in rows[:rank]]
+            exact = group_betweenness(analysis, prefix)
+            assert rows[rank - 1][1] == f"{float(exact):.9g}"
+
+
+class TestInputErrors:
+    """Bad input exits 1 with one line on stderr and nothing on stdout."""
+
+    def assert_rejected(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        return err
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_scale_with_gravity(self, capsys, scale):
+        err = self.assert_rejected(
+            capsys, "solve", "--topology", DATA / "net10.topo",
+            "--gravity", "10", "--scale", scale, "--format", "csv",
+        )
+        assert "scale" in err
+
+    def test_non_finite_scale_with_demand_file(self, capsys):
+        self.assert_rejected(
+            capsys, "solve", "--topology", DATA / "net10.topo",
+            "--demands", DATA / "net10.dem", "--scale", "nan",
+        )
+
+    def test_non_finite_demand_volume(self, capsys, tmp_path):
+        dem = tmp_path / "nan.dem"
+        dem.write_text("DEMAND n0 n1 1\nDEMAND n1 n2 nan\n")
+        err = self.assert_rejected(
+            capsys, "solve", "--topology", DATA / "net10.topo",
+            "--demands", dem,
+        )
+        assert "line 2" in err
+
+    @pytest.mark.parametrize(
+        "axis", [("--sweep-k", "3:1"), ("--sweep-m", "2:1")]
+    )
+    def test_empty_sweep_axis(self, capsys, axis):
+        self.assert_rejected(
+            capsys, "sweep", "--topology", DATA / "net10.topo",
+            "--demands", DATA / "net10.dem", "--method", "degree", *axis,
+        )
 
 
 class TestOracleSuites:

@@ -1,6 +1,7 @@
 """Parsing, validation, serialization, and synthetic demand generation."""
 
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -128,6 +129,24 @@ class TestDemands:
     def test_parse_errors(self, text):
         with pytest.raises(DemandError):
             parse_demands(text)
+
+    @pytest.mark.parametrize("volume", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_volume_names_its_line(self, volume):
+        with pytest.raises(DemandError, match="line 2: non-finite"):
+            parse_demands(f"DEMAND a b 1\nDEMAND b a {volume}\n")
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_scale(self, scale):
+        with pytest.raises(DemandError, match="scale"):
+            parse_demands("DEMAND a b 1\n", scale=scale)
+        with pytest.raises(DemandError, match="scale"):
+            DemandMatrix((Commodity(0, 1, 1.0),)).scaled(scale)
+
+    def test_overflowing_volume_is_rejected(self):
+        net = parse_topology("EDGE a b 1\n")
+        parsed = parse_demands("DEMAND a b 1e308\nDEMAND a b 1e308\n")
+        with pytest.raises(DemandError, match="non-finite"):
+            parsed.bind(net)
 
     def test_matrix_rejects_duplicate_pairs(self):
         with pytest.raises(DemandError, match="duplicate"):

@@ -45,6 +45,16 @@ def test_reverse_dag_agrees_with_forward(seed):
             assert bwd.sigma[u] == fwd.sigma[v]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_order_is_distance_then_index(seed):
+    """The stored settle order equals sorting reachable nodes by (dist, index)."""
+    net = random_digraph(10, 0.2, seed, max_capacity=3).inverse_capacity_costs()
+    for v in range(net.node_count):
+        for dag in (sp_dag(net, v), sp_dag_reverse(net, v)):
+            reach = [u for u in range(net.node_count) if dag.dist[u] is not None]
+            assert dag.order() == sorted(reach, key=lambda u: (dag.dist[u], u))
+
+
 def test_source_properties():
     net = make_net([(0, 1, 1), (1, 2, 1)])
     dag = sp_dag(net, 0)
