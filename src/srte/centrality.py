@@ -53,14 +53,14 @@ def betweenness(
         for t in range(n):
             if t == s or ds.sigma[t] == 0:
                 continue
-            d_st = ds.dist[t]
+            d_st = ds.scaled_dist[t]
             for v in range(n):
                 if v == s or v == t:
                     continue
-                dv = ds.dist[v]
+                dv = ds.scaled_dist[v]
                 if dv is None:
                     continue
-                dvt = dags[v].dist[t]
+                dvt = dags[v].scaled_dist[t]
                 if dvt is not None and dv + dvt == d_st:
                     scores[v] += Fraction(
                         ds.sigma[v] * dags[v].sigma[t], ds.sigma[t]
@@ -143,16 +143,8 @@ def greedy_group_scores(
     net = _analysis_network(network, weighted)
     cache = cache or ShortestPathCache(net)
     dags = [cache.forward(s) for s in range(n)]
-    # Integer distances (scaled by the LCM of their denominators) keep ties
-    # exact and compare far faster than Fractions.
-    scale = math.lcm(
-        *(d.denominator for g in dags for d in g.dist if d is not None)
-    )
-    dist = [
-        [None if d is None else d.numerator * (scale // d.denominator)
-         for d in g.dist]
-        for g in dags
-    ]
+    # Integer distances keep ties exact and compare far faster than Fractions.
+    dist = [g.scaled_dist for g in dags]
     sigma = [list(g.sigma) for g in dags]
     for s in range(n):
         sigma[s][s] = 0  # (s, s) is no pair

@@ -166,8 +166,19 @@ def _solution_document(
     return doc
 
 
+def _check_point(network: FlowNetwork, method: str, k: int, m: int) -> None:
+    """Reject a run's method, K or M before anything is printed."""
+    if method not in SELECTION_METHODS:
+        raise UsageError(f"unknown method {method!r}")
+    if not 1 <= k <= network.node_count:
+        raise UsageError(f"k must be in [1, {network.node_count}], got {k}")
+    if m < 0:
+        raise UsageError(f"m must be non-negative, got {m}")
+
+
 def cmd_solve(args) -> int:
     network, demands = _load_inputs(args)
+    _check_point(network, args.method, args.k, args.m)
     try:
         solution, mids, used, subproblems = _run_method(
             network, demands, args.method, args.objective, args.k, args.m,
@@ -223,18 +234,20 @@ def cmd_sweep(args) -> int:
             points.append((token, override))
     else:
         raise UsageError("one of --sweep-k / --sweep-m / --sweep-methods required")
+    runs = []
+    for label, override in points:
+        method = override.get("method", args.method)
+        k, m = override.get("k", args.k), override.get("m", args.m)
+        _check_point(network, method, k, m)
+        runs.append((label, method, k, m, override.get("seed", args.seed)))
 
     print("point,status,objective,solve_ms,subproblems")
     worst = 0
-    for label, override in points:
-        method = override.get("method", args.method)
-        if method not in SELECTION_METHODS:
-            raise UsageError(f"unknown method {method!r}")
+    for label, method, k, m, seed in runs:
         try:
             solution, _, _, subproblems = _run_method(
-                network, demands, method, args.objective,
-                override.get("k", args.k), override.get("m", args.m),
-                args.weighted, override.get("seed", args.seed), args.budget,
+                network, demands, method, args.objective, k, m,
+                args.weighted, seed, args.budget,
                 args.single_middlepoint, cache=cache,
             )
             status = solution.status.value
@@ -262,22 +275,23 @@ def cmd_centrality(args) -> int:
             network = parse_topology(fh.read())
     except OSError as exc:
         raise UsageError(f"cannot read topology: {exc}") from exc
-    print("node,score,rank")
     if args.method == "gsp":
-        order, prefix_scores = centrality_mod.greedy_group_scores(
-            network, args.k or network.node_count, args.weighted
+        k = network.node_count if args.k is None else args.k
+        order, scores = centrality_mod.greedy_group_scores(
+            network, k, args.weighted
         )
-        for rank, (v, score) in enumerate(zip(order, prefix_scores), start=1):
-            print(f"{network.node_names[v]},{_fmt(float(score))},{rank}")
-        return 0
-    if args.method == "sp":
-        scores = centrality_mod.betweenness(network, args.weighted)
-    elif args.method == "degree":
-        scores = centrality_mod.degree_centrality(network, args.weighted)
     else:
-        raise UsageError(f"unknown centrality method {args.method!r}")
-    for rank, v in enumerate(scores.ordering, start=1):
-        print(f"{network.node_names[v]},{_fmt(float(scores.scores[v]))},{rank}")
+        if args.method == "sp":
+            ranked = centrality_mod.betweenness(network, args.weighted)
+        elif args.method == "degree":
+            ranked = centrality_mod.degree_centrality(network, args.weighted)
+        else:
+            raise UsageError(f"unknown centrality method {args.method!r}")
+        order = ranked.ordering
+        scores = [ranked.scores[v] for v in order]
+    print("node,score,rank")
+    for rank, (v, score) in enumerate(zip(order, scores), start=1):
+        print(f"{network.node_names[v]},{_fmt(float(score))},{rank}")
     return 0
 
 
@@ -457,6 +471,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

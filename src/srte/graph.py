@@ -7,7 +7,9 @@ lines are skipped, and fields are whitespace separated:
     DEMAND <s> <t> <volume>
 
 Capacities and costs are kept as exact rationals so that shortest-path tie
-detection downstream never depends on floating point.
+detection downstream never depends on floating point. Each network also holds
+its costs as integers over one common denominator, for exact and fast
+shortest-path arithmetic.
 """
 
 from __future__ import annotations
@@ -55,13 +57,16 @@ class FlowNetwork:
     """Immutable directed graph with per-edge capacity and routing cost.
 
     Node names are arbitrary tokens mapped to dense indices in first-appearance
-    order. At most one directed edge per ordered node pair.
+    order. At most one directed edge per ordered node pair. ``scaled_costs``
+    are the edge costs times ``cost_scale``, the LCM of their denominators.
     """
 
     node_names: tuple[str, ...]
     edges: tuple[Edge, ...]
     out_edges: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     in_edges: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    cost_scale: int = field(init=False, repr=False)
+    scaled_costs: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.node_names)
@@ -83,6 +88,11 @@ class FlowNetwork:
             inc[e.head].append(idx)
         object.__setattr__(self, "out_edges", tuple(tuple(x) for x in out))
         object.__setattr__(self, "in_edges", tuple(tuple(x) for x in inc))
+        scale = math.lcm(*(e.cost.denominator for e in self.edges))
+        object.__setattr__(self, "cost_scale", scale)
+        object.__setattr__(self, "scaled_costs", tuple(
+            e.cost.numerator * (scale // e.cost.denominator) for e in self.edges
+        ))
 
     @property
     def node_count(self) -> int:
@@ -179,11 +189,23 @@ def _iter_lines(text: str):
             yield lineno, line.split()
 
 
-def _parse_rational(token: str, lineno: int, what: str) -> Fraction:
+def _parse_positive(token: str, lineno: int, what: str) -> Fraction:
+    """A positive rational whose float is neither 0 nor inf (LPs use floats)."""
     try:
-        return Fraction(token)
+        value = Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise TopologyError(f"line {lineno}: bad {what} {token!r}") from None
+    if value <= 0:
+        raise TopologyError(f"line {lineno}: {what} must be positive")
+    try:
+        in_range = 0 < float(value) < math.inf
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise TopologyError(
+            f"line {lineno}: {what} {token!r} is out of floating-point range"
+        )
+    return value
 
 
 def parse_topology(text: str) -> FlowNetwork:
@@ -210,14 +232,10 @@ def parse_topology(text: str) -> FlowNetwork:
         u, v = intern(fields[1]), intern(fields[2])
         if u == v:
             raise TopologyError(f"line {lineno}: self-loop on {fields[1]!r}")
-        capacity = _parse_rational(fields[3], lineno, "capacity")
-        if capacity <= 0:
-            raise TopologyError(f"line {lineno}: capacity must be positive")
+        capacity = _parse_positive(fields[3], lineno, "capacity")
         cost = Fraction(1)
         if len(fields) == 5:
-            cost = _parse_rational(fields[4], lineno, "cost")
-            if cost <= 0:
-                raise TopologyError(f"line {lineno}: cost must be positive")
+            cost = _parse_positive(fields[4], lineno, "cost")
         if (u, v) in seen_pairs:
             raise TopologyError(
                 f"line {lineno}: duplicate edge {fields[1]} -> {fields[2]}"

@@ -1,14 +1,17 @@
 """Generic linear programs and a solver front end shared by all TE modules.
 
-Programs are held in a simple row form (coefficients, relation, rhs) with
-per-variable bounds. Solving is delegated to scipy's HiGHS backend, which is
-deterministic for identical input and handles the degenerate, equal-capacity
-instances common in TE without cycling.
+A program is either built row by row (``LinearProgram``: coefficient dicts,
+relation, rhs) or assembled directly in the solver's sparse matrix form
+(``SparseLp``); a row-form program is converted once when solved. Solving is
+delegated to scipy's HiGHS backend, which is deterministic for identical input
+and handles the degenerate, equal-capacity instances common in TE without
+cycling. Every returned point is re-checked against the rows.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -69,6 +72,76 @@ class LinearProgram:
                 raise ValueError(f"coefficient references unknown variable {j}")
         self.rows.append((dict(coeffs), relation, rhs))
 
+    def to_sparse(self) -> SparseLp:
+        """The same program in matrix form; GE rows become negated LE rows."""
+        # Per block: coefficients, their row and column indices, right sides.
+        blocks = {LE: ([], [], [], []), EQ: ([], [], [], [])}
+        for coeffs, relation, rhs in self.rows:
+            sign = -1.0 if relation == GE else 1.0
+            data, rows, cols, b = blocks[EQ if relation == EQ else LE]
+            data.extend(sign * a for a in coeffs.values())
+            rows.extend([len(b)] * len(coeffs))
+            cols.extend(coeffs)
+            b.append(sign * rhs)
+        (a_ub, b_ub), (a_eq, b_eq) = [
+            (
+                csr_matrix((data, (rows, cols)), shape=(len(b), self.num_vars)),
+                np.array(b, dtype=float),
+            )
+            for data, rows, cols, b in blocks.values()
+        ]
+        upper = [np.inf if u is None else u for u in self.upper]
+        return SparseLp(
+            self.maximize, np.array(self.objective, dtype=float),
+            np.array(self.lower, dtype=float), np.array(upper, dtype=float),
+            a_ub, b_ub, a_eq, b_eq, self.labels,
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class SparseLp:
+    """LP in the matrix form the solver takes.
+
+    Optimize ``objective @ x`` subject to ``a_ub @ x <= b_ub``,
+    ``a_eq @ x == b_eq`` and ``lower <= x <= upper`` (upper may be inf).
+    Either block may have no rows.
+    """
+
+    maximize: bool
+    objective: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    a_ub: csr_matrix
+    b_ub: np.ndarray
+    a_eq: csr_matrix
+    b_eq: np.ndarray
+    labels: Sequence[str]
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.objective)
+
+    @property
+    def rows(self) -> "_MatrixRows":
+        """The constraints as (coefficients, relation, rhs): the <= rows, then
+        the = rows. A view: the rows are read from the matrix when iterated."""
+        return _MatrixRows(self)
+
+
+class _MatrixRows:
+    def __init__(self, lp: SparseLp):
+        self._blocks = ((lp.a_ub, LE, lp.b_ub), (lp.a_eq, EQ, lp.b_eq))
+
+    def __len__(self) -> int:
+        return sum(a.shape[0] for a, _, _ in self._blocks)
+
+    def __iter__(self) -> Iterator[tuple[dict[int, float], str, float]]:
+        for a, relation, b in self._blocks:
+            indptr, cols, data = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
+            for i, rhs in enumerate(b.tolist()):
+                lo, hi = indptr[i], indptr[i + 1]
+                yield dict(zip(cols[lo:hi], data[lo:hi])), relation, rhs
+
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -80,69 +153,34 @@ class LpSolution:
         return self.assignment[var]
 
 
-def _build_matrices(lp: LinearProgram):
-    n = lp.num_vars
-    ub_data, ub_rows, ub_cols, b_ub = [], [], [], []
-    eq_data, eq_rows, eq_cols, b_eq = [], [], [], []
-    for coeffs, relation, rhs in lp.rows:
-        sign = -1.0 if relation == GE else 1.0
-        if relation == EQ:
-            r = len(b_eq)
-            for j, a in coeffs.items():
-                eq_rows.append(r)
-                eq_cols.append(j)
-                eq_data.append(a)
-            b_eq.append(rhs)
-        else:
-            r = len(b_ub)
-            for j, a in coeffs.items():
-                ub_rows.append(r)
-                ub_cols.append(j)
-                ub_data.append(sign * a)
-            b_ub.append(sign * rhs)
-    a_ub = (
-        csr_matrix((ub_data, (ub_rows, ub_cols)), shape=(len(b_ub), n))
-        if b_ub
-        else None
-    )
-    a_eq = (
-        csr_matrix((eq_data, (eq_rows, eq_cols)), shape=(len(b_eq), n))
-        if b_eq
-        else None
-    )
-    return a_ub, (np.array(b_ub) if b_ub else None), a_eq, (
-        np.array(b_eq) if b_eq else None
-    )
-
-
-def _check_feasibility(lp: LinearProgram, x: np.ndarray) -> None:
-    for coeffs, relation, rhs in lp.rows:
-        activity = sum(a * x[j] for j, a in coeffs.items())
-        norm = max(1.0, max((abs(a) for a in coeffs.values()), default=1.0))
-        resid = (activity - rhs) / norm
-        ok = (
-            (relation == LE and resid <= FEASIBILITY_TOL)
-            or (relation == GE and resid >= -FEASIBILITY_TOL)
-            or (relation == EQ and abs(resid) <= FEASIBILITY_TOL)
-        )
-        if not ok:
+def _check_feasibility(lp: SparseLp, x: np.ndarray) -> None:
+    """Each row's residual over max(1, max |coefficient|) is within tolerance."""
+    for a, b, equality in ((lp.a_ub, lp.b_ub, False), (lp.a_eq, lp.b_eq, True)):
+        if not a.shape[0]:
+            continue
+        norm = np.maximum(1.0, abs(a).max(axis=1).toarray().ravel())
+        resid = (a @ x - b) / norm
+        ok = np.abs(resid) <= FEASIBILITY_TOL if equality else resid <= FEASIBILITY_TOL
+        if not ok.all():  # NaN residuals fail too
             raise ArithmeticError(
-                f"solver returned an infeasible point: row residual {resid:g}"
+                "solver returned an infeasible point: row residual "
+                f"{resid[~ok][0]:g}"
             )
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
+def solve_lp(lp: LinearProgram | SparseLp) -> LpSolution:
     """Solve the program; Infeasible/Unbounded are statuses, not failures."""
     if lp.num_vars == 0:
         return LpSolution(LpStatus.OPTIMAL, 0.0, ())
-    c = np.array(lp.objective, dtype=float)
-    if lp.maximize:
-        c = -c
-    a_ub, b_ub, a_eq, b_eq = _build_matrices(lp)
-    bounds = list(zip(lp.lower, lp.upper))
+    if isinstance(lp, LinearProgram):
+        lp = lp.to_sparse()
+    c = -lp.objective if lp.maximize else lp.objective
+    has_ub, has_eq = lp.a_ub.shape[0] > 0, lp.a_eq.shape[0] > 0
     res = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-        method="highs",
+        c,
+        A_ub=lp.a_ub if has_ub else None, b_ub=lp.b_ub if has_ub else None,
+        A_eq=lp.a_eq if has_eq else None, b_eq=lp.b_eq if has_eq else None,
+        bounds=np.column_stack((lp.lower, lp.upper)), method="highs",
     )
     if res.status == 2:
         return LpSolution(LpStatus.INFEASIBLE, float("nan"), ())
@@ -155,10 +193,10 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     value = float(res.fun)
     if lp.maximize:
         value = -value
-    return LpSolution(LpStatus.OPTIMAL, value, tuple(float(v) for v in x))
+    return LpSolution(LpStatus.OPTIMAL, value, tuple(x.tolist()))
 
 
-def dump_lp(lp: LinearProgram) -> str:
+def dump_lp(lp: LinearProgram | SparseLp) -> str:
     """Human-readable LP-text dump for external cross-checks.
 
     Grammar: one objective line, a ``subject to`` block with one row per line,
@@ -179,6 +217,7 @@ def dump_lp(lp: LinearProgram) -> str:
         lines.append(f"  {lhs} {relation} {rhs:g}")
     lines.append("bounds:")
     for j in range(lp.num_vars):
-        hi = "+inf" if lp.upper[j] is None else f"{lp.upper[j]:g}"
+        upper = lp.upper[j]
+        hi = "+inf" if upper is None or upper == np.inf else f"{upper:g}"
         lines.append(f"  {lp.lower[j]:g} <= {lp.labels[j]} <= {hi}")
     return "\n".join(lines) + "\n"

@@ -1,9 +1,11 @@
 """Exact shortest-path structure with path counting and ECMP edge fractions.
 
-All distances are exact rationals and all path counts unbounded integers, so
-two paths are ECMP ties iff their costs compare equal — there is no epsilon
-anywhere in this module. Fractions are converted to floating point only when
-LP matrices are assembled (see te.py).
+Dijkstra runs on the network's integer-scaled costs (``cost_scale`` times the
+rational costs), so distances are exact Python ints and two paths are ECMP
+ties iff their scaled costs are equal — there is no epsilon anywhere in this
+module. Path counts are unbounded integers. A segment's ECMP fraction on an
+edge is kept as an integer path count over the segment's path count; te.py
+turns these into correctly rounded floats when it assembles LP matrices.
 """
 
 from __future__ import annotations
@@ -29,14 +31,16 @@ class UnreachableSegment(Exception):
 class ShortestPathDag:
     """Single-source shortest-path DAG with exact distances and path counts.
 
-    ``dist[v]`` is None for unreachable nodes (sigma 0, no predecessors).
-    ``preds[v]`` lists the indices of edges (u, v) with
-    dist[v] == dist[u] + cost(u, v) exactly. ``settled`` lists the reachable
-    nodes in the order Dijkstra settled them.
+    ``dist[v]`` is None for unreachable nodes (sigma 0, no predecessors);
+    ``scaled_dist[v]`` is the same distance times the network's
+    ``cost_scale``, an int. ``preds[v]`` lists the indices of edges (u, v)
+    with dist[v] == dist[u] + cost(u, v) exactly. ``settled`` lists the
+    reachable nodes in the order Dijkstra settled them.
     """
 
     source: int
     dist: tuple[Optional[Fraction], ...]
+    scaled_dist: tuple[Optional[int], ...]
     sigma: tuple[int, ...]
     preds: tuple[tuple[int, ...], ...]
     settled: tuple[int, ...]
@@ -49,16 +53,17 @@ class ShortestPathDag:
 def _dijkstra_counting(network: FlowNetwork, start: int, reverse: bool):
     """Dijkstra with shortest-path counting; reverse=True walks incoming edges."""
     n = network.node_count
-    dist: list[Optional[Fraction]] = [None] * n
+    edges, costs = network.edges, network.scaled_costs
+    dist: list[Optional[int]] = [None] * n
     sigma = [0] * n
     preds: list[list[int]] = [[] for _ in range(n)]
-    dist[start] = Fraction(0)
+    dist[start] = 0
     sigma[start] = 1
     done = [False] * n
     # Costs are positive, so popping by (distance, index) settles the nodes
     # in exactly that order.
     settled: list[int] = []
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), start)]
+    heap: list[tuple[int, int]] = [(0, start)]
     while heap:
         d, u = heapq.heappop(heap)
         if done[u]:
@@ -67,9 +72,8 @@ def _dijkstra_counting(network: FlowNetwork, start: int, reverse: bool):
         settled.append(u)
         edge_ids = network.in_edges[u] if reverse else network.out_edges[u]
         for eid in edge_ids:
-            e = network.edges[eid]
-            v = e.tail if reverse else e.head
-            nd = d + e.cost
+            v = edges[eid].tail if reverse else edges[eid].head
+            nd = d + costs[eid]
             if dist[v] is None or nd < dist[v]:
                 dist[v] = nd
                 sigma[v] = sigma[u]
@@ -78,7 +82,9 @@ def _dijkstra_counting(network: FlowNetwork, start: int, reverse: bool):
             elif nd == dist[v]:
                 sigma[v] += sigma[u]
                 preds[v].append(eid)
+    scale = network.cost_scale
     return (
+        tuple(None if d is None else Fraction(d, scale) for d in dist),
         tuple(dist),
         tuple(sigma),
         tuple(tuple(p) for p in preds),
@@ -107,12 +113,22 @@ def sp_dag_reverse(network: FlowNetwork, sink: int) -> ShortestPathDag:
 class SegmentFractions:
     """ECMP load fractions for segment (u, v).
 
-    fraction[e] = (number of shortest u-v paths using e) / sigma_uv, for every
-    edge e lying on some shortest u-v path.
+    ``counts[e]`` is the number of shortest u-v paths using edge e, for every
+    edge on some shortest u-v path, and ``sigma`` the number of shortest u-v
+    paths; the fraction of the segment's flow on e is counts[e] / sigma.
+    ``loads`` holds these fractions as correctly rounded floats, in the order
+    of ``counts``.
     """
 
     segment: tuple[int, int]
-    fractions: dict[int, Fraction]
+    sigma: int
+    counts: dict[int, int]
+    loads: tuple[float, ...]
+
+    @property
+    def fractions(self) -> dict[int, Fraction]:
+        """The exact fraction of the segment's flow on each edge."""
+        return {eid: Fraction(c, self.sigma) for eid, c in self.counts.items()}
 
 
 def segment_fractions(
@@ -131,21 +147,29 @@ def segment_fractions(
         raise ValueError("segment endpoints must differ")
     fwd = forward if forward is not None else sp_dag(network, u)
     bwd = backward if backward is not None else sp_dag_reverse(network, v)
-    total = fwd.dist[v]
+    total = fwd.scaled_dist[v]
     if total is None:
         raise UnreachableSegment(u, v)
-    sigma_uv = fwd.sigma[v]
-    fractions: dict[int, Fraction] = {}
-    for eid, e in enumerate(network.edges):
-        du = fwd.dist[e.tail]
-        dv = bwd.dist[e.head]
-        if du is None or dv is None:
-            continue
-        if du + e.cost + dv == total:
-            count = fwd.sigma[e.tail] * bwd.sigma[e.head]
-            if count:
-                fractions[eid] = Fraction(count, sigma_uv)
-    return SegmentFractions((u, v), fractions)
+    fdist, fsigma = fwd.scaled_dist, fwd.sigma
+    bdist, bsigma = bwd.scaled_dist, bwd.sigma
+    edges, costs = network.edges, network.scaled_costs
+    counts: dict[int, int] = {}
+    # An edge (a, b) lies on a shortest u-v path iff d(u, a) + cost + d(b, v)
+    # equals d(u, v); costs are positive, so a is settled before distance
+    # d(u, v) is reached.
+    for a in fwd.settled:
+        da = fdist[a]
+        if da >= total:
+            break
+        for eid in network.out_edges[a]:
+            b = edges[eid].head
+            db = bdist[b]
+            if db is not None and da + costs[eid] + db == total:
+                counts[eid] = fsigma[a] * bsigma[b]
+    sigma = fsigma[v]
+    return SegmentFractions(
+        (u, v), sigma, counts, tuple(c / sigma for c in counts.values())
+    )
 
 
 class ShortestPathCache:

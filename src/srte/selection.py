@@ -186,14 +186,14 @@ def centrality_select(
     if method not in _CENTRALITY_METHODS:
         raise ValueError(f"unknown centrality method {method!r}")
     cache = cache or ShortestPathCache(network)
+    # The cache holds DAGs of the given costs; weighted SP and GSP use
+    # 1/capacity costs instead.
+    analysis_cache = None if weighted else cache
     if method == "sp":
-        mids = list(betweenness(network, weighted).ordering[:k])
+        mids = list(betweenness(network, weighted, analysis_cache).ordering[:k])
         label = "TopK-SP"
     elif method == "gsp":
-        # The cache holds DAGs of the given costs; weighted GSP uses 1/capacity.
-        mids = greedy_group_select(
-            network, k, weighted, cache=None if weighted else cache
-        )
+        mids = greedy_group_select(network, k, weighted, cache=analysis_cache)
         label = "TopK-GSP"
     elif method == "degree":
         mids = list(degree_centrality(network, weighted).ordering[:k])

@@ -2,25 +2,30 @@
 
 A tunnel is an ordered waypoint sequence (source, middlepoints..., sink);
 flow on each segment splits over the segment's ECMP shortest paths per the
-exact fractions from paths.py. Tunnel segments may reuse an edge, in which
+exact path counts from paths.py. Tunnel segments may reuse an edge, in which
 case the loads add up on that edge (no acyclicity filtering).
 
-Builders produce a TeProgram wrapping the generic LinearProgram together with
-the variable layout, so solutions can be decoded back into tunnel flows,
-split ratios, and edge utilizations.
+Builders assemble the program's sparse matrix directly: one column per
+tunnel whose entries are the tunnel's per-edge loads, each the correctly
+rounded float of its exact rational value. The TeProgram keeps that
+edges x tunnels load matrix with the variable layout, so solutions decode
+back into tunnel flows, split ratios, and edge utilizations by one mat-vec.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+from scipy.sparse import csr_matrix
+
 from .graph import Commodity, DemandMatrix, FlowNetwork
-from .lp import EQ, GE, LE, LinearProgram, LpStatus, solve_lp
-from .paths import ShortestPathCache
+from .lp import EQ, LE, LinearProgram, LpStatus, SparseLp, solve_lp
+from .paths import SegmentFractions, ShortestPathCache
 
 LU = "lu"
 MF = "mf"
@@ -103,16 +108,22 @@ def tunnels_for_middlepoints(
 
 @dataclass
 class TeProgram:
-    """A built TE LP plus the layout needed to decode its solution."""
+    """A built TE LP plus the layout needed to decode its solution.
+
+    Tunnel j's flow is variable ``first_tunnel_var + j``; column j of
+    ``loads`` (edges x tunnels) is the load one unit of its flow puts on each
+    edge.
+    """
 
     kind: str
-    lp: LinearProgram
+    lp: SparseLp
     network: FlowNetwork
     demands: DemandMatrix
     tunnels: list[Tunnel]
-    tunnel_vars: list[int]
     theta_var: Optional[int]
-    edge_loads: list[dict[int, Fraction]]  # per tunnel: edge -> exact load coeff
+    first_tunnel_var: int
+    loads: csr_matrix
+    capacities: np.ndarray
 
 
 @dataclass
@@ -134,15 +145,49 @@ class TeSolution:
         return self.theta if self.kind == LU else self.satisfaction_ratio
 
 
-def _tunnel_edge_loads(
-    cache: ShortestPathCache, tunnel: Tunnel
-) -> dict[int, Fraction]:
-    """Exact per-edge load for one unit of flow on the tunnel (segments add)."""
-    loads: dict[int, Fraction] = {}
-    for a, b in tunnel.segments:
-        for eid, frac in cache.fractions(a, b).fractions.items():
-            loads[eid] = loads.get(eid, Fraction(0)) + frac
-    return loads
+def _share_an_edge(segments: Sequence[SegmentFractions]) -> bool:
+    seen: set[int] = set()
+    for seg in segments:
+        if not seen.isdisjoint(seg.counts):
+            return True
+        seen.update(seg.counts)
+    return False
+
+
+def _tunnel_loads(
+    cache: ShortestPathCache, tunnels: Sequence[Tunnel]
+) -> tuple[list[int], list[int], list[float]]:
+    """Edge index, tunnel size and load of every nonzero of the load matrix.
+
+    Each load equals float(exact load): a segment's own correctly rounded
+    count / sigma where one segment uses the edge, and otherwise the exact sum
+    over the segments as one integer numerator over the LCM of their sigmas,
+    divided once. Summing per-segment floats could be an ulp off.
+    """
+    edges: list[int] = []
+    sizes: list[int] = []
+    loads: list[float] = []
+    fractions = cache.fractions
+    for tun in tunnels:
+        w = tun.waypoints
+        segments = [fractions(a, b) for a, b in zip(w, w[1:])]
+        if len(segments) == 1 or not _share_an_edge(segments):
+            start = len(edges)
+            for seg in segments:
+                edges.extend(seg.counts)
+                loads.extend(seg.loads)
+            sizes.append(len(edges) - start)
+            continue
+        denominator = math.lcm(*(seg.sigma for seg in segments))
+        numerators: dict[int, int] = {}
+        for seg in segments:
+            factor = denominator // seg.sigma
+            for eid, count in seg.counts.items():
+                numerators[eid] = numerators.get(eid, 0) + count * factor
+        edges.extend(numerators)
+        loads.extend(num / denominator for num in numerators.values())
+        sizes.append(len(numerators))
+    return edges, sizes, loads
 
 
 def _build_tunnel_program(
@@ -152,52 +197,68 @@ def _build_tunnel_program(
     tunnels_by_commodity: Sequence[Sequence[Tunnel]],
 ) -> TeProgram:
     network = cache.network
-    lp = LinearProgram(maximize=(kind == MF))
-    theta_var = lp.add_var("theta", objective=1.0) if kind == LU else None
+    groups = tunnels_by_commodity
+    if kind == LU:
+        for commodity, group in zip(demands.commodities, groups):
+            if commodity.demand > 0 and not group:
+                raise NoTunnelError(commodity)
+    tunnels = [tun for group in groups for tun in group]
+    edge_list, sizes, load_list = _tunnel_loads(cache, tunnels)
+    edge_rows = np.array(edge_list, dtype=np.intp)
+    loads = np.array(load_list, dtype=float)
+    count, edge_count = len(tunnels), network.edge_count
+    first = 1 if kind == LU else 0  # theta comes first in LU
+    variables = first + count
+    tunnel_cols = np.repeat(np.arange(count), sizes)
+    load_matrix = csr_matrix(
+        (loads, (edge_rows, tunnel_cols)), shape=(edge_count, count)
+    )
+    capacities = np.array([float(e.capacity) for e in network.edges])
+    volume = np.array([c.demand for c in demands.commodities], dtype=float)
+    commodity = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
 
-    tunnels: list[Tunnel] = []
-    tunnel_vars: list[int] = []
-    edge_loads: list[dict[int, Fraction]] = []
-    per_commodity_vars: list[list[int]] = [[] for _ in demands.commodities]
-
-    for i, commodity in enumerate(demands.commodities):
-        group = tunnels_by_commodity[i]
-        if kind == LU and commodity.demand > 0 and not group:
-            raise NoTunnelError(commodity)
-        for tun in group:
-            label = "f[{}:{}]".format(
-                i, "-".join(network.node_names[w] for w in tun.waypoints)
-            )
-            var = lp.add_var(label, objective=(1.0 if kind == MF else 0.0))
-            tunnels.append(tun)
-            tunnel_vars.append(var)
-            edge_loads.append(_tunnel_edge_loads(cache, tun))
-            per_commodity_vars[i].append(var)
-
-    # Capacity rows: total tunnel load on e <= theta * c(e) (LU) or c(e) (MF).
-    per_edge: dict[int, dict[int, float]] = {}
-    for var, loads in zip(tunnel_vars, edge_loads):
-        for eid, coeff in loads.items():
-            per_edge.setdefault(eid, {})[var] = float(coeff)
-    for eid in range(network.edge_count):
-        coeffs = dict(per_edge.get(eid, {}))
-        cap = float(network.edges[eid].capacity)
-        if kind == LU:
-            coeffs[theta_var] = coeffs.get(theta_var, 0.0) - cap
-            lp.add_row(coeffs, LE, 0.0)
-        elif coeffs:
-            lp.add_row(coeffs, LE, cap)
-
-    for i, commodity in enumerate(demands.commodities):
-        coeffs = {var: 1.0 for var in per_commodity_vars[i]}
-        if kind == LU:
-            if commodity.demand > 0:
-                lp.add_row(coeffs, GE, commodity.demand)
-        elif coeffs:
-            lp.add_row(coeffs, LE, commodity.demand)
-
+    if kind == LU:
+        # Rows: load on e - theta * c(e) <= 0 for every edge, then
+        # -(flow of commodity i) <= -demand(i) for positive demand.
+        positive = volume > 0
+        row_of = np.cumsum(positive) - 1
+        demand_cols = np.flatnonzero(positive[commodity])
+        rows = [np.arange(edge_count), edge_rows,
+                edge_count + row_of[commodity[demand_cols]]]
+        cols = [np.zeros(edge_count, dtype=np.intp), first + tunnel_cols,
+                first + demand_cols]
+        data = [-capacities, loads, np.full(len(demand_cols), -1.0)]
+        rhs = [np.zeros(edge_count), -volume[positive]]
+        objective = np.zeros(variables)
+        objective[0] = 1.0
+    else:
+        # Rows: load on e <= c(e) for every loaded edge, then flow of
+        # commodity i <= demand(i) for every commodity with a tunnel.
+        loaded = np.flatnonzero(np.diff(load_matrix.indptr))
+        served = np.unique(commodity)
+        rows = [np.searchsorted(loaded, edge_rows),
+                len(loaded) + np.searchsorted(served, commodity)]
+        cols = [tunnel_cols, np.arange(count)]
+        data = [loads, np.ones(count)]
+        rhs = [capacities[loaded], volume[served]]
+        objective = np.ones(count)
+    b_ub = np.concatenate(rhs)
+    a_ub = csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(len(b_ub), variables),
+    )
+    lp = SparseLp(
+        kind == MF, objective, np.zeros(variables), np.full(variables, np.inf),
+        a_ub, b_ub, csr_matrix((0, variables)), np.zeros(0),
+        ["theta"] * first + [
+            "f[{}:{}]".format(i, "-".join(network.node_names[w] for w in tun.waypoints))
+            for i, group in enumerate(groups)
+            for tun in group
+        ],
+    )
     return TeProgram(
-        kind, lp, network, demands, tunnels, tunnel_vars, theta_var, edge_loads
+        kind, lp, network, demands, tunnels, 0 if kind == LU else None, first,
+        load_matrix, capacities,
     )
 
 
@@ -228,30 +289,21 @@ def solve_te(program: TeProgram) -> TeSolution:
     if sol.status is not LpStatus.OPTIMAL:
         return result
 
-    flows = {
-        tun: sol[var] for tun, var in zip(program.tunnels, program.tunnel_vars)
-    }
-    result.tunnel_flows = flows
+    flows = sol.assignment[program.first_tunnel_var:]
+    result.tunnel_flows = dict(zip(program.tunnels, flows))
 
     totals: dict[int, float] = {}
-    for tun, flow in flows.items():
+    for tun, flow in zip(program.tunnels, flows):
         totals[tun.commodity] = totals.get(tun.commodity, 0.0) + flow
     result.split_ratios = {
         tun: (flow / totals[tun.commodity] if totals[tun.commodity] > 0 else 0.0)
-        for tun, flow in flows.items()
+        for tun, flow in zip(program.tunnels, flows)
     }
 
-    utilization: dict[int, float] = {
-        eid: 0.0 for eid in range(program.network.edge_count)
-    }
-    for tun, var, loads in zip(
-        program.tunnels, program.tunnel_vars, program.edge_loads
-    ):
-        flow = sol[var]
-        for eid, coeff in loads.items():
-            utilization[eid] += flow * float(coeff)
-    for eid in utilization:
-        utilization[eid] /= float(program.network.edges[eid].capacity)
+    # Each row of the load matrix lists its tunnels in order, so every edge's
+    # load is summed in tunnel order.
+    load = program.loads @ np.array(flows, dtype=float)
+    utilization = dict(enumerate((load / program.capacities).tolist()))
     result.edge_utilization = utilization
 
     if program.kind == LU:

@@ -1,0 +1,68 @@
+"""The benchmark's outside-in tracer (bench/tracer.py) against the library.
+
+The tracer wraps public callables where the package binds them and reads the
+sizes of every built program from ``program.lp``; these tests pin the names
+and attributes it relies on.
+"""
+
+import contextlib
+import io
+import pathlib
+import sys
+
+import srte.lp
+import srte.paths
+import srte.te
+from srte.cli import main
+from srte.graph import parse_demands, parse_topology
+from srte.paths import ShortestPathCache
+from srte.te import build_te_lu, tunnels_for_middlepoints
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+
+sys.path.insert(0, str(ROOT / "bench"))
+import tracer  # noqa: E402
+
+ARGV = [
+    "solve", "--topology", str(DATA / "net10.topo"),
+    "--demands", str(DATA / "net10.dem"), "--method", "all-nodes", "--m", "2",
+]
+
+
+def run_main():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(ARGV) == 0
+    return out.getvalue()
+
+
+def test_traced_solve_prints_the_same_and_counts_the_lp():
+    untraced = run_main()
+    def hooks():
+        return srte.te.solve_lp, srte.lp.linprog, srte.paths.segment_fractions
+
+    originals = hooks()
+    t = tracer.Tracer()
+    with t:
+        assert hooks() != originals
+        traced = run_main()
+    assert hooks() == originals
+    assert traced == untraced
+
+    network = parse_topology((DATA / "net10.topo").read_text())
+    demands = parse_demands((DATA / "net10.dem").read_text()).bind(network)
+    cache = ShortestPathCache(network)
+    tunnels = tunnels_for_middlepoints(
+        cache, demands, range(network.node_count), 2
+    )
+    lp = build_te_lu(cache, demands, tunnels).lp
+    assert t.counts["lp_cols"] == lp.num_vars
+    assert t.counts["lp_rows"] == len(lp.rows) == lp.a_ub.shape[0]
+    assert t.counts["lp_nnz"] == lp.a_ub.nnz
+    assert t.counts["tunnels"] == lp.num_vars - 1
+    assert t.calls["lp.solve_lp"] == t.calls["lp.linprog"] == 1
+    assert t.counts["highs_iterations"] > 0
+    # Every segment's fractions were computed once, through the module global.
+    segments = {seg for group in tunnels for tun in group for seg in tun.segments}
+    assert t.calls["paths.segment_fractions"] == len(segments)

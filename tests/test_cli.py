@@ -64,6 +64,27 @@ class TestSolve:
         assert code == 0
         assert out == (GOLDEN / "solve_gsp.json").read_text()
 
+    @pytest.mark.parametrize(
+        "golden, extra",
+        [
+            # Tunnels of up to two middlepoints: segments share edges.
+            ("solve_greedy_k3_m2.json", ("--method", "greedy", "--k", "3",
+                                         "--m", "2")),
+            ("solve_all_nodes_m2.json", ("--method", "all-nodes", "--m", "2")),
+            # Scaled so that the max-flow program leaves demand unmet.
+            ("solve_all_nodes_mf_scale4.json", (
+                "--method", "all-nodes", "--m", "1", "--objective", "mf",
+                "--scale", "4")),
+        ],
+    )
+    def test_golden_tunnel_programs(self, capsys, golden, extra):
+        code, out, _ = run(
+            capsys, "solve", "--topology", DATA / "net10.topo",
+            "--demands", DATA / "net10.dem", *extra,
+        )
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+
     def test_timing_flag_populates_solve_ms(self, capsys):
         code, out, _ = run(
             capsys, "solve", "--topology", DATA / "mid3.topo",
@@ -274,6 +295,73 @@ class TestInputErrors:
             capsys, "sweep", "--topology", DATA / "net10.topo",
             "--demands", DATA / "net10.dem", "--method", "degree", *axis,
         )
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--sweep-k", "0:1"),
+            ("sweep", "--sweep-k", "10:11"),
+            ("sweep", "--sweep-m=-1,0"),
+            ("sweep", "--sweep-methods", "gsp,bogus"),
+            ("sweep", "--sweep-methods", "gsp", "--k", "0"),
+            ("solve", "--m", "-1"),
+            ("solve", "--method", "all-nodes", "--k", "11"),
+        ],
+    )
+    def test_bad_point_rejected_before_output(self, capsys, argv):
+        self.assert_rejected(
+            capsys, *argv, "--topology", DATA / "net10.topo",
+            "--demands", DATA / "net10.dem",
+        )
+
+    @pytest.mark.parametrize("k", ["0", "-1", "11"])
+    def test_gsp_centrality_k_out_of_range(self, capsys, k):
+        err = self.assert_rejected(
+            capsys, "centrality", "--topology", DATA / "net10.topo",
+            "--method", "gsp", "--k", k,
+        )
+        assert "k must be in [1, 10]" in err
+
+    @pytest.mark.parametrize(
+        "line, fragment",
+        [
+            ("EDGE n0 n1 1e400", "capacity '1e400'"),
+            ("EDGE n0 n1 1e-400", "capacity '1e-400'"),
+            ("EDGE n0 n1 1 1e400", "cost '1e400'"),
+            ("EDGE n0 n1 1 1e-400", "cost '1e-400'"),
+        ],
+    )
+    def test_capacity_or_cost_out_of_float_range(
+        self, capsys, tmp_path, line, fragment
+    ):
+        topo = tmp_path / "range.topo"
+        topo.write_text(f"EDGE n1 n0 1\n{line}\n")
+        err = self.assert_rejected(
+            capsys, "solve", "--topology", topo, "--gravity", "1",
+        )
+        assert "line 2" in err and fragment in err
+
+    def test_solver_arithmetic_error_exits_2(self, capsys, monkeypatch):
+        """A point that fails the feasibility re-check is one error line."""
+        import srte.lp
+
+        real = srte.lp.linprog
+
+        def corrupted(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.x = res.x * 0.5  # now violates the demand rows
+            return res
+
+        monkeypatch.setattr(srte.lp, "linprog", corrupted)
+        code, out, err = run(
+            capsys, "solve", "--topology", DATA / "net10.topo",
+            "--demands", DATA / "net10.dem", "--method", "all-nodes",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: solver returned an infeasible point")
+        assert len(err.splitlines()) == 1
 
 
 class TestOracleSuites:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import srte.lp
 from srte.lp import (
     EQ,
     GE,
@@ -131,3 +132,69 @@ def test_solver_soundness_on_random_feasible_programs(data):
     assert sol.status is LpStatus.OPTIMAL
     witness_value = sum(lp.objective[j] * witness[j] for j in range(n))
     assert sol.objective_value <= witness_value + 1e-7
+
+
+def three_row_program():
+    lp = LinearProgram()
+    x = lp.add_var("x", objective=1.0)
+    y = lp.add_var("y", objective=1.0, upper=4.0)
+    lp.add_row({x: 100.0, y: 1.0}, LE, 203.0)
+    lp.add_row({x: 1.0}, GE, 2.0)
+    lp.add_row({x: 1.0, y: 1.0}, EQ, 5.0)
+    return lp
+
+
+def test_sparse_form_of_rows():
+    """>= rows become negated <= rows; = rows form their own block."""
+    sparse = three_row_program().to_sparse()
+    assert sparse.num_vars == 2
+    assert sparse.a_ub.toarray().tolist() == [[100.0, 1.0], [-1.0, 0.0]]
+    assert sparse.b_ub.tolist() == [203.0, -2.0]
+    assert sparse.a_eq.toarray().tolist() == [[1.0, 1.0]]
+    assert sparse.b_eq.tolist() == [5.0]
+    assert sparse.upper.tolist() == [np.inf, 4.0]
+    assert list(sparse.rows) == [
+        ({0: 100.0, 1: 1.0}, LE, 203.0),
+        ({0: -1.0}, LE, -2.0),
+        ({0: 1.0, 1: 1.0}, EQ, 5.0),
+    ]
+    text = dump_lp(sparse)
+    assert "  -1 x <= -2" in text
+    assert "  0 <= x <= +inf" in text and "  0 <= y <= 4" in text
+
+
+def test_row_and_sparse_programs_solve_alike():
+    lp = three_row_program()
+    a, b = solve_lp(lp), solve_lp(lp.to_sparse())
+    assert a == b
+    assert a.objective_value == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize(
+    "point, ok",
+    [
+        ((2.0, 3.0), True),
+        # Row 0 is 4.95e-6 over its rhs: 4.95e-8 after dividing by 100.
+        ((2.0 + 5e-8, 3.0 - 5e-8), True),
+        ((2.0 + 2e-7, 3.0 - 2e-7), False),
+        ((1.9999, 3.0001), False),  # the >= row
+        ((2.0, 2.999), False),  # the = row, from below
+        ((float("nan"), 3.0), False),
+    ],
+)
+def test_feasibility_recheck(monkeypatch, point, ok):
+    """The returned point is re-checked row by row against the tolerance,
+    scaled by max(1, max |coefficient|) of the row."""
+    real = srte.lp.linprog
+
+    def returns_point(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.x = np.array(point)
+        return res
+
+    monkeypatch.setattr(srte.lp, "linprog", returns_point)
+    if ok:
+        assert solve_lp(three_row_program()).status is LpStatus.OPTIMAL
+    else:
+        with pytest.raises(ArithmeticError, match="infeasible point"):
+            solve_lp(three_row_program())

@@ -147,3 +147,30 @@ def test_cache_consistency_and_reuse():
                 assert cache.fractions(u, v).fractions == segment_fractions(
                     net, u, v
                 ).fractions
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scaled_distances_and_segment_loads(seed):
+    """scaled_dist is dist times the network's cost scale, an exact int; each
+    segment's float loads are its exact fractions, correctly rounded."""
+    base = random_digraph(8, 0.35, seed)
+    net = base.with_costs(
+        [Fraction(1 + i % 4, 1 + i % 3) for i in range(base.edge_count)]
+    )
+    assert net.cost_scale == 6
+    assert all(
+        Fraction(c, net.cost_scale) == e.cost
+        for c, e in zip(net.scaled_costs, net.edges)
+    )
+    cache = ShortestPathCache(net)
+    for u in range(net.node_count):
+        dag = cache.forward(u)
+        for d, scaled in zip(dag.dist, dag.scaled_dist):
+            assert (d is None) == (scaled is None)
+            assert d is None or d * net.cost_scale == scaled
+        for v in range(net.node_count):
+            if u == v or not cache.reachable(u, v):
+                continue
+            seg = cache.fractions(u, v)
+            assert seg.sigma == dag.sigma[v]
+            assert list(seg.loads) == [float(f) for f in seg.fractions.values()]

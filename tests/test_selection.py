@@ -204,3 +204,27 @@ class TestTwinHubDiversification:
         base = group_betweenness(net, [chosen[0]])
         twin = 2 if chosen[0] == 1 else 1
         assert group_betweenness(net, [chosen[0], twin]) - base <= 0
+
+
+def test_sp_selection_reuses_the_callers_dags(monkeypatch):
+    """Betweenness and the TE solves share one cache: across a K sweep every
+    forward DAG is built once."""
+    import srte.paths
+
+    net = random_connected_digraph(8, 20, 2)
+    demands = make_demands((0, 4, 2), (1, 5, 1), (6, 2, 1))
+    built = []
+    real = srte.paths.sp_dag
+
+    def counting(network, source):
+        built.append(source)
+        return real(network, source)
+
+    monkeypatch.setattr(srte.paths, "sp_dag", counting)
+    cache = ShortestPathCache(net)
+    for k in (1, 2, 3):
+        uncached = betweenness(net).ordering[:k]
+        result = centrality_select(net, demands, "sp", k, 1, cache=cache)
+        assert result.middlepoints == list(uncached)
+    sweep_builds = len(built) - 3 * net.node_count  # minus the uncached runs
+    assert sweep_builds == net.node_count

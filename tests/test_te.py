@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from srte.graph import Commodity, DemandMatrix, random_connected_digraph, random_digraph
 from srte.lp import GE, LE, LinearProgram, LpStatus, solve_lp
@@ -195,6 +196,148 @@ class TestIndependentFormulation:
         independent = solve_lp(lp)
         assert independent.status is LpStatus.OPTIMAL
         assert sol.theta == pytest.approx(independent.objective_value, abs=1e-7)
+
+
+def exact_tunnel_loads(network, tunnel, paths_of):
+    """Exact per-edge load of one unit of flow on the tunnel, from path
+    enumeration; also whether two of its segments share an edge."""
+    edge_id = {(e.tail, e.head): i for i, e in enumerate(network.edges)}
+    loads, seen, shared = {}, set(), False
+    for a, b in tunnel.segments:
+        if (a, b) not in paths_of:
+            paths_of[(a, b)] = enumerate_shortest_paths(network, a, b)[1]
+        paths = paths_of[(a, b)]
+        used = {}
+        for p in paths:
+            for u, v in zip(p, p[1:]):
+                used[edge_id[(u, v)]] = used.get(edge_id[(u, v)], 0) + 1
+        shared = shared or not seen.isdisjoint(used)
+        seen.update(used)
+        for eid, count in used.items():
+            loads[eid] = loads.get(eid, Fraction(0)) + Fraction(count, len(paths))
+    return loads, shared
+
+
+def dict_row_matrices(kind, cache, demands, groups):
+    """The tunnel program's <= block built independently, row by row.
+
+    Rows are coefficient dicts as a row-form LP holds them (a >= row is
+    negated), assembled into CSR the way the row-form solver front end did.
+    """
+    network = cache.network
+    first = 1 if kind == LU else 0
+    per_edge, per_commodity, var = {}, [[] for _ in groups], first
+    for i, group in enumerate(groups):
+        for tun in group:
+            loads = {}
+            for a, b in tun.segments:
+                for eid, frac in cache.fractions(a, b).fractions.items():
+                    loads[eid] = loads.get(eid, Fraction(0)) + frac
+            for eid, load in loads.items():
+                per_edge.setdefault(eid, {})[var] = float(load)
+            per_commodity[i].append(var)
+            var += 1
+    rows = []
+    for eid, edge in enumerate(network.edges):
+        coeffs = dict(per_edge.get(eid, {}))
+        if kind == LU:
+            coeffs[0] = -float(edge.capacity)
+            rows.append((coeffs, 0.0))
+        elif coeffs:
+            rows.append((coeffs, float(edge.capacity)))
+    for i, commodity in enumerate(demands.commodities):
+        if kind == LU and commodity.demand > 0:
+            rows.append(({v: -1.0 for v in per_commodity[i]}, -commodity.demand))
+        elif kind == MF and per_commodity[i]:
+            rows.append(({v: 1.0 for v in per_commodity[i]}, commodity.demand))
+    data, row_idx, col_idx = [], [], []
+    for r, (coeffs, _) in enumerate(rows):
+        for j, a in coeffs.items():
+            row_idx.append(r)
+            col_idx.append(j)
+            data.append(a)
+    a_ub = csr_matrix((data, (row_idx, col_idx)), shape=(len(rows), var))
+    return a_ub, np.array([rhs for _, rhs in rows])
+
+
+class TestSparseAssembly:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_coefficients_are_rounded_exact_sums(self, seed):
+        """Every load (and LP) coefficient is float(exact sum over segments),
+        also for tunnels whose segments share an edge. On seeds 2, 4 and 5
+        some of those sums differ from the sum of per-segment floats."""
+        net = random_connected_digraph(8, 22, seed, max_capacity=5)
+        if seed % 2:
+            net = net.with_costs(
+                [Fraction(1 + i % 3, 1 + i % 2) for i in range(net.edge_count)]
+            )
+        demands = make_demands((0, 5, 3), (2, 7, 2), (6, 1, 1), (4, 3, 2))
+        cache = ShortestPathCache(net)
+        groups = tunnels_for_middlepoints(cache, demands, range(8), 2)
+        program = build_te_lu(cache, demands, groups)
+        loads = program.loads.tocsc()
+        capacity_block = program.lp.a_ub[: net.edge_count].tocsc()
+        paths_of, shared = {}, 0
+        for j, tun in enumerate(program.tunnels):
+            exact, overlap = exact_tunnel_loads(net, tun, paths_of)
+            shared += overlap
+            expected = {eid: float(load) for eid, load in exact.items()}
+            column = loads[:, [j]]
+            assert dict(zip(column.indices.tolist(), column.data.tolist())) == expected
+            lp_column = capacity_block[:, [program.first_tunnel_var + j]]
+            assert dict(
+                zip(lp_column.indices.tolist(), lp_column.data.tolist())
+            ) == expected
+        assert shared > 0
+
+    @pytest.mark.parametrize("kind", [LU, MF])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matrices_equal_dict_row_build(self, kind, seed):
+        if kind == LU:
+            net = random_connected_digraph(9, 24, seed, max_capacity=7)
+        else:  # not strongly connected: some commodities have no tunnel
+            net = random_digraph(9, 0.25, seed, max_capacity=7)
+        demands = make_demands((0, 5, 3), (2, 7, 0), (6, 1, 1.5), (8, 3, 2))
+        cache = ShortestPathCache(net)
+        groups = tunnels_for_middlepoints(cache, demands, [1, 4, 5, 6], 2)
+        builder = build_te_lu if kind == LU else build_te_mf
+        lp = builder(cache, demands, groups).lp
+        a_ub, b_ub = dict_row_matrices(kind, cache, demands, groups)
+        assert lp.a_ub.shape == a_ub.shape
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(lp.a_ub, name), getattr(a_ub, name))
+        assert np.array_equal(lp.b_ub, b_ub)
+        assert lp.a_eq.shape[0] == 0
+        objective = np.ones(lp.num_vars)
+        if kind == LU:
+            objective[1:] = 0.0
+        assert np.array_equal(lp.objective, objective)
+        assert lp.maximize == (kind == MF)
+        assert np.all(lp.lower == 0.0) and np.all(lp.upper == np.inf)
+        assert len(lp.rows) == a_ub.shape[0]
+        assert sum(len(coeffs) for coeffs, _, _ in lp.rows) == a_ub.nnz
+
+    @pytest.mark.parametrize("kind", [LU, MF])
+    def test_utilization_equals_loop_decode(self, kind):
+        """The mat-vec decode adds each edge's loads in tunnel order, exactly
+        as a loop over tunnels does, so the floats are equal, not close."""
+        net = random_connected_digraph(9, 24, 4, max_capacity=7)
+        demands = make_demands((0, 5, 3), (2, 7, 2), (6, 1, 1.5), (8, 3, 2))
+        cache = ShortestPathCache(net)
+        groups = tunnels_for_middlepoints(cache, demands, range(9), 2)
+        builder = build_te_lu if kind == LU else build_te_mf
+        sol = solve_te(builder(cache, demands, groups))
+        expected = {eid: 0.0 for eid in range(net.edge_count)}
+        for tun, flow in sol.tunnel_flows.items():
+            loads = {}
+            for a, b in tun.segments:
+                for eid, frac in cache.fractions(a, b).fractions.items():
+                    loads[eid] = loads.get(eid, Fraction(0)) + frac
+            for eid, load in loads.items():
+                expected[eid] += flow * float(load)
+        for eid, edge in enumerate(net.edges):
+            expected[eid] /= float(edge.capacity)
+        assert sol.edge_utilization == expected
 
 
 class TestTeMf:
