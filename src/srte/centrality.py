@@ -38,33 +38,48 @@ def _analysis_network(network: FlowNetwork, weighted: bool) -> FlowNetwork:
     return network.inverse_capacity_costs() if weighted else network
 
 
+def _shortest_path_pairs(net: FlowNetwork, cache: ShortestPathCache | None):
+    """(sigma, L, weight, through): sigma[s][t] counts the shortest s-t paths
+    (0 for s == t), L is the LCM of all nonzero sigma_st, weight[s][t] is
+    L / sigma_st, and through[v] holds (s, [(t, weight[s][t]), ...]) for every
+    pair with s != v != t and v on a shortest s-t path (exact int distances).
+    """
+    n = net.node_count
+    cache = cache or ShortestPathCache(net)
+    dags = [cache.forward(s) for s in range(n)]
+    dist = [g.scaled_dist for g in dags]
+    sigma = [list(g.sigma) for g in dags]
+    for s in range(n):
+        sigma[s][s] = 0  # (s, s) is no pair
+    unit = math.lcm(*(c for row in sigma for c in row if c))
+    weight = [[unit // c if c else 0 for c in row] for row in sigma]
+    through: list[list] = [[] for _ in range(n)]
+    for s in range(n):
+        ds, ws = dist[s], weight[s]
+        for v in dags[s].settled[1:]:  # settled[0] is the source
+            dsv, dv = ds[v], dist[v]
+            targets = [
+                (t, ws[t]) for t in dags[v].settled[1:]
+                if t != s and dsv + dv[t] == ds[t]
+            ]
+            if targets:
+                through[v].append((s, targets))
+    return sigma, unit, weight, through
+
+
 def betweenness(
     network: FlowNetwork, weighted: bool = False,
     cache: ShortestPathCache | None = None,
 ) -> CentralityScores:
-    """Shortest-path betweenness: sum over pairs of sigma_st(v) / sigma_st."""
+    """Shortest-path betweenness: sum over pairs of sigma_st(v) / sigma_st,
+    summed exactly as sigma_sv * sigma_vt * weight[s][t] in units of 1 / L."""
     net = _analysis_network(network, weighted)
-    cache = cache or ShortestPathCache(net)
-    n = net.node_count
-    dags = [cache.forward(s) for s in range(n)]
-    scores = [Fraction(0)] * n
-    for s in range(n):
-        ds = dags[s]
-        for t in range(n):
-            if t == s or ds.sigma[t] == 0:
-                continue
-            d_st = ds.scaled_dist[t]
-            for v in range(n):
-                if v == s or v == t:
-                    continue
-                dv = ds.scaled_dist[v]
-                if dv is None:
-                    continue
-                dvt = dags[v].scaled_dist[t]
-                if dvt is not None and dv + dvt == d_st:
-                    scores[v] += Fraction(
-                        ds.sigma[v] * dags[v].sigma[t], ds.sigma[t]
-                    )
+    sigma, unit, _, through = _shortest_path_pairs(net, cache)
+    scores = [
+        Fraction(sum(sigma[s][v] * sum(sigma[v][t] * w for t, w in targets)
+                     for s, targets in through[v]), unit)
+        for v in range(net.node_count)
+    ]
     return _ranked("SP", weighted, scores)
 
 
@@ -141,31 +156,7 @@ def greedy_group_scores(
     if not (1 <= k <= n):
         raise ValueError(f"k must be in [1, {n}], got {k}")
     net = _analysis_network(network, weighted)
-    cache = cache or ShortestPathCache(net)
-    dags = [cache.forward(s) for s in range(n)]
-    # Integer distances keep ties exact and compare far faster than Fractions.
-    dist = [g.scaled_dist for g in dags]
-    sigma = [list(g.sigma) for g in dags]
-    for s in range(n):
-        sigma[s][s] = 0  # (s, s) is no pair
-    unit = math.lcm(*(c for row in sigma for c in row if c))
-    weight = [[unit // c if c else 0 for c in row] for row in sigma]
-    # through[v] holds (s, [(t, weight[s][t]), ...]) for every pair with
-    # s != v != t that has v on a shortest s-t path. settled[0] is the source.
-    through: list[list[tuple[int, list[tuple[int, int]]]]] = [
-        [] for _ in range(n)
-    ]
-    for s in range(n):
-        ds, ws = dist[s], weight[s]
-        for v in dags[s].settled[1:]:
-            dsv, dv = ds[v], dist[v]
-            targets = [
-                (t, ws[t]) for t in dags[v].settled[1:]
-                if t != s and dsv + dv[t] == ds[t]
-            ]
-            if targets:
-                through[v].append((s, targets))
-
+    sigma, unit, weight, through = _shortest_path_pairs(net, cache)
     avoid = [row[:] for row in sigma]
     live = list(range(n))
     chosen: list[int] = []

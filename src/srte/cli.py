@@ -461,8 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage or the help
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except UsageError as exc:

@@ -98,12 +98,14 @@ def optimal_select(
         )
     cache = cache or ShortestPathCache(network)
     best: Optional[SelectionResult] = None
+    first_error: Optional[NoTunnelError] = None
     for subset in itertools.combinations(candidates, k):
         try:
             solution = solve_with_middlepoints(
                 cache, demands, subset, max_middlepoints
             )
-        except NoTunnelError:
+        except NoTunnelError as exc:
+            first_error = first_error or exc
             continue
         theta = _theta_or_inf(solution)
         if best is None or theta < _theta_or_inf(best.solution):
@@ -111,7 +113,7 @@ def optimal_select(
                 "Optimal", list(subset), len(subset), solution
             )
     if best is None:
-        raise NoTunnelError(demands.commodities[0])
+        raise first_error
     best.subproblems_solved = count
     return best
 
@@ -139,32 +141,32 @@ def greedy_select(
     unexplored = [v for v in candidates if v not in chosen]
     subproblems = 0
 
-    def attempt(mids: Sequence[int]) -> TeSolution:
+    def attempt(mids: Sequence[int]) -> tuple[TeSolution, Optional[NoTunnelError]]:
         nonlocal subproblems
         subproblems += 1
         try:
-            return solve_with_middlepoints(cache, demands, mids, max_middlepoints)
-        except NoTunnelError:
-            return TeSolution(LU, LpStatus.INFEASIBLE)
+            return solve_with_middlepoints(cache, demands, mids, max_middlepoints), None
+        except NoTunnelError as exc:
+            return TeSolution(LU, LpStatus.INFEASIBLE), exc
 
-    current = attempt(chosen)
+    current, error = attempt(chosen)
     while len(chosen) < k and unexplored:
-        best_v = None
-        best_solution = None
+        best_v = best_solution = best_error = None
         for v in unexplored:
-            candidate_solution = attempt(chosen + [v])
+            candidate_solution, candidate_error = attempt(chosen + [v])
             if best_solution is None or (
                 _theta_or_inf(candidate_solution) < _theta_or_inf(best_solution)
             ):
                 best_v, best_solution = v, candidate_solution
+                best_error = candidate_error
         if _theta_or_inf(current) - _theta_or_inf(best_solution) <= IMPROVEMENT_TOL:
             break
         chosen.append(best_v)
         unexplored.remove(best_v)
-        current = best_solution
+        current, error = best_solution, best_error
 
-    if current.status is not LpStatus.OPTIMAL:
-        raise NoTunnelError(demands.commodities[0])
+    if error is not None:
+        raise error
     return SelectionResult("Greedy", chosen, len(chosen), current, subproblems)
 
 

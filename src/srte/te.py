@@ -1,15 +1,16 @@
-"""Tunnel enumeration and the segment-routing TE programs.
+"""Tunnel enumeration, the segment-routing TE programs and the MP baseline.
 
 A tunnel is an ordered waypoint sequence (source, middlepoints..., sink);
 flow on each segment splits over the segment's ECMP shortest paths per the
 exact path counts from paths.py. Tunnel segments may reuse an edge, in which
 case the loads add up on that edge (no acyclicity filtering).
 
-Builders assemble the program's sparse matrix directly: one column per
-tunnel whose entries are the tunnel's per-edge loads, each the correctly
-rounded float of its exact rational value. The TeProgram keeps that
-edges x tunnels load matrix with the variable layout, so solutions decode
-back into tunnel flows, split ratios, and edge utilizations by one mat-vec.
+Builders assemble sparse matrices directly from COO arrays into one
+TeProgram type: one column per tunnel, whose entries are its per-edge loads
+(each the correctly rounded float of its exact rational value), or, for the
+unrestricted multipath (MP) baseline, one arc-flow column per commodity and
+edge. ``solve_te`` decodes both by one load-matrix mat-vec into utilizations
+(and tunnel flows and split ratios) and checks theta against them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .graph import Commodity, DemandMatrix, FlowNetwork
-from .lp import EQ, LE, LinearProgram, LpStatus, SparseLp, solve_lp
+from .lp import LpStatus, SparseLp, solve_lp
 from .paths import SegmentFractions, ShortestPathCache
 
 LU = "lu"
@@ -110,9 +111,10 @@ def tunnels_for_middlepoints(
 class TeProgram:
     """A built TE LP plus the layout needed to decode its solution.
 
-    Tunnel j's flow is variable ``first_tunnel_var + j``; column j of
-    ``loads`` (edges x tunnels) is the load one unit of its flow puts on each
-    edge.
+    Column j of ``loads`` (edges x variables) is the load one unit of variable
+    ``first_tunnel_var + j`` puts on each edge: the flows of ``tunnels`` in
+    order, or in the MP baseline (no tunnels) each commodity's edge flows (an
+    identity block) and, for MF, its delivered amount (a zero column).
     """
 
     kind: str
@@ -120,7 +122,6 @@ class TeProgram:
     network: FlowNetwork
     demands: DemandMatrix
     tunnels: list[Tunnel]
-    theta_var: Optional[int]
     first_tunnel_var: int
     loads: csr_matrix
     capacities: np.ndarray
@@ -190,6 +191,12 @@ def _tunnel_loads(
     return edges, sizes, loads
 
 
+def _csr(parts, shape) -> csr_matrix:
+    """The CSR matrix of (rows, cols, data) COO parts; duplicates add up."""
+    rows, cols, data = (np.concatenate(p) for p in zip(*parts))
+    return csr_matrix((data, (rows, cols)), shape=shape)
+
+
 def _build_tunnel_program(
     kind: str,
     cache: ShortestPathCache,
@@ -223,11 +230,13 @@ def _build_tunnel_program(
         positive = volume > 0
         row_of = np.cumsum(positive) - 1
         demand_cols = np.flatnonzero(positive[commodity])
-        rows = [np.arange(edge_count), edge_rows,
-                edge_count + row_of[commodity[demand_cols]]]
-        cols = [np.zeros(edge_count, dtype=np.intp), first + tunnel_cols,
-                first + demand_cols]
-        data = [-capacities, loads, np.full(len(demand_cols), -1.0)]
+        parts = [
+            (np.arange(edge_count), np.zeros(edge_count, dtype=np.intp),
+             -capacities),
+            (edge_rows, first + tunnel_cols, loads),
+            (edge_count + row_of[commodity[demand_cols]], first + demand_cols,
+             np.full(len(demand_cols), -1.0)),
+        ]
         rhs = [np.zeros(edge_count), -volume[positive]]
         objective = np.zeros(variables)
         objective[0] = 1.0
@@ -236,20 +245,18 @@ def _build_tunnel_program(
         # commodity i <= demand(i) for every commodity with a tunnel.
         loaded = np.flatnonzero(np.diff(load_matrix.indptr))
         served = np.unique(commodity)
-        rows = [np.searchsorted(loaded, edge_rows),
-                len(loaded) + np.searchsorted(served, commodity)]
-        cols = [tunnel_cols, np.arange(count)]
-        data = [loads, np.ones(count)]
+        parts = [
+            (np.searchsorted(loaded, edge_rows), tunnel_cols, loads),
+            (len(loaded) + np.searchsorted(served, commodity),
+             np.arange(count), np.ones(count)),
+        ]
         rhs = [capacities[loaded], volume[served]]
         objective = np.ones(count)
     b_ub = np.concatenate(rhs)
-    a_ub = csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(b_ub), variables),
-    )
     lp = SparseLp(
         kind == MF, objective, np.zeros(variables), np.full(variables, np.inf),
-        a_ub, b_ub, csr_matrix((0, variables)), np.zeros(0),
+        _csr(parts, (len(b_ub), variables)), b_ub,
+        csr_matrix((0, variables)), np.zeros(0),
         ["theta"] * first + [
             "f[{}:{}]".format(i, "-".join(network.node_names[w] for w in tun.waypoints))
             for i, group in enumerate(groups)
@@ -257,8 +264,7 @@ def _build_tunnel_program(
         ],
     )
     return TeProgram(
-        kind, lp, network, demands, tunnels, 0 if kind == LU else None, first,
-        load_matrix, capacities,
+        kind, lp, network, demands, tunnels, first, load_matrix, capacities
     )
 
 
@@ -281,7 +287,7 @@ def build_te_mf(
 
 
 def solve_te(program: TeProgram) -> TeSolution:
-    """Solve a tunnel program and decode flows, split ratios, and utilizations."""
+    """Solve a TE program and decode flows, split ratios, and utilizations."""
     start = time.perf_counter()
     sol = solve_lp(program.lp)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -322,92 +328,78 @@ def solve_te(program: TeProgram) -> TeSolution:
     return result
 
 
-@dataclass
-class MpProgram:
-    """Arc-based unrestricted multipath program (no segment restriction)."""
-
-    kind: str
-    lp: LinearProgram
-    network: FlowNetwork
-    demands: DemandMatrix
-    flow_vars: list[dict[int, int]]  # per commodity: edge -> var
-    theta_var: Optional[int]
-    delivered_vars: list[Optional[int]]
-
-
 def build_mp_baseline(
     network: FlowNetwork, demands: DemandMatrix, kind: str
-) -> MpProgram:
-    """Arc-flow multicommodity LP: the MP lower bound (LU) / upper bound (MF)."""
+) -> TeProgram:
+    """Arc-flow multicommodity LP: the MP lower bound (LU) / upper bound (MF).
+
+    Columns: theta (LU), then per commodity its edge flows and, for MF, its
+    delivered amount d[i]. Rows: per commodity, flow balance at every node
+    but the sink, whose row the others imply (nodes without edges only at the
+    source), then a capacity row per edge (for MF, only with a commodity).
+    """
     if kind not in (LU, MF):
         raise ValueError(f"bad objective kind {kind!r}")
-    lp = LinearProgram(maximize=(kind == MF))
-    theta_var = lp.add_var("theta", objective=1.0) if kind == LU else None
-    flow_vars: list[dict[int, int]] = []
-    delivered_vars: list[Optional[int]] = []
+    n, edge_count = network.node_count, network.edge_count
+    count = len(demands.commodities)
+    first = 1 if kind == LU else 0  # theta comes first in LU
+    width = edge_count + (kind == MF)  # columns per commodity
+    variables = first + count * width
+    tails = [e.tail for e in network.edges]  # ends: the tails, then the heads
+    ends = np.array(tails + [e.head for e in network.edges], dtype=np.intp)
+    sources = np.array([c.source for c in demands.commodities], dtype=np.intp)
+    sinks = np.array([c.sink for c in demands.commodities], dtype=np.intp)
+    volume = np.array([c.demand for c in demands.commodities], dtype=float)
+    capacities = np.array([float(e.capacity) for e in network.edges])
+    index = np.arange(count)
+    block = first + width * index  # commodity i's flow on edge e: block[i] + e
+    flow_cols = (block[:, None] + np.arange(edge_count)).ravel()
+    flow_edges = np.tile(np.arange(edge_count), count)
+    ones = np.ones(len(flow_cols))
+    flows = (flow_edges, flow_cols, ones)
 
-    for i, commodity in enumerate(demands.commodities):
-        evars = {
-            eid: lp.add_var(f"f[{i}:{network.node_names[network.edges[eid].tail]}"
-                            f"->{network.node_names[network.edges[eid].head]}]")
-            for eid in range(network.edge_count)
-        }
-        flow_vars.append(evars)
-        if kind == MF:
-            delivered_vars.append(
-                lp.add_var(f"d[{i}]", objective=1.0, upper=commodity.demand)
-            )
-        else:
-            delivered_vars.append(None)
-
-        for u in range(network.node_count):
-            if u == commodity.sink:
-                continue  # implied by the remaining balances
-            coeffs: dict[int, float] = {}
-            for eid in network.out_edges[u]:
-                coeffs[evars[eid]] = coeffs.get(evars[eid], 0.0) + 1.0
-            for eid in network.in_edges[u]:
-                coeffs[evars[eid]] = coeffs.get(evars[eid], 0.0) - 1.0
-            if u == commodity.source:
-                if kind == LU:
-                    lp.add_row(coeffs, EQ, commodity.demand)
-                else:
-                    coeffs[delivered_vars[i]] = -1.0
-                    lp.add_row(coeffs, EQ, 0.0)
-            elif coeffs:
-                lp.add_row(coeffs, EQ, 0.0)
-
-    for eid in range(network.edge_count):
-        coeffs = {flow_vars[i][eid]: 1.0 for i in range(len(demands.commodities))}
-        cap = float(network.edges[eid].capacity)
-        if kind == LU:
-            coeffs[theta_var] = -cap
-            lp.add_row(coeffs, LE, 0.0)
-        elif coeffs:
-            lp.add_row(coeffs, LE, cap)
-
-    return MpProgram(kind, lp, network, demands, flow_vars, theta_var, delivered_vars)
-
-
-def solve_mp(program: MpProgram) -> TeSolution:
-    """Solve the MP baseline and decode edge utilizations."""
-    start = time.perf_counter()
-    sol = solve_lp(program.lp)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    result = TeSolution(program.kind, sol.status, solve_ms=elapsed_ms)
-    if sol.status is not LpStatus.OPTIMAL:
-        return result
-    utilization = {}
-    for eid in range(program.network.edge_count):
-        load = sum(sol[evars[eid]] for evars in program.flow_vars)
-        utilization[eid] = load / float(program.network.edges[eid].capacity)
-    result.edge_utilization = utilization
-    if program.kind == LU:
-        result.theta = sol.objective_value
+    # Balance rows, commodity-major: out-flow minus in-flow at each kept node.
+    keep = np.tile(np.bincount(ends, minlength=n) > 0, (count, 1))
+    keep[index, sources] = True
+    keep[index, sinks] = False
+    row_of = (np.cumsum(keep) - 1).reshape(count, n)
+    commodity, end = np.nonzero(keep[:, ends])  # ends[end] is a kept node
+    eq = [(row_of[commodity, ends[end]], block[commodity] + end % edge_count,
+           np.where(end < edge_count, 1.0, -1.0))]
+    source_rows = row_of[index, sources]
+    b_eq = np.zeros(int(keep.sum()))
+    objective, upper = np.zeros(variables), np.full(variables, np.inf)
+    if kind == LU:
+        # The source's balance is its demand; load on e - theta * c(e) <= 0.
+        b_eq[source_rows] = volume
+        objective[0] = 1.0
+        ub = [(np.arange(edge_count), np.zeros(edge_count, dtype=np.intp),
+               -capacities), flows]
+        b_ub = np.zeros(edge_count)
     else:
-        result.satisfied_total = sol.objective_value
-        total_demand = program.demands.total_demand()
-        result.satisfaction_ratio = (
-            result.satisfied_total / total_demand if total_demand > 0 else 1.0
-        )
-    return result
+        # The source's balance is d[i] <= demand(i); load on e <= c(e).
+        delivered = block + edge_count
+        eq.append((source_rows, delivered, np.full(count, -1.0)))
+        objective[delivered] = 1.0
+        upper[delivered] = volume
+        ub, b_ub = [flows], capacities if count else np.zeros(0)
+    names = network.node_names
+    edge_labels = [f"{names[e.tail]}->{names[e.head]}" for e in network.edges]
+    labels = ["theta"] * first
+    for i in range(count):
+        labels += [f"f[{i}:{label}]" for label in edge_labels]
+        if kind == MF:
+            labels.append(f"d[{i}]")
+    lp = SparseLp(
+        kind == MF, objective, np.zeros(variables), upper,
+        _csr(ub, (len(b_ub), variables)), b_ub,
+        _csr(eq, (len(b_eq), variables)), b_eq, labels,
+    )
+    loads = _csr([(flow_edges, flow_cols - first, ones)],
+                 (edge_count, variables - first))
+    return TeProgram(kind, lp, network, demands, [], first, loads, capacities)
+
+
+# The MP baseline solves and decodes like any TE program. The name stays
+# because the CLI calls the MP solve by it and bench/tracer.py times it there.
+solve_mp = solve_te

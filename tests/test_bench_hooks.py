@@ -16,7 +16,7 @@ import srte.te
 from srte.cli import main
 from srte.graph import parse_demands, parse_topology
 from srte.paths import ShortestPathCache
-from srte.te import build_te_lu, tunnels_for_middlepoints
+from srte.te import build_mp_baseline, build_te_lu, tunnels_for_middlepoints
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -30,10 +30,10 @@ ARGV = [
 ]
 
 
-def run_main():
+def run_main(argv=ARGV):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(ARGV) == 0
+        assert main(argv) == 0
     return out.getvalue()
 
 
@@ -66,3 +66,22 @@ def test_traced_solve_prints_the_same_and_counts_the_lp():
     # Every segment's fractions were computed once, through the module global.
     segments = {seg for group in tunnels for tun in group for seg in tun.segments}
     assert t.calls["paths.segment_fractions"] == len(segments)
+
+
+def test_traced_mp_baseline_counts_both_blocks():
+    argv = [*ARGV[:5], "--method", "mp-baseline"]
+    untraced = run_main(argv)
+    t = tracer.Tracer()
+    with t:
+        traced = run_main(argv)
+    assert traced == untraced
+
+    network = parse_topology((DATA / "net10.topo").read_text())
+    demands = parse_demands((DATA / "net10.dem").read_text()).bind(network)
+    lp = build_mp_baseline(network, demands, "lu").lp
+    assert lp.a_eq.shape[0] > 0
+    assert t.counts["lp_cols"] == lp.num_vars
+    assert t.counts["lp_rows"] == lp.a_ub.shape[0] + lp.a_eq.shape[0]
+    assert t.counts["lp_nnz"] == lp.a_ub.nnz + lp.a_eq.nnz
+    assert t.calls["te.build_mp_baseline"] == t.calls["te.solve_mp"] == 1
+    assert t.calls["lp.solve_lp"] == 1

@@ -75,6 +75,10 @@ class TestSolve:
             ("solve_all_nodes_mf_scale4.json", (
                 "--method", "all-nodes", "--m", "1", "--objective", "mf",
                 "--scale", "4")),
+            # The arc-flow MP baseline, decoded like the tunnel programs.
+            ("solve_mp_lu.json", ("--method", "mp-baseline", "--objective", "lu")),
+            ("solve_mp_mf_scale4.json", (
+                "--method", "mp-baseline", "--objective", "mf", "--scale", "4")),
         ],
     )
     def test_golden_tunnel_programs(self, capsys, golden, extra):
@@ -84,6 +88,27 @@ class TestSolve:
         )
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
+
+    @pytest.mark.parametrize(
+        "method", [("gsp",), ("greedy", "--k", "1"), ("optimal",)]
+    )
+    def test_no_tunnel_names_the_unroutable_commodity(
+        self, capsys, tmp_path, method
+    ):
+        """a -> c is routable; c -> d is not, since only d -> c exists."""
+        topo = tmp_path / "t.topo"
+        topo.write_text(
+            "EDGE a b 1\nEDGE b a 1\nEDGE b c 1\nEDGE c b 1\nEDGE d c 1\n"
+        )
+        dem = tmp_path / "d.dem"
+        dem.write_text("DEMAND a c 1\nDEMAND c d 1\n")
+        code, out, err = run(
+            capsys, "solve", "--topology", topo, "--demands", dem,
+            "--method", *method,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: no tunnel connects commodity 2 -> 3\n"
 
     def test_timing_flag_populates_solve_ms(self, capsys):
         code, out, _ = run(
@@ -341,6 +366,28 @@ class TestInputErrors:
             capsys, "solve", "--topology", topo, "--gravity", "1",
         )
         assert "line 2" in err and fragment in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--topology", DATA / "net10.topo", "--demands",
+             DATA / "net10.dem", "--sweep-m", "-1:0"),
+            ("solve", "--topology", DATA / "net10.topo", "--demands",
+             DATA / "net10.dem", "--k", "notint"),
+            ("solve", "--demands", DATA / "net10.dem"),
+        ],
+    )
+    def test_argparse_usage_error_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: srte ")
+        assert err.splitlines()[-1].startswith(f"srte {argv[0]}: error: ")
+
+    def test_help_exits_0(self, capsys):
+        code, out, err = run(capsys, "solve", "--help")
+        assert code == 0
+        assert out.startswith("usage: srte solve") and err == ""
 
     def test_solver_arithmetic_error_exits_2(self, capsys, monkeypatch):
         """A point that fails the feasibility re-check is one error line."""

@@ -7,7 +7,7 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from srte.graph import Commodity, DemandMatrix, random_connected_digraph, random_digraph
-from srte.lp import GE, LE, LinearProgram, LpStatus, solve_lp
+from srte.lp import EQ, GE, LE, LinearProgram, LpSolution, LpStatus, solve_lp
 from srte.paths import ShortestPathCache
 from srte.te import (
     LU,
@@ -425,3 +425,119 @@ class TestMpBaseline:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             build_mp_baseline(make_net([(0, 1, 1)]), make_demands((0, 1, 1)), "x")
+
+    def test_theta_disagreeing_with_utilization_raises(self, monkeypatch):
+        """The MP decode checks theta against the largest utilization, as the
+        tunnel decode does."""
+        import srte.te
+
+        real = srte.te.solve_lp
+
+        def inflated_theta(lp):
+            sol = real(lp)
+            x = (2 * sol.assignment[0], *sol.assignment[1:])
+            return LpSolution(sol.status, 2 * sol.objective_value, x)
+
+        program = build_mp_baseline(
+            make_net([(0, 1, 4)]), make_demands((0, 1, 3)), LU
+        )
+        assert solve_te(program).theta == pytest.approx(0.75, abs=1e-9)
+        monkeypatch.setattr(srte.te, "solve_lp", inflated_theta)
+        with pytest.raises(ArithmeticError, match="reconstruction mismatch"):
+            solve_te(program)
+
+
+def dict_row_mp(network, demands, kind):
+    """The MP baseline built independently as a row-form LP: per commodity
+    its edge flows (and d[i] for MF), balance rows at every node but the sink
+    (nodes without edges only at the source), then capacity rows."""
+    lp = LinearProgram(maximize=(kind == MF))
+    theta = lp.add_var("theta", objective=1.0) if kind == LU else None
+    flow = []
+    for i, commodity in enumerate(demands.commodities):
+        names = network.node_names
+        flow.append([
+            lp.add_var(f"f[{i}:{names[e.tail]}->{names[e.head]}]")
+            for e in network.edges
+        ])
+        delivered = (
+            lp.add_var(f"d[{i}]", objective=1.0, upper=commodity.demand)
+            if kind == MF else None
+        )
+        for u in range(network.node_count):
+            if u == commodity.sink:
+                continue
+            coeffs = {}
+            for eid, e in enumerate(network.edges):
+                if e.tail == u:
+                    coeffs[flow[i][eid]] = coeffs.get(flow[i][eid], 0.0) + 1.0
+                if e.head == u:
+                    coeffs[flow[i][eid]] = coeffs.get(flow[i][eid], 0.0) - 1.0
+            if u == commodity.source:
+                if kind == LU:
+                    lp.add_row(coeffs, EQ, commodity.demand)
+                else:
+                    lp.add_row({**coeffs, delivered: -1.0}, EQ, 0.0)
+            elif coeffs:
+                lp.add_row(coeffs, EQ, 0.0)
+    for eid, e in enumerate(network.edges):
+        coeffs = {f[eid]: 1.0 for f in flow}
+        if kind == LU:
+            lp.add_row({**coeffs, theta: -float(e.capacity)}, LE, 0.0)
+        elif coeffs:
+            lp.add_row(coeffs, LE, float(e.capacity))
+    return lp
+
+
+class TestMpAssembly:
+    @pytest.mark.parametrize("kind", [LU, MF])
+    @pytest.mark.parametrize(
+        "case", ["connected", "sparse", "isolated-node", "no-demands"]
+    )
+    def test_sparse_lp_equals_dict_row_build(self, kind, case):
+        demands = make_demands((0, 5, 3), (2, 7, 0), (6, 1, 1.5), (8, 3, 2))
+        if case == "connected":
+            net = random_connected_digraph(9, 24, 3, max_capacity=7)
+        elif case == "sparse":  # unreachable pairs
+            net = random_digraph(9, 0.2, 1, max_capacity=7)
+        elif case == "isolated-node":
+            # n1 and n4 have no edges: n1 is only a sink, so it has no row;
+            # n4 is also a source, so it has one.
+            net = make_net(
+                [(0, 2, 1), (2, 3, 2), (3, 5, 1), (5, 0, 3), (6, 7, 2),
+                 (7, 8, 1), (8, 6, 4), (2, 7, 1), (3, 0, 2)],
+                names=tuple(f"n{i}" for i in range(9)),
+            )
+            assert not net.out_edges[4] and not net.in_edges[4]
+            demands = DemandMatrix((*demands.commodities, Commodity(4, 0, 1.0)))
+        else:
+            net = random_connected_digraph(9, 24, 3, max_capacity=7)
+            demands = DemandMatrix(())
+        lp = build_mp_baseline(net, demands, kind).lp
+        expected = dict_row_mp(net, demands, kind).to_sparse()
+        for block in ("a_ub", "a_eq"):
+            got, want = getattr(lp, block), getattr(expected, block)
+            assert got.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        for name in ("b_ub", "b_eq", "objective", "lower", "upper"):
+            assert np.array_equal(getattr(lp, name), getattr(expected, name))
+        assert list(lp.labels) == list(expected.labels)
+        assert lp.maximize == expected.maximize
+
+    @pytest.mark.parametrize("kind", [LU, MF])
+    def test_load_columns_follow_the_variables(self, kind):
+        """Column j of the load matrix is variable first_tunnel_var + j: an
+        identity block per commodity, a zero column for each d[i]."""
+        net = random_connected_digraph(6, 14, 2, max_capacity=5)
+        demands = make_demands((0, 3, 1), (4, 1, 2))
+        program = build_mp_baseline(net, demands, kind)
+        assert program.tunnels == []
+        assert program.first_tunnel_var == (1 if kind == LU else 0)
+        loads = program.loads.toarray()
+        width = net.edge_count + (kind == MF)
+        assert loads.shape == (net.edge_count, 2 * width)
+        for i in range(2):
+            block = loads[:, i * width:(i + 1) * width]
+            assert np.array_equal(block[:, :net.edge_count], np.eye(net.edge_count))
+            assert not block[:, net.edge_count:].any()
