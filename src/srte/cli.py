@@ -45,7 +45,6 @@ from .te import (
     LU,
     MF,
     NoTunnelError,
-    TeSolution,
     build_mp_baseline,
     solve_mp,
 )
@@ -60,16 +59,24 @@ class UsageError(Exception):
     pass
 
 
+class NotOptimalError(Exception):
+    """A solve's program is infeasible or unbounded."""
+
+
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _load_inputs(args) -> tuple[FlowNetwork, DemandMatrix]:
+def _read_topology(args) -> FlowNetwork:
     try:
         with open(args.topology) as fh:
-            network = parse_topology(fh.read())
+            return parse_topology(fh.read())
     except OSError as exc:
         raise UsageError(f"cannot read topology: {exc}") from exc
+
+
+def _load_inputs(args) -> tuple[FlowNetwork, DemandMatrix]:
+    network = _read_topology(args)
     if args.demands is not None:
         try:
             with open(args.demands) as fh:
@@ -86,68 +93,65 @@ def _load_inputs(args) -> tuple[FlowNetwork, DemandMatrix]:
     return network, demands
 
 
+def _check_point(network: FlowNetwork, args, method: str, k: int, m: int) -> None:
+    """Reject a run's method, K, M or method options before anything is printed."""
+    if method not in SELECTION_METHODS:
+        raise UsageError(f"unknown method {method!r}")
+    if not 1 <= k <= network.node_count:
+        raise UsageError(f"k must be in [1, {network.node_count}], got {k}")
+    if m < 0:
+        raise UsageError(f"m must be non-negative, got {m}")
+    if method in ("optimal", "greedy") and args.objective != LU:
+        raise UsageError(f"--method {method} supports only --objective lu")
+    if args.single_middlepoint and method != "all-nodes":
+        raise UsageError(
+            f"--single-middlepoint applies only to --method all-nodes, not {method}"
+        )
+
+
 def _run_method(
     network: FlowNetwork,
     demands: DemandMatrix,
+    args,
     method: str,
-    objective: str,
     k: int,
     m: int,
-    weighted: bool,
     seed: int,
-    budget: int,
-    single_middlepoint: bool,
-    cache: Optional[ShortestPathCache] = None,
-) -> tuple[TeSolution, list[int], int, int]:
-    """Returns (solution, middlepoints, used_count, subproblems)."""
-    cache = cache or ShortestPathCache(network)
+    cache: ShortestPathCache,
+) -> SelectionResult:
+    """Select middlepoints by ``method`` and solve TE on them."""
     if method == "mp-baseline":
-        solution = solve_mp(build_mp_baseline(network, demands, objective))
-        return solution, [], 0, 1
+        solution = solve_mp(build_mp_baseline(network, demands, args.objective))
+        return SelectionResult("MP-Baseline", [], solution)
+    candidates = list(range(network.node_count))
     if method == "all-nodes":
-        mids = list(range(network.node_count))
         solution = solve_with_middlepoints(
-            cache, demands, mids, m, objective, single_middlepoint
+            cache, demands, candidates, m, args.objective, args.single_middlepoint
         )
-        return solution, mids, len(mids), 1
-    if method in ("optimal", "greedy"):
-        if objective != LU:
-            raise UsageError(f"--method {method} supports only --objective lu")
-        candidates = list(range(network.node_count))
-        if method == "optimal":
-            result = optimal_select(
-                network, demands, candidates, k, m, budget=budget, cache=cache
-            )
-        else:
-            result = greedy_select(network, demands, candidates, k, m, cache=cache)
-        return (
-            result.solution,
-            result.middlepoints,
-            result.used_count,
-            result.subproblems_solved,
+        return SelectionResult("All-Nodes", candidates, solution)
+    if method == "optimal":
+        return optimal_select(
+            network, demands, candidates, k, m, budget=args.budget, cache=cache
         )
-    result = centrality_select(
+    if method == "greedy":
+        return greedy_select(network, demands, candidates, k, m, cache=cache)
+    return centrality_select(
         network, demands, method, k, m,
-        weighted=weighted, seed=seed, objective=objective, cache=cache,
+        weighted=args.weighted, seed=seed, objective=args.objective, cache=cache,
     )
-    return result.solution, result.middlepoints, result.used_count, 1
 
 
 def _solution_document(
-    network: FlowNetwork,
-    solution: TeSolution,
-    middlepoints: Sequence[int],
-    used_count: int,
-    subproblems: int,
-    timing: bool,
+    network: FlowNetwork, result: SelectionResult, timing: bool
 ) -> dict:
+    solution = result.solution
     doc: dict = {"objective": solution.kind}
     if solution.kind == LU:
         doc["theta"] = solution.theta
     else:
         doc["satisfaction_ratio"] = solution.satisfaction_ratio
-    doc["middlepoints"] = [network.node_names[v] for v in middlepoints]
-    doc["used_count"] = used_count
+    doc["middlepoints"] = [network.node_names[v] for v in result.middlepoints]
+    doc["used_count"] = result.used_count
     split: dict[str, dict[str, float]] = {}
     for tun, ratio in sorted(
         solution.split_ratios.items(), key=lambda kv: kv[0].waypoints
@@ -162,44 +166,30 @@ def _solution_document(
         for eid, util in sorted(solution.edge_utilization.items())
     }
     doc["solve_ms"] = solution.solve_ms if timing else None
-    doc["subproblems"] = subproblems
+    doc["subproblems"] = result.subproblems_solved
     return doc
-
-
-def _check_point(network: FlowNetwork, method: str, k: int, m: int) -> None:
-    """Reject a run's method, K or M before anything is printed."""
-    if method not in SELECTION_METHODS:
-        raise UsageError(f"unknown method {method!r}")
-    if not 1 <= k <= network.node_count:
-        raise UsageError(f"k must be in [1, {network.node_count}], got {k}")
-    if m < 0:
-        raise UsageError(f"m must be non-negative, got {m}")
 
 
 def cmd_solve(args) -> int:
     network, demands = _load_inputs(args)
-    _check_point(network, args.method, args.k, args.m)
-    try:
-        solution, mids, used, subproblems = _run_method(
-            network, demands, args.method, args.objective, args.k, args.m,
-            args.weighted, args.seed, args.budget, args.single_middlepoint,
-        )
-    except (NoTunnelError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _check_point(network, args, args.method, args.k, args.m)
+    result = _run_method(
+        network, demands, args, args.method, args.k, args.m, args.seed,
+        ShortestPathCache(network),
+    )
+    solution = result.solution
     if solution.status is not LpStatus.OPTIMAL:
-        print(f"error: program is {solution.status.value}", file=sys.stderr)
-        return 2
-    doc = _solution_document(network, solution, mids, used, subproblems, args.timing)
+        raise NotOptimalError(f"program is {solution.status.value}")
+    doc = _solution_document(network, result, args.timing)
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
-        objective_value = doc.get("theta", doc.get("satisfaction_ratio"))
         print("objective,value,middlepoints,used_count,solve_ms,subproblems")
         ms = _fmt(solution.solve_ms) if args.timing else ""
         print(
-            f"{solution.kind},{_fmt(objective_value)},"
-            f"{';'.join(doc['middlepoints'])},{used},{ms},{subproblems}"
+            f"{solution.kind},{_fmt(solution.objective)},"
+            f"{';'.join(doc['middlepoints'])},{result.used_count},{ms},"
+            f"{result.subproblems_solved}"
         )
     return 0
 
@@ -217,64 +207,53 @@ def _parse_axis(spec: str) -> list[int]:
 
 def cmd_sweep(args) -> int:
     network, demands = _load_inputs(args)
-    cache = ShortestPathCache(network)
-    points: list[tuple[str, dict]] = []
     if args.sweep_k:
-        for k in _parse_axis(args.sweep_k):
-            points.append((str(k), {"k": k}))
+        runs = [
+            (str(k), args.method, k, args.m, args.seed)
+            for k in _parse_axis(args.sweep_k)
+        ]
     elif args.sweep_m:
-        for m in _parse_axis(args.sweep_m):
-            points.append((str(m), {"m": m}))
+        runs = [
+            (str(m), args.method, args.k, m, args.seed)
+            for m in _parse_axis(args.sweep_m)
+        ]
     elif args.sweep_methods:
+        runs = []
         for token in args.sweep_methods.split(","):
             method, _, seed = token.partition(":")
-            override = {"method": method}
-            if seed:
-                override["seed"] = int(seed)
-            points.append((token, override))
+            seed = int(seed) if seed else args.seed
+            runs.append((token, method, args.k, args.m, seed))
     else:
         raise UsageError("one of --sweep-k / --sweep-m / --sweep-methods required")
-    runs = []
-    for label, override in points:
-        method = override.get("method", args.method)
-        k, m = override.get("k", args.k), override.get("m", args.m)
-        _check_point(network, method, k, m)
-        runs.append((label, method, k, m, override.get("seed", args.seed)))
+    for _, method, k, m, _ in runs:
+        _check_point(network, args, method, k, m)
 
+    cache = ShortestPathCache(network)
     print("point,status,objective,solve_ms,subproblems")
     worst = 0
     for label, method, k, m, seed in runs:
         try:
-            solution, _, _, subproblems = _run_method(
-                network, demands, method, args.objective, k, m,
-                args.weighted, seed, args.budget,
-                args.single_middlepoint, cache=cache,
-            )
-            status = solution.status.value
-            value = solution.objective
+            result = _run_method(network, demands, args, method, k, m, seed, cache)
         except (NoTunnelError, BudgetExceededError) as exc:
             print(f"point {label}: {exc}", file=sys.stderr)
-            solution, status, value, subproblems = None, "error", None, 0
-        if status != "optimal":
+            print(f"{label},error,,,0")
             worst = 2
-        ms = (
-            _fmt(solution.solve_ms)
-            if args.timing and solution is not None and status == "optimal"
-            else ""
-        )
+            continue
+        solution = result.solution
+        optimal = solution.status is LpStatus.OPTIMAL
+        if not optimal:
+            worst = 2
+        value = "" if solution.objective is None else _fmt(solution.objective)
+        ms = _fmt(solution.solve_ms) if args.timing and optimal else ""
         print(
-            f"{label},{status},{_fmt(value) if value is not None else ''},"
-            f"{ms},{subproblems}"
+            f"{label},{solution.status.value},{value},{ms},"
+            f"{result.subproblems_solved}"
         )
     return worst
 
 
 def cmd_centrality(args) -> int:
-    try:
-        with open(args.topology) as fh:
-            network = parse_topology(fh.read())
-    except OSError as exc:
-        raise UsageError(f"cannot read topology: {exc}") from exc
+    network = _read_topology(args)
     if args.method == "gsp":
         k = network.node_count if args.k is None else args.k
         order, scores = centrality_mod.greedy_group_scores(
@@ -283,10 +262,8 @@ def cmd_centrality(args) -> int:
     else:
         if args.method == "sp":
             ranked = centrality_mod.betweenness(network, args.weighted)
-        elif args.method == "degree":
-            ranked = centrality_mod.degree_centrality(network, args.weighted)
         else:
-            raise UsageError(f"unknown centrality method {args.method!r}")
+            ranked = centrality_mod.degree_centrality(network, args.weighted)
         order = ranked.ordering
         scores = [ranked.scores[v] for v in order]
     print("node,score,rank")
@@ -388,10 +365,7 @@ _SUITES = {
 
 
 def cmd_oracle(args) -> int:
-    suite = _SUITES.get(args.suite)
-    if suite is None:
-        raise UsageError(f"unknown suite {args.suite!r}")
-    failures = suite(args)
+    failures = _SUITES[args.suite](args)
     for line in failures:
         print(f"FAIL {line}", file=sys.stderr)
     verdict = "pass" if not failures else "fail"
@@ -460,6 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Every library error ends in one stderr line and exit 2 (the run failed) or
+# exit 1 (the input was rejected).
+_FAILED = (NoTunnelError, BudgetExceededError, NotOptimalError, ArithmeticError)
+_REJECTED = (UsageError, ValueError, KeyError, oracles.SizeCapExceededError)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -467,15 +447,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except UsageError as exc:
+    except _FAILED + _REJECTED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, _FAILED) else 1
 
 
 if __name__ == "__main__":

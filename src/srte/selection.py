@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .centrality import (
@@ -24,7 +24,6 @@ from .lp import LpStatus
 from .paths import ShortestPathCache
 from .te import (
     LU,
-    MF,
     NoTunnelError,
     TeSolution,
     build_te_lu,
@@ -47,9 +46,12 @@ class BudgetExceededError(Exception):
 class SelectionResult:
     method: str
     middlepoints: list[int]
-    used_count: int
     solution: TeSolution
     subproblems_solved: int = 1
+
+    @property
+    def used_count(self) -> int:
+        return len(self.middlepoints)
 
 
 def solve_with_middlepoints(
@@ -68,10 +70,22 @@ def solve_with_middlepoints(
     return solve_te(builder(cache, demands, tunnels))
 
 
-def _theta_or_inf(solution: TeSolution) -> float:
-    if solution.status is not LpStatus.OPTIMAL or solution.theta is None:
-        return math.inf
-    return solution.theta
+def _evaluate(
+    cache: ShortestPathCache,
+    demands: DemandMatrix,
+    middlepoints: Sequence[int],
+    max_middlepoints: int,
+) -> tuple[float, Optional[TeSolution], Optional[NoTunnelError]]:
+    """(theta, solution, error) of TE_LU on one set; theta is inf when a
+    commodity has no tunnel (no solution) or the program has no optimum."""
+    try:
+        solution = solve_with_middlepoints(
+            cache, demands, middlepoints, max_middlepoints
+        )
+    except NoTunnelError as exc:
+        return math.inf, None, exc
+    optimal = solution.status is LpStatus.OPTIMAL and solution.theta is not None
+    return (solution.theta if optimal else math.inf), solution, None
 
 
 def optimal_select(
@@ -97,25 +111,15 @@ def optimal_select(
             f"{count} subproblems exceed the budget of {budget}"
         )
     cache = cache or ShortestPathCache(network)
-    best: Optional[SelectionResult] = None
-    first_error: Optional[NoTunnelError] = None
+    best = None  # the first subset of least theta: (theta, solution, error, subset)
     for subset in itertools.combinations(candidates, k):
-        try:
-            solution = solve_with_middlepoints(
-                cache, demands, subset, max_middlepoints
-            )
-        except NoTunnelError as exc:
-            first_error = first_error or exc
-            continue
-        theta = _theta_or_inf(solution)
-        if best is None or theta < _theta_or_inf(best.solution):
-            best = SelectionResult(
-                "Optimal", list(subset), len(subset), solution
-            )
-    if best is None:
-        raise first_error
-    best.subproblems_solved = count
-    return best
+        trial = (*_evaluate(cache, demands, subset, max_middlepoints), subset)
+        if best is None or trial[0] < best[0]:
+            best = trial
+    _, solution, error, subset = best
+    if error is not None:
+        raise error
+    return SelectionResult("Optimal", list(subset), solution, count)
 
 
 def greedy_select(
@@ -130,8 +134,9 @@ def greedy_select(
     """Greedy expansion: add the middlepoint with the biggest utilization drop.
 
     Starts from an empty (or supplied partial) set and stops when k middle-
-    points are used or no candidate gives a strict reduction. An infeasible
-    current set counts as utilization +inf, so any feasible expansion wins.
+    points are used or no candidate lowers theta by more than IMPROVEMENT_TOL.
+    A set without a tunnel or an optimum counts as theta +inf, so any
+    feasible expansion wins.
     """
     candidates = sorted(set(candidates))
     if not (1 <= k <= len(candidates)):
@@ -139,35 +144,24 @@ def greedy_select(
     cache = cache or ShortestPathCache(network)
     chosen = list(initial)
     unexplored = [v for v in candidates if v not in chosen]
-    subproblems = 0
-
-    def attempt(mids: Sequence[int]) -> tuple[TeSolution, Optional[NoTunnelError]]:
-        nonlocal subproblems
-        subproblems += 1
-        try:
-            return solve_with_middlepoints(cache, demands, mids, max_middlepoints), None
-        except NoTunnelError as exc:
-            return TeSolution(LU, LpStatus.INFEASIBLE), exc
-
-    current, error = attempt(chosen)
+    theta, current, error = _evaluate(cache, demands, chosen, max_middlepoints)
+    subproblems = 1
     while len(chosen) < k and unexplored:
-        best_v = best_solution = best_error = None
+        best = None  # only the round's running best trial is kept alive
         for v in unexplored:
-            candidate_solution, candidate_error = attempt(chosen + [v])
-            if best_solution is None or (
-                _theta_or_inf(candidate_solution) < _theta_or_inf(best_solution)
-            ):
-                best_v, best_solution = v, candidate_solution
-                best_error = candidate_error
-        if _theta_or_inf(current) - _theta_or_inf(best_solution) <= IMPROVEMENT_TOL:
+            trial = (*_evaluate(cache, demands, chosen + [v], max_middlepoints), v)
+            if best is None or trial[0] < best[0]:
+                best = trial
+        subproblems += len(unexplored)
+        if not best[0] < theta - IMPROVEMENT_TOL:
             break
-        chosen.append(best_v)
-        unexplored.remove(best_v)
-        current, error = best_solution, best_error
+        theta, current, error, v = best
+        chosen.append(v)
+        unexplored.remove(v)
 
     if error is not None:
         raise error
-    return SelectionResult("Greedy", chosen, len(chosen), current, subproblems)
+    return SelectionResult("Greedy", chosen, current, subproblems)
 
 
 _CENTRALITY_METHODS = ("sp", "gsp", "degree", "random")
@@ -206,4 +200,4 @@ def centrality_select(
     solution = solve_with_middlepoints(
         cache, demands, mids, max_middlepoints, objective
     )
-    return SelectionResult(label, mids, len(mids), solution)
+    return SelectionResult(label, mids, solution)

@@ -1,12 +1,16 @@
 """Command-line interface: output formats, golden files, exit codes."""
 
+import contextlib
+import io
 import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srte.centrality import group_betweenness
-from srte.cli import main
+from srte.cli import SELECTION_METHODS, main
 from srte.graph import parse_topology
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -110,6 +114,17 @@ class TestSolve:
         assert out == ""
         assert err == "error: no tunnel connects commodity 2 -> 3\n"
 
+    def test_single_middlepoint_drops_the_direct_tunnel(self, capsys):
+        code, out, _ = run(
+            capsys, "solve", "--topology", DATA / "mid3.topo",
+            "--demands", DATA / "mid3.dem", "--method", "all-nodes",
+            "--single-middlepoint",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["split_ratios"] == {"s->t": {"tunnel(s,m,t)": 1.0}}
+        assert doc["theta"] == pytest.approx(1.5, abs=1e-9)
+
     def test_timing_flag_populates_solve_ms(self, capsys):
         code, out, _ = run(
             capsys, "solve", "--topology", DATA / "mid3.topo",
@@ -131,6 +146,19 @@ class TestSolve:
         assert code == 2
         assert out == ""
         assert "error" in err
+
+    def test_infeasible_mp_baseline_exits_2(self, capsys, tmp_path):
+        topo = tmp_path / "t.topo"
+        topo.write_text("EDGE a b 1\nEDGE c a 1\n")
+        dem = tmp_path / "d.dem"
+        dem.write_text("DEMAND b c 1\n")
+        code, out, err = run(
+            capsys, "solve", "--topology", topo, "--demands", dem,
+            "--method", "mp-baseline",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: program is infeasible\n"
 
     def test_missing_topology_exits_1(self, capsys, tmp_path):
         code, out, err = run(
@@ -332,6 +360,14 @@ class TestInputErrors:
             ("sweep", "--sweep-methods", "gsp", "--k", "0"),
             ("solve", "--m", "-1"),
             ("solve", "--method", "all-nodes", "--k", "11"),
+            # Methods that cannot run the requested objective or option.
+            ("sweep", "--method", "greedy", "--objective", "mf",
+             "--sweep-k", "1:2"),
+            ("sweep", "--sweep-methods", "gsp,optimal", "--objective", "mf"),
+            ("solve", "--method", "gsp", "--k", "3", "--m", "2",
+             "--single-middlepoint"),
+            ("sweep", "--sweep-methods", "all-nodes,gsp",
+             "--single-middlepoint"),
         ],
     )
     def test_bad_point_rejected_before_output(self, capsys, argv):
@@ -384,6 +420,20 @@ class TestInputErrors:
         assert err.startswith("usage: srte ")
         assert err.splitlines()[-1].startswith(f"srte {argv[0]}: error: ")
 
+    def test_single_middlepoint_names_its_method(self, capsys):
+        err = self.assert_rejected(
+            capsys, "solve", "--topology", DATA / "net10.topo",
+            "--demands", DATA / "net10.dem", "--method", "greedy",
+            "--single-middlepoint",
+        )
+        assert "--single-middlepoint" in err and "greedy" in err
+
+    def test_oracle_size_cap(self, capsys):
+        err = self.assert_rejected(
+            capsys, "oracle", "maxflow-mincut", "--nodes", "13", "--trials", "1",
+        )
+        assert "cap of 12" in err
+
     def test_help_exits_0(self, capsys):
         code, out, err = run(capsys, "solve", "--help")
         assert code == 0
@@ -409,6 +459,91 @@ class TestInputErrors:
         assert out == ""
         assert err.startswith("error: solver returned an infeasible point")
         assert len(err.splitlines()) == 1
+
+
+_NAMES = ("a", "b", "c", "d")
+_NUMBERS = ("1", "2.5", "3/2", "0", "-1", "nan", "inf", "1e400", "x")
+_MALFORMED = (
+    "EDGE a", "EDGE a b 1 1 1", "EDGE a a 1", "DEMAND a b", "DEMAND a b 1 1",
+    "DEMAND a a 1", "DEMAND a zz 1", "LINK a b 1", "# note",
+)
+
+
+@st.composite
+def _stream(draw, keyword, max_numbers):
+    """``keyword u v number...`` lines on distinct node pairs, with at most
+    one fault: a malformed line, or one number drawn from ``_NUMBERS``."""
+    pairs = [(u, v) for u in _NAMES for v in _NAMES if u != v]
+    numbers = st.lists(st.sampled_from(_NUMBERS[:2]), min_size=1, max_size=max_numbers)
+    rows = [
+        [keyword, u, v, *draw(numbers)]
+        for u, v in draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True))
+    ]
+    fault = draw(st.sampled_from((None, None, "number", "line")))
+    if fault == "number" and rows:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(3, len(row) - 1))] = draw(st.sampled_from(_NUMBERS))
+    elif fault == "line":
+        malformed = draw(st.sampled_from(_MALFORMED))
+        rows.insert(draw(st.integers(0, len(rows))), [malformed])
+    return "\n".join(" ".join(row) for row in rows)
+
+
+@st.composite
+def _cli_runs(draw):
+    topology = draw(_stream("EDGE", 2))
+    demands = draw(_stream("DEMAND", 1))
+    command = draw(st.sampled_from(("solve", "sweep", "centrality")))
+    k = str(draw(st.integers(0, 5)))
+    if command == "centrality":
+        method = draw(st.sampled_from(("sp", "gsp", "degree")))
+        options = ["--method", method, "--k", k]
+    else:
+        options = [
+            "--method", draw(st.sampled_from(SELECTION_METHODS)),
+            "--objective", draw(st.sampled_from(("lu", "mf"))),
+            "--k", k, "--m", str(draw(st.integers(0, 2))),
+        ]
+        if draw(st.booleans()):
+            options.append("--single-middlepoint")
+        if command == "sweep":
+            options += ["--sweep-k", "1:2"]
+    if draw(st.booleans()):
+        options.append("--weighted")
+    return topology, demands, command, options
+
+
+@settings(max_examples=400, deadline=None)
+@given(run_spec=_cli_runs())
+def test_every_input_exits_0_1_or_2_and_exit_0_re_verifies(
+    tmp_path_factory, run_spec
+):
+    """Arbitrary EDGE/DEMAND streams never raise out of ``main``; a solve
+    that exits 0 prints a solution whose theta or ratio its loads confirm."""
+    topology, demands, command, options = run_spec
+    work = tmp_path_factory.getbasetemp()
+    (work / "prop.topo").write_text(topology)
+    argv = [command, "--topology", str(work / "prop.topo")]
+    if command != "centrality":
+        (work / "prop.dem").write_text(demands)
+        argv += ["--demands", str(work / "prop.dem")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + options)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue() == ""
+    if code != 0 or command != "solve":
+        return
+    doc = json.loads(out.getvalue())
+    utilization = doc["edge_utilization"].values()
+    if doc["objective"] == "lu":
+        assert doc["theta"] == pytest.approx(
+            max(utilization, default=0.0), abs=1e-6
+        )
+    else:
+        assert 0 <= doc["satisfaction_ratio"] <= 1
+        assert all(u <= 1 + 1e-6 for u in utilization)
 
 
 class TestOracleSuites:

@@ -145,6 +145,31 @@ class TestGreedySelect:
         with pytest.raises(NoTunnelError):
             greedy_select(net, demands, [0, 1], 1, 1)
 
+    def test_stops_after_a_round_without_any_tunnel_set(self, monkeypatch):
+        """c -> d has no tunnel for any set, so every trial's theta is inf.
+
+        The first round cannot improve on an infinite theta and ends the
+        search: 1 + 4 subproblems, not the 1 + 4 + 3 + 2 + 1 of all k rounds.
+        """
+        import srte.selection
+
+        net = make_net(
+            [(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1), (3, 2, 1)],
+            names=("a", "b", "c", "d"),
+        )
+        demands = make_demands((0, 2, 1), (2, 3, 1))
+        calls = []
+        real = srte.selection.solve_with_middlepoints
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(srte.selection, "solve_with_middlepoints", counted)
+        with pytest.raises(NoTunnelError, match=r"commodity 2 -> 3$"):
+            greedy_select(net, demands, range(4), 4, 1)
+        assert len(calls) == 5
+
 
 class TestCentralitySelect:
     def test_method_labels(self):
