@@ -253,6 +253,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_centrality(args) -> int:
+    if args.k is not None and args.method != "gsp":
+        raise UsageError(f"--k applies only to --method gsp, not {args.method}")
     network = _read_topology(args)
     if args.method == "gsp":
         k = network.node_count if args.k is None else args.k

@@ -29,6 +29,10 @@ class DemandError(ValueError):
     """Raised for malformed or invalid demand input."""
 
 
+class UnknownNodeError(ValueError):
+    """Raised for a node name the network does not have."""
+
+
 def _check_scale(scale: float) -> None:
     if not 0 < scale < math.inf:  # also rejects NaN
         raise DemandError(f"scale must be positive and finite, got {scale}")
@@ -106,7 +110,7 @@ class FlowNetwork:
         try:
             return self.node_names.index(name)
         except ValueError:
-            raise KeyError(f"unknown node name {name!r}") from None
+            raise UnknownNodeError(f"unknown node name {name!r}") from None
 
     def with_costs(self, costs: Sequence[Fraction]) -> "FlowNetwork":
         """Copy of this network with edge costs replaced (same order)."""

@@ -2,8 +2,10 @@
 
 Optimal enumeration solves one TE subproblem per candidate subset; the greedy
 heuristic expands the set one middlepoint at a time while a strict utilization
-reduction exists. Both work on the min-max-utilization objective. Centrality
-and random selection pick a global middlepoint set up front and solve once.
+reduction exists. Both work on the min-max-utilization objective, and each
+run enumerates and loads its tunnels once, in one ``TunnelPool``, of which
+every subproblem's program is a column slice. Centrality and random
+selection pick a global middlepoint set up front and solve once.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .te import (
     LU,
     NoTunnelError,
     TeSolution,
+    TunnelPool,
     build_te_lu,
     build_te_mf,
     solve_te,
@@ -71,17 +74,12 @@ def solve_with_middlepoints(
 
 
 def _evaluate(
-    cache: ShortestPathCache,
-    demands: DemandMatrix,
-    middlepoints: Sequence[int],
-    max_middlepoints: int,
+    pool: TunnelPool, middlepoints: Sequence[int]
 ) -> tuple[float, Optional[TeSolution], Optional[NoTunnelError]]:
     """(theta, solution, error) of TE_LU on one set; theta is inf when a
     commodity has no tunnel (no solution) or the program has no optimum."""
     try:
-        solution = solve_with_middlepoints(
-            cache, demands, middlepoints, max_middlepoints
-        )
+        solution = solve_te(pool.program(middlepoints))
     except NoTunnelError as exc:
         return math.inf, None, exc
     optimal = solution.status is LpStatus.OPTIMAL and solution.theta is not None
@@ -100,7 +98,8 @@ def optimal_select(
     """Exhaustive search over all size-k candidate subsets, minimizing theta.
 
     Ties break lexicographically by sorted node indices (the enumeration
-    order). Refuses upfront when the subset count exceeds the budget.
+    order). Refuses upfront when the subset count exceeds the budget. Every
+    subset's program is a column slice of one tunnel pool.
     """
     candidates = sorted(set(candidates))
     if not (1 <= k <= len(candidates)):
@@ -110,10 +109,12 @@ def optimal_select(
         raise BudgetExceededError(
             f"{count} subproblems exceed the budget of {budget}"
         )
-    cache = cache or ShortestPathCache(network)
+    subsets = list(itertools.combinations(candidates, k))
+    pool = TunnelPool(cache or ShortestPathCache(network), demands, max_middlepoints)
+    pool.cover(subsets)
     best = None  # the first subset of least theta: (theta, solution, error, subset)
-    for subset in itertools.combinations(candidates, k):
-        trial = (*_evaluate(cache, demands, subset, max_middlepoints), subset)
+    for subset in subsets:
+        trial = (*_evaluate(pool, subset), subset)
         if best is None or trial[0] < best[0]:
             best = trial
     _, solution, error, subset = best
@@ -136,20 +137,22 @@ def greedy_select(
     Starts from an empty (or supplied partial) set and stops when k middle-
     points are used or no candidate lowers theta by more than IMPROVEMENT_TOL.
     A set without a tunnel or an optimum counts as theta +inf, so any
-    feasible expansion wins.
+    feasible expansion wins. Every set's program is a column slice of one
+    tunnel pool, which each round extends by the tunnels its sets add.
     """
     candidates = sorted(set(candidates))
     if not (1 <= k <= len(candidates)):
         raise ValueError(f"k must be in [1, {len(candidates)}], got {k}")
-    cache = cache or ShortestPathCache(network)
+    pool = TunnelPool(cache or ShortestPathCache(network), demands, max_middlepoints)
     chosen = list(initial)
     unexplored = [v for v in candidates if v not in chosen]
-    theta, current, error = _evaluate(cache, demands, chosen, max_middlepoints)
+    theta, current, error = _evaluate(pool, chosen)
     subproblems = 1
     while len(chosen) < k and unexplored:
+        pool.cover(chosen + [v] for v in unexplored)
         best = None  # only the round's running best trial is kept alive
         for v in unexplored:
-            trial = (*_evaluate(cache, demands, chosen + [v], max_middlepoints), v)
+            trial = (*_evaluate(pool, chosen + [v]), v)
             if best is None or trial[0] < best[0]:
                 best = trial
         subproblems += len(unexplored)

@@ -11,6 +11,10 @@ TeProgram type: one column per tunnel, whose entries are its per-edge loads
 unrestricted multipath (MP) baseline, one arc-flow column per commodity and
 edge. ``solve_te`` decodes both by one load-matrix mat-vec into utilizations
 (and tunnel flows and split ratios) and checks theta against them.
+
+A ``TunnelPool`` serves a selection run that solves many middlepoint sets: it
+enumerates and loads each tunnel once, and each set's TE_LU program is a
+column slice of it, identical to the program built for that set alone.
 """
 
 from __future__ import annotations
@@ -18,8 +22,10 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -83,12 +89,26 @@ def enumerate_tunnels(
         (1,) if single_middlepoint
         else tuple(range(0, max_middlepoints + 1))
     )
+    return _routable_tunnels(
+        cache, commodity, commodity_index,
+        (perm for j in sizes for perm in itertools.permutations(candidates, j)),
+    )
+
+
+def _routable_tunnels(
+    cache: ShortestPathCache,
+    commodity: Commodity,
+    commodity_index: int,
+    sequences: Iterable[tuple[int, ...]],
+) -> list[Tunnel]:
+    """The commodity's tunnels through those middlepoint sequences whose
+    segments are all reachable, sorted by waypoint tuple."""
+    s, t = commodity.source, commodity.sink
     tunnels = []
-    for j in sizes:
-        for perm in itertools.permutations(candidates, j):
-            waypoints = (s, *perm, t)
-            if all(cache.reachable(a, b) for a, b in zip(waypoints, waypoints[1:])):
-                tunnels.append(Tunnel(commodity_index, waypoints))
+    for seq in sequences:
+        waypoints = (s, *seq, t)
+        if all(cache.reachable(a, b) for a, b in zip(waypoints, waypoints[1:])):
+            tunnels.append(Tunnel(commodity_index, waypoints))
     tunnels.sort(key=lambda tun: tun.waypoints)
     return tunnels
 
@@ -127,23 +147,64 @@ class TeProgram:
     capacities: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class TeSolution:
-    """Decoded TE result; theta for LU, satisfied totals for MF."""
+    """Decoded TE result; theta for LU, satisfied totals for MF.
+
+    Keeps the solved tunnel flows and edge utilizations as read from the LP;
+    the dicts keyed by tunnel or edge are built when first read, since
+    selection reads only theta of every subproblem but the one it returns.
+    """
 
     kind: str
     status: LpStatus
     theta: Optional[float] = None
     satisfied_total: Optional[float] = None
     satisfaction_ratio: Optional[float] = None
-    tunnel_flows: dict[Tunnel, float] = field(default_factory=dict)
-    split_ratios: dict[Tunnel, float] = field(default_factory=dict)
-    edge_utilization: dict[int, float] = field(default_factory=dict)
     solve_ms: float = 0.0
+    tunnels: Sequence[Tunnel] = ()
+    flows: Sequence[float] = ()  # one per tunnel, in the same order
+    utilization: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
     def objective(self) -> Optional[float]:
         return self.theta if self.kind == LU else self.satisfaction_ratio
+
+    @cached_property
+    def tunnel_flows(self) -> dict[Tunnel, float]:
+        return dict(zip(self.tunnels, self.flows))
+
+    @cached_property
+    def split_ratios(self) -> dict[Tunnel, float]:
+        totals: dict[int, float] = {}
+        for tun, flow in zip(self.tunnels, self.flows):
+            totals[tun.commodity] = totals.get(tun.commodity, 0.0) + flow
+        return {
+            tun: (flow / totals[tun.commodity] if totals[tun.commodity] > 0 else 0.0)
+            for tun, flow in zip(self.tunnels, self.flows)
+        }
+
+    @cached_property
+    def edge_utilization(self) -> dict[int, float]:
+        return dict(enumerate(self.utilization.tolist()))
+
+
+class _Labels(Sequence[str]):
+    """A program's variable labels, formatted when first read: only
+    ``dump_lp`` reads them, and selection builds many programs."""
+
+    def __init__(self, make: Callable[[], list[str]]):
+        self._make = make
+
+    @cached_property
+    def _labels(self) -> list[str]:
+        return self._make()
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+    def __getitem__(self, j):
+        return self._labels[j]
 
 
 def _share_an_edge(segments: Sequence[SegmentFractions]) -> bool:
@@ -203,16 +264,37 @@ def _build_tunnel_program(
     demands: DemandMatrix,
     tunnels_by_commodity: Sequence[Sequence[Tunnel]],
 ) -> TeProgram:
-    network = cache.network
     groups = tunnels_by_commodity
-    if kind == LU:
-        for commodity, group in zip(demands.commodities, groups):
-            if commodity.demand > 0 and not group:
-                raise NoTunnelError(commodity)
     tunnels = [tun for group in groups for tun in group]
-    edge_list, sizes, load_list = _tunnel_loads(cache, tunnels)
-    edge_rows = np.array(edge_list, dtype=np.intp)
-    loads = np.array(load_list, dtype=float)
+    edge_rows, sizes, loads = _tunnel_loads(cache, tunnels)
+    commodity = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    return _tunnel_program(
+        kind, cache.network, demands, tunnels, commodity,
+        np.array(edge_rows, dtype=np.intp), sizes, np.array(loads, dtype=float),
+    )
+
+
+def _tunnel_program(
+    kind: str,
+    network: FlowNetwork,
+    demands: DemandMatrix,
+    tunnels: list[Tunnel],
+    commodity: np.ndarray,
+    edge_rows: np.ndarray,
+    sizes: Sequence[int],
+    loads: np.ndarray,
+) -> TeProgram:
+    """Assemble the program over the given tunnels in order.
+
+    ``commodity`` holds each tunnel's commodity; the loads of tunnel j are
+    the next ``sizes[j]`` entries of ``edge_rows`` and ``loads``.
+    """
+    volume = np.array([c.demand for c in demands.commodities], dtype=float)
+    if kind == LU:
+        served = np.bincount(commodity, minlength=len(volume))
+        missing = np.flatnonzero((volume > 0) & (served == 0))
+        if missing.size:
+            raise NoTunnelError(demands.commodities[missing[0]])
     count, edge_count = len(tunnels), network.edge_count
     first = 1 if kind == LU else 0  # theta comes first in LU
     variables = first + count
@@ -221,8 +303,6 @@ def _build_tunnel_program(
         (loads, (edge_rows, tunnel_cols)), shape=(edge_count, count)
     )
     capacities = np.array([float(e.capacity) for e in network.edges])
-    volume = np.array([c.demand for c in demands.commodities], dtype=float)
-    commodity = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
 
     if kind == LU:
         # Rows: load on e - theta * c(e) <= 0 for every edge, then
@@ -253,15 +333,15 @@ def _build_tunnel_program(
         rhs = [capacities[loaded], volume[served]]
         objective = np.ones(count)
     b_ub = np.concatenate(rhs)
+    names = network.node_names
     lp = SparseLp(
         kind == MF, objective, np.zeros(variables), np.full(variables, np.inf),
         _csr(parts, (len(b_ub), variables)), b_ub,
         csr_matrix((0, variables)), np.zeros(0),
-        ["theta"] * first + [
-            "f[{}:{}]".format(i, "-".join(network.node_names[w] for w in tun.waypoints))
-            for i, group in enumerate(groups)
-            for tun in group
-        ],
+        _Labels(lambda: ["theta"] * first + [
+            "f[{}:{}]".format(i, "-".join(names[w] for w in tun.waypoints))
+            for i, tun in zip(commodity.tolist(), tunnels)
+        ]),
     )
     return TeProgram(
         kind, lp, network, demands, tunnels, first, load_matrix, capacities
@@ -286,8 +366,120 @@ def build_te_mf(
     return _build_tunnel_program(MF, cache, demands, tunnels_by_commodity)
 
 
+class TunnelPool:
+    """The tunnels of many middlepoint sets, each enumerated and loaded once.
+
+    The pool holds every tunnel of each set it has covered, in (commodity,
+    waypoints) order, with its load column. A covered set's TE_LU program is
+    theta plus the pool columns whose middlepoints all lie in the set, in
+    pool order: array for array the program ``build_te_lu`` builds from
+    ``tunnels_for_middlepoints`` for that set. A selection run covers each
+    round's sets at once, so the pool never holds a tunnel no set uses.
+    """
+
+    def __init__(
+        self, cache: ShortestPathCache, demands: DemandMatrix, max_middlepoints: int
+    ):
+        self.cache = cache
+        self.demands = demands
+        self.max_middlepoints = max_middlepoints
+        self.tunnels: list[Tunnel] = []
+        self._covered: set[tuple[int, ...]] = set()  # sorted middlepoint sets
+        self._commodity = np.zeros(0, dtype=np.intp)
+        # Each column's middlepoints, padded with node_count, which every set
+        # contains when sliced.
+        self._middlepoints = np.zeros((0, max_middlepoints), dtype=np.intp)
+        # Column j's loads are loads[ptr[j]:ptr[j + 1]] on those edge rows.
+        self._ptr = np.zeros(1, dtype=np.intp)
+        self._edge_rows = np.zeros(0, dtype=np.intp)
+        self._loads = np.zeros(0)
+
+    def cover(self, sets: Iterable[Iterable[int]]) -> None:
+        """Add the tunnels of the given middlepoint sets that are missing.
+
+        A tunnel belongs to every set that contains its middlepoints, so the
+        pool tracks which sets of <= max_middlepoints middlepoints it holds
+        all tunnels of, and enumerates only the tunnels of new ones.
+        """
+        fresh_sets = set()
+        for nodes in sets:
+            nodes = sorted(set(nodes))
+            for size in range(min(self.max_middlepoints, len(nodes)) + 1):
+                fresh_sets.update(itertools.combinations(nodes, size))
+        fresh_sets -= self._covered
+        if not fresh_sets:
+            return
+        sequences = [
+            perm for mids in fresh_sets for perm in itertools.permutations(mids)
+        ]
+        fresh: list[Tunnel] = []
+        for i, c in enumerate(self.demands.commodities):
+            fresh += _routable_tunnels(self.cache, c, i, [
+                seq for seq in sequences if c.source not in seq and c.sink not in seq
+            ])
+        edge_rows, sizes, loads = _tunnel_loads(self.cache, fresh)
+        width = self.max_middlepoints
+        pad = (self.cache.network.node_count,) * width
+
+        tunnels = self.tunnels + fresh
+        commodity = np.concatenate((
+            self._commodity, np.array([tun.commodity for tun in fresh], dtype=np.intp)
+        ))
+        middlepoints = np.concatenate((
+            self._middlepoints,
+            np.array(
+                [(tun.middlepoints + pad)[:width] for tun in fresh], dtype=np.intp
+            ).reshape(len(fresh), width),
+        ))
+        ptr = np.concatenate(
+            (self._ptr, self._ptr[-1] + np.cumsum(np.array(sizes, dtype=np.intp)))
+        )
+        edge_rows = np.concatenate(
+            (self._edge_rows, np.array(edge_rows, dtype=np.intp))
+        )
+        loads = np.concatenate((self._loads, np.array(loads, dtype=float)))
+        order = np.array(
+            sorted(
+                range(len(tunnels)),
+                key=lambda j: (tunnels[j].commodity, tunnels[j].waypoints),
+            ),
+            dtype=np.intp,
+        )
+        positions, sizes = _gather(ptr, order)
+        self.tunnels = [tunnels[j] for j in order]
+        self._commodity = commodity[order]
+        self._middlepoints = middlepoints[order]
+        self._ptr = np.concatenate(([0], np.cumsum(sizes)))
+        self._edge_rows = edge_rows[positions]
+        self._loads = loads[positions]
+        self._covered |= fresh_sets
+
+    def program(self, middlepoints: Iterable[int]) -> TeProgram:
+        """The TE_LU program of one middlepoint set, covered first if new."""
+        middlepoints = set(middlepoints)
+        self.cover((middlepoints,))
+        inside = np.zeros(self.cache.network.node_count + 1, dtype=bool)
+        inside[list(middlepoints)] = True
+        inside[-1] = True  # the padding
+        keep = np.flatnonzero(inside[self._middlepoints].all(axis=1))
+        positions, sizes = _gather(self._ptr, keep)
+        return _tunnel_program(
+            LU, self.cache.network, self.demands,
+            [self.tunnels[j] for j in keep], self._commodity[keep],
+            self._edge_rows[positions], sizes, self._loads[positions],
+        )
+
+
+def _gather(ptr: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the given columns' entries, column after column, and
+    each column's entry count, for columns whose entries are ptr[j]:ptr[j + 1]."""
+    sizes = ptr[columns + 1] - ptr[columns]
+    starts = np.cumsum(sizes) - sizes
+    return np.repeat(ptr[columns] - starts, sizes) + np.arange(sizes.sum()), sizes
+
+
 def solve_te(program: TeProgram) -> TeSolution:
-    """Solve a TE program and decode flows, split ratios, and utilizations."""
+    """Solve a TE program, decode its utilizations and check theta against them."""
     start = time.perf_counter()
     sol = solve_lp(program.lp)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -295,26 +487,17 @@ def solve_te(program: TeProgram) -> TeSolution:
     if sol.status is not LpStatus.OPTIMAL:
         return result
 
-    flows = sol.assignment[program.first_tunnel_var:]
-    result.tunnel_flows = dict(zip(program.tunnels, flows))
-
-    totals: dict[int, float] = {}
-    for tun, flow in zip(program.tunnels, flows):
-        totals[tun.commodity] = totals.get(tun.commodity, 0.0) + flow
-    result.split_ratios = {
-        tun: (flow / totals[tun.commodity] if totals[tun.commodity] > 0 else 0.0)
-        for tun, flow in zip(program.tunnels, flows)
-    }
-
+    first = program.first_tunnel_var
+    result.tunnels = program.tunnels
+    result.flows = sol.assignment[first:first + len(program.tunnels)]
     # Each row of the load matrix lists its tunnels in order, so every edge's
     # load is summed in tunnel order.
-    load = program.loads @ np.array(flows, dtype=float)
-    utilization = dict(enumerate((load / program.capacities).tolist()))
-    result.edge_utilization = utilization
+    load = program.loads @ np.array(sol.assignment[first:], dtype=float)
+    result.utilization = load / program.capacities
 
     if program.kind == LU:
         result.theta = sol.objective_value
-        max_util = max(utilization.values(), default=0.0)
+        max_util = max(result.utilization.tolist(), default=0.0)
         if abs(max_util - result.theta) > UTILIZATION_TOL * max(1.0, result.theta):
             raise ArithmeticError(
                 f"utilization reconstruction mismatch: {max_util} vs {result.theta}"
@@ -383,17 +566,21 @@ def build_mp_baseline(
         objective[delivered] = 1.0
         upper[delivered] = volume
         ub, b_ub = [flows], capacities if count else np.zeros(0)
-    names = network.node_names
-    edge_labels = [f"{names[e.tail]}->{names[e.head]}" for e in network.edges]
-    labels = ["theta"] * first
-    for i in range(count):
-        labels += [f"f[{i}:{label}]" for label in edge_labels]
-        if kind == MF:
-            labels.append(f"d[{i}]")
+
+    def make_labels() -> list[str]:
+        names = network.node_names
+        edge_labels = [f"{names[e.tail]}->{names[e.head]}" for e in network.edges]
+        labels = ["theta"] * first
+        for i in range(count):
+            labels += [f"f[{i}:{label}]" for label in edge_labels]
+            if kind == MF:
+                labels.append(f"d[{i}]")
+        return labels
+
     lp = SparseLp(
         kind == MF, objective, np.zeros(variables), upper,
         _csr(ub, (len(b_ub), variables)), b_ub,
-        _csr(eq, (len(b_eq), variables)), b_eq, labels,
+        _csr(eq, (len(b_eq), variables)), b_eq, _Labels(make_labels),
     )
     loads = _csr([(flow_edges, flow_cols - first, ones)],
                  (edge_count, variables - first))

@@ -6,7 +6,9 @@ and attributes it relies on.
 """
 
 import contextlib
+import importlib
 import io
+import json
 import pathlib
 import sys
 
@@ -66,6 +68,31 @@ def test_traced_solve_prints_the_same_and_counts_the_lp():
     # Every segment's fractions were computed once, through the module global.
     segments = {seg for group in tunnels for tun in group for seg in tun.segments}
     assert t.calls["paths.segment_fractions"] == len(segments)
+
+
+def bound_sites():
+    """What every name the tracer patches is bound to, where it is bound."""
+    sites = {
+        (module, attr): getattr(importlib.import_module(module), attr)
+        for module, attr, _ in tracer._FUNCTION_SITES
+    }
+    for class_name, attr, _ in tracer._METHOD_SITES:
+        sites[class_name, attr] = getattr(srte.paths, class_name).__dict__[attr]
+    return sites
+
+
+def test_traced_greedy_prints_the_same_and_restores_every_site():
+    argv = [*ARGV[:5], "--method", "greedy", "--k", "3", "--m", "2"]
+    untraced = run_main(argv)
+    originals = bound_sites()
+    t = tracer.Tracer()
+    with t:
+        traced = run_main(argv)
+    assert bound_sites() == originals
+    assert traced == untraced
+    # Every subproblem the output counts is one solve of one LP.
+    subproblems = json.loads(untraced)["subproblems"]
+    assert t.calls["te.solve_te"] == t.calls["lp.linprog"] == subproblems
 
 
 def test_traced_mp_baseline_counts_both_blocks():

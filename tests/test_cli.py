@@ -376,6 +376,23 @@ class TestInputErrors:
             "--demands", DATA / "net10.dem",
         )
 
+    @pytest.mark.parametrize("method", ["sp", "degree"])
+    @pytest.mark.parametrize("k", ["0", "3"])
+    def test_centrality_k_only_for_gsp(self, capsys, method, k):
+        err = self.assert_rejected(
+            capsys, "centrality", "--topology", DATA / "net10.topo",
+            "--method", method, "--k", k,
+        )
+        assert err == f"error: --k applies only to --method gsp, not {method}\n"
+
+    def test_unknown_demand_node_named_without_quotes(self, capsys, tmp_path):
+        dem = tmp_path / "zz.dem"
+        dem.write_text("DEMAND n0 zz 1\n")
+        err = self.assert_rejected(
+            capsys, "solve", "--topology", DATA / "net10.topo", "--demands", dem,
+        )
+        assert err == "error: unknown node name 'zz'\n"
+
     @pytest.mark.parametrize("k", ["0", "-1", "11"])
     def test_gsp_centrality_k_out_of_range(self, capsys, k):
         err = self.assert_rejected(

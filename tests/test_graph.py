@@ -17,6 +17,7 @@ from srte.graph import (
     Edge,
     FlowNetwork,
     TopologyError,
+    UnknownNodeError,
     generate_gravity_demands,
     parse_demands,
     parse_topology,
@@ -93,7 +94,7 @@ class TestNetworkValidation:
 
     def test_unknown_node_name(self):
         net = make_net([(0, 1, 1)])
-        with pytest.raises(KeyError):
+        with pytest.raises(UnknownNodeError, match="^unknown node name 'nope'$"):
             net.node_index("nope")
 
     def test_inverse_capacity_costs(self):
@@ -119,7 +120,7 @@ class TestDemands:
 
     def test_bind_unknown_node(self):
         net = parse_topology("EDGE a b 1\n")
-        with pytest.raises(KeyError):
+        with pytest.raises(UnknownNodeError, match="'z'"):
             parse_demands("DEMAND a z 2\n").bind(net)
 
     @pytest.mark.parametrize(

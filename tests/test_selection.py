@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
 from srte.centrality import betweenness, greedy_group_select, group_betweenness
-from srte.graph import random_connected_digraph
+from srte.graph import generate_gravity_demands, random_connected_digraph, random_digraph
+from srte.lp import LpStatus
 from srte.selection import (
     BudgetExceededError,
     centrality_select,
@@ -15,7 +17,7 @@ from srte.selection import (
     solve_with_middlepoints,
 )
 from srte.paths import ShortestPathCache
-from srte.te import NoTunnelError
+from srte.te import NoTunnelError, tunnels_for_middlepoints
 
 from conftest import make_demands, make_net
 
@@ -159,16 +161,151 @@ class TestGreedySelect:
         )
         demands = make_demands((0, 2, 1), (2, 3, 1))
         calls = []
-        real = srte.selection.solve_with_middlepoints
+        real = srte.selection._evaluate  # called once per subproblem
 
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return real(*args, **kwargs)
+        def counted(pool, middlepoints):
+            calls.append(middlepoints)
+            return real(pool, middlepoints)
 
-        monkeypatch.setattr(srte.selection, "solve_with_middlepoints", counted)
+        monkeypatch.setattr(srte.selection, "_evaluate", counted)
         with pytest.raises(NoTunnelError, match=r"commodity 2 -> 3$"):
             greedy_select(net, demands, range(4), 4, 1)
         assert len(calls) == 5
+
+
+def reference_evaluate(cache, demands, subset, m):
+    """One subproblem built from scratch: (theta, solution, error)."""
+    try:
+        solution = solve_with_middlepoints(cache, demands, subset, m)
+    except NoTunnelError as exc:
+        return math.inf, None, exc
+    optimal = solution.status is LpStatus.OPTIMAL and solution.theta is not None
+    return (solution.theta if optimal else math.inf), solution, None
+
+
+def reference_greedy(net, demands, candidates, k, m, initial=()):
+    """The greedy loop with one fresh TE build per subproblem:
+    (picks, solution, subproblems) or the NoTunnelError it raises."""
+    cache = ShortestPathCache(net)
+    chosen = list(initial)
+    unexplored = [v for v in sorted(set(candidates)) if v not in chosen]
+    theta, current, error = reference_evaluate(cache, demands, chosen, m)
+    subproblems = 1
+    while len(chosen) < k and unexplored:
+        best = None
+        for v in unexplored:
+            trial = (*reference_evaluate(cache, demands, chosen + [v], m), v)
+            if best is None or trial[0] < best[0]:
+                best = trial
+        subproblems += len(unexplored)
+        if not best[0] < theta - 1e-9:
+            break
+        theta, current, error, v = best
+        chosen.append(v)
+        unexplored.remove(v)
+    return error or (chosen, current, subproblems)
+
+
+def reference_optimal(net, demands, candidates, k, m):
+    cache = ShortestPathCache(net)
+    best = None
+    subsets = list(itertools.combinations(sorted(set(candidates)), k))
+    for subset in subsets:
+        trial = (*reference_evaluate(cache, demands, subset, m), subset)
+        if best is None or trial[0] < best[0]:
+            best = trial
+    _, solution, error, subset = best
+    return error or (list(subset), solution, len(subsets))
+
+
+def outcome(select, *args, **kwargs):
+    """A selection's picks, solution and subproblem count, or its error."""
+    try:
+        result = select(*args, **kwargs)
+    except NoTunnelError as exc:
+        return exc
+    return result.middlepoints, result.solution, result.subproblems_solved
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, NoTunnelError):
+        assert isinstance(got, NoTunnelError) and str(got) == str(want)
+        return
+    (picks, solution, count), (ref_picks, ref_solution, ref_count) = got, want
+    assert picks == ref_picks and count == ref_count
+    assert solution.theta == ref_solution.theta
+    assert solution.split_ratios == ref_solution.split_ratios
+    assert solution.edge_utilization == ref_solution.edge_utilization
+
+
+class TestTunnelPoolSelection:
+    def test_greedy_and_optimal_equal_fresh_builds(self):
+        """Greedy (also from an initial set) and optimal selection over one
+        tunnel pool give exactly the picks, theta, split ratios,
+        utilizations, subproblem counts and errors of one fresh build per
+        subproblem, on digraphs that are not strongly connected."""
+        raised = picked = 0
+        for seed in range(6):
+            rng = random.Random(seed)
+            net = random_digraph(7, 0.45, seed, max_capacity=5)
+            pairs = rng.sample(
+                [(s, t) for s in range(7) for t in range(7) if s != t], 5
+            )
+            demands = make_demands(
+                *((s, t, rng.choice([0, 1, 2.5])) for s, t in pairs)
+            )
+            for m in (0, 1, 2):
+                candidates = rng.sample(range(7), rng.randint(2, 6))
+                k = rng.randint(1, len(candidates))
+                initial = rng.sample(range(7), 1)
+                cases = [
+                    (greedy_select, reference_greedy, {}),
+                    (greedy_select, reference_greedy, {"initial": initial}),
+                    (optimal_select, reference_optimal, {}),
+                ]
+                for select, reference, kwargs in cases:
+                    want = reference(net, demands, candidates, k, m, **kwargs)
+                    got = outcome(select, net, demands, candidates, k, m, **kwargs)
+                    assert_same_outcome(got, want)
+                    if isinstance(want, NoTunnelError):
+                        raised += 1
+                    else:
+                        picked += len(want[0]) > len(kwargs.get("initial", ()))
+        assert raised and picked
+
+    def test_greedy_pool_holds_only_the_tunnels_of_evaluated_sets(
+        self, monkeypatch
+    ):
+        """At m=2 the pool grows per round by the tunnels the round's sets
+        add, so it stays the union of the evaluated sets' tunnels, far below
+        the all-nodes m=2 tunnel count."""
+        import srte.selection
+
+        net = random_connected_digraph(30, 120, 7)
+        demands = generate_gravity_demands(net, 20, 507)
+        evaluated, pool_sizes = [], []
+        real = srte.selection._evaluate
+
+        def recording(pool, middlepoints):
+            evaluated.append(list(middlepoints))
+            result = real(pool, middlepoints)
+            pool_sizes.append(len(pool.tunnels))
+            return result
+
+        monkeypatch.setattr(srte.selection, "_evaluate", recording)
+        result = greedy_select(net, demands, range(30), 3, 2)
+        assert result.subproblems_solved == len(evaluated)
+        cache = ShortestPathCache(net)
+        union = {
+            tun for mids in evaluated
+            for group in tunnels_for_middlepoints(cache, demands, mids, 2)
+            for tun in group
+        }
+        all_nodes = sum(
+            len(group)
+            for group in tunnels_for_middlepoints(cache, demands, range(30), 2)
+        )
+        assert max(pool_sizes) <= len(union) < all_nodes / 4
 
 
 class TestCentralitySelect:

@@ -1,5 +1,6 @@
 """Tunnel enumeration and the TE_LU / TE_MF / multipath-baseline programs."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from srte.te import (
     MF,
     NoTunnelError,
     Tunnel,
+    TunnelPool,
     build_mp_baseline,
     build_te_lu,
     build_te_mf,
@@ -541,3 +543,73 @@ class TestMpAssembly:
             block = loads[:, i * width:(i + 1) * width]
             assert np.array_equal(block[:, :net.edge_count], np.eye(net.edge_count))
             assert not block[:, net.edge_count:].any()
+
+
+def assert_same_program(got, want):
+    """Two TE programs are equal array for array, dtypes included."""
+    for block in ("a_ub", "a_eq"):
+        a, b = getattr(got.lp, block), getattr(want.lp, block)
+        assert a.shape == b.shape
+        for name in ("indptr", "indices", "data"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+    for name in ("b_ub", "b_eq", "objective", "lower", "upper"):
+        x, y = getattr(got.lp, name), getattr(want.lp, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert got.lp.maximize == want.lp.maximize
+    assert list(got.lp.labels) == list(want.lp.labels)
+    assert got.kind == want.kind and got.first_tunnel_var == want.first_tunnel_var
+    assert got.tunnels == want.tunnels
+    assert got.loads.shape == want.loads.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(got.loads, name), getattr(want.loads, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert np.array_equal(got.capacities, want.capacities)
+
+
+class TestTunnelPool:
+    def test_slices_equal_fresh_builds(self):
+        """Every set's pool program is build_te_lu over that set's tunnels,
+        array for array, or raises the same NoTunnelError; the pool holds
+        exactly the tunnels of the sets it covered. The digraphs are not
+        strongly connected, some commodities have zero demand or no route,
+        and the sets include commodity endpoints."""
+        seen = {"raised": 0, "built": 0, "zero": 0, "unroutable": 0, "endpoint": 0}
+        for seed in range(6):
+            rng = random.Random(seed)
+            net = random_digraph(8, 0.3, seed, max_capacity=5)
+            pairs = rng.sample([(s, t) for s in range(8) for t in range(8) if s != t], 5)
+            demands = make_demands(
+                *((s, t, rng.choice([0, 1, 2.5])) for s, t in pairs)
+            )
+            cache = ShortestPathCache(net)
+            for c in demands.commodities:
+                seen["zero"] += c.demand == 0
+                seen["unroutable"] += not cache.reachable(c.source, c.sink)
+            for m in (0, 1, 2):
+                pool = TunnelPool(cache, demands, m)
+                sets = [rng.sample(range(8), rng.randint(0, 4)) for _ in range(8)]
+                pool.cover(sets[:3])  # the rest are covered when sliced
+                for mids in sets:
+                    seen["endpoint"] += any(
+                        c.source in mids or c.sink in mids
+                        for c in demands.commodities
+                    )
+                    groups = tunnels_for_middlepoints(cache, demands, mids, m)
+                    try:
+                        want = build_te_lu(cache, demands, groups)
+                    except NoTunnelError as exc:
+                        with pytest.raises(NoTunnelError) as got:
+                            pool.program(mids)
+                        assert str(got.value) == str(exc)
+                        seen["raised"] += 1
+                        continue
+                    assert_same_program(pool.program(mids), want)
+                    seen["built"] += 1
+                held = {
+                    tun for mids in sets
+                    for group in tunnels_for_middlepoints(cache, demands, mids, m)
+                    for tun in group
+                }
+                assert len(pool.tunnels) == len(held) and set(pool.tunnels) == held
+        assert all(seen.values()), seen
