@@ -23,15 +23,13 @@ from .paths import ShortestPathCache, ShortestPathDag
 
 @dataclass(frozen=True)
 class CentralityScores:
-    method: str
-    weighted: bool
     scores: tuple[Fraction, ...]
     ordering: tuple[int, ...]
 
 
-def _ranked(method: str, weighted: bool, scores: Sequence[Fraction]) -> CentralityScores:
+def _ranked(scores: Sequence[Fraction]) -> CentralityScores:
     ordering = sorted(range(len(scores)), key=lambda v: (-scores[v], v))
-    return CentralityScores(method, weighted, tuple(scores), tuple(ordering))
+    return CentralityScores(tuple(scores), tuple(ordering))
 
 
 def _analysis_network(network: FlowNetwork, weighted: bool) -> FlowNetwork:
@@ -80,7 +78,7 @@ def betweenness(
                      for s, targets in through[v]), unit)
         for v in range(net.node_count)
     ]
-    return _ranked("SP", weighted, scores)
+    return _ranked(scores)
 
 
 def _avoiding_counts(dag: ShortestPathDag, net: FlowNetwork, group: frozenset[int]):
@@ -212,7 +210,7 @@ def degree_centrality(
         else:
             score = Fraction(len(incident), 2)
         scores.append(score)
-    return _ranked("Degree", weighted, scores)
+    return _ranked(scores)
 
 
 def random_select(network: FlowNetwork, k: int, seed: int) -> list[int]:

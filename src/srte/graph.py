@@ -9,7 +9,7 @@ lines are skipped, and fields are whitespace separated:
 Capacities and costs are kept as exact rationals so that shortest-path tie
 detection downstream never depends on floating point. Each network also holds
 its costs as integers over one common denominator, for exact and fast
-shortest-path arithmetic.
+shortest-path arithmetic, and its capacities as floats, for the LPs.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 
 class TopologyError(ValueError):
@@ -62,7 +64,8 @@ class FlowNetwork:
 
     Node names are arbitrary tokens mapped to dense indices in first-appearance
     order. At most one directed edge per ordered node pair. ``scaled_costs``
-    are the edge costs times ``cost_scale``, the LCM of their denominators.
+    are the edge costs times ``cost_scale``, the LCM of their denominators;
+    ``float_capacities`` is a read-only array of the capacities as floats.
     """
 
     node_names: tuple[str, ...]
@@ -71,6 +74,7 @@ class FlowNetwork:
     in_edges: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     cost_scale: int = field(init=False, repr=False)
     scaled_costs: tuple[int, ...] = field(init=False, repr=False)
+    float_capacities: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.node_names)
@@ -97,6 +101,9 @@ class FlowNetwork:
         object.__setattr__(self, "scaled_costs", tuple(
             e.cost.numerator * (scale // e.cost.denominator) for e in self.edges
         ))
+        capacities = np.array([float(e.capacity) for e in self.edges])
+        capacities.setflags(write=False)
+        object.__setattr__(self, "float_capacities", capacities)
 
     @property
     def node_count(self) -> int:

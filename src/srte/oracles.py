@@ -12,8 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .graph import DemandMatrix, FlowNetwork
-from .lp import EQ, LE, LinearProgram, LpStatus, solve_lp
+import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_matrix, vstack
+
+from .graph import DemandMatrix, Edge, FlowNetwork
+from .lp import EQ, LE, LinearProgram, LpStatus, SparseLp, solve_lp
 
 DEFAULT_NODE_CAP = 12
 MAX_PATHS = 40_000
@@ -80,7 +84,17 @@ def enumerate_paths(
 
 def has_swt_path(network: FlowNetwork, s: int, w: int, t: int) -> bool:
     """Whether any edge-distinct s-t path visiting w exists (brute-force DFS)."""
+    return _has_swt_path(network, s, w, t, ())
+
+
+def _has_swt_path(
+    network: FlowNetwork, s: int, w: int, t: int, removed: Iterable[int]
+) -> bool:
+    """``has_swt_path`` on the network without the ``removed`` edges: the walk
+    treats them as already used."""
     used = [False] * network.edge_count
+    for eid in removed:
+        used[eid] = True
     found = False
 
     def walk(node: int, seen_w: bool) -> None:
@@ -104,43 +118,60 @@ def has_swt_path(network: FlowNetwork, s: int, w: int, t: int) -> bool:
     return found
 
 
+def _incidence(paths: Sequence[Path], edge_count: int) -> csr_matrix:
+    """Edges × paths matrix: entry (e, j) counts the traversals of e by path j."""
+    sizes = [len(p.edges) for p in paths]
+    rows = [eid for p in paths for eid in p.edges]
+    cols = np.repeat(np.arange(len(paths)), sizes)
+    return csr_matrix(
+        (np.ones(len(rows)), (rows, cols)), shape=(edge_count, len(paths))
+    )
+
+
 def _path_flow_lp(
-    network: FlowNetwork,
     path_groups: Sequence[Sequence[Path]],
+    capacities: np.ndarray,
     demand_caps: Optional[Sequence[float]] = None,
-):
-    """Maximize total flow over explicit paths with shared edge capacities."""
-    lp = LinearProgram(maximize=True)
-    path_vars: list[list[int]] = []
-    per_edge: dict[int, dict[int, float]] = {}
-    for gi, group in enumerate(path_groups):
-        gvars = []
-        for pi, path in enumerate(group):
-            var = lp.add_var(f"p[{gi}:{pi}]", objective=1.0)
-            gvars.append(var)
-            for eid in path.edges:
-                per_edge.setdefault(eid, {})[var] = (
-                    per_edge.setdefault(eid, {}).get(var, 0.0) + 1.0
-                )
-        path_vars.append(gvars)
-    for eid, coeffs in sorted(per_edge.items()):
-        lp.add_row(coeffs, LE, float(network.edges[eid].capacity))
+) -> SparseLp:
+    """Maximize total flow over explicit paths with shared edge capacities.
+
+    Columns are the paths, group by group. Rows: a capacity row for each used
+    edge, in edge order, then with ``demand_caps`` a row capping each
+    non-empty group's total flow.
+    """
+    paths = [p for group in path_groups for p in group]
+    count = len(paths)
+    incidence = _incidence(paths, len(capacities))
+    used = np.flatnonzero(np.diff(incidence.indptr))
+    blocks, b_ub = [incidence[used]], [capacities[used]]
     if demand_caps is not None:
-        for gvars, cap in zip(path_vars, demand_caps):
-            if gvars:
-                lp.add_row({v: 1.0 for v in gvars}, LE, cap)
-    return lp, path_vars
+        sizes = np.array([len(group) for group in path_groups], dtype=np.intp)
+        nonempty = sizes > 0
+        group_rows = np.repeat(np.cumsum(nonempty) - 1, sizes)
+        blocks.append(csr_matrix(
+            (np.ones(count), (group_rows, np.arange(count))),
+            shape=(int(nonempty.sum()), count),
+        ))
+        b_ub.append(np.array(demand_caps, dtype=float)[nonempty])
+    return SparseLp(
+        True, np.ones(count), np.zeros(count), np.full(count, np.inf),
+        vstack(blocks, format="csr"), np.concatenate(b_ub),
+        csr_matrix((0, count)), np.zeros(0),
+        [f"p[{gi}:{pi}]" for gi, group in enumerate(path_groups)
+         for pi in range(len(group))],
+    )
 
 
-def _solve_path_flow(network, path_groups, demand_caps=None):
-    lp, path_vars = _path_flow_lp(network, path_groups, demand_caps)
-    if lp.num_vars == 0:
-        return 0.0, [[] for _ in path_groups]
-    sol = solve_lp(lp)
+def _solve_path_flow(
+    path_groups: Sequence[Sequence[Path]],
+    capacities: np.ndarray,
+    demand_caps: Optional[Sequence[float]] = None,
+) -> tuple[float, tuple[float, ...]]:
+    """The path-flow LP's optimum and the flow on each path, group by group."""
+    sol = solve_lp(_path_flow_lp(path_groups, capacities, demand_caps))
     if sol.status is not LpStatus.OPTIMAL:
         raise ArithmeticError(f"path-flow LP not optimal: {sol.status}")
-    flows = [[sol[v] for v in gvars] for gvars in path_vars]
-    return sol.objective_value, flows
+    return sol.objective_value, sol.assignment
 
 
 @dataclass
@@ -151,9 +182,7 @@ class SwtFlowResult:
 
 
 def _integral_packing(
-    paths: Sequence[Path],
-    capacities: dict[int, int],
-    target: int,
+    paths: Sequence[Path], capacities: np.ndarray, target: int
 ) -> Optional[dict[Path, int]]:
     """Integral path flows of total value ``target``, or None if impossible.
 
@@ -161,27 +190,16 @@ def _integral_packing(
     total packed flow subject to edge capacities, then check the optimum hits
     the target. Paths can share edges, so this is not a plain matching.
     """
-    import numpy as np
-    from scipy.optimize import Bounds, LinearConstraint, milp
-    from scipy.sparse import lil_matrix
-
     if target == 0:
         return {}
     if not paths:
         return None
-    eids = sorted(capacities)
-    row_of = {eid: i for i, eid in enumerate(eids)}
-    a = lil_matrix((len(eids), len(paths)))
-    for j, path in enumerate(paths):
-        for eid in path.edges:
-            a[row_of[eid], j] += 1.0
-    caps = np.array([float(capacities[eid]) for eid in eids])
-    bottleneck = np.array(
-        [float(min(capacities[eid] for eid in p.edges)) for p in paths]
-    )
+    bottleneck = np.array([capacities[list(p.edges)].min() for p in paths])
     result = milp(
         c=-np.ones(len(paths)),
-        constraints=LinearConstraint(a.tocsr(), ub=caps),
+        constraints=LinearConstraint(
+            _incidence(paths, len(capacities)), ub=capacities
+        ),
         integrality=np.ones(len(paths)),
         bounds=Bounds(0.0, bottleneck),
     )
@@ -214,10 +232,8 @@ def max_swt_flow(
         raise ValueError("s, w, t must be distinct")
     _check_node_cap(network.node_count, node_cap)
     paths = [p for p in enumerate_paths(network, s, t) if p.visits(w)]
-    value, flows = _solve_path_flow(network, [paths])
-    path_flows = {
-        p: f for p, f in zip(paths, flows[0]) if f > VALUE_TOL
-    }
+    value, flows = _solve_path_flow([paths], network.float_capacities)
+    path_flows = {p: f for p, f in zip(paths, flows) if f > VALUE_TOL}
     # With integral capacities the optimum may still be fractional (the LP
     # dual is a fractional cut cover); when the optimum is integral we try to
     # exhibit an integral optimal flow.
@@ -227,8 +243,7 @@ def max_swt_flow(
         all(e.capacity.denominator == 1 for e in network.edges)
         and abs(value - target) <= VALUE_TOL
     ):
-        caps = {eid: int(e.capacity) for eid, e in enumerate(network.edges)}
-        packing = _integral_packing(paths, caps, target)
+        packing = _integral_packing(paths, network.float_capacities, target)
         if packing is not None:
             integral = True
             path_flows = {p: float(f) for p, f in packing.items()}
@@ -256,10 +271,6 @@ def min_swt_cut(
         return frozenset(), Fraction(0)
     relevant = sorted({eid for p in paths for eid in p.edges})
 
-    def still_connected(removed: set[int]) -> bool:
-        sub = _without_edges(network, removed)
-        return has_swt_path(sub, s, w, t)
-
     best_set: Optional[frozenset[int]] = None
     best_cost: Optional[Fraction] = None
 
@@ -267,7 +278,7 @@ def min_swt_cut(
         nonlocal best_set, best_cost
         if best_cost is not None and cost >= best_cost:
             return
-        if not still_connected(removed):
+        if not _has_swt_path(network, s, w, t, removed):
             best_set, best_cost = frozenset(removed), cost
             return
         if i == len(relevant):
@@ -283,17 +294,14 @@ def min_swt_cut(
     return best_set, best_cost
 
 
-def _without_edges(network: FlowNetwork, removed: set[int]) -> FlowNetwork:
-    kept = tuple(e for eid, e in enumerate(network.edges) if eid not in removed)
-    return FlowNetwork(network.node_names, kept)
-
-
 def max_st_flow(
     network: FlowNetwork, s: int, t: int, node_cap: int = DEFAULT_NODE_CAP
 ) -> float:
     """Unrestricted single-commodity max flow by path enumeration."""
     _check_node_cap(network.node_count, node_cap)
-    value, _ = _solve_path_flow(network, [enumerate_paths(network, s, t)])
+    value, _ = _solve_path_flow(
+        [enumerate_paths(network, s, t)], network.float_capacities
+    )
     return value
 
 
@@ -336,11 +344,11 @@ def multicommodity_flow_centrality(
     _check_node_cap(network.node_count, node_cap)
     caps = [c.demand for c in demands.commodities]
     groups = _commodity_paths(network, demands)
-    denom, _ = _solve_path_flow(network, groups, caps)
+    denom, _ = _solve_path_flow(groups, network.float_capacities, caps)
     if denom <= VALUE_TOL:
         raise ZeroMaxFlowError("maximum multicommodity flow is zero")
     restricted = [[p for p in group if p.visits(w)] for group in groups]
-    numer, _ = _solve_path_flow(network, restricted, caps)
+    numer, _ = _solve_path_flow(restricted, network.float_capacities, caps)
     return numer / denom
 
 
@@ -360,7 +368,7 @@ def group_flow(
         [p for p in paths if any(p.visits(v) for v in members)]
         for paths in _commodity_paths(network, demands)
     ]
-    value, _ = _solve_path_flow(network, groups, caps)
+    value, _ = _solve_path_flow(groups, network.float_capacities, caps)
     return value
 
 
@@ -528,54 +536,18 @@ def undirected_swt_path_oracle(
 
     A walk may traverse an undirected edge at most once per direction; each
     traversal consumes one unit of the edge's shared capacity, so a walk
-    using both directions loads the edge twice per unit of flow.
+    using both directions loads the edge twice per unit of flow. The walks
+    are the directed paths over both arcs of each edge (arc 2x is u -> v,
+    arc 2x + 1 is v -> u), mapped back to their edges.
     """
-    paths_per_commodity: list[list[tuple[int, ...]]] = []
-    for s, t in commodities:
-        found: list[tuple[int, ...]] = []
-
-        def extend(
-            node: int,
-            used: set[tuple[int, bool]],
-            edge_seq: list[int],
-            seen_w: bool,
-        ):
-            if node == t and edge_seq and seen_w:
-                if len(found) >= max_paths:
-                    raise SizeCapExceededError(f"more than {max_paths} paths")
-                found.append(tuple(edge_seq))
-            for eid, e in enumerate(undirected.edges):
-                if e.u == node:
-                    nxt, key = e.v, (eid, True)
-                elif e.v == node:
-                    nxt, key = e.u, (eid, False)
-                else:
-                    continue
-                if key in used:
-                    continue
-                used.add(key)
-                edge_seq.append(eid)
-                extend(nxt, used, edge_seq, seen_w or nxt == w)
-                edge_seq.pop()
-                used.remove(key)
-
-        extend(s, set(), [], s == w)
-        paths_per_commodity.append(found)
-
-    lp = LinearProgram(maximize=True)
-    per_edge: dict[int, dict[int, float]] = {}
-    for gi, group in enumerate(paths_per_commodity):
-        for pi, path in enumerate(group):
-            var = lp.add_var(f"p[{gi}:{pi}]", objective=1.0)
-            for eid in path:
-                per_edge.setdefault(eid, {})[var] = (
-                    per_edge.setdefault(eid, {}).get(var, 0.0) + 1.0
-                )
-    for eid, coeffs in sorted(per_edge.items()):
-        lp.add_row(coeffs, LE, float(undirected.edges[eid].capacity))
-    if lp.num_vars == 0:
-        return 0.0
-    sol = solve_lp(lp)
-    if sol.status is not LpStatus.OPTIMAL:
-        raise ArithmeticError(f"path oracle LP not optimal: {sol.status}")
-    return sol.objective_value
+    arcs = FlowNetwork(undirected.node_names, tuple(
+        Edge(tail, head, e.capacity)
+        for e in undirected.edges for tail, head in ((e.u, e.v), (e.v, e.u))
+    ))
+    groups = [
+        [Path(tuple(arc // 2 for arc in p.edges), p.nodes)
+         for p in enumerate_paths(arcs, s, t, max_paths) if p.visits(w)]
+        for s, t in commodities
+    ]
+    value, _ = _solve_path_flow(groups, arcs.float_capacities[::2])
+    return value

@@ -31,15 +31,14 @@ class UnreachableSegment(Exception):
 class ShortestPathDag:
     """Single-source shortest-path DAG with exact distances and path counts.
 
-    ``dist[v]`` is None for unreachable nodes (sigma 0, no predecessors);
-    ``scaled_dist[v]`` is the same distance times the network's
-    ``cost_scale``, an int. ``preds[v]`` lists the indices of edges (u, v)
-    with dist[v] == dist[u] + cost(u, v) exactly. ``settled`` lists the
-    reachable nodes in the order Dijkstra settled them.
+    ``scaled_dist[v]`` is the distance times the network's ``cost_scale``,
+    an int, or None for unreachable nodes (sigma 0, no predecessors).
+    ``preds[v]`` lists the indices of edges (u, v) with
+    scaled_dist[v] == scaled_dist[u] + scaled cost(u, v) exactly. ``settled``
+    lists the reachable nodes in the order Dijkstra settled them.
     """
 
     source: int
-    dist: tuple[Optional[Fraction], ...]
     scaled_dist: tuple[Optional[int], ...]
     sigma: tuple[int, ...]
     preds: tuple[tuple[int, ...], ...]
@@ -82,9 +81,7 @@ def _dijkstra_counting(network: FlowNetwork, start: int, reverse: bool):
             elif nd == dist[v]:
                 sigma[v] += sigma[u]
                 preds[v].append(eid)
-    scale = network.cost_scale
     return (
-        tuple(None if d is None else Fraction(d, scale) for d in dist),
         tuple(dist),
         tuple(sigma),
         tuple(tuple(p) for p in preds),
@@ -100,7 +97,8 @@ def sp_dag(network: FlowNetwork, source: int) -> ShortestPathDag:
 
 
 def sp_dag_reverse(network: FlowNetwork, sink: int) -> ShortestPathDag:
-    """Shortest-path DAG *to* ``sink``: dist[v] and sigma[v] refer to v -> sink.
+    """Shortest-path DAG *to* ``sink``: scaled_dist[v] and sigma[v] refer to
+    v -> sink.
 
     ``preds[v]`` lists outgoing edges of v on some shortest v -> sink path.
     """
@@ -195,7 +193,7 @@ class ShortestPathCache:
         return self._backward[sink]
 
     def reachable(self, u: int, v: int) -> bool:
-        return self.forward(u).dist[v] is not None
+        return self.forward(u).scaled_dist[v] is not None
 
     def fractions(self, u: int, v: int) -> SegmentFractions:
         key = (u, v)

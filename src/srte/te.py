@@ -302,7 +302,7 @@ def _tunnel_program(
     load_matrix = csr_matrix(
         (loads, (edge_rows, tunnel_cols)), shape=(edge_count, count)
     )
-    capacities = np.array([float(e.capacity) for e in network.edges])
+    capacities = network.float_capacities
 
     if kind == LU:
         # Rows: load on e - theta * c(e) <= 0 for every edge, then
@@ -533,7 +533,7 @@ def build_mp_baseline(
     sources = np.array([c.source for c in demands.commodities], dtype=np.intp)
     sinks = np.array([c.sink for c in demands.commodities], dtype=np.intp)
     volume = np.array([c.demand for c in demands.commodities], dtype=float)
-    capacities = np.array([float(e.capacity) for e in network.edges])
+    capacities = network.float_capacities
     index = np.arange(count)
     block = first + width * index  # commodity i's flow on edge e: block[i] + e
     flow_cols = (block[:, None] + np.arange(edge_count)).ravel()

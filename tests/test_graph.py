@@ -87,6 +87,15 @@ class TestNetworkValidation:
         with pytest.raises(TopologyError, match="duplicate"):
             FlowNetwork(("a", "a"), ())
 
+    def test_float_capacities_are_read_only_and_per_edge(self):
+        net = make_net([(0, 1, "1/3"), (1, 2, 5), (2, 0, "7/2")])
+        assert net.float_capacities.tolist() == [1 / 3, 5.0, 3.5]
+        with pytest.raises(ValueError):
+            net.float_capacities[0] = 1.0
+        assert net.with_costs([Fraction(2)] * 3).float_capacities.tolist() == [
+            1 / 3, 5.0, 3.5
+        ]
+
     def test_adjacency(self):
         net = make_net([(0, 1, 1), (0, 2, 1), (2, 1, 1)])
         assert net.out_edges[0] == (0, 1)

@@ -6,7 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from srte.graph import random_digraph
+import numpy as np
+from scipy.sparse import lil_matrix
+
+import srte.oracles as oracles
+from srte.graph import FlowNetwork, TopologyError, random_digraph
+from srte.lp import LE, LinearProgram
 from srte.oracles import (
     SizeCapExceededError,
     UndirectedEdge,
@@ -351,3 +356,217 @@ class TestUndirected:
             UndirectedEdge(2, 2, Fraction(1))
         with pytest.raises(ValueError):
             UndirectedEdge(0, 1, Fraction(0))
+
+
+def _dict_row_path_flow_lp(edge_groups, capacities, demand_caps=None):
+    """The path-flow LP as it was built row by row before the shared
+    incidence: reference for the array-for-array comparison."""
+    lp = LinearProgram(maximize=True)
+    path_vars = []
+    per_edge = {}
+    for gi, group in enumerate(edge_groups):
+        gvars = []
+        for pi, edges in enumerate(group):
+            var = lp.add_var(f"p[{gi}:{pi}]", objective=1.0)
+            gvars.append(var)
+            for eid in edges:
+                per_edge.setdefault(eid, {})[var] = (
+                    per_edge.setdefault(eid, {}).get(var, 0.0) + 1.0
+                )
+        path_vars.append(gvars)
+    for eid, coeffs in sorted(per_edge.items()):
+        lp.add_row(coeffs, LE, float(capacities[eid]))
+    if demand_caps is not None:
+        for gvars, cap in zip(path_vars, demand_caps):
+            if gvars:
+                lp.add_row({v: 1.0 for v in gvars}, LE, cap)
+    return lp.to_sparse()
+
+
+def _old_undirected_walks(undirected, s, t, w):
+    """The undirected oracle's former walker: s-w-t walks as edge-id tuples."""
+    found = []
+
+    def extend(node, used, edge_seq, seen_w):
+        if node == t and edge_seq and seen_w:
+            found.append(tuple(edge_seq))
+        for eid, e in enumerate(undirected.edges):
+            if e.u == node:
+                nxt, key = e.v, (eid, True)
+            elif e.v == node:
+                nxt, key = e.u, (eid, False)
+            else:
+                continue
+            if key in used:
+                continue
+            used.add(key)
+            edge_seq.append(eid)
+            extend(nxt, used, edge_seq, seen_w or nxt == w)
+            edge_seq.pop()
+            used.remove(key)
+
+    extend(s, set(), [], s == w)
+    return found
+
+
+def _assert_same_matrix(a, b):
+    assert a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def _assert_same_lp(new, old):
+    assert new.maximize == old.maximize
+    for name in ("objective", "lower", "upper", "b_ub", "b_eq"):
+        x, y = getattr(new, name), getattr(old, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    _assert_same_matrix(new.a_ub, old.a_ub)
+    _assert_same_matrix(new.a_eq, old.a_eq)
+    assert list(new.labels) == list(old.labels)
+
+
+def _random_undirected(rng):
+    n = rng.choice([4, 5, 6])
+    pairs = rng.sample(
+        list(itertools.combinations(range(n), 2)), rng.randint(n - 1, n + 1)
+    )
+    edges = tuple(
+        UndirectedEdge(*((u, v) if rng.random() < 0.5 else (v, u)),
+                       Fraction(rng.randint(1, 3)))
+        for u, v in pairs
+    )
+    return UndirectedNetwork(tuple(f"u{i}" for i in range(n)), edges)
+
+
+class TestSharedIncidence:
+    """Every path program is derived from one paths x edges incidence; each
+    equals, array for array, the program the oracles built before it."""
+
+    def test_path_flow_lp_equals_dict_row_build(self):
+        built, empty_groups, weak = 0, 0, 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.choice([5, 6])
+            net = random_digraph(n, 0.3, 900 + seed, max_capacity=4)
+            pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
+            weak += any(not enumerate_paths(net, s, t) for s, t in pairs)
+            commodities = rng.sample(pairs, 3)
+            w = rng.randrange(n)
+            groups = [
+                [p for p in enumerate_paths(net, s, t) if p.visits(w)]
+                for s, t in commodities
+            ]
+            empty_groups += any(not g for g in groups)
+            caps = [float(rng.randint(0, 5)) for _ in commodities]
+            for demand_caps in (None, caps):
+                _assert_same_lp(
+                    oracles._path_flow_lp(
+                        groups, net.float_capacities, demand_caps
+                    ),
+                    _dict_row_path_flow_lp(
+                        [[p.edges for p in g] for g in groups],
+                        net.float_capacities, demand_caps,
+                    ),
+                )
+                built += 1
+        assert built == 80 and empty_groups >= 10 and weak >= 30
+
+    def test_packing_program_equals_lil_build(self, monkeypatch):
+        calls = []
+
+        def recording_milp(**kwargs):
+            calls.append(kwargs)
+            return real_milp(**kwargs)
+
+        real_milp = oracles.milp
+        monkeypatch.setattr(oracles, "milp", recording_milp)
+        compared = 0
+        for net, s, w, t in seeded_swt_instances(30, start_seed=300):
+            paths = [p for p in enumerate_paths(net, s, t) if p.visits(w)]
+            calls.clear()
+            oracles._integral_packing(paths, net.float_capacities, 1)
+            # The former build, from the dict of integral capacities.
+            capacities = {eid: int(e.capacity) for eid, e in enumerate(net.edges)}
+            eids = sorted(capacities)
+            row_of = {eid: i for i, eid in enumerate(eids)}
+            a = lil_matrix((len(eids), len(paths)))
+            for j, path in enumerate(paths):
+                for eid in path.edges:
+                    a[row_of[eid], j] += 1.0
+            caps = np.array([float(capacities[eid]) for eid in eids])
+            bottleneck = np.array(
+                [float(min(capacities[eid] for eid in p.edges)) for p in paths]
+            )
+            (call,) = calls
+            _assert_same_matrix(call["constraints"].A, a.tocsr())
+            assert np.array_equal(call["constraints"].ub, caps)
+            assert np.array_equal(call["bounds"].ub, bottleneck)
+            assert (call["bounds"].lb == 0.0).all()
+            compared += 1
+        assert compared == 30
+
+    def test_undirected_walks_equal_former_walker(self, monkeypatch):
+        seen = []
+
+        def recording(groups, capacities, demand_caps=None):
+            seen.append((groups, capacities))
+            return real(groups, capacities, demand_caps)
+
+        real = oracles._solve_path_flow
+        monkeypatch.setattr(oracles, "_solve_path_flow", recording)
+        rng = random.Random(2024)
+        walks = 0
+        for _ in range(200):
+            net = _random_undirected(rng)
+            s, w, t = rng.sample(range(net.node_count), 3)
+            commodities = [(s, t), (t, s)]
+            seen.clear()
+            undirected_swt_path_oracle(net, w, commodities)
+            ((groups, capacities),) = seen
+            expected = [_old_undirected_walks(net, a, b, w) for a, b in commodities]
+            assert [[p.edges for p in g] for g in groups] == expected
+            capacity_list = [float(e.capacity) for e in net.edges]
+            assert capacities.tolist() == capacity_list
+            _assert_same_lp(
+                oracles._path_flow_lp(groups, capacities),
+                _dict_row_path_flow_lp(expected, capacity_list),
+            )
+            walks += sum(map(len, expected))
+        assert walks > 1000
+
+    def test_undirected_oracle_rejects_parallel_edges_and_duplicate_names(self):
+        parallel = UndirectedNetwork(
+            ("a", "b", "c"),
+            (UndirectedEdge(0, 1, Fraction(1)), UndirectedEdge(1, 0, Fraction(2)),
+             UndirectedEdge(1, 2, Fraction(1))),
+        )
+        with pytest.raises(TopologyError, match="parallel edge"):
+            undirected_swt_path_oracle(parallel, 1, [(0, 2)])
+        twins = UndirectedNetwork(
+            ("a", "a", "c"),
+            (UndirectedEdge(0, 1, Fraction(1)), UndirectedEdge(1, 2, Fraction(1))),
+        )
+        with pytest.raises(TopologyError, match="duplicate node names"):
+            undirected_swt_path_oracle(twins, 1, [(0, 2)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_swt_walk_with_removed_edges_equals_rebuilt_network(seed):
+    """The cut search's walk over a removed-edge set answers as has_swt_path
+    does on the network rebuilt without those edges."""
+    rng = random.Random(seed)
+    for trial in range(40):
+        n = rng.choice([5, 6, 7])
+        net = random_digraph(n, 0.35, 100 * seed + trial, max_capacity=3)
+        s, w, t = rng.sample(range(n), 3)
+        removed = {
+            eid for eid in range(net.edge_count) if rng.random() < 0.25
+        }
+        kept = tuple(
+            e for eid, e in enumerate(net.edges) if eid not in removed
+        )
+        rebuilt = FlowNetwork(net.node_names, kept)
+        assert oracles._has_swt_path(net, s, w, t, removed) == has_swt_path(
+            rebuilt, s, w, t
+        )

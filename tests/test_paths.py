@@ -13,7 +13,13 @@ from srte.paths import (
     sp_dag_reverse,
 )
 
-from conftest import enumerate_shortest_paths, make_net
+from conftest import enumerate_shortest_paths, floyd_warshall_counting, make_net
+
+
+def dist(net, dag, v):
+    """The exact distance of v in the DAG, or None when v is unreachable."""
+    scaled = dag.scaled_dist[v]
+    return None if scaled is None else Fraction(scaled, net.cost_scale)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -27,10 +33,10 @@ def test_dag_matches_enumeration_oracle(seed):
                 continue
             best, paths = enumerate_shortest_paths(net, s, t)
             if best is None:
-                assert dag.dist[t] is None
+                assert dist(net, dag, t) is None
                 assert dag.sigma[t] == 0
             else:
-                assert dag.dist[t] == best
+                assert dist(net, dag, t) == best
                 assert dag.sigma[t] == len(paths)
 
 
@@ -41,7 +47,7 @@ def test_reverse_dag_agrees_with_forward(seed):
         bwd = sp_dag_reverse(net, v)
         for u in range(net.node_count):
             fwd = sp_dag(net, u)
-            assert bwd.dist[u] == fwd.dist[v]
+            assert dist(net, bwd, u) == dist(net, fwd, v)
             assert bwd.sigma[u] == fwd.sigma[v]
 
 
@@ -51,14 +57,14 @@ def test_order_is_distance_then_index(seed):
     net = random_digraph(10, 0.2, seed, max_capacity=3).inverse_capacity_costs()
     for v in range(net.node_count):
         for dag in (sp_dag(net, v), sp_dag_reverse(net, v)):
-            reach = [u for u in range(net.node_count) if dag.dist[u] is not None]
-            assert dag.order() == sorted(reach, key=lambda u: (dag.dist[u], u))
+            reach = [u for u in range(net.node_count) if dist(net, dag, u) is not None]
+            assert dag.order() == sorted(reach, key=lambda u: (dist(net, dag, u), u))
 
 
 def test_source_properties():
     net = make_net([(0, 1, 1), (1, 2, 1)])
     dag = sp_dag(net, 0)
-    assert dag.dist[0] == 0
+    assert dist(net, dag, 0) == 0
     assert dag.sigma[0] == 1
     assert dag.preds[0] == ()
 
@@ -80,7 +86,7 @@ def test_fractional_cost_tie_detection():
         ]
     )
     dag = sp_dag(net, 0)
-    assert dag.dist[2] == Fraction(1, 2)
+    assert dist(net, dag, 2) == Fraction(1, 2)
     assert dag.sigma[2] == 2
 
 
@@ -115,7 +121,7 @@ def test_fractions_conserve_unit_flow():
     net = random_digraph(8, 0.35, 11)
     for u in range(net.node_count):
         for v in range(net.node_count):
-            if u == v or sp_dag(net, u).dist[v] is None:
+            if u == v or sp_dag(net, u).scaled_dist[v] is None:
                 continue
             fr = segment_fractions(net, u, v).fractions
             out = sum(
@@ -142,7 +148,7 @@ def test_cache_consistency_and_reuse():
         for v in range(net.node_count):
             if u == v:
                 continue
-            assert cache.reachable(u, v) == (sp_dag(net, u).dist[v] is not None)
+            assert cache.reachable(u, v) == (sp_dag(net, u).scaled_dist[v] is not None)
             if cache.reachable(u, v):
                 assert cache.fractions(u, v).fractions == segment_fractions(
                     net, u, v
@@ -151,8 +157,9 @@ def test_cache_consistency_and_reuse():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_scaled_distances_and_segment_loads(seed):
-    """scaled_dist is dist times the network's cost scale, an exact int; each
-    segment's float loads are its exact fractions, correctly rounded."""
+    """scaled_dist is the exact distance times the network's cost scale, an
+    int; each segment's float loads are its exact fractions, correctly
+    rounded."""
     base = random_digraph(8, 0.35, seed)
     net = base.with_costs(
         [Fraction(1 + i % 4, 1 + i % 3) for i in range(base.edge_count)]
@@ -162,12 +169,13 @@ def test_scaled_distances_and_segment_loads(seed):
         Fraction(c, net.cost_scale) == e.cost
         for c, e in zip(net.scaled_costs, net.edges)
     )
+    exact, _ = floyd_warshall_counting(net)
     cache = ShortestPathCache(net)
     for u in range(net.node_count):
         dag = cache.forward(u)
-        for d, scaled in zip(dag.dist, dag.scaled_dist):
-            assert (d is None) == (scaled is None)
-            assert d is None or d * net.cost_scale == scaled
+        for v, scaled in enumerate(dag.scaled_dist):
+            assert isinstance(scaled, int) or scaled is None
+            assert dist(net, dag, v) == exact[u, v]
         for v in range(net.node_count):
             if u == v or not cache.reachable(u, v):
                 continue
