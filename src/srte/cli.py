@@ -17,7 +17,7 @@ import itertools
 import json
 import random
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import centrality as centrality_mod
 from . import oracles
@@ -35,10 +35,13 @@ from .paths import ShortestPathCache
 from .selection import (
     BudgetExceededError,
     DEFAULT_SUBPROBLEM_BUDGET,
+    PREFIX_METHODS,
+    Outcome,
     SelectionResult,
     centrality_select,
     greedy_select,
     optimal_select,
+    select_prefixes,
     solve_with_middlepoints,
 )
 from .te import (
@@ -141,6 +144,16 @@ def _run_method(
     )
 
 
+def _each_point(network, demands, args, runs, cache) -> Iterator[Outcome]:
+    """Every sweep run selected on its own; a point's selection error is
+    yielded in its place."""
+    for _, method, k, m, seed in runs:
+        try:
+            yield _run_method(network, demands, args, method, k, m, seed, cache)
+        except (NoTunnelError, BudgetExceededError) as exc:
+            yield exc
+
+
 def _solution_document(
     network: FlowNetwork, result: SelectionResult, timing: bool
 ) -> dict:
@@ -229,13 +242,19 @@ def cmd_sweep(args) -> int:
         _check_point(network, args, method, k, m)
 
     cache = ShortestPathCache(network)
+    if args.sweep_k and args.method in PREFIX_METHODS:
+        outcomes = select_prefixes(
+            network, demands, args.method, [k for _, _, k, _, _ in runs], args.m,
+            weighted=args.weighted, seed=args.seed, objective=args.objective,
+            budget=args.budget, cache=cache,
+        )
+    else:
+        outcomes = _each_point(network, demands, args, runs, cache)
     print("point,status,objective,solve_ms,subproblems")
     worst = 0
-    for label, method, k, m, seed in runs:
-        try:
-            result = _run_method(network, demands, args, method, k, m, seed, cache)
-        except (NoTunnelError, BudgetExceededError) as exc:
-            print(f"point {label}: {exc}", file=sys.stderr)
+    for (label, *_), result in zip(runs, outcomes):
+        if isinstance(result, Exception):
+            print(f"point {label}: {result}", file=sys.stderr)
             print(f"{label},error,,,0")
             worst = 2
             continue
@@ -309,12 +328,29 @@ def _suite_submodularity(args) -> list[str]:
             for size in range(len(eligible) + 1)
             for sub in itertools.combinations(eligible, size)
         }
+        names = net.node_names
+
+        def witness(v: int, *groups: frozenset) -> str:
+            """The nodes and group flows that reproduce a violation."""
+            sets = " ".join(
+                f"{label}={{{','.join(names[u] for u in sorted(group))}}}"
+                for label, group in zip("AB", groups)
+            )
+            flows = " ".join(
+                f"f({label})={_fmt(values[group])} "
+                f"f({label}+v)={_fmt(values[group | {v}])}"
+                for label, group in zip("AB", groups)
+            )
+            return f"s={names[s]} t={names[t]} {sets} v={names[v]}: {flows}"
+
         for sub, value in values.items():
             for v in eligible:
                 if v in sub:
                     continue
                 if values[sub | {v}] < value - 1e-6:
-                    failures.append(f"trial {trial}: monotonicity violated")
+                    failures.append(
+                        f"trial {trial}: monotonicity violated: {witness(v, sub)}"
+                    )
         for a in values:
             for b in values:
                 if a <= b:
@@ -325,7 +361,8 @@ def _suite_submodularity(args) -> list[str]:
                         gain_big = values[b | {v}] - values[b]
                         if gain_small < gain_big - 1e-6:
                             failures.append(
-                                f"trial {trial}: submodularity violated"
+                                f"trial {trial}: submodularity violated: "
+                                f"{witness(v, a, b)}"
                             )
     return failures
 

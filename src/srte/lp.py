@@ -153,12 +153,23 @@ class LpSolution:
         return self.assignment[var]
 
 
+def _row_norms(a: csr_matrix) -> np.ndarray:
+    """Each row's max |coefficient|, read from the arrays of a CSR matrix
+    without duplicate entries (as built from COO); 0 for a row without any."""
+    norms = np.zeros(a.shape[0])
+    rows = np.flatnonzero(np.diff(a.indptr))
+    if rows.size:
+        entries = np.abs(a.data[:a.indptr[-1]])
+        norms[rows] = np.maximum.reduceat(entries, a.indptr[rows])
+    return norms
+
+
 def _check_feasibility(lp: SparseLp, x: np.ndarray) -> None:
     """Each row's residual over max(1, max |coefficient|) is within tolerance."""
     for a, b, equality in ((lp.a_ub, lp.b_ub, False), (lp.a_eq, lp.b_eq, True)):
         if not a.shape[0]:
             continue
-        norm = np.maximum(1.0, abs(a).max(axis=1).toarray().ravel())
+        norm = np.maximum(1.0, _row_norms(a))
         resid = (a @ x - b) / norm
         ok = np.abs(resid) <= FEASIBILITY_TOL if equality else resid <= FEASIBILITY_TOL
         if not ok.all():  # NaN residuals fail too

@@ -2,10 +2,14 @@
 
 Optimal enumeration solves one TE subproblem per candidate subset; the greedy
 heuristic expands the set one middlepoint at a time while a strict utilization
-reduction exists. Both work on the min-max-utilization objective, and each
-run enumerates and loads its tunnels once, in one ``TunnelPool``, of which
-every subproblem's program is a column slice. Centrality and random
-selection pick a global middlepoint set up front and solve once.
+reduction exists. Both work on the min-max-utilization objective. Centrality
+and random selection pick a global middlepoint set up front and solve once.
+
+``select_prefixes`` selects for every k of a sweep axis at once and does what
+does not depend on k once: one centrality ranking whose top k each point
+takes, one greedy expansion read at every k. Each run enumerates and loads
+its tunnels once, in one ``TunnelPool``, of which every subproblem's program
+is a column slice.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .centrality import (
     betweenness,
@@ -57,6 +61,10 @@ class SelectionResult:
         return len(self.middlepoints)
 
 
+# One point of a selection sweep: its result or the error it fails with.
+Outcome = Union[SelectionResult, NoTunnelError, BudgetExceededError]
+
+
 def solve_with_middlepoints(
     cache: ShortestPathCache,
     demands: DemandMatrix,
@@ -86,6 +94,46 @@ def _evaluate(
     return (solution.theta if optimal else math.inf), solution, None
 
 
+def _raised(outcome: Outcome) -> SelectionResult:
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _check_k(k: int, count: int) -> None:
+    if not (1 <= k <= count):
+        raise ValueError(f"k must be in [1, {count}], got {k}")
+
+
+def _optimal_points(
+    pool: TunnelPool, candidates: Sequence[int], ks: Sequence[int], budget: int
+) -> Iterator[Outcome]:
+    """Exhaustive search over the size-k candidate subsets of each k.
+
+    Ties break lexicographically by sorted node indices (the enumeration
+    order). A k whose subset count exceeds the budget is refused without a
+    solve; the subsets of every other k are covered at once.
+    """
+    counts = {k: math.comb(len(candidates), k) for k in ks}
+    pool.cover(
+        subset for k in counts if counts[k] <= budget
+        for subset in itertools.combinations(candidates, k)
+    )
+    for k in ks:
+        if counts[k] > budget:
+            yield BudgetExceededError(
+                f"{counts[k]} subproblems exceed the budget of {budget}"
+            )
+            continue
+        best = None  # the first subset of least theta: (theta, solution, error, subset)
+        for subset in itertools.combinations(candidates, k):
+            trial = (*_evaluate(pool, subset), subset)
+            if best is None or trial[0] < best[0]:
+                best = trial
+        _, solution, error, subset = best
+        yield error or SelectionResult("Optimal", list(subset), solution, counts[k])
+
+
 def optimal_select(
     network: FlowNetwork,
     demands: DemandMatrix,
@@ -97,30 +145,57 @@ def optimal_select(
 ) -> SelectionResult:
     """Exhaustive search over all size-k candidate subsets, minimizing theta.
 
-    Ties break lexicographically by sorted node indices (the enumeration
-    order). Refuses upfront when the subset count exceeds the budget. Every
-    subset's program is a column slice of one tunnel pool.
+    Refuses upfront when the subset count exceeds the budget. Every subset's
+    program is a column slice of one tunnel pool.
     """
     candidates = sorted(set(candidates))
-    if not (1 <= k <= len(candidates)):
-        raise ValueError(f"k must be in [1, {len(candidates)}], got {k}")
-    count = math.comb(len(candidates), k)
-    if count > budget:
-        raise BudgetExceededError(
-            f"{count} subproblems exceed the budget of {budget}"
-        )
-    subsets = list(itertools.combinations(candidates, k))
+    _check_k(k, len(candidates))
     pool = TunnelPool(cache or ShortestPathCache(network), demands, max_middlepoints)
-    pool.cover(subsets)
-    best = None  # the first subset of least theta: (theta, solution, error, subset)
-    for subset in subsets:
-        trial = (*_evaluate(pool, subset), subset)
-        if best is None or trial[0] < best[0]:
-            best = trial
-    _, solution, error, subset = best
-    if error is not None:
-        raise error
-    return SelectionResult("Optimal", list(subset), solution, count)
+    return _raised(next(_optimal_points(pool, candidates, [k], budget)))
+
+
+def _greedy_points(
+    pool: TunnelPool,
+    candidates: Sequence[int],
+    ks: Sequence[int],
+    initial: Sequence[int] = (),
+) -> list[Outcome]:
+    """One greedy expansion to the largest k, read at every k.
+
+    A run to k makes the same rounds as the run to the largest k until it
+    holds k middlepoints or a round does not improve, so its outcome is the
+    first state with k middlepoints, or else the state the expansion ended
+    in. A state keeps only its round winner's solution.
+    """
+    chosen = list(initial)
+    unexplored = [v for v in candidates if v not in chosen]
+    theta, current, error = _evaluate(pool, chosen)
+    subproblems = 1
+    states = [(chosen[:], current, error, subproblems)]
+    k_max = max(ks)
+    while len(chosen) < k_max and unexplored:
+        pool.cover(chosen + [v] for v in unexplored)
+        best = None  # only the round's running best trial is kept alive
+        for v in unexplored:
+            trial = (*_evaluate(pool, chosen + [v]), v)
+            if best is None or trial[0] < best[0]:
+                best = trial
+        subproblems += len(unexplored)
+        improved = best[0] < theta - IMPROVEMENT_TOL
+        if improved:
+            theta, current, error, v = best
+            chosen.append(v)
+            unexplored.remove(v)
+        states.append((chosen[:], current, error, subproblems))
+        if not improved:
+            break
+    outcomes = []
+    for k in ks:
+        picks, solution, error, count = next(
+            (state for state in states if len(state[0]) >= k), states[-1]
+        )
+        outcomes.append(error or SelectionResult("Greedy", picks, solution, count))
+    return outcomes
 
 
 def greedy_select(
@@ -141,33 +216,88 @@ def greedy_select(
     tunnel pool, which each round extends by the tunnels its sets add.
     """
     candidates = sorted(set(candidates))
-    if not (1 <= k <= len(candidates)):
-        raise ValueError(f"k must be in [1, {len(candidates)}], got {k}")
+    _check_k(k, len(candidates))
     pool = TunnelPool(cache or ShortestPathCache(network), demands, max_middlepoints)
-    chosen = list(initial)
-    unexplored = [v for v in candidates if v not in chosen]
-    theta, current, error = _evaluate(pool, chosen)
-    subproblems = 1
-    while len(chosen) < k and unexplored:
-        pool.cover(chosen + [v] for v in unexplored)
-        best = None  # only the round's running best trial is kept alive
-        for v in unexplored:
-            trial = (*_evaluate(pool, chosen + [v]), v)
-            if best is None or trial[0] < best[0]:
-                best = trial
-        subproblems += len(unexplored)
-        if not best[0] < theta - IMPROVEMENT_TOL:
-            break
-        theta, current, error, v = best
-        chosen.append(v)
-        unexplored.remove(v)
-
-    if error is not None:
-        raise error
-    return SelectionResult("Greedy", chosen, current, subproblems)
+    return _raised(_greedy_points(pool, candidates, [k], initial)[0])
 
 
-_CENTRALITY_METHODS = ("sp", "gsp", "degree", "random")
+_CENTRALITY_LABELS = {
+    "sp": "TopK-SP", "gsp": "TopK-GSP", "degree": "TopK-Degree", "random": "Random",
+}
+PREFIX_METHODS = (*_CENTRALITY_LABELS, "optimal", "greedy")
+
+
+def _centrality_picks(
+    network: FlowNetwork,
+    method: str,
+    ks: Sequence[int],
+    weighted: bool,
+    seed: int,
+    cache: ShortestPathCache,
+) -> list[list[int]]:
+    """Each k's middlepoints: the top k of one ranking, or a sample per k for
+    random (a k-sample is not a prefix of a larger one)."""
+    if method == "random":
+        return [random_select(network, k, seed) for k in ks]
+    # The cache holds DAGs of the given costs; weighted SP and GSP use
+    # 1/capacity costs instead, in one analysis cache of their own.
+    analysis_cache = None if weighted else cache
+    if method == "sp":
+        ranking = betweenness(network, weighted, analysis_cache).ordering
+    elif method == "gsp":
+        # Greedy picks: the first k for the largest k are the picks for k.
+        ranking = greedy_group_select(network, max(ks), weighted, cache=analysis_cache)
+    else:
+        ranking = degree_centrality(network, weighted).ordering
+    return [list(ranking[:k]) for k in ks]
+
+
+def select_prefixes(
+    network: FlowNetwork,
+    demands: DemandMatrix,
+    method: str,
+    ks: Sequence[int],
+    max_middlepoints: int,
+    *,
+    weighted: bool = False,
+    seed: int = 0,
+    objective: str = LU,
+    budget: int = DEFAULT_SUBPROBLEM_BUDGET,
+    cache: ShortestPathCache | None = None,
+) -> Iterator[Outcome]:
+    """The selection of each k of ``ks`` over all nodes, in order, as a result
+    or the ``NoTunnelError``/``BudgetExceededError`` it fails with.
+
+    What does not depend on k is done once: sp, gsp and degree rank the nodes
+    once and each k takes the top k, greedy expands once to the largest k,
+    and every k's programs are column slices of one tunnel pool, identical to
+    fresh builds. Points are solved as they are read.
+    """
+    if method not in PREFIX_METHODS:
+        raise ValueError(f"unknown prefix selection method {method!r}")
+    if method in ("optimal", "greedy") and objective != LU:
+        raise ValueError(f"{method} selection supports only objective {LU!r}")
+    candidates = range(network.node_count)
+    for k in ks:
+        _check_k(k, len(candidates))
+    if not ks:
+        return
+    pool = TunnelPool(cache or ShortestPathCache(network), demands, max_middlepoints)
+    if method == "optimal":
+        yield from _optimal_points(pool, candidates, ks, budget)
+        return
+    if method == "greedy":
+        yield from _greedy_points(pool, candidates, ks)
+        return
+    picks = _centrality_picks(network, method, ks, weighted, seed, pool.cache)
+    pool.cover(picks)
+    for mids in picks:
+        try:
+            solution = solve_te(pool.program(mids, objective))
+        except NoTunnelError as exc:
+            yield exc
+        else:
+            yield SelectionResult(_CENTRALITY_LABELS[method], mids, solution)
 
 
 def centrality_select(
@@ -182,25 +312,9 @@ def centrality_select(
     cache: ShortestPathCache | None = None,
 ) -> SelectionResult:
     """Top-k selection by a structural centrality, then one TE solve."""
-    if method not in _CENTRALITY_METHODS:
+    if method not in _CENTRALITY_LABELS:
         raise ValueError(f"unknown centrality method {method!r}")
-    cache = cache or ShortestPathCache(network)
-    # The cache holds DAGs of the given costs; weighted SP and GSP use
-    # 1/capacity costs instead.
-    analysis_cache = None if weighted else cache
-    if method == "sp":
-        mids = list(betweenness(network, weighted, analysis_cache).ordering[:k])
-        label = "TopK-SP"
-    elif method == "gsp":
-        mids = greedy_group_select(network, k, weighted, cache=analysis_cache)
-        label = "TopK-GSP"
-    elif method == "degree":
-        mids = list(degree_centrality(network, weighted).ordering[:k])
-        label = "TopK-Degree"
-    else:
-        mids = random_select(network, k, seed)
-        label = "Random"
-    solution = solve_with_middlepoints(
-        cache, demands, mids, max_middlepoints, objective
-    )
-    return SelectionResult(label, mids, solution)
+    return _raised(next(select_prefixes(
+        network, demands, method, [k], max_middlepoints,
+        weighted=weighted, seed=seed, objective=objective, cache=cache,
+    )))

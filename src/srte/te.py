@@ -13,8 +13,8 @@ edge. ``solve_te`` decodes both by one load-matrix mat-vec into utilizations
 (and tunnel flows and split ratios) and checks theta against them.
 
 A ``TunnelPool`` serves a selection run that solves many middlepoint sets: it
-enumerates and loads each tunnel once, and each set's TE_LU program is a
-column slice of it, identical to the program built for that set alone.
+enumerates and loads each tunnel once, and each set's program is a column
+slice of it, identical to the program built for that set alone.
 """
 
 from __future__ import annotations
@@ -370,11 +370,12 @@ class TunnelPool:
     """The tunnels of many middlepoint sets, each enumerated and loaded once.
 
     The pool holds every tunnel of each set it has covered, in (commodity,
-    waypoints) order, with its load column. A covered set's TE_LU program is
-    theta plus the pool columns whose middlepoints all lie in the set, in
-    pool order: array for array the program ``build_te_lu`` builds from
-    ``tunnels_for_middlepoints`` for that set. A selection run covers each
-    round's sets at once, so the pool never holds a tunnel no set uses.
+    waypoints) order, with its load column. A covered set's program is
+    assembled from the pool columns whose middlepoints all lie in the set, in
+    pool order: array for array the program ``build_te_lu`` or
+    ``build_te_mf`` builds from ``tunnels_for_middlepoints`` for that set. A
+    selection run covers its sets (or each round's) at once, so the pool is
+    sorted once per batch and never holds a tunnel no set uses.
     """
 
     def __init__(
@@ -454,8 +455,9 @@ class TunnelPool:
         self._loads = loads[positions]
         self._covered |= fresh_sets
 
-    def program(self, middlepoints: Iterable[int]) -> TeProgram:
-        """The TE_LU program of one middlepoint set, covered first if new."""
+    def program(self, middlepoints: Iterable[int], kind: str = LU) -> TeProgram:
+        """The TE program (LU or MF) of one middlepoint set, covered first if
+        new."""
         middlepoints = set(middlepoints)
         self.cover((middlepoints,))
         inside = np.zeros(self.cache.network.node_count + 1, dtype=bool)
@@ -464,7 +466,7 @@ class TunnelPool:
         keep = np.flatnonzero(inside[self._middlepoints].all(axis=1))
         positions, sizes = _gather(self._ptr, keep)
         return _tunnel_program(
-            LU, self.cache.network, self.demands,
+            kind, self.cache.network, self.demands,
             [self.tunnels[j] for j in keep], self._commodity[keep],
             self._edge_rows[positions], sizes, self._loads[positions],
         )

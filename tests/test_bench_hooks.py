@@ -112,3 +112,21 @@ def test_traced_mp_baseline_counts_both_blocks():
     assert t.counts["lp_nnz"] == lp.a_ub.nnz + lp.a_eq.nnz
     assert t.calls["te.build_mp_baseline"] == t.calls["te.solve_mp"] == 1
     assert t.calls["lp.solve_lp"] == 1
+
+
+def test_traced_gsp_sweep_ranks_once_and_solves_once_per_point():
+    """A K-sweep ranks once and solves each point once, through the names
+    the tracer wraps in ``srte.selection``, so the benchmark's centrality and
+    LP layers stay visible on gsp-sweep."""
+    argv = ["sweep", *ARGV[1:5], "--method", "gsp", "--sweep-k", "1:4"]
+    untraced = run_main(argv)
+    originals = bound_sites()
+    t = tracer.Tracer()
+    with t:
+        traced = run_main(argv)
+    assert bound_sites() == originals
+    assert traced == untraced
+    points = len(untraced.splitlines()) - 1
+    assert points == 4
+    assert t.calls["centrality.greedy_group_select"] == 1
+    assert t.calls["te.solve_te"] == t.calls["lp.linprog"] == points

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from srte.centrality import group_betweenness
 from srte.cli import SELECTION_METHODS, main
-from srte.graph import parse_topology
+from srte.graph import Commodity, DemandMatrix, parse_topology, random_digraph
+from srte.oracles import group_flow
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -577,6 +578,47 @@ class TestOracleSuites:
         )
         assert code == 0
         assert out == "submodularity,2,0,pass\n"
+
+    def test_submodularity_names_a_reproducible_counterexample(self, capsys):
+        """Group flow is not submodular in general: seed 0 hits a genuine
+        6-node violation at trial 8. Each line names s, t, A, B and v and
+        the four group flows, which the oracle reproduces."""
+        code, out, err = run(capsys, "oracle", "submodularity", "--seed", "0")
+        assert code == 2
+        assert out == "submodularity,10,2,fail\n"
+        assert err.splitlines() == [
+            "FAIL trial 8: submodularity violated: s=n1 t=n2 A={n3} B={n0,n3} "
+            "v=n4: f(A)=1 f(A+v)=2 f(B)=2 f(B+v)=4",
+            "FAIL trial 8: submodularity violated: s=n1 t=n2 A={n3} B={n3,n4} "
+            "v=n0: f(A)=1 f(A+v)=2 f(B)=2 f(B+v)=4",
+        ]
+        net = random_digraph(6, 0.35, 8, max_capacity=4)
+        demands = DemandMatrix((Commodity(1, 2, 6.0),))
+        flows = [
+            group_flow(net, demands, group)
+            for group in ({3}, {3, 4}, {0, 3}, {0, 3, 4})
+        ]
+        assert flows == [1.0, 2.0, 2.0, 4.0]
+
+    def test_monotonicity_lines_name_their_witness(self, capsys, monkeypatch):
+        import srte.oracles
+
+        monkeypatch.setattr(
+            srte.oracles, "group_flow", lambda net, demands, sub: 1.0 - len(sub)
+        )
+        code, out, err = run(
+            capsys, "oracle", "submodularity", "--trials", "1", "--nodes", "4",
+        )
+        assert code == 2
+        assert err.splitlines()[:3] == [
+            "FAIL trial 0: monotonicity violated: s=n3 t=n1 A={} v=n0: "
+            "f(A)=1 f(A+v)=0",
+            "FAIL trial 0: monotonicity violated: s=n3 t=n1 A={} v=n2: "
+            "f(A)=1 f(A+v)=0",
+            "FAIL trial 0: monotonicity violated: s=n3 t=n1 A={n0} v=n2: "
+            "f(A)=0 f(A+v)=-1",
+        ]
+        assert out == f"submodularity,1,{len(err.splitlines())},fail\n"
 
     def test_maxflow_mincut_reports_known_counterexample(self, capsys):
         """Max s-w-t flow / min cut equality is not a theorem; the default

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 import srte.lp
+import srte.te
 from srte.lp import (
     EQ,
     GE,
@@ -198,3 +200,44 @@ def test_feasibility_recheck(monkeypatch, point, ok):
     else:
         with pytest.raises(ArithmeticError, match="infeasible point"):
             solve_lp(three_row_program())
+
+
+def scipy_row_norms(a):
+    return abs(a).max(axis=1).toarray().ravel()
+
+
+def test_row_norms_equal_scipys():
+    """The feasibility re-check's row norms, read from the CSR arrays, equal
+    scipy's row maxima of |a| on matrices with empty rows, explicit zeros
+    and negative entries, from COO parts, dict rows and random fills."""
+    rng = np.random.default_rng(0)
+    matrices = [
+        csr_matrix((3, 4)),
+        csr_matrix(np.array([[0.0, -2.5], [0.0, 0.0], [1e-9, -1e9]])),
+        three_row_program().to_sparse().a_ub,
+    ]
+    for _ in range(40):
+        rows, cols = rng.integers(1, 12, size=2)
+        nnz = int(rng.integers(0, rows * cols + 1))
+        parts = [(
+            rng.integers(0, rows, size=nnz), rng.integers(0, cols, size=nnz),
+            rng.choice([0.0, -1.0, 3.5, -0.25, 1e-12], size=nnz),
+        )]
+        matrices.append(srte.te._csr(parts, (rows, cols)))
+        lp = LinearProgram()
+        for j in range(cols):
+            lp.add_var(f"x{j}")
+        for r in range(rows):
+            lp.add_row(
+                {j: float(rng.normal()) for j in range(cols) if rng.random() < 0.3},
+                LE if r % 3 else GE, 0.0,
+            )
+        matrices.append(lp.to_sparse().a_ub)
+    empty = explicit_zero = 0
+    for a in matrices:
+        got = srte.lp._row_norms(a)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, scipy_row_norms(a))
+        empty += int((np.diff(a.indptr) == 0).sum())
+        explicit_zero += int((a.data == 0).sum())
+    assert empty and explicit_zero

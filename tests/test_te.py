@@ -570,11 +570,15 @@ def assert_same_program(got, want):
 class TestTunnelPool:
     def test_slices_equal_fresh_builds(self):
         """Every set's pool program is build_te_lu over that set's tunnels,
-        array for array, or raises the same NoTunnelError; the pool holds
-        exactly the tunnels of the sets it covered. The digraphs are not
-        strongly connected, some commodities have zero demand or no route,
-        and the sets include commodity endpoints."""
-        seen = {"raised": 0, "built": 0, "zero": 0, "unroutable": 0, "endpoint": 0}
+        array for array, or raises the same NoTunnelError, and its MF slice
+        is build_te_mf's program; the pool holds exactly the tunnels of the
+        sets it covered. The digraphs are not strongly connected, some
+        commodities have zero demand or no route, and the sets include
+        commodity endpoints."""
+        seen = {
+            "raised": 0, "built": 0, "mf": 0, "zero": 0, "unroutable": 0,
+            "endpoint": 0,
+        }
         for seed in range(6):
             rng = random.Random(seed)
             net = random_digraph(8, 0.3, seed, max_capacity=5)
@@ -596,6 +600,10 @@ class TestTunnelPool:
                         for c in demands.commodities
                     )
                     groups = tunnels_for_middlepoints(cache, demands, mids, m)
+                    assert_same_program(
+                        pool.program(mids, MF), build_te_mf(cache, demands, groups)
+                    )
+                    seen["mf"] += 1
                     try:
                         want = build_te_lu(cache, demands, groups)
                     except NoTunnelError as exc:
