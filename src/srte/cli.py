@@ -110,6 +110,10 @@ def _check_point(network: FlowNetwork, args, method: str, k: int, m: int) -> Non
         raise UsageError(
             f"--single-middlepoint applies only to --method all-nodes, not {method}"
         )
+    if args.weighted and method not in ("sp", "gsp", "degree"):
+        raise UsageError(
+            f"--weighted applies only to --method sp, gsp or degree, not {method}"
+        )
 
 
 def _run_method(
@@ -145,13 +149,19 @@ def _run_method(
 
 
 def _each_point(network, demands, args, runs, cache) -> Iterator[Outcome]:
-    """Every sweep run selected on its own; a point's selection error is
-    yielded in its place."""
-    for _, method, k, m, seed in runs:
-        try:
-            yield _run_method(network, demands, args, method, k, m, seed, cache)
-        except (NoTunnelError, BudgetExceededError) as exc:
-            yield exc
+    """Every distinct sweep run selected on its own, a repeated run's outcome
+    yielded again; a point's selection error is yielded in its place."""
+    outcomes: dict[tuple, Outcome] = {}
+    for _, *point in runs:
+        key = tuple(point)  # (method, k, m, seed)
+        if key not in outcomes:
+            try:
+                outcomes[key] = _run_method(
+                    network, demands, args, *point, cache
+                )
+            except (NoTunnelError, BudgetExceededError) as exc:
+                outcomes[key] = exc
+        yield outcomes[key]
 
 
 def _solution_document(
@@ -421,7 +431,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", choices=SELECTION_METHODS, default="gsp")
     parser.add_argument("--k", type=int, default=1)
     parser.add_argument("--m", type=int, default=1)
-    parser.add_argument("--weighted", action="store_true")
+    parser.add_argument(
+        "--weighted", action="store_true",
+        help="rank sp, gsp or degree with 1/capacity edge weights",
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=DEFAULT_SUBPROBLEM_BUDGET)
     parser.add_argument(

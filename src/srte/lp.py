@@ -2,10 +2,12 @@
 
 A program is either built row by row (``LinearProgram``: coefficient dicts,
 relation, rhs) or assembled directly in the solver's sparse matrix form
-(``SparseLp``); a row-form program is converted once when solved. Solving is
-delegated to scipy's HiGHS backend, which is deterministic for identical input
-and handles the degenerate, equal-capacity instances common in TE without
-cycling. Every returned point is re-checked against the rows.
+(``SparseLp``); a row-form program is converted once when solved. Every
+program goes straight to the HiGHS solver vendored in scipy, with the options
+and the input and result checks of scipy's ``linprog(method="highs")`` but none
+of its conversions. HiGHS is deterministic for identical input and handles the
+degenerate, equal-capacity instances common in TE without cycling. Every
+returned point is re-checked against the rows.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from scipy.optimize import OptimizeResult
+from scipy.optimize._highspy import _core as highs
+from scipy.sparse import csr_matrix, vstack
 
 FEASIBILITY_TOL = 1e-7
 
@@ -179,19 +182,114 @@ def _check_feasibility(lp: SparseLp, x: np.ndarray) -> None:
             )
 
 
+# The options scipy's linprog(method="highs") sets; all others keep their
+# HiGHS defaults. passOptions copies them into each fresh solver.
+_OPTIONS = highs.HighsOptions()
+_OPTIONS.presolve = "on"
+_OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+_OPTIONS.output_flag = _OPTIONS.log_to_console = False
+
+_INF = highs.kHighsInf
+# linprog's status codes: 0 optimal, 2 infeasible, 3 unbounded, 4 failed.
+_STATUS = {
+    highs.HighsModelStatus.kOptimal: 0,
+    highs.HighsModelStatus.kInfeasible: 2,
+    highs.HighsModelStatus.kModelError: 2,
+    highs.HighsModelStatus.kUnbounded: 3,
+}
+# linprog's result check tolerance: 10 * sqrt of its default tol of 1e-9.
+_RESULT_TOL = 10 * np.sqrt(1e-9)
+
+
+def linprog(
+    c: np.ndarray,
+    A_ub: csr_matrix,
+    b_ub: np.ndarray,
+    A_eq: csr_matrix,
+    b_eq: np.ndarray,
+    bounds: np.ndarray,
+) -> OptimizeResult:
+    """Minimize ``c @ x`` subject to ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``
+    and ``bounds[:, 0] <= x <= bounds[:, 1]`` in one fresh HiGHS solver.
+
+    Takes the arguments of scipy's ``linprog`` (CSR blocks, either may have no
+    rows; an (n, 2) bounds array) and returns its ``status``, ``message``,
+    ``x``, ``fun`` and ``nit``, after its input checks and its result check.
+    The rows are passed row-wise as they are; only a program with both blocks
+    is stacked.
+    """
+    for name, values in (
+        ("c", c), ("A_ub", A_ub.data), ("b_ub", b_ub),
+        ("A_eq", A_eq.data), ("b_eq", b_eq),
+    ):
+        if not np.isfinite(values).all():
+            raise ValueError(
+                f"Invalid input for linprog: {name} must not contain values "
+                "inf, nan, or None"
+            )
+    if not A_eq.shape[0]:
+        a = A_ub
+    elif not A_ub.shape[0]:
+        a = A_eq
+    else:
+        a = vstack((A_ub, A_eq), format="csr")
+    row_lower = np.concatenate((np.full(len(b_ub), -_INF), b_eq))
+    row_upper = np.concatenate((b_ub, b_eq))
+    lower = np.nan_to_num(bounds[:, 0], nan=-_INF, posinf=_INF, neginf=-_INF)
+    upper = np.nan_to_num(bounds[:, 1], nan=_INF, posinf=_INF, neginf=-_INF)
+
+    solver = highs._Highs()
+    solver.passOptions(_OPTIONS)
+    loaded = solver.passModel(
+        len(c), len(row_upper), int(a.indptr[-1]),
+        int(highs.MatrixFormat.kRowwise), int(highs.ObjSense.kMinimize), 0.0,
+        c, lower, upper, row_lower, row_upper, a.indptr, a.indices, a.data,
+        np.zeros(len(c), dtype=np.int32),  # every column continuous
+    )
+    if loaded == highs.HighsStatus.kError:
+        model_status = highs.HighsModelStatus.kModelError
+        status, nit = 2, 0
+    else:
+        ran = solver.run() != highs.HighsStatus.kError
+        model_status = solver.getModelStatus()
+        status = _STATUS.get(model_status, 4) if ran else 4
+        info = solver.getInfo()
+        nit = info.simplex_iteration_count or info.ipm_iteration_count
+    message = solver.modelStatusToString(model_status)
+    if status != 0:
+        return OptimizeResult(status=status, message=message, x=None, fun=None, nit=nit)
+
+    solution = solver.getSolution()
+    x = np.array(solution.col_value)
+    fun = info.objective_function_value
+    # Each <= row's slack and each = row's residual.
+    residual = row_upper - np.array(solution.row_value)
+    slack, con = residual[:len(b_ub)], residual[len(b_ub):]
+    tol = _RESULT_TOL
+    if not (  # a NaN anywhere fails a comparison
+        fun == fun
+        and (x >= lower - tol).all() and (x <= upper + tol).all()
+        and (slack >= -tol).all() and (np.abs(con) <= tol).all()
+    ):
+        status = 4
+        message = (
+            "The solution does not satisfy the constraints within the "
+            f"required tolerance of {tol:.2E}"
+        )
+    return OptimizeResult(status=status, message=message, x=x, fun=fun, nit=nit)
+
+
 def solve_lp(lp: LinearProgram | SparseLp) -> LpSolution:
     """Solve the program; Infeasible/Unbounded are statuses, not failures."""
     if lp.num_vars == 0:
         return LpSolution(LpStatus.OPTIMAL, 0.0, ())
     if isinstance(lp, LinearProgram):
         lp = lp.to_sparse()
-    c = -lp.objective if lp.maximize else lp.objective
-    has_ub, has_eq = lp.a_ub.shape[0] > 0, lp.a_eq.shape[0] > 0
     res = linprog(
-        c,
-        A_ub=lp.a_ub if has_ub else None, b_ub=lp.b_ub if has_ub else None,
-        A_eq=lp.a_eq if has_eq else None, b_eq=lp.b_eq if has_eq else None,
-        bounds=np.column_stack((lp.lower, lp.upper)), method="highs",
+        -lp.objective if lp.maximize else lp.objective,
+        A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+        bounds=np.column_stack((lp.lower, lp.upper)),
     )
     if res.status == 2:
         return LpSolution(LpStatus.INFEASIBLE, float("nan"), ())

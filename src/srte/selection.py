@@ -252,6 +252,14 @@ def _centrality_picks(
     return [list(ranking[:k]) for k in ks]
 
 
+def _solved(pool: TunnelPool, method: str, mids: list[int], objective: str) -> Outcome:
+    try:
+        solution = solve_te(pool.program(mids, objective))
+    except NoTunnelError as exc:
+        return exc
+    return SelectionResult(_CENTRALITY_LABELS[method], mids, solution)
+
+
 def select_prefixes(
     network: FlowNetwork,
     demands: DemandMatrix,
@@ -271,7 +279,8 @@ def select_prefixes(
     What does not depend on k is done once: sp, gsp and degree rank the nodes
     once and each k takes the top k, greedy expands once to the largest k,
     and every k's programs are column slices of one tunnel pool, identical to
-    fresh builds. Points are solved as they are read.
+    fresh builds. Each distinct k is solved once, when first read; a repeated
+    k yields its outcome again.
     """
     if method not in PREFIX_METHODS:
         raise ValueError(f"unknown prefix selection method {method!r}")
@@ -282,22 +291,21 @@ def select_prefixes(
         _check_k(k, len(candidates))
     if not ks:
         return
+    distinct = list(dict.fromkeys(ks))
     pool = TunnelPool(cache or ShortestPathCache(network), demands, max_middlepoints)
     if method == "optimal":
-        yield from _optimal_points(pool, candidates, ks, budget)
-        return
-    if method == "greedy":
-        yield from _greedy_points(pool, candidates, ks)
-        return
-    picks = _centrality_picks(network, method, ks, weighted, seed, pool.cache)
-    pool.cover(picks)
-    for mids in picks:
-        try:
-            solution = solve_te(pool.program(mids, objective))
-        except NoTunnelError as exc:
-            yield exc
-        else:
-            yield SelectionResult(_CENTRALITY_LABELS[method], mids, solution)
+        points = _optimal_points(pool, candidates, distinct, budget)
+    elif method == "greedy":
+        points = iter(_greedy_points(pool, candidates, distinct))
+    else:
+        picks = _centrality_picks(network, method, distinct, weighted, seed, pool.cache)
+        pool.cover(picks)
+        points = (_solved(pool, method, mids, objective) for mids in picks)
+    outcomes: dict[int, Outcome] = {}
+    for k in ks:
+        if k not in outcomes:
+            outcomes[k] = next(points)
+        yield outcomes[k]
 
 
 def centrality_select(

@@ -386,6 +386,27 @@ class TestInputErrors:
         )
         assert err == f"error: --k applies only to --method gsp, not {method}\n"
 
+    @pytest.mark.parametrize(
+        "method", ["all-nodes", "mp-baseline", "optimal", "greedy", "random"]
+    )
+    def test_weighted_only_for_ranking_methods(self, capsys, method):
+        """Only sp, gsp and degree read --weighted; every other method
+        rejects it, in solve and at any sweep point."""
+        want = (
+            f"error: --weighted applies only to --method sp, gsp or degree, "
+            f"not {method}\n"
+        )
+        for argv in (
+            ("solve", "--method", method, "--m", "1"),
+            ("sweep", "--method", method, "--sweep-k", "1:2"),
+            ("sweep", "--sweep-methods", f"gsp,{method}"),
+        ):
+            err = self.assert_rejected(
+                capsys, *argv, "--weighted", "--topology", DATA / "net10.topo",
+                "--demands", DATA / "net10.dem",
+            )
+            assert err == want
+
     def test_unknown_demand_node_named_without_quotes(self, capsys, tmp_path):
         dem = tmp_path / "zz.dem"
         dem.write_text("DEMAND n0 zz 1\n")

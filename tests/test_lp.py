@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 import srte.lp
 import srte.te
+from srte.graph import generate_gravity_demands, random_connected_digraph
+from srte.paths import ShortestPathCache
 from srte.lp import (
     EQ,
     GE,
@@ -241,3 +244,87 @@ def test_row_norms_equal_scipys():
         empty += int((np.diff(a.indptr) == 0).sum())
         explicit_zero += int((a.data == 0).sum())
     assert empty and explicit_zero
+
+
+def _direct_call_corpus():
+    """Programs that reach srte.lp.linprog through solve_lp: tunnel-pool
+    slices (LU and MF) of two benchmark-tier instances, an MP LU program with
+    its = block, and hand-written edge cases."""
+    programs = []
+    for seed, kind in ((4000, srte.te.LU), (4001, srte.te.MF)):
+        net = random_connected_digraph(30, 120, seed, max_capacity=10)
+        demands = generate_gravity_demands(net, 100, seed + 500)
+        pool = srte.te.TunnelPool(ShortestPathCache(net), demands, 1)
+        for mids in ((), (3,), (7, 20), (1, 5, 9, 13), (0, 11, 22, 25, 29)):
+            programs.append(pool.program(mids, kind).lp)
+    net = random_connected_digraph(30, 120, 4002, max_capacity=10)
+    programs.append(srte.te.build_mp_baseline(
+        net, generate_gravity_demands(net, 100, 4502), srte.te.LU
+    ).lp)
+
+    maximize = LinearProgram(maximize=True)
+    x = maximize.add_var("x", objective=2.0)
+    y = maximize.add_var("y", objective=1.0)
+    maximize.add_row({x: 1.0, y: 1.0}, LE, 4.0)
+    maximize.add_row({x: 1.0, y: -1.0}, LE, 1.0)
+    no_rows = LinearProgram()
+    no_rows.add_var("x", objective=1.0, lower=1.5, upper=3.0)
+    no_rows.add_var("y", objective=-1.0, upper=2.0)
+    infeasible = LinearProgram()
+    x = infeasible.add_var("x")
+    infeasible.add_row({x: 1.0}, LE, -1.0)
+    unbounded = LinearProgram(maximize=True)
+    x = unbounded.add_var("x", objective=1.0)
+    unbounded.add_row({x: 1.0}, GE, 1.0)
+    programs += [maximize, no_rows, infeasible, unbounded, three_row_program()]
+    return programs
+
+
+def test_direct_highs_call_equals_scipy_linprog(monkeypatch):
+    """srte.lp.linprog passes each program straight to HiGHS and returns what
+    scipy's linprog(method="highs") returns for the same arguments: the same
+    status, iteration count, objective and bit for bit the same point."""
+    calls = []
+    real = srte.lp.linprog
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(srte.lp, "linprog", recorded)
+    programs = _direct_call_corpus()
+    for lp in programs:
+        solve_lp(lp)
+    assert len(calls) == len(programs)
+    statuses = set()
+    for args, kwargs in calls:
+        ours = real(*args, **kwargs)
+        theirs = scipy.optimize.linprog(*args, **kwargs, method="highs")
+        assert ours.status == theirs.status
+        assert ours.nit == theirs.nit
+        assert ours.fun == theirs.fun
+        assert np.array_equal(ours.x, theirs.x)
+        statuses.add(ours.status)
+    assert statuses == {0, 2, 3}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("c", np.array([np.nan, 1.0])),
+    ("A_ub", csr_matrix([[1.0, np.inf]])),
+    ("b_eq", np.array([np.inf])),
+])
+def test_direct_highs_call_rejects_nonfinite_input(field, value):
+    """A NaN or inf objective, matrix entry or right-hand side raises
+    linprog's ValueError before HiGHS is called."""
+    kwargs = {
+        "c": np.array([1.0, 1.0]),
+        "A_ub": csr_matrix([[1.0, 1.0]]), "b_ub": np.array([4.0]),
+        "A_eq": csr_matrix([[1.0, -1.0]]), "b_eq": np.array([0.0]),
+        "bounds": np.array([[0.0, np.inf], [0.0, np.inf]]),
+        field: value,
+    }
+    message = f"{field} must not contain values inf, nan, or None"
+    with pytest.raises(ValueError, match=message):
+        srte.lp.linprog(**kwargs)
+    with pytest.raises(ValueError, match=message):
+        scipy.optimize.linprog(**kwargs, method="highs")

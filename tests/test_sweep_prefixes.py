@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from srte import cli
+from srte import cli, selection
 from srte.graph import random_connected_digraph
 from srte.lp import LpStatus
 from srte.paths import ShortestPathCache
@@ -89,7 +89,7 @@ CASES = [
     *((method, [], EVERY_POINT) for method in ("sp", "gsp", "degree")),
     *((method, options, FEWER_POINTS) for method in ("sp", "gsp", "degree")
       for options in (["--weighted"], ["--objective", "mf"])),
-    # random ignores --weighted.
+    # random rejects --weighted.
     *(("random", ["--seed", seed, *options], FEWER_POINTS) for seed in ("0", "7")
       for options in ([], ["--objective", "mf"])),
     # net10 greedy stops early: after one pick at m=0 and three at m=1.
@@ -160,3 +160,29 @@ def test_points_come_in_axis_order_and_errors_are_values():
         list(select_prefixes(net, demands, "sp", [1, 8], 1))
     with pytest.raises(ValueError, match="supports only"):
         list(select_prefixes(net, demands, "greedy", [1], 1, objective="mf"))
+
+
+@pytest.mark.parametrize("argv, counted, solves", [
+    # C(10, 2) = 45 subsets, solved once for both rows.
+    (["--method", "optimal", "--sweep-k", "2,2", "--budget", "50"],
+     "_evaluate", 45),
+    (["--method", "gsp", "--sweep-k", "2,2"], "solve_te", 1),
+    (["--method", "gsp", "--k", "2", "--sweep-m", "1,1"], "solve_te", 1),
+    (["--k", "2", "--sweep-methods", "gsp,gsp,gsp:0"], "solve_te", 1),
+])
+def test_repeated_sweep_point_is_solved_once(monkeypatch, argv, counted, solves):
+    """A point repeated on any sweep axis prints its row again without being
+    selected or solved again."""
+    calls = []
+    real = getattr(selection, counted)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(selection, counted, counting)
+    code, out, _ = run_main(["sweep", *NET10, *argv])
+    assert code == 0
+    assert len(calls) == solves
+    rows = [row.split(",", 1)[1] for row in out.splitlines()[1:]]
+    assert len(rows) > 1 and len(set(rows)) == 1
