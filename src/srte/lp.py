@@ -8,6 +8,13 @@ and the input and result checks of scipy's ``linprog(method="highs")`` but none
 of its conversions. HiGHS is deterministic for identical input and handles the
 degenerate, equal-capacity instances common in TE without cycling. Every
 returned point is re-checked against the rows.
+
+A solve can also start from a given simplex ``Basis`` (one HiGHS status code
+per column and row), which skips presolve and runs the primal simplex, and
+can hand back its optimal basis. Selection starts a superset's program from a
+subset's optimal basis: on a benchmark-tier greedy run that takes about an
+eighth of a cold solve's simplex iterations (18 against 149). Only scipy 1.17.1's bindings are
+tested; ``tests/test_lp.py`` names every private binding used here.
 """
 
 from __future__ import annotations
@@ -146,11 +153,21 @@ class _MatrixRows:
                 yield dict(zip(cols[lo:hi], data[lo:hi])), relation, rhs
 
 
+@dataclass(frozen=True, eq=False)
+class Basis:
+    """A simplex basis: the HiGHS basis status code (``HighsBasisStatus``:
+    ``LOWER``, ``BASIC``, ...) of every column and of every row."""
+
+    cols: np.ndarray
+    rows: np.ndarray
+
+
 @dataclass(frozen=True)
 class LpSolution:
     status: LpStatus
     objective_value: float
     assignment: tuple[float, ...]
+    basis: Optional[Basis] = None  # the optimal basis, when asked for
 
     def __getitem__(self, var: int) -> float:
         return self.assignment[var]
@@ -189,6 +206,14 @@ _OPTIONS.presolve = "on"
 _OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
 _OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
 _OPTIONS.output_flag = _OPTIONS.log_to_console = False
+# A solve from a start basis runs the primal simplex: a basis extended by
+# columns at 0 stays primal feasible, and only their prices are off.
+_WARM_OPTIONS = highs.HighsOptions()
+_WARM_OPTIONS.simplex_strategy = (
+    highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal
+)
+_WARM_OPTIONS.highs_debug_level = _OPTIONS.highs_debug_level
+_WARM_OPTIONS.output_flag = _WARM_OPTIONS.log_to_console = False
 
 _INF = highs.kHighsInf
 # linprog's status codes: 0 optimal, 2 infeasible, 3 unbounded, 4 failed.
@@ -201,6 +226,29 @@ _STATUS = {
 # linprog's result check tolerance: 10 * sqrt of its default tol of 1e-9.
 _RESULT_TOL = 10 * np.sqrt(1e-9)
 
+# Basis status codes; _BASIS_STATUS[code] is the HiGHS enum member.
+_BASIS_STATUS = np.array(
+    sorted(highs.HighsBasisStatus.__members__.values(), key=int), dtype=object
+)
+LOWER = int(highs.HighsBasisStatus.kLower)
+BASIC = int(highs.HighsBasisStatus.kBasic)
+
+
+def _to_highs(basis: Basis) -> highs.HighsBasis:
+    out = highs.HighsBasis()
+    out.col_status = _BASIS_STATUS[basis.cols].tolist()
+    out.row_status = _BASIS_STATUS[basis.rows].tolist()
+    out.alien = False  # complete: HiGHS checks it and starts from it as is
+    out.valid = True
+    return out
+
+
+def _from_highs(basis: highs.HighsBasis) -> Basis:
+    return Basis(
+        np.fromiter(map(int, basis.col_status), dtype=np.int8),
+        np.fromiter(map(int, basis.row_status), dtype=np.int8),
+    )
+
 
 def linprog(
     c: np.ndarray,
@@ -209,6 +257,8 @@ def linprog(
     A_eq: csr_matrix,
     b_eq: np.ndarray,
     bounds: np.ndarray,
+    start_basis: Optional[Basis] = None,
+    return_basis: bool = False,
 ) -> OptimizeResult:
     """Minimize ``c @ x`` subject to ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``
     and ``bounds[:, 0] <= x <= bounds[:, 1]`` in one fresh HiGHS solver.
@@ -217,7 +267,13 @@ def linprog(
     rows; an (n, 2) bounds array) and returns its ``status``, ``message``,
     ``x``, ``fun`` and ``nit``, after its input checks and its result check.
     The rows are passed row-wise as they are; only a program with both blocks
-    is stacked.
+    is stacked (rows: the ``<=`` rows, then the ``=`` rows).
+
+    With a ``start_basis`` (one status per column and row, as many basic as
+    there are rows) the simplex starts from it, without presolve; HiGHS
+    rejecting it raises ``ValueError``. With ``return_basis`` an optimal
+    result also holds its final ``basis``, read only then since reading it
+    costs about as much as setting one.
     """
     for name, values in (
         ("c", c), ("A_ub", A_ub.data), ("b_ub", b_ub),
@@ -240,7 +296,7 @@ def linprog(
     upper = np.nan_to_num(bounds[:, 1], nan=_INF, posinf=_INF, neginf=-_INF)
 
     solver = highs._Highs()
-    solver.passOptions(_OPTIONS)
+    solver.passOptions(_OPTIONS if start_basis is None else _WARM_OPTIONS)
     loaded = solver.passModel(
         len(c), len(row_upper), int(a.indptr[-1]),
         int(highs.MatrixFormat.kRowwise), int(highs.ObjSense.kMinimize), 0.0,
@@ -251,6 +307,10 @@ def linprog(
         model_status = highs.HighsModelStatus.kModelError
         status, nit = 2, 0
     else:
+        if start_basis is not None and (
+            solver.setBasis(_to_highs(start_basis)) == highs.HighsStatus.kError
+        ):
+            raise ValueError("HiGHS rejected the start basis")
         ran = solver.run() != highs.HighsStatus.kError
         model_status = solver.getModelStatus()
         status = _STATUS.get(model_status, 4) if ran else 4
@@ -277,11 +337,22 @@ def linprog(
             "The solution does not satisfy the constraints within the "
             f"required tolerance of {tol:.2E}"
         )
-    return OptimizeResult(status=status, message=message, x=x, fun=fun, nit=nit)
+    res = OptimizeResult(status=status, message=message, x=x, fun=fun, nit=nit)
+    if return_basis and status == 0:
+        res.basis = _from_highs(solver.getBasis())
+    return res
 
 
-def solve_lp(lp: LinearProgram | SparseLp) -> LpSolution:
-    """Solve the program; Infeasible/Unbounded are statuses, not failures."""
+def solve_lp(
+    lp: LinearProgram | SparseLp,
+    start_basis: Optional[Basis] = None,
+    return_basis: bool = False,
+) -> LpSolution:
+    """Solve the program; Infeasible/Unbounded are statuses, not failures.
+
+    ``start_basis`` and ``return_basis`` are passed to ``linprog``: the
+    simplex starts from the given basis, and the optimum keeps its basis.
+    """
     if lp.num_vars == 0:
         return LpSolution(LpStatus.OPTIMAL, 0.0, ())
     if isinstance(lp, LinearProgram):
@@ -290,6 +361,7 @@ def solve_lp(lp: LinearProgram | SparseLp) -> LpSolution:
         -lp.objective if lp.maximize else lp.objective,
         A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
         bounds=np.column_stack((lp.lower, lp.upper)),
+        start_basis=start_basis, return_basis=return_basis,
     )
     if res.status == 2:
         return LpSolution(LpStatus.INFEASIBLE, float("nan"), ())
@@ -302,7 +374,9 @@ def solve_lp(lp: LinearProgram | SparseLp) -> LpSolution:
     value = float(res.fun)
     if lp.maximize:
         value = -value
-    return LpSolution(LpStatus.OPTIMAL, value, tuple(x.tolist()))
+    return LpSolution(
+        LpStatus.OPTIMAL, value, tuple(x.tolist()), res.get("basis")
+    )
 
 
 def dump_lp(lp: LinearProgram | SparseLp) -> str:

@@ -8,6 +8,7 @@ keep them honest about that purpose.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -84,17 +85,7 @@ def enumerate_paths(
 
 def has_swt_path(network: FlowNetwork, s: int, w: int, t: int) -> bool:
     """Whether any edge-distinct s-t path visiting w exists (brute-force DFS)."""
-    return _has_swt_path(network, s, w, t, ())
-
-
-def _has_swt_path(
-    network: FlowNetwork, s: int, w: int, t: int, removed: Iterable[int]
-) -> bool:
-    """``has_swt_path`` on the network without the ``removed`` edges: the walk
-    treats them as already used."""
     used = [False] * network.edge_count
-    for eid in removed:
-        used[eid] = True
     found = False
 
     def walk(node: int, seen_w: bool) -> None:
@@ -116,6 +107,21 @@ def _has_swt_path(
 
     walk(s, s == w)
     return found
+
+
+@functools.lru_cache(maxsize=1)
+def _swt_paths(
+    network: FlowNetwork, s: int, w: int, t: int, node_cap: int
+) -> tuple[Path, ...]:
+    """Every s-t path visiting w, for distinct s, w, t within the node cap.
+
+    The last answer is kept: ``max_swt_flow`` and ``min_swt_cut`` of one
+    instance, which the flow = cut checks call in turn, enumerate once.
+    """
+    if len({s, w, t}) != 3:
+        raise ValueError("s, w, t must be distinct")
+    _check_node_cap(network.node_count, node_cap)
+    return tuple(p for p in enumerate_paths(network, s, t) if p.visits(w))
 
 
 def _incidence(paths: Sequence[Path], edge_count: int) -> csr_matrix:
@@ -228,10 +234,7 @@ def max_swt_flow(
     For integral capacities an integral optimum is additionally exhibited
     (max-flow/min-cut integrality for the s-w-t flow).
     """
-    if len({s, w, t}) != 3:
-        raise ValueError("s, w, t must be distinct")
-    _check_node_cap(network.node_count, node_cap)
-    paths = [p for p in enumerate_paths(network, s, t) if p.visits(w)]
+    paths = _swt_paths(network, s, w, t, node_cap)
     value, flows = _solve_path_flow([paths], network.float_capacities)
     path_flows = {p: f for p, f in zip(paths, flows) if f > VALUE_TOL}
     # With integral capacities the optimum may still be fractional (the LP
@@ -261,37 +264,35 @@ def min_swt_cut(
     """Cheapest edge set whose removal leaves no s-w-t path (exhaustive).
 
     Only edges appearing on some s-w-t path matter; subsets of those are
-    searched with branch-and-bound pruning by the best cut found so far.
+    searched with branch-and-bound pruning by the best cut found so far. A
+    set cuts exactly when it meets every s-w-t path, which one edge bitmask
+    per path tests.
     """
-    if len({s, w, t}) != 3:
-        raise ValueError("s, w, t must be distinct")
-    _check_node_cap(network.node_count, node_cap)
-    paths = [p for p in enumerate_paths(network, s, t) if p.visits(w)]
+    paths = _swt_paths(network, s, w, t, node_cap)
     if not paths:
         return frozenset(), Fraction(0)
     relevant = sorted({eid for p in paths for eid in p.edges})
+    masks = {sum(1 << eid for eid in p.edges) for p in paths}  # distinct edges
 
-    best_set: Optional[frozenset[int]] = None
+    best_set: Optional[int] = None
     best_cost: Optional[Fraction] = None
 
-    def search(i: int, removed: set[int], cost: Fraction) -> None:
+    def search(i: int, removed: int, cost: Fraction) -> None:
         nonlocal best_set, best_cost
         if best_cost is not None and cost >= best_cost:
             return
-        if not _has_swt_path(network, s, w, t, removed):
-            best_set, best_cost = frozenset(removed), cost
+        if all(mask & removed for mask in masks):
+            best_set, best_cost = removed, cost
             return
         if i == len(relevant):
             return
         eid = relevant[i]
-        removed.add(eid)
-        search(i + 1, removed, cost + network.edges[eid].capacity)
-        removed.remove(eid)
+        search(i + 1, removed | 1 << eid, cost + network.edges[eid].capacity)
         search(i + 1, removed, cost)
 
-    search(0, set(), Fraction(0))
+    search(0, 0, Fraction(0))
     assert best_set is not None  # removing every relevant edge always cuts
-    return best_set, best_cost
+    return frozenset(eid for eid in relevant if best_set >> eid & 1), best_cost
 
 
 def max_st_flow(

@@ -14,11 +14,15 @@ edge. ``solve_te`` decodes both by one load-matrix mat-vec into utilizations
 
 A ``TunnelPool`` serves a selection run that solves many middlepoint sets: it
 enumerates and loads each tunnel once, and each set's program is a column
-slice of it, identical to the program built for that set alone.
+slice of it, identical to the program built for that set alone, cut straight
+into CSR arrays. A ``WarmStart`` turns the optimal basis of one LU slice into
+a start basis for the slices of its supersets, gathered by the pool's stable
+column ids.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -31,7 +35,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .graph import Commodity, DemandMatrix, FlowNetwork
-from .lp import LpStatus, SparseLp, solve_lp
+from .lp import LOWER, Basis, LpStatus, SparseLp, solve_lp
 from .paths import SegmentFractions, ShortestPathCache
 
 LU = "lu"
@@ -145,6 +149,7 @@ class TeProgram:
     first_tunnel_var: int
     loads: csr_matrix
     capacities: np.ndarray
+    ids: Optional[np.ndarray] = None  # a pool slice's tunnels' pool ids
 
 
 @dataclass(eq=False)
@@ -165,6 +170,7 @@ class TeSolution:
     tunnels: Sequence[Tunnel] = ()
     flows: Sequence[float] = ()  # one per tunnel, in the same order
     utilization: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    basis: Optional[Basis] = None  # the optimal basis, when asked for
 
     @property
     def objective(self) -> Optional[float]:
@@ -258,6 +264,27 @@ def _csr(parts, shape) -> csr_matrix:
     return csr_matrix((data, (rows, cols)), shape=shape)
 
 
+def _row_major(parts, shape) -> csr_matrix:
+    """The CSR matrix of (rows, cols, data) COO parts without duplicates whose
+    entries already ascend by column within each row, as entries listed
+    column by column do: a stable sort by row, equal to ``_csr`` of them."""
+    rows, cols, data = (np.concatenate(p) for p in zip(*parts))
+    # NumPy sorts keys of up to 16 bits by radix, several times faster.
+    keys = rows.astype(np.uint16) if shape[0] <= 1 << 16 else rows
+    order = np.argsort(keys, kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return csr_matrix(
+        (data[order], cols[order].astype(np.int32), indptr), shape=shape
+    )
+
+
+@functools.cache
+def _no_rows(width: int) -> csr_matrix:
+    """The empty = block of every tunnel program with this many columns."""
+    return csr_matrix((0, width))
+
+
 def _build_tunnel_program(
     kind: str,
     cache: ShortestPathCache,
@@ -283,11 +310,14 @@ def _tunnel_program(
     edge_rows: np.ndarray,
     sizes: Sequence[int],
     loads: np.ndarray,
+    ids: Optional[np.ndarray] = None,
 ) -> TeProgram:
     """Assemble the program over the given tunnels in order.
 
     ``commodity`` holds each tunnel's commodity; the loads of tunnel j are
-    the next ``sizes[j]`` entries of ``edge_rows`` and ``loads``.
+    the next ``sizes[j]`` entries of ``edge_rows`` and ``loads``, on distinct
+    edges. The entries come column by column, so every matrix is cut
+    straight into CSR arrays. ``ids`` are the tunnels' pool ids, if any.
     """
     volume = np.array([c.demand for c in demands.commodities], dtype=float)
     if kind == LU:
@@ -299,8 +329,8 @@ def _tunnel_program(
     first = 1 if kind == LU else 0  # theta comes first in LU
     variables = first + count
     tunnel_cols = np.repeat(np.arange(count), sizes)
-    load_matrix = csr_matrix(
-        (loads, (edge_rows, tunnel_cols)), shape=(edge_count, count)
+    load_matrix = _row_major(
+        [(edge_rows, tunnel_cols, loads)], (edge_count, count)
     )
     capacities = network.float_capacities
 
@@ -336,15 +366,15 @@ def _tunnel_program(
     names = network.node_names
     lp = SparseLp(
         kind == MF, objective, np.zeros(variables), np.full(variables, np.inf),
-        _csr(parts, (len(b_ub), variables)), b_ub,
-        csr_matrix((0, variables)), np.zeros(0),
+        _row_major(parts, (len(b_ub), variables)), b_ub,
+        _no_rows(variables), np.zeros(0),
         _Labels(lambda: ["theta"] * first + [
             "f[{}:{}]".format(i, "-".join(names[w] for w in tun.waypoints))
             for i, tun in zip(commodity.tolist(), tunnels)
         ]),
     )
     return TeProgram(
-        kind, lp, network, demands, tunnels, first, load_matrix, capacities
+        kind, lp, network, demands, tunnels, first, load_matrix, capacities, ids
     )
 
 
@@ -394,6 +424,9 @@ class TunnelPool:
         self._ptr = np.zeros(1, dtype=np.intp)
         self._edge_rows = np.zeros(0, dtype=np.intp)
         self._loads = np.zeros(0)
+        # Each column's id: its number in the order the pool enumerated it,
+        # which the pool's re-sorts do not change.
+        self._ids = np.zeros(0, dtype=np.intp)
 
     def cover(self, sets: Iterable[Iterable[int]]) -> None:
         """Add the tunnels of the given middlepoint sets that are missing.
@@ -439,6 +472,8 @@ class TunnelPool:
             (self._edge_rows, np.array(edge_rows, dtype=np.intp))
         )
         loads = np.concatenate((self._loads, np.array(loads, dtype=float)))
+        ids = np.arange(len(tunnels))
+        ids[:len(self._ids)] = self._ids
         order = np.array(
             sorted(
                 range(len(tunnels)),
@@ -453,22 +488,59 @@ class TunnelPool:
         self._ptr = np.concatenate(([0], np.cumsum(sizes)))
         self._edge_rows = edge_rows[positions]
         self._loads = loads[positions]
+        self._ids = ids[order]
         self._covered |= fresh_sets
+
+    def _columns(self, middlepoints: Iterable[int]) -> np.ndarray:
+        """The pool columns whose middlepoints all lie in the set, in order."""
+        inside = np.zeros(self.cache.network.node_count + 1, dtype=bool)
+        inside[list(middlepoints)] = True
+        inside[-1] = True  # the padding
+        return np.flatnonzero(inside[self._middlepoints].all(axis=1))
 
     def program(self, middlepoints: Iterable[int], kind: str = LU) -> TeProgram:
         """The TE program (LU or MF) of one middlepoint set, covered first if
         new."""
         middlepoints = set(middlepoints)
         self.cover((middlepoints,))
-        inside = np.zeros(self.cache.network.node_count + 1, dtype=bool)
-        inside[list(middlepoints)] = True
-        inside[-1] = True  # the padding
-        keep = np.flatnonzero(inside[self._middlepoints].all(axis=1))
+        keep = self._columns(middlepoints)
         positions, sizes = _gather(self._ptr, keep)
         return _tunnel_program(
             kind, self.cache.network, self.demands,
             [self.tunnels[j] for j in keep], self._commodity[keep],
             self._edge_rows[positions], sizes, self._loads[positions],
+            self._ids[keep],
+        )
+
+
+class WarmStart:
+    """Start bases for the LU slices of a pool that hold every column of one
+    solved LU slice (the slices of its middlepoint supersets), taken from its
+    optimal basis.
+
+    A column of the solved slice keeps its status, every other tunnel column
+    starts nonbasic at its lower bound 0, and the rows keep theirs: an LU
+    slice has a row per edge and per positive demand, whatever its tunnels.
+    The basis matrix is the solved one, and the new columns are 0, so the
+    start is primal feasible; the simplex only prices the new columns in.
+    """
+
+    def __init__(self, pool: TunnelPool, middlepoints: Iterable[int], basis: Basis):
+        """``basis`` is optimal for the pool's LU slice of ``middlepoints``."""
+        # The pool sorts all of its columns by one key, so the solved slice's
+        # columns are still in the order of its basis.
+        ids = pool._ids[pool._columns(middlepoints)]
+        first = len(basis.cols) - len(ids)
+        self._theta, self._rows = basis.cols[:first], basis.rows
+        # The status of each column of the pool as it is now, by pool id.
+        self._by_id = np.full(len(pool._ids), LOWER, dtype=np.int8)
+        self._by_id[ids] = basis.cols[first:]
+
+    def basis(self, program: TeProgram) -> Basis:
+        """The start basis of an LU slice of the pool as it was when this
+        warm start was made."""
+        return Basis(
+            np.concatenate((self._theta, self._by_id[program.ids])), self._rows
         )
 
 
@@ -480,12 +552,21 @@ def _gather(ptr: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.repeat(ptr[columns] - starts, sizes) + np.arange(sizes.sum()), sizes
 
 
-def solve_te(program: TeProgram) -> TeSolution:
-    """Solve a TE program, decode its utilizations and check theta against them."""
+def solve_te(
+    program: TeProgram,
+    start_basis: Optional[Basis] = None,
+    return_basis: bool = False,
+) -> TeSolution:
+    """Solve a TE program, decode its utilizations and check theta against them.
+
+    ``start_basis`` and ``return_basis`` are passed to ``solve_lp``.
+    """
     start = time.perf_counter()
-    sol = solve_lp(program.lp)
+    sol = solve_lp(program.lp, start_basis, return_basis)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    result = TeSolution(program.kind, sol.status, solve_ms=elapsed_ms)
+    result = TeSolution(
+        program.kind, sol.status, solve_ms=elapsed_ms, basis=sol.basis
+    )
     if sol.status is not LpStatus.OPTIMAL:
         return result
 

@@ -81,18 +81,39 @@ def bound_sites():
     return sites
 
 
-def test_traced_greedy_prints_the_same_and_restores_every_site():
+def test_traced_greedy_prints_the_same_and_restores_every_site(monkeypatch):
     argv = [*ARGV[:5], "--method", "greedy", "--k", "3", "--m", "2"]
     untraced = run_main(argv)
+    starts = []  # per LP: (solved from a start basis, asked for its basis)
+    real = srte.lp.linprog
+
+    def spy(*args, start_basis=None, return_basis=False, **kwargs):
+        starts.append((start_basis is not None, return_basis))
+        return real(
+            *args, start_basis=start_basis, return_basis=return_basis, **kwargs
+        )
+
+    monkeypatch.setattr(srte.lp, "linprog", spy)  # the tracer wraps the spy
     originals = bound_sites()
     t = tracer.Tracer()
     with t:
         traced = run_main(argv)
     assert bound_sites() == originals
     assert traced == untraced
-    # Every subproblem the output counts is one solve of one LP.
+    # Every subproblem the output counts is one solve of one LP, warm from
+    # the chosen set's basis but for the initial set; every cold solve of the
+    # initial set or of a round's near-tie (a cold confirmation) asks for its
+    # basis, and is one solve of one LP more.
     subproblems = json.loads(untraced)["subproblems"]
-    assert t.calls["te.solve_te"] == t.calls["lp.linprog"] == subproblems
+    warm = sum(w for w, _ in starts)
+    cold = [asked for w, asked in starts if not w]
+    confirmations = len(cold) - 1
+    assert all(cold) and warm == subproblems - 1
+    assert confirmations >= 3  # at least the winner of each of 3 rounds
+    assert (
+        t.calls["te.solve_te"] == t.calls["lp.linprog"]
+        == subproblems + confirmations
+    )
 
 
 def test_traced_mp_baseline_counts_both_blocks():

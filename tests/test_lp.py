@@ -295,7 +295,12 @@ def test_direct_highs_call_equals_scipy_linprog(monkeypatch):
     programs = _direct_call_corpus()
     for lp in programs:
         solve_lp(lp)
+    # One LP per program, each solved cold without reading its basis back:
+    # then scipy's linprog takes exactly the remaining arguments.
     assert len(calls) == len(programs)
+    for _, kwargs in calls:
+        assert kwargs.pop("start_basis") is None
+        assert kwargs.pop("return_basis") is False
     statuses = set()
     for args, kwargs in calls:
         ours = real(*args, **kwargs)
@@ -328,3 +333,127 @@ def test_direct_highs_call_rejects_nonfinite_input(field, value):
         srte.lp.linprog(**kwargs)
     with pytest.raises(ValueError, match=message):
         scipy.optimize.linprog(**kwargs, method="highs")
+
+
+def test_warm_start_gives_the_cold_status_and_theta(monkeypatch):
+    """From a start basis, linprog returns the status of the cold solve, and
+    an objective within a hundredth of the tie tolerance the greedy ranks
+    warm solves by (1e-12 relative). The starts: every program's slack basis
+    (all columns nonbasic at 0, all rows basic), and for each LU pool slice
+    the extension of the empty set's optimal basis, as the greedy builds it;
+    those take fewer iterations in all than the cold solves."""
+    calls = []
+    real = srte.lp.linprog
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(srte.lp, "linprog", recorded)
+    for lp in _direct_call_corpus():
+        solve_lp(lp)
+    monkeypatch.undo()
+
+    def assert_same(warm, cold):
+        assert warm.status == cold.status
+        if cold.status == 0:
+            tie = 1e-12 * max(1.0, abs(cold.fun))
+            assert abs(warm.fun - cold.fun) <= tie / 100
+
+    statuses = set()
+    for args, kwargs in calls:
+        kwargs = {**kwargs, "start_basis": None, "return_basis": False}
+        cold = real(*args, **kwargs)
+        rows = len(kwargs["b_ub"]) + len(kwargs["b_eq"])
+        slack = srte.lp.Basis(
+            np.full(len(args[0]), srte.lp.LOWER, dtype=np.int8),
+            np.full(rows, srte.lp.BASIC, dtype=np.int8),
+        )
+        assert_same(real(*args, **{**kwargs, "start_basis": slack}), cold)
+        statuses.add(cold.status)
+    assert statuses == {0, 2, 3}
+
+    warm_nit = cold_nit = 0
+    net = random_connected_digraph(30, 120, 4000, max_capacity=10)
+    pool = srte.te.TunnelPool(
+        ShortestPathCache(net), generate_gravity_demands(net, 100, 4500), 1
+    )
+    sets = ((3,), (7, 20), (1, 5, 9, 13), (0, 11, 22, 25, 29))
+    pool.cover(sets)
+    empty = srte.te.solve_te(pool.program(()), return_basis=True)
+    start = srte.te.WarmStart(pool, (), empty.basis)
+    for mids in sets:
+        program = pool.program(mids)
+        cold = srte.te.solve_te(program)
+        warm = srte.te.solve_te(program, start.basis(program))
+        assert warm.status is cold.status is LpStatus.OPTIMAL
+        assert abs(warm.theta - cold.theta) <= 1e-14 * max(1.0, cold.theta)
+        warm_nit += _iterations(program, start.basis(program))
+        cold_nit += _iterations(program, None)
+    assert warm_nit < cold_nit
+
+
+def _iterations(program, start_basis):
+    lp = program.lp
+    return srte.lp.linprog(
+        lp.objective, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq,
+        np.column_stack((lp.lower, lp.upper)), start_basis,
+    ).nit
+
+
+def test_start_basis_of_the_wrong_size_is_rejected():
+    lp, *_ = split_lp()
+    sparse = lp.to_sparse()
+    wrong = srte.lp.Basis(
+        np.full(2, srte.lp.LOWER, dtype=np.int8),
+        np.full(3, srte.lp.BASIC, dtype=np.int8),
+    )
+    with pytest.raises(ValueError, match="rejected the start basis"):
+        solve_lp(sparse, wrong)
+
+
+def test_returned_basis_restarts_in_no_iterations():
+    """The optimal basis a solve returns is a complete basis of the program:
+    a solve started from it needs no simplex iteration."""
+    lp, theta, *_ = split_lp()
+    sparse = lp.to_sparse()
+    sol = solve_lp(sparse, return_basis=True)
+    assert sol.basis.cols.dtype == sol.basis.rows.dtype == np.int8
+    assert len(sol.basis.cols) == sparse.num_vars
+    assert len(sol.basis.rows) == len(sparse.rows)
+    assert (sol.basis.cols == srte.lp.BASIC).sum() + (
+        sol.basis.rows == srte.lp.BASIC
+    ).sum() == len(sparse.rows)
+    assert solve_lp(sparse).basis is None
+    args = (
+        sparse.objective, sparse.a_ub, sparse.b_ub, sparse.a_eq, sparse.b_eq,
+        np.column_stack((sparse.lower, sparse.upper)),
+    )
+    again = srte.lp.linprog(*args, start_basis=sol.basis)
+    assert again.nit == 0 and again.fun == pytest.approx(0.6)
+
+
+def test_private_highs_bindings_exist():
+    """Every name srte.lp uses from scipy's private HiGHS bindings. A scipy
+    release that drops or renames one fails here, by name; only scipy 1.17.1
+    is tested."""
+    from scipy.optimize._highspy import _core
+
+    for name in (
+        "passModel", "passOptions", "setBasis", "getBasis", "run",
+        "getModelStatus", "getInfo", "getSolution", "modelStatusToString",
+    ):
+        assert callable(getattr(_core._Highs, name, None)), name
+    for name in (
+        "HighsBasis", "HighsBasisStatus", "HighsOptions", "HighsStatus",
+        "HighsModelStatus", "HighsDebugLevel", "MatrixFormat", "ObjSense",
+        "kHighsInf",
+    ):
+        assert hasattr(_core, name), name
+    for name in ("col_status", "row_status", "alien", "valid"):
+        assert hasattr(_core.HighsBasis(), name), name
+    for name in ("kLower", "kBasic", "kUpper", "kZero", "kNonbasic"):
+        assert hasattr(_core.HighsBasisStatus, name), name
+    strategy = _core.simplex_constants.SimplexStrategy
+    assert hasattr(strategy, "kSimplexStrategyDual")
+    assert hasattr(strategy, "kSimplexStrategyPrimal")

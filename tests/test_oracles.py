@@ -551,10 +551,101 @@ class TestSharedIncidence:
             undirected_swt_path_oracle(twins, 1, [(0, 2)])
 
 
+def dfs_has_swt_path(network, s, w, t, removed):
+    """has_swt_path on the network without the ``removed`` edges, by a DFS
+    that treats them as already used."""
+    used = [False] * network.edge_count
+    for eid in removed:
+        used[eid] = True
+
+    def walk(node, seen_w):
+        if node == t and seen_w:
+            return True
+        for eid in network.out_edges[node]:
+            if not used[eid]:
+                used[eid] = True
+                head = network.edges[eid].head
+                found = walk(head, seen_w or head == w)
+                used[eid] = False
+                if found:
+                    return True
+        return False
+
+    return walk(s, s == w)
+
+
+def dfs_min_swt_cut(network, s, w, t):
+    """The min-cut search that tests each removed set by a fresh DFS walk."""
+    paths = [p for p in enumerate_paths(network, s, t) if p.visits(w)]
+    if not paths:
+        return frozenset(), Fraction(0)
+    relevant = sorted({eid for p in paths for eid in p.edges})
+    best = [None, None]
+
+    def search(i, removed, cost):
+        if best[1] is not None and cost >= best[1]:
+            return
+        if not dfs_has_swt_path(network, s, w, t, removed):
+            best[:] = frozenset(removed), cost
+            return
+        if i == len(relevant):
+            return
+        eid = relevant[i]
+        removed.add(eid)
+        search(i + 1, removed, cost + network.edges[eid].capacity)
+        removed.remove(eid)
+        search(i + 1, removed, cost)
+
+    search(0, set(), Fraction(0))
+    return tuple(best)
+
+
+def test_min_cut_by_path_bitmasks_equals_dfs_search():
+    """Testing a removed set against one edge bitmask per s-w-t path finds
+    the cut set and cost the DFS walk per set finds: on criterion 3's 30
+    instances and on 200 random digraphs, some without an s-w-t path."""
+    fixtures = list(seeded_swt_instances(30))
+    rng = random.Random(2024)
+    while len(fixtures) < 230:
+        n = rng.choice([4, 5, 6, 7])
+        net = random_digraph(
+            n, rng.choice([0.25, 0.3, 0.4]), rng.randrange(10**6),
+            max_capacity=rng.choice([1, 3, 5]),
+        )
+        if net.edge_count:
+            fixtures.append((net, *rng.sample(range(n), 3)))
+    nonempty = 0
+    for net, s, w, t in fixtures:
+        got = min_swt_cut(net, s, w, t)
+        assert got == dfs_min_swt_cut(net, s, w, t)
+        nonempty += bool(got[0])
+    assert 30 < nonempty < len(fixtures)
+
+
+def test_flow_and_cut_of_one_instance_enumerate_its_paths_once(monkeypatch):
+    """max_swt_flow and then min_swt_cut of one instance, as the flow = cut
+    checks call them, list the s-t paths once between them."""
+    calls = []
+    real = oracles.enumerate_paths
+
+    def counting(network, s, t, *args):
+        calls.append((s, t))
+        return real(network, s, t, *args)
+
+    monkeypatch.setattr(oracles, "enumerate_paths", counting)
+    oracles._swt_paths.cache_clear()
+    instances = list(seeded_swt_instances(6))
+    for net, s, w, t in instances:
+        flow = max_swt_flow(net, s, w, t)
+        _, cut = min_swt_cut(net, s, w, t)
+        assert flow.value == pytest.approx(float(cut), abs=1e-6)
+    assert calls == [(s, t) for _, s, _, t in instances]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_swt_walk_with_removed_edges_equals_rebuilt_network(seed):
-    """The cut search's walk over a removed-edge set answers as has_swt_path
-    does on the network rebuilt without those edges."""
+    """The reference cut search's walk over a removed-edge set answers as
+    has_swt_path does on the network rebuilt without those edges."""
     rng = random.Random(seed)
     for trial in range(40):
         n = rng.choice([5, 6, 7])
@@ -567,6 +658,6 @@ def test_swt_walk_with_removed_edges_equals_rebuilt_network(seed):
             e for eid, e in enumerate(net.edges) if eid not in removed
         )
         rebuilt = FlowNetwork(net.node_names, kept)
-        assert oracles._has_swt_path(net, s, w, t, removed) == has_swt_path(
+        assert dfs_has_swt_path(net, s, w, t, removed) == has_swt_path(
             rebuilt, s, w, t
         )

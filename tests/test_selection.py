@@ -151,7 +151,8 @@ class TestGreedySelect:
         """c -> d has no tunnel for any set, so every trial's theta is inf.
 
         The first round cannot improve on an infinite theta and ends the
-        search: 1 + 4 subproblems, not the 1 + 4 + 3 + 2 + 1 of all k rounds.
+        search: 1 + 4 subproblems, not the 1 + 4 + 3 + 2 + 1 of all k rounds,
+        and no cold confirmation, since no set has an optimum.
         """
         import srte.selection
 
@@ -161,11 +162,12 @@ class TestGreedySelect:
         )
         demands = make_demands((0, 2, 1), (2, 3, 1))
         calls = []
-        real = srte.selection._evaluate  # called once per subproblem
+        # Called once per subproblem and once per cold confirmation.
+        real = srte.selection._evaluate
 
-        def counted(pool, middlepoints):
+        def counted(pool, middlepoints, *args, **kwargs):
             calls.append(middlepoints)
-            return real(pool, middlepoints)
+            return real(pool, middlepoints, *args, **kwargs)
 
         monkeypatch.setattr(srte.selection, "_evaluate", counted)
         with pytest.raises(NoTunnelError, match=r"commodity 2 -> 3$"):
@@ -278,23 +280,34 @@ class TestTunnelPoolSelection:
     ):
         """At m=2 the pool grows per round by the tunnels the round's sets
         add, so it stays the union of the evaluated sets' tunnels, far below
-        the all-nodes m=2 tunnel count."""
+        the all-nodes m=2 tunnel count.
+
+        Every subproblem is evaluated once, warm from the chosen set's basis
+        but for the initial set, and every cold confirmation once more: the
+        evaluations that ask for their basis are the initial set and the
+        confirmations."""
         import srte.selection
 
         net = random_connected_digraph(30, 120, 7)
         demands = generate_gravity_demands(net, 20, 507)
-        evaluated, pool_sizes = [], []
+        evaluated, pool_sizes, warm, asked = [], [], [], []
         real = srte.selection._evaluate
 
-        def recording(pool, middlepoints):
+        def recording(pool, middlepoints, start=None, return_basis=False):
             evaluated.append(list(middlepoints))
-            result = real(pool, middlepoints)
+            warm.append(start is not None)
+            asked.append(return_basis)
+            result = real(pool, middlepoints, start, return_basis)
             pool_sizes.append(len(pool.tunnels))
             return result
 
         monkeypatch.setattr(srte.selection, "_evaluate", recording)
         result = greedy_select(net, demands, range(30), 3, 2)
-        assert result.subproblems_solved == len(evaluated)
+        confirmations = sum(asked) - 1
+        assert not any(w and a for w, a in zip(warm, asked))
+        assert sum(warm) == result.subproblems_solved - 1
+        assert len(evaluated) == result.subproblems_solved + confirmations
+        assert confirmations >= len(result.middlepoints)  # one per pick at least
         cache = ShortestPathCache(net)
         union = {
             tun for mids in evaluated

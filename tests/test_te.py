@@ -435,8 +435,8 @@ class TestMpBaseline:
 
         real = srte.te.solve_lp
 
-        def inflated_theta(lp):
-            sol = real(lp)
+        def inflated_theta(lp, *args):
+            sol = real(lp, *args)
             x = (2 * sol.assignment[0], *sol.assignment[1:])
             return LpSolution(sol.status, 2 * sol.objective_value, x)
 
