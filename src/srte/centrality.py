@@ -82,7 +82,8 @@ def betweenness(
 
 
 def _avoiding_counts(dag: ShortestPathDag, net: FlowNetwork, group: frozenset[int]):
-    """Per-node count of shortest paths from dag.source avoiding all group nodes."""
+    """Per-node count of shortest paths from dag.source avoiding all group
+    nodes, by one walk of the DAG in distance order (``group_betweenness``)."""
     avoid = [0] * net.node_count
     avoid[dag.source] = 0 if dag.source in group else 1
     for v in dag.order():
@@ -102,6 +103,11 @@ def group_betweenness(
 
     sigma_st(C) is computed as sigma_st minus the count of shortest paths
     avoiding every node of C; pairs with s or t in C are excluded.
+
+    Public API, computed from scratch for any group: GSP selection uses the
+    successive updates of ``greedy_group_scores`` instead, and the tests
+    check every prefix score of those against this definition.
+    bench/tracer.py counts its calls.
     """
     members = frozenset(group)
     if not members:

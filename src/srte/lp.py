@@ -1,11 +1,11 @@
-"""Generic linear programs and a solver front end shared by all TE modules.
+"""Linear programs in sparse matrix form and the solver front end shared by
+all TE modules.
 
-A program is either built row by row (``LinearProgram``: coefficient dicts,
-relation, rhs) or assembled directly in the solver's sparse matrix form
-(``SparseLp``); a row-form program is converted once when solved. Every
-program goes straight to the HiGHS solver vendored in scipy, with the options
-and the input and result checks of scipy's ``linprog(method="highs")`` but none
-of its conversions. HiGHS is deterministic for identical input and handles the
+Every program is one ``SparseLp``: an objective, column bounds and a ``<=``
+and an ``=`` block of CSR rows, which each builder assembles from COO arrays.
+It goes straight to the HiGHS solver vendored in scipy, with the options and
+the input and result checks of scipy's ``linprog(method="highs")`` but none of
+its conversions. HiGHS is deterministic for identical input and handles the
 degenerate, equal-capacity instances common in TE without cycling. Every
 returned point is re-checked against the rows.
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,79 +33,12 @@ FEASIBILITY_TOL = 1e-7
 
 LE = "<="
 EQ = "="
-GE = ">="
-_RELATIONS = (LE, EQ, GE)
 
 
 class LpStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
-
-
-@dataclass
-class LinearProgram:
-    """LP in row form. Variables default to bounds [0, +inf)."""
-
-    maximize: bool = False
-    objective: list[float] = field(default_factory=list)
-    lower: list[float] = field(default_factory=list)
-    upper: list[Optional[float]] = field(default_factory=list)
-    labels: list[str] = field(default_factory=list)
-    rows: list[tuple[dict[int, float], str, float]] = field(default_factory=list)
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.objective)
-
-    def add_var(
-        self,
-        label: str,
-        objective: float = 0.0,
-        lower: float = 0.0,
-        upper: Optional[float] = None,
-    ) -> int:
-        self.objective.append(float(objective))
-        self.lower.append(float(lower))
-        self.upper.append(None if upper is None else float(upper))
-        self.labels.append(label)
-        return len(self.objective) - 1
-
-    def add_row(self, coeffs: dict[int, float], relation: str, rhs: float) -> None:
-        if relation not in _RELATIONS:
-            raise ValueError(f"bad relation {relation!r}")
-        rhs = float(rhs)
-        if not np.isfinite(rhs):
-            raise ValueError("rhs must be finite")
-        for j in coeffs:
-            if not (0 <= j < self.num_vars):
-                raise ValueError(f"coefficient references unknown variable {j}")
-        self.rows.append((dict(coeffs), relation, rhs))
-
-    def to_sparse(self) -> SparseLp:
-        """The same program in matrix form; GE rows become negated LE rows."""
-        # Per block: coefficients, their row and column indices, right sides.
-        blocks = {LE: ([], [], [], []), EQ: ([], [], [], [])}
-        for coeffs, relation, rhs in self.rows:
-            sign = -1.0 if relation == GE else 1.0
-            data, rows, cols, b = blocks[EQ if relation == EQ else LE]
-            data.extend(sign * a for a in coeffs.values())
-            rows.extend([len(b)] * len(coeffs))
-            cols.extend(coeffs)
-            b.append(sign * rhs)
-        (a_ub, b_ub), (a_eq, b_eq) = [
-            (
-                csr_matrix((data, (rows, cols)), shape=(len(b), self.num_vars)),
-                np.array(b, dtype=float),
-            )
-            for data, rows, cols, b in blocks.values()
-        ]
-        upper = [np.inf if u is None else u for u in self.upper]
-        return SparseLp(
-            self.maximize, np.array(self.objective, dtype=float),
-            np.array(self.lower, dtype=float), np.array(upper, dtype=float),
-            a_ub, b_ub, a_eq, b_eq, self.labels,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,7 +277,7 @@ def linprog(
 
 
 def solve_lp(
-    lp: LinearProgram | SparseLp,
+    lp: SparseLp,
     start_basis: Optional[Basis] = None,
     return_basis: bool = False,
 ) -> LpSolution:
@@ -355,8 +288,6 @@ def solve_lp(
     """
     if lp.num_vars == 0:
         return LpSolution(LpStatus.OPTIMAL, 0.0, ())
-    if isinstance(lp, LinearProgram):
-        lp = lp.to_sparse()
     res = linprog(
         -lp.objective if lp.maximize else lp.objective,
         A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
@@ -379,7 +310,7 @@ def solve_lp(
     )
 
 
-def dump_lp(lp: LinearProgram | SparseLp) -> str:
+def dump_lp(lp: SparseLp) -> str:
     """Human-readable LP-text dump for external cross-checks.
 
     Grammar: one objective line, a ``subject to`` block with one row per line,
@@ -400,7 +331,6 @@ def dump_lp(lp: LinearProgram | SparseLp) -> str:
         lines.append(f"  {lhs} {relation} {rhs:g}")
     lines.append("bounds:")
     for j in range(lp.num_vars):
-        upper = lp.upper[j]
-        hi = "+inf" if upper is None or upper == np.inf else f"{upper:g}"
+        hi = "+inf" if lp.upper[j] == np.inf else f"{lp.upper[j]:g}"
         lines.append(f"  {lp.lower[j]:g} <= {lp.labels[j]} <= {hi}")
     return "\n".join(lines) + "\n"

@@ -18,7 +18,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix, vstack
 
 from .graph import DemandMatrix, Edge, FlowNetwork
-from .lp import EQ, LE, LinearProgram, LpStatus, SparseLp, solve_lp
+from .lp import LpStatus, SparseLp, solve_lp
 
 DEFAULT_NODE_CAP = 12
 MAX_PATHS = 40_000
@@ -427,6 +427,85 @@ class UndirectedNetwork:
         return len(self.node_names)
 
 
+def _undirected_aux_lp(
+    undirected: UndirectedNetwork, w: int, commodities: Sequence[tuple[int, int]]
+) -> SparseLp:
+    """The directed auxiliary LP of ``undirected_max_swt``.
+
+    Arcs: u -> v and v -> u per undirected edge, then per commodity i
+    s_i -> z_i, t_i -> z_i and z_i -> z, with collector z_i = n + i and
+    super-sink z = n + count. Columns: commodity i's flow on arc a is column
+    i * arcs + a. Rows: each edge arc's capacity shared over commodities,
+    then each commodity's two directions sharing each edge's capacity (<=);
+    conservation per commodity at every node with an arc but w and z, then
+    each commodity's collector balance (=). Only commodity i may use its own
+    collector arcs.
+    """
+    n, count = undirected.node_count, len(commodities)
+    capacity = np.array([float(e.capacity) for e in undirected.edges])
+    edge_arcs = 2 * len(capacity)
+    forward = np.array([(e.u, e.v) for e in undirected.edges], dtype=np.intp)
+    pairs = np.array(commodities, dtype=np.intp).reshape(count, 2)
+    collectors = n + np.arange(count)
+    tails = np.concatenate((
+        forward.ravel(), np.column_stack((pairs, collectors)).ravel()
+    ))
+    heads = np.concatenate((forward[:, ::-1].ravel(), np.repeat(collectors, 3)))
+    heads[edge_arcs + 2::3] = n + count
+    arcs = len(tails)
+    variables = count * arcs
+    index = np.arange(count)
+    first = arcs * index  # commodity i's column of arc 0
+
+    # Entry f of the edge-arc flows, commodity-major, is arc f % edge_arcs:
+    # it sits in that arc's capacity row and in sharing row f // 2.
+    flows = (first[:, None] + np.arange(edge_arcs)).ravel()
+    entry = np.arange(len(flows))
+    rows = np.concatenate((entry % edge_arcs, edge_arcs + entry // 2))
+    a_ub = csr_matrix(
+        (np.ones(len(rows)), (rows, np.tile(flows, 2))),
+        shape=(edge_arcs + len(flows) // 2, variables),
+    )
+    b_ub = np.concatenate((np.repeat(capacity, 2), np.tile(capacity, count)))
+
+    # Conservation: out-flow minus in-flow at each kept node, commodity-major.
+    ends = np.concatenate((tails, heads))
+    kept = np.bincount(ends, minlength=n + count + 1) > 0
+    kept[[w, n + count]] = False
+    nodes = int(kept.sum())
+    on = kept[ends]
+    node_rows = (np.cumsum(kept) - 1)[ends[on]]
+    arc = np.tile(np.arange(arcs), 2)[on]
+    sign = np.repeat([1.0, -1.0], arcs)[on]
+    # Collector balance: flow from s_i minus flow from t_i into z_i.
+    s_cols = first + edge_arcs + 3 * index
+    rows = np.concatenate((
+        (nodes * index[:, None] + node_rows).ravel(),
+        np.repeat(count * nodes + index, 2),
+    ))
+    cols = np.concatenate((
+        (first[:, None] + arc).ravel(), np.column_stack((s_cols, s_cols + 1)).ravel()
+    ))
+    data = np.concatenate((np.tile(sign, count), np.tile([1.0, -1.0], count)))
+    a_eq = csr_matrix((data, (rows, cols)), shape=(count * (nodes + 1), variables))
+
+    # Each commodity's columns: its edge arcs, then every commodity's three
+    # collector arcs, of which only its own are open.
+    collector_upper = np.zeros((count, count, 3))
+    collector_upper[index, index] = np.inf
+    upper = np.column_stack((
+        np.full((count, edge_arcs), np.inf),
+        collector_upper.reshape(count, 3 * count),
+    )).ravel()
+    # Net (not gross) outflow at w: cycles through w cannot inflate it.
+    objective = np.tile((tails == w).astype(float) - (heads == w), count)
+    return SparseLp(
+        True, objective, np.zeros(variables), upper, a_ub, b_ub,
+        a_eq, np.zeros(a_eq.shape[0]),
+        [f"f[{i}:a{a}]" for i in range(count) for a in range(arcs)],
+    )
+
+
 def undirected_max_swt(
     undirected: UndirectedNetwork,
     w: int,
@@ -437,90 +516,13 @@ def undirected_max_swt(
     Each undirected edge becomes two directed arcs sharing its capacity; each
     commodity gets a dedicated collector node and a super-sink, and the flow
     sent toward the source side must equal the flow sent toward the sink side.
-    Returns half the auxiliary optimum.
+    The objective is the net flow leaving w; any flow counted must reach the
+    super-sink. Returns half the auxiliary optimum.
     """
-    n = undirected.node_count
-    n_comm = len(commodities)
     for s, t in commodities:
         if len({s, w, t}) != 3:
             raise ValueError("s, w, t must be distinct")
-
-    # Arc list: two per undirected edge, then (s_i, z_i), (t_i, z_i), (z_i, z).
-    arcs: list[tuple[int, int, Optional[Fraction]]] = []
-    arc_pairs: list[tuple[int, int]] = []  # (forward, backward) per undirected edge
-    for e in undirected.edges:
-        arcs.append((e.u, e.v, e.capacity))
-        arcs.append((e.v, e.u, e.capacity))
-        arc_pairs.append((len(arcs) - 2, len(arcs) - 1))
-    z_nodes = [n + i for i in range(n_comm)]
-    z_super = n + n_comm
-    collector_arcs: list[tuple[int, int]] = []  # (s_i arc, t_i arc) per commodity
-    for i, (s, t) in enumerate(commodities):
-        arcs.append((s, z_nodes[i], None))
-        arcs.append((t, z_nodes[i], None))
-        collector_arcs.append((len(arcs) - 2, len(arcs) - 1))
-        arcs.append((z_nodes[i], z_super, None))
-
-    lp = LinearProgram(maximize=True)
-    flow_vars = [
-        [lp.add_var(f"f[{i}:a{a}]") for a in range(len(arcs))]
-        for i in range(n_comm)
-    ]
-    # Only commodity i may enter its own collector node.
-    for i in range(n_comm):
-        for j, (tail, head, _) in enumerate(arcs):
-            if head in z_nodes and head != z_nodes[i]:
-                lp.upper[flow_vars[i][j]] = 0.0
-            if tail in z_nodes and tail != z_nodes[i]:
-                lp.upper[flow_vars[i][j]] = 0.0
-
-    # Objective: net flow leaving w across all commodities. Net (not gross)
-    # outflow keeps cycles through w from inflating the optimum; any flow
-    # actually counted must reach the super-sink.
-    for i in range(n_comm):
-        for j, (tail, head, _) in enumerate(arcs):
-            if tail == w:
-                lp.objective[flow_vars[i][j]] += 1.0
-            if head == w:
-                lp.objective[flow_vars[i][j]] -= 1.0
-
-    # Shared arc capacity over commodities.
-    for j, (_, _, cap) in enumerate(arcs):
-        if cap is not None:
-            lp.add_row(
-                {flow_vars[i][j]: 1.0 for i in range(n_comm)}, LE, float(cap)
-            )
-
-    # Flow conservation at every node except w and the super-sink.
-    for i in range(n_comm):
-        for u in range(n + n_comm):
-            if u == w:
-                continue
-            coeffs: dict[int, float] = {}
-            for j, (tail, head, _) in enumerate(arcs):
-                if tail == u:
-                    coeffs[flow_vars[i][j]] = coeffs.get(flow_vars[i][j], 0.0) + 1.0
-                if head == u:
-                    coeffs[flow_vars[i][j]] = coeffs.get(flow_vars[i][j], 0.0) - 1.0
-            if coeffs:
-                lp.add_row(coeffs, EQ, 0.0)
-
-    # Per-commodity bidirectional sharing on each undirected edge.
-    for i in range(n_comm):
-        for (fwd, bwd), e in zip(arc_pairs, undirected.edges):
-            lp.add_row(
-                {flow_vars[i][fwd]: 1.0, flow_vars[i][bwd]: 1.0},
-                LE,
-                float(e.capacity),
-            )
-
-    # Equal flow into the collector from the source and sink sides.
-    for i, (s_arc, t_arc) in enumerate(collector_arcs):
-        lp.add_row(
-            {flow_vars[i][s_arc]: 1.0, flow_vars[i][t_arc]: -1.0}, EQ, 0.0
-        )
-
-    sol = solve_lp(lp)
+    sol = solve_lp(_undirected_aux_lp(undirected, w, commodities))
     if sol.status is not LpStatus.OPTIMAL:
         raise ArithmeticError(f"auxiliary LP not optimal: {sol.status}")
     return sol.objective_value / 2.0

@@ -45,7 +45,11 @@ class ShortestPathDag:
     settled: tuple[int, ...]
 
     def order(self) -> list[int]:
-        """Reachable nodes sorted by increasing distance (index tie-break)."""
+        """Reachable nodes sorted by increasing distance (index tie-break).
+
+        Public API: ``group_betweenness`` walks it, the reference the tests
+        check the successive GSP updates against, and bench/tracer.py counts
+        its calls."""
         return list(self.settled)
 
 

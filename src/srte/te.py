@@ -70,51 +70,27 @@ class Tunnel:
         return tuple(zip(self.waypoints, self.waypoints[1:]))
 
 
-def enumerate_tunnels(
-    cache: ShortestPathCache,
-    commodity: Commodity,
-    commodity_index: int,
-    middlepoints: Iterable[int],
-    max_middlepoints: int,
-    single_middlepoint: bool = False,
-) -> list[Tunnel]:
-    """All tunnels over ordered selections of <= max_middlepoints middlepoints.
-
-    Middlepoints equal to the commodity's endpoints are skipped; every segment
-    must be reachable. The direct 0-middlepoint tunnel is included when the
-    sink is reachable, unless single_middlepoint forces exactly one.
-    Returns tunnels sorted by waypoint tuple; empty list when nothing connects.
-    """
-    s, t = commodity.source, commodity.sink
-    candidates = sorted(
-        {m for m in middlepoints if m != s and m != t}
-    )
-    sizes = (
-        (1,) if single_middlepoint
-        else tuple(range(0, max_middlepoints + 1))
-    )
-    return _routable_tunnels(
-        cache, commodity, commodity_index,
-        (perm for j in sizes for perm in itertools.permutations(candidates, j)),
-    )
-
-
 def _routable_tunnels(
     cache: ShortestPathCache,
-    commodity: Commodity,
-    commodity_index: int,
-    sequences: Iterable[tuple[int, ...]],
-) -> list[Tunnel]:
-    """The commodity's tunnels through those middlepoint sequences whose
-    segments are all reachable, sorted by waypoint tuple."""
-    s, t = commodity.source, commodity.sink
-    tunnels = []
-    for seq in sequences:
-        waypoints = (s, *seq, t)
-        if all(cache.reachable(a, b) for a, b in zip(waypoints, waypoints[1:])):
-            tunnels.append(Tunnel(commodity_index, waypoints))
-    tunnels.sort(key=lambda tun: tun.waypoints)
-    return tunnels
+    demands: DemandMatrix,
+    sequences: Sequence[tuple[int, ...]],
+) -> list[list[Tunnel]]:
+    """Each commodity's tunnels through those middlepoint sequences that
+    avoid its endpoints and whose segments are all reachable, sorted by
+    waypoint tuple."""
+    groups = []
+    for i, c in enumerate(demands.commodities):
+        s, t = c.source, c.sink
+        tunnels = []
+        for seq in sequences:
+            if s in seq or t in seq:
+                continue
+            waypoints = (s, *seq, t)
+            if all(cache.reachable(a, b) for a, b in zip(waypoints, waypoints[1:])):
+                tunnels.append(Tunnel(i, waypoints))
+        tunnels.sort(key=lambda tun: tun.waypoints)
+        groups.append(tunnels)
+    return groups
 
 
 def tunnels_for_middlepoints(
@@ -124,11 +100,22 @@ def tunnels_for_middlepoints(
     max_middlepoints: int,
     single_middlepoint: bool = False,
 ) -> list[list[Tunnel]]:
+    """Each commodity's tunnels over ordered selections of at most
+    ``max_middlepoints`` distinct middlepoints, sorted by waypoint tuple.
+
+    Middlepoints equal to the commodity's endpoints are skipped; every segment
+    must be reachable. The direct 0-middlepoint tunnel is included when the
+    sink is reachable, unless single_middlepoint forces exactly one. A
+    commodity that nothing connects gets an empty list.
+    """
     mids = sorted(set(middlepoints))
-    return [
-        enumerate_tunnels(cache, c, i, mids, max_middlepoints, single_middlepoint)
-        for i, c in enumerate(demands.commodities)
-    ]
+    sizes = (
+        (1,) if single_middlepoint
+        else range(min(max_middlepoints, len(mids)) + 1)
+    )
+    return _routable_tunnels(cache, demands, [
+        seq for size in sizes for seq in itertools.permutations(mids, size)
+    ])
 
 
 @dataclass
@@ -418,8 +405,9 @@ class TunnelPool:
         self._covered: set[tuple[int, ...]] = set()  # sorted middlepoint sets
         self._commodity = np.zeros(0, dtype=np.intp)
         # Each column's middlepoints, padded with node_count, which every set
-        # contains when sliced.
-        self._middlepoints = np.zeros((0, max_middlepoints), dtype=np.intp)
+        # contains when sliced. A tunnel's middlepoints are distinct nodes.
+        width = min(max_middlepoints, cache.network.node_count)
+        self._middlepoints = np.zeros((0, width), dtype=np.intp)
         # Column j's loads are loads[ptr[j]:ptr[j + 1]] on those edge rows.
         self._ptr = np.zeros(1, dtype=np.intp)
         self._edge_rows = np.zeros(0, dtype=np.intp)
@@ -446,13 +434,12 @@ class TunnelPool:
         sequences = [
             perm for mids in fresh_sets for perm in itertools.permutations(mids)
         ]
-        fresh: list[Tunnel] = []
-        for i, c in enumerate(self.demands.commodities):
-            fresh += _routable_tunnels(self.cache, c, i, [
-                seq for seq in sequences if c.source not in seq and c.sink not in seq
-            ])
+        fresh = [
+            tun for group in _routable_tunnels(self.cache, self.demands, sequences)
+            for tun in group
+        ]
         edge_rows, sizes, loads = _tunnel_loads(self.cache, fresh)
-        width = self.max_middlepoints
+        width = self._middlepoints.shape[1]
         pad = (self.cache.network.node_count,) * width
 
         tunnels = self.tunnels + fresh

@@ -7,11 +7,15 @@ counting, so agreement with the package is a genuine cross-check.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from srte.graph import Commodity, DemandMatrix, Edge, FlowNetwork
+from srte.lp import EQ, LE, SparseLp
 
 # Verdict lines collected by the acceptance tests; echoed after the run so
 # they survive pytest's output capture.
@@ -137,22 +141,80 @@ def strongly_connected(network):
     return len(reach(network.out_edges)) == n and len(reach(network.in_edges)) == n
 
 
+def dense_lp(objective, ub=(), eq=(), *, lower=None, upper=None,
+             maximize=False, labels=None):
+    """A SparseLp written out densely: ``ub`` and ``eq`` list the <= and the
+    = rows as (coefficients, rhs) with one coefficient per column. Bounds
+    default to [0, inf), labels to x0, x1, ..."""
+    n = len(objective)
+
+    def block(rows):
+        a = np.array([coeffs for coeffs, _ in rows], dtype=float)
+        return (csr_matrix(a.reshape(len(rows), n)),
+                np.array([rhs for _, rhs in rows], dtype=float))
+
+    (a_ub, b_ub), (a_eq, b_eq) = block(ub), block(eq)
+    return SparseLp(
+        maximize, np.array(objective, dtype=float),
+        np.zeros(n) if lower is None else np.array(lower, dtype=float),
+        np.full(n, np.inf) if upper is None else np.array(upper, dtype=float),
+        a_ub, b_ub, a_eq, b_eq, labels or [f"x{j}" for j in range(n)],
+    )
+
+
+class RowLp:
+    """A program written row by row, the form the reference builds of the
+    tests keep: columns by ``add_var`` (bounds [0, upper]), rows of
+    {column: coefficient} dicts by ``add_row`` ("<=" or "="). ``sparse()``
+    assembles its SparseLp from COO entries, block by block in row order."""
+
+    def __init__(self, maximize=False):
+        self.maximize = maximize
+        self.objective, self.upper, self.labels, self.rows = [], [], [], []
+
+    def add_var(self, label, objective=0.0, upper=math.inf):
+        self.objective.append(float(objective))
+        self.upper.append(float(upper))
+        self.labels.append(label)
+        return len(self.labels) - 1
+
+    def add_row(self, coeffs, relation, rhs):
+        assert relation in (LE, EQ)
+        self.rows.append((dict(coeffs), relation, float(rhs)))
+
+    def sparse(self):
+        n = len(self.objective)
+        blocks = []
+        for relation in (LE, EQ):
+            rows = [(coeffs, rhs) for coeffs, rel, rhs in self.rows if rel == relation]
+            data = [a for coeffs, _ in rows for a in coeffs.values()]
+            row_ids = [i for i, (coeffs, _) in enumerate(rows) for _ in coeffs]
+            cols = [j for coeffs, _ in rows for j in coeffs]
+            blocks.append((
+                csr_matrix((data, (row_ids, cols)), shape=(len(rows), n)),
+                np.array([rhs for _, rhs in rows], dtype=float),
+            ))
+        (a_ub, b_ub), (a_eq, b_eq) = blocks
+        return SparseLp(
+            self.maximize, np.array(self.objective, dtype=float), np.zeros(n),
+            np.array(self.upper, dtype=float), a_ub, b_ub, a_eq, b_eq,
+            self.labels,
+        )
+
+
 def split_lp():
     """Hand-solved two-route balance LP: theta* = 0.6, f1 = 1.8, f2 = 1.2.
 
     minimize theta  s.t.  f1 + f2 = 3,  f1 <= 3 theta,  f2 <= 2 theta.
     Returns (program, theta_var, f1_var, f2_var).
     """
-    from srte.lp import EQ, LE, LinearProgram
-
-    lp = LinearProgram()
-    theta = lp.add_var("theta", objective=1.0)
-    f1 = lp.add_var("f1")
-    f2 = lp.add_var("f2")
-    lp.add_row({f1: 1.0, f2: 1.0}, EQ, 3.0)
-    lp.add_row({f1: 1.0, theta: -3.0}, LE, 0.0)
-    lp.add_row({f2: 1.0, theta: -2.0}, LE, 0.0)
-    return lp, theta, f1, f2
+    lp = dense_lp(
+        [1.0, 0.0, 0.0],
+        ub=[([-3.0, 1.0, 0.0], 0.0), ([-2.0, 0.0, 1.0], 0.0)],
+        eq=[([0.0, 1.0, 1.0], 3.0)],
+        labels=["theta", "f1", "f2"],
+    )
+    return lp, 0, 1, 2
 
 
 @pytest.fixture

@@ -94,6 +94,24 @@ class TestSolve:
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
 
+    @pytest.mark.parametrize("method", ["gsp", "greedy", "optimal"])
+    def test_m_beyond_the_node_count_prints_the_same(self, capsys, method):
+        """A tunnel's middlepoints are distinct nodes, so every m from the
+        node count up gives the same tunnels: on the 10-node network,
+        m = 10**9 prints the bytes m = 10 does, for solve and sweep, without
+        allocating anything m wide."""
+        inputs = (
+            "--topology", DATA / "net10.topo", "--demands", DATA / "net10.dem",
+            "--method", method,
+        )
+        for command, *axis in (("solve", "--k", "2"), ("sweep", "--sweep-k", "1:3")):
+            small, huge = (
+                run(capsys, command, *inputs, *axis, "--m", m)
+                for m in ("10", "1000000000")
+            )
+            assert small[0] == 0 and small[1]
+            assert huge == small
+
     @pytest.mark.parametrize(
         "method", [("gsp",), ("greedy", "--k", "1"), ("optimal",)]
     )

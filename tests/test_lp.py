@@ -11,36 +11,25 @@ import srte.lp
 import srte.te
 from srte.graph import generate_gravity_demands, random_connected_digraph
 from srte.paths import ShortestPathCache
-from srte.lp import (
-    EQ,
-    GE,
-    LE,
-    LinearProgram,
-    LpStatus,
-    dump_lp,
-    solve_lp,
-)
+from srte.lp import EQ, LE, LpStatus, dump_lp, solve_lp
 
-from conftest import split_lp
+from conftest import dense_lp, split_lp
 
 
 def test_trivially_infeasible():
     """minimize 0 subject to x <= -1, x >= 0."""
-    lp = LinearProgram()
-    x = lp.add_var("x")
-    lp.add_row({x: 1.0}, LE, -1.0)
+    lp = dense_lp([0.0], ub=[([1.0], -1.0)])
     assert solve_lp(lp).status is LpStatus.INFEASIBLE
 
 
 def test_unbounded():
-    lp = LinearProgram(maximize=True)
-    x = lp.add_var("x", objective=1.0)
-    lp.add_row({x: 1.0}, GE, 1.0)
+    """maximize x subject to x >= 1, written -x <= -1."""
+    lp = dense_lp([1.0], ub=[([-1.0], -1.0)], maximize=True)
     assert solve_lp(lp).status is LpStatus.UNBOUNDED
 
 
 def test_empty_program():
-    sol = solve_lp(LinearProgram())
+    sol = solve_lp(dense_lp([]))
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == 0.0
 
@@ -67,34 +56,19 @@ def test_hand_balance_grid_search_cross_check():
 
 
 def test_maximize_sign_handling():
-    lp = LinearProgram(maximize=True)
-    x = lp.add_var("x", objective=2.0, upper=5.0)
+    lp = dense_lp([2.0], upper=[5.0], maximize=True)
     sol = solve_lp(lp)
     assert sol.objective_value == pytest.approx(10.0)
-    assert sol[x] == pytest.approx(5.0)
+    assert sol[0] == pytest.approx(5.0)
 
 
 def test_ge_and_eq_rows():
-    lp = LinearProgram()
-    x = lp.add_var("x", objective=1.0)
-    y = lp.add_var("y", objective=1.0)
-    lp.add_row({x: 1.0}, GE, 2.0)
-    lp.add_row({x: 1.0, y: 1.0}, EQ, 5.0)
+    """minimize x + y subject to x >= 2 (as -x <= -2) and x + y = 5."""
+    lp = dense_lp([1.0, 1.0], ub=[([-1.0, 0.0], -2.0)], eq=[([1.0, 1.0], 5.0)])
     sol = solve_lp(lp)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(5.0)
-    assert sol[x] >= 2.0 - 1e-9
-
-
-def test_add_row_validation():
-    lp = LinearProgram()
-    lp.add_var("x")
-    with pytest.raises(ValueError):
-        lp.add_row({0: 1.0}, "<", 0.0)
-    with pytest.raises(ValueError):
-        lp.add_row({1: 1.0}, LE, 0.0)
-    with pytest.raises(ValueError):
-        lp.add_row({0: 1.0}, LE, float("inf"))
+    assert sol[0] >= 2.0 - 1e-9
 
 
 def test_dump_format():
@@ -110,10 +84,8 @@ def test_dump_format():
 
 
 def test_solution_indexing():
-    lp = LinearProgram()
-    x = lp.add_var("x", objective=1.0, lower=2.5)
-    sol = solve_lp(lp)
-    assert sol[x] == pytest.approx(2.5)
+    sol = solve_lp(dense_lp([1.0], lower=[2.5]))
+    assert sol[0] == pytest.approx(2.5)
 
 
 @settings(max_examples=50, deadline=None)
@@ -124,15 +96,15 @@ def test_solver_soundness_on_random_feasible_programs(data):
     re-check runs internally on each solve)."""
     rng_vals = st.integers(-4, 4)
     n = data.draw(st.integers(1, 4))
-    lp = LinearProgram()
-    for j in range(n):
-        lp.add_var(f"x{j}", objective=data.draw(rng_vals), upper=10.0)
+    objective = [data.draw(rng_vals) for _ in range(n)]
     witness = [data.draw(st.integers(0, 5)) for _ in range(n)]
+    rows = []
     for _ in range(data.draw(st.integers(1, 4))):
-        coeffs = {j: float(data.draw(rng_vals)) for j in range(n)}
+        coeffs = [float(data.draw(rng_vals)) for _ in range(n)]
         activity = sum(coeffs[j] * witness[j] for j in range(n))
         slack = data.draw(st.integers(0, 3))
-        lp.add_row(coeffs, LE, activity + slack)
+        rows.append((coeffs, activity + slack))
+    lp = dense_lp(objective, ub=rows, upper=[10.0] * n)
     sol = solve_lp(lp)
     assert sol.status is LpStatus.OPTIMAL
     witness_value = sum(lp.objective[j] * witness[j] for j in range(n))
@@ -140,39 +112,33 @@ def test_solver_soundness_on_random_feasible_programs(data):
 
 
 def three_row_program():
-    lp = LinearProgram()
-    x = lp.add_var("x", objective=1.0)
-    y = lp.add_var("y", objective=1.0, upper=4.0)
-    lp.add_row({x: 100.0, y: 1.0}, LE, 203.0)
-    lp.add_row({x: 1.0}, GE, 2.0)
-    lp.add_row({x: 1.0, y: 1.0}, EQ, 5.0)
-    return lp
+    """minimize x + y subject to 100 x + y <= 203, x >= 2 (as -x <= -2),
+    x + y = 5 and y <= 4."""
+    return dense_lp(
+        [1.0, 1.0],
+        ub=[([100.0, 1.0], 203.0), ([-1.0, 0.0], -2.0)],
+        eq=[([1.0, 1.0], 5.0)],
+        upper=[np.inf, 4.0], labels=["x", "y"],
+    )
 
 
 def test_sparse_form_of_rows():
-    """>= rows become negated <= rows; = rows form their own block."""
-    sparse = three_row_program().to_sparse()
+    """The rows view reads the <= block, then the = block, from the matrix;
+    the dump prints them and the bounds."""
+    sparse = three_row_program()
     assert sparse.num_vars == 2
-    assert sparse.a_ub.toarray().tolist() == [[100.0, 1.0], [-1.0, 0.0]]
-    assert sparse.b_ub.tolist() == [203.0, -2.0]
-    assert sparse.a_eq.toarray().tolist() == [[1.0, 1.0]]
-    assert sparse.b_eq.tolist() == [5.0]
-    assert sparse.upper.tolist() == [np.inf, 4.0]
+    assert len(sparse.rows) == 3
     assert list(sparse.rows) == [
         ({0: 100.0, 1: 1.0}, LE, 203.0),
         ({0: -1.0}, LE, -2.0),
         ({0: 1.0, 1: 1.0}, EQ, 5.0),
     ]
     text = dump_lp(sparse)
-    assert "  -1 x <= -2" in text
+    assert text.splitlines()[0] == "minimize: +1 x +1 y"
+    assert "  +100 x +1 y <= 203" in text
+    assert "  -1 x <= -2" in text and "  +1 x +1 y = 5" in text
     assert "  0 <= x <= +inf" in text and "  0 <= y <= 4" in text
-
-
-def test_row_and_sparse_programs_solve_alike():
-    lp = three_row_program()
-    a, b = solve_lp(lp), solve_lp(lp.to_sparse())
-    assert a == b
-    assert a.objective_value == pytest.approx(5.0)
+    assert solve_lp(sparse).objective_value == pytest.approx(5.0)
 
 
 @pytest.mark.parametrize(
@@ -212,12 +178,12 @@ def scipy_row_norms(a):
 def test_row_norms_equal_scipys():
     """The feasibility re-check's row norms, read from the CSR arrays, equal
     scipy's row maxima of |a| on matrices with empty rows, explicit zeros
-    and negative entries, from COO parts, dict rows and random fills."""
+    and negative entries, from COO parts and random dense fills."""
     rng = np.random.default_rng(0)
     matrices = [
         csr_matrix((3, 4)),
         csr_matrix(np.array([[0.0, -2.5], [0.0, 0.0], [1e-9, -1e9]])),
-        three_row_program().to_sparse().a_ub,
+        three_row_program().a_ub,
     ]
     for _ in range(40):
         rows, cols = rng.integers(1, 12, size=2)
@@ -227,15 +193,8 @@ def test_row_norms_equal_scipys():
             rng.choice([0.0, -1.0, 3.5, -0.25, 1e-12], size=nnz),
         )]
         matrices.append(srte.te._csr(parts, (rows, cols)))
-        lp = LinearProgram()
-        for j in range(cols):
-            lp.add_var(f"x{j}")
-        for r in range(rows):
-            lp.add_row(
-                {j: float(rng.normal()) for j in range(cols) if rng.random() < 0.3},
-                LE if r % 3 else GE, 0.0,
-            )
-        matrices.append(lp.to_sparse().a_ub)
+        dense = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < 0.3)
+        matrices.append(csr_matrix(dense))
     empty = explicit_zero = 0
     for a in matrices:
         got = srte.lp._row_norms(a)
@@ -262,20 +221,12 @@ def _direct_call_corpus():
         net, generate_gravity_demands(net, 100, 4502), srte.te.LU
     ).lp)
 
-    maximize = LinearProgram(maximize=True)
-    x = maximize.add_var("x", objective=2.0)
-    y = maximize.add_var("y", objective=1.0)
-    maximize.add_row({x: 1.0, y: 1.0}, LE, 4.0)
-    maximize.add_row({x: 1.0, y: -1.0}, LE, 1.0)
-    no_rows = LinearProgram()
-    no_rows.add_var("x", objective=1.0, lower=1.5, upper=3.0)
-    no_rows.add_var("y", objective=-1.0, upper=2.0)
-    infeasible = LinearProgram()
-    x = infeasible.add_var("x")
-    infeasible.add_row({x: 1.0}, LE, -1.0)
-    unbounded = LinearProgram(maximize=True)
-    x = unbounded.add_var("x", objective=1.0)
-    unbounded.add_row({x: 1.0}, GE, 1.0)
+    maximize = dense_lp(
+        [2.0, 1.0], ub=[([1.0, 1.0], 4.0), ([1.0, -1.0], 1.0)], maximize=True
+    )
+    no_rows = dense_lp([1.0, -1.0], lower=[1.5, 0.0], upper=[3.0, 2.0])
+    infeasible = dense_lp([0.0], ub=[([1.0], -1.0)])
+    unbounded = dense_lp([1.0], ub=[([-1.0], -1.0)], maximize=True)
     programs += [maximize, no_rows, infeasible, unbounded, three_row_program()]
     return programs
 
@@ -402,8 +353,7 @@ def _iterations(program, start_basis):
 
 
 def test_start_basis_of_the_wrong_size_is_rejected():
-    lp, *_ = split_lp()
-    sparse = lp.to_sparse()
+    sparse, *_ = split_lp()
     wrong = srte.lp.Basis(
         np.full(2, srte.lp.LOWER, dtype=np.int8),
         np.full(3, srte.lp.BASIC, dtype=np.int8),
@@ -415,8 +365,7 @@ def test_start_basis_of_the_wrong_size_is_rejected():
 def test_returned_basis_restarts_in_no_iterations():
     """The optimal basis a solve returns is a complete basis of the program:
     a solve started from it needs no simplex iteration."""
-    lp, theta, *_ = split_lp()
-    sparse = lp.to_sparse()
+    sparse, *_ = split_lp()
     sol = solve_lp(sparse, return_basis=True)
     assert sol.basis.cols.dtype == sol.basis.rows.dtype == np.int8
     assert len(sol.basis.cols) == sparse.num_vars

@@ -11,7 +11,7 @@ from scipy.sparse import lil_matrix
 
 import srte.oracles as oracles
 from srte.graph import FlowNetwork, TopologyError, random_digraph
-from srte.lp import LE, LinearProgram
+from srte.lp import EQ, LE
 from srte.oracles import (
     SizeCapExceededError,
     UndirectedEdge,
@@ -30,7 +30,7 @@ from srte.oracles import (
     undirected_swt_path_oracle,
 )
 
-from conftest import make_demands, make_net
+from conftest import RowLp, make_demands, make_net
 
 
 def counterexample_net():
@@ -361,7 +361,7 @@ class TestUndirected:
 def _dict_row_path_flow_lp(edge_groups, capacities, demand_caps=None):
     """The path-flow LP as it was built row by row before the shared
     incidence: reference for the array-for-array comparison."""
-    lp = LinearProgram(maximize=True)
+    lp = RowLp(maximize=True)
     path_vars = []
     per_edge = {}
     for gi, group in enumerate(edge_groups):
@@ -380,7 +380,76 @@ def _dict_row_path_flow_lp(edge_groups, capacities, demand_caps=None):
         for gvars, cap in zip(path_vars, demand_caps):
             if gvars:
                 lp.add_row({v: 1.0 for v in gvars}, LE, cap)
-    return lp.to_sparse()
+    return lp.sparse()
+
+
+def _dict_row_undirected_aux_lp(undirected, w, commodities):
+    """The undirected auxiliary LP as it was built row by row before the COO
+    assembly: reference for the array-for-array comparison."""
+    n = undirected.node_count
+    n_comm = len(commodities)
+    # Arc list: two per undirected edge, then (s_i, z_i), (t_i, z_i), (z_i, z).
+    arcs = []
+    arc_pairs = []  # (forward, backward) per undirected edge
+    for e in undirected.edges:
+        arcs.append((e.u, e.v, e.capacity))
+        arcs.append((e.v, e.u, e.capacity))
+        arc_pairs.append((len(arcs) - 2, len(arcs) - 1))
+    z_nodes = [n + i for i in range(n_comm)]
+    z_super = n + n_comm
+    collector_arcs = []  # (s_i arc, t_i arc) per commodity
+    for i, (s, t) in enumerate(commodities):
+        arcs.append((s, z_nodes[i], None))
+        arcs.append((t, z_nodes[i], None))
+        collector_arcs.append((len(arcs) - 2, len(arcs) - 1))
+        arcs.append((z_nodes[i], z_super, None))
+
+    lp = RowLp(maximize=True)
+    flow_vars = [
+        [lp.add_var(f"f[{i}:a{a}]") for a in range(len(arcs))]
+        for i in range(n_comm)
+    ]
+    for i in range(n_comm):
+        for j, (tail, head, _) in enumerate(arcs):
+            if head in z_nodes and head != z_nodes[i]:
+                lp.upper[flow_vars[i][j]] = 0.0
+            if tail in z_nodes and tail != z_nodes[i]:
+                lp.upper[flow_vars[i][j]] = 0.0
+    for i in range(n_comm):
+        for j, (tail, head, _) in enumerate(arcs):
+            if tail == w:
+                lp.objective[flow_vars[i][j]] += 1.0
+            if head == w:
+                lp.objective[flow_vars[i][j]] -= 1.0
+    for j, (_, _, cap) in enumerate(arcs):
+        if cap is not None:
+            lp.add_row(
+                {flow_vars[i][j]: 1.0 for i in range(n_comm)}, LE, float(cap)
+            )
+    for i in range(n_comm):
+        for u in range(n + n_comm):
+            if u == w:
+                continue
+            coeffs = {}
+            for j, (tail, head, _) in enumerate(arcs):
+                if tail == u:
+                    coeffs[flow_vars[i][j]] = coeffs.get(flow_vars[i][j], 0.0) + 1.0
+                if head == u:
+                    coeffs[flow_vars[i][j]] = coeffs.get(flow_vars[i][j], 0.0) - 1.0
+            if coeffs:
+                lp.add_row(coeffs, EQ, 0.0)
+    for i in range(n_comm):
+        for (fwd, bwd), e in zip(arc_pairs, undirected.edges):
+            lp.add_row(
+                {flow_vars[i][fwd]: 1.0, flow_vars[i][bwd]: 1.0},
+                LE,
+                float(e.capacity),
+            )
+    for i, (s_arc, t_arc) in enumerate(collector_arcs):
+        lp.add_row(
+            {flow_vars[i][s_arc]: 1.0, flow_vars[i][t_arc]: -1.0}, EQ, 0.0
+        )
+    return lp.sparse()
 
 
 def _old_undirected_walks(undirected, s, t, w):
@@ -534,6 +603,36 @@ class TestSharedIncidence:
             )
             walks += sum(map(len, expected))
         assert walks > 1000
+
+    def test_undirected_aux_lp_equals_dict_row_build(self):
+        """The auxiliary LP of undirected_max_swt, assembled from COO arrays,
+        equals the former row-by-row build array for array, so HiGHS gets
+        the same program: on the fixture networks (also without commodities)
+        and on 40 random ones with one to three commodities, isolated nodes
+        and isolated w among them."""
+        cases = [
+            (net, w, commodities)
+            for net in TestUndirected().fixture_nets()
+            for w, commodities in ((1, [(0, 2)]), (3, [(0, 2), (1, 2)]),
+                                   (2, [(0, 1), (3, 0), (1, 3)]), (0, []))
+        ]
+        rng = random.Random(11)
+        for _ in range(40):
+            net = _random_undirected(rng)
+            w = rng.randrange(net.node_count)
+            others = [v for v in range(net.node_count) if v != w]
+            count = rng.randint(1, 3)
+            cases.append((net, w, [tuple(rng.sample(others, 2)) for _ in range(count)]))
+        isolated = isolated_w = 0
+        for net, w, commodities in cases:
+            _assert_same_lp(
+                oracles._undirected_aux_lp(net, w, commodities),
+                _dict_row_undirected_aux_lp(net, w, commodities),
+            )
+            touched = {x for e in net.edges for x in (e.u, e.v)}
+            isolated += len(touched) < net.node_count
+            isolated_w += w not in touched
+        assert len(cases) == 48 and isolated >= 5 and isolated_w >= 1
 
     def test_undirected_oracle_rejects_parallel_edges_and_duplicate_names(self):
         parallel = UndirectedNetwork(

@@ -8,7 +8,7 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from srte.graph import Commodity, DemandMatrix, random_connected_digraph, random_digraph
-from srte.lp import EQ, GE, LE, LinearProgram, LpSolution, LpStatus, solve_lp
+from srte.lp import EQ, LE, LpSolution, LpStatus, solve_lp
 from srte.paths import ShortestPathCache
 from srte.te import (
     LU,
@@ -19,13 +19,12 @@ from srte.te import (
     build_mp_baseline,
     build_te_lu,
     build_te_mf,
-    enumerate_tunnels,
     solve_mp,
     solve_te,
     tunnels_for_middlepoints,
 )
 
-from conftest import enumerate_shortest_paths, make_demands, make_net
+from conftest import RowLp, enumerate_shortest_paths, make_demands, make_net
 
 
 def solve_lu(network, demands, middlepoints, m, single=False):
@@ -45,10 +44,16 @@ class TestTunnelEnumeration:
             names=("s", "m1", "m2", "t"),
         )
 
+    def tunnels(self, net, commodity, middlepoints, m, single=False):
+        """The tunnels of a one-commodity demand matrix."""
+        (tunnels,) = tunnels_for_middlepoints(
+            ShortestPathCache(net), DemandMatrix((commodity,)), middlepoints, m,
+            single,
+        )
+        return tunnels
+
     def test_two_middlepoints_m2_gives_five_tunnels(self):
-        net = self.line5()
-        cache = ShortestPathCache(net)
-        tunnels = enumerate_tunnels(cache, Commodity(0, 3, 1.0), 0, [1, 2], 2)
+        tunnels = self.tunnels(self.line5(), Commodity(0, 3, 1.0), [1, 2], 2)
         seqs = [t.waypoints for t in tunnels]
         assert seqs == [
             (0, 1, 2, 3),
@@ -59,24 +64,22 @@ class TestTunnelEnumeration:
         ]
 
     def test_single_middlepoint_flag_drops_direct_tunnel(self):
-        net = self.line5()
-        cache = ShortestPathCache(net)
-        tunnels = enumerate_tunnels(
-            cache, Commodity(0, 3, 1.0), 0, [1, 2], 2, single_middlepoint=True
+        tunnels = self.tunnels(
+            self.line5(), Commodity(0, 3, 1.0), [1, 2], 2, single=True
         )
         assert [t.waypoints for t in tunnels] == [(0, 1, 3), (0, 2, 3)]
 
     def test_endpoint_middlepoints_are_skipped(self):
-        net = self.line5()
-        cache = ShortestPathCache(net)
-        tunnels = enumerate_tunnels(cache, Commodity(0, 3, 1.0), 0, [0, 3], 1)
+        tunnels = self.tunnels(self.line5(), Commodity(0, 3, 1.0), [0, 3], 1)
         assert [t.waypoints for t in tunnels] == [(0, 3)]
+        # With m above the other middlepoints, no tunnel passes an endpoint.
+        tunnels = self.tunnels(self.line5(), Commodity(0, 3, 1.0), [0, 1, 3], 3)
+        assert [t.waypoints for t in tunnels] == [(0, 1, 3), (0, 3)]
 
     def test_unreachable_segments_prune_tunnels(self):
         # m cannot reach t, so (s, m, t) is not a tunnel.
         net = make_net([(0, 1, 1), (0, 2, 1)], names=("s", "m", "t"))
-        cache = ShortestPathCache(net)
-        tunnels = enumerate_tunnels(cache, Commodity(0, 2, 1.0), 0, [1], 1)
+        tunnels = self.tunnels(net, Commodity(0, 2, 1.0), [1], 1)
         assert [t.waypoints for t in tunnels] == [(0, 2)]
 
     def test_tunnel_segments(self):
@@ -170,7 +173,7 @@ class TestIndependentFormulation:
         sol = solve_te(build_te_lu(cache, demands, tunnels))
 
         edge_id = {(e.tail, e.head): i for i, e in enumerate(net.edges)}
-        lp = LinearProgram()
+        lp = RowLp()
         theta = lp.add_var("theta", objective=1.0)
         per_edge = {}
         per_commodity = [[] for _ in demands.commodities]
@@ -194,8 +197,8 @@ class TestIndependentFormulation:
             coeffs[theta] = -float(net.edges[eid].capacity)
             lp.add_row(coeffs, LE, 0.0)
         for i, c in enumerate(demands.commodities):
-            lp.add_row({v: 1.0 for v in per_commodity[i]}, GE, c.demand)
-        independent = solve_lp(lp)
+            lp.add_row({v: -1.0 for v in per_commodity[i]}, LE, -c.demand)
+        independent = solve_lp(lp.sparse())
         assert independent.status is LpStatus.OPTIMAL
         assert sol.theta == pytest.approx(independent.objective_value, abs=1e-7)
 
@@ -453,7 +456,7 @@ def dict_row_mp(network, demands, kind):
     """The MP baseline built independently as a row-form LP: per commodity
     its edge flows (and d[i] for MF), balance rows at every node but the sink
     (nodes without edges only at the source), then capacity rows."""
-    lp = LinearProgram(maximize=(kind == MF))
+    lp = RowLp(maximize=(kind == MF))
     theta = lp.add_var("theta", objective=1.0) if kind == LU else None
     flow = []
     for i, commodity in enumerate(demands.commodities):
@@ -516,7 +519,7 @@ class TestMpAssembly:
             net = random_connected_digraph(9, 24, 3, max_capacity=7)
             demands = DemandMatrix(())
         lp = build_mp_baseline(net, demands, kind).lp
-        expected = dict_row_mp(net, demands, kind).to_sparse()
+        expected = dict_row_mp(net, demands, kind).sparse()
         for block in ("a_ub", "a_eq"):
             got, want = getattr(lp, block), getattr(expected, block)
             assert got.shape == want.shape
@@ -568,6 +571,20 @@ def assert_same_program(got, want):
 
 
 class TestTunnelPool:
+    def test_width_is_at_most_the_node_count(self):
+        """A tunnel's middlepoints are distinct nodes, so the pool's padded
+        middlepoint rows are at most node_count wide whatever m is, and its
+        programs equal those of a pool with m = node_count."""
+        net = random_connected_digraph(6, 14, 1, max_capacity=4)
+        demands = make_demands((0, 5, 2), (3, 1, 1))
+        cache = ShortestPathCache(net)
+        huge = TunnelPool(cache, demands, 10**9)
+        assert huge._middlepoints.shape[1] <= net.node_count
+        exact = TunnelPool(cache, demands, net.node_count)
+        for mids in ((), (2,), (1, 2, 4), range(6)):
+            assert_same_program(huge.program(mids), exact.program(mids))
+        assert len(huge.tunnels) == len(exact.tunnels) > 100
+
     def test_slices_equal_fresh_builds(self):
         """Every set's pool program is build_te_lu over that set's tunnels,
         array for array, or raises the same NoTunnelError, and its MF slice
