@@ -148,12 +148,25 @@ def _run_method(
     )
 
 
+def _point_key(method: str, k: int, m: int, seed: int) -> tuple:
+    """The part of a run that its method reads: runs with one key select and
+    solve the same."""
+    if method == "mp-baseline":
+        return (method,)
+    if method == "all-nodes":
+        return (method, m)
+    if method == "random":
+        return (method, k, m, seed)
+    return (method, k, m)
+
+
 def _each_point(network, demands, args, runs, cache) -> Iterator[Outcome]:
-    """Every distinct sweep run selected on its own, a repeated run's outcome
-    yielded again; a point's selection error is yielded in its place."""
+    """Every distinct sweep run selected on its own, the outcome of a run
+    that differs from an earlier one only in what its method ignores yielded
+    again; a point's selection error is yielded in its place."""
     outcomes: dict[tuple, Outcome] = {}
     for _, *point in runs:
-        key = tuple(point)  # (method, k, m, seed)
+        key = _point_key(*point)
         if key not in outcomes:
             try:
                 outcomes[key] = _run_method(
@@ -414,6 +427,14 @@ _SUITES = {
 
 
 def cmd_oracle(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    # maxflow-mincut samples three distinct nodes (s, w, t), the others two.
+    least = 3 if args.suite == "maxflow-mincut" else 2
+    if args.nodes < least:
+        raise UsageError(
+            f"--nodes must be at least {least} for {args.suite}, got {args.nodes}"
+        )
     failures = _SUITES[args.suite](args)
     for line in failures:
         print(f"FAIL {line}", file=sys.stderr)

@@ -16,8 +16,8 @@ A ``TunnelPool`` serves a selection run that solves many middlepoint sets: it
 enumerates and loads each tunnel once, and each set's program is a column
 slice of it, identical to the program built for that set alone, cut straight
 into CSR arrays. A ``WarmStart`` turns the optimal basis of one LU slice into
-a start basis for the slices of its supersets, gathered by the pool's stable
-column ids.
+a start basis for the slices of its supersets, gathered by pool column: the
+pool only appends, so a column never moves.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ def _routable_tunnels(
     sequences: Sequence[tuple[int, ...]],
 ) -> list[list[Tunnel]]:
     """Each commodity's tunnels through those middlepoint sequences that
-    avoid its endpoints and whose segments are all reachable, sorted by
-    waypoint tuple."""
+    avoid its endpoints and whose segments are all reachable, in sequence
+    order."""
     groups = []
     for i, c in enumerate(demands.commodities):
         s, t = c.source, c.sink
@@ -88,7 +88,6 @@ def _routable_tunnels(
             waypoints = (s, *seq, t)
             if all(cache.reachable(a, b) for a, b in zip(waypoints, waypoints[1:])):
                 tunnels.append(Tunnel(i, waypoints))
-        tunnels.sort(key=lambda tun: tun.waypoints)
         groups.append(tunnels)
     return groups
 
@@ -113,9 +112,12 @@ def tunnels_for_middlepoints(
         (1,) if single_middlepoint
         else range(min(max_middlepoints, len(mids)) + 1)
     )
-    return _routable_tunnels(cache, demands, [
+    groups = _routable_tunnels(cache, demands, [
         seq for size in sizes for seq in itertools.permutations(mids, size)
     ])
+    for tunnels in groups:
+        tunnels.sort(key=lambda tun: tun.waypoints)
+    return groups
 
 
 @dataclass
@@ -136,7 +138,8 @@ class TeProgram:
     first_tunnel_var: int
     loads: csr_matrix
     capacities: np.ndarray
-    ids: Optional[np.ndarray] = None  # a pool slice's tunnels' pool ids
+    commodity: Optional[np.ndarray] = None  # each tunnel's commodity; None in MP
+    ids: Optional[np.ndarray] = None  # a pool slice's tunnels' pool columns
 
 
 @dataclass(eq=False)
@@ -304,7 +307,7 @@ def _tunnel_program(
     ``commodity`` holds each tunnel's commodity; the loads of tunnel j are
     the next ``sizes[j]`` entries of ``edge_rows`` and ``loads``, on distinct
     edges. The entries come column by column, so every matrix is cut
-    straight into CSR arrays. ``ids`` are the tunnels' pool ids, if any.
+    straight into CSR arrays. ``ids`` are the tunnels' pool columns, if any.
     """
     volume = np.array([c.demand for c in demands.commodities], dtype=float)
     if kind == LU:
@@ -361,7 +364,8 @@ def _tunnel_program(
         ]),
     )
     return TeProgram(
-        kind, lp, network, demands, tunnels, first, load_matrix, capacities, ids
+        kind, lp, network, demands, tunnels, first, load_matrix, capacities,
+        commodity, ids,
     )
 
 
@@ -386,13 +390,14 @@ def build_te_mf(
 class TunnelPool:
     """The tunnels of many middlepoint sets, each enumerated and loaded once.
 
-    The pool holds every tunnel of each set it has covered, in (commodity,
-    waypoints) order, with its load column. A covered set's program is
-    assembled from the pool columns whose middlepoints all lie in the set, in
-    pool order: array for array the program ``build_te_lu`` or
-    ``build_te_mf`` builds from ``tunnels_for_middlepoints`` for that set. A
-    selection run covers its sets (or each round's) at once, so the pool is
-    sorted once per batch and never holds a tunnel no set uses.
+    The pool holds every tunnel of each set it has covered, with its load
+    column, and only appends: a column's position is its identity for the
+    life of the pool. A covered set's program is assembled from the pool
+    columns whose middlepoints all lie in the set, in (commodity, waypoints)
+    order: array for array the program ``build_te_lu`` or ``build_te_mf``
+    builds from ``tunnels_for_middlepoints`` for that set. A selection run
+    covers its sets (or each round's) at once, so the pool never holds a
+    tunnel no set uses.
     """
 
     def __init__(
@@ -412,12 +417,11 @@ class TunnelPool:
         self._ptr = np.zeros(1, dtype=np.intp)
         self._edge_rows = np.zeros(0, dtype=np.intp)
         self._loads = np.zeros(0)
-        # Each column's id: its number in the order the pool enumerated it,
-        # which the pool's re-sorts do not change.
-        self._ids = np.zeros(0, dtype=np.intp)
+        # The columns in (commodity, waypoints) order.
+        self._order = np.zeros(0, dtype=np.intp)
 
     def cover(self, sets: Iterable[Iterable[int]]) -> None:
-        """Add the tunnels of the given middlepoint sets that are missing.
+        """Append the tunnels of the given middlepoint sets that are missing.
 
         A tunnel belongs to every set that contains its middlepoints, so the
         pool tracks which sets of <= max_middlepoints middlepoints it holds
@@ -439,51 +443,33 @@ class TunnelPool:
             for tun in group
         ]
         edge_rows, sizes, loads = _tunnel_loads(self.cache, fresh)
-        width = self._middlepoints.shape[1]
-        pad = (self.cache.network.node_count,) * width
-
-        tunnels = self.tunnels + fresh
-        commodity = np.concatenate((
-            self._commodity, np.array([tun.commodity for tun in fresh], dtype=np.intp)
-        ))
-        middlepoints = np.concatenate((
-            self._middlepoints,
-            np.array(
-                [(tun.middlepoints + pad)[:width] for tun in fresh], dtype=np.intp
-            ).reshape(len(fresh), width),
-        ))
-        ptr = np.concatenate(
-            (self._ptr, self._ptr[-1] + np.cumsum(np.array(sizes, dtype=np.intp)))
+        node_count, width = self.cache.network.node_count, self._middlepoints.shape[1]
+        pad = (node_count,) * width
+        self.tunnels += fresh
+        self._commodity = _appended(self._commodity, [tun.commodity for tun in fresh])
+        self._middlepoints = _appended(
+            self._middlepoints, [(tun.middlepoints + pad)[:width] for tun in fresh]
         )
-        edge_rows = np.concatenate(
-            (self._edge_rows, np.array(edge_rows, dtype=np.intp))
+        self._ptr = _appended(self._ptr, self._ptr[-1] + np.cumsum(sizes, dtype=np.intp))
+        self._edge_rows = _appended(self._edge_rows, edge_rows)
+        self._loads = _appended(self._loads, loads)
+        # Padded with its sink, which is never a middlepoint, a column's
+        # middlepoints sort as its waypoints do.
+        sinks = np.array([c.sink for c in self.demands.commodities], dtype=np.intp)
+        key = np.where(
+            self._middlepoints == node_count,
+            sinks[self._commodity, None], self._middlepoints,
         )
-        loads = np.concatenate((self._loads, np.array(loads, dtype=float)))
-        ids = np.arange(len(tunnels))
-        ids[:len(self._ids)] = self._ids
-        order = np.array(
-            sorted(
-                range(len(tunnels)),
-                key=lambda j: (tunnels[j].commodity, tunnels[j].waypoints),
-            ),
-            dtype=np.intp,
-        )
-        positions, sizes = _gather(ptr, order)
-        self.tunnels = [tunnels[j] for j in order]
-        self._commodity = commodity[order]
-        self._middlepoints = middlepoints[order]
-        self._ptr = np.concatenate(([0], np.cumsum(sizes)))
-        self._edge_rows = edge_rows[positions]
-        self._loads = loads[positions]
-        self._ids = ids[order]
+        self._order = np.lexsort((*key.T[::-1], self._commodity))
         self._covered |= fresh_sets
 
     def _columns(self, middlepoints: Iterable[int]) -> np.ndarray:
-        """The pool columns whose middlepoints all lie in the set, in order."""
+        """The pool columns whose middlepoints all lie in the set, in
+        (commodity, waypoints) order."""
         inside = np.zeros(self.cache.network.node_count + 1, dtype=bool)
         inside[list(middlepoints)] = True
         inside[-1] = True  # the padding
-        return np.flatnonzero(inside[self._middlepoints].all(axis=1))
+        return self._order[inside[self._middlepoints].all(axis=1)[self._order]]
 
     def program(self, middlepoints: Iterable[int], kind: str = LU) -> TeProgram:
         """The TE program (LU or MF) of one middlepoint set, covered first if
@@ -495,8 +481,7 @@ class TunnelPool:
         return _tunnel_program(
             kind, self.cache.network, self.demands,
             [self.tunnels[j] for j in keep], self._commodity[keep],
-            self._edge_rows[positions], sizes, self._loads[positions],
-            self._ids[keep],
+            self._edge_rows[positions], sizes, self._loads[positions], keep,
         )
 
 
@@ -514,21 +499,25 @@ class WarmStart:
 
     def __init__(self, pool: TunnelPool, middlepoints: Iterable[int], basis: Basis):
         """``basis`` is optimal for the pool's LU slice of ``middlepoints``."""
-        # The pool sorts all of its columns by one key, so the solved slice's
-        # columns are still in the order of its basis.
-        ids = pool._ids[pool._columns(middlepoints)]
-        first = len(basis.cols) - len(ids)
+        columns = pool._columns(middlepoints)  # in the order of the basis
+        first = len(basis.cols) - len(columns)
         self._theta, self._rows = basis.cols[:first], basis.rows
-        # The status of each column of the pool as it is now, by pool id.
-        self._by_id = np.full(len(pool._ids), LOWER, dtype=np.int8)
-        self._by_id[ids] = basis.cols[first:]
+        # The status of each column the pool held when this start was made.
+        self._by_column = np.full(len(pool.tunnels), LOWER, dtype=np.int8)
+        self._by_column[columns] = basis.cols[first:]
 
     def basis(self, program: TeProgram) -> Basis:
-        """The start basis of an LU slice of the pool as it was when this
-        warm start was made."""
+        """The start basis of an LU slice of the pool's columns as they were
+        when this warm start was made."""
         return Basis(
-            np.concatenate((self._theta, self._by_id[program.ids])), self._rows
+            np.concatenate((self._theta, self._by_column[program.ids])), self._rows
         )
+
+
+def _appended(array: np.ndarray, rows: Sequence) -> np.ndarray:
+    """``array`` with ``rows`` appended, in its dtype."""
+    rows = np.array(rows, dtype=array.dtype).reshape(len(rows), *array.shape[1:])
+    return np.concatenate((array, rows))
 
 
 def _gather(ptr: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -537,6 +526,43 @@ def _gather(ptr: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarra
     sizes = ptr[columns + 1] - ptr[columns]
     starts = np.cumsum(sizes) - sizes
     return np.repeat(ptr[columns] - starts, sizes) + np.arange(sizes.sum()), sizes
+
+
+def _met_flows(
+    program: TeProgram, assignment: tuple[float, ...], flows: np.ndarray
+) -> np.ndarray:
+    """The flow variables of an LU solution, checked against the demands.
+
+    LU demand rows are >=, so a commodity may get more flow than it demands
+    where the extra binds no edge at theta; its tunnel flows are scaled down
+    to the demand, so the utilizations are those of the routing the split
+    ratios describe. HiGHS's absolute tolerance lets a tiny demand go
+    unserved, so a positive demand delivered less than (1 - UTILIZATION_TOL)
+    of it raises ArithmeticError.
+    """
+    commodities = program.demands.commodities
+    volume = np.array([c.demand for c in commodities], dtype=float)
+    if program.commodity is None:
+        # MP: the = rows with a right side are the positive demands' source
+        # balances, commodity by commodity.
+        delivered = np.zeros(len(volume))
+        lp = program.lp
+        delivered[volume > 0] = (lp.a_eq @ np.array(assignment))[lp.b_eq != 0]
+    else:
+        delivered = np.bincount(program.commodity, flows, minlength=len(volume))
+        over = delivered > volume * (1 + UTILIZATION_TOL)
+        if over.any():
+            scale = np.ones(len(volume))
+            scale[over] = volume[over] / delivered[over]
+            flows = flows * scale[program.commodity]
+    short = np.flatnonzero(delivered < volume * (1 - UTILIZATION_TOL))
+    if short.size:
+        c, names = commodities[short[0]], program.network.node_names
+        raise ArithmeticError(
+            f"demand {names[c.source]} -> {names[c.sink]} of {c.demand:.9g} "
+            f"is delivered only {delivered[short[0]]:.9g}"
+        )
+    return flows
 
 
 def solve_te(
@@ -557,13 +583,14 @@ def solve_te(
     if sol.status is not LpStatus.OPTIMAL:
         return result
 
-    first = program.first_tunnel_var
+    flows = np.array(sol.assignment[program.first_tunnel_var:], dtype=float)
+    if program.kind == LU:
+        flows = _met_flows(program, sol.assignment, flows)
     result.tunnels = program.tunnels
-    result.flows = sol.assignment[first:first + len(program.tunnels)]
+    result.flows = flows[:len(program.tunnels)].tolist()
     # Each row of the load matrix lists its tunnels in order, so every edge's
     # load is summed in tunnel order.
-    load = program.loads @ np.array(sol.assignment[first:], dtype=float)
-    result.utilization = load / program.capacities
+    result.utilization = (program.loads @ flows) / program.capacities
 
     if program.kind == LU:
         result.theta = sol.objective_value

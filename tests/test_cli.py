@@ -5,14 +5,28 @@ import io
 import json
 import pathlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import srte.cli
 from srte.centrality import group_betweenness
 from srte.cli import SELECTION_METHODS, main
-from srte.graph import Commodity, DemandMatrix, parse_topology, random_digraph
+from srte.graph import (
+    Commodity,
+    DemandMatrix,
+    generate_gravity_demands,
+    parse_demands,
+    parse_topology,
+    random_connected_digraph,
+    random_digraph,
+    serialize_topology,
+)
 from srte.oracles import group_flow
+from srte.paths import ShortestPathCache
+
+from conftest import enumerate_shortest_paths
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -22,6 +36,43 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def rebuilt_utilization(network, demands, doc, segment_loads):
+    """Each edge's utilization rebuilt from a solve's printed split ratios:
+    the sum of demand x ratio x the load that one unit sent over each tunnel
+    segment (a, b) puts on the edge, ``segment_loads(a, b)[edge id]``."""
+    index = {name: v for v, name in enumerate(network.node_names)}
+    volume = {(c.source, c.sink): c.demand for c in demands.commodities}
+    load = np.zeros(network.edge_count)
+    for pair, tunnels in doc["split_ratios"].items():
+        commodity = tuple(index[name] for name in pair.split("->"))
+        for label, ratio in tunnels.items():
+            waypoints = [index[name] for name in label[len("tunnel("):-1].split(",")]
+            for a, b in zip(waypoints, waypoints[1:]):
+                for eid, share in segment_loads(a, b).items():
+                    load[eid] += volume[commodity] * ratio * share
+    names = network.node_names
+    return {
+        f"{names[e.tail]}->{names[e.head]}": load[eid] / float(e.capacity)
+        for eid, e in enumerate(network.edges)
+    }
+
+
+def oracle_segment_loads(network):
+    """A segment's per-edge loads: the share of its shortest paths, found by
+    exhaustive enumeration, that use the edge (no parallel edges)."""
+    edge_of = {(e.tail, e.head): eid for eid, e in enumerate(network.edges)}
+
+    def loads(a, b):
+        _, paths = enumerate_shortest_paths(network, a, b)
+        uses = {}
+        for path in paths:
+            for u, v in zip(path, path[1:]):
+                uses[edge_of[u, v]] = uses.get(edge_of[u, v], 0) + 1
+        return {eid: count / len(paths) for eid, count in uses.items()}
+
+    return loads
 
 
 class TestSolve:
@@ -210,6 +261,62 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["theta"] > 0
 
+    @pytest.mark.parametrize(
+        "method", [("gsp", "--k", "3"), ("greedy", "--k", "4")]
+    )
+    def test_utilizations_follow_the_split_ratios(self, capsys, tmp_path, method):
+        """LU demand rows are >=, and HiGHS over-delivers some commodities of
+        this benchmark-tier instance (n=30, topology seed 4000, demand seed
+        4500) on edges that do not bind theta; the printed utilizations are
+        those of routing each demand by the printed split ratios."""
+        net = random_connected_digraph(30, 120, 4000, max_capacity=10)
+        demands = generate_gravity_demands(net, 100, 4500)
+        topo, dem = tmp_path / "t.topo", tmp_path / "t.dem"
+        topo.write_text(serialize_topology(net))
+        dem.write_text("".join(
+            f"DEMAND {net.node_names[c.source]} {net.node_names[c.sink]} "
+            f"{c.demand!r}\n" for c in demands.commodities
+        ))
+        code, out, _ = run(
+            capsys, "solve", "--topology", topo, "--demands", dem,
+            "--method", *method,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        parsed = parse_topology(topo.read_text())
+        cache = ShortestPathCache(parsed)
+
+        def segment_loads(a, b):
+            segment = cache.fractions(a, b)
+            return dict(zip(segment.counts, segment.loads))
+
+        rebuilt = rebuilt_utilization(
+            parsed, parse_demands(dem.read_text()).bind(parsed), doc, segment_loads
+        )
+        assert doc["edge_utilization"].keys() == rebuilt.keys()
+        for edge, util in doc["edge_utilization"].items():
+            assert util == pytest.approx(rebuilt[edge], rel=0, abs=1e-9)
+        assert max(rebuilt.values()) == pytest.approx(doc["theta"], rel=1e-12)
+
+    @pytest.mark.parametrize("method", ["gsp", "mp-baseline", "greedy"])
+    def test_tiny_demands_are_refused(self, capsys, method):
+        """HiGHS's absolute tolerance lets zero flow meet demands of 1e-8:
+        instead of theta 0 such a solve is one error line and exit 2, and
+        demands of 1e-6 still scale theta."""
+        inputs = (
+            "solve", "--topology", DATA / "net10.topo",
+            "--demands", DATA / "net10.dem", "--method", method,
+        )
+        for scale in ("1e-8", "1e-9"):
+            code, out, err = run(capsys, *inputs, "--scale", scale)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: demand ") and len(err.splitlines()) == 1
+        code, out, _ = run(capsys, *inputs)
+        theta = json.loads(out)["theta"]
+        code, out, _ = run(capsys, *inputs, "--scale", "1e-6")
+        assert code == 0
+        assert json.loads(out)["theta"] == pytest.approx(1e-6 * theta, rel=1e-6)
+
 
 class TestSweep:
     def test_golden_methods_sweep(self, capsys):
@@ -266,6 +373,42 @@ class TestSweep:
         rows = out.strip().splitlines()[1:]
         assert len(rows) == 2
         assert all(r.split(",")[1] == "error" for r in rows)
+
+    @pytest.mark.parametrize(
+        "name, axis, solves",
+        [
+            ("solve_with_middlepoints",
+             ("--method", "all-nodes", "--sweep-k", "1:6"), 1),
+            ("solve_mp", ("--method", "mp-baseline", "--sweep-m", "0:3"), 1),
+            ("centrality_select", ("--sweep-methods", "gsp:1,gsp:2"), 1),
+            ("centrality_select",
+             ("--sweep-methods", "random:1,random:2,random:1"), 2),
+        ],
+    )
+    def test_points_differing_only_in_what_the_method_ignores_solve_once(
+        self, capsys, monkeypatch, name, axis, solves
+    ):
+        """all-nodes ignores k, mp-baseline k and m, and every method but
+        random the seed; each row is the row of its point swept alone."""
+        calls = []
+        real = getattr(srte.cli, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        inputs = (
+            "sweep", "--topology", DATA / "net10.topo",
+            "--demands", DATA / "net10.dem", *axis[:-1],
+        )
+        monkeypatch.setattr(srte.cli, name, counted)
+        code, out, _ = run(capsys, *inputs, axis[-1])
+        assert code == 0 and len(calls) == solves
+        monkeypatch.undo()
+        header, *rows = out.splitlines()
+        for row in rows:
+            alone = run(capsys, *inputs, row.split(",")[0])
+            assert alone == (0, f"{header}\n{row}\n", "")
 
 
 class TestCentrality:
@@ -576,7 +719,10 @@ def test_every_input_exits_0_1_or_2_and_exit_0_re_verifies(
     tmp_path_factory, run_spec
 ):
     """Arbitrary EDGE/DEMAND streams never raise out of ``main``; a solve
-    that exits 0 prints a solution whose theta or ratio its loads confirm."""
+    that exits 0 prints a solution whose theta or ratio its loads confirm,
+    and a tunnel LU solution's utilizations are those of routing each demand
+    by its printed split ratios over the shortest paths that exhaustive
+    enumeration finds."""
     topology, demands, command, options = run_spec
     work = tmp_path_factory.getbasetemp()
     (work / "prop.topo").write_text(topology)
@@ -598,6 +744,14 @@ def test_every_input_exits_0_1_or_2_and_exit_0_re_verifies(
         assert doc["theta"] == pytest.approx(
             max(utilization, default=0.0), abs=1e-6
         )
+        if "mp-baseline" in options:  # the arc-flow MP prints no tunnels
+            return
+        network = parse_topology(topology)
+        rebuilt = rebuilt_utilization(
+            network, parse_demands(demands).bind(network), doc,
+            oracle_segment_loads(network),
+        )
+        assert doc["edge_utilization"] == pytest.approx(rebuilt, rel=1e-9, abs=1e-12)
     else:
         assert 0 <= doc["satisfaction_ratio"] <= 1
         assert all(u <= 1 + 1e-6 for u in utilization)
@@ -670,6 +824,30 @@ class TestOracleSuites:
         assert code == 2
         assert out == "maxflow-mincut,30,1,fail\n"
         assert "trial 18" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("lemma1", "--trials", "-3"), "--trials must be at least 1, got -3"),
+            (("submodularity", "--trials", "0"), "--trials must be at least 1, got 0"),
+            (("maxflow-mincut", "--nodes", "2"),
+             "--nodes must be at least 3 for maxflow-mincut, got 2"),
+            (("submodularity", "--nodes", "1"),
+             "--nodes must be at least 2 for submodularity, got 1"),
+            (("lemma1", "--nodes", "-4"), "--nodes must be at least 2 for lemma1, got -4"),
+        ],
+    )
+    def test_bad_sizes_are_usage_errors(self, capsys, argv, message):
+        assert run(capsys, "oracle", *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "suite, nodes", [("maxflow-mincut", 3), ("submodularity", 2), ("lemma1", 2)]
+    )
+    def test_least_sizes_run(self, capsys, suite, nodes):
+        code, out, _ = run(
+            capsys, "oracle", suite, "--nodes", nodes, "--trials", "1",
+        )
+        assert (code, out) == (0, f"{suite},1,0,pass\n")
 
     def test_maxflow_mincut_small_run_passes(self, capsys):
         code, out, _ = run(

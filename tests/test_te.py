@@ -638,3 +638,43 @@ class TestTunnelPool:
                 }
                 assert len(pool.tunnels) == len(held) and set(pool.tunnels) == held
         assert all(seen.values()), seen
+
+    def test_cover_only_appends(self):
+        """A cover leaves the first entries of every pool array as they were,
+        and a slice taken before later covers equals the same slice taken
+        after them, array for array, its pool columns included."""
+        net = random_connected_digraph(9, 24, 11, max_capacity=4)
+        demands = make_demands((0, 8, 2), (3, 1, 1), (5, 2, 0), (7, 4, 1.5))
+        pool = TunnelPool(ShortestPathCache(net), demands, 2)
+        names = ("_commodity", "_middlepoints", "_ptr", "_edge_rows", "_loads")
+        slices = []
+        for batch in ([(1,)], [(2, 6)], [(1, 4), (0, 3, 6)], [range(9)]):
+            held = (list(pool.tunnels), *(getattr(pool, n).copy() for n in names))
+            pool.cover(batch)
+            assert len(pool.tunnels) > len(held[0])
+            assert pool.tunnels[:len(held[0])] == held[0]
+            for name, old in zip(names, held[1:]):
+                new = getattr(pool, name)
+                assert new.dtype == old.dtype and np.array_equal(new[:len(old)], old)
+            slices.append((batch[0], pool.program(batch[0])))
+        for mids, old in slices:
+            new = pool.program(mids)
+            assert_same_program(new, old)
+            assert np.array_equal(new.ids, old.ids)
+
+    def test_order_is_the_commodity_waypoints_sort(self):
+        """The lexsort of the sink-padded middlepoints is the (commodity,
+        waypoints) order of the tunnels, whatever order they were appended
+        in."""
+        net = random_connected_digraph(7, 20, 3, max_capacity=4)
+        demands = make_demands((0, 6, 1), (6, 0, 2), (2, 5, 1), (4, 1, 1))
+        for m in range(4):
+            pool = TunnelPool(ShortestPathCache(net), demands, m)
+            for batch in ([(3,)], [(0, 5)], [(1, 2, 4)], [range(7)]):
+                pool.cover(batch)
+                tunnels = pool.tunnels
+                want = sorted(
+                    range(len(tunnels)),
+                    key=lambda j: (tunnels[j].commodity, tunnels[j].waypoints),
+                )
+                assert pool._order.tolist() == want
