@@ -104,12 +104,16 @@ def _check_point(network: FlowNetwork, args, method: str, k: int, m: int) -> Non
         raise UsageError(f"k must be in [1, {network.node_count}], got {k}")
     if m < 0:
         raise UsageError(f"m must be non-negative, got {m}")
+    if args.budget < 0:
+        raise UsageError(f"--budget must be non-negative, got {args.budget}")
     if method in ("optimal", "greedy") and args.objective != LU:
         raise UsageError(f"--method {method} supports only --objective lu")
     if args.single_middlepoint and method != "all-nodes":
         raise UsageError(
             f"--single-middlepoint applies only to --method all-nodes, not {method}"
         )
+    if args.single_middlepoint and m == 0:
+        raise UsageError("--single-middlepoint needs --m of at least 1")
     if args.weighted and method not in ("sp", "gsp", "degree"):
         raise UsageError(
             f"--weighted applies only to --method sp, gsp or degree, not {method}"
@@ -148,13 +152,16 @@ def _run_method(
     )
 
 
-def _point_key(method: str, k: int, m: int, seed: int) -> tuple:
+def _point_key(
+    method: str, k: int, m: int, seed: int, single_middlepoint: bool
+) -> tuple:
     """The part of a run that its method reads: runs with one key select and
     solve the same."""
     if method == "mp-baseline":
         return (method,)
     if method == "all-nodes":
-        return (method, m)
+        # A single middlepoint per tunnel whatever m is.
+        return (method,) if single_middlepoint else (method, m)
     if method == "random":
         return (method, k, m, seed)
     return (method, k, m)
@@ -163,16 +170,16 @@ def _point_key(method: str, k: int, m: int, seed: int) -> tuple:
 def _each_point(network, demands, args, runs, cache) -> Iterator[Outcome]:
     """Every distinct sweep run selected on its own, the outcome of a run
     that differs from an earlier one only in what its method ignores yielded
-    again; a point's selection error is yielded in its place."""
+    again; a point's selection or solve error is yielded in its place."""
     outcomes: dict[tuple, Outcome] = {}
     for _, *point in runs:
-        key = _point_key(*point)
+        key = _point_key(*point, args.single_middlepoint)
         if key not in outcomes:
             try:
                 outcomes[key] = _run_method(
                     network, demands, args, *point, cache
                 )
-            except (NoTunnelError, BudgetExceededError) as exc:
+            except (NoTunnelError, BudgetExceededError, ArithmeticError) as exc:
                 outcomes[key] = exc
         yield outcomes[key]
 

@@ -3,11 +3,11 @@ all TE modules.
 
 Every program is one ``SparseLp``: an objective, column bounds and a ``<=``
 and an ``=`` block of CSR rows, which each builder assembles from COO arrays.
-It goes straight to the HiGHS solver vendored in scipy, with the options and
-the input and result checks of scipy's ``linprog(method="highs")`` but none of
-its conversions. HiGHS is deterministic for identical input and handles the
-degenerate, equal-capacity instances common in TE without cycling. Every
-returned point is re-checked against the rows.
+``linprog`` hands it as it is to the HiGHS solver vendored in scipy, with the
+options and the input and result checks of scipy's ``linprog(method="highs")``,
+and returns srte's own ``LpSolution``. HiGHS is deterministic for identical
+input and handles the degenerate, equal-capacity instances common in TE
+without cycling. Every returned point is re-checked against the rows.
 
 A solve can also start from a given simplex ``Basis`` (one HiGHS status code
 per column and row), which skips presolve and runs the primal simplex, and
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import OptimizeResult
 from scipy.optimize._highspy import _core as highs
 from scipy.sparse import csr_matrix, vstack
 
@@ -95,15 +94,19 @@ class Basis:
     rows: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
+    """A solve's status, its iteration count and, when optimal, its objective
+    value in the program's own sense and point ``x`` (else NaN and empty)."""
+
     status: LpStatus
     objective_value: float
-    assignment: tuple[float, ...]
+    x: np.ndarray
     basis: Optional[Basis] = None  # the optimal basis, when asked for
+    nit: int = 0
 
     def __getitem__(self, var: int) -> float:
-        return self.assignment[var]
+        return float(self.x[var])
 
 
 def _row_norms(a: csr_matrix) -> np.ndarray:
@@ -148,13 +151,12 @@ _WARM_OPTIONS.simplex_strategy = (
 _WARM_OPTIONS.highs_debug_level = _OPTIONS.highs_debug_level
 _WARM_OPTIONS.output_flag = _WARM_OPTIONS.log_to_console = False
 
-_INF = highs.kHighsInf
-# linprog's status codes: 0 optimal, 2 infeasible, 3 unbounded, 4 failed.
+# The model statuses scipy's linprog reports as a result; any other fails.
 _STATUS = {
-    highs.HighsModelStatus.kOptimal: 0,
-    highs.HighsModelStatus.kInfeasible: 2,
-    highs.HighsModelStatus.kModelError: 2,
-    highs.HighsModelStatus.kUnbounded: 3,
+    highs.HighsModelStatus.kOptimal: LpStatus.OPTIMAL,
+    highs.HighsModelStatus.kInfeasible: LpStatus.INFEASIBLE,
+    highs.HighsModelStatus.kModelError: LpStatus.INFEASIBLE,
+    highs.HighsModelStatus.kUnbounded: LpStatus.UNBOUNDED,
 }
 # linprog's result check tolerance: 10 * sqrt of its default tol of 1e-9.
 _RESULT_TOL = 10 * np.sqrt(1e-9)
@@ -184,96 +186,88 @@ def _from_highs(basis: highs.HighsBasis) -> Basis:
 
 
 def linprog(
-    c: np.ndarray,
-    A_ub: csr_matrix,
-    b_ub: np.ndarray,
-    A_eq: csr_matrix,
-    b_eq: np.ndarray,
-    bounds: np.ndarray,
+    lp: SparseLp,
     start_basis: Optional[Basis] = None,
     return_basis: bool = False,
-) -> OptimizeResult:
-    """Minimize ``c @ x`` subject to ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``
-    and ``bounds[:, 0] <= x <= bounds[:, 1]`` in one fresh HiGHS solver.
-
-    Takes the arguments of scipy's ``linprog`` (CSR blocks, either may have no
-    rows; an (n, 2) bounds array) and returns its ``status``, ``message``,
-    ``x``, ``fun`` and ``nit``, after its input checks and its result check.
+) -> LpSolution:
+    """Solve the program in one fresh HiGHS solver, as scipy's
+    ``linprog(method="highs")`` does: the same options, input and result
+    checks (NaN bounds are rejected too), statuses, and a maximization solved
+    as the minimization of the negated objective. A solve HiGHS does not
+    finish, or whose point fails the result check, raises ``ArithmeticError``.
     The rows are passed row-wise as they are; only a program with both blocks
     is stacked (rows: the ``<=`` rows, then the ``=`` rows).
 
     With a ``start_basis`` (one status per column and row, as many basic as
     there are rows) the simplex starts from it, without presolve; HiGHS
     rejecting it raises ``ValueError``. With ``return_basis`` an optimal
-    result also holds its final ``basis``, read only then since reading it
+    solution also holds its final ``basis``, read only then since reading it
     costs about as much as setting one.
     """
     for name, values in (
-        ("c", c), ("A_ub", A_ub.data), ("b_ub", b_ub),
-        ("A_eq", A_eq.data), ("b_eq", b_eq),
+        ("objective", lp.objective), ("a_ub", lp.a_ub.data), ("b_ub", lp.b_ub),
+        ("a_eq", lp.a_eq.data), ("b_eq", lp.b_eq),
     ):
         if not np.isfinite(values).all():
             raise ValueError(
                 f"Invalid input for linprog: {name} must not contain values "
                 "inf, nan, or None"
             )
-    if not A_eq.shape[0]:
-        a = A_ub
-    elif not A_ub.shape[0]:
-        a = A_eq
+    if np.isnan(lp.lower).any() or np.isnan(lp.upper).any():
+        raise ValueError("Invalid input for linprog: bounds must not contain nan")
+    if not lp.a_eq.shape[0]:
+        a = lp.a_ub
+    elif not lp.a_ub.shape[0]:
+        a = lp.a_eq
     else:
-        a = vstack((A_ub, A_eq), format="csr")
-    row_lower = np.concatenate((np.full(len(b_ub), -_INF), b_eq))
-    row_upper = np.concatenate((b_ub, b_eq))
-    lower = np.nan_to_num(bounds[:, 0], nan=-_INF, posinf=_INF, neginf=-_INF)
-    upper = np.nan_to_num(bounds[:, 1], nan=_INF, posinf=_INF, neginf=-_INF)
+        a = vstack((lp.a_ub, lp.a_eq), format="csr")
+    row_lower = np.concatenate((np.full(len(lp.b_ub), -highs.kHighsInf), lp.b_eq))
+    row_upper = np.concatenate((lp.b_ub, lp.b_eq))
+    c = -lp.objective if lp.maximize else lp.objective
 
     solver = highs._Highs()
     solver.passOptions(_OPTIONS if start_basis is None else _WARM_OPTIONS)
     loaded = solver.passModel(
         len(c), len(row_upper), int(a.indptr[-1]),
         int(highs.MatrixFormat.kRowwise), int(highs.ObjSense.kMinimize), 0.0,
-        c, lower, upper, row_lower, row_upper, a.indptr, a.indices, a.data,
+        c, lp.lower, lp.upper, row_lower, row_upper, a.indptr, a.indices, a.data,
         np.zeros(len(c), dtype=np.int32),  # every column continuous
     )
     if loaded == highs.HighsStatus.kError:
-        model_status = highs.HighsModelStatus.kModelError
-        status, nit = 2, 0
-    else:
-        if start_basis is not None and (
-            solver.setBasis(_to_highs(start_basis)) == highs.HighsStatus.kError
-        ):
-            raise ValueError("HiGHS rejected the start basis")
-        ran = solver.run() != highs.HighsStatus.kError
-        model_status = solver.getModelStatus()
-        status = _STATUS.get(model_status, 4) if ran else 4
-        info = solver.getInfo()
-        nit = info.simplex_iteration_count or info.ipm_iteration_count
-    message = solver.modelStatusToString(model_status)
-    if status != 0:
-        return OptimizeResult(status=status, message=message, x=None, fun=None, nit=nit)
+        return LpSolution(LpStatus.INFEASIBLE, np.nan, np.zeros(0))
+    if start_basis is not None and (
+        solver.setBasis(_to_highs(start_basis)) == highs.HighsStatus.kError
+    ):
+        raise ValueError("HiGHS rejected the start basis")
+    ran = solver.run() != highs.HighsStatus.kError
+    model_status = solver.getModelStatus()
+    status = _STATUS.get(model_status) if ran else None
+    if status is None:
+        message = solver.modelStatusToString(model_status)
+        raise ArithmeticError(f"LP solver failed: {message}")
+    info = solver.getInfo()
+    nit = info.simplex_iteration_count or info.ipm_iteration_count
+    if status is not LpStatus.OPTIMAL:
+        return LpSolution(status, np.nan, np.zeros(0), nit=nit)
 
     solution = solver.getSolution()
     x = np.array(solution.col_value)
     fun = info.objective_function_value
     # Each <= row's slack and each = row's residual.
     residual = row_upper - np.array(solution.row_value)
-    slack, con = residual[:len(b_ub)], residual[len(b_ub):]
+    slack, con = residual[:len(lp.b_ub)], residual[len(lp.b_ub):]
     tol = _RESULT_TOL
     if not (  # a NaN anywhere fails a comparison
         fun == fun
-        and (x >= lower - tol).all() and (x <= upper + tol).all()
+        and (x >= lp.lower - tol).all() and (x <= lp.upper + tol).all()
         and (slack >= -tol).all() and (np.abs(con) <= tol).all()
     ):
-        status = 4
-        message = (
-            "The solution does not satisfy the constraints within the "
-            f"required tolerance of {tol:.2E}"
+        raise ArithmeticError(
+            "LP solver failed: The solution does not satisfy the constraints "
+            f"within the required tolerance of {tol:.2E}"
         )
-    res = OptimizeResult(status=status, message=message, x=x, fun=fun, nit=nit)
-    if return_basis and status == 0:
-        res.basis = _from_highs(solver.getBasis())
-    return res
+    basis = _from_highs(solver.getBasis()) if return_basis else None
+    return LpSolution(status, -fun if lp.maximize else fun, x, basis, nit)
 
 
 def solve_lp(
@@ -281,33 +275,14 @@ def solve_lp(
     start_basis: Optional[Basis] = None,
     return_basis: bool = False,
 ) -> LpSolution:
-    """Solve the program; Infeasible/Unbounded are statuses, not failures.
-
-    ``start_basis`` and ``return_basis`` are passed to ``linprog``: the
-    simplex starts from the given basis, and the optimum keeps its basis.
-    """
+    """Solve the program by ``linprog`` and re-check an optimal point against
+    the rows; Infeasible/Unbounded are statuses, not failures."""
     if lp.num_vars == 0:
-        return LpSolution(LpStatus.OPTIMAL, 0.0, ())
-    res = linprog(
-        -lp.objective if lp.maximize else lp.objective,
-        A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
-        bounds=np.column_stack((lp.lower, lp.upper)),
-        start_basis=start_basis, return_basis=return_basis,
-    )
-    if res.status == 2:
-        return LpSolution(LpStatus.INFEASIBLE, float("nan"), ())
-    if res.status == 3:
-        return LpSolution(LpStatus.UNBOUNDED, float("nan"), ())
-    if res.status != 0:
-        raise ArithmeticError(f"LP solver failed: {res.message}")
-    x = np.asarray(res.x, dtype=float)
-    _check_feasibility(lp, x)
-    value = float(res.fun)
-    if lp.maximize:
-        value = -value
-    return LpSolution(
-        LpStatus.OPTIMAL, value, tuple(x.tolist()), res.get("basis")
-    )
+        return LpSolution(LpStatus.OPTIMAL, 0.0, np.zeros(0))
+    sol = linprog(lp, start_basis=start_basis, return_basis=return_basis)
+    if sol.status is LpStatus.OPTIMAL:
+        _check_feasibility(lp, sol.x)
+    return sol
 
 
 def dump_lp(lp: SparseLp) -> str:

@@ -172,12 +172,12 @@ def _solve_path_flow(
     path_groups: Sequence[Sequence[Path]],
     capacities: np.ndarray,
     demand_caps: Optional[Sequence[float]] = None,
-) -> tuple[float, tuple[float, ...]]:
+) -> tuple[float, np.ndarray]:
     """The path-flow LP's optimum and the flow on each path, group by group."""
     sol = solve_lp(_path_flow_lp(path_groups, capacities, demand_caps))
     if sol.status is not LpStatus.OPTIMAL:
         raise ArithmeticError(f"path-flow LP not optimal: {sol.status}")
-    return sol.objective_value, sol.assignment
+    return sol.objective_value, sol.x
 
 
 @dataclass
@@ -236,7 +236,7 @@ def max_swt_flow(
     """
     paths = _swt_paths(network, s, w, t, node_cap)
     value, flows = _solve_path_flow([paths], network.float_capacities)
-    path_flows = {p: f for p, f in zip(paths, flows) if f > VALUE_TOL}
+    path_flows = {p: f for p, f in zip(paths, flows.tolist()) if f > VALUE_TOL}
     # With integral capacities the optimum may still be fractional (the LP
     # dual is a fractional cut cover); when the optimum is integral we try to
     # exhibit an integral optimal flow.

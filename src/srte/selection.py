@@ -71,7 +71,7 @@ class SelectionResult:
 
 
 # One point of a selection sweep: its result or the error it fails with.
-Outcome = Union[SelectionResult, NoTunnelError, BudgetExceededError]
+Outcome = Union[SelectionResult, NoTunnelError, BudgetExceededError, ArithmeticError]
 
 
 def solve_with_middlepoints(
@@ -129,7 +129,8 @@ def _optimal_points(
 
     Ties break lexicographically by sorted node indices (the enumeration
     order). A k whose subset count exceeds the budget is refused without a
-    solve; the subsets of every other k are covered at once.
+    solve; the subsets of every other k are covered at once. A k one of
+    whose solves fails yields the ``ArithmeticError``.
     """
     counts = {k: math.comb(len(candidates), k) for k in ks}
     pool.cover(
@@ -143,10 +144,14 @@ def _optimal_points(
             )
             continue
         best = None  # the first subset of least theta: (theta, solution, error, subset)
-        for subset in itertools.combinations(candidates, k):
-            trial = (*_evaluate(pool, subset), subset)
-            if best is None or trial[0] < best[0]:
-                best = trial
+        try:
+            for subset in itertools.combinations(candidates, k):
+                trial = (*_evaluate(pool, subset), subset)
+                if best is None or trial[0] < best[0]:
+                    best = trial
+        except ArithmeticError as exc:
+            yield exc
+            continue
         _, solution, error, subset = best
         yield error or SelectionResult("Optimal", list(subset), solution, counts[k])
 
@@ -235,32 +240,40 @@ def _greedy_points(
     holds k middlepoints or a round does not improve, so its outcome is the
     first state with k middlepoints, or else the state the expansion ended
     in. A state keeps only its round winner's solution, always a cold solve.
+    A solve that fails ends the expansion, and every k it had not reached
+    yet fails with its ``ArithmeticError``.
     """
     chosen = list(initial)
     unexplored = [v for v in candidates if v not in chosen]
-    theta, current, error = _evaluate(pool, chosen, return_basis=True)
-    subproblems = 1
-    states = [(chosen[:], current, error, subproblems)]
-    k_max = max(ks)
-    while len(chosen) < k_max and unexplored:
-        pool.cover(chosen + [v] for v in unexplored)
-        start = WarmStart(pool, chosen, current.basis) if theta < math.inf else None
-        winner = _greedy_round(pool, chosen, unexplored, theta, start)
-        subproblems += len(unexplored)
-        if winner is not None:
-            v, (theta, current, error) = winner
-            chosen.append(v)
-            unexplored.remove(v)
-        states.append((chosen[:], current, error, subproblems))
-        if winner is None:
-            break
-    outcomes = []
-    for k in ks:
-        picks, solution, error, count = next(
-            (state for state in states if len(state[0]) >= k), states[-1]
+
+    def state() -> tuple[int, Outcome]:
+        """The size and outcome of the current set."""
+        return len(chosen), error or SelectionResult(
+            "Greedy", chosen[:], current, subproblems
         )
-        outcomes.append(error or SelectionResult("Greedy", picks, solution, count))
-    return outcomes
+
+    states = []
+    try:
+        theta, current, error = _evaluate(pool, chosen, return_basis=True)
+        subproblems = 1
+        states.append(state())
+        k_max = max(ks)
+        while len(chosen) < k_max and unexplored:
+            pool.cover(chosen + [v] for v in unexplored)
+            start = WarmStart(pool, chosen, current.basis) if theta < math.inf else None
+            winner = _greedy_round(pool, chosen, unexplored, theta, start)
+            subproblems += len(unexplored)
+            if winner is not None:
+                v, (theta, current, error) = winner
+                chosen.append(v)
+                unexplored.remove(v)
+            states.append(state())
+            if winner is None:
+                break
+        end = states[-1][1]
+    except ArithmeticError as exc:
+        end = exc
+    return [next((out for size, out in states if size >= k), end) for k in ks]
 
 
 def greedy_select(
@@ -320,7 +333,7 @@ def _centrality_picks(
 def _solved(pool: TunnelPool, method: str, mids: list[int], objective: str) -> Outcome:
     try:
         solution = solve_te(pool.program(mids, objective))
-    except NoTunnelError as exc:
+    except (NoTunnelError, ArithmeticError) as exc:
         return exc
     return SelectionResult(_CENTRALITY_LABELS[method], mids, solution)
 
@@ -339,7 +352,8 @@ def select_prefixes(
     cache: ShortestPathCache | None = None,
 ) -> Iterator[Outcome]:
     """The selection of each k of ``ks`` over all nodes, in order, as a result
-    or the ``NoTunnelError``/``BudgetExceededError`` it fails with.
+    or the ``NoTunnelError``/``BudgetExceededError``/``ArithmeticError`` it
+    fails with.
 
     What does not depend on k is done once: sp, gsp and degree rank the nodes
     once and each k takes the top k, greedy expands once to the largest k,

@@ -528,9 +528,7 @@ def _gather(ptr: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.repeat(ptr[columns] - starts, sizes) + np.arange(sizes.sum()), sizes
 
 
-def _met_flows(
-    program: TeProgram, assignment: tuple[float, ...], flows: np.ndarray
-) -> np.ndarray:
+def _met_flows(program: TeProgram, x: np.ndarray, flows: np.ndarray) -> np.ndarray:
     """The flow variables of an LU solution, checked against the demands.
 
     LU demand rows are >=, so a commodity may get more flow than it demands
@@ -547,7 +545,7 @@ def _met_flows(
         # balances, commodity by commodity.
         delivered = np.zeros(len(volume))
         lp = program.lp
-        delivered[volume > 0] = (lp.a_eq @ np.array(assignment))[lp.b_eq != 0]
+        delivered[volume > 0] = (lp.a_eq @ x)[lp.b_eq != 0]
     else:
         delivered = np.bincount(program.commodity, flows, minlength=len(volume))
         over = delivered > volume * (1 + UTILIZATION_TOL)
@@ -583,9 +581,9 @@ def solve_te(
     if sol.status is not LpStatus.OPTIMAL:
         return result
 
-    flows = np.array(sol.assignment[program.first_tunnel_var:], dtype=float)
+    flows = sol.x[program.first_tunnel_var:]
     if program.kind == LU:
-        flows = _met_flows(program, sol.assignment, flows)
+        flows = _met_flows(program, sol.x, flows)
     result.tunnels = program.tunnels
     result.flows = flows[:len(program.tunnels)].tolist()
     # Each row of the load matrix lists its tunnels in order, so every edge's

@@ -1,6 +1,7 @@
 """Command-line interface: output formats, golden files, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import pathlib
@@ -374,6 +375,43 @@ class TestSweep:
         assert len(rows) == 2
         assert all(r.split(",")[1] == "error" for r in rows)
 
+    @pytest.mark.parametrize("axis, labels", [
+        (("--method", "gsp", "--sweep-k", "1:3"), ("1", "2", "3")),
+        (("--sweep-methods", "gsp,mp-baseline"), ("gsp", "mp-baseline")),
+        (("--method", "all-nodes", "--sweep-m", "0:1"), ("0", "1")),
+        (("--method", "greedy", "--sweep-k", "1:2"), ("1", "2")),
+    ])
+    def test_failed_solves_are_error_rows(self, capsys, axis, labels):
+        """A point whose solve raises ArithmeticError (demands too small to
+        be delivered) is an error row and one stderr line; the sweep goes
+        on and exits 2."""
+        code, out, err = run(
+            capsys, "sweep", "--topology", DATA / "net10.topo",
+            "--demands", DATA / "net10.dem", "--scale", "1e-8", *axis,
+        )
+        assert code == 2
+        assert out.splitlines()[1:] == [f"{p},error,,,0" for p in labels]
+        assert err.splitlines() == [
+            f"point {p}: demand n0 -> n5 of 3e-08 is delivered only 0"
+            for p in labels
+        ]
+
+    def test_failed_point_among_solved_points(self, capsys, monkeypatch):
+        def fails(*args):
+            raise ArithmeticError("utilization reconstruction mismatch")
+
+        monkeypatch.setattr(srte.cli, "solve_mp", fails)
+        code, out, err = run(
+            capsys, "sweep", "--topology", DATA / "net10.topo",
+            "--demands", DATA / "net10.dem",
+            "--sweep-methods", "gsp,mp-baseline,degree",
+        )
+        assert code == 2
+        gsp, mp, degree = out.splitlines()[1:]
+        assert gsp.startswith("gsp,optimal,") and degree.startswith("degree,optimal,")
+        assert mp == "mp-baseline,error,,,0"
+        assert err == "point mp-baseline: utilization reconstruction mismatch\n"
+
     @pytest.mark.parametrize(
         "name, axis, solves",
         [
@@ -383,13 +421,17 @@ class TestSweep:
             ("centrality_select", ("--sweep-methods", "gsp:1,gsp:2"), 1),
             ("centrality_select",
              ("--sweep-methods", "random:1,random:2,random:1"), 2),
+            ("solve_with_middlepoints",
+             ("--method", "all-nodes", "--single-middlepoint",
+              "--sweep-m", "1:3"), 1),
         ],
     )
     def test_points_differing_only_in_what_the_method_ignores_solve_once(
         self, capsys, monkeypatch, name, axis, solves
     ):
-        """all-nodes ignores k, mp-baseline k and m, and every method but
-        random the seed; each row is the row of its point swept alone."""
+        """all-nodes ignores k (and m with --single-middlepoint),
+        mp-baseline k and m, and every method but random the seed; each row
+        is the row of its point swept alone."""
         calls = []
         real = getattr(srte.cli, name)
 
@@ -530,6 +572,17 @@ class TestInputErrors:
              "--single-middlepoint"),
             ("sweep", "--sweep-methods", "all-nodes,gsp",
              "--single-middlepoint"),
+            # One middlepoint per tunnel cannot be at most m = 0.
+            ("solve", "--method", "all-nodes", "--m", "0",
+             "--single-middlepoint"),
+            ("sweep", "--method", "all-nodes", "--sweep-m", "0:3",
+             "--single-middlepoint"),
+            # A negative budget, whatever the method reads it.
+            ("solve", "--method", "optimal", "--k", "2", "--budget", "-5"),
+            ("solve", "--method", "gsp", "--budget", "-1"),
+            ("sweep", "--method", "optimal", "--sweep-k", "1:2",
+             "--budget", "-5"),
+            ("sweep", "--sweep-methods", "gsp,mp-baseline", "--budget", "-5"),
         ],
     )
     def test_bad_point_rejected_before_output(self, capsys, argv):
@@ -647,8 +700,8 @@ class TestInputErrors:
 
         def corrupted(*args, **kwargs):
             res = real(*args, **kwargs)
-            res.x = res.x * 0.5  # now violates the demand rows
-            return res
+            # Half the point now violates the demand rows.
+            return dataclasses.replace(res, x=res.x * 0.5)
 
         monkeypatch.setattr(srte.lp, "linprog", corrupted)
         code, out, err = run(

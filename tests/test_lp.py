@@ -1,5 +1,8 @@
 """Generic LP layer: statuses, exact fixtures, feasibility, and the dump."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -88,6 +91,18 @@ def test_solution_indexing():
     assert sol[0] == pytest.approx(2.5)
 
 
+def test_solution_point_is_the_array_highs_returned():
+    """``x`` is the float array of the point; indexing reads a float."""
+    lp, theta, f1, f2 = split_lp()
+    sol = solve_lp(lp)
+    assert isinstance(sol.x, np.ndarray)
+    assert sol.x.dtype == np.float64 and sol.x.shape == (lp.num_vars,)
+    assert type(sol[f1]) is float and sol[f1] == sol.x[f1]
+    assert sol.nit > 0
+    infeasible = solve_lp(dense_lp([0.0], ub=[([1.0], -1.0)]))
+    assert infeasible.x.shape == (0,) and math.isnan(infeasible.objective_value)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_solver_soundness_on_random_feasible_programs(data):
@@ -159,9 +174,7 @@ def test_feasibility_recheck(monkeypatch, point, ok):
     real = srte.lp.linprog
 
     def returns_point(*args, **kwargs):
-        res = real(*args, **kwargs)
-        res.x = np.array(point)
-        return res
+        return dataclasses.replace(real(*args, **kwargs), x=np.array(point))
 
     monkeypatch.setattr(srte.lp, "linprog", returns_point)
     if ok:
@@ -231,59 +244,112 @@ def _direct_call_corpus():
     return programs
 
 
-def test_direct_highs_call_equals_scipy_linprog(monkeypatch):
-    """srte.lp.linprog passes each program straight to HiGHS and returns what
-    scipy's linprog(method="highs") returns for the same arguments: the same
-    status, iteration count, objective and bit for bit the same point."""
+def scipy_arguments(lp):
+    """The arguments scipy's linprog takes for the program: the objective to
+    minimize, both blocks and an (n, 2) bounds array."""
+    return {
+        "c": -lp.objective if lp.maximize else lp.objective,
+        "A_ub": lp.a_ub, "b_ub": lp.b_ub, "A_eq": lp.a_eq, "b_eq": lp.b_eq,
+        "bounds": np.column_stack((lp.lower, lp.upper)),
+    }
+
+
+# scipy's linprog status codes of the statuses srte.lp.linprog returns.
+_SCIPY_STATUS = {
+    LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 2, LpStatus.UNBOUNDED: 3,
+}
+
+
+def _recorded_corpus(monkeypatch):
+    """Each program of the corpus as solve_lp passes it to linprog, with the
+    keywords of the call."""
     calls = []
     real = srte.lp.linprog
 
-    def recorded(*args, **kwargs):
-        calls.append((args, kwargs))
-        return real(*args, **kwargs)
+    def recorded(lp, **kwargs):
+        calls.append((lp, kwargs))
+        return real(lp, **kwargs)
 
     monkeypatch.setattr(srte.lp, "linprog", recorded)
     programs = _direct_call_corpus()
     for lp in programs:
         solve_lp(lp)
-    # One LP per program, each solved cold without reading its basis back:
-    # then scipy's linprog takes exactly the remaining arguments.
+    monkeypatch.undo()
     assert len(calls) == len(programs)
-    for _, kwargs in calls:
-        assert kwargs.pop("start_basis") is None
-        assert kwargs.pop("return_basis") is False
+    return calls
+
+
+def test_direct_highs_call_equals_scipy_linprog(monkeypatch):
+    """srte.lp.linprog passes each program straight to HiGHS and returns what
+    scipy's linprog(method="highs") returns for the same program: the same
+    status, iteration count, objective and bit for bit the same point."""
+    calls = _recorded_corpus(monkeypatch)
+    # One LP per program, each solved cold without reading its basis back:
+    # then scipy's linprog solves exactly the same program.
     statuses = set()
-    for args, kwargs in calls:
-        ours = real(*args, **kwargs)
-        theirs = scipy.optimize.linprog(*args, **kwargs, method="highs")
-        assert ours.status == theirs.status
+    for lp, kwargs in calls:
+        assert kwargs == {"start_basis": None, "return_basis": False}
+        ours = srte.lp.linprog(lp)
+        theirs = scipy.optimize.linprog(**scipy_arguments(lp), method="highs")
+        assert _SCIPY_STATUS[ours.status] == theirs.status
         assert ours.nit == theirs.nit
-        assert ours.fun == theirs.fun
-        assert np.array_equal(ours.x, theirs.x)
+        if theirs.status == 0:
+            fun = -theirs.fun if lp.maximize else theirs.fun
+            assert ours.objective_value == fun
+            assert np.array_equal(ours.x, theirs.x)
+        else:
+            assert theirs.fun is None and theirs.x is None
+            assert math.isnan(ours.objective_value) and ours.x.size == 0
         statuses.add(ours.status)
-    assert statuses == {0, 2, 3}
+    assert statuses == set(_SCIPY_STATUS)
 
 
-@pytest.mark.parametrize("field, value", [
+def _no_solver():
+    raise AssertionError("HiGHS was called")
+
+
+@pytest.mark.parametrize("scipy_name, value", [
     ("c", np.array([np.nan, 1.0])),
     ("A_ub", csr_matrix([[1.0, np.inf]])),
     ("b_eq", np.array([np.inf])),
 ])
-def test_direct_highs_call_rejects_nonfinite_input(field, value):
+def test_direct_highs_call_rejects_nonfinite_input(monkeypatch, scipy_name, value):
     """A NaN or inf objective, matrix entry or right-hand side raises
-    linprog's ValueError before HiGHS is called."""
-    kwargs = {
-        "c": np.array([1.0, 1.0]),
-        "A_ub": csr_matrix([[1.0, 1.0]]), "b_ub": np.array([4.0]),
-        "A_eq": csr_matrix([[1.0, -1.0]]), "b_eq": np.array([0.0]),
-        "bounds": np.array([[0.0, np.inf], [0.0, np.inf]]),
-        field: value,
-    }
-    message = f"{field} must not contain values inf, nan, or None"
-    with pytest.raises(ValueError, match=message):
-        srte.lp.linprog(**kwargs)
-    with pytest.raises(ValueError, match=message):
-        scipy.optimize.linprog(**kwargs, method="highs")
+    linprog's ValueError before HiGHS is called, as scipy's linprog does."""
+    field = {"c": "objective", "A_ub": "a_ub", "b_eq": "b_eq"}[scipy_name]
+    lp = dataclasses.replace(
+        dense_lp([1.0, 1.0], ub=[([1.0, 1.0], 4.0)], eq=[([1.0, -1.0], 0.0)]),
+        **{field: value},
+    )
+    message = "must not contain values inf, nan, or None"
+    with pytest.raises(ValueError, match=f"{scipy_name} {message}"):
+        scipy.optimize.linprog(**scipy_arguments(lp), method="highs")
+    monkeypatch.setattr(srte.lp.highs, "_Highs", _no_solver)
+    with pytest.raises(ValueError, match=f"{field} {message}"):
+        srte.lp.linprog(lp)
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_nan_bound_is_rejected_before_highs_is_called(monkeypatch, side):
+    lp = three_row_program()
+    bounds = getattr(lp, side).copy()
+    bounds[1] = np.nan
+    monkeypatch.setattr(srte.lp.highs, "_Highs", _no_solver)
+    with pytest.raises(ValueError, match="bounds must not contain nan"):
+        solve_lp(dataclasses.replace(lp, **{side: bounds}))
+
+
+def test_unfinished_solve_raises(monkeypatch):
+    """A model status other than optimal, infeasible or unbounded (here the
+    iteration limit) is a failed solve."""
+    options = srte.lp.highs.HighsOptions()
+    options.presolve = "off"
+    options.simplex_iteration_limit = 0
+    options.output_flag = options.log_to_console = False
+    monkeypatch.setattr(srte.lp, "_OPTIONS", options)
+    lp, *_ = split_lp()
+    with pytest.raises(ArithmeticError, match="LP solver failed: .*limit"):
+        solve_lp(lp)
 
 
 def test_warm_start_gives_the_cold_status_and_theta(monkeypatch):
@@ -293,36 +359,22 @@ def test_warm_start_gives_the_cold_status_and_theta(monkeypatch):
     (all columns nonbasic at 0, all rows basic), and for each LU pool slice
     the extension of the empty set's optimal basis, as the greedy builds it;
     those take fewer iterations in all than the cold solves."""
-    calls = []
-    real = srte.lp.linprog
-
-    def recorded(*args, **kwargs):
-        calls.append((args, kwargs))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(srte.lp, "linprog", recorded)
-    for lp in _direct_call_corpus():
-        solve_lp(lp)
-    monkeypatch.undo()
-
     def assert_same(warm, cold):
-        assert warm.status == cold.status
-        if cold.status == 0:
-            tie = 1e-12 * max(1.0, abs(cold.fun))
-            assert abs(warm.fun - cold.fun) <= tie / 100
+        assert warm.status is cold.status
+        if cold.status is LpStatus.OPTIMAL:
+            tie = 1e-12 * max(1.0, abs(cold.objective_value))
+            assert abs(warm.objective_value - cold.objective_value) <= tie / 100
 
     statuses = set()
-    for args, kwargs in calls:
-        kwargs = {**kwargs, "start_basis": None, "return_basis": False}
-        cold = real(*args, **kwargs)
-        rows = len(kwargs["b_ub"]) + len(kwargs["b_eq"])
+    for lp, _ in _recorded_corpus(monkeypatch):
+        cold = srte.lp.linprog(lp)
         slack = srte.lp.Basis(
-            np.full(len(args[0]), srte.lp.LOWER, dtype=np.int8),
-            np.full(rows, srte.lp.BASIC, dtype=np.int8),
+            np.full(lp.num_vars, srte.lp.LOWER, dtype=np.int8),
+            np.full(len(lp.rows), srte.lp.BASIC, dtype=np.int8),
         )
-        assert_same(real(*args, **{**kwargs, "start_basis": slack}), cold)
+        assert_same(srte.lp.linprog(lp, start_basis=slack), cold)
         statuses.add(cold.status)
-    assert statuses == {0, 2, 3}
+    assert statuses == set(_SCIPY_STATUS)
 
     warm_nit = cold_nit = 0
     net = random_connected_digraph(30, 120, 4000, max_capacity=10)
@@ -345,11 +397,7 @@ def test_warm_start_gives_the_cold_status_and_theta(monkeypatch):
 
 
 def _iterations(program, start_basis):
-    lp = program.lp
-    return srte.lp.linprog(
-        lp.objective, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq,
-        np.column_stack((lp.lower, lp.upper)), start_basis,
-    ).nit
+    return srte.lp.linprog(program.lp, start_basis=start_basis).nit
 
 
 def test_start_basis_of_the_wrong_size_is_rejected():
@@ -374,12 +422,8 @@ def test_returned_basis_restarts_in_no_iterations():
         sol.basis.rows == srte.lp.BASIC
     ).sum() == len(sparse.rows)
     assert solve_lp(sparse).basis is None
-    args = (
-        sparse.objective, sparse.a_ub, sparse.b_ub, sparse.a_eq, sparse.b_eq,
-        np.column_stack((sparse.lower, sparse.upper)),
-    )
-    again = srte.lp.linprog(*args, start_basis=sol.basis)
-    assert again.nit == 0 and again.fun == pytest.approx(0.6)
+    again = srte.lp.linprog(sparse, start_basis=sol.basis)
+    assert again.nit == 0 and again.objective_value == pytest.approx(0.6)
 
 
 def test_private_highs_bindings_exist():

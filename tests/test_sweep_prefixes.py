@@ -46,7 +46,7 @@ def per_k_sweep(args) -> int:
             result = cli._run_method(
                 network, demands, args, args.method, k, args.m, args.seed, cache
             )
-        except (NoTunnelError, BudgetExceededError) as exc:
+        except (NoTunnelError, BudgetExceededError, ArithmeticError) as exc:
             print(f"point {k}: {exc}", file=sys.stderr)
             print(f"{k},error,,,0")
             worst = 2
@@ -121,6 +121,49 @@ def test_k_sweep_prints_what_the_per_k_loop_printed(
     assert any(out.count("\n") == 7 for _, out, _ in outputs)  # six points
     if method == "optimal":
         assert any("exceed the budget of 50" in err for _, _, err in outputs)
+
+
+@pytest.mark.parametrize("method", ["sp", "random", "optimal"])
+def test_failed_solves_are_the_rows_of_the_per_k_loop(monkeypatch, method):
+    """Demands too small to be delivered fail every solve with an
+    ArithmeticError: each point is an error row, as when swept alone (gsp
+    and greedy: ``test_cli.py``)."""
+    argv = ["sweep", *NET10, "--scale", "1e-8", "--method", method,
+            "--sweep-k", "1:3"]
+    got = run_main(argv)
+    monkeypatch.setattr(cli, "cmd_sweep", per_k_sweep)
+    assert got == run_main(argv)
+    code, out, err = got
+    assert code == 2
+    assert out.splitlines()[1:] == [f"{k},error,,,0" for k in (1, 2, 3)]
+    assert len(err.splitlines()) == 3
+
+
+def test_greedy_points_past_a_failed_round_fail(monkeypatch):
+    """A greedy round whose solve fails ends the expansion: the points it
+    decided before keep their rows, every later point fails with its error,
+    and the sweep prints what the per-k loop prints."""
+    argv = ["sweep", *NET10, "--method", "greedy", "--sweep-k", "1:3"]
+    _, healthy, _ = run_main(argv)
+    real = selection._greedy_round
+
+    def second_round_fails(pool, chosen, *args):
+        if len(chosen) == 1:
+            raise ArithmeticError("solver returned an infeasible point")
+        return real(pool, chosen, *args)
+
+    monkeypatch.setattr(selection, "_greedy_round", second_round_fails)
+    got = run_main(argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "cmd_sweep", per_k_sweep)
+        assert got == run_main(argv)
+    code, out, err = got
+    assert code == 2
+    assert out.splitlines()[:2] == healthy.splitlines()[:2]
+    assert out.splitlines()[2:] == ["2,error,,,0", "3,error,,,0"]
+    assert err.splitlines() == [
+        f"point {k}: solver returned an infeasible point" for k in (2, 3)
+    ]
 
 
 def test_greedy_point_counts_follow_the_rounds():

@@ -1,5 +1,6 @@
 """Tunnel enumeration and the TE_LU / TE_MF / multipath-baseline programs."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from srte.graph import Commodity, DemandMatrix, random_connected_digraph, random_digraph
-from srte.lp import EQ, LE, LpSolution, LpStatus, solve_lp
+from srte.lp import EQ, LE, LpStatus, solve_lp
 from srte.paths import ShortestPathCache
 from srte.te import (
     LU,
@@ -440,8 +441,11 @@ class TestMpBaseline:
 
         def inflated_theta(lp, *args):
             sol = real(lp, *args)
-            x = (2 * sol.assignment[0], *sol.assignment[1:])
-            return LpSolution(sol.status, 2 * sol.objective_value, x)
+            x = sol.x.copy()
+            x[0] *= 2
+            return dataclasses.replace(
+                sol, objective_value=2 * sol.objective_value, x=x
+            )
 
         program = build_mp_baseline(
             make_net([(0, 1, 4)]), make_demands((0, 1, 3)), LU
