@@ -442,6 +442,8 @@ def cmd_oracle(args) -> int:
         raise UsageError(
             f"--nodes must be at least {least} for {args.suite}, got {args.nodes}"
         )
+    if args.suite != "lemma1":  # path enumeration: capped before generation
+        oracles.check_node_cap(args.nodes)
     failures = _SUITES[args.suite](args)
     for line in failures:
         print(f"FAIL {line}", file=sys.stderr)

@@ -155,10 +155,8 @@ class DemandMatrix:
     """Merged commodities; duplicate (source, sink) pairs are not allowed."""
 
     commodities: tuple[Commodity, ...]
-    scale: float = 1.0
 
     def __post_init__(self):
-        _check_scale(self.scale)
         pairs = [(c.source, c.sink) for c in self.commodities]
         if len(set(pairs)) != len(pairs):
             raise DemandError("duplicate (source, sink) pair")
@@ -169,8 +167,7 @@ class DemandMatrix:
             tuple(
                 Commodity(c.source, c.sink, c.demand * factor)
                 for c in self.commodities
-            ),
-            scale=self.scale * factor,
+            )
         )
 
     def total_demand(self) -> float:
@@ -182,7 +179,6 @@ class ParsedDemands:
     """Name-based demand rows, merged and scaled but not yet bound to a network."""
 
     rows: tuple[tuple[str, str, float], ...]
-    scale: float
 
     def bind(self, network: FlowNetwork) -> DemandMatrix:
         commodities = []
@@ -190,7 +186,7 @@ class ParsedDemands:
             si = network.node_index(s)
             ti = network.node_index(t)
             commodities.append(Commodity(si, ti, volume))
-        return DemandMatrix(tuple(commodities), scale=self.scale)
+        return DemandMatrix(tuple(commodities))
 
 
 def _iter_lines(text: str):
@@ -295,7 +291,7 @@ def parse_demands(text: str, scale: float = 1.0) -> ParsedDemands:
             order.append(key)
         merged[key] += volume
     rows = tuple((s, t, merged[(s, t)] * scale) for s, t in order)
-    return ParsedDemands(rows, scale)
+    return ParsedDemands(rows)
 
 
 def generate_gravity_demands(

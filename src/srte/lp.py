@@ -20,7 +20,7 @@ tested; ``tests/test_lp.py`` names every private binding used here.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,7 +57,6 @@ class SparseLp:
     b_ub: np.ndarray
     a_eq: csr_matrix
     b_eq: np.ndarray
-    labels: Sequence[str]
 
     @property
     def num_vars(self) -> int:
@@ -267,7 +266,8 @@ def linprog(
             f"within the required tolerance of {tol:.2E}"
         )
     basis = _from_highs(solver.getBasis()) if return_basis else None
-    return LpSolution(status, -fun if lp.maximize else fun, x, basis, nit)
+    # 0.0 - fun, not -fun: a maximum of zero is +0.0.
+    return LpSolution(status, 0.0 - fun if lp.maximize else fun, x, basis, nit)
 
 
 def solve_lp(
@@ -289,10 +289,10 @@ def dump_lp(lp: SparseLp) -> str:
     """Human-readable LP-text dump for external cross-checks.
 
     Grammar: one objective line, a ``subject to`` block with one row per line,
-    and a ``bounds`` block; variables are referenced by their labels.
+    and a ``bounds`` block; column j is named ``x<j>``.
     """
     def term(a: float, j: int) -> str:
-        return f"{a:+g} {lp.labels[j]}"
+        return f"{a:+g} x{j}"
 
     lines = []
     sense = "maximize" if lp.maximize else "minimize"
@@ -307,5 +307,5 @@ def dump_lp(lp: SparseLp) -> str:
     lines.append("bounds:")
     for j in range(lp.num_vars):
         hi = "+inf" if lp.upper[j] == np.inf else f"{lp.upper[j]:g}"
-        lines.append(f"  {lp.lower[j]:g} <= {lp.labels[j]} <= {hi}")
+        lines.append(f"  {lp.lower[j]:g} <= x{j} <= {hi}")
     return "\n".join(lines) + "\n"

@@ -20,7 +20,7 @@ from scipy.sparse import csr_matrix, vstack
 from .graph import DemandMatrix, Edge, FlowNetwork
 from .lp import LpStatus, SparseLp, solve_lp
 
-DEFAULT_NODE_CAP = 12
+NODE_CAP = 12
 MAX_PATHS = 40_000
 
 VALUE_TOL = 1e-6
@@ -34,10 +34,11 @@ class ZeroMaxFlowError(Exception):
     """The flow-centrality ratio is undefined because the max flow is zero."""
 
 
-def _check_node_cap(network_nodes: int, node_cap: int) -> None:
-    if network_nodes > node_cap:
+def check_node_cap(node_count: int) -> None:
+    """Refuse a brute-force instance of more than NODE_CAP nodes."""
+    if node_count > NODE_CAP:
         raise SizeCapExceededError(
-            f"{network_nodes} nodes exceed the oracle cap of {node_cap}"
+            f"{node_count} nodes exceed the oracle cap of {NODE_CAP}"
         )
 
 
@@ -110,9 +111,7 @@ def has_swt_path(network: FlowNetwork, s: int, w: int, t: int) -> bool:
 
 
 @functools.lru_cache(maxsize=1)
-def _swt_paths(
-    network: FlowNetwork, s: int, w: int, t: int, node_cap: int
-) -> tuple[Path, ...]:
+def _swt_paths(network: FlowNetwork, s: int, w: int, t: int) -> tuple[Path, ...]:
     """Every s-t path visiting w, for distinct s, w, t within the node cap.
 
     The last answer is kept: ``max_swt_flow`` and ``min_swt_cut`` of one
@@ -120,7 +119,7 @@ def _swt_paths(
     """
     if len({s, w, t}) != 3:
         raise ValueError("s, w, t must be distinct")
-    _check_node_cap(network.node_count, node_cap)
+    check_node_cap(network.node_count)
     return tuple(p for p in enumerate_paths(network, s, t) if p.visits(w))
 
 
@@ -163,8 +162,6 @@ def _path_flow_lp(
         True, np.ones(count), np.zeros(count), np.full(count, np.inf),
         vstack(blocks, format="csr"), np.concatenate(b_ub),
         csr_matrix((0, count)), np.zeros(0),
-        [f"p[{gi}:{pi}]" for gi, group in enumerate(path_groups)
-         for pi in range(len(group))],
     )
 
 
@@ -222,19 +219,13 @@ def _integral_packing(
     return assignment if total == target else None
 
 
-def max_swt_flow(
-    network: FlowNetwork,
-    s: int,
-    w: int,
-    t: int,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> SwtFlowResult:
+def max_swt_flow(network: FlowNetwork, s: int, w: int, t: int) -> SwtFlowResult:
     """Maximum flow restricted to s-t paths visiting w, by path enumeration.
 
     For integral capacities an integral optimum is additionally exhibited
     (max-flow/min-cut integrality for the s-w-t flow).
     """
-    paths = _swt_paths(network, s, w, t, node_cap)
+    paths = _swt_paths(network, s, w, t)
     value, flows = _solve_path_flow([paths], network.float_capacities)
     path_flows = {p: f for p, f in zip(paths, flows.tolist()) if f > VALUE_TOL}
     # With integral capacities the optimum may still be fractional (the LP
@@ -255,11 +246,7 @@ def max_swt_flow(
 
 
 def min_swt_cut(
-    network: FlowNetwork,
-    s: int,
-    w: int,
-    t: int,
-    node_cap: int = DEFAULT_NODE_CAP,
+    network: FlowNetwork, s: int, w: int, t: int
 ) -> tuple[frozenset[int], Fraction]:
     """Cheapest edge set whose removal leaves no s-w-t path (exhaustive).
 
@@ -268,7 +255,7 @@ def min_swt_cut(
     set cuts exactly when it meets every s-w-t path, which one edge bitmask
     per path tests.
     """
-    paths = _swt_paths(network, s, w, t, node_cap)
+    paths = _swt_paths(network, s, w, t)
     if not paths:
         return frozenset(), Fraction(0)
     relevant = sorted({eid for p in paths for eid in p.edges})
@@ -295,34 +282,30 @@ def min_swt_cut(
     return frozenset(eid for eid in relevant if best_set >> eid & 1), best_cost
 
 
-def max_st_flow(
-    network: FlowNetwork, s: int, t: int, node_cap: int = DEFAULT_NODE_CAP
-) -> float:
+def max_st_flow(network: FlowNetwork, s: int, t: int) -> float:
     """Unrestricted single-commodity max flow by path enumeration."""
-    _check_node_cap(network.node_count, node_cap)
+    check_node_cap(network.node_count)
     value, _ = _solve_path_flow(
         [enumerate_paths(network, s, t)], network.float_capacities
     )
     return value
 
 
-def flow_centrality(
-    network: FlowNetwork, w: int, node_cap: int = DEFAULT_NODE_CAP
-) -> float:
+def flow_centrality(network: FlowNetwork, w: int) -> float:
     """Sum over ordered pairs (s, t) of (max s-w-t flow) / (max s-t flow).
 
     Pairs with zero max flow contribute 0.
     """
-    _check_node_cap(network.node_count, node_cap)
+    check_node_cap(network.node_count)
     total = 0.0
     for s in range(network.node_count):
         for t in range(network.node_count):
             if s == t or s == w or t == w:
                 continue
-            denom = max_st_flow(network, s, t, node_cap)
+            denom = max_st_flow(network, s, t)
             if denom <= VALUE_TOL:
                 continue
-            numer = max_swt_flow(network, s, w, t, node_cap).value
+            numer = max_swt_flow(network, s, w, t).value
             total += numer / denom
     return total
 
@@ -336,13 +319,10 @@ def _commodity_paths(
 
 
 def multicommodity_flow_centrality(
-    network: FlowNetwork,
-    demands: DemandMatrix,
-    w: int,
-    node_cap: int = DEFAULT_NODE_CAP,
+    network: FlowNetwork, demands: DemandMatrix, w: int
 ) -> float:
     """Ratio of the w-restricted to the unrestricted multicommodity max flow."""
-    _check_node_cap(network.node_count, node_cap)
+    check_node_cap(network.node_count)
     caps = [c.demand for c in demands.commodities]
     groups = _commodity_paths(network, demands)
     denom, _ = _solve_path_flow(groups, network.float_capacities, caps)
@@ -354,13 +334,10 @@ def multicommodity_flow_centrality(
 
 
 def group_flow(
-    network: FlowNetwork,
-    demands: DemandMatrix,
-    group: Iterable[int],
-    node_cap: int = DEFAULT_NODE_CAP,
+    network: FlowNetwork, demands: DemandMatrix, group: Iterable[int]
 ) -> float:
     """Maximum multicommodity flow over paths visiting at least one group node."""
-    _check_node_cap(network.node_count, node_cap)
+    check_node_cap(network.node_count)
     members = set(group)
     if not members:
         return 0.0
@@ -374,13 +351,10 @@ def group_flow(
 
 
 def greedy_group_flow_select(
-    network: FlowNetwork,
-    demands: DemandMatrix,
-    n_select: int,
-    node_cap: int = DEFAULT_NODE_CAP,
+    network: FlowNetwork, demands: DemandMatrix, n_select: int
 ) -> tuple[list[int], float]:
     """Greedy marginal-gain selection of group-flow nodes over non-endpoints."""
-    _check_node_cap(network.node_count, node_cap)
+    check_node_cap(network.node_count)
     endpoints = {c.source for c in demands.commodities} | {
         c.sink for c in demands.commodities
     }
@@ -396,7 +370,7 @@ def greedy_group_flow_select(
         for v in eligible:
             if v in chosen:
                 continue
-            candidate = group_flow(network, demands, chosen + [v], node_cap)
+            candidate = group_flow(network, demands, chosen + [v])
             if best_value is None or candidate > best_value + VALUE_TOL:
                 best_v, best_value = v, candidate
         chosen.append(best_v)
@@ -502,7 +476,6 @@ def _undirected_aux_lp(
     return SparseLp(
         True, objective, np.zeros(variables), upper, a_ub, b_ub,
         a_eq, np.zeros(a_eq.shape[0]),
-        [f"f[{i}:a{a}]" for i in range(count) for a in range(arcs)],
     )
 
 
@@ -532,7 +505,6 @@ def undirected_swt_path_oracle(
     undirected: UndirectedNetwork,
     w: int,
     commodities: Sequence[tuple[int, int]],
-    max_paths: int = MAX_PATHS,
 ) -> float:
     """Independent check: enumerate undirected s-w-t walks and solve the LP
     with each undirected edge's capacity shared over both directions.
@@ -549,7 +521,7 @@ def undirected_swt_path_oracle(
     ))
     groups = [
         [Path(tuple(arc // 2 for arc in p.edges), p.nodes)
-         for p in enumerate_paths(arcs, s, t, max_paths) if p.visits(w)]
+         for p in enumerate_paths(arcs, s, t) if p.visits(w)]
         for s, t in commodities
     ]
     value, _ = _solve_path_flow(groups, arcs.float_capacities[::2])

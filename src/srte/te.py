@@ -26,7 +26,7 @@ import functools
 import itertools
 import math
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -137,7 +137,6 @@ class TeProgram:
     tunnels: list[Tunnel]
     first_tunnel_var: int
     loads: csr_matrix
-    capacities: np.ndarray
     commodity: Optional[np.ndarray] = None  # each tunnel's commodity; None in MP
     ids: Optional[np.ndarray] = None  # a pool slice's tunnels' pool columns
 
@@ -183,24 +182,6 @@ class TeSolution:
     @cached_property
     def edge_utilization(self) -> dict[int, float]:
         return dict(enumerate(self.utilization.tolist()))
-
-
-class _Labels(Sequence[str]):
-    """A program's variable labels, formatted when first read: only
-    ``dump_lp`` reads them, and selection builds many programs."""
-
-    def __init__(self, make: Callable[[], list[str]]):
-        self._make = make
-
-    @cached_property
-    def _labels(self) -> list[str]:
-        return self._make()
-
-    def __len__(self) -> int:
-        return len(self._labels)
-
-    def __getitem__(self, j):
-        return self._labels[j]
 
 
 def _share_an_edge(segments: Sequence[SegmentFractions]) -> bool:
@@ -353,19 +334,13 @@ def _tunnel_program(
         rhs = [capacities[loaded], volume[served]]
         objective = np.ones(count)
     b_ub = np.concatenate(rhs)
-    names = network.node_names
     lp = SparseLp(
         kind == MF, objective, np.zeros(variables), np.full(variables, np.inf),
         _row_major(parts, (len(b_ub), variables)), b_ub,
         _no_rows(variables), np.zeros(0),
-        _Labels(lambda: ["theta"] * first + [
-            "f[{}:{}]".format(i, "-".join(names[w] for w in tun.waypoints))
-            for i, tun in zip(commodity.tolist(), tunnels)
-        ]),
     )
     return TeProgram(
-        kind, lp, network, demands, tunnels, first, load_matrix, capacities,
-        commodity, ids,
+        kind, lp, network, demands, tunnels, first, load_matrix, commodity, ids
     )
 
 
@@ -588,7 +563,7 @@ def solve_te(
     result.flows = flows[:len(program.tunnels)].tolist()
     # Each row of the load matrix lists its tunnels in order, so every edge's
     # load is summed in tunnel order.
-    result.utilization = (program.loads @ flows) / program.capacities
+    result.utilization = (program.loads @ flows) / program.network.float_capacities
 
     if program.kind == LU:
         result.theta = sol.objective_value
@@ -662,24 +637,14 @@ def build_mp_baseline(
         upper[delivered] = volume
         ub, b_ub = [flows], capacities if count else np.zeros(0)
 
-    def make_labels() -> list[str]:
-        names = network.node_names
-        edge_labels = [f"{names[e.tail]}->{names[e.head]}" for e in network.edges]
-        labels = ["theta"] * first
-        for i in range(count):
-            labels += [f"f[{i}:{label}]" for label in edge_labels]
-            if kind == MF:
-                labels.append(f"d[{i}]")
-        return labels
-
     lp = SparseLp(
         kind == MF, objective, np.zeros(variables), upper,
         _csr(ub, (len(b_ub), variables)), b_ub,
-        _csr(eq, (len(b_eq), variables)), b_eq, _Labels(make_labels),
+        _csr(eq, (len(b_eq), variables)), b_eq,
     )
     loads = _csr([(flow_edges, flow_cols - first, ones)],
                  (edge_count, variables - first))
-    return TeProgram(kind, lp, network, demands, [], first, loads, capacities)
+    return TeProgram(kind, lp, network, demands, [], first, loads)
 
 
 # The MP baseline solves and decodes like any TE program. The name stays

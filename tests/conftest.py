@@ -142,10 +142,10 @@ def strongly_connected(network):
 
 
 def dense_lp(objective, ub=(), eq=(), *, lower=None, upper=None,
-             maximize=False, labels=None):
+             maximize=False):
     """A SparseLp written out densely: ``ub`` and ``eq`` list the <= and the
     = rows as (coefficients, rhs) with one coefficient per column. Bounds
-    default to [0, inf), labels to x0, x1, ..."""
+    default to [0, inf)."""
     n = len(objective)
 
     def block(rows):
@@ -158,7 +158,7 @@ def dense_lp(objective, ub=(), eq=(), *, lower=None, upper=None,
         maximize, np.array(objective, dtype=float),
         np.zeros(n) if lower is None else np.array(lower, dtype=float),
         np.full(n, np.inf) if upper is None else np.array(upper, dtype=float),
-        a_ub, b_ub, a_eq, b_eq, labels or [f"x{j}" for j in range(n)],
+        a_ub, b_ub, a_eq, b_eq,
     )
 
 
@@ -170,13 +170,12 @@ class RowLp:
 
     def __init__(self, maximize=False):
         self.maximize = maximize
-        self.objective, self.upper, self.labels, self.rows = [], [], [], []
+        self.objective, self.upper, self.rows = [], [], []
 
-    def add_var(self, label, objective=0.0, upper=math.inf):
+    def add_var(self, objective=0.0, upper=math.inf):
         self.objective.append(float(objective))
         self.upper.append(float(upper))
-        self.labels.append(label)
-        return len(self.labels) - 1
+        return len(self.objective) - 1
 
     def add_row(self, coeffs, relation, rhs):
         assert relation in (LE, EQ)
@@ -198,7 +197,6 @@ class RowLp:
         return SparseLp(
             self.maximize, np.array(self.objective, dtype=float), np.zeros(n),
             np.array(self.upper, dtype=float), a_ub, b_ub, a_eq, b_eq,
-            self.labels,
         )
 
 
@@ -212,7 +210,6 @@ def split_lp():
         [1.0, 0.0, 0.0],
         ub=[([-3.0, 1.0, 0.0], 0.0), ([-2.0, 0.0, 1.0], 0.0)],
         eq=[([0.0, 1.0, 1.0], 3.0)],
-        labels=["theta", "f1", "f2"],
     )
     return lp, 0, 1, 2
 

@@ -39,6 +39,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def undeliverable(tmp_path):
+    """One edge a -> b and one demand b -> a: nothing can be delivered."""
+    topo, dem = tmp_path / "t.topo", tmp_path / "d.dem"
+    topo.write_text("EDGE a b 1\n")
+    dem.write_text("DEMAND b a 1\n")
+    return "--topology", topo, "--demands", dem
+
+
 def rebuilt_utilization(network, demands, doc, segment_loads):
     """Each edge's utilization rebuilt from a solve's printed split ratios:
     the sum of demand x ratio x the load that one unit sent over each tunnel
@@ -103,6 +112,15 @@ class TestSolve:
         fields = row.split(",")
         assert fields[0] == "lu"
         assert float(fields[1]) == pytest.approx(0.75, abs=1e-9)
+
+    def test_mp_max_flow_of_zero_prints_positive_zero(self, capsys, undeliverable):
+        """A maximization whose optimum is 0 prints 0, never -0."""
+        argv = ("solve", *undeliverable, "--method", "mp-baseline", "--objective", "mf")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert '"satisfaction_ratio": 0.0,' in out
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert (code, out.splitlines()[1]) == (0, "mf,0,,0,,1")
 
     def test_mp_baseline_theta_is_demand_over_capacity(self, capsys):
         code, out, _ = run(
@@ -375,6 +393,30 @@ class TestSweep:
         assert len(rows) == 2
         assert all(r.split(",")[1] == "error" for r in rows)
 
+    def test_max_flow_of_zero_rows_print_positive_zero(self, capsys, undeliverable):
+        code, out, _ = run(
+            capsys, "sweep", *undeliverable, "--objective", "mf",
+            "--sweep-methods", "mp-baseline,all-nodes",
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "mp-baseline,optimal,0,,1", "all-nodes,optimal,0,,1",
+        ]
+
+    def test_infeasible_point_is_a_row_and_exits_2(self, capsys, undeliverable):
+        """A point whose program is infeasible prints its status and no
+        value, and the sweep exits 2 though no point raised."""
+        code, out, err = run(
+            capsys, "sweep", *undeliverable, "--sweep-methods", "mp-baseline",
+        )
+        assert (code, err) == (2, "")
+        assert out.splitlines()[1:] == ["mp-baseline,infeasible,,,1"]
+        code, out, _ = run(
+            capsys, "sweep", *undeliverable, "--sweep-methods", "mp-baseline,gsp",
+        )
+        assert code == 2
+        assert out.splitlines()[1:] == ["mp-baseline,infeasible,,,1", "gsp,error,,,0"]
+
     @pytest.mark.parametrize("axis, labels", [
         (("--method", "gsp", "--sweep-k", "1:3"), ("1", "2", "3")),
         (("--sweep-methods", "gsp,mp-baseline"), ("gsp", "mp-baseline")),
@@ -529,6 +571,14 @@ class TestInputErrors:
         )
         assert "scale" in err
 
+    def test_unreadable_demands(self, capsys, tmp_path):
+        err = self.assert_rejected(
+            capsys, "solve", "--topology", DATA / "net10.topo",
+            "--demands", tmp_path / "nope.dem",
+        )
+        assert err.startswith("error: cannot read demands: ")
+        assert "nope.dem" in err
+
     def test_non_finite_scale_with_demand_file(self, capsys):
         self.assert_rejected(
             capsys, "solve", "--topology", DATA / "net10.topo",
@@ -681,11 +731,23 @@ class TestInputErrors:
         )
         assert "--single-middlepoint" in err and "greedy" in err
 
-    def test_oracle_size_cap(self, capsys):
-        err = self.assert_rejected(
-            capsys, "oracle", "maxflow-mincut", "--nodes", "13", "--trials", "1",
-        )
-        assert "cap of 12" in err
+    def test_oracle_size_cap(self, capsys, monkeypatch):
+        """A brute-force suite refuses --nodes above the cap before it
+        generates any instance (generation alone grows as n squared)."""
+        def generate(*args, **kwargs):
+            raise AssertionError("generated an instance")
+
+        monkeypatch.setattr(srte.cli, "random_digraph", generate)
+        for suite in ("maxflow-mincut", "submodularity"):
+            err = self.assert_rejected(
+                capsys, "oracle", suite, "--nodes", "13", "--trials", "1",
+            )
+            assert err == "error: 13 nodes exceed the oracle cap of 12\n"
+
+    def test_lemma1_is_not_capped(self, capsys):
+        """lemma1 solves polynomial MP programs, so no node cap applies."""
+        code, out, _ = run(capsys, "oracle", "lemma1", "--nodes", "13", "--trials", "1")
+        assert (code, out) == (0, "lemma1,1,0,pass\n")
 
     def test_help_exits_0(self, capsys):
         code, out, err = run(capsys, "solve", "--help")

@@ -165,7 +165,6 @@ class TestDemands:
     def test_scaled(self):
         dm = DemandMatrix((Commodity(0, 1, 2.0),)).scaled(2.0)
         assert dm.commodities[0].demand == 4.0
-        assert dm.scale == 2.0
         assert dm.total_demand() == 4.0
 
 

@@ -78,8 +78,7 @@ def test_dump_format():
     lp, theta, f1, f2 = split_lp()
     text = dump_lp(lp)
     lines = text.splitlines()
-    assert lines[0].startswith("minimize:")
-    assert "theta" in lines[0]
+    assert lines[0] == "minimize: +1 x0"
     assert "subject to:" in lines
     assert "bounds:" in lines
     assert any("<=" in ln or "=" in ln for ln in lines[2:])
@@ -133,13 +132,13 @@ def three_row_program():
         [1.0, 1.0],
         ub=[([100.0, 1.0], 203.0), ([-1.0, 0.0], -2.0)],
         eq=[([1.0, 1.0], 5.0)],
-        upper=[np.inf, 4.0], labels=["x", "y"],
+        upper=[np.inf, 4.0],
     )
 
 
 def test_sparse_form_of_rows():
     """The rows view reads the <= block, then the = block, from the matrix;
-    the dump prints them and the bounds."""
+    the dump prints them and the bounds, column j named x<j>."""
     sparse = three_row_program()
     assert sparse.num_vars == 2
     assert len(sparse.rows) == 3
@@ -149,10 +148,10 @@ def test_sparse_form_of_rows():
         ({0: 1.0, 1: 1.0}, EQ, 5.0),
     ]
     text = dump_lp(sparse)
-    assert text.splitlines()[0] == "minimize: +1 x +1 y"
-    assert "  +100 x +1 y <= 203" in text
-    assert "  -1 x <= -2" in text and "  +1 x +1 y = 5" in text
-    assert "  0 <= x <= +inf" in text and "  0 <= y <= 4" in text
+    assert text.splitlines()[0] == "minimize: +1 x0 +1 x1"
+    assert "  +100 x0 +1 x1 <= 203" in text
+    assert "  -1 x0 <= -2" in text and "  +1 x0 +1 x1 = 5" in text
+    assert "  0 <= x0 <= +inf" in text and "  0 <= x1 <= 4" in text
     assert solve_lp(sparse).objective_value == pytest.approx(5.0)
 
 

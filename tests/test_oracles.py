@@ -364,10 +364,10 @@ def _dict_row_path_flow_lp(edge_groups, capacities, demand_caps=None):
     lp = RowLp(maximize=True)
     path_vars = []
     per_edge = {}
-    for gi, group in enumerate(edge_groups):
+    for group in edge_groups:
         gvars = []
-        for pi, edges in enumerate(group):
-            var = lp.add_var(f"p[{gi}:{pi}]", objective=1.0)
+        for edges in group:
+            var = lp.add_var(objective=1.0)
             gvars.append(var)
             for eid in edges:
                 per_edge.setdefault(eid, {})[var] = (
@@ -405,10 +405,7 @@ def _dict_row_undirected_aux_lp(undirected, w, commodities):
         arcs.append((z_nodes[i], z_super, None))
 
     lp = RowLp(maximize=True)
-    flow_vars = [
-        [lp.add_var(f"f[{i}:a{a}]") for a in range(len(arcs))]
-        for i in range(n_comm)
-    ]
+    flow_vars = [[lp.add_var() for _ in arcs] for _ in range(n_comm)]
     for i in range(n_comm):
         for j, (tail, head, _) in enumerate(arcs):
             if head in z_nodes and head != z_nodes[i]:
@@ -492,7 +489,6 @@ def _assert_same_lp(new, old):
         assert x.dtype == y.dtype and np.array_equal(x, y), name
     _assert_same_matrix(new.a_ub, old.a_ub)
     _assert_same_matrix(new.a_eq, old.a_eq)
-    assert list(new.labels) == list(old.labels)
 
 
 def _random_undirected(rng):

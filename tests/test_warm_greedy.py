@@ -173,3 +173,64 @@ def test_warm_theta_noise_below_the_tie_tolerance_moves_no_pick(
             moved.clear()
             assert printed(tmp_path, *run) == expected, (phase, run[1:])
             assert len(moved) > 10
+
+
+def test_failed_warm_solves_are_solved_cold(tmp_path, monkeypatch):
+    """A candidate whose warm solve raises ArithmeticError is ranked by its
+    cold solve. Every warm solve of the rounds to an even set size failing,
+    and every third of the others, leaves every printed byte as the all-cold
+    loop printed it."""
+    runs = [instances()[i] for i in (0, 12, 18, 19, 26, 43)]
+    real = srte.selection._evaluate
+    warm = []
+
+    def failing(pool, middlepoints, start=None, return_basis=False):
+        if start is not None:
+            warm.append(middlepoints)
+            if len(middlepoints) % 2 == 0 or len(warm) % 3 == 0:
+                raise ArithmeticError("LP solver failed: injected")
+        return real(pool, middlepoints, start, return_basis)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(srte.selection, "_evaluate", failing)
+        got = [printed(tmp_path, *run) for run in runs]
+    assert len(warm) >= 30
+    monkeypatch.setattr(srte.selection, "_greedy_points", cold_greedy_points)
+    for run, out in zip(runs, got):
+        assert out == printed(tmp_path, *run), run[1:]
+
+
+def test_a_cold_winner_that_does_not_improve_ends_the_expansion(
+    tmp_path, monkeypatch
+):
+    """Warm thetas reported 2 * IMPROVEMENT_TOL low make a round that cannot
+    improve look as if it could: its cold confirmations find no improvement,
+    and the expansion ends where the all-cold loop's ends."""
+    runs = [instances()[i] for i in (12, 19, 20, 43, 45)]
+    real = srte.selection._evaluate
+    real_round = srte.selection._greedy_round
+    cold, refuted = [], []
+
+    def low(pool, middlepoints, start=None, return_basis=False):
+        theta, solution, error = real(pool, middlepoints, start, return_basis)
+        if start is None:
+            cold.append(middlepoints)
+        elif theta < math.inf:
+            theta -= 2 * IMPROVEMENT_TOL
+        return theta, solution, error
+
+    def round_(*args):
+        before = len(cold)
+        winner = real_round(*args)
+        if winner is None and len(cold) > before:
+            refuted.append(args[1])
+        return winner
+
+    with monkeypatch.context() as patch:
+        patch.setattr(srte.selection, "_evaluate", low)
+        patch.setattr(srte.selection, "_greedy_round", round_)
+        got = [printed(tmp_path, *run) for run in runs]
+    assert len(refuted) == len(runs)  # each run's last round
+    monkeypatch.setattr(srte.selection, "_greedy_points", cold_greedy_points)
+    for run, out in zip(runs, got):
+        assert out == printed(tmp_path, *run), run[1:]
