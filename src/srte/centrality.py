@@ -1,8 +1,8 @@
 """Structural node-importance scores used for middlepoint selection.
 
-All shortest-path work is exact (rational distances, big-integer counts), so
-scores compare exactly and orderings are deterministic: descending score with
-lowest node index breaking ties.
+All shortest-path work is exact (integer distances over the network's cost
+scale, big-integer counts), so scores compare exactly and orderings are
+deterministic: descending score with lowest node index breaking ties.
 
 Node pairs with no connecting path contribute 0 to every betweenness sum.
 For group betweenness, pairs with an endpoint inside the group are excluded
@@ -83,13 +83,18 @@ def betweenness(
 
 def _avoiding_counts(dag: ShortestPathDag, net: FlowNetwork, group: frozenset[int]):
     """Per-node count of shortest paths from dag.source avoiding all group
-    nodes, by one walk of the DAG in distance order (``group_betweenness``)."""
+    nodes, by one walk of the DAG in distance order (``group_betweenness``);
+    an edge (u, v) is on a shortest path iff dist[u] == dist[v] - its cost."""
+    dist, costs, edges = dag.scaled_dist, net.scaled_costs, net.edges
     avoid = [0] * net.node_count
     avoid[dag.source] = 0 if dag.source in group else 1
     for v in dag.order():
         if v == dag.source or v in group:
             continue
-        avoid[v] = sum(avoid[net.edges[eid].tail] for eid in dag.preds[v])
+        for eid in net.in_edges[v]:
+            u = edges[eid].tail
+            if dist[u] == dist[v] - costs[eid]:  # None for unreachable u
+                avoid[v] += avoid[u]
     return avoid
 
 

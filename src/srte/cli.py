@@ -44,13 +44,10 @@ from .selection import (
     select_prefixes,
     solve_with_middlepoints,
 )
-from .te import (
-    LU,
-    MF,
-    NoTunnelError,
-    build_mp_baseline,
-    solve_mp,
-)
+from .te import LU, MF, NoTunnelError, build_mp_baseline
+# The MP baseline solves like any TE program; bench/tracer.py times its
+# solves apart from the tunnel solves by this name.
+from .te import solve_te as solve_mp
 
 SELECTION_METHODS = (
     "sp", "gsp", "degree", "random", "optimal", "greedy", "mp-baseline",
@@ -83,16 +80,16 @@ def _load_inputs(args) -> tuple[FlowNetwork, DemandMatrix]:
     if args.demands is not None:
         try:
             with open(args.demands) as fh:
-                parsed = parse_demands(fh.read(), scale=args.scale)
+                parsed = parse_demands(fh.read())
         except OSError as exc:
             raise UsageError(f"cannot read demands: {exc}") from exc
         demands = parsed.bind(network)
     elif args.gravity is not None:
         demands = generate_gravity_demands(network, args.gravity, args.seed)
-        if args.scale != 1.0:
-            demands = demands.scaled(args.scale)
     else:
         raise UsageError("either --demands or --gravity is required")
+    if args.scale != 1.0:
+        demands = demands.scaled(args.scale)
     return network, demands
 
 
@@ -237,10 +234,10 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _parse_axis(spec: str) -> list[int]:
+def _parse_axis(spec: str) -> Sequence[int]:
     if ":" in spec:
         lo, hi = spec.split(":", 1)
-        values = list(range(int(lo), int(hi) + 1))
+        values = range(int(lo), int(hi) + 1)
     else:
         values = [int(x) for x in spec.split(",")]
     if not values:
@@ -250,29 +247,29 @@ def _parse_axis(spec: str) -> list[int]:
 
 def cmd_sweep(args) -> int:
     network, demands = _load_inputs(args)
-    if args.sweep_k:
-        runs = [
-            (str(k), args.method, k, args.m, args.seed)
-            for k in _parse_axis(args.sweep_k)
-        ]
-    elif args.sweep_m:
+    if args.sweep_k is not None:
+        ks = _parse_axis(args.sweep_k)
+        if isinstance(ks, range):  # checked before it is expanded: lo, then
+            # the least K above the node count, if the range reaches it
+            for k in (ks[0], min(ks[-1], network.node_count + 1)):
+                _check_point(network, args, args.method, k, args.m)
+        runs = [(str(k), args.method, k, args.m, args.seed) for k in ks]
+    elif args.sweep_m is not None:
         runs = [
             (str(m), args.method, args.k, m, args.seed)
             for m in _parse_axis(args.sweep_m)
         ]
-    elif args.sweep_methods:
+    else:
         runs = []
         for token in args.sweep_methods.split(","):
             method, _, seed = token.partition(":")
             seed = int(seed) if seed else args.seed
             runs.append((token, method, args.k, args.m, seed))
-    else:
-        raise UsageError("one of --sweep-k / --sweep-m / --sweep-methods required")
     for _, method, k, m, _ in runs:
         _check_point(network, args, method, k, m)
 
     cache = ShortestPathCache(network)
-    if args.sweep_k and args.method in PREFIX_METHODS:
+    if args.sweep_k is not None and args.method in PREFIX_METHODS:
         outcomes = select_prefixes(
             network, demands, args.method, [k for _, _, k, _, _ in runs], args.m,
             weighted=args.weighted, seed=args.seed, objective=args.objective,
@@ -491,9 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep K, M, or methods; CSV output")
     _add_common(p_sweep)
-    p_sweep.add_argument("--sweep-k", help="K axis, e.g. 1:6 or 1,2,4")
-    p_sweep.add_argument("--sweep-m", help="M axis, e.g. 1,2")
-    p_sweep.add_argument(
+    axis = p_sweep.add_mutually_exclusive_group(required=True)
+    axis.add_argument("--sweep-k", help="K axis, e.g. 1:6 or 1,2,4")
+    axis.add_argument("--sweep-m", help="M axis, e.g. 1,2")
+    axis.add_argument(
         "--sweep-methods",
         help="comma-separated methods; random may carry a seed as random:7",
     )

@@ -35,11 +35,6 @@ class UnknownNodeError(ValueError):
     """Raised for a node name the network does not have."""
 
 
-def _check_scale(scale: float) -> None:
-    if not 0 < scale < math.inf:  # also rejects NaN
-        raise DemandError(f"scale must be positive and finite, got {scale}")
-
-
 @dataclass(frozen=True)
 class Edge:
     """Directed edge with a positive capacity and a positive routing cost."""
@@ -162,7 +157,8 @@ class DemandMatrix:
             raise DemandError("duplicate (source, sink) pair")
 
     def scaled(self, factor: float) -> "DemandMatrix":
-        _check_scale(factor)
+        if not 0 < factor < math.inf:  # also rejects NaN
+            raise DemandError(f"scale must be positive and finite, got {factor}")
         return DemandMatrix(
             tuple(
                 Commodity(c.source, c.sink, c.demand * factor)
@@ -176,7 +172,7 @@ class DemandMatrix:
 
 @dataclass(frozen=True)
 class ParsedDemands:
-    """Name-based demand rows, merged and scaled but not yet bound to a network."""
+    """Name-based demand rows, merged but not yet bound to a network."""
 
     rows: tuple[tuple[str, str, float], ...]
 
@@ -264,9 +260,8 @@ def serialize_topology(network: FlowNetwork) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_demands(text: str, scale: float = 1.0) -> ParsedDemands:
-    """Parse a DEMANDS file; duplicate (s, t) rows are summed, volumes scaled."""
-    _check_scale(scale)
+def parse_demands(text: str) -> ParsedDemands:
+    """Parse a DEMANDS file; duplicate (s, t) rows are summed."""
     merged: dict[tuple[str, str], float] = {}
     order: list[tuple[str, str]] = []
     for lineno, fields in _iter_lines(text):
@@ -290,7 +285,7 @@ def parse_demands(text: str, scale: float = 1.0) -> ParsedDemands:
             merged[key] = 0.0
             order.append(key)
         merged[key] += volume
-    rows = tuple((s, t, merged[(s, t)] * scale) for s, t in order)
+    rows = tuple((s, t, merged[(s, t)]) for s, t in order)
     return ParsedDemands(rows)
 
 

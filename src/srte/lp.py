@@ -150,11 +150,10 @@ _WARM_OPTIONS.simplex_strategy = (
 _WARM_OPTIONS.highs_debug_level = _OPTIONS.highs_debug_level
 _WARM_OPTIONS.output_flag = _WARM_OPTIONS.log_to_console = False
 
-# The model statuses scipy's linprog reports as a result; any other fails.
+# The model statuses that are a solve's result; any other fails.
 _STATUS = {
     highs.HighsModelStatus.kOptimal: LpStatus.OPTIMAL,
     highs.HighsModelStatus.kInfeasible: LpStatus.INFEASIBLE,
-    highs.HighsModelStatus.kModelError: LpStatus.INFEASIBLE,
     highs.HighsModelStatus.kUnbounded: LpStatus.UNBOUNDED,
 }
 # linprog's result check tolerance: 10 * sqrt of its default tol of 1e-9.
@@ -191,9 +190,10 @@ def linprog(
 ) -> LpSolution:
     """Solve the program in one fresh HiGHS solver, as scipy's
     ``linprog(method="highs")`` does: the same options, input and result
-    checks (NaN bounds are rejected too), statuses, and a maximization solved
-    as the minimization of the negated objective. A solve HiGHS does not
-    finish, or whose point fails the result check, raises ``ArithmeticError``.
+    checks (NaN bounds are rejected too), and a maximization solved as the
+    minimization of the negated objective. A model HiGHS rejects (say, with
+    a coefficient of 1e16), a solve it does not finish, or a point failing
+    the result check raises ``ArithmeticError``: none reads as infeasible.
     The rows are passed row-wise as they are; only a program with both blocks
     is stacked (rows: the ``<=`` rows, then the ``=`` rows).
 
@@ -233,7 +233,7 @@ def linprog(
         np.zeros(len(c), dtype=np.int32),  # every column continuous
     )
     if loaded == highs.HighsStatus.kError:
-        return LpSolution(LpStatus.INFEASIBLE, np.nan, np.zeros(0))
+        raise ArithmeticError("LP solver failed: HiGHS rejected the model")
     if start_basis is not None and (
         solver.setBasis(_to_highs(start_basis)) == highs.HighsStatus.kError
     ):

@@ -84,43 +84,24 @@ def enumerate_paths(
     return paths
 
 
-def has_swt_path(network: FlowNetwork, s: int, w: int, t: int) -> bool:
-    """Whether any edge-distinct s-t path visiting w exists (brute-force DFS)."""
-    used = [False] * network.edge_count
-    found = False
-
-    def walk(node: int, seen_w: bool) -> None:
-        nonlocal found
-        if found:
-            return
-        if node == t and seen_w:
-            found = True
-            return
-        for eid in network.out_edges[node]:
-            if used[eid]:
-                continue
-            used[eid] = True
-            head = network.edges[eid].head
-            walk(head, seen_w or head == w)
-            used[eid] = False
-            if found:
-                return
-
-    walk(s, s == w)
-    return found
-
-
 @functools.lru_cache(maxsize=1)
 def _swt_paths(network: FlowNetwork, s: int, w: int, t: int) -> tuple[Path, ...]:
     """Every s-t path visiting w, for distinct s, w, t within the node cap.
 
-    The last answer is kept: ``max_swt_flow`` and ``min_swt_cut`` of one
-    instance, which the flow = cut checks call in turn, enumerate once.
+    The last answer is kept: ``has_swt_path``, ``max_swt_flow`` and
+    ``min_swt_cut`` of one instance, which the flow = cut checks call in
+    turn, enumerate once.
     """
     if len({s, w, t}) != 3:
         raise ValueError("s, w, t must be distinct")
     check_node_cap(network.node_count)
     return tuple(p for p in enumerate_paths(network, s, t) if p.visits(w))
+
+
+def has_swt_path(network: FlowNetwork, s: int, w: int, t: int) -> bool:
+    """Whether an edge-distinct s-t path visits w (distinct s, w, t within
+    the node cap); the instance's flow and cut reuse its enumeration."""
+    return bool(_swt_paths(network, s, w, t))
 
 
 def _incidence(paths: Sequence[Path], edge_count: int) -> csr_matrix:

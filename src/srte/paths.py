@@ -32,16 +32,15 @@ class ShortestPathDag:
     """Single-source shortest-path DAG with exact distances and path counts.
 
     ``scaled_dist[v]`` is the distance times the network's ``cost_scale``,
-    an int, or None for unreachable nodes (sigma 0, no predecessors).
-    ``preds[v]`` lists the indices of edges (u, v) with
-    scaled_dist[v] == scaled_dist[u] + scaled cost(u, v) exactly. ``settled``
-    lists the reachable nodes in the order Dijkstra settled them.
+    an int, or None for unreachable nodes (sigma 0). An edge (u, v) is on a
+    shortest path iff scaled_dist[v] == scaled_dist[u] + its scaled cost
+    exactly. ``settled`` lists the reachable nodes in the order Dijkstra
+    settled them.
     """
 
     source: int
     scaled_dist: tuple[Optional[int], ...]
     sigma: tuple[int, ...]
-    preds: tuple[tuple[int, ...], ...]
     settled: tuple[int, ...]
 
     def order(self) -> list[int]:
@@ -59,7 +58,6 @@ def _dijkstra_counting(network: FlowNetwork, start: int, reverse: bool):
     edges, costs = network.edges, network.scaled_costs
     dist: list[Optional[int]] = [None] * n
     sigma = [0] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
     dist[start] = 0
     sigma[start] = 1
     done = [False] * n
@@ -80,17 +78,10 @@ def _dijkstra_counting(network: FlowNetwork, start: int, reverse: bool):
             if dist[v] is None or nd < dist[v]:
                 dist[v] = nd
                 sigma[v] = sigma[u]
-                preds[v] = [eid]
                 heapq.heappush(heap, (nd, v))
             elif nd == dist[v]:
                 sigma[v] += sigma[u]
-                preds[v].append(eid)
-    return (
-        tuple(dist),
-        tuple(sigma),
-        tuple(tuple(p) for p in preds),
-        tuple(settled),
-    )
+    return tuple(dist), tuple(sigma), tuple(settled)
 
 
 def sp_dag(network: FlowNetwork, source: int) -> ShortestPathDag:
@@ -102,10 +93,7 @@ def sp_dag(network: FlowNetwork, source: int) -> ShortestPathDag:
 
 def sp_dag_reverse(network: FlowNetwork, sink: int) -> ShortestPathDag:
     """Shortest-path DAG *to* ``sink``: scaled_dist[v] and sigma[v] refer to
-    v -> sink.
-
-    ``preds[v]`` lists outgoing edges of v on some shortest v -> sink path.
-    """
+    v -> sink."""
     return ShortestPathDag(
         sink, *_dijkstra_counting(network, sink, reverse=True)
     )
@@ -122,7 +110,6 @@ class SegmentFractions:
     of ``counts``.
     """
 
-    segment: tuple[int, int]
     sigma: int
     counts: dict[int, int]
     loads: tuple[float, ...]
@@ -170,7 +157,7 @@ def segment_fractions(
                 counts[eid] = fsigma[a] * bsigma[b]
     sigma = fsigma[v]
     return SegmentFractions(
-        (u, v), sigma, counts, tuple(c / sigma for c in counts.values())
+        sigma, counts, tuple(c / sigma for c in counts.values())
     )
 
 

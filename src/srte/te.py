@@ -645,8 +645,3 @@ def build_mp_baseline(
     loads = _csr([(flow_edges, flow_cols - first, ones)],
                  (edge_count, variables - first))
     return TeProgram(kind, lp, network, demands, [], first, loads)
-
-
-# The MP baseline solves and decodes like any TE program. The name stays
-# because the CLI calls the MP solve by it and bench/tracer.py times it there.
-solve_mp = solve_te

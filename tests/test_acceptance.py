@@ -42,7 +42,7 @@ from srte.selection import (
     optimal_select,
     solve_with_middlepoints,
 )
-from srte.te import LU, MF, build_mp_baseline, build_te_lu, solve_mp, solve_te, tunnels_for_middlepoints
+from srte.te import LU, MF, build_mp_baseline, build_te_lu, solve_te, tunnels_for_middlepoints
 
 from conftest import ACCEPTANCE_LINES, make_demands, make_net, split_lp
 from test_centrality import betweenness_oracle
@@ -141,8 +141,8 @@ def test_criterion_4_saturation_biconditional():
                     pairs.add((s, t))
                     commodities.append(Commodity(s, t, float(rng.randint(1, 4))))
             demands = DemandMatrix(tuple(commodities))
-            mf = solve_mp(build_mp_baseline(net, demands, MF))
-            lu = solve_mp(build_mp_baseline(net, demands, LU))
+            mf = solve_te(build_mp_baseline(net, demands, MF))
+            lu = solve_te(build_mp_baseline(net, demands, LU))
             saturated = (
                 abs(mf.satisfied_total - demands.total_demand()) <= 1e-7
             )
@@ -286,7 +286,7 @@ def test_criterion_8_qualitative_trends():
             if thetas[3] <= sum(random_thetas) / 5 + 1e-9:
                 gsp_wins += 1
             # (d) the multipath baseline lower-bounds every SR solution.
-            mp = solve_mp(build_mp_baseline(net, demands, LU))
+            mp = solve_te(build_mp_baseline(net, demands, LU))
             sr_min = min(thetas + [theta_m2] + random_thetas)
             assert mp.theta <= sr_min + 1e-7, f"topology {topo}: MP bound"
         assert gsp_wins >= 14, f"GSP beat random on only {gsp_wins}/20"

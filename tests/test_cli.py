@@ -336,6 +336,36 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["theta"] == pytest.approx(1e-6 * theta, rel=1e-6)
 
+    @pytest.mark.parametrize("capacity, volume", [("1e16", "1"), ("1", "1e21")])
+    @pytest.mark.parametrize("method", ["all-nodes", "mp-baseline"])
+    def test_program_highs_rejects_is_not_infeasible(
+        self, capsys, tmp_path, capacity, volume, method
+    ):
+        """A coefficient or bound beyond HiGHS's limits fails the solve with
+        exit 2; the program is not reported infeasible. A capacity of 1e14
+        is within them."""
+        topo, dem = tmp_path / "t.topo", tmp_path / "d.dem"
+        dem.write_text(f"DEMAND a c {volume}\n")
+        inputs = (
+            "solve", "--topology", topo, "--demands", dem, "--method", method,
+        )
+        topo.write_text(f"EDGE a b {capacity}\nEDGE b c 1\nEDGE a c 1\n")
+        code, out, err = run(capsys, *inputs)
+        assert (code, out) == (2, "")
+        assert err == "error: LP solver failed: HiGHS rejected the model\n"
+        code, out, err = run(
+            capsys, "sweep", *inputs[1:5], "--sweep-methods", f"{method},gsp",
+        )
+        assert code == 2
+        assert out.splitlines()[1] == f"{method},error,,,0"
+        assert err.splitlines()[0] == (
+            f"point {method}: LP solver failed: HiGHS rejected the model"
+        )
+        if volume == "1":
+            topo.write_text("EDGE a b 1e14\nEDGE b c 1\nEDGE a c 1\n")
+            code, out, _ = run(capsys, *inputs)
+            assert (code, json.loads(out)["theta"]) == (0, 0.5)
+
 
 class TestSweep:
     def test_golden_methods_sweep(self, capsys):
@@ -580,10 +610,11 @@ class TestInputErrors:
         assert "nope.dem" in err
 
     def test_non_finite_scale_with_demand_file(self, capsys):
-        self.assert_rejected(
+        err = self.assert_rejected(
             capsys, "solve", "--topology", DATA / "net10.topo",
             "--demands", DATA / "net10.dem", "--scale", "nan",
         )
+        assert err == "error: scale must be positive and finite, got nan\n"
 
     def test_non_finite_demand_volume(self, capsys, tmp_path):
         dem = tmp_path / "nan.dem"
@@ -602,6 +633,31 @@ class TestInputErrors:
             capsys, "sweep", "--topology", DATA / "net10.topo",
             "--demands", DATA / "net10.dem", "--method", "degree", *axis,
         )
+
+    @pytest.mark.parametrize("axes", [
+        ("--sweep-k", "1:3", "--sweep-m", "1"),
+        ("--sweep-k", "1", "--sweep-methods", "gsp"),
+        ("--sweep-m", "1", "--sweep-methods", "gsp"),
+    ])
+    def test_sweep_axes_are_exclusive(self, capsys, axes):
+        """A sweep has one axis: a second one is a usage error, not
+        silently ignored."""
+        code, out, err = run(
+            capsys, "sweep", "--topology", DATA / "net10.topo",
+            "--demands", DATA / "net10.dem", *axes,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: ") and "not allowed with argument" in err
+
+    def test_k_range_is_bounded_before_it_is_expanded(self, capsys):
+        """A lo:hi K axis names its first point out of range, as a per-point
+        check would, without expanding the range first."""
+        err = self.assert_rejected(
+            capsys, "sweep", "--topology", DATA / "net10.topo",
+            "--demands", DATA / "net10.dem", "--method", "gsp",
+            "--sweep-k", "1:100000000",
+        )
+        assert err == "error: k must be in [1, 10], got 11\n"
 
 
     @pytest.mark.parametrize(

@@ -351,6 +351,17 @@ def test_unfinished_solve_raises(monkeypatch):
         solve_lp(lp)
 
 
+@pytest.mark.parametrize("lp", [
+    dense_lp([1.0], ub=[([1e16], 1.0)], maximize=True),  # a coefficient
+    dense_lp([1.0], ub=[([-1.0], -1e21)]),  # a right-hand side
+])
+def test_rejected_model_raises(lp):
+    """A program HiGHS refuses to load is a failed solve, not an
+    infeasible one."""
+    with pytest.raises(ArithmeticError, match="HiGHS rejected the model"):
+        solve_lp(lp)
+
+
 def test_warm_start_gives_the_cold_status_and_theta(monkeypatch):
     """From a start basis, linprog returns the status of the cold solve, and
     an objective within a hundredth of the tie tolerance the greedy ranks

@@ -155,11 +155,14 @@ class TestMaxSwtFlowAndMinCut:
             max_swt_flow(net, 0, 0, 2)
         with pytest.raises(ValueError):
             min_swt_cut(net, 0, 2, 2)
+        with pytest.raises(ValueError):
+            has_swt_path(net, 0, 2, 0)
 
     def test_node_cap_guard(self):
         net = random_digraph(13, 0.2, 0)
-        with pytest.raises(SizeCapExceededError):
-            max_swt_flow(net, 0, 1, 2)
+        for oracle in (max_swt_flow, min_swt_cut, has_swt_path):
+            with pytest.raises(SizeCapExceededError):
+                oracle(net, 0, 1, 2)
 
 
 class TestFlowCentrality:
@@ -720,6 +723,8 @@ def test_min_cut_by_path_bitmasks_equals_dfs_search():
 def test_flow_and_cut_of_one_instance_enumerate_its_paths_once(monkeypatch):
     """max_swt_flow and then min_swt_cut of one instance, as the flow = cut
     checks call them, list the s-t paths once between them."""
+    # Generated first: has_swt_path, which picks them, enumerates too.
+    instances = list(seeded_swt_instances(6))
     calls = []
     real = oracles.enumerate_paths
 
@@ -729,7 +734,6 @@ def test_flow_and_cut_of_one_instance_enumerate_its_paths_once(monkeypatch):
 
     monkeypatch.setattr(oracles, "enumerate_paths", counting)
     oracles._swt_paths.cache_clear()
-    instances = list(seeded_swt_instances(6))
     for net, s, w, t in instances:
         flow = max_swt_flow(net, s, w, t)
         _, cut = min_swt_cut(net, s, w, t)

@@ -66,14 +66,6 @@ def test_source_properties():
     dag = sp_dag(net, 0)
     assert dist(net, dag, 0) == 0
     assert dag.sigma[0] == 1
-    assert dag.preds[0] == ()
-
-
-def test_preds_are_tight_edges():
-    net = make_net([(0, 1, 1, 1), (0, 2, 1, 1), (1, 3, 1, 1), (2, 3, 1, 1)])
-    dag = sp_dag(net, 0)
-    assert dag.sigma[3] == 2
-    assert sorted(dag.preds[3]) == [2, 3]
 
 
 def test_fractional_cost_tie_detection():

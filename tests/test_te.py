@@ -20,7 +20,6 @@ from srte.te import (
     build_mp_baseline,
     build_te_lu,
     build_te_mf,
-    solve_mp,
     solve_te,
     tunnels_for_middlepoints,
 )
@@ -377,20 +376,20 @@ class TestMpBaseline:
     def test_single_path_theta_is_demand_over_capacity(self):
         net = make_net([(0, 1, 4)])
         demands = make_demands((0, 1, 3))
-        sol = solve_mp(build_mp_baseline(net, demands, LU))
+        sol = solve_te(build_mp_baseline(net, demands, LU))
         assert sol.theta == pytest.approx(0.75, abs=1e-9)
 
     def test_mp_is_lower_bound_for_segment_routing(self):
         net = random_connected_digraph(9, 24, 11)
         demands = make_demands((0, 4, 2), (1, 6, 1), (7, 3, 2))
-        mp = solve_mp(build_mp_baseline(net, demands, LU))
+        mp = solve_te(build_mp_baseline(net, demands, LU))
         sr = solve_lu(net, demands, [2, 5], 2)
         assert mp.theta <= sr.theta + 1e-7
 
     def test_mp_mf_is_upper_bound_for_segment_routing(self):
         net = make_net([(0, 1, 1)])
         demands = make_demands((0, 1, 2))
-        mp = solve_mp(build_mp_baseline(net, demands, MF))
+        mp = solve_te(build_mp_baseline(net, demands, MF))
         cache = ShortestPathCache(net)
         tunnels = tunnels_for_middlepoints(cache, demands, [], 1)
         sr = solve_te(build_te_mf(cache, demands, tunnels))
@@ -403,7 +402,7 @@ class TestMpBaseline:
 
         net = random_digraph(7, 0.35, seed, max_capacity=4)
         demands = make_demands((0, 4, 3), (2, 6, 2))
-        mp = solve_mp(build_mp_baseline(net, demands, MF))
+        mp = solve_te(build_mp_baseline(net, demands, MF))
         # group_flow over all nodes imposes no path restriction (every path
         # visits its own source), so it is the unrestricted path LP.
         oracle = oracles.group_flow(net, demands, range(net.node_count))
@@ -414,8 +413,8 @@ class TestMpBaseline:
         """MP max-flow meets all demands exactly when MP TE_LU theta <= 1."""
         net = random_digraph(8, 0.35, seed, max_capacity=5)
         demands = make_demands((0, 4, 3), (2, 6, 2), (5, 1, 4))
-        mf = solve_mp(build_mp_baseline(net, demands, MF))
-        lu = solve_mp(build_mp_baseline(net, demands, LU))
+        mf = solve_te(build_mp_baseline(net, demands, MF))
+        lu = solve_te(build_mp_baseline(net, demands, LU))
         saturated = mf.satisfied_total == pytest.approx(
             demands.total_demand(), abs=1e-7
         )
@@ -425,7 +424,7 @@ class TestMpBaseline:
     def test_infeasible_when_source_disconnected(self):
         net = make_net([(1, 0, 1)])
         demands = make_demands((0, 1, 1))
-        sol = solve_mp(build_mp_baseline(net, demands, LU))
+        sol = solve_te(build_mp_baseline(net, demands, LU))
         assert sol.status is LpStatus.INFEASIBLE
 
     def test_bad_kind_rejected(self):
