@@ -5,7 +5,9 @@ Subcommands: ``solve`` (one TE run), ``sweep`` (K / M / method sweeps as CSV),
 
 stdout carries exactly one JSON document or one CSV table; every diagnostic
 goes to stderr. Exit codes: 0 optimal / all-pass, 2 infeasible / suite
-failure, 1 usage or IO error. With a fixed seed all output is byte-identical
+failure, 1 usage or IO error. Output that cannot be written is an IO error:
+one ``error:`` line, or none when stdout is a pipe its reader has closed (as
+under ``| head``). With a fixed seed all output is byte-identical
 across runs; measured solve times are reported only under ``--timing`` since
 they would break that guarantee (the field is null otherwise).
 """
@@ -15,9 +17,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import centrality as centrality_mod
 from . import oracles
@@ -150,10 +153,13 @@ def _run_method(
 
 
 def _point_key(
-    method: str, k: int, m: int, seed: int, single_middlepoint: bool
+    method: str, k: int, m: int, seed: int, single_middlepoint: bool,
+    node_count: int,
 ) -> tuple:
     """The part of a run that its method reads: runs with one key select and
-    solve the same."""
+    solve the same. A tunnel has at most n - 2 middlepoints, so every M of
+    at least n is keyed as n."""
+    m = min(m, node_count)
     if method == "mp-baseline":
         return (method,)
     if method == "all-nodes":
@@ -164,13 +170,17 @@ def _point_key(
     return (method, k, m)
 
 
-def _each_point(network, demands, args, runs, cache) -> Iterator[Outcome]:
-    """Every distinct sweep run selected on its own, the outcome of a run
-    that differs from an earlier one only in what its method ignores yielded
-    again; a point's selection or solve error is yielded in its place."""
+def _each_point(
+    network, demands, args, runs: Iterable[tuple], cache
+) -> Iterator[tuple[tuple, Outcome]]:
+    """Each sweep run with its outcome, every distinct run selected on its
+    own, the outcome of a run that differs from an earlier one only in what
+    its method ignores yielded again; a point's selection or solve error is
+    its outcome. The runs are read one at a time."""
     outcomes: dict[tuple, Outcome] = {}
-    for _, *point in runs:
-        key = _point_key(*point, args.single_middlepoint)
+    for run in runs:
+        _, *point = run
+        key = _point_key(*point, args.single_middlepoint, network.node_count)
         if key not in outcomes:
             try:
                 outcomes[key] = _run_method(
@@ -178,7 +188,7 @@ def _each_point(network, demands, args, runs, cache) -> Iterator[Outcome]:
                 )
             except (NoTunnelError, BudgetExceededError, ArithmeticError) as exc:
                 outcomes[key] = exc
-        yield outcomes[key]
+        yield run, outcomes[key]
 
 
 def _solution_document(
@@ -249,37 +259,44 @@ def cmd_sweep(args) -> int:
     network, demands = _load_inputs(args)
     if args.sweep_k is not None:
         ks = _parse_axis(args.sweep_k)
-        if isinstance(ks, range):  # checked before it is expanded: lo, then
-            # the least K above the node count, if the range reaches it
-            for k in (ks[0], min(ks[-1], network.node_count + 1)):
-                _check_point(network, args, args.method, k, args.m)
-        runs = [(str(k), args.method, k, args.m, args.seed) for k in ks]
-    elif args.sweep_m is not None:
-        runs = [
-            (str(m), args.method, args.k, m, args.seed)
-            for m in _parse_axis(args.sweep_m)
+        # A range is checked before it is expanded: lo, then the least K
+        # above the node count, if the range reaches it.
+        checked = (
+            (ks[0], min(ks[-1], network.node_count + 1))
+            if isinstance(ks, range) else ks
+        )
+        for k in checked:
+            _check_point(network, args, args.method, k, args.m)
+        runs: Iterable[tuple] = [
+            (str(k), args.method, k, args.m, args.seed) for k in ks
         ]
+    elif args.sweep_m is not None:
+        ms = _parse_axis(args.sweep_m)
+        # A range is checked at its ends and never expanded: its runs are
+        # read one at a time.
+        for m in (ms[0], ms[-1]) if isinstance(ms, range) else ms:
+            _check_point(network, args, args.method, args.k, m)
+        runs = ((str(m), args.method, args.k, m, args.seed) for m in ms)
     else:
         runs = []
         for token in args.sweep_methods.split(","):
             method, _, seed = token.partition(":")
             seed = int(seed) if seed else args.seed
             runs.append((token, method, args.k, args.m, seed))
-    for _, method, k, m, _ in runs:
-        _check_point(network, args, method, k, m)
+            _check_point(network, args, method, args.k, args.m)
 
     cache = ShortestPathCache(network)
     if args.sweep_k is not None and args.method in PREFIX_METHODS:
-        outcomes = select_prefixes(
-            network, demands, args.method, [k for _, _, k, _, _ in runs], args.m,
+        outcomes = zip(runs, select_prefixes(
+            network, demands, args.method, list(ks), args.m,
             weighted=args.weighted, seed=args.seed, objective=args.objective,
             budget=args.budget, cache=cache,
-        )
+        ))
     else:
         outcomes = _each_point(network, demands, args, runs, cache)
     print("point,status,objective,solve_ms,subproblems")
     worst = 0
-    for (label, *_), result in zip(runs, outcomes):
+    for (label, *_), result in outcomes:
         if isinstance(result, Exception):
             print(f"point {label}: {result}", file=sys.stderr)
             print(f"{label},error,,,0")
@@ -423,6 +440,11 @@ def _suite_lemma1(args) -> list[str]:
     return failures
 
 
+# lemma1 solves polynomial MP programs, but they grow as n squared (one
+# trial of 300 nodes took 3.7 s and 176 MB), so it has a cap of its own,
+# above the brute-force suites' oracles.NODE_CAP.
+LEMMA1_NODE_CAP = 100
+
 _SUITES = {
     "maxflow-mincut": _suite_maxflow_mincut,
     "submodularity": _suite_submodularity,
@@ -439,8 +461,13 @@ def cmd_oracle(args) -> int:
         raise UsageError(
             f"--nodes must be at least {least} for {args.suite}, got {args.nodes}"
         )
-    if args.suite != "lemma1":  # path enumeration: capped before generation
+    # Capped before any instance is generated.
+    if args.suite != "lemma1":  # path enumeration
         oracles.check_node_cap(args.nodes)
+    elif args.nodes > LEMMA1_NODE_CAP:
+        raise UsageError(
+            f"{args.nodes} nodes exceed the lemma1 cap of {LEMMA1_NODE_CAP}"
+        )
     failures = _SUITES[args.suite](args)
     for line in failures:
         print(f"FAIL {line}", file=sys.stderr)
@@ -520,16 +547,35 @@ _FAILED = (NoTunnelError, BudgetExceededError, NotOptimalError, ArithmeticError)
 _REJECTED = (UsageError, ValueError, KeyError, oracles.SizeCapExceededError)
 
 
+def _drop_stdout() -> None:
+    """Point the stdout file descriptor at devnull, so that the flush at
+    interpreter exit writes what is left of the output nowhere."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not a file: nothing to flush
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage or the help
         return 1 if exc.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a write error surfaces here, not at exit
+        return code
     except _FAILED + _REJECTED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, _FAILED) else 1
+    except OSError as exc:  # writing the output: reading input raises UsageError
+        _drop_stdout()
+        if not isinstance(exc, BrokenPipeError):  # a closed pipe is no error
+            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

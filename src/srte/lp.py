@@ -9,11 +9,12 @@ and returns srte's own ``LpSolution``. HiGHS is deterministic for identical
 input and handles the degenerate, equal-capacity instances common in TE
 without cycling. Every returned point is re-checked against the rows.
 
-A solve can also start from a given simplex ``Basis`` (one HiGHS status code
-per column and row), which skips presolve and runs the primal simplex, and
-can hand back its optimal basis. Selection starts a superset's program from a
-subset's optimal basis: on a benchmark-tier greedy run that takes about an
-eighth of a cold solve's simplex iterations (18 against 149). Only scipy 1.17.1's bindings are
+A cold solve can hand back its optimal simplex ``Basis`` (one HiGHS status
+code per column and row). An ``LpModel`` keeps one program loaded at such a
+basis and solves it with a few columns added for one solve at a time: the
+primal simplex prices in only those columns, and the model drops them and
+restores the basis after each solve. Greedy selection ranks each round's
+candidates this way, one model per round. Only scipy 1.17.1's bindings are
 tested; ``tests/test_lp.py`` names every private binding used here.
 """
 
@@ -119,19 +120,28 @@ def _row_norms(a: csr_matrix) -> np.ndarray:
     return norms
 
 
+def _check_rows(lp: SparseLp, lhs: np.ndarray, norms: np.ndarray) -> None:
+    """Each row's residual over max(1, max |coefficient|) is within tolerance,
+    given each row's left side and max |coefficient| (the ``<=`` rows, then
+    the ``=`` rows)."""
+    resid = (lhs - np.concatenate((lp.b_ub, lp.b_eq))) / np.maximum(1.0, norms)
+    ub = len(lp.b_ub)
+    ok = np.concatenate(
+        (resid[:ub] <= FEASIBILITY_TOL, np.abs(resid[ub:]) <= FEASIBILITY_TOL)
+    )
+    if not ok.all():  # NaN residuals fail too
+        raise ArithmeticError(
+            "solver returned an infeasible point: row residual "
+            f"{resid[~ok][0]:g}"
+        )
+
+
 def _check_feasibility(lp: SparseLp, x: np.ndarray) -> None:
     """Each row's residual over max(1, max |coefficient|) is within tolerance."""
-    for a, b, equality in ((lp.a_ub, lp.b_ub, False), (lp.a_eq, lp.b_eq, True)):
-        if not a.shape[0]:
-            continue
-        norm = np.maximum(1.0, _row_norms(a))
-        resid = (a @ x - b) / norm
-        ok = np.abs(resid) <= FEASIBILITY_TOL if equality else resid <= FEASIBILITY_TOL
-        if not ok.all():  # NaN residuals fail too
-            raise ArithmeticError(
-                "solver returned an infeasible point: row residual "
-                f"{resid[~ok][0]:g}"
-            )
+    _check_rows(
+        lp, np.concatenate((lp.a_ub @ x, lp.a_eq @ x)),
+        np.concatenate((_row_norms(lp.a_ub), _row_norms(lp.a_eq))),
+    )
 
 
 # The options scipy's linprog(method="highs") sets; all others keep their
@@ -141,7 +151,7 @@ _OPTIONS.presolve = "on"
 _OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
 _OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
 _OPTIONS.output_flag = _OPTIONS.log_to_console = False
-# A solve from a start basis runs the primal simplex: a basis extended by
+# A model solved from a basis runs the primal simplex: a basis extended by
 # columns at 0 stays primal feasible, and only their prices are off.
 _WARM_OPTIONS = highs.HighsOptions()
 _WARM_OPTIONS.simplex_strategy = (
@@ -163,8 +173,6 @@ _RESULT_TOL = 10 * np.sqrt(1e-9)
 _BASIS_STATUS = np.array(
     sorted(highs.HighsBasisStatus.__members__.values(), key=int), dtype=object
 )
-LOWER = int(highs.HighsBasisStatus.kLower)
-BASIC = int(highs.HighsBasisStatus.kBasic)
 
 
 def _to_highs(basis: Basis) -> highs.HighsBasis:
@@ -183,26 +191,12 @@ def _from_highs(basis: highs.HighsBasis) -> Basis:
     )
 
 
-def linprog(
-    lp: SparseLp,
-    start_basis: Optional[Basis] = None,
-    return_basis: bool = False,
-) -> LpSolution:
-    """Solve the program in one fresh HiGHS solver, as scipy's
-    ``linprog(method="highs")`` does: the same options, input and result
-    checks (NaN bounds are rejected too), and a maximization solved as the
-    minimization of the negated objective. A model HiGHS rejects (say, with
-    a coefficient of 1e16), a solve it does not finish, or a point failing
-    the result check raises ``ArithmeticError``: none reads as infeasible.
-    The rows are passed row-wise as they are; only a program with both blocks
-    is stacked (rows: the ``<=`` rows, then the ``=`` rows).
-
-    With a ``start_basis`` (one status per column and row, as many basic as
-    there are rows) the simplex starts from it, without presolve; HiGHS
-    rejecting it raises ``ValueError``. With ``return_basis`` an optimal
-    solution also holds its final ``basis``, read only then since reading it
-    costs about as much as setting one.
-    """
+def _loaded(
+    lp: SparseLp, options: highs.HighsOptions
+) -> tuple[highs._Highs, csr_matrix, np.ndarray]:
+    """A fresh solver holding the program after linprog's input checks, the
+    rows as passed (the ``<=`` rows, then the ``=`` rows) and their upper
+    bounds."""
     for name, values in (
         ("objective", lp.objective), ("a_ub", lp.a_ub.data), ("b_ub", lp.b_ub),
         ("a_eq", lp.a_eq.data), ("b_eq", lp.b_eq),
@@ -225,7 +219,7 @@ def linprog(
     c = -lp.objective if lp.maximize else lp.objective
 
     solver = highs._Highs()
-    solver.passOptions(_OPTIONS if start_basis is None else _WARM_OPTIONS)
+    solver.passOptions(options)
     loaded = solver.passModel(
         len(c), len(row_upper), int(a.indptr[-1]),
         int(highs.MatrixFormat.kRowwise), int(highs.ObjSense.kMinimize), 0.0,
@@ -234,10 +228,19 @@ def linprog(
     )
     if loaded == highs.HighsStatus.kError:
         raise ArithmeticError("LP solver failed: HiGHS rejected the model")
-    if start_basis is not None and (
-        solver.setBasis(_to_highs(start_basis)) == highs.HighsStatus.kError
-    ):
-        raise ValueError("HiGHS rejected the start basis")
+    return solver, a, row_upper
+
+
+def _solved(
+    solver: highs._Highs,
+    lp: SparseLp,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    row_upper: np.ndarray,
+    return_basis: bool,
+) -> LpSolution:
+    """Run the loaded program and check its result as linprog does; ``lower``
+    and ``upper`` bound every column the solver holds."""
     ran = solver.run() != highs.HighsStatus.kError
     model_status = solver.getModelStatus()
     status = _STATUS.get(model_status) if ran else None
@@ -258,7 +261,7 @@ def linprog(
     tol = _RESULT_TOL
     if not (  # a NaN anywhere fails a comparison
         fun == fun
-        and (x >= lp.lower - tol).all() and (x <= lp.upper + tol).all()
+        and (x >= lower - tol).all() and (x <= upper + tol).all()
         and (slack >= -tol).all() and (np.abs(con) <= tol).all()
     ):
         raise ArithmeticError(
@@ -270,16 +273,94 @@ def linprog(
     return LpSolution(status, 0.0 - fun if lp.maximize else fun, x, basis, nit)
 
 
-def solve_lp(
-    lp: SparseLp,
-    start_basis: Optional[Basis] = None,
-    return_basis: bool = False,
-) -> LpSolution:
+def linprog(lp: SparseLp, return_basis: bool = False) -> LpSolution:
+    """Solve the program in one fresh HiGHS solver, as scipy's
+    ``linprog(method="highs")`` does: the same options, input and result
+    checks (NaN bounds are rejected too), and a maximization solved as the
+    minimization of the negated objective. A model HiGHS rejects (say, with
+    a coefficient of 1e16), a solve it does not finish, or a point failing
+    the result check raises ``ArithmeticError``: none reads as infeasible.
+    The rows are passed row-wise as they are; only a program with both blocks
+    is stacked (rows: the ``<=`` rows, then the ``=`` rows).
+
+    With ``return_basis`` an optimal solution also holds its final
+    ``basis``, read only then since reading it costs about as much as
+    setting one.
+    """
+    solver, _, row_upper = _loaded(lp, _OPTIONS)
+    return _solved(solver, lp, lp.lower, lp.upper, row_upper, return_basis)
+
+
+class LpModel:
+    """A program kept loaded in one HiGHS solver at a simplex basis, solved
+    with extra columns that stay in it for one solve only.
+
+    The extra columns are 0 in the objective and bounded by [0, inf), and
+    ``addCols`` starts them nonbasic at 0: a primal feasible basis stays
+    primal feasible, so the primal simplex (``_WARM_OPTIONS``; a valid basis
+    skips presolve) only prices them in. After each solve ``deleteCols``
+    removes them and ``setBasis`` restores the basis, so every solve starts
+    from the same model and basis.
+    """
+
+    def __init__(self, lp: SparseLp, basis: Basis):
+        """``basis`` holds one status per column and row, as many basic as
+        there are rows; HiGHS rejecting it raises ``ValueError``."""
+        self._lp = lp
+        self._solver, self._a, self._row_upper = _loaded(lp, _WARM_OPTIONS)
+        self._basis = _to_highs(basis)
+        if self._solver.setBasis(self._basis) == highs.HighsStatus.kError:
+            raise ValueError("HiGHS rejected the start basis")
+        self._norms = _row_norms(self._a)
+
+    def solve_with(
+        self, ptr: np.ndarray, rows: np.ndarray, values: np.ndarray
+    ) -> LpSolution:
+        """Solve the program with columns added: column j's entries are
+        ``values[ptr[j]:ptr[j + 1]]`` in the rows ``rows[ptr[j]:ptr[j + 1]]``
+        (int32, distinct within a column, counted as ``linprog`` passes the
+        rows). ``x`` holds the program's columns, then the added ones; the
+        result is checked as ``linprog`` and ``solve_lp`` check theirs.
+        """
+        if not np.isfinite(values).all():
+            raise ValueError(
+                "Invalid input for linprog: a_ub must not contain values inf, "
+                "nan, or None"
+            )
+        lp, solver = self._lp, self._solver
+        count, first = len(ptr) - 1, lp.num_vars
+        zeros, inf = np.zeros(count), np.full(count, np.inf)
+        try:
+            added = solver.addCols(
+                count, zeros, zeros, inf, len(values), ptr[:-1], rows, values
+            )
+            if added == highs.HighsStatus.kError:
+                raise ArithmeticError("LP solver failed: HiGHS rejected the columns")
+            sol = _solved(
+                solver, lp, np.concatenate((lp.lower, zeros)),
+                np.concatenate((lp.upper, inf)), self._row_upper, False,
+            )
+            if sol.status is LpStatus.OPTIMAL:
+                x = sol.x
+                lhs = self._a @ x[:first] + np.bincount(
+                    rows, values * np.repeat(x[first:], np.diff(ptr)),
+                    minlength=len(self._norms),
+                )
+                norms = self._norms.copy()
+                np.maximum.at(norms, rows, np.abs(values))
+                _check_rows(lp, lhs, norms)
+            return sol
+        finally:
+            solver.deleteCols(count, np.arange(first, first + count, dtype=np.int32))
+            solver.setBasis(self._basis)
+
+
+def solve_lp(lp: SparseLp, return_basis: bool = False) -> LpSolution:
     """Solve the program by ``linprog`` and re-check an optimal point against
     the rows; Infeasible/Unbounded are statuses, not failures."""
     if lp.num_vars == 0:
         return LpSolution(LpStatus.OPTIMAL, 0.0, np.zeros(0))
-    sol = linprog(lp, start_basis=start_basis, return_basis=return_basis)
+    sol = linprog(lp, return_basis=return_basis)
     if sol.status is LpStatus.OPTIMAL:
         _check_feasibility(lp, sol.x)
     return sol

@@ -9,9 +9,11 @@ and random selection pick a global middlepoint set up front and solve once.
 does not depend on k once: one centrality ranking whose top k each point
 takes, one greedy expansion read at every k. Each run enumerates and loads
 its tunnels once, in one ``TunnelPool``, of which every subproblem's program
-is a column slice. A greedy round ranks its candidates by solves warm-started
-from the chosen set's optimal basis and solves only the near-ties cold, so it
-picks and prints what solving every candidate cold would.
+is a column slice. A greedy round ranks its candidates in one HiGHS model
+of the chosen set's program, kept at its optimal basis, to which each
+candidate adds only its own tunnels for one solve. It then solves only the
+near-ties cold, so it picks and prints what solving every candidate cold
+would.
 """
 
 from __future__ import annotations
@@ -28,14 +30,14 @@ from .centrality import (
     random_select,
 )
 from .graph import DemandMatrix, FlowNetwork
-from .lp import LpStatus
+from .lp import Basis, LpStatus
 from .paths import ShortestPathCache
 from .te import (
     LU,
+    ExtensionModel,
     NoTunnelError,
     TeSolution,
     TunnelPool,
-    WarmStart,
     build_te_lu,
     build_te_mf,
     solve_te,
@@ -47,10 +49,11 @@ DEFAULT_SUBPROBLEM_BUDGET = 10_000
 # LP noise below this threshold never counts as an improvement.
 IMPROVEMENT_TOL = 1e-9
 
-# Relative to max(1, |theta|): a TE_LU program solved warm, from a subset's
-# optimal basis, and cold gives thetas far closer than this (at most 7.3e-15
-# apart over 1,004 warm solves of ten benchmark-tier greedy runs), so warm
-# thetas within it of the least are near-ties that a cold solve decides.
+# Relative to max(1, |theta|): a TE_LU program solved warm, in a subset's
+# model from its optimal basis, and cold gives thetas far closer than this
+# (at most 1.7e-15 apart over 1,003 warm solves of ten benchmark-tier greedy
+# runs), so warm thetas within it of the least are near-ties that a cold
+# solve decides.
 WARM_TIE_TOL = 1e-12
 
 
@@ -91,22 +94,17 @@ def solve_with_middlepoints(
 
 
 def _evaluate(
-    pool: TunnelPool,
-    middlepoints: Sequence[int],
-    start: Optional[WarmStart] = None,
-    return_basis: bool = False,
+    pool: TunnelPool, middlepoints: Sequence[int], return_basis: bool = False
 ) -> tuple[float, Optional[TeSolution], Optional[NoTunnelError]]:
-    """(theta, solution, error) of TE_LU on one set; theta is inf when a
-    commodity has no tunnel (no solution) or the program has no optimum.
-
-    The solve starts from ``start``'s basis if given; with ``return_basis``
-    an optimal solution keeps its basis.
+    """(theta, solution, error) of TE_LU on one set, solved cold; theta is
+    inf when a commodity has no tunnel (no solution) or the program has no
+    optimum. With ``return_basis`` an optimal solution keeps its basis.
     """
     try:
         program = pool.program(middlepoints)
     except NoTunnelError as exc:
         return math.inf, None, exc
-    solution = solve_te(program, start and start.basis(program), return_basis)
+    solution = solve_te(program, return_basis)
     optimal = solution.status is LpStatus.OPTIMAL and solution.theta is not None
     return (solution.theta if optimal else math.inf), solution, None
 
@@ -176,41 +174,37 @@ def optimal_select(
     return _raised(next(_optimal_points(pool, candidates, [k], budget)))
 
 
-def _warm_theta(
-    pool: TunnelPool, middlepoints: Sequence[int], start: Optional[WarmStart]
-) -> Optional[float]:
-    """TE_LU theta of one set solved from ``start``'s basis (cold without
-    one): inf without a tunnel, None when the solve finds no optimum or
-    fails."""
-    try:
-        theta, solution, _ = _evaluate(pool, middlepoints, start)
-    except ArithmeticError:
-        return None
-    return None if solution is not None and theta == math.inf else theta
-
-
 def _greedy_round(
     pool: TunnelPool,
     chosen: list[int],
     unexplored: list[int],
     theta: float,
-    start: Optional[WarmStart],
+    basis: Optional[Basis],
 ) -> Optional[tuple]:
     """The round's winner, (v, ``_evaluate`` of chosen + [v] solved cold), if
     it lowers theta by more than IMPROVEMENT_TOL, else None.
 
     The winner is the first candidate of least cold theta, as if every
-    candidate were solved cold. Each is solved warm, from the basis of the
-    chosen set's optimum, in a fraction of the simplex iterations, and
-    ranked by that theta, which is within WARM_TIE_TOL of its cold theta.
-    Then only the candidates within WARM_TIE_TOL of the least warm theta,
-    and those whose warm solve failed, are solved cold and decide. A round
-    whose least warm theta cannot improve needs no cold solve.
+    candidate were solved cold. Given the ``basis`` of the chosen set's
+    optimum, each is solved warm in one ``ExtensionModel`` of the chosen
+    set, in a fraction of the simplex iterations, and ranked by that theta,
+    which is within WARM_TIE_TOL of its cold theta. Then only the candidates
+    within WARM_TIE_TOL of the least warm theta, and those whose warm solve
+    failed (all of them without a basis), are solved cold and decide. A
+    round whose least warm theta cannot improve needs no cold solve.
     """
-    ranks = [_warm_theta(pool, chosen + [v], start) for v in unexplored]
+    ranks: list[Optional[float]] = [None] * len(unexplored)
+    if basis is not None:
+        model = ExtensionModel(pool, chosen, basis)
+        for i, v in enumerate(unexplored):
+            try:
+                ranks[i] = model.theta(v)
+            except ArithmeticError:  # only a cold solve tells
+                pass
+        del model  # free its solver before the cold solves: two at once raise peak RSS
     cold = {}
     for i, rank in enumerate(ranks):
-        if rank is None:  # only a cold solve tells
+        if rank is None:
             cold[i] = _evaluate(pool, chosen + [unexplored[i]], return_basis=True)
             ranks[i] = cold[i][0]
     least = min(ranks)
@@ -260,8 +254,8 @@ def _greedy_points(
         k_max = max(ks)
         while len(chosen) < k_max and unexplored:
             pool.cover(chosen + [v] for v in unexplored)
-            start = WarmStart(pool, chosen, current.basis) if theta < math.inf else None
-            winner = _greedy_round(pool, chosen, unexplored, theta, start)
+            basis = current.basis if theta < math.inf else None
+            winner = _greedy_round(pool, chosen, unexplored, theta, basis)
             subproblems += len(unexplored)
             if winner is not None:
                 v, (theta, current, error) = winner

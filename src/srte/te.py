@@ -15,8 +15,9 @@ edge. ``solve_te`` decodes both by one load-matrix mat-vec into utilizations
 A ``TunnelPool`` serves a selection run that solves many middlepoint sets: it
 enumerates and loads each tunnel once, and each set's program is a column
 slice of it, identical to the program built for that set alone, cut straight
-into CSR arrays. A ``WarmStart`` turns the optimal basis of one LU slice into
-a start basis for the slices of its supersets, gathered by pool column: the
+into CSR arrays. An ``ExtensionModel`` keeps one set's LU slice loaded in
+HiGHS at its optimal basis and solves the slice of the set plus one node by
+adding only the columns that node brings, built from the pool's arrays: the
 pool only appends, so a column never moves.
 """
 
@@ -35,7 +36,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .graph import Commodity, DemandMatrix, FlowNetwork
-from .lp import LOWER, Basis, LpStatus, SparseLp, solve_lp
+from .lp import Basis, LpModel, LpStatus, SparseLp, solve_lp
 from .paths import SegmentFractions, ShortestPathCache
 
 LU = "lu"
@@ -138,7 +139,6 @@ class TeProgram:
     first_tunnel_var: int
     loads: csr_matrix
     commodity: Optional[np.ndarray] = None  # each tunnel's commodity; None in MP
-    ids: Optional[np.ndarray] = None  # a pool slice's tunnels' pool columns
 
 
 @dataclass(eq=False)
@@ -281,14 +281,13 @@ def _tunnel_program(
     edge_rows: np.ndarray,
     sizes: Sequence[int],
     loads: np.ndarray,
-    ids: Optional[np.ndarray] = None,
 ) -> TeProgram:
     """Assemble the program over the given tunnels in order.
 
     ``commodity`` holds each tunnel's commodity; the loads of tunnel j are
     the next ``sizes[j]`` entries of ``edge_rows`` and ``loads``, on distinct
     edges. The entries come column by column, so every matrix is cut
-    straight into CSR arrays. ``ids`` are the tunnels' pool columns, if any.
+    straight into CSR arrays.
     """
     volume = np.array([c.demand for c in demands.commodities], dtype=float)
     if kind == LU:
@@ -340,7 +339,7 @@ def _tunnel_program(
         _no_rows(variables), np.zeros(0),
     )
     return TeProgram(
-        kind, lp, network, demands, tunnels, first, load_matrix, commodity, ids
+        kind, lp, network, demands, tunnels, first, load_matrix, commodity
     )
 
 
@@ -456,37 +455,70 @@ class TunnelPool:
         return _tunnel_program(
             kind, self.cache.network, self.demands,
             [self.tunnels[j] for j in keep], self._commodity[keep],
-            self._edge_rows[positions], sizes, self._loads[positions], keep,
+            self._edge_rows[positions], sizes, self._loads[positions],
         )
 
 
-class WarmStart:
-    """Start bases for the LU slices of a pool that hold every column of one
-    solved LU slice (the slices of its middlepoint supersets), taken from its
-    optimal basis.
+class ExtensionModel:
+    """The TE_LU theta of a covered middlepoint set plus one node, for each
+    node solved in one kept ``LpModel`` of the set's LU slice, started from
+    the slice's optimal basis.
 
-    A column of the solved slice keeps its status, every other tunnel column
-    starts nonbasic at its lower bound 0, and the rows keep theirs: an LU
-    slice has a row per edge and per positive demand, whatever its tunnels.
-    The basis matrix is the solved one, and the new columns are 0, so the
-    start is primal feasible; the simplex only prices the new columns in.
+    The slice of the set plus a node holds the set's columns and the pool
+    columns whose middlepoints are that node and members of the set, and the
+    set's rows: one per edge and per positive demand, whatever the tunnels.
+    So each solve adds only that node's columns, built from the pool's
+    arrays: a column's loads, then -1 in its commodity's demand row if the
+    demand is positive. The solution is checked as ``solve_te`` checks one.
     """
 
-    def __init__(self, pool: TunnelPool, middlepoints: Iterable[int], basis: Basis):
-        """``basis`` is optimal for the pool's LU slice of ``middlepoints``."""
-        columns = pool._columns(middlepoints)  # in the order of the basis
-        first = len(basis.cols) - len(columns)
-        self._theta, self._rows = basis.cols[:first], basis.rows
-        # The status of each column the pool held when this start was made.
-        self._by_column = np.full(len(pool.tunnels), LOWER, dtype=np.int8)
-        self._by_column[columns] = basis.cols[first:]
-
-    def basis(self, program: TeProgram) -> Basis:
-        """The start basis of an LU slice of the pool's columns as they were
-        when this warm start was made."""
-        return Basis(
-            np.concatenate((self._theta, self._by_column[program.ids])), self._rows
+    def __init__(self, pool: TunnelPool, middlepoints: Sequence[int], basis: Basis):
+        """``basis`` is optimal for the pool's LU slice of ``middlepoints``,
+        and the pool covers each set of them plus a node asked for."""
+        self.middlepoints = tuple(middlepoints)
+        self._pool = pool
+        self._program = pool.program(middlepoints)
+        self._model = LpModel(self._program.lp, basis)
+        volume = np.array([c.demand for c in pool.demands.commodities], dtype=float)
+        positive = volume > 0
+        # Each commodity's demand row, after the edge rows; -1 without one.
+        self._demand_row = np.where(
+            positive, pool.cache.network.edge_count + np.cumsum(positive) - 1, -1
         )
+
+    def theta(self, node: int) -> float:
+        """Theta of the set plus ``node``, a node outside it. A solve without
+        an optimum or a point failing a check raises ``ArithmeticError``."""
+        pool, program = self._pool, self._program
+        columns = pool._columns((*self.middlepoints, node))
+        columns = columns[(pool._middlepoints[columns] == node).any(axis=1)]
+        positions, sizes = _gather(pool._ptr, columns)
+        edge_rows, loads = pool._edge_rows[positions], pool._loads[positions]
+        commodity = pool._commodity[columns]
+        demand_row = self._demand_row[commodity]
+        met = demand_row >= 0
+        ptr = np.zeros(len(columns) + 1, dtype=np.int32)
+        np.cumsum(sizes + met, out=ptr[1:])
+        demand_at = np.zeros(ptr[-1], dtype=bool)  # each column's last entry
+        demand_at[ptr[1:][met] - 1] = True
+        rows, values = np.empty(ptr[-1], dtype=np.int32), np.empty(ptr[-1])
+        rows[~demand_at], values[~demand_at] = edge_rows, loads
+        rows[demand_at], values[demand_at] = demand_row[met], -1.0
+
+        sol = self._model.solve_with(ptr, rows, values)
+        if sol.status is not LpStatus.OPTIMAL:
+            raise ArithmeticError(f"LP solver failed: program is {sol.status.value}")
+        flows = _met_flows(
+            program, sol.x, sol.x[program.first_tunnel_var:],
+            np.concatenate((program.commodity, commodity)),
+        )
+        width = len(program.tunnels)
+        load = program.loads @ flows[:width] + np.bincount(
+            edge_rows, loads * np.repeat(flows[width:], sizes),
+            minlength=program.network.edge_count,
+        )
+        _check_theta(load / program.network.float_capacities, sol.objective_value)
+        return sol.objective_value
 
 
 def _appended(array: np.ndarray, rows: Sequence) -> np.ndarray:
@@ -503,8 +535,14 @@ def _gather(ptr: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.repeat(ptr[columns] - starts, sizes) + np.arange(sizes.sum()), sizes
 
 
-def _met_flows(program: TeProgram, x: np.ndarray, flows: np.ndarray) -> np.ndarray:
-    """The flow variables of an LU solution, checked against the demands.
+def _met_flows(
+    program: TeProgram,
+    x: np.ndarray,
+    flows: np.ndarray,
+    commodity: Optional[np.ndarray],
+) -> np.ndarray:
+    """The flow variables of an LU solution, checked against the demands;
+    ``commodity`` holds each tunnel flow's commodity (None in MP).
 
     LU demand rows are >=, so a commodity may get more flow than it demands
     where the extra binds no edge at theta; its tunnel flows are scaled down
@@ -515,19 +553,19 @@ def _met_flows(program: TeProgram, x: np.ndarray, flows: np.ndarray) -> np.ndarr
     """
     commodities = program.demands.commodities
     volume = np.array([c.demand for c in commodities], dtype=float)
-    if program.commodity is None:
+    if commodity is None:
         # MP: the = rows with a right side are the positive demands' source
         # balances, commodity by commodity.
         delivered = np.zeros(len(volume))
         lp = program.lp
         delivered[volume > 0] = (lp.a_eq @ x)[lp.b_eq != 0]
     else:
-        delivered = np.bincount(program.commodity, flows, minlength=len(volume))
+        delivered = np.bincount(commodity, flows, minlength=len(volume))
         over = delivered > volume * (1 + UTILIZATION_TOL)
         if over.any():
             scale = np.ones(len(volume))
             scale[over] = volume[over] / delivered[over]
-            flows = flows * scale[program.commodity]
+            flows = flows * scale[commodity]
     short = np.flatnonzero(delivered < volume * (1 - UTILIZATION_TOL))
     if short.size:
         c, names = commodities[short[0]], program.network.node_names
@@ -538,17 +576,22 @@ def _met_flows(program: TeProgram, x: np.ndarray, flows: np.ndarray) -> np.ndarr
     return flows
 
 
-def solve_te(
-    program: TeProgram,
-    start_basis: Optional[Basis] = None,
-    return_basis: bool = False,
-) -> TeSolution:
+def _check_theta(utilization: np.ndarray, theta: float) -> None:
+    """Theta is the largest utilization, within UTILIZATION_TOL."""
+    max_util = max(utilization.tolist(), default=0.0)
+    if abs(max_util - theta) > UTILIZATION_TOL * max(1.0, theta):
+        raise ArithmeticError(
+            f"utilization reconstruction mismatch: {max_util} vs {theta}"
+        )
+
+
+def solve_te(program: TeProgram, return_basis: bool = False) -> TeSolution:
     """Solve a TE program, decode its utilizations and check theta against them.
 
-    ``start_basis`` and ``return_basis`` are passed to ``solve_lp``.
+    With ``return_basis`` an optimal solution keeps its basis.
     """
     start = time.perf_counter()
-    sol = solve_lp(program.lp, start_basis, return_basis)
+    sol = solve_lp(program.lp, return_basis)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     result = TeSolution(
         program.kind, sol.status, solve_ms=elapsed_ms, basis=sol.basis
@@ -558,7 +601,7 @@ def solve_te(
 
     flows = sol.x[program.first_tunnel_var:]
     if program.kind == LU:
-        flows = _met_flows(program, sol.x, flows)
+        flows = _met_flows(program, sol.x, flows, program.commodity)
     result.tunnels = program.tunnels
     result.flows = flows[:len(program.tunnels)].tolist()
     # Each row of the load matrix lists its tunnels in order, so every edge's
@@ -567,11 +610,7 @@ def solve_te(
 
     if program.kind == LU:
         result.theta = sol.objective_value
-        max_util = max(result.utilization.tolist(), default=0.0)
-        if abs(max_util - result.theta) > UTILIZATION_TOL * max(1.0, result.theta):
-            raise ArithmeticError(
-                f"utilization reconstruction mismatch: {max_util} vs {result.theta}"
-            )
+        _check_theta(result.utilization, result.theta)
     else:
         result.satisfied_total = sol.objective_value
         total_demand = program.demands.total_demand()

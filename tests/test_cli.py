@@ -4,7 +4,10 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -496,6 +499,9 @@ class TestSweep:
             ("solve_with_middlepoints",
              ("--method", "all-nodes", "--single-middlepoint",
               "--sweep-m", "1:3"), 1),
+            # Every M of at least n = 10 selects and solves as M = 10.
+            ("centrality_select",
+             ("--method", "gsp", "--k", "2", "--sweep-m", "10,12,10000"), 1),
         ],
     )
     def test_points_differing_only_in_what_the_method_ignores_solve_once(
@@ -801,8 +807,27 @@ class TestInputErrors:
             assert err == "error: 13 nodes exceed the oracle cap of 12\n"
 
     def test_lemma1_is_not_capped(self, capsys):
-        """lemma1 solves polynomial MP programs, so no node cap applies."""
+        """lemma1 solves polynomial MP programs, so the brute-force cap does
+        not apply to it."""
         code, out, _ = run(capsys, "oracle", "lemma1", "--nodes", "13", "--trials", "1")
+        assert (code, out) == (0, "lemma1,1,0,pass\n")
+
+    def test_lemma1_size_cap(self, capsys, monkeypatch):
+        """lemma1 refuses --nodes above its own cap before it generates any
+        instance, and runs at the cap."""
+        cap = srte.cli.LEMMA1_NODE_CAP
+        real = srte.cli.random_digraph
+
+        def generate(*args, **kwargs):
+            raise AssertionError("generated an instance")
+
+        monkeypatch.setattr(srte.cli, "random_digraph", generate)
+        err = self.assert_rejected(
+            capsys, "oracle", "lemma1", "--nodes", cap + 1, "--trials", "1",
+        )
+        assert err == f"error: {cap + 1} nodes exceed the lemma1 cap of {cap}\n"
+        monkeypatch.setattr(srte.cli, "random_digraph", real)
+        code, out, _ = run(capsys, "oracle", "lemma1", "--nodes", cap, "--trials", "1")
         assert (code, out) == (0, "lemma1,1,0,pass\n")
 
     def test_help_exits_0(self, capsys):
@@ -1046,3 +1071,58 @@ class TestDeterminism:
         code_b, out_b, _ = run(capsys, *argv)
         assert code_a == code_b
         assert out_a == out_b
+
+
+class TestOutputErrors:
+    """Output that cannot be written ends the run with exit 1 and at most one
+    ``error:`` line, never a traceback; run in a fresh interpreter, since
+    what matters is the real stdout and the flush at interpreter exit."""
+
+    NET10 = ("--topology", DATA / "net10.topo", "--demands", DATA / "net10.dem")
+
+    @staticmethod
+    def start(*argv, unbuffered="", stdout=subprocess.PIPE):
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        src = str(pathlib.Path(__file__).parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        return subprocess.Popen(
+            [sys.executable, "-m", "srte.cli", *map(str, argv)],
+            stdout=stdout, stderr=subprocess.PIPE, env=env, text=True,
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_full_device_is_one_error_line(self, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = self.start(
+                "solve", *self.NET10, "--method", "greedy", "--k", "2",
+                unbuffered=unbuffered, stdout=full,
+            )
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert err == "error: cannot write output: No space left on device\n"
+
+    def test_closed_pipe_ends_the_run_silently(self):
+        """stdout closed before the first row, as by a reader that left; each
+        row is written as it is printed (the buffered case is the next
+        test's)."""
+        proc = self.start("sweep", *self.NET10, "--sweep-k", "1:6", unbuffered="1")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+        assert err == ""
+
+    def test_huge_m_range_streams_under_head(self):
+        """``--sweep-m 1:100000000 | head -3``: the M range is never
+        expanded and every M >= n shares one solve, so the rows stream until
+        the reader leaves, within seconds."""
+        proc = self.start("sweep", *self.NET10, "--sweep-m", "1:100000000")
+        lines = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert lines[0] == "point,status,objective,solve_ms,subproblems\n"
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
+        assert err == ""

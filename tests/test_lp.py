@@ -287,7 +287,7 @@ def test_direct_highs_call_equals_scipy_linprog(monkeypatch):
     # then scipy's linprog solves exactly the same program.
     statuses = set()
     for lp, kwargs in calls:
-        assert kwargs == {"start_basis": None, "return_basis": False}
+        assert kwargs == {"return_basis": False}
         ours = srte.lp.linprog(lp)
         theirs = scipy.optimize.linprog(**scipy_arguments(lp), method="highs")
         assert _SCIPY_STATUS[ours.status] == theirs.status
@@ -362,12 +362,30 @@ def test_rejected_model_raises(lp):
         solve_lp(lp)
 
 
+LOWER = int(srte.lp.highs.HighsBasisStatus.kLower)
+BASIC = int(srte.lp.highs.HighsBasisStatus.kBasic)
+NO_COLUMNS = (np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0))
+
+
+def added_columns(pool, middlepoints, subset):
+    """The columns of a set's LU pool slice that a subset's slice lacks, in
+    the arrays ``LpModel.solve_with`` takes."""
+    program = pool.program(middlepoints)
+    new = np.isin(pool._columns(middlepoints), pool._columns(subset))
+    added = program.lp.a_ub.tocsc()[:, 1 + np.flatnonzero(~new)]
+    added.sort_indices()
+    return (
+        added.indptr.astype(np.int32), added.indices.astype(np.int32), added.data
+    )
+
+
 def test_warm_start_gives_the_cold_status_and_theta(monkeypatch):
-    """From a start basis, linprog returns the status of the cold solve, and
-    an objective within a hundredth of the tie tolerance the greedy ranks
-    warm solves by (1e-12 relative). The starts: every program's slack basis
-    (all columns nonbasic at 0, all rows basic), and for each LU pool slice
-    the extension of the empty set's optimal basis, as the greedy builds it;
+    """From a start basis, a kept model returns the status of the cold solve,
+    and an objective within a hundredth of the tie tolerance the greedy
+    ranks warm solves by (1e-12 relative). The starts: every program's
+    slack basis (all columns nonbasic at 0, all rows basic), and for the LU
+    pool slices of supersets of the empty set, the empty set's optimal
+    basis with the supersets' columns added, as the greedy solves them;
     those take fewer iterations in all than the cold solves."""
     def assert_same(warm, cold):
         assert warm.status is cold.status
@@ -379,10 +397,10 @@ def test_warm_start_gives_the_cold_status_and_theta(monkeypatch):
     for lp, _ in _recorded_corpus(monkeypatch):
         cold = srte.lp.linprog(lp)
         slack = srte.lp.Basis(
-            np.full(lp.num_vars, srte.lp.LOWER, dtype=np.int8),
-            np.full(len(lp.rows), srte.lp.BASIC, dtype=np.int8),
+            np.full(lp.num_vars, LOWER, dtype=np.int8),
+            np.full(len(lp.rows), BASIC, dtype=np.int8),
         )
-        assert_same(srte.lp.linprog(lp, start_basis=slack), cold)
+        assert_same(srte.lp.LpModel(lp, slack).solve_with(*NO_COLUMNS), cold)
         statuses.add(cold.status)
     assert statuses == set(_SCIPY_STATUS)
 
@@ -393,47 +411,73 @@ def test_warm_start_gives_the_cold_status_and_theta(monkeypatch):
     )
     sets = ((3,), (7, 20), (1, 5, 9, 13), (0, 11, 22, 25, 29))
     pool.cover(sets)
-    empty = srte.te.solve_te(pool.program(()), return_basis=True)
-    start = srte.te.WarmStart(pool, (), empty.basis)
+    parent = pool.program(())
+    empty = srte.te.solve_te(parent, return_basis=True)
+    model = srte.lp.LpModel(parent.lp, empty.basis)
     for mids in sets:
         program = pool.program(mids)
         cold = srte.te.solve_te(program)
-        warm = srte.te.solve_te(program, start.basis(program))
+        warm = model.solve_with(*added_columns(pool, mids, ()))
         assert warm.status is cold.status is LpStatus.OPTIMAL
-        assert abs(warm.theta - cold.theta) <= 1e-14 * max(1.0, cold.theta)
-        warm_nit += _iterations(program, start.basis(program))
-        cold_nit += _iterations(program, None)
+        assert abs(warm.objective_value - cold.theta) <= 1e-14 * max(1.0, cold.theta)
+        warm_nit += warm.nit
+        cold_nit += srte.lp.linprog(program.lp).nit
     assert warm_nit < cold_nit
-
-
-def _iterations(program, start_basis):
-    return srte.lp.linprog(program.lp, start_basis=start_basis).nit
 
 
 def test_start_basis_of_the_wrong_size_is_rejected():
     sparse, *_ = split_lp()
     wrong = srte.lp.Basis(
-        np.full(2, srte.lp.LOWER, dtype=np.int8),
-        np.full(3, srte.lp.BASIC, dtype=np.int8),
+        np.full(2, LOWER, dtype=np.int8), np.full(3, BASIC, dtype=np.int8),
     )
     with pytest.raises(ValueError, match="rejected the start basis"):
-        solve_lp(sparse, wrong)
+        srte.lp.LpModel(sparse, wrong)
 
 
 def test_returned_basis_restarts_in_no_iterations():
     """The optimal basis a solve returns is a complete basis of the program:
-    a solve started from it needs no simplex iteration."""
+    a model started from it needs no simplex iteration."""
     sparse, *_ = split_lp()
     sol = solve_lp(sparse, return_basis=True)
     assert sol.basis.cols.dtype == sol.basis.rows.dtype == np.int8
     assert len(sol.basis.cols) == sparse.num_vars
     assert len(sol.basis.rows) == len(sparse.rows)
-    assert (sol.basis.cols == srte.lp.BASIC).sum() + (
-        sol.basis.rows == srte.lp.BASIC
+    assert (sol.basis.cols == BASIC).sum() + (
+        sol.basis.rows == BASIC
     ).sum() == len(sparse.rows)
     assert solve_lp(sparse).basis is None
-    again = srte.lp.linprog(sparse, start_basis=sol.basis)
+    again = srte.lp.LpModel(sparse, sol.basis).solve_with(*NO_COLUMNS)
     assert again.nit == 0 and again.objective_value == pytest.approx(0.6)
+
+
+def test_model_rechecks_added_columns_and_is_restored_after_a_failure(monkeypatch):
+    """The feasibility re-check covers the added columns' entries: a point
+    halved on them fails it. The model drops the columns and restores the
+    basis all the same, so its next solve is the program's own optimum."""
+    net = random_connected_digraph(30, 120, 4000, max_capacity=10)
+    pool = srte.te.TunnelPool(
+        ShortestPathCache(net), generate_gravity_demands(net, 100, 4500), 1
+    )
+    pool.cover([(3,)])
+    parent = pool.program(())
+    empty = srte.te.solve_te(parent, return_basis=True)
+    model = srte.lp.LpModel(parent.lp, empty.basis)
+    columns = added_columns(pool, (3,), ())
+    assert model.solve_with(*columns).x.size > parent.lp.num_vars
+    real = srte.lp._solved
+
+    def halved(*args):
+        sol = real(*args)
+        x = sol.x.copy()
+        x[parent.lp.num_vars:] *= 0.5
+        return dataclasses.replace(sol, x=x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(srte.lp, "_solved", halved)
+        with pytest.raises(ArithmeticError, match="infeasible point"):
+            model.solve_with(*columns)
+    again = model.solve_with(*NO_COLUMNS)
+    assert again.nit == 0 and again.objective_value == empty.theta
 
 
 def test_private_highs_bindings_exist():
@@ -443,7 +487,8 @@ def test_private_highs_bindings_exist():
     from scipy.optimize._highspy import _core
 
     for name in (
-        "passModel", "passOptions", "setBasis", "getBasis", "run",
+        "passModel", "passOptions", "setBasis", "getBasis", "run", "addCols",
+        "deleteCols",
         "getModelStatus", "getInfo", "getSolution", "modelStatusToString",
     ):
         assert callable(getattr(_core._Highs, name, None)), name

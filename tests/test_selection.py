@@ -282,7 +282,7 @@ class TestTunnelPoolSelection:
         add, so it stays the union of the evaluated sets' tunnels, far below
         the all-nodes m=2 tunnel count.
 
-        Every subproblem is evaluated once, warm from the chosen set's basis
+        Every subproblem is evaluated once, warm in the chosen set's model
         but for the initial set, and every cold confirmation once more: the
         evaluations that ask for their basis are the initial set and the
         confirmations."""
@@ -292,16 +292,26 @@ class TestTunnelPoolSelection:
         demands = generate_gravity_demands(net, 20, 507)
         evaluated, pool_sizes, warm, asked = [], [], [], []
         real = srte.selection._evaluate
+        real_theta = srte.selection.ExtensionModel.theta
 
-        def recording(pool, middlepoints, start=None, return_basis=False):
+        def recording(pool, middlepoints, return_basis=False):
             evaluated.append(list(middlepoints))
-            warm.append(start is not None)
+            warm.append(False)
             asked.append(return_basis)
-            result = real(pool, middlepoints, start, return_basis)
+            result = real(pool, middlepoints, return_basis)
             pool_sizes.append(len(pool.tunnels))
             return result
 
+        def recording_warm(model, node):
+            evaluated.append([*model.middlepoints, node])
+            warm.append(True)
+            asked.append(False)
+            result = real_theta(model, node)
+            pool_sizes.append(len(model._pool.tunnels))
+            return result
+
         monkeypatch.setattr(srte.selection, "_evaluate", recording)
+        monkeypatch.setattr(srte.selection.ExtensionModel, "theta", recording_warm)
         result = greedy_select(net, demands, range(30), 3, 2)
         confirmations = sum(asked) - 1
         assert not any(w and a for w, a in zip(warm, asked))

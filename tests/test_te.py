@@ -652,11 +652,11 @@ class TestTunnelPool:
             for name, old in zip(names, held[1:]):
                 new = getattr(pool, name)
                 assert new.dtype == old.dtype and np.array_equal(new[:len(old)], old)
-            slices.append((batch[0], pool.program(batch[0])))
-        for mids, old in slices:
+            slices.append((batch[0], pool.program(batch[0]), pool._columns(batch[0])))
+        for mids, old, columns in slices:
             new = pool.program(mids)
             assert_same_program(new, old)
-            assert np.array_equal(new.ids, old.ids)
+            assert np.array_equal(pool._columns(mids), columns)
 
     def test_order_is_the_commodity_waypoints_sort(self):
         """The lexsort of the sink-padded middlepoints is the (commodity,

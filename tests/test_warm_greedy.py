@@ -1,5 +1,6 @@
-"""The greedy ranks each round's candidates by warm-started solves and solves
-only near-ties cold: it must print exactly what the all-cold loop printed."""
+"""The greedy ranks each round's candidates by warm solves in one model of
+the chosen set (``ExtensionModel.theta``, the ranking seam) and solves only
+near-ties cold: it must print exactly what the all-cold loop printed."""
 
 import contextlib
 import io
@@ -7,10 +8,13 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 import srte.selection
 from srte import cli
+from srte.te import ExtensionModel, TunnelPool
+from srte.paths import ShortestPathCache
 from srte.graph import (
     generate_gravity_demands,
     parse_topology,
@@ -131,9 +135,9 @@ def test_warm_ranked_greedy_prints_what_the_cold_loop_printed(tmp_path, monkeypa
     asked = []
     real = srte.selection._evaluate
 
-    def counting(pool, middlepoints, start=None, return_basis=False):
+    def counting(pool, middlepoints, return_basis=False):
         asked.append(return_basis)
-        return real(pool, middlepoints, start, return_basis)
+        return real(pool, middlepoints, return_basis)
 
     warm, rounds = [], 0
     with monkeypatch.context() as patch:
@@ -156,18 +160,18 @@ def test_warm_theta_noise_below_the_tie_tolerance_moves_no_pick(
     in turn (then up and down), leaves every printed byte as it was."""
     runs = [run for run in instances() if not run[-1]][::2]
     want = [printed(tmp_path, *run) for run in runs]
-    real = srte.selection._evaluate
+    real = ExtensionModel.theta
     moved = []
 
-    def noisy(pool, middlepoints, start=None, return_basis=False):
-        theta, solution, error = real(pool, middlepoints, start, return_basis)
-        if start is not None and theta < math.inf:
+    def noisy(model, node):
+        theta = real(model, node)
+        if theta < math.inf:
             sign = 1 if (len(moved) + phase) % 2 else -1
             moved.append(sign)
             theta += sign * TIE * max(1.0, abs(theta)) / 4
-        return theta, solution, error
+        return theta
 
-    monkeypatch.setattr(srte.selection, "_evaluate", noisy)
+    monkeypatch.setattr(ExtensionModel, "theta", noisy)
     for phase in (0, 1):
         for run, expected in zip(runs, want):
             moved.clear()
@@ -181,18 +185,18 @@ def test_failed_warm_solves_are_solved_cold(tmp_path, monkeypatch):
     and every third of the others, leaves every printed byte as the all-cold
     loop printed it."""
     runs = [instances()[i] for i in (0, 12, 18, 19, 26, 43)]
-    real = srte.selection._evaluate
+    real = ExtensionModel.theta
     warm = []
 
-    def failing(pool, middlepoints, start=None, return_basis=False):
-        if start is not None:
-            warm.append(middlepoints)
-            if len(middlepoints) % 2 == 0 or len(warm) % 3 == 0:
-                raise ArithmeticError("LP solver failed: injected")
-        return real(pool, middlepoints, start, return_basis)
+    def failing(model, node):
+        middlepoints = [*model.middlepoints, node]
+        warm.append(middlepoints)
+        if len(middlepoints) % 2 == 0 or len(warm) % 3 == 0:
+            raise ArithmeticError("LP solver failed: injected")
+        return real(model, node)
 
     with monkeypatch.context() as patch:
-        patch.setattr(srte.selection, "_evaluate", failing)
+        patch.setattr(ExtensionModel, "theta", failing)
         got = [printed(tmp_path, *run) for run in runs]
     assert len(warm) >= 30
     monkeypatch.setattr(srte.selection, "_greedy_points", cold_greedy_points)
@@ -208,16 +212,19 @@ def test_a_cold_winner_that_does_not_improve_ends_the_expansion(
     and the expansion ends where the all-cold loop's ends."""
     runs = [instances()[i] for i in (12, 19, 20, 43, 45)]
     real = srte.selection._evaluate
+    real_theta = ExtensionModel.theta
     real_round = srte.selection._greedy_round
     cold, refuted = [], []
 
-    def low(pool, middlepoints, start=None, return_basis=False):
-        theta, solution, error = real(pool, middlepoints, start, return_basis)
-        if start is None:
-            cold.append(middlepoints)
-        elif theta < math.inf:
+    def evaluate(pool, middlepoints, return_basis=False):
+        cold.append(middlepoints)
+        return real(pool, middlepoints, return_basis)
+
+    def low(model, node):
+        theta = real_theta(model, node)
+        if theta < math.inf:
             theta -= 2 * IMPROVEMENT_TOL
-        return theta, solution, error
+        return theta
 
     def round_(*args):
         before = len(cold)
@@ -227,10 +234,60 @@ def test_a_cold_winner_that_does_not_improve_ends_the_expansion(
         return winner
 
     with monkeypatch.context() as patch:
-        patch.setattr(srte.selection, "_evaluate", low)
+        patch.setattr(srte.selection, "_evaluate", evaluate)
+        patch.setattr(ExtensionModel, "theta", low)
         patch.setattr(srte.selection, "_greedy_round", round_)
         got = [printed(tmp_path, *run) for run in runs]
     assert len(refuted) == len(runs)  # each run's last round
     monkeypatch.setattr(srte.selection, "_greedy_points", cold_greedy_points)
     for run, out in zip(runs, got):
         assert out == printed(tmp_path, *run), run[1:]
+
+
+def test_incremental_theta_is_within_the_tie_tolerance_of_the_cold_theta(
+    tmp_path, monkeypatch
+):
+    """On every candidate of the 50 runs, the theta of the chosen set's model
+    with the candidate's columns added is within WARM_TIE_TOL of the theta of
+    the candidate's set solved cold."""
+    real = ExtensionModel.theta
+    evaluate = srte.selection._evaluate
+    gaps = []
+
+    def compared(model, node):
+        theta = real(model, node)
+        cold, _, _ = evaluate(model._pool, [*model.middlepoints, node])
+        gaps.append(abs(theta - cold) / max(1.0, abs(cold)))
+        return theta
+
+    monkeypatch.setattr(ExtensionModel, "theta", compared)
+    for run in instances():
+        printed(tmp_path, *run)
+    assert len(gaps) > 1000
+    assert max(gaps) <= srte.selection.WARM_TIE_TOL
+
+
+def test_each_probe_leaves_the_model_at_the_chosen_set():
+    """After each candidate's solve the model holds the chosen set's program
+    at its optimal basis again: solved with no column added, it reaches the
+    chosen set's cold theta in no simplex iteration."""
+    no_columns = (np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0))
+    probes = 0
+    for text, gravity, seed, _, m, initial in instances()[::5]:
+        net = parse_topology(text)
+        demands = generate_gravity_demands(net, gravity, seed)
+        pool = TunnelPool(ShortestPathCache(net), demands, m)
+        chosen = list(initial) or [0]
+        others = [v for v in range(net.node_count) if v not in chosen]
+        pool.cover(chosen + [v] for v in others)
+        theta, parent, _ = srte.selection._evaluate(pool, chosen, return_basis=True)
+        if theta == math.inf:
+            continue
+        model = ExtensionModel(pool, chosen, parent.basis)
+        for v in others:
+            model.theta(v)
+            again = model._model.solve_with(*no_columns)
+            assert again.nit == 0
+            assert again.objective_value == theta
+            probes += 1
+    assert probes > 50
