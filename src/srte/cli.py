@@ -47,7 +47,7 @@ from .selection import (
     select_prefixes,
     solve_with_middlepoints,
 )
-from .te import LU, MF, NoTunnelError, build_mp_baseline
+from .te import LU, MF, NoTunnelError, TunnelCapError, build_mp_baseline
 # The MP baseline solves like any TE program; bench/tracer.py times its
 # solves apart from the tunnel solves by this name.
 from .te import solve_te as solve_mp
@@ -186,7 +186,9 @@ def _each_point(
                 outcomes[key] = _run_method(
                     network, demands, args, *point, cache
                 )
-            except (NoTunnelError, BudgetExceededError, ArithmeticError) as exc:
+            except (
+                NoTunnelError, BudgetExceededError, TunnelCapError, ArithmeticError
+            ) as exc:
                 outcomes[key] = exc
         yield run, outcomes[key]
 

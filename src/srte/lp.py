@@ -9,13 +9,15 @@ and returns srte's own ``LpSolution``. HiGHS is deterministic for identical
 input and handles the degenerate, equal-capacity instances common in TE
 without cycling. Every returned point is re-checked against the rows.
 
-A cold solve can hand back its optimal simplex ``Basis`` (one HiGHS status
-code per column and row). An ``LpModel`` keeps one program loaded at such a
-basis and solves it with a few columns added for one solve at a time: the
-primal simplex prices in only those columns, and the model drops them and
-restores the basis after each solve. Greedy selection ranks each round's
-candidates this way, one model per round. Only scipy 1.17.1's bindings are
-tested; ``tests/test_lp.py`` names every private binding used here.
+A cold solve hands back its row duals, and can hand back its optimal simplex
+``Basis`` (one HiGHS status code per column and row). An ``LpModel`` keeps
+one program loaded at such a basis and solves it with a few columns added
+for one solve at a time: the primal simplex prices in only those columns,
+and the model drops them and restores the basis after each solve. Greedy
+selection ranks each round's candidates this way, one model per round, and
+prices the candidates it need not solve at the chosen set's duals. Only
+scipy 1.17.1's bindings are tested; ``tests/test_lp.py`` names every
+private binding used here.
 """
 
 from __future__ import annotations
@@ -97,13 +99,19 @@ class Basis:
 @dataclass(frozen=True, eq=False)
 class LpSolution:
     """A solve's status, its iteration count and, when optimal, its objective
-    value in the program's own sense and point ``x`` (else NaN and empty)."""
+    value in the program's own sense and point ``x`` (else NaN and empty).
+
+    ``duals`` holds an optimal ``linprog`` solve's row duals (the ``<=``
+    rows, then the ``=`` rows) as HiGHS reports them for the minimization it
+    solves: a binding ``<=`` row's dual is at most 0.
+    """
 
     status: LpStatus
     objective_value: float
     x: np.ndarray
     basis: Optional[Basis] = None  # the optimal basis, when asked for
     nit: int = 0
+    duals: Optional[np.ndarray] = None
 
     def __getitem__(self, var: int) -> float:
         return float(self.x[var])
@@ -238,6 +246,7 @@ def _solved(
     upper: np.ndarray,
     row_upper: np.ndarray,
     return_basis: bool,
+    return_duals: bool,
 ) -> LpSolution:
     """Run the loaded program and check its result as linprog does; ``lower``
     and ``upper`` bound every column the solver holds."""
@@ -269,8 +278,11 @@ def _solved(
             f"within the required tolerance of {tol:.2E}"
         )
     basis = _from_highs(solver.getBasis()) if return_basis else None
+    duals = np.array(solution.row_dual) if return_duals else None
     # 0.0 - fun, not -fun: a maximum of zero is +0.0.
-    return LpSolution(status, 0.0 - fun if lp.maximize else fun, x, basis, nit)
+    return LpSolution(
+        status, 0.0 - fun if lp.maximize else fun, x, basis, nit, duals
+    )
 
 
 def linprog(lp: SparseLp, return_basis: bool = False) -> LpSolution:
@@ -283,12 +295,12 @@ def linprog(lp: SparseLp, return_basis: bool = False) -> LpSolution:
     The rows are passed row-wise as they are; only a program with both blocks
     is stacked (rows: the ``<=`` rows, then the ``=`` rows).
 
-    With ``return_basis`` an optimal solution also holds its final
-    ``basis``, read only then since reading it costs about as much as
-    setting one.
+    An optimal solution holds its row ``duals``. With ``return_basis`` it
+    also holds its final ``basis``, read only then since reading it costs
+    about as much as setting one.
     """
     solver, _, row_upper = _loaded(lp, _OPTIONS)
-    return _solved(solver, lp, lp.lower, lp.upper, row_upper, return_basis)
+    return _solved(solver, lp, lp.lower, lp.upper, row_upper, return_basis, True)
 
 
 class LpModel:
@@ -320,7 +332,8 @@ class LpModel:
         ``values[ptr[j]:ptr[j + 1]]`` in the rows ``rows[ptr[j]:ptr[j + 1]]``
         (int32, distinct within a column, counted as ``linprog`` passes the
         rows). ``x`` holds the program's columns, then the added ones; the
-        result is checked as ``linprog`` and ``solve_lp`` check theirs.
+        result is checked as ``linprog`` and ``solve_lp`` check theirs, and
+        holds no duals.
         """
         if not np.isfinite(values).all():
             raise ValueError(
@@ -338,7 +351,7 @@ class LpModel:
                 raise ArithmeticError("LP solver failed: HiGHS rejected the columns")
             sol = _solved(
                 solver, lp, np.concatenate((lp.lower, zeros)),
-                np.concatenate((lp.upper, inf)), self._row_upper, False,
+                np.concatenate((lp.upper, inf)), self._row_upper, False, False,
             )
             if sol.status is LpStatus.OPTIMAL:
                 x = sol.x

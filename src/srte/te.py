@@ -12,6 +12,14 @@ unrestricted multipath (MP) baseline, one arc-flow column per commodity and
 edge. ``solve_te`` decodes both by one load-matrix mat-vec into utilizations
 (and tunnel flows and split ratios) and checks theta against them.
 
+An LU tunnel program's optimal row duals give every LU tunnel program on the
+network a dual solution (``dual_weights``): edge weights w >= 0 with c·w <= 1,
+under which a tunnel costs its load·w. By weak duality any tunnel set's
+theta is at least the demand-weighted sum of each commodity's least tunnel
+cost. ``solve_te`` certifies each LU tunnel theta it returns by this bound
+at its own duals, and ``extension_bounds`` prices, at a set's duals, every
+set of it plus one node at once.
+
 A ``TunnelPool`` serves a selection run that solves many middlepoint sets: it
 enumerates and loads each tunnel once, and each set's program is a column
 slice of it, identical to the program built for that set alone, cut straight
@@ -19,10 +27,14 @@ into CSR arrays. An ``ExtensionModel`` keeps one set's LU slice loaded in
 HiGHS at its optimal basis and solves the slice of the set plus one node by
 adding only the columns that node brings, built from the pool's arrays: the
 pool only appends, so a column never moves.
+
+All-nodes enumeration refuses, before enumerating anything, more than
+``ALL_NODES_PAIR_CAP`` (commodity, middlepoint sequence) pairs.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -44,6 +56,20 @@ MF = "mf"
 
 UTILIZATION_TOL = 1e-6
 
+# An LU tunnel theta more than this (relative to max(1, theta)) above the
+# dual bound at its own row duals is refused as not optimal. Over 1,141 cold
+# LU solves of 80 benchmark-tier greedy and GSP-sweep runs the gap was at
+# most 6.8e-16.
+CERTIFICATE_TOL = 1e-9
+
+# The most (commodity, ordered middlepoint sequence) pairs all-nodes tests.
+# The largest all-nodes run measured, n=60 with m=2 (100 commodities:
+# 336,500 tunnels, 5.2 s to enumerate and build, 36 s to solve on a 2-CPU
+# host), is below it. The 10-node tests/data/net10 (5 commodities) exceeds
+# it from m=7 (346,405 pairs) on; at m=6 (144,805 pairs) it takes 7.5 s and
+# 410 MB.
+ALL_NODES_PAIR_CAP = 340_000
+
 
 class NoTunnelError(Exception):
     """A positive-demand commodity has no usable tunnel."""
@@ -53,6 +79,10 @@ class NoTunnelError(Exception):
             f"no tunnel connects commodity {commodity.source} -> {commodity.sink}"
         )
         self.commodity = commodity
+
+
+class TunnelCapError(ValueError):
+    """An all-nodes enumeration would exceed ``ALL_NODES_PAIR_CAP``."""
 
 
 @dataclass(frozen=True)
@@ -69,6 +99,11 @@ class Tunnel:
     @property
     def segments(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.waypoints, self.waypoints[1:]))
+
+
+def _volume(demands: DemandMatrix) -> np.ndarray:
+    """Each commodity's demand."""
+    return np.array([c.demand for c in demands.commodities], dtype=float)
 
 
 def _routable_tunnels(
@@ -106,13 +141,29 @@ def tunnels_for_middlepoints(
     Middlepoints equal to the commodity's endpoints are skipped; every segment
     must be reachable. The direct 0-middlepoint tunnel is included when the
     sink is reachable, unless single_middlepoint forces exactly one. A
-    commodity that nothing connects gets an empty list.
+    commodity that nothing connects gets an empty list. More than
+    ``ALL_NODES_PAIR_CAP`` (commodity, sequence) pairs to test, counted
+    before any is enumerated, raise ``TunnelCapError``.
     """
     mids = sorted(set(middlepoints))
     sizes = (
         (1,) if single_middlepoint
         else range(min(max_middlepoints, len(mids)) + 1)
     )
+    # A commodity's sequences avoid those of its endpoints that are in mids.
+    inside = set(mids)
+    excluded = collections.Counter(
+        len({c.source, c.sink} & inside) for c in demands.commodities
+    )
+    pairs = sum(
+        count * math.perm(len(mids) - gone, size)
+        for gone, count in excluded.items() for size in sizes
+    )
+    if pairs > ALL_NODES_PAIR_CAP:
+        raise TunnelCapError(
+            f"{pairs} (commodity, middlepoint sequence) pairs exceed the "
+            f"all-nodes cap of {ALL_NODES_PAIR_CAP}"
+        )
     groups = _routable_tunnels(cache, demands, [
         seq for size in sizes for seq in itertools.permutations(mids, size)
     ])
@@ -160,6 +211,7 @@ class TeSolution:
     flows: Sequence[float] = ()  # one per tunnel, in the same order
     utilization: np.ndarray = field(default_factory=lambda: np.zeros(0))
     basis: Optional[Basis] = None  # the optimal basis, when asked for
+    duals: Optional[np.ndarray] = None  # the optimal row duals (LpSolution)
 
     @property
     def objective(self) -> Optional[float]:
@@ -289,7 +341,7 @@ def _tunnel_program(
     edges. The entries come column by column, so every matrix is cut
     straight into CSR arrays.
     """
-    volume = np.array([c.demand for c in demands.commodities], dtype=float)
+    volume = _volume(demands)
     if kind == LU:
         served = np.bincount(commodity, minlength=len(volume))
         missing = np.flatnonzero((volume > 0) & (served == 0))
@@ -479,8 +531,7 @@ class ExtensionModel:
         self._pool = pool
         self._program = pool.program(middlepoints)
         self._model = LpModel(self._program.lp, basis)
-        volume = np.array([c.demand for c in pool.demands.commodities], dtype=float)
-        positive = volume > 0
+        positive = _volume(pool.demands) > 0
         # Each commodity's demand row, after the edge rows; -1 without one.
         self._demand_row = np.where(
             positive, pool.cache.network.edge_count + np.cumsum(positive) - 1, -1
@@ -521,6 +572,47 @@ class ExtensionModel:
         return sol.objective_value
 
 
+def extension_bounds(
+    pool: TunnelPool, middlepoints: Sequence[int], nodes: Sequence[int],
+    duals: np.ndarray,
+) -> np.ndarray:
+    """The dual bound of the LU theta of each set ``middlepoints`` + [v], v
+    in ``nodes`` (nodes outside the set, every such set covered), at the row
+    duals of an LU program on the pool's network.
+
+    Each set's bound is the demand-weighted sum, over the positive demands,
+    of each commodity's least cost among the set's columns: those of
+    ``middlepoints`` or of the node's own. All come from one pass over the
+    pool's arrays: each column's cost, then the least cost of each
+    (node, commodity) pair.
+    """
+    network = pool.cache.network
+    costs = csr_matrix(
+        (pool._loads, pool._edge_rows, pool._ptr),
+        shape=(len(pool.tunnels), network.edge_count),
+    ) @ dual_weights(network, duals)
+    # Each middlepoint's label: -1 in the set (or padding), the node's
+    # position among the nodes, or -2 for any other node.
+    label = np.full(network.node_count + 1, -2)
+    label[[*middlepoints, network.node_count]] = -1
+    label[list(nodes)] = np.arange(len(nodes))
+    labels = label[pool._middlepoints]
+    outside = (labels != -1).sum(axis=1)
+    volume = _volume(pool.demands)
+    commodities = len(volume)
+    own = pool._order[outside[pool._order] == 0]  # by commodity
+    least = _least(costs[own], pool._commodity[own], commodities)
+    # Columns whose one middlepoint outside the set is one of the nodes.
+    one = np.flatnonzero((outside == 1) & (labels >= -1).all(axis=1))
+    keys = labels[one].max(axis=1, initial=-1) * commodities + pool._commodity[one]
+    order = np.argsort(keys, kind="stable")
+    cheapest = _least(
+        costs[one[order]], keys[order], len(nodes) * commodities
+    ).reshape(len(nodes), commodities)
+    positive = volume > 0
+    return np.minimum(cheapest, least)[:, positive] @ volume[positive]
+
+
 def _appended(array: np.ndarray, rows: Sequence) -> np.ndarray:
     """``array`` with ``rows`` appended, in its dtype."""
     rows = np.array(rows, dtype=array.dtype).reshape(len(rows), *array.shape[1:])
@@ -552,7 +644,7 @@ def _met_flows(
     of it raises ArithmeticError.
     """
     commodities = program.demands.commodities
-    volume = np.array([c.demand for c in commodities], dtype=float)
+    volume = _volume(program.demands)
     if commodity is None:
         # MP: the = rows with a right side are the positive demands' source
         # balances, commodity by commodity.
@@ -585,8 +677,53 @@ def _check_theta(utilization: np.ndarray, theta: float) -> None:
         )
 
 
+def dual_weights(network: FlowNetwork, duals: np.ndarray) -> np.ndarray:
+    """The edge weights of a dual solution of every LU tunnel program on the
+    network, from an LU program's row duals y (the edge rows first): w =
+    max(0, -y), scaled down so that c·w <= 1. With each commodity's price
+    its least tunnel cost load·w, w is dual feasible whatever the tunnels."""
+    weights = np.maximum(0.0, -duals[:network.edge_count])
+    total = float(network.float_capacities @ weights)
+    return weights / total if total > 1.0 else weights
+
+
+def _least(costs: np.ndarray, keys: np.ndarray, size: int) -> np.ndarray:
+    """The least cost of each key in range(size), inf for a key that no
+    column has, given each column's cost and its key, keys ascending."""
+    least = np.full(size, np.inf)
+    if len(keys):
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        least[keys[starts]] = np.minimum.reduceat(costs, starts)
+    return least
+
+
+def _certify(program: TeProgram, duals: np.ndarray, theta: float) -> None:
+    """Theta of an LU tunnel program is within CERTIFICATE_TOL of the dual
+    bound at its own row duals, which is at most its optimum. HiGHS stops
+    once the reduced costs are within an absolute tolerance, which lets a
+    program with tiny duals (capacities in a large unit) stop far from its
+    optimum at a feasible point the other checks accept."""
+    volume = _volume(program.demands)
+    weights = dual_weights(program.network, duals)
+    loads = program.loads  # edges x tunnels, CSR
+    # Each tunnel's cost load·w, in a third of the time of loads.T @ weights.
+    costs = np.bincount(
+        loads.indices, loads.data * np.repeat(weights, np.diff(loads.indptr)),
+        minlength=loads.shape[1],
+    )
+    least = _least(costs, program.commodity, len(volume))
+    positive = volume > 0
+    bound = float(volume[positive] @ least[positive])
+    if theta - bound > CERTIFICATE_TOL * max(1.0, theta):
+        raise ArithmeticError(
+            f"LP solver failed: theta {theta:.9g} is not optimal, its row "
+            f"duals bound the optimum below by {bound:.9g}"
+        )
+
+
 def solve_te(program: TeProgram, return_basis: bool = False) -> TeSolution:
-    """Solve a TE program, decode its utilizations and check theta against them.
+    """Solve a TE program, decode its utilizations and check theta against
+    them; an LU tunnel program's theta is also certified by its duals.
 
     With ``return_basis`` an optimal solution keeps its basis.
     """
@@ -594,7 +731,8 @@ def solve_te(program: TeProgram, return_basis: bool = False) -> TeSolution:
     sol = solve_lp(program.lp, return_basis)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     result = TeSolution(
-        program.kind, sol.status, solve_ms=elapsed_ms, basis=sol.basis
+        program.kind, sol.status, solve_ms=elapsed_ms, basis=sol.basis,
+        duals=sol.duals,
     )
     if sol.status is not LpStatus.OPTIMAL:
         return result
@@ -611,6 +749,8 @@ def solve_te(program: TeProgram, return_basis: bool = False) -> TeSolution:
     if program.kind == LU:
         result.theta = sol.objective_value
         _check_theta(result.utilization, result.theta)
+        if program.commodity is not None:  # not MP
+            _certify(program, sol.duals, result.theta)
     else:
         result.satisfied_total = sol.objective_value
         total_demand = program.demands.total_demand()
@@ -641,7 +781,7 @@ def build_mp_baseline(
     ends = np.array(tails + [e.head for e in network.edges], dtype=np.intp)
     sources = np.array([c.source for c in demands.commodities], dtype=np.intp)
     sinks = np.array([c.sink for c in demands.commodities], dtype=np.intp)
-    volume = np.array([c.demand for c in demands.commodities], dtype=float)
+    volume = _volume(demands)
     capacities = network.float_capacities
     index = np.arange(count)
     block = first + width * index  # commodity i's flow on edge e: block[i] + e

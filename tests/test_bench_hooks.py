@@ -14,6 +14,7 @@ import sys
 
 import srte.lp
 import srte.paths
+import srte.selection
 import srte.te
 from srte.cli import main
 from srte.graph import parse_demands, parse_topology
@@ -98,22 +99,40 @@ def test_traced_greedy_prints_the_same_and_restores_every_site(monkeypatch):
         warm.append(args)
         return real_solve(model, *args)
 
+    # Per round: its candidates, and those the round ranked.
+    rounds = []
+    real_bounds = srte.selection.extension_bounds
+    real_theta = srte.te.ExtensionModel.theta
+
+    def bounding(pool, middlepoints, nodes, duals):
+        rounds.append((list(nodes), []))
+        return real_bounds(pool, middlepoints, nodes, duals)
+
+    def ranked(model, node):
+        rounds[-1][1].append(node)
+        return real_theta(model, node)
+
     monkeypatch.setattr(srte.lp, "linprog", spy)  # the tracer wraps the spy
     monkeypatch.setattr(srte.lp.LpModel, "solve_with", ranking)
+    monkeypatch.setattr(srte.selection, "extension_bounds", bounding)
+    monkeypatch.setattr(srte.te.ExtensionModel, "theta", ranked)
     originals = bound_sites()
     t = tracer.Tracer()
     with t:
         traced = run_main(argv)
     assert bound_sites() == originals
     assert traced == untraced
-    # Every subproblem the output counts is one solve: of the initial set
-    # cold, of each round's candidates in the round's model. Every cold
-    # solve of the initial set or of a round's near-tie (a cold
-    # confirmation) asks for its basis and is one LP more; the tracer sees
-    # only the cold solves, the model's are not among its sites.
+    # Every subproblem the output counts is the initial set's cold solve,
+    # or one of a round's candidates: solved in the round's model, or
+    # skipped by its dual bound. Every cold solve of the initial set or of a
+    # round's near-tie (a cold confirmation) asks for its basis and is one
+    # LP more; the tracer sees only the cold solves, the model's are not
+    # among its sites.
     subproblems = json.loads(untraced)["subproblems"]
     confirmations = len(asked) - 1
-    assert all(asked) and len(warm) == subproblems - 1
+    screened = sum(len(nodes) - len(solved) for nodes, solved in rounds)
+    assert all(len(set(solved)) == len(solved) for _, solved in rounds)
+    assert all(asked) and len(warm) + screened == subproblems - 1
     assert confirmations >= 3  # at least the winner of each of 3 rounds
     assert (
         t.calls["te.solve_te"] == t.calls["lp.linprog"]

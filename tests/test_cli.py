@@ -830,6 +830,31 @@ class TestInputErrors:
         code, out, _ = run(capsys, "oracle", "lemma1", "--nodes", cap, "--trials", "1")
         assert (code, out) == (0, "lemma1,1,0,pass\n")
 
+    def test_all_nodes_enumeration_cap(self, capsys, monkeypatch):
+        """all-nodes refuses more (commodity, middlepoint sequence) pairs
+        than the cap before it enumerates any; in a sweep such a point is
+        an error row."""
+        import srte.te
+
+        cap = srte.te.ALL_NODES_PAIR_CAP
+        real = srte.te._routable_tunnels
+        monkeypatch.setattr(srte.te, "_routable_tunnels", None)  # not reached
+        inputs = (
+            "--topology", DATA / "net10.topo", "--demands", DATA / "net10.dem",
+            "--method", "all-nodes",
+        )
+        err = self.assert_rejected(capsys, "solve", *inputs, "--m", "7")
+        assert err == (
+            "error: 346405 (commodity, middlepoint sequence) pairs exceed the "
+            f"all-nodes cap of {cap}\n"
+        )
+        monkeypatch.setattr(srte.te, "_routable_tunnels", real)
+        code, out, err = run(capsys, "sweep", *inputs, "--sweep-m", "1,100")
+        first = run(capsys, "sweep", *inputs, "--sweep-m", "1")[1]
+        assert code == 2
+        assert out == first + "100,error,,,0\n"
+        assert err.startswith("point 100: ") and len(err.splitlines()) == 1
+
     def test_help_exits_0(self, capsys):
         code, out, err = run(capsys, "solve", "--help")
         assert code == 0

@@ -279,20 +279,23 @@ class TestTunnelPoolSelection:
         self, monkeypatch
     ):
         """At m=2 the pool grows per round by the tunnels the round's sets
-        add, so it stays the union of the evaluated sets' tunnels, far below
-        the all-nodes m=2 tunnel count.
+        add, so it stays the union of the tunnels of the sets evaluated or
+        skipped by their dual bounds, far below the all-nodes m=2 tunnel
+        count.
 
-        Every subproblem is evaluated once, warm in the chosen set's model
-        but for the initial set, and every cold confirmation once more: the
-        evaluations that ask for their basis are the initial set and the
-        confirmations."""
+        Every subproblem but the initial set is evaluated once, warm in the
+        chosen set's model, or skipped, and every cold confirmation is
+        evaluated once more: the evaluations that ask for their basis are
+        the initial set and the confirmations."""
         import srte.selection
 
         net = random_connected_digraph(30, 120, 7)
         demands = generate_gravity_demands(net, 20, 507)
         evaluated, pool_sizes, warm, asked = [], [], [], []
+        rounds = []  # each bounded round's chosen set and candidates
         real = srte.selection._evaluate
         real_theta = srte.selection.ExtensionModel.theta
+        real_bounds = srte.selection.extension_bounds
 
         def recording(pool, middlepoints, return_basis=False):
             evaluated.append(list(middlepoints))
@@ -310,17 +313,29 @@ class TestTunnelPoolSelection:
             pool_sizes.append(len(model._pool.tunnels))
             return result
 
+        def bounding(pool, middlepoints, nodes, duals):
+            rounds.append((list(middlepoints), list(nodes)))
+            return real_bounds(pool, middlepoints, nodes, duals)
+
         monkeypatch.setattr(srte.selection, "_evaluate", recording)
         monkeypatch.setattr(srte.selection.ExtensionModel, "theta", recording_warm)
+        monkeypatch.setattr(srte.selection, "extension_bounds", bounding)
         result = greedy_select(net, demands, range(30), 3, 2)
         confirmations = sum(asked) - 1
+        skipped = [
+            [*chosen, v] for chosen, nodes in rounds for v in nodes
+            if [*chosen, v] not in evaluated
+        ]
         assert not any(w and a for w, a in zip(warm, asked))
-        assert sum(warm) == result.subproblems_solved - 1
-        assert len(evaluated) == result.subproblems_solved + confirmations
+        assert sum(warm) + len(skipped) == result.subproblems_solved - 1
+        assert (
+            len(evaluated) + len(skipped)
+            == result.subproblems_solved + confirmations
+        )
         assert confirmations >= len(result.middlepoints)  # one per pick at least
         cache = ShortestPathCache(net)
         union = {
-            tun for mids in evaluated
+            tun for mids in evaluated + skipped
             for group in tunnels_for_middlepoints(cache, demands, mids, 2)
             for tun in group
         }

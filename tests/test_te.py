@@ -8,18 +8,29 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from srte.graph import Commodity, DemandMatrix, random_connected_digraph, random_digraph
+from srte.graph import (
+    Commodity,
+    DemandMatrix,
+    generate_gravity_demands,
+    parse_topology,
+    random_connected_digraph,
+    random_digraph,
+)
 from srte.lp import EQ, LE, LpStatus, solve_lp
 from srte.paths import ShortestPathCache
+import srte.te
 from srte.te import (
     LU,
     MF,
     NoTunnelError,
     Tunnel,
+    TunnelCapError,
     TunnelPool,
     build_mp_baseline,
     build_te_lu,
     build_te_mf,
+    dual_weights,
+    extension_bounds,
     solve_te,
     tunnels_for_middlepoints,
 )
@@ -86,6 +97,105 @@ class TestTunnelEnumeration:
         t = Tunnel(0, (5, 1, 2, 7))
         assert t.middlepoints == (1, 2)
         assert t.segments == ((5, 1), (1, 2), (2, 7))
+
+
+class TestEnumerationCap:
+    def test_the_cap_counts_the_pairs_the_enumeration_tests(self, monkeypatch):
+        """The count checked against ALL_NODES_PAIR_CAP is the number of
+        (commodity, ordered middlepoint sequence) pairs the enumeration
+        would test: a cap of exactly that passes, one less raises before
+        any sequence is enumerated. The sets include commodity endpoints."""
+        import itertools
+
+        net = random_digraph(7, 0.3, 2, max_capacity=3)
+        demands = make_demands((0, 6, 1), (2, 3, 2), (4, 5, 0))
+        cache = ShortestPathCache(net)
+        for mids, m, single in (
+            (range(7), 2, False), (range(7), 3, False), ((1, 2, 5), 9, False),
+            (range(7), 2, True), ((), 1, False),
+        ):
+            sizes = (1,) if single else range(min(m, len(mids)) + 1)
+            pairs = sum(
+                1 for c in demands.commodities for size in sizes
+                for seq in itertools.permutations(mids, size)
+                if c.source not in seq and c.sink not in seq
+            )
+            monkeypatch.setattr(srte.te, "ALL_NODES_PAIR_CAP", pairs)
+            tunnels_for_middlepoints(cache, demands, mids, m, single)
+            monkeypatch.setattr(srte.te, "ALL_NODES_PAIR_CAP", pairs - 1)
+            monkeypatch.setattr(srte.te, "_routable_tunnels", None)  # not reached
+            with pytest.raises(TunnelCapError, match=f"^{pairs} "):
+                tunnels_for_middlepoints(cache, demands, mids, m, single)
+            monkeypatch.undo()
+
+
+class TestDualBound:
+    def test_dual_weights_are_feasible(self):
+        """w >= 0 and c·w <= 1 (within rounding) from the duals of LU
+        programs solved optimally."""
+        for seed in range(4):
+            net = random_connected_digraph(12, 40, seed, max_capacity=5)
+            demands = generate_gravity_demands(net, 15, seed)
+            pool = TunnelPool(ShortestPathCache(net), demands, 1)
+            sol = solve_te(pool.program([1, 4, 7]))
+            weights = dual_weights(net, sol.duals)
+            assert (weights >= 0).all()
+            assert net.float_capacities @ weights <= 1 + 1e-12
+
+    def test_extension_bounds_price_each_set_over_its_own_program(self):
+        """Each bound equals the demand-weighted sum of each commodity's
+        least tunnel cost load·w over the program of the set plus that node
+        (a loop over its columns), and is at most the set's theta. Sets of m
+        0, 1 and 2, zero demands and commodities with endpoints in the set."""
+        checked = 0
+        for seed in range(4):
+            net = random_connected_digraph(9, 26, seed, max_capacity=4)
+            demands = make_demands((0, 8, 2), (3, 1, 1), (5, 2, 0), (7, 4, 1.5))
+            volume = [c.demand for c in demands.commodities]
+            for m in (0, 1, 2):
+                pool = TunnelPool(ShortestPathCache(net), demands, m)
+                chosen = [3, 6][: 1 + seed % 2]
+                nodes = [v for v in range(9) if v not in chosen]
+                pool.cover([*chosen, v] for v in nodes)
+                parent = solve_te(pool.program(chosen))
+                weights = dual_weights(net, parent.duals)
+                got = extension_bounds(pool, chosen, nodes, parent.duals)
+                assert got.shape == (len(nodes),)
+                for v, bound in zip(nodes, got.tolist()):
+                    program = pool.program([*chosen, v])
+                    costs = program.loads.toarray().T @ weights
+                    least = {}
+                    for j, i in enumerate(program.commodity.tolist()):
+                        least[i] = min(least.get(i, np.inf), costs[j])
+                    want = sum(volume[i] * least[i] for i in least if volume[i] > 0)
+                    assert bound == pytest.approx(want, rel=1e-12, abs=1e-15)
+                    assert bound <= solve_te(program).theta * (1 + 1e-12)
+                    checked += 1
+        assert checked == 4 * 3 * 8 - 6  # 4 seeds, 3 m, 7 or 8 nodes each
+
+    def test_certificate_refuses_a_theta_short_of_optimal(self):
+        """With every capacity and demand of the benchmark-tier instance
+        (n=30, seeds 4000/4500) in a unit 10**6 times smaller, HiGHS stops
+        at a feasible theta of 0.8878 that the other checks accept; its
+        duals bound the optimum by 0.4775, so the solve raises. In the unit
+        itself theta is certified."""
+        net = random_connected_digraph(30, 120, 4000, max_capacity=10)
+        demands = generate_gravity_demands(net, 100, 4500)
+        middlepoints = range(net.node_count)
+        theta = solve_lu(net, demands, middlepoints, 1).theta
+        assert theta == pytest.approx(0.720378, abs=1e-6)
+        big = parse_topology("".join(
+            f"EDGE {net.node_names[e.tail]} {net.node_names[e.head]} "
+            f"{float(e.capacity) * 1e6!r} {e.cost}\n"
+            for e in net.edges
+        ))
+        index = [big.node_index(name) for name in net.node_names]
+        scaled = DemandMatrix(tuple(
+            Commodity(index[c.source], index[c.sink], c.demand * 1e6)
+            for c in demands.commodities
+        ))
+        with pytest.raises(ArithmeticError, match=r"theta 0\.887763888 is not optimal"):
+            solve_lu(big, scaled, middlepoints, 1)
 
 
 class TestTeLu:

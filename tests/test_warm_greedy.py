@@ -1,6 +1,8 @@
 """The greedy ranks each round's candidates by warm solves in one model of
-the chosen set (``ExtensionModel.theta``, the ranking seam) and solves only
-near-ties cold: it must print exactly what the all-cold loop printed."""
+the chosen set (``ExtensionModel.theta``, the ranking seam), in ascending
+order of their dual bounds (``extension_bounds``, the screening seam), skips
+those the bounds show cannot win, and solves only near-ties cold: it must
+print exactly what the all-cold loop printed."""
 
 import contextlib
 import io
@@ -21,11 +23,24 @@ from srte.graph import (
     random_connected_digraph,
     serialize_topology,
 )
-from srte.selection import IMPROVEMENT_TOL, SelectionResult, greedy_select
+from srte.selection import (
+    BOUND_TOL,
+    IMPROVEMENT_TOL,
+    SelectionResult,
+    greedy_select,
+)
 
 # The relative gap within which warm thetas count as tied: a round solves
 # cold every candidate within 1e-12 * max(1, |least warm theta|) of it.
 TIE = 1e-12
+
+
+def no_screening(monkeypatch):
+    """Bound every candidate by -inf: each round ranks all its candidates."""
+    monkeypatch.setattr(
+        srte.selection, "extension_bounds",
+        lambda pool, middlepoints, nodes, duals: np.full(len(nodes), -np.inf),
+    )
 
 
 def cold_greedy_points(pool, candidates, ks, initial=()):
@@ -157,9 +172,11 @@ def test_warm_theta_noise_below_the_tie_tolerance_moves_no_pick(
     tmp_path, monkeypatch
 ):
     """Every warm theta moved by a quarter of the tie tolerance, down and up
-    in turn (then up and down), leaves every printed byte as it was."""
+    in turn (then up and down), leaves every printed byte as it was. Every
+    candidate is ranked (no screening), so each one is moved."""
     runs = [run for run in instances() if not run[-1]][::2]
     want = [printed(tmp_path, *run) for run in runs]
+    no_screening(monkeypatch)
     real = ExtensionModel.theta
     moved = []
 
@@ -249,7 +266,9 @@ def test_incremental_theta_is_within_the_tie_tolerance_of_the_cold_theta(
 ):
     """On every candidate of the 50 runs, the theta of the chosen set's model
     with the candidate's columns added is within WARM_TIE_TOL of the theta of
-    the candidate's set solved cold."""
+    the candidate's set solved cold. Every candidate is ranked (no
+    screening), so each one is compared."""
+    no_screening(monkeypatch)
     real = ExtensionModel.theta
     evaluate = srte.selection._evaluate
     gaps = []
@@ -291,3 +310,83 @@ def test_each_probe_leaves_the_model_at_the_chosen_set():
             assert again.objective_value == theta
             probes += 1
     assert probes > 50
+
+
+def test_dual_bound_is_at_most_the_cold_theta_of_every_candidate(
+    tmp_path, monkeypatch
+):
+    """On every candidate of every round of the 50 runs, the dual bound at
+    the chosen set's duals, less BOUND_TOL, is at most the theta of the
+    candidate's set solved cold."""
+    real = srte.selection.extension_bounds
+    evaluate = srte.selection._evaluate
+    checked = []
+
+    def compared(pool, middlepoints, nodes, duals):
+        bounds = real(pool, middlepoints, nodes, duals)
+        for v, bound in zip(nodes, bounds.tolist()):
+            cold, _, _ = evaluate(pool, [*middlepoints, v])
+            assert bound - BOUND_TOL * max(1.0, abs(bound)) <= cold, (
+                middlepoints, v, bound, cold,
+            )
+            checked.append(v)
+        return bounds
+
+    monkeypatch.setattr(srte.selection, "extension_bounds", compared)
+    for run in instances():
+        printed(tmp_path, *run)
+    assert len(checked) > 1000
+
+
+def test_screened_candidates_count_as_subproblems_and_cannot_win(monkeypatch):
+    """On a benchmark-tier instance (n=30, 120 edges, capacities 1..10, 100
+    gravity demands, k=4, m=1) each round ranks a prefix of its candidates
+    in ascending bound order and skips the rest. Ranking solves plus skipped
+    candidates are the printed subproblems less the initial set, some are
+    skipped, and each skipped candidate's cold theta is above the round
+    winner's (or, first of least, ties it after it in node order), or cannot
+    improve when the round has no winner."""
+    net = random_connected_digraph(30, 120, 0, max_capacity=10)
+    demands = generate_gravity_demands(net, 100, 500)
+    real_round = srte.selection._greedy_round
+    real_bounds = srte.selection.extension_bounds
+    real_theta = ExtensionModel.theta
+    rounds = []
+
+    def round_(pool, chosen, unexplored, theta, parent):
+        rounds.append({
+            "pool": pool, "chosen": list(chosen), "candidates": list(unexplored),
+            "theta": theta, "bounds": None, "ranked": [],
+        })
+        rounds[-1]["winner"] = real_round(pool, chosen, unexplored, theta, parent)
+        return rounds[-1]["winner"]
+
+    def bounds_(pool, middlepoints, nodes, duals):
+        rounds[-1]["bounds"] = real_bounds(pool, middlepoints, nodes, duals)
+        return rounds[-1]["bounds"]
+
+    def theta_(model, node):
+        rounds[-1]["ranked"].append(node)
+        return real_theta(model, node)
+
+    monkeypatch.setattr(srte.selection, "_greedy_round", round_)
+    monkeypatch.setattr(srte.selection, "extension_bounds", bounds_)
+    monkeypatch.setattr(ExtensionModel, "theta", theta_)
+    result = greedy_select(net, demands, range(30), 4, 1)
+    ranked = screened = 0
+    for r in rounds:
+        assert r["bounds"] is not None  # every round has a parent optimum
+        order = [r["candidates"][i] for i in np.argsort(r["bounds"], kind="stable")]
+        count = len(r["ranked"])
+        assert r["ranked"] == order[:count]
+        ranked += count
+        screened += len(order) - count
+        for v in order[count:]:
+            cold, _, _ = srte.selection._evaluate(r["pool"], [*r["chosen"], v])
+            if r["winner"] is None:
+                assert cold >= r["theta"] - IMPROVEMENT_TOL
+            else:
+                w, (theta_w, _, _) = r["winner"]
+                assert (cold, v) > (theta_w, w)
+    assert ranked + screened == result.subproblems_solved - 1
+    assert screened > 0
