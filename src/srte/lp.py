@@ -9,15 +9,15 @@ and returns srte's own ``LpSolution``. HiGHS is deterministic for identical
 input and handles the degenerate, equal-capacity instances common in TE
 without cycling. Every returned point is re-checked against the rows.
 
-A cold solve hands back its row duals, and can hand back its optimal simplex
-``Basis`` (one HiGHS status code per column and row). An ``LpModel`` keeps
-one program loaded at such a basis and solves it with a few columns added
-for one solve at a time: the primal simplex prices in only those columns,
-and the model drops them and restores the basis after each solve. Greedy
-selection ranks each round's candidates this way, one model per round, and
-prices the candidates it need not solve at the chosen set's duals. Only
-scipy 1.17.1's bindings are tested; ``tests/test_lp.py`` names every
-private binding used here.
+Every optimal solve hands back its row duals and its optimal simplex basis,
+the ``HighsBasis`` HiGHS returns: a copy of one status per column and row
+that outlives its solver. An ``LpModel`` keeps one program loaded at such a
+basis and solves it with a few columns added for one solve at a time: the
+primal simplex prices in only those columns, and the model drops them and
+restores the basis after each solve. Greedy selection ranks each round's
+candidates this way, one model per round, and prices the candidates it need
+not solve at the chosen set's duals. Only scipy 1.17.1's bindings are
+tested; ``tests/test_lp.py`` names every private binding used here.
 """
 
 from __future__ import annotations
@@ -88,33 +88,22 @@ class _MatrixRows:
 
 
 @dataclass(frozen=True, eq=False)
-class Basis:
-    """A simplex basis: the HiGHS basis status code (``HighsBasisStatus``:
-    ``LOWER``, ``BASIC``, ...) of every column and of every row."""
-
-    cols: np.ndarray
-    rows: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class LpSolution:
     """A solve's status, its iteration count and, when optimal, its objective
-    value in the program's own sense and point ``x`` (else NaN and empty).
+    value in the program's own sense, point ``x``, optimal ``basis`` and row
+    ``duals`` (else NaN, empty and None).
 
-    ``duals`` holds an optimal ``linprog`` solve's row duals (the ``<=``
-    rows, then the ``=`` rows) as HiGHS reports them for the minimization it
-    solves: a binding ``<=`` row's dual is at most 0.
+    ``duals`` holds the row duals (the ``<=`` rows, then the ``=`` rows) as
+    HiGHS reports them for the minimization it solves: a binding ``<=``
+    row's dual is at most 0.
     """
 
     status: LpStatus
     objective_value: float
     x: np.ndarray
-    basis: Optional[Basis] = None  # the optimal basis, when asked for
+    basis: Optional[highs.HighsBasis] = None
     nit: int = 0
     duals: Optional[np.ndarray] = None
-
-    def __getitem__(self, var: int) -> float:
-        return float(self.x[var])
 
 
 def _row_norms(a: csr_matrix) -> np.ndarray:
@@ -177,27 +166,6 @@ _STATUS = {
 # linprog's result check tolerance: 10 * sqrt of its default tol of 1e-9.
 _RESULT_TOL = 10 * np.sqrt(1e-9)
 
-# Basis status codes; _BASIS_STATUS[code] is the HiGHS enum member.
-_BASIS_STATUS = np.array(
-    sorted(highs.HighsBasisStatus.__members__.values(), key=int), dtype=object
-)
-
-
-def _to_highs(basis: Basis) -> highs.HighsBasis:
-    out = highs.HighsBasis()
-    out.col_status = _BASIS_STATUS[basis.cols].tolist()
-    out.row_status = _BASIS_STATUS[basis.rows].tolist()
-    out.alien = False  # complete: HiGHS checks it and starts from it as is
-    out.valid = True
-    return out
-
-
-def _from_highs(basis: highs.HighsBasis) -> Basis:
-    return Basis(
-        np.fromiter(map(int, basis.col_status), dtype=np.int8),
-        np.fromiter(map(int, basis.row_status), dtype=np.int8),
-    )
-
 
 def _loaded(
     lp: SparseLp, options: highs.HighsOptions
@@ -245,8 +213,6 @@ def _solved(
     lower: np.ndarray,
     upper: np.ndarray,
     row_upper: np.ndarray,
-    return_basis: bool,
-    return_duals: bool,
 ) -> LpSolution:
     """Run the loaded program and check its result as linprog does; ``lower``
     and ``upper`` bound every column the solver holds."""
@@ -277,15 +243,14 @@ def _solved(
             "LP solver failed: The solution does not satisfy the constraints "
             f"within the required tolerance of {tol:.2E}"
         )
-    basis = _from_highs(solver.getBasis()) if return_basis else None
-    duals = np.array(solution.row_dual) if return_duals else None
     # 0.0 - fun, not -fun: a maximum of zero is +0.0.
     return LpSolution(
-        status, 0.0 - fun if lp.maximize else fun, x, basis, nit, duals
+        status, 0.0 - fun if lp.maximize else fun, x, solver.getBasis(), nit,
+        np.array(solution.row_dual),
     )
 
 
-def linprog(lp: SparseLp, return_basis: bool = False) -> LpSolution:
+def linprog(lp: SparseLp) -> LpSolution:
     """Solve the program in one fresh HiGHS solver, as scipy's
     ``linprog(method="highs")`` does: the same options, input and result
     checks (NaN bounds are rejected too), and a maximization solved as the
@@ -294,13 +259,9 @@ def linprog(lp: SparseLp, return_basis: bool = False) -> LpSolution:
     the result check raises ``ArithmeticError``: none reads as infeasible.
     The rows are passed row-wise as they are; only a program with both blocks
     is stacked (rows: the ``<=`` rows, then the ``=`` rows).
-
-    An optimal solution holds its row ``duals``. With ``return_basis`` it
-    also holds its final ``basis``, read only then since reading it costs
-    about as much as setting one.
     """
     solver, _, row_upper = _loaded(lp, _OPTIONS)
-    return _solved(solver, lp, lp.lower, lp.upper, row_upper, return_basis, True)
+    return _solved(solver, lp, lp.lower, lp.upper, row_upper)
 
 
 class LpModel:
@@ -315,13 +276,14 @@ class LpModel:
     from the same model and basis.
     """
 
-    def __init__(self, lp: SparseLp, basis: Basis):
+    def __init__(self, lp: SparseLp, basis: highs.HighsBasis):
         """``basis`` holds one status per column and row, as many basic as
-        there are rows; HiGHS rejecting it raises ``ValueError``."""
+        there are rows (an optimal solve's ``basis``); HiGHS rejecting it
+        raises ``ValueError``."""
         self._lp = lp
         self._solver, self._a, self._row_upper = _loaded(lp, _WARM_OPTIONS)
-        self._basis = _to_highs(basis)
-        if self._solver.setBasis(self._basis) == highs.HighsStatus.kError:
+        self._basis = basis
+        if self._solver.setBasis(basis) == highs.HighsStatus.kError:
             raise ValueError("HiGHS rejected the start basis")
         self._norms = _row_norms(self._a)
 
@@ -332,8 +294,7 @@ class LpModel:
         ``values[ptr[j]:ptr[j + 1]]`` in the rows ``rows[ptr[j]:ptr[j + 1]]``
         (int32, distinct within a column, counted as ``linprog`` passes the
         rows). ``x`` holds the program's columns, then the added ones; the
-        result is checked as ``linprog`` and ``solve_lp`` check theirs, and
-        holds no duals.
+        result is checked as ``linprog`` and ``solve_lp`` check theirs.
         """
         if not np.isfinite(values).all():
             raise ValueError(
@@ -351,7 +312,7 @@ class LpModel:
                 raise ArithmeticError("LP solver failed: HiGHS rejected the columns")
             sol = _solved(
                 solver, lp, np.concatenate((lp.lower, zeros)),
-                np.concatenate((lp.upper, inf)), self._row_upper, False, False,
+                np.concatenate((lp.upper, inf)), self._row_upper,
             )
             if sol.status is LpStatus.OPTIMAL:
                 x = sol.x
@@ -368,12 +329,13 @@ class LpModel:
             solver.setBasis(self._basis)
 
 
-def solve_lp(lp: SparseLp, return_basis: bool = False) -> LpSolution:
+def solve_lp(lp: SparseLp) -> LpSolution:
     """Solve the program by ``linprog`` and re-check an optimal point against
-    the rows; Infeasible/Unbounded are statuses, not failures."""
+    the rows; Infeasible/Unbounded are statuses, not failures. A program
+    without columns is optimal at 0 unsolved, with no basis or duals."""
     if lp.num_vars == 0:
         return LpSolution(LpStatus.OPTIMAL, 0.0, np.zeros(0))
-    sol = linprog(lp, return_basis=return_basis)
+    sol = linprog(lp)
     if sol.status is LpStatus.OPTIMAL:
         _check_feasibility(lp, sol.x)
     return sol

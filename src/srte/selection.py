@@ -37,6 +37,7 @@ from .graph import DemandMatrix, FlowNetwork
 from .lp import LpStatus
 from .paths import ShortestPathCache
 from .te import (
+    BOUND_TOL,
     LU,
     ExtensionModel,
     NoTunnelError,
@@ -60,13 +61,6 @@ IMPROVEMENT_TOL = 1e-9
 # runs), so warm thetas within it of the least are near-ties that a cold
 # solve decides.
 WARM_TIE_TOL = 1e-12
-
-# Relative to max(1, |bound|): the float error allowed for a dual bound
-# (``extension_bounds``) above the cold theta it bounds. The bound exceeded
-# the cold theta by at most 4.1e-16 (relative to max(1, theta)) on the
-# 1,513 candidates of the 50 greedy runs of tests/test_warm_greedy.py, and
-# by at most 5.9e-16 on the 7,697 of 80 benchmark-tier greedy runs.
-BOUND_TOL = 1e-9
 
 
 class BudgetExceededError(Exception):
@@ -106,17 +100,16 @@ def solve_with_middlepoints(
 
 
 def _evaluate(
-    pool: TunnelPool, middlepoints: Sequence[int], return_basis: bool = False
+    pool: TunnelPool, middlepoints: Sequence[int]
 ) -> tuple[float, Optional[TeSolution], Optional[NoTunnelError]]:
     """(theta, solution, error) of TE_LU on one set, solved cold; theta is
     inf when a commodity has no tunnel (no solution) or the program has no
-    optimum. With ``return_basis`` an optimal solution keeps its basis.
-    """
+    optimum."""
     try:
         program = pool.program(middlepoints)
     except NoTunnelError as exc:
         return math.inf, None, exc
-    solution = solve_te(program, return_basis)
+    solution = solve_te(program)
     optimal = solution.status is LpStatus.OPTIMAL and solution.theta is not None
     return (solution.theta if optimal else math.inf), solution, None
 
@@ -243,17 +236,14 @@ def _greedy_round(
                 continue
             least = min(least, ranks[i])
         del model  # free its solver before the cold solves: two at once raise peak RSS
-    cold = {
-        i: _evaluate(pool, chosen + [unexplored[i]], return_basis=True)
-        for i in unranked
-    }
+    cold = {i: _evaluate(pool, chosen + [unexplored[i]]) for i in unranked}
     ranks.update((i, trial[0]) for i, trial in cold.items())
     least = min(ranks.values(), default=math.inf)
     if least == math.inf or least >= theta - IMPROVEMENT_TOL + _tie(least):
         return None
     for i, rank in ranks.items():
         if rank <= least + _tie(least) and i not in cold:
-            cold[i] = _evaluate(pool, chosen + [unexplored[i]], return_basis=True)
+            cold[i] = _evaluate(pool, chosen + [unexplored[i]])
     best = min(sorted(cold), key=lambda i: cold[i][0])  # the first of least
     if not cold[best][0] < theta - IMPROVEMENT_TOL:
         return None
@@ -286,7 +276,7 @@ def _greedy_points(
 
     states = []
     try:
-        theta, current, error = _evaluate(pool, chosen, return_basis=True)
+        theta, current, error = _evaluate(pool, chosen)
         subproblems = 1
         states.append(state())
         k_max = max(ks)

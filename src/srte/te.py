@@ -16,9 +16,10 @@ An LU tunnel program's optimal row duals give every LU tunnel program on the
 network a dual solution (``dual_weights``): edge weights w >= 0 with c·w <= 1,
 under which a tunnel costs its load·w. By weak duality any tunnel set's
 theta is at least the demand-weighted sum of each commodity's least tunnel
-cost. ``solve_te`` certifies each LU tunnel theta it returns by this bound
-at its own duals, and ``extension_bounds`` prices, at a set's duals, every
-set of it plus one node at once.
+cost, and the MP theta at least that of each commodity's least path cost.
+``solve_te`` certifies each LU theta it returns by this bound at its own
+duals, and ``extension_bounds`` prices, at a set's duals, every set of it
+plus one node at once.
 
 A ``TunnelPool`` serves a selection run that solves many middlepoint sets: it
 enumerates and loads each tunnel once, and each set's program is a column
@@ -48,7 +49,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .graph import Commodity, DemandMatrix, FlowNetwork
-from .lp import Basis, LpModel, LpStatus, SparseLp, solve_lp
+from .lp import LpModel, LpStatus, SparseLp, highs, solve_lp
 from .paths import SegmentFractions, ShortestPathCache
 
 LU = "lu"
@@ -56,11 +57,16 @@ MF = "mf"
 
 UTILIZATION_TOL = 1e-6
 
-# An LU tunnel theta more than this (relative to max(1, theta)) above the
-# dual bound at its own row duals is refused as not optimal. Over 1,141 cold
-# LU solves of 80 benchmark-tier greedy and GSP-sweep runs the gap was at
-# most 6.8e-16.
-CERTIFICATE_TOL = 1e-9
+# The float error allowed between a dual bound and the LU theta it bounds,
+# relative to max(1, theta) (or to max(1, |bound|) where only the bound is
+# known). An LU theta further above the bound at its own row duals is
+# refused as not optimal: over 1,141 cold LU tunnel solves of 80
+# benchmark-tier greedy and GSP-sweep runs the gap was at most 6.8e-16, and
+# over the MP programs of 20 benchmark-tier instances at most 2.5e-16. A
+# greedy candidate whose ``extension_bounds`` bound less it cannot win is
+# not solved: the bound exceeded the cold theta by at most 5.9e-16 over the
+# 7,697 candidates of 80 benchmark-tier greedy runs.
+BOUND_TOL = 1e-9
 
 # The most (commodity, ordered middlepoint sequence) pairs all-nodes tests.
 # The largest all-nodes run measured, n=60 with m=2 (100 commodities:
@@ -210,16 +216,12 @@ class TeSolution:
     tunnels: Sequence[Tunnel] = ()
     flows: Sequence[float] = ()  # one per tunnel, in the same order
     utilization: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    basis: Optional[Basis] = None  # the optimal basis, when asked for
+    basis: Optional[highs.HighsBasis] = None  # the optimal basis (LpSolution)
     duals: Optional[np.ndarray] = None  # the optimal row duals (LpSolution)
 
     @property
     def objective(self) -> Optional[float]:
         return self.theta if self.kind == LU else self.satisfaction_ratio
-
-    @cached_property
-    def tunnel_flows(self) -> dict[Tunnel, float]:
-        return dict(zip(self.tunnels, self.flows))
 
     @cached_property
     def split_ratios(self) -> dict[Tunnel, float]:
@@ -524,7 +526,9 @@ class ExtensionModel:
     demand is positive. The solution is checked as ``solve_te`` checks one.
     """
 
-    def __init__(self, pool: TunnelPool, middlepoints: Sequence[int], basis: Basis):
+    def __init__(
+        self, pool: TunnelPool, middlepoints: Sequence[int], basis: highs.HighsBasis
+    ):
         """``basis`` is optimal for the pool's LU slice of ``middlepoints``,
         and the pool covers each set of them plus a node asked for."""
         self.middlepoints = tuple(middlepoints)
@@ -678,10 +682,11 @@ def _check_theta(utilization: np.ndarray, theta: float) -> None:
 
 
 def dual_weights(network: FlowNetwork, duals: np.ndarray) -> np.ndarray:
-    """The edge weights of a dual solution of every LU tunnel program on the
+    """The edge weights of a dual solution of every LU program on the
     network, from an LU program's row duals y (the edge rows first): w =
     max(0, -y), scaled down so that c·w <= 1. With each commodity's price
-    its least tunnel cost load·w, w is dual feasible whatever the tunnels."""
+    its least tunnel cost load·w (in MP, its least path cost), w is dual
+    feasible whatever the tunnels."""
     weights = np.maximum(0.0, -duals[:network.edge_count])
     total = float(network.float_capacities @ weights)
     return weights / total if total > 1.0 else weights
@@ -697,38 +702,60 @@ def _least(costs: np.ndarray, keys: np.ndarray, size: int) -> np.ndarray:
     return least
 
 
+def _path_costs(
+    network: FlowNetwork, demands: DemandMatrix, weights: np.ndarray
+) -> np.ndarray:
+    """Each commodity's least path cost under the edge weights (inf if its
+    sink is unreachable)."""
+    # Imported here: at module level it slows ``import srte.cli`` by ~5 ms.
+    from scipy.sparse.csgraph import dijkstra
+
+    n = network.node_count
+    tails = np.array([e.tail for e in network.edges], dtype=np.intp)
+    heads = np.array([e.head for e in network.edges], dtype=np.intp)
+    # Built from COO arrays, the matrix keeps its explicit zero weights,
+    # which csgraph reads as edges of cost 0 (no edge is parallel).
+    graph = csr_matrix((weights, (tails, heads)), shape=(n, n))
+    sources = np.array([c.source for c in demands.commodities], dtype=np.intp)
+    sinks = np.array([c.sink for c in demands.commodities], dtype=np.intp)
+    starts, row = np.unique(sources, return_inverse=True)
+    return dijkstra(graph, indices=starts)[row, sinks]
+
+
 def _certify(program: TeProgram, duals: np.ndarray, theta: float) -> None:
-    """Theta of an LU tunnel program is within CERTIFICATE_TOL of the dual
-    bound at its own row duals, which is at most its optimum. HiGHS stops
-    once the reduced costs are within an absolute tolerance, which lets a
-    program with tiny duals (capacities in a large unit) stop far from its
-    optimum at a feasible point the other checks accept."""
+    """Theta of an LU program is within BOUND_TOL of the dual bound at its
+    own row duals, which is at most its optimum: each commodity's least
+    tunnel cost or, in MP, least path cost, weighted by its demand. HiGHS
+    stops once the reduced costs are within an absolute tolerance, which
+    lets a program with tiny duals (capacities in a large unit) stop far
+    from its optimum at a feasible point the other checks accept."""
     volume = _volume(program.demands)
     weights = dual_weights(program.network, duals)
-    loads = program.loads  # edges x tunnels, CSR
-    # Each tunnel's cost load·w, in a third of the time of loads.T @ weights.
-    costs = np.bincount(
-        loads.indices, loads.data * np.repeat(weights, np.diff(loads.indptr)),
-        minlength=loads.shape[1],
-    )
-    least = _least(costs, program.commodity, len(volume))
+    if program.commodity is None:  # MP
+        least = _path_costs(program.network, program.demands, weights)
+    else:
+        loads = program.loads  # edges x tunnels, CSR
+        # Each tunnel's cost load·w, in a third of the time of loads.T @ weights.
+        costs = np.bincount(
+            loads.indices, loads.data * np.repeat(weights, np.diff(loads.indptr)),
+            minlength=loads.shape[1],
+        )
+        least = _least(costs, program.commodity, len(volume))
     positive = volume > 0
     bound = float(volume[positive] @ least[positive])
-    if theta - bound > CERTIFICATE_TOL * max(1.0, theta):
+    if theta - bound > BOUND_TOL * max(1.0, theta):
         raise ArithmeticError(
             f"LP solver failed: theta {theta:.9g} is not optimal, its row "
             f"duals bound the optimum below by {bound:.9g}"
         )
 
 
-def solve_te(program: TeProgram, return_basis: bool = False) -> TeSolution:
+def solve_te(program: TeProgram) -> TeSolution:
     """Solve a TE program, decode its utilizations and check theta against
-    them; an LU tunnel program's theta is also certified by its duals.
-
-    With ``return_basis`` an optimal solution keeps its basis.
-    """
+    them; an LU theta is also certified by its duals. An optimal solution
+    keeps its basis and duals."""
     start = time.perf_counter()
-    sol = solve_lp(program.lp, return_basis)
+    sol = solve_lp(program.lp)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     result = TeSolution(
         program.kind, sol.status, solve_ms=elapsed_ms, basis=sol.basis,
@@ -749,8 +776,7 @@ def solve_te(program: TeProgram, return_basis: bool = False) -> TeSolution:
     if program.kind == LU:
         result.theta = sol.objective_value
         _check_theta(result.utilization, result.theta)
-        if program.commodity is not None:  # not MP
-            _certify(program, sol.duals, result.theta)
+        _certify(program, sol.duals, result.theta)
     else:
         result.satisfied_total = sol.objective_value
         total_demand = program.demands.total_demand()

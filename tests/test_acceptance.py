@@ -73,9 +73,9 @@ def test_criterion_1_hand_lp_exactness():
     def body():
         lp, theta, f1, f2 = split_lp()
         sol = solve_lp(lp)
-        assert sol[theta] == pytest.approx(0.6, abs=1e-6)
-        assert sol[f1] == pytest.approx(1.8, abs=1e-6)
-        assert sol[f2] == pytest.approx(1.2, abs=1e-6)
+        assert sol.x[theta] == pytest.approx(0.6, abs=1e-6)
+        assert sol.x[f1] == pytest.approx(1.8, abs=1e-6)
+        assert sol.x[f2] == pytest.approx(1.2, abs=1e-6)
 
         net = make_net([(0, 2, 3), (0, 1, 2), (1, 2, 2)], names=("s", "m", "t"))
         demands = make_demands((0, 2, 3))
@@ -83,7 +83,7 @@ def test_criterion_1_hand_lp_exactness():
         tunnels = tunnels_for_middlepoints(cache, demands, [1], 1)
         te = solve_te(build_te_lu(cache, demands, tunnels))
         assert te.theta == pytest.approx(3 / 5, abs=1e-6)
-        flows = {t.waypoints: f for t, f in te.tunnel_flows.items()}
+        flows = {t.waypoints: f for t, f in zip(te.tunnels, te.flows)}
         assert flows[(0, 2)] == pytest.approx(9 / 5, abs=1e-6)
         assert flows[(0, 1, 2)] == pytest.approx(6 / 5, abs=1e-6)
         return "theta 0.6 and 3/5 with exact flows"

@@ -85,12 +85,12 @@ def bound_sites():
 def test_traced_greedy_prints_the_same_and_restores_every_site(monkeypatch):
     argv = [*ARGV[:5], "--method", "greedy", "--k", "3", "--m", "2"]
     untraced = run_main(argv)
-    asked = []  # per cold LP: asked for its basis
+    cold = []  # each cold LP's solution
     real = srte.lp.linprog
 
-    def spy(*args, return_basis=False, **kwargs):
-        asked.append(return_basis)
-        return real(*args, return_basis=return_basis, **kwargs)
+    def spy(*args, **kwargs):
+        cold.append(real(*args, **kwargs))
+        return cold[-1]
 
     warm = []  # one per ranking solve in a round's model
     real_solve = srte.lp.LpModel.solve_with
@@ -125,14 +125,16 @@ def test_traced_greedy_prints_the_same_and_restores_every_site(monkeypatch):
     # Every subproblem the output counts is the initial set's cold solve,
     # or one of a round's candidates: solved in the round's model, or
     # skipped by its dual bound. Every cold solve of the initial set or of a
-    # round's near-tie (a cold confirmation) asks for its basis and is one
-    # LP more; the tracer sees only the cold solves, the model's are not
-    # among its sites.
+    # round's near-tie (a cold confirmation) returns its basis and duals,
+    # which the next round's model and bounds start from, and is one LP
+    # more; the tracer sees only the cold solves, the model's are not among
+    # its sites.
     subproblems = json.loads(untraced)["subproblems"]
-    confirmations = len(asked) - 1
+    confirmations = len(cold) - 1
     screened = sum(len(nodes) - len(solved) for nodes, solved in rounds)
     assert all(len(set(solved)) == len(solved) for _, solved in rounds)
-    assert all(asked) and len(warm) + screened == subproblems - 1
+    assert all(sol.basis is not None and sol.duals is not None for sol in cold)
+    assert len(warm) + screened == subproblems - 1
     assert confirmations >= 3  # at least the winner of each of 3 rounds
     assert (
         t.calls["te.solve_te"] == t.calls["lp.linprog"]

@@ -1,6 +1,7 @@
 """Generic LP layer: statuses, exact fixtures, feasibility, and the dump."""
 
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -43,9 +44,9 @@ def test_hand_balance_lp():
     sol = solve_lp(lp)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(0.6, abs=1e-9)
-    assert sol[theta] == pytest.approx(0.6, abs=1e-9)
-    assert sol[f1] == pytest.approx(1.8, abs=1e-9)
-    assert sol[f2] == pytest.approx(1.2, abs=1e-9)
+    assert sol.x[theta] == pytest.approx(0.6, abs=1e-9)
+    assert sol.x[f1] == pytest.approx(1.8, abs=1e-9)
+    assert sol.x[f2] == pytest.approx(1.2, abs=1e-9)
 
 
 def test_hand_balance_grid_search_cross_check():
@@ -62,7 +63,7 @@ def test_maximize_sign_handling():
     lp = dense_lp([2.0], upper=[5.0], maximize=True)
     sol = solve_lp(lp)
     assert sol.objective_value == pytest.approx(10.0)
-    assert sol[0] == pytest.approx(5.0)
+    assert sol.x[0] == pytest.approx(5.0)
 
 
 def test_ge_and_eq_rows():
@@ -71,7 +72,7 @@ def test_ge_and_eq_rows():
     sol = solve_lp(lp)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(5.0)
-    assert sol[0] >= 2.0 - 1e-9
+    assert sol.x[0] >= 2.0 - 1e-9
 
 
 def test_dump_format():
@@ -87,16 +88,15 @@ def test_dump_format():
 
 def test_solution_indexing():
     sol = solve_lp(dense_lp([1.0], lower=[2.5]))
-    assert sol[0] == pytest.approx(2.5)
+    assert sol.x[0] == pytest.approx(2.5)
 
 
 def test_solution_point_is_the_array_highs_returned():
-    """``x`` is the float array of the point; indexing reads a float."""
+    """``x`` is the float array of the point."""
     lp, theta, f1, f2 = split_lp()
     sol = solve_lp(lp)
     assert isinstance(sol.x, np.ndarray)
     assert sol.x.dtype == np.float64 and sol.x.shape == (lp.num_vars,)
-    assert type(sol[f1]) is float and sol[f1] == sol.x[f1]
     assert sol.nit > 0
     infeasible = solve_lp(dense_lp([0.0], ub=[([1.0], -1.0)]))
     assert infeasible.x.shape == (0,) and math.isnan(infeasible.objective_value)
@@ -283,11 +283,11 @@ def test_direct_highs_call_equals_scipy_linprog(monkeypatch):
     scipy's linprog(method="highs") returns for the same program: the same
     status, iteration count, objective and bit for bit the same point."""
     calls = _recorded_corpus(monkeypatch)
-    # One LP per program, each solved cold without reading its basis back:
-    # then scipy's linprog solves exactly the same program.
+    # One LP per program, each solved cold as it is: then scipy's linprog
+    # solves exactly the same program.
     statuses = set()
     for lp, kwargs in calls:
-        assert kwargs == {"return_basis": False}
+        assert kwargs == {}
         ours = srte.lp.linprog(lp)
         theirs = scipy.optimize.linprog(**scipy_arguments(lp), method="highs")
         assert _SCIPY_STATUS[ours.status] == theirs.status
@@ -362,9 +362,33 @@ def test_rejected_model_raises(lp):
         solve_lp(lp)
 
 
-LOWER = int(srte.lp.highs.HighsBasisStatus.kLower)
-BASIC = int(srte.lp.highs.HighsBasisStatus.kBasic)
+BASIC = srte.lp.highs.HighsBasisStatus.kBasic
 NO_COLUMNS = (np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0))
+
+
+def slack_basis(cols, rows):
+    """The basis with ``cols`` columns nonbasic at their lower bound and
+    ``rows`` rows basic, complete (not alien): HiGHS starts from it as is."""
+    basis = srte.lp.highs.HighsBasis()
+    basis.col_status = [srte.lp.highs.HighsBasisStatus.kLower] * cols
+    basis.row_status = [BASIC] * rows
+    basis.alien = False
+    basis.valid = True
+    return basis
+
+
+def assert_complete(sol, cols, rows):
+    """An optimal solution holds a basis of ``cols`` columns and ``rows``
+    rows, as many basic as there are rows, and one dual per row; any other
+    holds neither."""
+    if sol.status is not LpStatus.OPTIMAL:
+        assert sol.basis is None and sol.duals is None
+        return
+    assert isinstance(sol.basis, srte.lp.highs.HighsBasis)
+    statuses = list(sol.basis.col_status) + list(sol.basis.row_status)
+    assert len(sol.basis.col_status) == cols and len(statuses) == cols + rows
+    assert statuses.count(BASIC) == rows
+    assert sol.duals.dtype == np.float64 and sol.duals.shape == (rows,)
 
 
 def added_columns(pool, middlepoints, subset):
@@ -386,7 +410,8 @@ def test_warm_start_gives_the_cold_status_and_theta(monkeypatch):
     slack basis (all columns nonbasic at 0, all rows basic), and for the LU
     pool slices of supersets of the empty set, the empty set's optimal
     basis with the supersets' columns added, as the greedy solves them;
-    those take fewer iterations in all than the cold solves."""
+    those take fewer iterations in all than the cold solves. Each warm
+    result holds its basis and duals when optimal, as a cold one does."""
     def assert_same(warm, cold):
         assert warm.status is cold.status
         if cold.status is LpStatus.OPTIMAL:
@@ -396,11 +421,10 @@ def test_warm_start_gives_the_cold_status_and_theta(monkeypatch):
     statuses = set()
     for lp, _ in _recorded_corpus(monkeypatch):
         cold = srte.lp.linprog(lp)
-        slack = srte.lp.Basis(
-            np.full(lp.num_vars, LOWER, dtype=np.int8),
-            np.full(len(lp.rows), BASIC, dtype=np.int8),
-        )
-        assert_same(srte.lp.LpModel(lp, slack).solve_with(*NO_COLUMNS), cold)
+        slack = slack_basis(lp.num_vars, len(lp.rows))
+        warm = srte.lp.LpModel(lp, slack).solve_with(*NO_COLUMNS)
+        assert_same(warm, cold)
+        assert_complete(warm, lp.num_vars, len(lp.rows))
         statuses.add(cold.status)
     assert statuses == set(_SCIPY_STATUS)
 
@@ -412,7 +436,7 @@ def test_warm_start_gives_the_cold_status_and_theta(monkeypatch):
     sets = ((3,), (7, 20), (1, 5, 9, 13), (0, 11, 22, 25, 29))
     pool.cover(sets)
     parent = pool.program(())
-    empty = srte.te.solve_te(parent, return_basis=True)
+    empty = srte.te.solve_te(parent)
     model = srte.lp.LpModel(parent.lp, empty.basis)
     for mids in sets:
         program = pool.program(mids)
@@ -427,27 +451,81 @@ def test_warm_start_gives_the_cold_status_and_theta(monkeypatch):
 
 def test_start_basis_of_the_wrong_size_is_rejected():
     sparse, *_ = split_lp()
-    wrong = srte.lp.Basis(
-        np.full(2, LOWER, dtype=np.int8), np.full(3, BASIC, dtype=np.int8),
-    )
+    wrong = slack_basis(2, 3)
     with pytest.raises(ValueError, match="rejected the start basis"):
         srte.lp.LpModel(sparse, wrong)
+    # Another program's optimal basis, of other sizes, is rejected too.
+    other = solve_lp(three_row_program())
+    assert len(other.basis.col_status) != sparse.num_vars
+    with pytest.raises(ValueError, match="rejected the start basis"):
+        srte.lp.LpModel(sparse, other.basis)
 
 
 def test_returned_basis_restarts_in_no_iterations():
     """The optimal basis a solve returns is a complete basis of the program:
     a model started from it needs no simplex iteration."""
     sparse, *_ = split_lp()
-    sol = solve_lp(sparse, return_basis=True)
-    assert sol.basis.cols.dtype == sol.basis.rows.dtype == np.int8
-    assert len(sol.basis.cols) == sparse.num_vars
-    assert len(sol.basis.rows) == len(sparse.rows)
-    assert (sol.basis.cols == BASIC).sum() + (
-        sol.basis.rows == BASIC
-    ).sum() == len(sparse.rows)
-    assert solve_lp(sparse).basis is None
+    sol = solve_lp(sparse)
+    assert_complete(sol, sparse.num_vars, len(sparse.rows))
     again = srte.lp.LpModel(sparse, sol.basis).solve_with(*NO_COLUMNS)
     assert again.nit == 0 and again.objective_value == pytest.approx(0.6)
+
+
+def test_basis_outlives_its_solver(monkeypatch):
+    """The basis a solve returns is a copy: after its solver is freed and
+    collected, and other programs are solved, it still restarts its program
+    (an LU pool slice of a benchmark-tier instance) in no iteration."""
+    freed = []
+
+    class Solver(srte.lp.highs._Highs):
+        def __del__(self):
+            freed.append(id(self))
+
+    monkeypatch.setattr(srte.lp.highs, "_Highs", Solver)
+    net = random_connected_digraph(30, 120, 4000, max_capacity=10)
+    pool = srte.te.TunnelPool(
+        ShortestPathCache(net), generate_gravity_demands(net, 100, 4500), 1
+    )
+    lp = pool.program((7, 20)).lp
+    sol = srte.lp.linprog(lp)
+    assert sol.nit > 0
+    gc.collect()
+    assert len(freed) == 1
+    for other in _direct_call_corpus():
+        srte.lp.linprog(other)
+    gc.collect()
+    model = srte.lp.LpModel(lp, sol.basis)
+    again = model.solve_with(*NO_COLUMNS)
+    assert again.nit == 0 and again.objective_value == sol.objective_value
+
+
+def test_every_optimal_solve_returns_its_basis_and_duals(monkeypatch):
+    """Every optimal linprog result, and every optimal LpModel.solve_with
+    result with or without columns added, holds its basis (with the added
+    columns) and its row duals; the other statuses hold neither. (The warm
+    solves of the corpus from slack bases are checked in
+    test_warm_start_gives_the_cold_status_and_theta.)"""
+    statuses = set()
+    for lp in _direct_call_corpus():
+        cold = srte.lp.linprog(lp)
+        assert_complete(cold, lp.num_vars, len(lp.rows))
+        statuses.add(cold.status)
+    assert statuses == set(_SCIPY_STATUS)
+
+    net = random_connected_digraph(30, 120, 4000, max_capacity=10)
+    pool = srte.te.TunnelPool(
+        ShortestPathCache(net), generate_gravity_demands(net, 100, 4500), 1
+    )
+    pool.cover([(3,), (7,)])
+    parent = pool.program(())
+    model = srte.lp.LpModel(parent.lp, srte.te.solve_te(parent).basis)
+    rows = len(parent.lp.rows)
+    assert_complete(model.solve_with(*NO_COLUMNS), parent.lp.num_vars, rows)
+    for mids in ((3,), (7,)):
+        columns = added_columns(pool, mids, ())
+        warm = model.solve_with(*columns)
+        assert warm.status is LpStatus.OPTIMAL
+        assert_complete(warm, parent.lp.num_vars + len(columns[0]) - 1, rows)
 
 
 def test_model_rechecks_added_columns_and_is_restored_after_a_failure(monkeypatch):
@@ -460,7 +538,7 @@ def test_model_rechecks_added_columns_and_is_restored_after_a_failure(monkeypatc
     )
     pool.cover([(3,)])
     parent = pool.program(())
-    empty = srte.te.solve_te(parent, return_basis=True)
+    empty = srte.te.solve_te(parent)
     model = srte.lp.LpModel(parent.lp, empty.basis)
     columns = added_columns(pool, (3,), ())
     assert model.solve_with(*columns).x.size > parent.lp.num_vars

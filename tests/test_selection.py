@@ -285,30 +285,28 @@ class TestTunnelPoolSelection:
 
         Every subproblem but the initial set is evaluated once, warm in the
         chosen set's model, or skipped, and every cold confirmation is
-        evaluated once more: the evaluations that ask for their basis are
-        the initial set and the confirmations."""
+        evaluated once more: the cold evaluations are the initial set and
+        the confirmations."""
         import srte.selection
 
         net = random_connected_digraph(30, 120, 7)
         demands = generate_gravity_demands(net, 20, 507)
-        evaluated, pool_sizes, warm, asked = [], [], [], []
+        evaluated, pool_sizes, warm = [], [], []
         rounds = []  # each bounded round's chosen set and candidates
         real = srte.selection._evaluate
         real_theta = srte.selection.ExtensionModel.theta
         real_bounds = srte.selection.extension_bounds
 
-        def recording(pool, middlepoints, return_basis=False):
+        def recording(pool, middlepoints):
             evaluated.append(list(middlepoints))
             warm.append(False)
-            asked.append(return_basis)
-            result = real(pool, middlepoints, return_basis)
+            result = real(pool, middlepoints)
             pool_sizes.append(len(pool.tunnels))
             return result
 
         def recording_warm(model, node):
             evaluated.append([*model.middlepoints, node])
             warm.append(True)
-            asked.append(False)
             result = real_theta(model, node)
             pool_sizes.append(len(model._pool.tunnels))
             return result
@@ -321,12 +319,11 @@ class TestTunnelPoolSelection:
         monkeypatch.setattr(srte.selection.ExtensionModel, "theta", recording_warm)
         monkeypatch.setattr(srte.selection, "extension_bounds", bounding)
         result = greedy_select(net, demands, range(30), 3, 2)
-        confirmations = sum(asked) - 1
+        confirmations = warm.count(False) - 1
         skipped = [
             [*chosen, v] for chosen, nodes in rounds for v in nodes
             if [*chosen, v] not in evaluated
         ]
-        assert not any(w and a for w, a in zip(warm, asked))
         assert sum(warm) + len(skipped) == result.subproblems_solved - 1
         assert (
             len(evaluated) + len(skipped)

@@ -173,17 +173,12 @@ class TestDualBound:
                     checked += 1
         assert checked == 4 * 3 * 8 - 6  # 4 seeds, 3 m, 7 or 8 nodes each
 
-    def test_certificate_refuses_a_theta_short_of_optimal(self):
-        """With every capacity and demand of the benchmark-tier instance
-        (n=30, seeds 4000/4500) in a unit 10**6 times smaller, HiGHS stops
-        at a feasible theta of 0.8878 that the other checks accept; its
-        duals bound the optimum by 0.4775, so the solve raises. In the unit
-        itself theta is certified."""
+    @staticmethod
+    def unit_and_scaled():
+        """The benchmark-tier instance (n=30, seeds 4000/4500), and the same
+        with every capacity and demand 10**6 times larger."""
         net = random_connected_digraph(30, 120, 4000, max_capacity=10)
         demands = generate_gravity_demands(net, 100, 4500)
-        middlepoints = range(net.node_count)
-        theta = solve_lu(net, demands, middlepoints, 1).theta
-        assert theta == pytest.approx(0.720378, abs=1e-6)
         big = parse_topology("".join(
             f"EDGE {net.node_names[e.tail]} {net.node_names[e.head]} "
             f"{float(e.capacity) * 1e6!r} {e.cost}\n"
@@ -194,8 +189,59 @@ class TestDualBound:
             Commodity(index[c.source], index[c.sink], c.demand * 1e6)
             for c in demands.commodities
         ))
+        return (net, demands), (big, scaled)
+
+    def test_certificate_refuses_a_theta_short_of_optimal(self):
+        """In the unit 10**6 times smaller, HiGHS stops at a feasible theta
+        of 0.8878 that the other checks accept; its duals bound the optimum
+        by 0.4775, so the solve raises. In the unit itself theta is
+        certified."""
+        (net, demands), (big, scaled) = self.unit_and_scaled()
+        middlepoints = range(net.node_count)
+        theta = solve_lu(net, demands, middlepoints, 1).theta
+        assert theta == pytest.approx(0.720378, abs=1e-6)
         with pytest.raises(ArithmeticError, match=r"theta 0\.887763888 is not optimal"):
             solve_lu(big, scaled, middlepoints, 1)
+
+    def test_mp_certificate_refuses_a_theta_short_of_optimal(self):
+        """The MP program of the same instances: in the unit itself theta
+        0.716333676 is certified; 10**6 times larger, HiGHS stops at 1.0707,
+        which the demand-weighted least path costs at its duals (0.0026)
+        refute."""
+        (net, demands), (big, scaled) = self.unit_and_scaled()
+        theta = solve_te(build_mp_baseline(net, demands, LU)).theta
+        assert f"{theta:.9g}" == "0.716333676"
+        with pytest.raises(
+            ArithmeticError,
+            match=r"theta 1\.07071287 is not optimal, its row duals bound the "
+            r"optimum below by 0\.0026",
+        ):
+            solve_te(build_mp_baseline(big, scaled, LU))
+
+    def test_mp_bound_crosses_edges_of_zero_weight(self):
+        """The MP bound's least path costs take edges of weight 0, whose
+        rows do not bind, as edges of cost 0: here every edge into the sink
+        has weight 0, so without them no sink would be reachable, and the
+        bound equals theta."""
+        net = make_net([
+            (0, 1, 1), (1, 3, 100), (0, 2, 1), (2, 3, 100), (1, 2, 100),
+        ])
+        demands = make_demands((0, 3, 2), (1, 3, 0.5))
+        sol = solve_te(build_mp_baseline(net, demands, LU))
+        assert sol.theta == pytest.approx(1.0)
+        weights = dual_weights(net, sol.duals)
+        # The edges of capacity 100, every edge into the sink among them.
+        assert np.flatnonzero(weights == 0.0).tolist() == [1, 3, 4]
+        costs = srte.te._path_costs(net, demands, weights)
+        # Floyd-Warshall over every edge, those of weight 0 included.
+        dist = np.full((4, 4), np.inf)
+        np.fill_diagonal(dist, 0.0)
+        for e, w in zip(net.edges, weights.tolist()):
+            dist[e.tail, e.head] = w
+        for k in range(4):
+            dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
+        assert costs.tolist() == [dist[0, 3], dist[1, 3]]
+        assert 2 * costs[0] + 0.5 * costs[1] == pytest.approx(sol.theta, rel=1e-12)
 
 
 class TestTeLu:
@@ -205,7 +251,7 @@ class TestTeLu:
         sol = solve_lu(middlepoint_fixture, demands, [1], 1)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.theta == pytest.approx(0.6, abs=1e-6)
-        flows = {t.waypoints: f for t, f in sol.tunnel_flows.items()}
+        flows = {t.waypoints: f for t, f in zip(sol.tunnels, sol.flows)}
         assert flows[(0, 2)] == pytest.approx(1.8, abs=1e-6)
         assert flows[(0, 1, 2)] == pytest.approx(1.2, abs=1e-6)
 
@@ -443,7 +489,7 @@ class TestSparseAssembly:
         builder = build_te_lu if kind == LU else build_te_mf
         sol = solve_te(builder(cache, demands, groups))
         expected = {eid: 0.0 for eid in range(net.edge_count)}
-        for tun, flow in sol.tunnel_flows.items():
+        for tun, flow in zip(sol.tunnels, sol.flows):
             loads = {}
             for a, b in tun.segments:
                 for eid, frac in cache.fractions(a, b).fractions.items():

@@ -15,7 +15,7 @@ import pytest
 
 import srte.selection
 from srte import cli
-from srte.te import ExtensionModel, TunnelPool
+from srte.te import BOUND_TOL, ExtensionModel, TunnelPool
 from srte.paths import ShortestPathCache
 from srte.graph import (
     generate_gravity_demands,
@@ -24,7 +24,6 @@ from srte.graph import (
     serialize_topology,
 )
 from srte.selection import (
-    BOUND_TOL,
     IMPROVEMENT_TOL,
     SelectionResult,
     greedy_select,
@@ -147,12 +146,12 @@ def test_warm_ranked_greedy_prints_what_the_cold_loop_printed(tmp_path, monkeypa
     than one cold confirmation in some rounds (the rings and grids)."""
     runs = instances()
     assert len(runs) >= 40
-    asked = []
+    cold = []
     real = srte.selection._evaluate
 
-    def counting(pool, middlepoints, return_basis=False):
-        asked.append(return_basis)
-        return real(pool, middlepoints, return_basis)
+    def counting(pool, middlepoints):
+        cold.append(middlepoints)
+        return real(pool, middlepoints)
 
     warm, rounds = [], 0
     with monkeypatch.context() as patch:
@@ -163,9 +162,9 @@ def test_warm_ranked_greedy_prints_what_the_cold_loop_printed(tmp_path, monkeypa
     monkeypatch.setattr(srte.selection, "_greedy_points", cold_greedy_points)
     for run, got in zip(runs, warm):
         assert got == printed(tmp_path, *run), run[1:]
-    # Each run asks for the basis of its initial set and of each cold
-    # confirmation, one per improving round at least; more means near-ties.
-    assert sum(asked) > rounds
+    # Each run solves cold its initial set and each cold confirmation, one
+    # per improving round at least; more means near-ties.
+    assert len(cold) > rounds
 
 
 def test_warm_theta_noise_below_the_tie_tolerance_moves_no_pick(
@@ -233,9 +232,9 @@ def test_a_cold_winner_that_does_not_improve_ends_the_expansion(
     real_round = srte.selection._greedy_round
     cold, refuted = [], []
 
-    def evaluate(pool, middlepoints, return_basis=False):
+    def evaluate(pool, middlepoints):
         cold.append(middlepoints)
-        return real(pool, middlepoints, return_basis)
+        return real(pool, middlepoints)
 
     def low(model, node):
         theta = real_theta(model, node)
@@ -299,7 +298,7 @@ def test_each_probe_leaves_the_model_at_the_chosen_set():
         chosen = list(initial) or [0]
         others = [v for v in range(net.node_count) if v not in chosen]
         pool.cover(chosen + [v] for v in others)
-        theta, parent, _ = srte.selection._evaluate(pool, chosen, return_basis=True)
+        theta, parent, _ = srte.selection._evaluate(pool, chosen)
         if theta == math.inf:
             continue
         model = ExtensionModel(pool, chosen, parent.basis)
