@@ -4,8 +4,13 @@ Dijkstra runs on the network's integer-scaled costs (``cost_scale`` times the
 rational costs), so distances are exact Python ints and two paths are ECMP
 ties iff their scaled costs are equal — there is no epsilon anywhere in this
 module. Path counts are unbounded integers. A segment's ECMP fraction on an
-edge is kept as an integer path count over the segment's path count; te.py
-turns these into correctly rounded floats when it assembles LP matrices.
+edge is kept as an integer path count over the segment's path count, with
+its correctly rounded float.
+
+``SegmentMatrix`` holds the same fractions for every segment at once, as
+CSR rows over int64 all-pairs distances and path counts, for networks whose
+distances and counts fit int64 exactly (``ShortestPathCache.segments``);
+the tunnel pool builds its load columns from it.
 """
 
 from __future__ import annotations
@@ -13,9 +18,18 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
+import numpy as np
+
 from .graph import FlowNetwork
+
+# The segment matrix is exact on int64 while every scaled cost and distance
+# is below DIST_LIMIT, so a sum of three fits, and every path count below
+# FLOAT_EXACT, so a float holds it exactly and count / sigma rounds once.
+DIST_LIMIT = 1 << 61
+FLOAT_EXACT = 1 << 53
 
 
 class UnreachableSegment(Exception):
@@ -161,10 +175,106 @@ def segment_fractions(
     )
 
 
-class ShortestPathCache:
-    """Memoized per-source/per-sink DAGs and segment fractions for one network.
+class SegmentMatrix:
+    """Every segment's ECMP loads as CSR rows over exact int64 arrays.
 
-    Read-only after warm-up; safe to share across threads once populated.
+    ``dist`` and ``sigma`` are the all-pairs scaled distances and path counts
+    (n x n int64) of the forward DAGs: d(u, v) times ``cost_scale``, or
+    DIST_LIMIT where v is unreachable from u, and the number of shortest u-v
+    paths (0 where unreachable, 1 from a node to itself); ``reach`` is
+    dist < DIST_LIMIT. No backward DAG is needed: d(b, v) is dist[b, v].
+
+    Segment (u, v) is row u * n + v: entries ``starts[r]`` to ``starts[r] +
+    sizes[r]`` of ``edges``, ``counts`` and ``loads``, in the order of
+    ``segment_fractions(u, v).counts``: by the settle rank of the edge's
+    tail in u's DAG, then by edge id, each load the correctly rounded
+    count / sigma. ``masks[r]`` holds the row's edges as packed bits. The
+    rows of a source are empty until ``build`` makes them, as those of
+    (u, u) stay.
+    """
+
+    def __init__(self, cache: "ShortestPathCache", dist: np.ndarray, sigma: np.ndarray):
+        network = cache.network
+        n = network.node_count
+        self._cache = cache
+        self.dist = dist
+        self.sigma = sigma
+        self.reach = dist < DIST_LIMIT
+        self._tails = np.array([e.tail for e in network.edges], dtype=np.int64)
+        self._heads = np.array([e.head for e in network.edges], dtype=np.int64)
+        self._costs = np.array(network.scaled_costs, dtype=np.int64)
+        self._built = np.zeros(n, dtype=bool)
+        self.starts = np.zeros(n * n, dtype=np.int64)
+        self.sizes = np.zeros(n * n, dtype=np.int64)
+        self.edges = np.zeros(0, dtype=np.int64)
+        self.counts = np.zeros(0, dtype=np.int64)
+        self.loads = np.zeros(0)
+        self.masks = np.zeros((n * n, (network.edge_count + 7) // 8), dtype=np.uint8)
+
+    @classmethod
+    def of(cls, cache: "ShortestPathCache") -> Optional["SegmentMatrix"]:
+        """The matrix of the cache's network, from its forward DAGs, or None
+        where a scaled cost or distance or a path count is too large."""
+        network = cache.network
+        dags = [cache.forward(u) for u in range(network.node_count)]
+        if max(network.scaled_costs, default=0) >= DIST_LIMIT or any(
+            max(dag.sigma) >= FLOAT_EXACT
+            or max(d for d in dag.scaled_dist if d is not None) >= DIST_LIMIT
+            for dag in dags
+        ):
+            return None
+        dist = np.array(
+            [[DIST_LIMIT if d is None else d for d in dag.scaled_dist] for dag in dags],
+            dtype=np.int64,
+        ).reshape(len(dags), len(dags))
+        sigma = np.array([dag.sigma for dag in dags], dtype=np.int64).reshape(dist.shape)
+        return cls(cache, dist, sigma)
+
+    def build(self, sources: np.ndarray) -> None:
+        """Make the rows of every given source that has none yet."""
+        sources = np.unique(sources)
+        sources = sources[~self._built[sources]].tolist()
+        if not sources:
+            return
+        n, end = len(self.dist), len(self.edges)
+        edges, counts, loads = [self.edges], [self.counts], [self.loads]
+        for u in sources:
+            settled = self._cache.forward(u).settled
+            rank = np.full(n, n)
+            rank[list(settled)] = np.arange(len(settled))
+            # The edges by the settle rank of their tails, then by id.
+            order = np.argsort(rank[self._tails], kind="stable")
+            tails, heads = self._tails[order], self._heads[order]
+            du = self.dist[u]
+            # Edge (a, b) is on a shortest u-v path iff d(u, a) + cost +
+            # d(b, v) equals d(u, v); no sum reaches 2^63, and one with an
+            # unreachable term exceeds every distance.
+            on = du[tails] + self._costs[order] + self.dist[heads].T == du[:, None]
+            v, k = np.nonzero(on)
+            count = self.sigma[u, tails[k]] * self.sigma[heads[k], v]
+            edges.append(order[k])
+            counts.append(count)
+            loads.append(count / self.sigma[u, v])
+            rows = slice(u * n, (u + 1) * n)
+            sizes = np.count_nonzero(on, axis=1)
+            self.starts[rows] = end + np.cumsum(sizes) - sizes
+            self.sizes[rows] = sizes
+            end += len(k)
+            by_id = np.zeros_like(on)
+            by_id[:, order] = on
+            self.masks[rows] = np.packbits(by_id, axis=1)
+        self.edges = np.concatenate(edges)
+        self.counts = np.concatenate(counts)
+        self.loads = np.concatenate(loads)
+        self._built[sources] = True
+
+
+class ShortestPathCache:
+    """Memoized shortest-path structure of one network: per-source and
+    per-sink DAGs, per-segment fractions, and the ``segments`` matrix.
+
+    Each is computed on first use and kept for the life of the cache; the
+    matrix also grows, a source's rows at a time. Not for concurrent use.
     """
 
     def __init__(self, network: FlowNetwork):
@@ -193,3 +303,9 @@ class ShortestPathCache:
                 self.network, u, v, self.forward(u), self.backward(v)
             )
         return self._fractions[key]
+
+    @cached_property
+    def segments(self) -> Optional[SegmentMatrix]:
+        """The network's ``SegmentMatrix``, or None where its distances or
+        path counts do not fit int64 exactly."""
+        return SegmentMatrix.of(self)

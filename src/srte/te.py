@@ -24,7 +24,13 @@ plus one node at once.
 A ``TunnelPool`` serves a selection run that solves many middlepoint sets: it
 enumerates and loads each tunnel once, and each set's program is a column
 slice of it, identical to the program built for that set alone, cut straight
-into CSR arrays. An ``ExtensionModel`` keeps one set's LU slice loaded in
+into CSR arrays. A cover builds its load columns in NumPy from the
+network's exact segment matrix (``ShortestPathCache.segments``): each
+tunnel's column is its segments' rows concatenated, and where two segments
+share an edge their loads are summed exactly, as an int64 numerator over the
+LCM of their path counts. Where the matrix or such a sum does not fit, the
+cover takes the per-segment Python path that ``tunnels_for_middlepoints``
+and the builders use. An ``ExtensionModel`` keeps one set's LU slice loaded in
 HiGHS at its optimal basis and solves the slice of the set plus one node by
 adding only the columns that node brings, built from the pool's arrays: the
 pool only appends, so a column never moves.
@@ -50,7 +56,7 @@ from scipy.sparse import csr_matrix
 
 from .graph import Commodity, DemandMatrix, FlowNetwork
 from .lp import LpModel, LpStatus, SparseLp, highs, solve_lp
-from .paths import SegmentFractions, ShortestPathCache
+from .paths import FLOAT_EXACT, SegmentFractions, SegmentMatrix, ShortestPathCache
 
 LU = "lu"
 MF = "mf"
@@ -434,7 +440,7 @@ class TunnelPool:
         self.cache = cache
         self.demands = demands
         self.max_middlepoints = max_middlepoints
-        self.tunnels: list[Tunnel] = []
+        self._tunnels: dict[int, Tunnel] = {}  # by column, made when first read
         self._covered: set[tuple[int, ...]] = set()  # sorted middlepoint sets
         self._commodity = np.zeros(0, dtype=np.intp)
         # Each column's middlepoints, padded with node_count, which every set
@@ -447,13 +453,20 @@ class TunnelPool:
         self._loads = np.zeros(0)
         # The columns in (commodity, waypoints) order.
         self._order = np.zeros(0, dtype=np.intp)
+        # Each commodity's source and sink.
+        self._ends = np.array(
+            [(c.source, c.sink) for c in demands.commodities], dtype=np.intp
+        ).reshape(-1, 2).T
 
     def cover(self, sets: Iterable[Iterable[int]]) -> None:
         """Append the tunnels of the given middlepoint sets that are missing.
 
         A tunnel belongs to every set that contains its middlepoints, so the
         pool tracks which sets of <= max_middlepoints middlepoints it holds
-        all tunnels of, and enumerates only the tunnels of new ones.
+        all tunnels of, and enumerates only the tunnels of new ones. Their
+        columns come from the network's segment matrix or, where it or a
+        tunnel's exact sum does not fit int64, from the per-segment
+        fractions.
         """
         fresh_sets = set()
         for nodes in sets:
@@ -463,33 +476,54 @@ class TunnelPool:
         fresh_sets -= self._covered
         if not fresh_sets:
             return
+        node_count, width = self.cache.network.node_count, self._middlepoints.shape[1]
+        pad = (node_count,) * width
         sequences = [
             perm for mids in fresh_sets for perm in itertools.permutations(mids)
         ]
-        fresh = [
-            tun for group in _routable_tunnels(self.cache, self.demands, sequences)
-            for tun in group
-        ]
-        edge_rows, sizes, loads = _tunnel_loads(self.cache, fresh)
-        node_count, width = self.cache.network.node_count, self._middlepoints.shape[1]
-        pad = (node_count,) * width
-        self.tunnels += fresh
-        self._commodity = _appended(self._commodity, [tun.commodity for tun in fresh])
-        self._middlepoints = _appended(
-            self._middlepoints, [(tun.middlepoints + pad)[:width] for tun in fresh]
-        )
+        padded = np.array(
+            [(seq + pad)[:width] for seq in sequences], dtype=np.intp
+        ).reshape(len(sequences), width)
+        columns = None
+        if self.cache.segments is not None:
+            columns = _matrix_columns(self.cache.segments, self._ends, padded)
+        if columns is None:
+            columns = _exact_columns(self.cache, self.demands, sequences)
+        commodity, which, sizes, edge_rows, loads = columns
+        self._commodity = _appended(self._commodity, commodity)
+        self._middlepoints = _appended(self._middlepoints, padded[which])
         self._ptr = _appended(self._ptr, self._ptr[-1] + np.cumsum(sizes, dtype=np.intp))
         self._edge_rows = _appended(self._edge_rows, edge_rows)
         self._loads = _appended(self._loads, loads)
         # Padded with its sink, which is never a middlepoint, a column's
         # middlepoints sort as its waypoints do.
-        sinks = np.array([c.sink for c in self.demands.commodities], dtype=np.intp)
         key = np.where(
             self._middlepoints == node_count,
-            sinks[self._commodity, None], self._middlepoints,
+            self._ends[1][self._commodity, None], self._middlepoints,
         )
         self._order = np.lexsort((*key.T[::-1], self._commodity))
         self._covered |= fresh_sets
+
+    @property
+    def tunnels(self) -> list[Tunnel]:
+        """Every column's tunnel, in column order."""
+        return self._tunnels_of(list(range(len(self._commodity))))
+
+    def _tunnels_of(self, columns: list[int]) -> list[Tunnel]:
+        """The given columns' tunnels. Most columns of a greedy run are only
+        ever solved as added columns, so a tunnel is made when first read."""
+        made = self._tunnels
+        missing = [j for j in columns if j not in made]
+        if missing:
+            node_count = self.cache.network.node_count
+            sources, sinks = self._ends.tolist()
+            for j, i, mids in zip(
+                missing, self._commodity[missing].tolist(),
+                self._middlepoints[missing].tolist(),
+            ):
+                waypoints = (sources[i], *(v for v in mids if v != node_count), sinks[i])
+                made[j] = Tunnel(i, waypoints)
+        return [made[j] for j in columns]
 
     def _columns(self, middlepoints: Iterable[int]) -> np.ndarray:
         """The pool columns whose middlepoints all lie in the set, in
@@ -508,7 +542,7 @@ class TunnelPool:
         positions, sizes = _gather(self._ptr, keep)
         return _tunnel_program(
             kind, self.cache.network, self.demands,
-            [self.tunnels[j] for j in keep], self._commodity[keep],
+            self._tunnels_of(keep.tolist()), self._commodity[keep],
             self._edge_rows[positions], sizes, self._loads[positions],
         )
 
@@ -593,7 +627,7 @@ def extension_bounds(
     network = pool.cache.network
     costs = csr_matrix(
         (pool._loads, pool._edge_rows, pool._ptr),
-        shape=(len(pool.tunnels), network.edge_count),
+        shape=(len(pool._commodity), network.edge_count),
     ) @ dual_weights(network, duals)
     # Each middlepoint's label: -1 in the set (or padding), the node's
     # position among the nodes, or -2 for any other node.
@@ -627,8 +661,107 @@ def _gather(ptr: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """The positions of the given columns' entries, column after column, and
     each column's entry count, for columns whose entries are ptr[j]:ptr[j + 1]."""
     sizes = ptr[columns + 1] - ptr[columns]
-    starts = np.cumsum(sizes) - sizes
-    return np.repeat(ptr[columns] - starts, sizes) + np.arange(sizes.sum()), sizes
+    return _positions(ptr[columns], sizes), sizes
+
+
+def _positions(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """starts[0]:starts[0] + sizes[0], then the next run, and so on, as one
+    array."""
+    return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+
+
+def _exact_columns(
+    cache: ShortestPathCache,
+    demands: DemandMatrix,
+    sequences: Sequence[tuple[int, ...]],
+) -> tuple[np.ndarray, ...]:
+    """``_matrix_columns`` from the per-segment fractions, on Python ints."""
+    position = {seq: j for j, seq in enumerate(sequences)}
+    tunnels = [
+        tun for group in _routable_tunnels(cache, demands, sequences) for tun in group
+    ]
+    edge_rows, sizes, loads = _tunnel_loads(cache, tunnels)
+    return (
+        np.array([tun.commodity for tun in tunnels], dtype=np.intp),
+        np.array([position[tun.middlepoints] for tun in tunnels], dtype=np.intp),
+        np.array(sizes, dtype=np.intp),
+        np.array(edge_rows, dtype=np.intp),
+        np.array(loads, dtype=float),
+    )
+
+
+def _matrix_columns(
+    matrix: SegmentMatrix, ends: np.ndarray, sequences: np.ndarray
+) -> Optional[tuple[np.ndarray, ...]]:
+    """The load columns of every routable (commodity, sequence) pair's
+    tunnel, in commodity-major, then sequence, order, as ``_routable_tunnels``
+    and ``_tunnel_loads`` give them: (commodity, sequence index, sizes, edge
+    rows, loads). ``ends`` holds each commodity's source and sink, and
+    ``sequences`` the middlepoints padded with node_count. None where the
+    exact sum over the segments sharing an edge does not fit.
+    """
+    n = len(matrix.dist)
+    sources, sinks = ends[0][:, None, None], ends[1][:, None, None]
+    width = sequences.shape[1]
+    # Each pair's waypoints, padded with its sink: a segment (t, t) has no
+    # entries and sigma 1.
+    waypoints = np.concatenate((
+        np.broadcast_to(sources, (len(ends[0]), len(sequences), 1)),
+        np.where(sequences == n, sinks, sequences),
+        np.broadcast_to(sinks, (len(ends[0]), len(sequences), 1)),
+    ), axis=2)
+    segments = waypoints[..., :-1] * n + waypoints[..., 1:]
+    routable = ~((sequences == sources) | (sequences == sinks)).any(axis=2)
+    routable &= matrix.reach.ravel()[segments].all(axis=2)
+    commodity, which = np.nonzero(routable)
+    segments = segments[commodity, which]  # tunnels x (width + 1)
+    matrix.build(segments[segments // n != segments % n] // n)
+    flat = segments.ravel()
+    segment_sizes = matrix.sizes[flat]
+    positions = _positions(matrix.starts[flat], segment_sizes)
+    sizes = segment_sizes.reshape(segments.shape).sum(axis=1)
+    edge_rows, loads = matrix.edges[positions], matrix.loads[positions]
+
+    # The tunnels two of whose segments share an edge.
+    masks = matrix.masks[segments]
+    seen, shared = masks[:, 0], np.zeros(len(segments), dtype=bool)
+    for k in range(1, width + 1):
+        shared |= (seen & masks[:, k]).any(axis=1)
+        seen = seen | masks[:, k]
+    if not shared.any():
+        return commodity, which, sizes, edge_rows, loads
+    # Their loads, as _tunnel_loads sums them: an integer numerator over the
+    # LCM of their sigmas per edge, in order of first occurrence. Each term
+    # is at most the LCM, and there are at most width + 1 per edge.
+    sigma = matrix.sigma.ravel()
+    lcm = sigma[segments[shared, 0]]
+    for k in range(1, width + 1):
+        step = sigma[segments[shared, k]]
+        lcm = lcm // np.gcd(lcm, step)
+        if (lcm > (FLOAT_EXACT - 1) // step).any():
+            return None
+        lcm = lcm * step
+    # Their entries, tunnel by tunnel: position, tunnel, numerator.
+    picked = _positions((np.cumsum(sizes) - sizes)[shared], sizes[shared])
+    tunnel = np.repeat(np.arange(len(lcm)), sizes[shared])
+    factors = lcm[:, None] // sigma[segments[shared]]
+    numerators = matrix.counts[positions[picked]] * np.repeat(
+        factors.ravel(), segment_sizes.reshape(segments.shape)[shared].ravel()
+    )
+    edges = edge_rows[picked]
+    order = np.argsort(tunnel * (int(edges.max()) + 1) + edges, kind="stable")
+    tunnel, edges = tunnel[order], edges[order]
+    starts = np.flatnonzero(np.diff(tunnel, prepend=-1) | np.diff(edges, prepend=-1))
+    sums = np.add.reduceat(numerators[order], starts)
+    if sums.max() >= FLOAT_EXACT:
+        return None
+    first = picked[order[starts]]  # each (tunnel, edge)'s first entry
+    loads[first] = sums / lcm[tunnel[starts]]
+    keep = np.ones(len(edge_rows), dtype=bool)
+    keep[picked] = False
+    keep[first] = True
+    sizes[shared] = np.bincount(tunnel[starts], minlength=len(lcm))
+    return commodity, which, sizes, edge_rows[keep], loads[keep]
 
 
 def _met_flows(

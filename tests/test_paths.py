@@ -1,11 +1,14 @@
 """Exact shortest-path DAGs, counting, and ECMP segment fractions."""
 
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from srte.graph import random_digraph
+from srte.graph import parse_topology, random_digraph
 from srte.paths import (
+    DIST_LIMIT,
     ShortestPathCache,
     UnreachableSegment,
     segment_fractions,
@@ -14,6 +17,8 @@ from srte.paths import (
 )
 
 from conftest import enumerate_shortest_paths, floyd_warshall_counting, make_net
+
+DATA = Path(__file__).parent / "data"
 
 
 def dist(net, dag, v):
@@ -174,3 +179,88 @@ def test_scaled_distances_and_segment_loads(seed):
             seg = cache.fractions(u, v)
             assert seg.sigma == dag.sigma[v]
             assert list(seg.loads) == [float(f) for f in seg.fractions.values()]
+
+
+def matrix_networks():
+    """The desk network, the oracle tests' small networks, random digraphs
+    that are not strongly connected, and rational costs with ECMP ties."""
+    yield parse_topology((DATA / "net10.topo").read_text())
+    yield make_net([(0, 2, 3), (0, 1, 2), (1, 2, 2)])
+    yield make_net([(0, 1, 2), (1, 2, 1)])
+    yield make_net([(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1), (3, 0, 1)])
+    for seed in range(4):
+        yield random_digraph(9, 0.25, seed, max_capacity=3)
+        base = random_digraph(8, 0.35, seed)
+        yield base.with_costs(
+            [Fraction(1 + i % 4, 1 + i % 3) for i in range(base.edge_count)]
+        )
+
+
+@pytest.mark.parametrize("net", list(matrix_networks()))
+def test_segment_matrix_rows_equal_segment_fractions(net):
+    """Every row of the segment matrix is segment_fractions of its segment:
+    the same edges in the same order, the same counts and sigma, and the
+    same load bits; an unreachable segment's row is empty. The distances
+    and path counts are those of the DAGs."""
+    cache = ShortestPathCache(net)
+    matrix = cache.segments
+    n = net.node_count
+    matrix.build(np.arange(n))
+    checked = unreachable = 0
+    for u in range(n):
+        dag = cache.forward(u)
+        for v in range(n):
+            want = dag.scaled_dist[v]
+            assert matrix.dist[u, v] == (DIST_LIMIT if want is None else want)
+            assert matrix.sigma[u, v] == dag.sigma[v]
+            row = u * n + v
+            start, size = matrix.starts[row], matrix.sizes[row]
+            entries = slice(start, start + size)
+            if u == v or want is None:
+                assert size == 0 and not matrix.masks[row].any()
+                unreachable += want is None
+                continue
+            seg = segment_fractions(net, u, v)
+            assert matrix.edges[entries].tolist() == list(seg.counts)
+            assert matrix.counts[entries].tolist() == list(seg.counts.values())
+            assert matrix.sigma[u, v] == seg.sigma
+            assert matrix.loads[entries].view(np.int64).tolist() == np.array(
+                seg.loads
+            ).view(np.int64).tolist()
+            bits = np.unpackbits(matrix.masks[row], count=net.edge_count)
+            assert np.flatnonzero(bits).tolist() == sorted(seg.counts)
+            checked += 1
+    assert checked and matrix.reach.sum() == checked + n
+
+
+def test_segment_matrix_builds_each_source_once():
+    """Rows appear only for the sources built, and building a source again
+    changes nothing."""
+    net = random_digraph(8, 0.35, 5)
+    n = net.node_count
+    matrix = ShortestPathCache(net).segments
+    matrix.build(np.array([3, 3, 1]))
+    built = [u for u in range(n) if matrix.sizes[u * n:(u + 1) * n].any()]
+    assert built == [1, 3]
+    held = matrix.edges.copy()
+    matrix.build(np.array([1]))
+    assert np.array_equal(matrix.edges, held)
+
+
+def test_segment_matrix_refuses_what_int64_cannot_hold():
+    """A path count of 2^53 or more, or scaled costs of 2^61 or more, leave
+    the cache without a matrix."""
+    from srte.paths import FLOAT_EXACT
+
+    # 53 diamonds in a chain: 2^53 shortest paths end to end.
+    edges = []
+    for i in range(53):
+        a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
+        edges += [(a, b, 1), (a, c, 1), (b, a + 3, 1), (c, a + 3, 1)]
+    cache = ShortestPathCache(make_net(edges))
+    assert cache.forward(0).sigma[3 * 53] == FLOAT_EXACT
+    assert cache.segments is None
+    assert ShortestPathCache(make_net(edges[4:])).segments is not None
+    far = make_net([(0, 1, 1, Fraction(1, 3)), (1, 2, 1, 2**61)])
+    assert far.scaled_costs[1] >= DIST_LIMIT
+    assert ShortestPathCache(far).segments is None

@@ -1,6 +1,8 @@
 """Tunnel enumeration and the TE_LU / TE_MF / multipath-baseline programs."""
 
 import dataclasses
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -830,3 +832,204 @@ class TestTunnelPool:
                     key=lambda j: (tunnels[j].commodity, tunnels[j].waypoints),
                 )
                 assert pool._order.tolist() == want
+
+
+POOL_ARRAYS = ("_ptr", "_edge_rows", "_loads", "_commodity", "_middlepoints", "_order")
+
+
+def exact_cache(network):
+    """A cache without the segment matrix, as on a network whose distances
+    or path counts do not fit int64: its pools build every column from the
+    per-segment fractions (``_routable_tunnels`` and ``_tunnel_loads``).
+    Setting the cached property replaces the matrix."""
+    cache = ShortestPathCache(network)
+    cache.segments = None
+    return cache
+
+
+def assert_same_pool(got, want):
+    """Two pools hold the same arrays, dtype and bits, and tunnels."""
+    for name in POOL_ARRAYS:
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+    assert got.tunnels == want.tunnels
+
+
+def assert_exact_loads(pool):
+    """Each column lists its tunnel's edges in order of first use, each load
+    float(exact load), the segments' Fraction(count, sigma) summed."""
+    for j, tun in enumerate(pool.tunnels):
+        exact = {}
+        for a, b in tun.segments:
+            seg = pool.cache.fractions(a, b)
+            for eid, count in seg.counts.items():
+                exact[eid] = exact.get(eid, 0) + Fraction(count, seg.sigma)
+        span = slice(pool._ptr[j], pool._ptr[j + 1])
+        assert pool._edge_rows[span].tolist() == list(exact)
+        assert pool._loads[span].tolist() == [float(f) for f in exact.values()]
+
+
+def fan(edges, start, end, width, fresh):
+    """Append ``width`` parallel two-hop paths from start to end, taking
+    their middle nodes from ``fresh``."""
+    for _ in range(width):
+        mid = next(fresh)
+        edges += [(start, mid, 1), (mid, end, 1)]
+
+
+def staged(edges, start, stages, width, fresh):
+    """Append ``stages`` fans of ``width`` paths in a chain after ``start``,
+    taking nodes from ``fresh``; return the last node."""
+    for _ in range(stages):
+        end = next(fresh)
+        fan(edges, start, end, width, fresh)
+        start = end
+    return start
+
+
+class TestSegmentMatrixColumns:
+    def test_pool_equals_the_exact_cover(self):
+        """Every pool array, and the tunnels, equal those of a pool built
+        from the per-segment fractions, bit for bit, cover after cover: m
+        0 to 3, digraphs that are not strongly connected, rational costs,
+        zero demands and sets holding commodity endpoints. Some tunnels
+        reuse an edge, so their loads are exact sums."""
+        seen = {"matrix": 0, "shared": 0, "zero": 0, "columns": 0}
+        for seed in range(8):
+            rng = random.Random(seed)
+            net = random_digraph(8, 0.3, seed, max_capacity=5)
+            if seed % 2:
+                net = net.with_costs(
+                    [Fraction(1 + i % 3, 1 + i % 4) for i in range(net.edge_count)]
+                )
+            pairs = rng.sample([(s, t) for s in range(8) for t in range(8) if s != t], 5)
+            demands = make_demands(*((s, t, rng.choice([0, 1, 2.5])) for s, t in pairs))
+            seen["zero"] += any(c.demand == 0 for c in demands.commodities)
+            cache = ShortestPathCache(net)
+            seen["matrix"] += cache.segments is not None
+            for m in (0, 1, 2, 3):
+                pool = TunnelPool(cache, demands, m)
+                want = TunnelPool(exact_cache(net), demands, m)
+                for _ in range(3):
+                    batch = [rng.sample(range(8), rng.randint(0, 4)) for _ in range(3)]
+                    pool.cover(batch)
+                    want.cover(batch)
+                    assert_same_pool(pool, want)
+                seen["columns"] += len(pool._commodity)
+                seen["shared"] += sum(
+                    srte.te._share_an_edge([cache.fractions(a, b) for a, b in tun.segments])
+                    for tun in pool.tunnels
+                )
+            assert_exact_loads(pool)
+        assert seen["matrix"] == 8 and all(seen.values()), seen
+
+    def test_no_commodities(self):
+        """Without commodities every cover appends nothing, at every m."""
+        net = random_connected_digraph(6, 14, 2, max_capacity=3)
+        for m in (0, 1, 2, 3):
+            pool = TunnelPool(ShortestPathCache(net), DemandMatrix(()), m)
+            want = TunnelPool(exact_cache(net), DemandMatrix(()), m)
+            for batch in ([()], [(1, 2, 3)], [range(6)]):
+                pool.cover(batch)
+                want.cover(batch)
+                assert_same_pool(pool, want)
+            assert pool.tunnels == [] and pool._middlepoints.shape == (0, m)
+
+    def assert_exact_fallback(self, net, demands, sets, m=1):
+        """The pool equals the exact cover and every set's fresh build, and
+        each load is float(exact load)."""
+        cache = ShortestPathCache(net)
+        pool = TunnelPool(cache, demands, m)
+        want = TunnelPool(exact_cache(net), demands, m)
+        pool.cover(sets)
+        want.cover(sets)
+        assert_same_pool(pool, want)
+        assert_exact_loads(pool)
+        for mids in sets:
+            groups = tunnels_for_middlepoints(cache, demands, mids, m)
+            assert_same_program(pool.program(mids), build_te_lu(cache, demands, groups))
+        return cache, pool
+
+    def test_path_counts_of_2_to_the_54(self):
+        """54 diamonds in a chain: 2^54 shortest paths end to end do not fit
+        a float, so there is no matrix and the pool takes the exact path."""
+        edges = []
+        end = staged(edges, 0, 54, 2, itertools.count(1))
+        net = make_net(edges)
+        demands = make_demands((0, end, 1), (3, end - 3, 2), (end - 6, end, 1))
+        cache, pool = self.assert_exact_fallback(net, demands, [[3 * 27], [1], [end - 1]])
+        assert cache.segments is None
+        assert cache.forward(0).sigma[end] == 2**54
+        assert {tun.commodity for tun in pool.tunnels} == {0, 1, 2}
+
+    def test_scaled_distances_past_2_to_the_63(self):
+        """Costs 1/p over the first 20 primes: the cost scale is their
+        product, so every scaled cost exceeds 2^63 and the pool takes the
+        exact path."""
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+        base = random_connected_digraph(9, 30, 4, max_capacity=4)
+        net = base.with_costs([Fraction(1, primes[i % 20]) for i in range(base.edge_count)])
+        assert min(net.scaled_costs) >= 2**63
+        demands = make_demands((0, 8, 1), (3, 1, 0), (5, 2, 2.5), (7, 6, 1))
+        cache, pool = self.assert_exact_fallback(net, demands, [[1, 4], [2, 6], [0, 7]], m=2)
+        assert cache.segments is None
+        assert len(pool.tunnels) > 20
+
+    def assert_sum_falls_back(self, edges, w, t, monkeypatch):
+        """Commodities (0, t) and (w, t), and the tunnel (0, w, t): the
+        network's path counts fit the matrix, the tunnel's exact sum does
+        not, so the cover takes the exact path, and its pool is exact."""
+        net = make_net(edges)
+        demands = make_demands((0, t, 1), (w, t, 2))
+        cache = ShortestPathCache(net)
+        assert cache.segments.sigma.max() < 2**53
+        exact, real = [], srte.te._tunnel_loads
+        monkeypatch.setattr(
+            srte.te, "_tunnel_loads",
+            lambda cache, tunnels: exact.append(len(tunnels)) or real(cache, tunnels),
+        )
+        TunnelPool(cache, demands, 1).cover([[w]])
+        assert exact == [3]
+        monkeypatch.undo()
+        self.assert_exact_fallback(net, demands, [[w]])
+        return cache.segments.sigma
+
+    def test_lcm_that_no_float_holds(self, monkeypatch):
+        """Segment (s, w) crosses 16 fans of three paths, the last but one
+        (last -> x) shared with (w, t), which then crosses 13 fans of five.
+        Their path counts 3^16 and 9 * 5^12 have the odd LCM 3^16 * 5^12,
+        above 2^53, while no edge carries more than a third of either
+        segment, so every summed numerator is below 2^53. A shortcut s -> e
+        keeps every pair's count below 2^53."""
+        fresh = itertools.count(1)
+        edges = []
+        last = staged(edges, 0, 14, 3, fresh)
+        x, w, e = next(fresh), next(fresh), next(fresh)
+        fan(edges, last, x, 3, fresh)  # crossed by both segments
+        fan(edges, x, w, 3, fresh)
+        fan(edges, w, last, 3, fresh)
+        fan(edges, x, e, 5, fresh)
+        edges.append((0, e, 1))
+        t = staged(edges, e, 11, 5, fresh)
+        sigma = self.assert_sum_falls_back(edges, w, t, monkeypatch)
+        assert (sigma[0, w], sigma[w, t]) == (3**16, 9 * 5**12)
+        assert math.lcm(3**16, 9 * 5**12) > 2**53 > 2 * 3**16 * 5**12 // 3
+
+    def test_summed_numerator_that_no_float_holds(self, monkeypatch):
+        """Segment (s, w) crosses 17 fans of three paths and a bridge (x, y);
+        (w, t) returns through the last fan and the bridge, then crosses 26
+        diamonds. The LCM 3^17 * 2^26 of their path counts 3^17 and
+        3 * 2^26 is below 2^53, but the numerator summed on the bridge,
+        which carries both segments whole, is twice it."""
+        fresh = itertools.count(1)
+        edges = []
+        last = staged(edges, 0, 16, 3, fresh)
+        x, y, w, e = (next(fresh) for _ in range(4))
+        fan(edges, last, x, 3, fresh)  # crossed by both segments
+        fan(edges, w, last, 1, fresh)
+        edges += [(x, y, 1), (y, w, 1), (y, e, 1), (0, e, 1)]
+        t = staged(edges, e, 26, 2, fresh)
+        sigma = self.assert_sum_falls_back(edges, w, t, monkeypatch)
+        assert (sigma[0, w], sigma[w, t]) == (3**17, 3 * 2**26)
+        assert math.lcm(3**17, 3 * 2**26) < 2**53 <= 2 * 3**17 * 2**26
