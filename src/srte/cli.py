@@ -15,6 +15,7 @@ they would break that guarantee (the field is null otherwise).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -247,11 +248,14 @@ def cmd_solve(args) -> int:
 
 
 def _parse_axis(spec: str) -> Sequence[int]:
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        values = range(int(lo), int(hi) + 1)
-    else:
-        values = [int(x) for x in spec.split(",")]
+    try:
+        if ":" in spec:
+            lo, hi = spec.split(":", 1)
+            values = range(int(lo), int(hi) + 1)
+        else:
+            values = [int(x) for x in spec.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"bad sweep axis {spec!r}: {exc}") from exc
     if not values:
         raise UsageError(f"empty sweep axis {spec!r}")
     return values
@@ -503,7 +507,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: building it costs more than most
+    commands take to parse."""
     parser = argparse.ArgumentParser(
         prog="srte",
         description="Traffic engineering with shortest-path segment routing",
@@ -513,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run one TE solve")
     _add_common(p_solve)
     p_solve.add_argument("--format", choices=("json", "csv"), default="json")
-    p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="sweep K, M, or methods; CSV output")
     _add_common(p_sweep)
@@ -524,21 +530,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--sweep-methods",
         help="comma-separated methods; random may carry a seed as random:7",
     )
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_cent = sub.add_parser("centrality", help="ranked node table")
     p_cent.add_argument("--topology", required=True)
     p_cent.add_argument("--method", choices=("sp", "gsp", "degree"), default="sp")
     p_cent.add_argument("--weighted", action="store_true")
     p_cent.add_argument("--k", type=int, help="GSP selection length")
-    p_cent.set_defaults(func=cmd_centrality)
 
     p_oracle = sub.add_parser("oracle", help="brute-force property suites")
     p_oracle.add_argument("suite", choices=sorted(_SUITES))
     p_oracle.add_argument("--nodes", type=int, default=6)
     p_oracle.add_argument("--trials", type=int, default=10)
     p_oracle.add_argument("--seed", type=int, default=0)
-    p_oracle.set_defaults(func=cmd_oracle)
 
     return parser
 
@@ -566,8 +569,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage or the help
         return 1 if exc.code else 0
+    # Looked up as each command runs, not bound when the parser was built.
+    command = {
+        "solve": cmd_solve, "sweep": cmd_sweep, "centrality": cmd_centrality,
+        "oracle": cmd_oracle,
+    }[args.command]
     try:
-        code = args.func(args)
+        code = command(args)
         sys.stdout.flush()  # a write error surfaces here, not at exit
         return code
     except _FAILED + _REJECTED as exc:

@@ -12,12 +12,14 @@ without cycling. Every returned point is re-checked against the rows.
 Every optimal solve hands back its row duals and its optimal simplex basis,
 the ``HighsBasis`` HiGHS returns: a copy of one status per column and row
 that outlives its solver. An ``LpModel`` keeps one program loaded at such a
-basis and solves it with a few columns added for one solve at a time: the
-primal simplex prices in only those columns, and the model drops them and
-restores the basis after each solve. Greedy selection ranks each round's
-candidates this way, one model per round, and prices the candidates it need
-not solve at the chosen set's duals. Only scipy 1.17.1's bindings are
-tested; ``tests/test_lp.py`` names every private binding used here.
+basis and solves it with a few columns added, whose prices alone the primal
+simplex has to fix: for one solve at a time, after which the model drops
+them and restores the basis, or for good, the model then going on from the
+new optimal basis. Greedy selection ranks each round's candidates the first
+way, one model per round, and prices the candidates it need not solve at
+the chosen set's duals; a top-K sweep grows one model the second way, one
+point after the other. Only scipy 1.17.1's bindings are tested;
+``tests/test_lp.py`` names every private binding used here.
 """
 
 from __future__ import annotations
@@ -265,14 +267,17 @@ def linprog(lp: SparseLp) -> LpSolution:
 
 
 class LpModel:
-    """A program kept loaded in one HiGHS solver at a simplex basis, solved
-    with extra columns that stay in it for one solve only.
+    """A program kept loaded in one HiGHS solver at a simplex basis and
+    solved with columns added: for good (``extend``) or for one solve only
+    (``solve_with``).
 
-    The extra columns are 0 in the objective and bounded by [0, inf), and
+    Added columns are 0 in the objective and bounded by [0, inf), and
     ``addCols`` starts them nonbasic at 0: a primal feasible basis stays
     primal feasible, so the primal simplex (``_WARM_OPTIONS``; a valid basis
-    skips presolve) only prices them in. After each solve ``deleteCols``
-    removes them and ``setBasis`` restores the basis, so every solve starts
+    skips presolve) only prices them in. ``extend`` keeps its columns and its
+    optimal basis, so each solve of a growing program starts from the last
+    one's optimum. After each ``solve_with``, ``deleteCols`` removes its
+    columns and ``setBasis`` restores the basis, so each such solve starts
     from the same model and basis.
     """
 
@@ -285,48 +290,90 @@ class LpModel:
         self._basis = basis
         if self._solver.setBasis(basis) == highs.HighsStatus.kError:
             raise ValueError("HiGHS rejected the start basis")
+        # Each row's max |coefficient| over the program's and the kept
+        # columns, and the kept columns' entries, as ``solve_with`` takes them.
         self._norms = _row_norms(self._a)
+        self._ptr = np.zeros(1, dtype=np.int32)
+        self._rows, self._values = np.zeros(0, dtype=np.int32), np.zeros(0)
 
-    def solve_with(
+    def _kept_and(
+        self, ptr: np.ndarray, rows: np.ndarray, values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The kept columns, then these, in the arrays ``solve_with`` takes."""
+        return (
+            np.concatenate((self._ptr, self._ptr[-1] + ptr[1:])),
+            np.concatenate((self._rows, rows)),
+            np.concatenate((self._values, values)),
+        )
+
+    def _solve(
         self, ptr: np.ndarray, rows: np.ndarray, values: np.ndarray
     ) -> LpSolution:
-        """Solve the program with columns added: column j's entries are
-        ``values[ptr[j]:ptr[j + 1]]`` in the rows ``rows[ptr[j]:ptr[j + 1]]``
-        (int32, distinct within a column, counted as ``linprog`` passes the
-        rows). ``x`` holds the program's columns, then the added ones; the
-        result is checked as ``linprog`` and ``solve_lp`` check theirs.
-        """
+        """Add the columns after the held ones and solve; the result is
+        checked as ``linprog`` and ``solve_lp`` check theirs."""
         if not np.isfinite(values).all():
             raise ValueError(
                 "Invalid input for linprog: a_ub must not contain values inf, "
                 "nan, or None"
             )
-        lp, solver = self._lp, self._solver
-        count, first = len(ptr) - 1, lp.num_vars
-        zeros, inf = np.zeros(count), np.full(count, np.inf)
+        lp, solver, count = self._lp, self._solver, len(ptr) - 1
+        zeros = np.zeros(count)
+        added = solver.addCols(
+            count, zeros, zeros, np.full(count, np.inf), len(values), ptr[:-1],
+            rows, values,
+        )
+        if added == highs.HighsStatus.kError:
+            raise ArithmeticError("LP solver failed: HiGHS rejected the columns")
+        extra = len(self._ptr) - 1 + count
+        sol = _solved(
+            solver, lp, np.concatenate((lp.lower, np.zeros(extra))),
+            np.concatenate((lp.upper, np.full(extra, np.inf))), self._row_upper,
+        )
+        if sol.status is LpStatus.OPTIMAL:
+            norms = self._norms.copy()
+            np.maximum.at(norms, rows, np.abs(values))
+            x, first = sol.x, lp.num_vars
+            ptr, rows, values = self._kept_and(ptr, rows, values)
+            lhs = self._a @ x[:first] + np.bincount(
+                rows, values * np.repeat(x[first:], np.diff(ptr)),
+                minlength=len(norms),
+            )
+            _check_rows(lp, lhs, norms)
+        return sol
+
+    def solve_with(
+        self, ptr: np.ndarray, rows: np.ndarray, values: np.ndarray
+    ) -> LpSolution:
+        """Solve the program with columns added for this solve only: column
+        j's entries are ``values[ptr[j]:ptr[j + 1]]`` in the rows
+        ``rows[ptr[j]:ptr[j + 1]]`` (int32, distinct within a column, counted
+        as ``linprog`` passes the rows). ``x`` holds the program's columns,
+        the kept ones, then the added ones.
+        """
+        first = self._lp.num_vars + len(self._ptr) - 1
         try:
-            added = solver.addCols(
-                count, zeros, zeros, inf, len(values), ptr[:-1], rows, values
-            )
-            if added == highs.HighsStatus.kError:
-                raise ArithmeticError("LP solver failed: HiGHS rejected the columns")
-            sol = _solved(
-                solver, lp, np.concatenate((lp.lower, zeros)),
-                np.concatenate((lp.upper, inf)), self._row_upper,
-            )
-            if sol.status is LpStatus.OPTIMAL:
-                x = sol.x
-                lhs = self._a @ x[:first] + np.bincount(
-                    rows, values * np.repeat(x[first:], np.diff(ptr)),
-                    minlength=len(self._norms),
-                )
-                norms = self._norms.copy()
-                np.maximum.at(norms, rows, np.abs(values))
-                _check_rows(lp, lhs, norms)
-            return sol
+            return self._solve(ptr, rows, values)
         finally:
-            solver.deleteCols(count, np.arange(first, first + count, dtype=np.int32))
-            solver.setBasis(self._basis)
+            count = len(ptr) - 1
+            self._solver.deleteCols(
+                count, np.arange(first, first + count, dtype=np.int32)
+            )
+            self._solver.setBasis(self._basis)
+
+    def extend(
+        self, ptr: np.ndarray, rows: np.ndarray, values: np.ndarray
+    ) -> LpSolution:
+        """Add columns, in the arrays ``solve_with`` takes, for good, and
+        solve from the current basis, which an optimal solve's basis
+        replaces. ``x`` holds the program's columns, then the kept ones. A
+        model whose ``extend`` raised or was not optimal is not solved
+        again."""
+        sol = self._solve(ptr, rows, values)
+        self._ptr, self._rows, self._values = self._kept_and(ptr, rows, values)
+        np.maximum.at(self._norms, rows, np.abs(values))
+        if sol.status is LpStatus.OPTIMAL:
+            self._basis = sol.basis
+        return sol
 
 
 def solve_lp(lp: SparseLp) -> LpSolution:

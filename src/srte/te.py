@@ -33,7 +33,10 @@ cover takes the per-segment Python path that ``tunnels_for_middlepoints``
 and the builders use. An ``ExtensionModel`` keeps one set's LU slice loaded in
 HiGHS at its optimal basis and solves the slice of the set plus one node by
 adding only the columns that node brings, built from the pool's arrays: the
-pool only appends, so a column never moves.
+pool only appends, so a column never moves. A ``ChainModel`` solves a chain
+of growing sets in one such model, which keeps the columns each set brings
+and goes on from each set's optimal basis, and decodes each solution as
+``solve_te`` does.
 
 All-nodes enumeration refuses, before enumerating anything, more than
 ``ALL_NODES_PAIR_CAP`` (commodity, middlepoint sequence) pairs.
@@ -47,7 +50,7 @@ import itertools
 import math
 import time
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -55,7 +58,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .graph import Commodity, DemandMatrix, FlowNetwork
-from .lp import LpModel, LpStatus, SparseLp, highs, solve_lp
+from .lp import LpModel, LpSolution, LpStatus, SparseLp, highs, solve_lp
 from .paths import FLOAT_EXACT, SegmentFractions, SegmentMatrix, ShortestPathCache
 
 LU = "lu"
@@ -186,22 +189,28 @@ def tunnels_for_middlepoints(
 
 @dataclass
 class TeProgram:
-    """A built TE LP plus the layout needed to decode its solution.
+    """A TE program: the layout needed to decode its solution, and its LP.
 
     Column j of ``loads`` (edges x variables) is the load one unit of variable
     ``first_tunnel_var + j`` puts on each edge: the flows of ``tunnels`` in
     order, or in the MP baseline (no tunnels) each commodity's edge flows (an
-    identity block) and, for MF, its delivered amount (a zero column).
+    identity block) and, for MF, its delivered amount (a zero column). A
+    tunnel program's LP is assembled from its loads when first read, so a
+    program that only decodes a solution found in another model never
+    assembles it.
     """
 
     kind: str
-    lp: SparseLp
     network: FlowNetwork
     demands: DemandMatrix
     tunnels: list[Tunnel]
     first_tunnel_var: int
     loads: csr_matrix
     commodity: Optional[np.ndarray] = None  # each tunnel's commodity; None in MP
+
+    @cached_property
+    def lp(self) -> SparseLp:
+        return _tunnel_lp(self)
 
 
 @dataclass(eq=False)
@@ -342,7 +351,7 @@ def _tunnel_program(
     sizes: Sequence[int],
     loads: np.ndarray,
 ) -> TeProgram:
-    """Assemble the program over the given tunnels in order.
+    """The program over the given tunnels in order.
 
     ``commodity`` holds each tunnel's commodity; the loads of tunnel j are
     the next ``sizes[j]`` entries of ``edge_rows`` and ``loads``, on distinct
@@ -355,13 +364,25 @@ def _tunnel_program(
         missing = np.flatnonzero((volume > 0) & (served == 0))
         if missing.size:
             raise NoTunnelError(demands.commodities[missing[0]])
-    count, edge_count = len(tunnels), network.edge_count
-    first = 1 if kind == LU else 0  # theta comes first in LU
-    variables = first + count
-    tunnel_cols = np.repeat(np.arange(count), sizes)
+    tunnel_cols = np.repeat(np.arange(len(tunnels)), sizes)
     load_matrix = _row_major(
-        [(edge_rows, tunnel_cols, loads)], (edge_count, count)
+        [(edge_rows, tunnel_cols, loads)], (network.edge_count, len(tunnels))
     )
+    first = 1 if kind == LU else 0  # theta comes first in LU
+    return TeProgram(kind, network, demands, tunnels, first, load_matrix, commodity)
+
+
+def _tunnel_lp(program: TeProgram) -> SparseLp:
+    """The LU or MF LP of a tunnel program, assembled from its loads."""
+    kind, network, commodity = program.kind, program.network, program.commodity
+    volume = _volume(program.demands)
+    load_matrix = program.loads
+    count, edge_count = load_matrix.shape[1], network.edge_count
+    first = program.first_tunnel_var
+    variables = first + count
+    # The load entries row by row, each row's by tunnel.
+    edge_rows = np.repeat(np.arange(edge_count), np.diff(load_matrix.indptr))
+    tunnel_cols, loads = load_matrix.indices, load_matrix.data
     capacities = network.float_capacities
 
     if kind == LU:
@@ -393,13 +414,10 @@ def _tunnel_program(
         rhs = [capacities[loaded], volume[served]]
         objective = np.ones(count)
     b_ub = np.concatenate(rhs)
-    lp = SparseLp(
+    return SparseLp(
         kind == MF, objective, np.zeros(variables), np.full(variables, np.inf),
         _row_major(parts, (len(b_ub), variables)), b_ub,
         _no_rows(variables), np.zeros(0),
-    )
-    return TeProgram(
-        kind, lp, network, demands, tunnels, first, load_matrix, commodity
     )
 
 
@@ -538,13 +556,46 @@ class TunnelPool:
         new."""
         middlepoints = set(middlepoints)
         self.cover((middlepoints,))
-        keep = self._columns(middlepoints)
+        return self._slice(self._columns(middlepoints), kind)
+
+    def _slice(self, keep: np.ndarray, kind: str) -> TeProgram:
+        """The TE program over the given columns, in order."""
         positions, sizes = _gather(self._ptr, keep)
         return _tunnel_program(
             kind, self.cache.network, self.demands,
             self._tunnels_of(keep.tolist()), self._commodity[keep],
             self._edge_rows[positions], sizes, self._loads[positions],
         )
+
+    @cached_property
+    def _demand_row(self) -> np.ndarray:
+        """Each commodity's demand row in every LU program of the pool,
+        after the edge rows; -1 without one."""
+        positive = _volume(self.demands) > 0
+        return np.where(
+            positive, self.cache.network.edge_count + np.cumsum(positive) - 1, -1
+        )
+
+    def _lu_columns(
+        self, columns: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The given columns as LU program columns, in the arrays
+        ``LpModel.solve_with`` and ``LpModel.extend`` take: each column's
+        loads, then -1 in its commodity's demand row if the demand is
+        positive. Every LU program of the pool has the same rows, one per
+        edge and per positive demand, whatever its tunnels."""
+        positions, sizes = _gather(self._ptr, columns)
+        demand_row = self._demand_row[self._commodity[columns]]
+        met = demand_row >= 0
+        ptr = np.zeros(len(columns) + 1, dtype=np.int32)
+        np.cumsum(sizes + met, out=ptr[1:])
+        demand_at = np.zeros(ptr[-1], dtype=bool)  # each column's last entry
+        demand_at[ptr[1:][met] - 1] = True
+        rows, values = np.empty(ptr[-1], dtype=np.int32), np.empty(ptr[-1])
+        rows[~demand_at] = self._edge_rows[positions]
+        values[~demand_at] = self._loads[positions]
+        rows[demand_at], values[demand_at] = demand_row[met], -1.0
+        return ptr, rows, values
 
 
 class ExtensionModel:
@@ -554,10 +605,9 @@ class ExtensionModel:
 
     The slice of the set plus a node holds the set's columns and the pool
     columns whose middlepoints are that node and members of the set, and the
-    set's rows: one per edge and per positive demand, whatever the tunnels.
-    So each solve adds only that node's columns, built from the pool's
-    arrays: a column's loads, then -1 in its commodity's demand row if the
-    demand is positive. The solution is checked as ``solve_te`` checks one.
+    set's rows. So each solve adds only that node's columns, built from the
+    pool's arrays (``TunnelPool._lu_columns``), for that solve. The solution
+    is checked as ``solve_te`` checks one.
     """
 
     def __init__(
@@ -569,11 +619,6 @@ class ExtensionModel:
         self._pool = pool
         self._program = pool.program(middlepoints)
         self._model = LpModel(self._program.lp, basis)
-        positive = _volume(pool.demands) > 0
-        # Each commodity's demand row, after the edge rows; -1 without one.
-        self._demand_row = np.where(
-            positive, pool.cache.network.edge_count + np.cumsum(positive) - 1, -1
-        )
 
     def theta(self, node: int) -> float:
         """Theta of the set plus ``node``, a node outside it. A solve without
@@ -581,33 +626,71 @@ class ExtensionModel:
         pool, program = self._pool, self._program
         columns = pool._columns((*self.middlepoints, node))
         columns = columns[(pool._middlepoints[columns] == node).any(axis=1)]
-        positions, sizes = _gather(pool._ptr, columns)
-        edge_rows, loads = pool._edge_rows[positions], pool._loads[positions]
-        commodity = pool._commodity[columns]
-        demand_row = self._demand_row[commodity]
-        met = demand_row >= 0
-        ptr = np.zeros(len(columns) + 1, dtype=np.int32)
-        np.cumsum(sizes + met, out=ptr[1:])
-        demand_at = np.zeros(ptr[-1], dtype=bool)  # each column's last entry
-        demand_at[ptr[1:][met] - 1] = True
-        rows, values = np.empty(ptr[-1], dtype=np.int32), np.empty(ptr[-1])
-        rows[~demand_at], values[~demand_at] = edge_rows, loads
-        rows[demand_at], values[demand_at] = demand_row[met], -1.0
-
+        ptr, rows, values = pool._lu_columns(columns)
         sol = self._model.solve_with(ptr, rows, values)
         if sol.status is not LpStatus.OPTIMAL:
             raise ArithmeticError(f"LP solver failed: program is {sol.status.value}")
         flows = _met_flows(
             program, sol.x, sol.x[program.first_tunnel_var:],
-            np.concatenate((program.commodity, commodity)),
+            np.concatenate((program.commodity, pool._commodity[columns])),
         )
-        width = len(program.tunnels)
+        width, edge_count = len(program.tunnels), program.network.edge_count
+        # The demand rows come after the edge rows: their bins are cut off.
         load = program.loads @ flows[:width] + np.bincount(
-            edge_rows, loads * np.repeat(flows[width:], sizes),
-            minlength=program.network.edge_count,
-        )
+            rows, values * np.repeat(flows[width:], np.diff(ptr)),
+            minlength=edge_count,
+        )[:edge_count]
         _check_theta(load / program.network.float_capacities, sol.objective_value)
         return sol.objective_value
+
+
+class ChainModel:
+    """The TE_LU solutions of a chain of covered middlepoint sets, each
+    containing the last, solved in one kept ``LpModel``, each from the last
+    one's optimal basis.
+
+    Every LU program of the pool has the same rows, so the model grows by
+    only the pool columns each set brings (``LpModel.extend``), and holds its
+    columns in the order they came: the first set's program, then each later
+    set's new columns. Each solution is mapped into the set's program column
+    order, then decoded and checked as ``solve_te`` does, certificate
+    included.
+    """
+
+    def __init__(
+        self, pool: TunnelPool, middlepoints: Iterable[int], program: TeProgram,
+        basis: highs.HighsBasis,
+    ):
+        """``program`` is the pool's LU slice of ``middlepoints`` and
+        ``basis`` an optimal basis of it."""
+        self.middlepoints = frozenset(middlepoints)
+        self._pool = pool
+        self._columns = pool._columns(self.middlepoints)  # after theta, in order
+        self._model = LpModel(program.lp, basis)
+
+    def solve(self, middlepoints: Iterable[int]) -> TeSolution:
+        """The solution of a covered superset of the chain's last set, which
+        becomes its last set. It keeps no basis: the model's is in the
+        model's column order. A solve without an optimum or a point failing
+        a check raises ``ArithmeticError``, and the chain is not solved
+        again."""
+        pool = self._pool
+        keep = pool._columns(middlepoints)
+        new = keep[~np.isin(keep, self._columns)]
+        start = time.perf_counter()
+        sol = self._model.extend(*pool._lu_columns(new))
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        self.middlepoints = frozenset(middlepoints)
+        self._columns = np.concatenate((self._columns, new))
+        if sol.status is not LpStatus.OPTIMAL:
+            raise ArithmeticError(f"LP solver failed: program is {sol.status.value}")
+        # Each pool column's position in the model, theta being first.
+        position = np.empty(len(pool._commodity), dtype=np.intp)
+        position[self._columns] = np.arange(1, len(self._columns) + 1)
+        x = sol.x[np.concatenate(([0], position[keep]))]
+        return _decoded(
+            pool._slice(keep, LU), replace(sol, x=x, basis=None), elapsed_ms
+        )
 
 
 def extension_bounds(
@@ -884,14 +967,19 @@ def _certify(program: TeProgram, duals: np.ndarray, theta: float) -> None:
 
 
 def solve_te(program: TeProgram) -> TeSolution:
-    """Solve a TE program, decode its utilizations and check theta against
-    them; an LU theta is also certified by its duals. An optimal solution
-    keeps its basis and duals."""
+    """Solve a TE program cold and decode it (``_decoded``)."""
     start = time.perf_counter()
     sol = solve_lp(program.lp)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    return _decoded(program, sol, (time.perf_counter() - start) * 1000.0)
+
+
+def _decoded(program: TeProgram, sol: LpSolution, solve_ms: float) -> TeSolution:
+    """A solution of the program, whose point is in the program's column
+    order, decoded into utilizations with theta checked against them; an LU
+    theta is also certified by the row duals. An optimal solution keeps its
+    basis and duals."""
     result = TeSolution(
-        program.kind, sol.status, solve_ms=elapsed_ms, basis=sol.basis,
+        program.kind, sol.status, solve_ms=solve_ms, basis=sol.basis,
         duals=sol.duals,
     )
     if sol.status is not LpStatus.OPTIMAL:
@@ -982,4 +1070,6 @@ def build_mp_baseline(
     )
     loads = _csr([(flow_edges, flow_cols - first, ones)],
                  (edge_count, variables - first))
-    return TeProgram(kind, lp, network, demands, [], first, loads)
+    program = TeProgram(kind, network, demands, [], first, loads)
+    program.lp = lp  # the arc-flow LP: not assembled from the loads
+    return program

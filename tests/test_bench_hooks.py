@@ -162,9 +162,11 @@ def test_traced_mp_baseline_counts_both_blocks():
 
 
 def test_traced_gsp_sweep_ranks_once_and_solves_once_per_point():
-    """A K-sweep ranks once and solves each point once, through the names
-    the tracer wraps in ``srte.selection``, so the benchmark's centrality and
-    LP layers stay visible on gsp-sweep."""
+    """A K-sweep ranks once and solves its first point cold, through the
+    names the tracer wraps in ``srte.selection``, so the benchmark's
+    centrality and LP layers stay visible on gsp-sweep. Every later point
+    contains the one before, and is solved warm in the chain's model, which
+    the tracer does not see."""
     argv = ["sweep", *ARGV[1:5], "--method", "gsp", "--sweep-k", "1:4"]
     untraced = run_main(argv)
     originals = bound_sites()
@@ -176,4 +178,4 @@ def test_traced_gsp_sweep_ranks_once_and_solves_once_per_point():
     points = len(untraced.splitlines()) - 1
     assert points == 4
     assert t.calls["centrality.greedy_group_select"] == 1
-    assert t.calls["te.solve_te"] == t.calls["lp.linprog"] == points
+    assert t.calls["te.solve_te"] == t.calls["lp.linprog"] == 1

@@ -42,6 +42,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_parser_is_built_once_and_commands_are_looked_up_per_call(
+    capsys, monkeypatch
+):
+    """Every call parses with the one parser of the process, and runs the
+    command its module binds when the call runs: a patched command runs."""
+    assert srte.cli.build_parser() is srte.cli.build_parser()
+    argv = ("centrality", "--topology", DATA / "net10.topo")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("node,score,rank\n")
+    monkeypatch.setattr(srte.cli, "cmd_centrality", lambda args: 7)
+    assert run(capsys, *argv) == (7, "", "")
+
+
 @pytest.fixture
 def undeliverable(tmp_path):
     """One edge a -> b and one demand b -> a: nothing can be delivered."""
@@ -638,6 +651,20 @@ class TestInputErrors:
         self.assert_rejected(
             capsys, "sweep", "--topology", DATA / "net10.topo",
             "--demands", DATA / "net10.dem", "--method", "degree", *axis,
+        )
+
+    @pytest.mark.parametrize("option", ["--sweep-k", "--sweep-m"])
+    @pytest.mark.parametrize("spec, bad", [
+        ("1:6:2", "'6:2'"), ("1:", "''"), ("1,,2", "''"), ("a", "'a'"),
+    ])
+    def test_malformed_sweep_axis_is_named(self, capsys, option, spec, bad):
+        err = self.assert_rejected(
+            capsys, "sweep", "--topology", DATA / "net10.topo",
+            "--demands", DATA / "net10.dem", option, spec,
+        )
+        assert err == (
+            f"error: bad sweep axis {spec!r}: invalid literal for int() with "
+            f"base 10: {bad}\n"
         )
 
     @pytest.mark.parametrize("axes", [

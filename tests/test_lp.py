@@ -558,6 +558,48 @@ def test_model_rechecks_added_columns_and_is_restored_after_a_failure(monkeypatc
     assert again.nit == 0 and again.objective_value == empty.theta
 
 
+def test_extended_model_keeps_its_columns_and_basis(monkeypatch):
+    """``extend`` grows the model for good: each growing LU pool slice is
+    solved from the last one's optimal basis, in fewer iterations than cold,
+    to within a hundredth of the tie tolerance of its cold theta. The basis
+    stays optimal (a solve without columns takes no iteration), and the
+    re-check covers the kept columns' entries: a point halved on them
+    fails it."""
+    net = random_connected_digraph(30, 120, 4000, max_capacity=10)
+    pool = srte.te.TunnelPool(
+        ShortestPathCache(net), generate_gravity_demands(net, 100, 4500), 1
+    )
+    chain = [(), (3,), (3, 7), (3, 7, 11, 20)]
+    pool.cover(chain)
+    parent = pool.program(())
+    model = srte.lp.LpModel(parent.lp, srte.te.solve_te(parent).basis)
+    warm_nit = cold_nit = 0
+    for last, mids in zip(chain, chain[1:]):
+        warm = model.extend(*added_columns(pool, mids, last))
+        cold = srte.lp.linprog(pool.program(mids).lp)
+        assert warm.status is cold.status is LpStatus.OPTIMAL
+        tie = 1e-12 * max(1.0, cold.objective_value)
+        assert abs(warm.objective_value - cold.objective_value) <= tie / 100
+        assert warm.x.size == cold.x.size
+        assert_complete(warm, cold.x.size, len(parent.lp.rows))
+        warm_nit += warm.nit
+        cold_nit += cold.nit
+    assert warm_nit < cold_nit
+    again = model.solve_with(*NO_COLUMNS)
+    assert again.nit == 0 and again.objective_value == warm.objective_value
+    real = srte.lp._solved
+
+    def halved(*args):
+        sol = real(*args)
+        x = sol.x.copy()
+        x[parent.lp.num_vars:] *= 0.5
+        return dataclasses.replace(sol, x=x)
+
+    monkeypatch.setattr(srte.lp, "_solved", halved)
+    with pytest.raises(ArithmeticError, match="infeasible point"):
+        model.solve_with(*NO_COLUMNS)
+
+
 def test_private_highs_bindings_exist():
     """Every name srte.lp uses from scipy's private HiGHS bindings. A scipy
     release that drops or renames one fails here, by name; only scipy 1.17.1

@@ -15,8 +15,11 @@ import sys
 
 import pytest
 
+import srte.lp
+import srte.te
 from srte import cli, selection
-from srte.graph import random_connected_digraph
+from srte.centrality import greedy_group_select
+from srte.graph import parse_topology, random_connected_digraph, serialize_topology
 from srte.lp import LpStatus
 from srte.paths import ShortestPathCache
 from srte.selection import (
@@ -25,7 +28,7 @@ from srte.selection import (
     greedy_select,
     select_prefixes,
 )
-from srte.te import NoTunnelError
+from srte.te import ChainModel, NoTunnelError
 
 from conftest import make_demands
 
@@ -229,3 +232,166 @@ def test_repeated_sweep_point_is_solved_once(monkeypatch, argv, counted, solves)
     assert len(calls) == solves
     rows = [row.split(",", 1)[1] for row in out.splitlines()[1:]]
     assert len(rows) > 1 and len(set(rows)) == 1
+
+
+class ChainTrace:
+    """Records, while installed, the sets an LU prefix sweep solves cold
+    (``selection.solve_te``), starts a chain from and solves warm (the last
+    set and the new one of each ``ChainModel.solve`` call), with each
+    theta: cold ones in ``cold``, warm ones in ``warm`` (None where the
+    warm solve raised)."""
+
+    def __init__(self, monkeypatch):
+        self.cold, self.starts, self.warm = [], [], []
+        real_solve = selection.solve_te
+        real_init, real_chain = ChainModel.__init__, ChainModel.solve
+
+        def cold(program):
+            solution = real_solve(program)
+            self.cold.append((middlepoints_of(program), solution.theta))
+            return solution
+
+        def start(chain, pool, mids, *args):
+            self.starts.append(tuple(mids))
+            real_init(chain, pool, mids, *args)
+
+        def warm(chain, mids):
+            self.warm.append((tuple(sorted(chain.middlepoints)), tuple(mids), None))
+            solution = real_chain(chain, mids)
+            self.warm[-1] = (*self.warm[-1][:2], solution.theta)
+            return solution
+
+        monkeypatch.setattr(selection, "solve_te", cold)
+        monkeypatch.setattr(ChainModel, "__init__", start)
+        monkeypatch.setattr(ChainModel, "solve", warm)
+
+
+def middlepoints_of(program):
+    return tuple(sorted({v for tun in program.tunnels for v in tun.middlepoints}))
+
+
+# Benchmark-tier instances: n=30, m=120, capacities 1..10, 100 gravity
+# demands; (topology seed, demand seed).
+TIER = [(4000 + i, 4500 + i) for i in range(6)]
+TIER_CASES = [
+    *((*seeds, method, "1") for seeds in TIER for method in ("sp", "gsp", "degree")),
+    (*TIER[0], "gsp", "2"),
+]
+
+
+@pytest.mark.parametrize("topology_seed, demand_seed, method, m", TIER_CASES)
+def test_chained_sweep_is_the_per_k_loop_on_benchmark_instances(
+    monkeypatch, tmp_path, topology_seed, demand_seed, method, m
+):
+    """``sweep --sweep-k 1:6`` solves its first point cold and the five
+    others warm in one chain, each within 1e-12 (relative) of the per-K
+    loop's cold theta of the same program, and prints the loop's bytes."""
+    net = random_connected_digraph(30, 120, topology_seed, max_capacity=10)
+    topo = tmp_path / "net.topo"
+    topo.write_text(serialize_topology(net))
+    argv = ["sweep", "--topology", topo, "--gravity", "100", "--seed",
+            demand_seed, "--method", method, "--sweep-k", "1:6", "--m", m]
+    with monkeypatch.context() as patch:
+        chained = ChainTrace(patch)
+        got = run_main(argv)
+    with monkeypatch.context() as patch:
+        loop = ChainTrace(patch)
+        patch.setattr(cli, "cmd_sweep", per_k_sweep)
+        assert got == run_main(argv)
+    assert got[0] == 0
+    assert len(chained.cold) == len(chained.starts) == 1
+    assert len(chained.warm) == 5 and not loop.warm
+    thetas = [chained.cold[0][1]] + [theta for *_, theta in chained.warm]
+    for theta, (_, cold) in zip(thetas, loop.cold, strict=True):
+        assert abs(theta - cold) <= 1e-12 * max(1.0, abs(cold))
+
+
+def gsp_picks(k):
+    """net10's top-k GSP middlepoints, in pick order."""
+    network = parse_topology((DATA / "net10.topo").read_text())
+    return tuple(greedy_group_select(network, k))
+
+
+@pytest.mark.parametrize("axis, cold, warm", [
+    ("1:6", [1], [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]),
+    ("3,1,2", [3, 1], [(1, 2)]),  # 1 does not contain 3: solved cold
+    ("2,2", [2], []),
+    ("1,3,6", [1], [(1, 3), (3, 6)]),  # a point may bring several nodes
+])
+def test_each_point_containing_the_last_is_solved_warm(
+    monkeypatch, axis, cold, warm
+):
+    argv = ["sweep", *NET10, "--method", "gsp", "--sweep-k", axis]
+    with monkeypatch.context() as patch:
+        trace = ChainTrace(patch)
+        got = run_main(argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "cmd_sweep", per_k_sweep)
+        assert got == run_main(argv)
+    assert [mids for mids, _ in trace.cold] == [
+        tuple(sorted(gsp_picks(k))) for k in cold
+    ]
+    assert trace.starts == [gsp_picks(k) for k in cold]
+    assert [(last, new) for last, new, _ in trace.warm] == [
+        (tuple(sorted(gsp_picks(a))), gsp_picks(b)) for a, b in warm
+    ]
+
+
+@pytest.mark.parametrize("module, check", [
+    (srte.te, "_certify"), (srte.lp, "_check_rows"),
+])
+def test_a_warm_point_failing_a_check_is_solved_cold(monkeypatch, module, check):
+    """The check raises once, in point 3's warm solve (its third call: one
+    per solve, as point 1 is cold and point 2 warm). Point 3 is solved cold,
+    prints the per-K loop's row, and point 4 is solved warm from it."""
+    argv = ["sweep", *NET10, "--method", "gsp", "--sweep-k", "1:6"]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "cmd_sweep", per_k_sweep)
+        want = run_main(argv)
+    calls = []
+    real = getattr(module, check)
+
+    def fails_third(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise ArithmeticError("solver returned an infeasible point")
+        return real(*args)
+
+    with monkeypatch.context() as patch:
+        trace = ChainTrace(patch)
+        patch.setattr(module, check, fails_third)
+        assert run_main(argv) == want
+    assert want[0] == 0
+    assert [mids for mids, _ in trace.cold] == [
+        tuple(sorted(gsp_picks(k))) for k in (1, 3)
+    ]
+    assert trace.starts == [gsp_picks(1), gsp_picks(3)]
+    assert [(last, theta is None) for last, _, theta in trace.warm] == [
+        (tuple(sorted(gsp_picks(k))), k == 2) for k in (1, 2, 3, 4, 5)
+    ]
+
+
+def test_an_error_point_restarts_the_chain(monkeypatch):
+    """Point 3 fails its certificate warm and cold: it is an error row, as
+    in the per-K loop, point 4 is solved cold and point 5 warm from it."""
+    argv = ["sweep", *NET10, "--method", "gsp", "--sweep-k", "1:6"]
+    real = srte.te._certify
+
+    def refuses_three(program, *args):
+        if middlepoints_of(program) == tuple(sorted(gsp_picks(3))):
+            raise ArithmeticError("LP solver failed: theta is not optimal")
+        return real(program, *args)
+
+    monkeypatch.setattr(srte.te, "_certify", refuses_three)
+    with monkeypatch.context() as patch:
+        trace = ChainTrace(patch)
+        got = run_main(argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "cmd_sweep", per_k_sweep)
+        assert got == run_main(argv)
+    code, out, err = got
+    assert code == 2
+    assert out.splitlines()[3] == "3,error,,,0"
+    assert err == "point 3: LP solver failed: theta is not optimal\n"
+    assert trace.starts == [gsp_picks(1), gsp_picks(4)]
+    assert [new for _, new, _ in trace.warm] == [gsp_picks(k) for k in (2, 3, 5, 6)]
