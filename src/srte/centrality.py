@@ -1,8 +1,10 @@
 """Structural node-importance scores used for middlepoint selection.
 
 All shortest-path work is exact (integer distances over the network's cost
-scale, big-integer counts), so scores compare exactly and orderings are
-deterministic: descending score with lowest node index breaking ties.
+scale, integer counts: int64 arrays where they fit, Python ints where they
+do not), so scores compare exactly and orderings are deterministic:
+descending score with lowest node index breaking ties. Betweenness and
+greedy group betweenness share one array kernel (``_PairKernel``).
 
 Node pairs with no connecting path contribute 0 to every betweenness sum.
 For group betweenness, pairs with an endpoint inside the group are excluded
@@ -17,8 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .graph import FlowNetwork
-from .paths import ShortestPathCache, ShortestPathDag
+from .paths import INT64_END, ShortestPathCache, ShortestPathDag, pair_arrays
+
+# The kernel finds the pairs of a block of candidates at a time: about this
+# many (candidate, s, t) entries, and never fewer than one candidate's n^2.
+_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -36,33 +44,62 @@ def _analysis_network(network: FlowNetwork, weighted: bool) -> FlowNetwork:
     return network.inverse_capacity_costs() if weighted else network
 
 
-def _shortest_path_pairs(net: FlowNetwork, cache: ShortestPathCache | None):
-    """(sigma, L, weight, through): sigma[s][t] counts the shortest s-t paths
-    (0 for s == t), L is the LCM of all nonzero sigma_st, weight[s][t] is
-    L / sigma_st, and through[v] holds (s, [(t, weight[s][t]), ...]) for every
-    pair with s != v != t and v on a shortest s-t path (exact int distances).
+class _PairKernel:
+    """The pairs every node lies between, over exact all-pairs arrays.
+
+    ``dist`` and ``sigma`` are the analysis network's all-pairs scaled
+    distances and path counts (``pair_arrays``, sigma 0 on the diagonal), L
+    is the LCM of the nonzero sigma_st (1 if none), and ``weight`` holds
+    W[s, t] = L / sigma_st (0 where there is no pair). The entries of ``v``
+    (ascending), ``sv``, ``vt`` and ``st`` (flat indices s*n + v, v*n + t
+    and s*n + t) list every node v and pair (s, t) with s != v != t and
+    d(s, v) + d(v, t) == d(s, t), and ``w`` their W[s, t].
+
+    The distances are int64 wherever they fit (``pair_arrays``). Every score
+    is a sum of at most n^2 terms of at most L each (a count of covered
+    paths times L / sigma_st), so the counts are int64 while n^2 * L < 2^63,
+    and Python ints (``dtype=object``) otherwise: the same code, exact
+    either way.
     """
-    n = net.node_count
-    cache = cache or ShortestPathCache(net)
-    dags = [cache.forward(s) for s in range(n)]
-    dist = [g.scaled_dist for g in dags]
-    sigma = [list(g.sigma) for g in dags]
-    for s in range(n):
-        sigma[s][s] = 0  # (s, s) is no pair
-    unit = math.lcm(*(c for row in sigma for c in row if c))
-    weight = [[unit // c if c else 0 for c in row] for row in sigma]
-    through: list[list] = [[] for _ in range(n)]
-    for s in range(n):
-        ds, ws = dist[s], weight[s]
-        for v in dags[s].settled[1:]:  # settled[0] is the source
-            dsv, dv = ds[v], dist[v]
-            targets = [
-                (t, ws[t]) for t in dags[v].settled[1:]
-                if t != s and dsv + dv[t] == ds[t]
-            ]
-            if targets:
-                through[v].append((s, targets))
-    return sigma, unit, weight, through
+
+    def __init__(self, net: FlowNetwork, cache: ShortestPathCache | None):
+        n = net.node_count
+        cache = cache if cache is not None else ShortestPathCache(net)
+        pairs = cache.pairs or pair_arrays([cache.forward(s) for s in range(n)])
+        dist, sigma = pairs[0], pairs[1].copy()
+        np.fill_diagonal(sigma, 0)  # (s, s) is no pair
+        pair = sigma != 0
+        self.unit = math.lcm(*np.unique(sigma[pair]).tolist())
+        if n * n * self.unit >= INT64_END:
+            sigma = sigma.astype(object)
+        self.sigma = sigma
+        self.weight = np.zeros_like(sigma)
+        self.weight[pair] = self.unit // sigma[pair]
+        # on[v, s, t] for a block of candidates v at a time. Besides the
+        # pairs v lies between, it holds only for v == s and v == t, since an
+        # unreachable distance exceeds every reachable one. Those entries
+        # would add 0 (sigma's diagonal is 0) but cost memory and time.
+        block = max(1, _BLOCK_ENTRIES // max(1, n * n))
+        found = [np.zeros(0, dtype=np.int64)]
+        for first in range(0, n, block):
+            vs = np.arange(first, min(first + block, n))
+            on = dist[:, vs].T[:, :, None] + dist[vs][:, None, :] == dist
+            rows = np.arange(len(vs))
+            on[rows, vs, :] = False
+            on[rows, :, vs] = False
+            found.append(first * n * n + np.flatnonzero(on))
+        self.v, self.st = np.divmod(np.concatenate(found), n * n)
+        s, t = np.divmod(self.st, n)
+        self.sv, self.vt = s * n + self.v, self.v * n + t
+        self.w = self.weight.ravel()[self.st]
+
+    def gains(self, avoid: np.ndarray) -> np.ndarray:
+        """Per node v, the sum over its pairs of avoid[s, v] * avoid[v, t] *
+        W[s, t]: with avoid = sigma, v's betweenness in units of 1 / L."""
+        flat = avoid.ravel()
+        sums = np.zeros_like(self.sigma, shape=len(self.sigma))
+        np.add.at(sums, self.v, flat[self.sv] * flat[self.vt] * self.w)
+        return sums
 
 
 def betweenness(
@@ -70,15 +107,12 @@ def betweenness(
     cache: ShortestPathCache | None = None,
 ) -> CentralityScores:
     """Shortest-path betweenness: sum over pairs of sigma_st(v) / sigma_st,
-    summed exactly as sigma_sv * sigma_vt * weight[s][t] in units of 1 / L."""
-    net = _analysis_network(network, weighted)
-    sigma, unit, _, through = _shortest_path_pairs(net, cache)
-    scores = [
-        Fraction(sum(sigma[s][v] * sum(sigma[v][t] * w for t, w in targets)
-                     for s, targets in through[v]), unit)
-        for v in range(net.node_count)
-    ]
-    return _ranked(scores)
+    summed exactly as sigma_sv * sigma_vt * L / sigma_st in units of 1 / L
+    (``_PairKernel.gains``). ``cache``, if given, must hold the DAGs of the
+    analysis network."""
+    kernel = _PairKernel(_analysis_network(network, weighted), cache)
+    gains = kernel.gains(kernel.sigma)
+    return _ranked([Fraction(int(g), kernel.unit) for g in gains])
 
 
 def _avoiding_counts(dag: ShortestPathDag, net: FlowNetwork, group: frozenset[int]):
@@ -155,53 +189,39 @@ def greedy_group_scores(
     """Greedy picks and the exact group betweenness of every prefix.
 
     Successive group-betweenness updates (Puzis, Elovici and Dolev 2007):
-    avoid[s][t] counts the shortest s-t paths that miss the chosen group, and
-    adding v covers avoid[s][v] * avoid[v][t] of them on every pair (s, t)
-    with d(s, v) + d(v, t) == d(s, t). Scores are integers in units of 1 / L,
-    L the LCM of all sigma_st, so every comparison is exact. Setup is O(n^3);
-    each candidate then costs O(n^2).
+    avoid[s, t] counts the shortest s-t paths that miss the chosen group, and
+    adding v covers avoid[s, v] * avoid[v, t] of them on every pair (s, t)
+    that v lies between. Each round scores every live candidate at once:
+    its ``_PairKernel.gains``, less what the pairs with v as an endpoint
+    held, which leave the sum once v joins; then the first best candidate
+    (lowest index on ties) joins and its pairs' avoid counts drop. Scores
+    are integers in units of 1 / L, so every comparison is exact.
     """
     n = network.node_count
     if not (1 <= k <= n):
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    net = _analysis_network(network, weighted)
-    sigma, unit, weight, through = _shortest_path_pairs(net, cache)
-    avoid = [row[:] for row in sigma]
-    live = list(range(n))
+    kernel = _PairKernel(_analysis_network(network, weighted), cache)
+    sigma, weight = kernel.sigma, kernel.weight
+    avoid = sigma.copy()
+    flat = avoid.ravel()
+    live = np.ones(n, dtype=bool)
     chosen: list[int] = []
     scores: list[Fraction] = []
     score = 0
     for _ in range(k):
-        best_v = best_score = None
-        for v in live:
-            av = avoid[v]
-            gained = 0
-            for s, targets in through[v]:
-                a = avoid[s][v]
-                if a:
-                    gained += a * sum(av[t] * w for t, w in targets)
-            # Pairs with v as an endpoint leave the sum once v joins.
-            lost = sum(
-                (sigma[v][u] - av[u]) * weight[v][u]
-                + (sigma[u][v] - avoid[u][v]) * weight[u][v]
-                for u in live
-            )
-            candidate = score + gained - lost
-            if best_score is None or candidate > best_score:
-                best_v, best_score = v, candidate
-        v, score = best_v, best_score
-        av = avoid[v]
-        for s, targets in through[v]:
-            a, row = avoid[s][v], avoid[s]
-            if a:
-                for t, _ in targets:
-                    row[t] -= a * av[t]
-        live.remove(v)
-        for row in avoid:
-            row[v] = 0
-        avoid[v] = [0] * n
+        covered = (sigma - avoid) * weight
+        lost = covered[:, live].sum(axis=1) + covered[live].sum(axis=0)
+        candidates = np.flatnonzero(live)
+        best = (score + kernel.gains(avoid) - lost)[candidates]
+        i = int(np.argmax(best))
+        v, score = int(candidates[i]), best[i]
+        pairs = slice(*np.searchsorted(kernel.v, [v, v + 1]))
+        flat[kernel.st[pairs]] -= flat[kernel.sv[pairs]] * flat[kernel.vt[pairs]]
+        avoid[v] = 0
+        avoid[:, v] = 0
+        live[v] = False
         chosen.append(v)
-        scores.append(Fraction(score, unit))
+        scores.append(Fraction(int(score), kernel.unit))
     return chosen, scores
 
 

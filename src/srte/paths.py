@@ -7,10 +7,12 @@ module. Path counts are unbounded integers. A segment's ECMP fraction on an
 edge is kept as an integer path count over the segment's path count, with
 its correctly rounded float.
 
-``SegmentMatrix`` holds the same fractions for every segment at once, as
-CSR rows over int64 all-pairs distances and path counts, for networks whose
-distances and counts fit int64 exactly (``ShortestPathCache.segments``);
-the tunnel pool builds its load columns from it.
+``ShortestPathCache.pairs`` holds the all-pairs distances and path counts
+as int64 arrays, for networks where they fit (``pair_arrays``); the
+centralities rank on them. ``SegmentMatrix`` holds every segment's
+fractions at once, as CSR rows over the same arrays, for networks whose
+counts also fit a float exactly (``ShortestPathCache.segments``); the tunnel
+pool builds its load columns from it.
 """
 
 from __future__ import annotations
@@ -19,17 +21,20 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .graph import FlowNetwork
 
-# The segment matrix is exact on int64 while every scaled cost and distance
-# is below DIST_LIMIT, so a sum of three fits, and every path count below
-# FLOAT_EXACT, so a float holds it exactly and count / sigma rounds once.
+# The all-pairs arrays are int64 while every scaled distance is below
+# DIST_LIMIT, so a sum of three fits, and every path count below INT64_END.
+# The segment matrix also needs every scaled cost below DIST_LIMIT and every
+# path count below FLOAT_EXACT, so a float holds it exactly and count /
+# sigma rounds once.
 DIST_LIMIT = 1 << 61
 FLOAT_EXACT = 1 << 53
+INT64_END = 1 << 63
 
 
 class UnreachableSegment(Exception):
@@ -175,6 +180,27 @@ def segment_fractions(
     )
 
 
+def pair_arrays(dags: Sequence[ShortestPathDag]) -> tuple[np.ndarray, np.ndarray]:
+    """The all-pairs (dist, sigma) of the forward DAGs of every node, in node
+    order, as n x n arrays: dist[u, v] is d(u, v) times the ``cost_scale``,
+    or max(DIST_LIMIT, 1 + every distance) where v is unreachable from u,
+    and sigma[u, v] the number of shortest u-v paths (0 where unreachable, 1
+    from a node to itself). dist is int64 if every distance is below
+    DIST_LIMIT, and sigma if every count is below INT64_END; an array that
+    does not fit holds Python ints (``dtype=object``)."""
+    n = len(dags)
+    far = max(DIST_LIMIT, 1 + max(
+        (d for dag in dags for d in dag.scaled_dist if d is not None), default=0
+    ))
+    dist = [[far if d is None else d for d in dag.scaled_dist] for dag in dags]
+    sigma = [dag.sigma for dag in dags]
+    wide = max(map(max, sigma), default=0) >= INT64_END
+    return (
+        np.array(dist, dtype=object if far > DIST_LIMIT else np.int64).reshape(n, n),
+        np.array(sigma, dtype=object if wide else np.int64).reshape(n, n),
+    )
+
+
 class SegmentMatrix:
     """Every segment's ECMP loads as CSR rows over exact int64 arrays.
 
@@ -213,22 +239,16 @@ class SegmentMatrix:
 
     @classmethod
     def of(cls, cache: "ShortestPathCache") -> Optional["SegmentMatrix"]:
-        """The matrix of the cache's network, from its forward DAGs, or None
-        where a scaled cost or distance or a path count is too large."""
-        network = cache.network
-        dags = [cache.forward(u) for u in range(network.node_count)]
-        if max(network.scaled_costs, default=0) >= DIST_LIMIT or any(
-            max(dag.sigma) >= FLOAT_EXACT
-            or max(d for d in dag.scaled_dist if d is not None) >= DIST_LIMIT
-            for dag in dags
+        """The matrix of the cache's network, on its ``pairs``, or None where
+        a scaled cost or distance or a path count is too large."""
+        pairs = cache.pairs
+        if (
+            pairs is None
+            or max(cache.network.scaled_costs, default=0) >= DIST_LIMIT
+            or pairs[1].max(initial=0) >= FLOAT_EXACT
         ):
             return None
-        dist = np.array(
-            [[DIST_LIMIT if d is None else d for d in dag.scaled_dist] for dag in dags],
-            dtype=np.int64,
-        ).reshape(len(dags), len(dags))
-        sigma = np.array([dag.sigma for dag in dags], dtype=np.int64).reshape(dist.shape)
-        return cls(cache, dist, sigma)
+        return cls(cache, *pairs)
 
     def build(self, sources: np.ndarray) -> None:
         """Make the rows of every given source that has none yet."""
@@ -271,7 +291,8 @@ class SegmentMatrix:
 
 class ShortestPathCache:
     """Memoized shortest-path structure of one network: per-source and
-    per-sink DAGs, per-segment fractions, and the ``segments`` matrix.
+    per-sink DAGs, per-segment fractions, the all-pairs ``pairs`` arrays and
+    the ``segments`` matrix.
 
     Each is computed on first use and kept for the life of the cache; the
     matrix also grows, a source's rows at a time. Not for concurrent use.
@@ -303,6 +324,18 @@ class ShortestPathCache:
                 self.network, u, v, self.forward(u), self.backward(v)
             )
         return self._fractions[key]
+
+    @cached_property
+    def pairs(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """The read-only int64 ``pair_arrays`` of the network's forward DAGs,
+        or None where a scaled distance reaches DIST_LIMIT or a path count
+        does not fit int64."""
+        pairs = pair_arrays([self.forward(u) for u in range(self.network.node_count)])
+        if any(array.dtype == object for array in pairs):
+            return None
+        for array in pairs:
+            array.setflags(write=False)
+        return pairs
 
     @cached_property
     def segments(self) -> Optional[SegmentMatrix]:

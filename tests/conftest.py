@@ -16,6 +16,7 @@ from scipy.sparse import csr_matrix
 
 from srte.graph import Commodity, DemandMatrix, Edge, FlowNetwork
 from srte.lp import EQ, LE, SparseLp
+from srte.paths import sp_dag
 
 # Verdict lines collected by the acceptance tests; echoed after the run so
 # they survive pytest's output capture.
@@ -198,6 +199,100 @@ class RowLp:
             self.maximize, np.array(self.objective, dtype=float), np.zeros(n),
             np.array(self.upper, dtype=float), a_ub, b_ub, a_eq, b_eq,
         )
+
+
+def diamond_chain(count):
+    """``count`` diamonds in a chain, unit capacities and costs: 2^count
+    shortest paths from node 0 to node 3 * count."""
+    edges = []
+    for i in range(count):
+        a = 3 * i
+        edges += [(a, a + 1, 1), (a, a + 2, 1), (a + 1, a + 3, 1), (a + 2, a + 3, 1)]
+    return make_net(edges)
+
+
+def reference_pairs(net):
+    """(sigma, L, weight, through) of the reference centralities, from the
+    library's own DAGs (a reference for the array kernel, not an independent
+    oracle): sigma[s][t] counts the shortest s-t paths (0 for s == t), L is
+    the LCM of all nonzero sigma_st, weight[s][t] is L / sigma_st, and
+    through[v] holds (s, [(t, weight[s][t]), ...]) for every pair with
+    s != v != t and v on a shortest s-t path (exact int distances)."""
+    n = net.node_count
+    dags = [sp_dag(net, s) for s in range(n)]
+    dist = [g.scaled_dist for g in dags]
+    sigma = [list(g.sigma) for g in dags]
+    for s in range(n):
+        sigma[s][s] = 0  # (s, s) is no pair
+    unit = math.lcm(*(c for row in sigma for c in row if c))
+    weight = [[unit // c if c else 0 for c in row] for row in sigma]
+    through = [[] for _ in range(n)]
+    for s in range(n):
+        ds, ws = dist[s], weight[s]
+        for v in dags[s].settled[1:]:  # settled[0] is the source
+            dsv, dv = ds[v], dist[v]
+            targets = [
+                (t, ws[t]) for t in dags[v].settled[1:]
+                if t != s and dsv + dv[t] == ds[t]
+            ]
+            if targets:
+                through[v].append((s, targets))
+    return sigma, unit, weight, through
+
+
+def reference_betweenness(net):
+    """Shortest-path betweenness of ``net``'s own costs, by Python loops over
+    big ints: sigma_sv * sigma_vt * weight[s][t] in units of 1 / L, summed
+    over the pairs each node lies between."""
+    sigma, unit, _, through = reference_pairs(net)
+    return [
+        Fraction(sum(sigma[s][v] * sum(sigma[v][t] * w for t, w in targets)
+                     for s, targets in through[v]), unit)
+        for v in range(net.node_count)
+    ]
+
+
+def reference_greedy_group_scores(net, k):
+    """Greedy group-betweenness picks and exact prefix scores on ``net``'s
+    own costs, by successive updates over Python lists of big ints: the
+    loop form of ``srte.centrality.greedy_group_scores``."""
+    n = net.node_count
+    sigma, unit, weight, through = reference_pairs(net)
+    avoid = [row[:] for row in sigma]
+    live = list(range(n))
+    chosen, scores, score = [], [], 0
+    for _ in range(k):
+        best_v = best_score = None
+        for v in live:
+            av = avoid[v]
+            gained = 0
+            for s, targets in through[v]:
+                a = avoid[s][v]
+                if a:
+                    gained += a * sum(av[t] * w for t, w in targets)
+            # Pairs with v as an endpoint leave the sum once v joins.
+            lost = sum(
+                (sigma[v][u] - av[u]) * weight[v][u]
+                + (sigma[u][v] - avoid[u][v]) * weight[u][v]
+                for u in live
+            )
+            candidate = score + gained - lost
+            if best_score is None or candidate > best_score:
+                best_v, best_score = v, candidate
+        v, score = best_v, best_score
+        av = avoid[v]
+        for s, targets in through[v]:
+            a, row = avoid[s][v], avoid[s]
+            if a:
+                for t, _ in targets:
+                    row[t] -= a * av[t]
+        live.remove(v)
+        for row in avoid:
+            row[v] = 0
+        avoid[v] = [0] * n
+        chosen.append(v)
+        scores.append(Fraction(score, unit))
+    return chosen, scores
 
 
 def split_lp():

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from srte import centrality
 from srte.centrality import (
+    _PairKernel,
     betweenness,
     degree_centrality,
     greedy_group_scores,
@@ -13,9 +15,18 @@ from srte.centrality import (
     group_betweenness,
     random_select,
 )
-from srte.graph import random_connected_digraph, random_digraph
+from srte.graph import FlowNetwork, random_connected_digraph, random_digraph
+from srte.paths import ShortestPathCache
 
-from conftest import enumerate_shortest_paths, floyd_warshall_counting, make_net
+from conftest import (
+    diamond_chain,
+    enumerate_shortest_paths,
+    floyd_warshall_counting,
+    make_net,
+    reference_betweenness,
+    reference_greedy_group_scores,
+    reference_pairs,
+)
 
 
 def betweenness_oracle(net):
@@ -174,6 +185,97 @@ def test_greedy_matches_from_scratch_definition(net, k, weighted):
         assert picks[i] == min(v for v, g in gains.items() if g == best)
         assert isinstance(scores[i], Fraction)
         assert scores[i] == group_betweenness(analysis, picks[: i + 1])
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize(
+    "n,seed,k",
+    # Benchmark-tier instances. At k = n the late rounds run too, where most
+    # avoid counts are 0 and candidates tie.
+    [(30, seed, 30) for seed in range(4000, 4030)] + [(100, 4000, 6)],
+)
+def test_kernel_matches_loop_reference(n, seed, k, weighted):
+    """The array kernel's picks, exact prefix scores and betweenness equal
+    those of the big-int loops it replaced."""
+    net = random_connected_digraph(n, 4 * n, seed, max_capacity=10)
+    analysis = net.inverse_capacity_costs() if weighted else net
+    assert greedy_group_scores(net, k, weighted) == (
+        reference_greedy_group_scores(analysis, k)
+    )
+    assert list(betweenness(net, weighted).scores) == reference_betweenness(analysis)
+
+
+BENCHMARK_TIER_NET = random_connected_digraph(30, 120, 4000, max_capacity=10)
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        BENCHMARK_TIER_NET,
+        BENCHMARK_TIER_NET.inverse_capacity_costs(),
+        make_net([(0, 1, 1), (1, 2, 1), (3, 4, 1)]),
+    ],
+    ids=["unweighted", "weighted", "two-components"],
+)
+def test_kernel_lists_the_pairs_each_node_lies_between(net):
+    """The kernel's entries are the reference's through lists: every (v, s,
+    t) with s != v != t and v on a shortest s-t path, once, with its W."""
+    kernel, n = _PairKernel(net, None), net.node_count
+    _, _, _, through = reference_pairs(net)
+    want = sorted(
+        (v, s, t, w)
+        for v in range(n) for s, targets in through[v] for t, w in targets
+    )
+    got = zip(kernel.v.tolist(), (kernel.sv // n).tolist(),
+              (kernel.vt % n).tolist(), kernel.w.tolist())
+    assert sorted(got) == want
+
+
+@pytest.mark.parametrize("entries", [1, 7 * 30 * 30])
+def test_kernel_blocks_leave_the_answer(monkeypatch, entries):
+    """Finding the pairs one candidate at a time, or seven at a time with a
+    short last block, gives the answer of one block."""
+    net = random_connected_digraph(30, 120, 4001, max_capacity=10)
+    want = reference_greedy_group_scores(net, 30)
+    monkeypatch.setattr(centrality, "_BLOCK_ENTRIES", entries)
+    assert greedy_group_scores(net, 30) == want
+
+
+class TestWideKernel:
+    """Where int64 cannot hold the counts or the scores, the kernel runs on
+    Python ints and its answers are still the reference's."""
+
+    def test_counts_past_int64(self):
+        net = diamond_chain(64)  # 2^64 shortest paths end to end
+        assert ShortestPathCache(net).pairs is None
+        assert greedy_group_scores(net, 3) == reference_greedy_group_scores(net, 3)
+        assert list(betweenness(net).scores) == reference_betweenness(net)
+
+    def test_scores_past_int64(self):
+        net = diamond_chain(52)
+        n = net.node_count
+        kernel = _PairKernel(net, None)
+        assert ShortestPathCache(net).pairs is not None
+        assert n * n * kernel.unit >= 1 << 63
+        assert kernel.sigma.dtype == object
+        assert greedy_group_scores(net, 3) == reference_greedy_group_scores(net, 3)
+        assert list(betweenness(net).scores) == reference_betweenness(net)
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            make_net([(0, 1, 1)]),
+            make_net([(0, 1, 1), (2, 3, 1)]),
+            FlowNetwork(("a", "b"), ()),
+        ],
+        ids=["single-edge", "two-components", "no-pairs"],
+    )
+    def test_degenerate_networks(self, net):
+        n = net.node_count
+        assert greedy_group_scores(net, n) == reference_greedy_group_scores(net, n)
+        assert list(betweenness(net).scores) == reference_betweenness(net)
+        if not net.edges:
+            assert _PairKernel(net, None).unit == 1  # the empty LCM
 
 
 class TestDegreeCentrality:

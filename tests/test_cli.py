@@ -571,6 +571,21 @@ class TestCentrality:
         order = lambda text: [r.split(",")[0] for r in text.splitlines()[1:]]
         assert order(plain) == order(weighted)
 
+    @pytest.mark.parametrize("method", ["sp", "gsp"])
+    def test_huge_capacities_rank_exactly(self, capsys, tmp_path, method):
+        """Inverse capacities of 1e300 scale to 997-bit costs, far past
+        int64: the ranking is still exact."""
+        topo = tmp_path / "t.topo"
+        topo.write_text("EDGE a b 1e300\nEDGE b c 1e300\nEDGE a c 1\n")
+        costs = parse_topology(topo.read_text()).inverse_capacity_costs()
+        assert max(costs.scaled_costs).bit_length() == 997
+        code, out, _ = run(
+            capsys, "centrality", "--topology", topo, "--method", method,
+            "--weighted",
+        )
+        assert code == 0
+        assert out == "node,score,rank\nb,1,1\na,0,2\nc,0,3\n"
+
     def test_gsp_prefix_scores(self, capsys):
         code, out, _ = run(
             capsys, "centrality", "--topology", DATA / "net10.topo",

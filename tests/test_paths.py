@@ -16,7 +16,12 @@ from srte.paths import (
     sp_dag_reverse,
 )
 
-from conftest import enumerate_shortest_paths, floyd_warshall_counting, make_net
+from conftest import (
+    diamond_chain,
+    enumerate_shortest_paths,
+    floyd_warshall_counting,
+    make_net,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -245,6 +250,22 @@ def test_segment_matrix_builds_each_source_once():
     held = matrix.edges.copy()
     matrix.build(np.array([1]))
     assert np.array_equal(matrix.edges, held)
+
+
+def test_pairs_are_read_only_and_the_matrix_shares_them():
+    cache = ShortestPathCache(random_digraph(8, 0.35, 5))
+    dist, sigma = cache.pairs
+    assert not dist.flags.writeable and not sigma.flags.writeable
+    assert cache.segments.dist is dist and cache.segments.sigma is sigma
+
+
+def test_pairs_refuse_what_int64_cannot_hold():
+    """Path counts below 2^63 and distances below 2^61 fit; 2^63 paths, or
+    a distance of 2^61, leave the cache without pairs."""
+    assert ShortestPathCache(diamond_chain(62)).pairs is not None
+    assert ShortestPathCache(diamond_chain(63)).pairs is None
+    assert ShortestPathCache(make_net([(0, 1, 1, 2**61 - 1)])).pairs is not None
+    assert ShortestPathCache(make_net([(0, 1, 1, 2**61)])).pairs is None
 
 
 def test_segment_matrix_refuses_what_int64_cannot_hold():
