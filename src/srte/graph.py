@@ -147,14 +147,19 @@ class Commodity:
 
 @dataclass(frozen=True)
 class DemandMatrix:
-    """Merged commodities; duplicate (source, sink) pairs are not allowed."""
+    """Merged commodities; duplicate (source, sink) pairs are not allowed.
+    ``volumes`` is a read-only array of their demands."""
 
     commodities: tuple[Commodity, ...]
+    volumes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pairs = [(c.source, c.sink) for c in self.commodities]
         if len(set(pairs)) != len(pairs):
             raise DemandError("duplicate (source, sink) pair")
+        volumes = np.array([c.demand for c in self.commodities], dtype=float)
+        volumes.setflags(write=False)
+        object.__setattr__(self, "volumes", volumes)
 
     def scaled(self, factor: float) -> "DemandMatrix":
         if not 0 < factor < math.inf:  # also rejects NaN

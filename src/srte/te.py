@@ -9,8 +9,10 @@ Builders assemble sparse matrices directly from COO arrays into one
 TeProgram type: one column per tunnel, whose entries are its per-edge loads
 (each the correctly rounded float of its exact rational value), or, for the
 unrestricted multipath (MP) baseline, one arc-flow column per commodity and
-edge. ``solve_te`` decodes both by one load-matrix mat-vec into utilizations
-(and tunnel flows and split ratios) and checks theta against them.
+edge. ``solve_te`` decodes both by one load-matrix mat-vec of the flow
+array into utilizations and checks theta against them. A tunnel column is
+its commodity and padded middlepoints; ``Tunnel`` values are made from
+them only where a solution's split ratios are read.
 
 An LU tunnel program's optimal row duals give every LU tunnel program on the
 network a dual solution (``dual_weights``): edge weights w >= 0 with c·w <= 1,
@@ -116,11 +118,6 @@ class Tunnel:
         return tuple(zip(self.waypoints, self.waypoints[1:]))
 
 
-def _volume(demands: DemandMatrix) -> np.ndarray:
-    """Each commodity's demand."""
-    return np.array([c.demand for c in demands.commodities], dtype=float)
-
-
 def _routable_tunnels(
     cache: ShortestPathCache,
     demands: DemandMatrix,
@@ -192,34 +189,48 @@ class TeProgram:
     """A TE program: the layout needed to decode its solution, and its LP.
 
     Column j of ``loads`` (edges x variables) is the load one unit of variable
-    ``first_tunnel_var + j`` puts on each edge: the flows of ``tunnels`` in
-    order, or in the MP baseline (no tunnels) each commodity's edge flows (an
-    identity block) and, for MF, its delivered amount (a zero column). A
-    tunnel program's LP is assembled from its loads when first read, so a
+    ``first_tunnel_var + j`` puts on each edge: the flow of the tunnel of
+    commodity ``commodity[j]`` through ``middlepoints[j]`` (padded with
+    node_count), or in the MP baseline (both None) each commodity's edge
+    flows (an identity block) and, for MF, its delivered amount (a zero
+    column). The LP and the ``tunnels`` are made when first read, so a
     program that only decodes a solution found in another model never
-    assembles it.
+    assembles its LP, and only a printed solution's makes tunnels.
     """
 
     kind: str
     network: FlowNetwork
     demands: DemandMatrix
-    tunnels: list[Tunnel]
     first_tunnel_var: int
     loads: csr_matrix
-    commodity: Optional[np.ndarray] = None  # each tunnel's commodity; None in MP
+    commodity: Optional[np.ndarray] = None
+    middlepoints: Optional[np.ndarray] = None
 
     @cached_property
     def lp(self) -> SparseLp:
         return _tunnel_lp(self)
+
+    @cached_property
+    def tunnels(self) -> list[Tunnel]:
+        """Each column's tunnel, in column order; none in MP."""
+        if self.commodity is None:
+            return []
+        pad = self.network.node_count
+        ends = [(c.source, c.sink) for c in self.demands.commodities]
+        return [
+            Tunnel(i, (ends[i][0], *(v for v in mids if v != pad), ends[i][1]))
+            for i, mids in zip(self.commodity.tolist(), self.middlepoints.tolist())
+        ]
 
 
 @dataclass(eq=False)
 class TeSolution:
     """Decoded TE result; theta for LU, satisfied totals for MF.
 
-    Keeps the solved tunnel flows and edge utilizations as read from the LP;
-    the dicts keyed by tunnel or edge are built when first read, since
-    selection reads only theta of every subproblem but the one it returns.
+    An optimal solution keeps its program, the flow of each of its load
+    columns and the edge utilizations as arrays; the dicts keyed by tunnel or
+    edge are built when first read, since selection reads only theta of
+    every subproblem but the one it returns.
     """
 
     kind: str
@@ -228,8 +239,8 @@ class TeSolution:
     satisfied_total: Optional[float] = None
     satisfaction_ratio: Optional[float] = None
     solve_ms: float = 0.0
-    tunnels: Sequence[Tunnel] = ()
-    flows: Sequence[float] = ()  # one per tunnel, in the same order
+    program: Optional[TeProgram] = None
+    flows: np.ndarray = field(default_factory=lambda: np.zeros(0))
     utilization: np.ndarray = field(default_factory=lambda: np.zeros(0))
     basis: Optional[highs.HighsBasis] = None  # the optimal basis (LpSolution)
     duals: Optional[np.ndarray] = None  # the optimal row duals (LpSolution)
@@ -240,13 +251,15 @@ class TeSolution:
 
     @cached_property
     def split_ratios(self) -> dict[Tunnel, float]:
-        totals: dict[int, float] = {}
-        for tun, flow in zip(self.tunnels, self.flows):
-            totals[tun.commodity] = totals.get(tun.commodity, 0.0) + flow
-        return {
-            tun: (flow / totals[tun.commodity] if totals[tun.commodity] > 0 else 0.0)
-            for tun, flow in zip(self.tunnels, self.flows)
-        }
+        """Each tunnel's share of its commodity's flow (0.0 where that flow
+        is 0), the flows summed in column order; empty in MP."""
+        program = self.program
+        if program is None or program.commodity is None:
+            return {}
+        flows, commodity = self.flows, program.commodity
+        totals = np.bincount(commodity, flows)[commodity]
+        ratios = np.divide(flows, totals, out=np.zeros(len(flows)), where=totals > 0)
+        return dict(zip(program.tunnels, ratios.tolist()))
 
     @cached_property
     def edge_utilization(self) -> dict[int, float]:
@@ -264,8 +277,9 @@ def _share_an_edge(segments: Sequence[SegmentFractions]) -> bool:
 
 def _tunnel_loads(
     cache: ShortestPathCache, tunnels: Sequence[Tunnel]
-) -> tuple[list[int], list[int], list[float]]:
-    """Edge index, tunnel size and load of every nonzero of the load matrix.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each tunnel's nonzero count in the load matrix, then the edge index
+    and load of every nonzero, tunnel by tunnel.
 
     Each load equals float(exact load): a segment's own correctly rounded
     count / sigma where one segment uses the edge, and otherwise the exact sum
@@ -277,8 +291,7 @@ def _tunnel_loads(
     loads: list[float] = []
     fractions = cache.fractions
     for tun in tunnels:
-        w = tun.waypoints
-        segments = [fractions(a, b) for a, b in zip(w, w[1:])]
+        segments = [fractions(a, b) for a, b in tun.segments]
         if len(segments) == 1 or not _share_an_edge(segments):
             start = len(edges)
             for seg in segments:
@@ -295,7 +308,7 @@ def _tunnel_loads(
         edges.extend(numerators)
         loads.extend(num / denominator for num in numerators.values())
         sizes.append(len(numerators))
-    return edges, sizes, loads
+    return np.array(sizes, dtype=np.intp), np.array(edges, dtype=np.intp), np.array(loads)
 
 
 def _csr(parts, shape) -> csr_matrix:
@@ -333,11 +346,12 @@ def _build_tunnel_program(
 ) -> TeProgram:
     groups = tunnels_by_commodity
     tunnels = [tun for group in groups for tun in group]
-    edge_rows, sizes, loads = _tunnel_loads(cache, tunnels)
     commodity = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    mids = [tun.middlepoints for tun in tunnels]
+    middlepoints = _padded(mids, cache.network.node_count, max(map(len, mids), default=0))
     return _tunnel_program(
-        kind, cache.network, demands, tunnels, commodity,
-        np.array(edge_rows, dtype=np.intp), sizes, np.array(loads, dtype=float),
+        kind, cache.network, demands, commodity, middlepoints,
+        *_tunnel_loads(cache, tunnels),
     )
 
 
@@ -345,37 +359,36 @@ def _tunnel_program(
     kind: str,
     network: FlowNetwork,
     demands: DemandMatrix,
-    tunnels: list[Tunnel],
     commodity: np.ndarray,
+    middlepoints: np.ndarray,
+    sizes: np.ndarray,
     edge_rows: np.ndarray,
-    sizes: Sequence[int],
     loads: np.ndarray,
 ) -> TeProgram:
-    """The program over the given tunnels in order.
-
-    ``commodity`` holds each tunnel's commodity; the loads of tunnel j are
-    the next ``sizes[j]`` entries of ``edge_rows`` and ``loads``, on distinct
-    edges. The entries come column by column, so every matrix is cut
-    straight into CSR arrays.
+    """The program over the given tunnels in order: tunnel j of commodity
+    ``commodity[j]`` through ``middlepoints[j]`` (padded with node_count),
+    whose loads are the next ``sizes[j]`` entries of ``edge_rows`` and
+    ``loads``, on distinct edges. The entries come column by column, so
+    every matrix is cut straight into CSR arrays.
     """
-    volume = _volume(demands)
+    volume = demands.volumes
     if kind == LU:
         served = np.bincount(commodity, minlength=len(volume))
         missing = np.flatnonzero((volume > 0) & (served == 0))
         if missing.size:
             raise NoTunnelError(demands.commodities[missing[0]])
-    tunnel_cols = np.repeat(np.arange(len(tunnels)), sizes)
+    tunnel_cols = np.repeat(np.arange(len(commodity)), sizes)
     load_matrix = _row_major(
-        [(edge_rows, tunnel_cols, loads)], (network.edge_count, len(tunnels))
+        [(edge_rows, tunnel_cols, loads)], (network.edge_count, len(commodity))
     )
     first = 1 if kind == LU else 0  # theta comes first in LU
-    return TeProgram(kind, network, demands, tunnels, first, load_matrix, commodity)
+    return TeProgram(kind, network, demands, first, load_matrix, commodity, middlepoints)
 
 
 def _tunnel_lp(program: TeProgram) -> SparseLp:
     """The LU or MF LP of a tunnel program, assembled from its loads."""
     kind, network, commodity = program.kind, program.network, program.commodity
-    volume = _volume(program.demands)
+    volume = program.demands.volumes
     load_matrix = program.loads
     count, edge_count = load_matrix.shape[1], network.edge_count
     first = program.first_tunnel_var
@@ -449,7 +462,8 @@ class TunnelPool:
     order: array for array the program ``build_te_lu`` or ``build_te_mf``
     builds from ``tunnels_for_middlepoints`` for that set. A selection run
     covers its sets (or each round's) at once, so the pool never holds a
-    tunnel no set uses.
+    tunnel no set uses. A column is arrays only: its commodity, padded
+    middlepoints and loads.
     """
 
     def __init__(
@@ -458,7 +472,6 @@ class TunnelPool:
         self.cache = cache
         self.demands = demands
         self.max_middlepoints = max_middlepoints
-        self._tunnels: dict[int, Tunnel] = {}  # by column, made when first read
         self._covered: set[tuple[int, ...]] = set()  # sorted middlepoint sets
         self._commodity = np.zeros(0, dtype=np.intp)
         # Each column's middlepoints, padded with node_count, which every set
@@ -494,14 +507,11 @@ class TunnelPool:
         fresh_sets -= self._covered
         if not fresh_sets:
             return
-        node_count, width = self.cache.network.node_count, self._middlepoints.shape[1]
-        pad = (node_count,) * width
+        node_count = self.cache.network.node_count
         sequences = [
             perm for mids in fresh_sets for perm in itertools.permutations(mids)
         ]
-        padded = np.array(
-            [(seq + pad)[:width] for seq in sequences], dtype=np.intp
-        ).reshape(len(sequences), width)
+        padded = _padded(sequences, node_count, self._middlepoints.shape[1])
         columns = None
         if self.cache.segments is not None:
             columns = _matrix_columns(self.cache.segments, self._ends, padded)
@@ -522,27 +532,6 @@ class TunnelPool:
         self._order = np.lexsort((*key.T[::-1], self._commodity))
         self._covered |= fresh_sets
 
-    @property
-    def tunnels(self) -> list[Tunnel]:
-        """Every column's tunnel, in column order."""
-        return self._tunnels_of(list(range(len(self._commodity))))
-
-    def _tunnels_of(self, columns: list[int]) -> list[Tunnel]:
-        """The given columns' tunnels. Most columns of a greedy run are only
-        ever solved as added columns, so a tunnel is made when first read."""
-        made = self._tunnels
-        missing = [j for j in columns if j not in made]
-        if missing:
-            node_count = self.cache.network.node_count
-            sources, sinks = self._ends.tolist()
-            for j, i, mids in zip(
-                missing, self._commodity[missing].tolist(),
-                self._middlepoints[missing].tolist(),
-            ):
-                waypoints = (sources[i], *(v for v in mids if v != node_count), sinks[i])
-                made[j] = Tunnel(i, waypoints)
-        return [made[j] for j in columns]
-
     def _columns(self, middlepoints: Iterable[int]) -> np.ndarray:
         """The pool columns whose middlepoints all lie in the set, in
         (commodity, waypoints) order."""
@@ -562,16 +551,16 @@ class TunnelPool:
         """The TE program over the given columns, in order."""
         positions, sizes = _gather(self._ptr, keep)
         return _tunnel_program(
-            kind, self.cache.network, self.demands,
-            self._tunnels_of(keep.tolist()), self._commodity[keep],
-            self._edge_rows[positions], sizes, self._loads[positions],
+            kind, self.cache.network, self.demands, self._commodity[keep],
+            self._middlepoints[keep], sizes, self._edge_rows[positions],
+            self._loads[positions],
         )
 
     @cached_property
     def _demand_row(self) -> np.ndarray:
         """Each commodity's demand row in every LU program of the pool,
         after the edge rows; -1 without one."""
-        positive = _volume(self.demands) > 0
+        positive = self.demands.volumes > 0
         return np.where(
             positive, self.cache.network.edge_count + np.cumsum(positive) - 1, -1
         )
@@ -634,7 +623,7 @@ class ExtensionModel:
             program, sol.x, sol.x[program.first_tunnel_var:],
             np.concatenate((program.commodity, pool._commodity[columns])),
         )
-        width, edge_count = len(program.tunnels), program.network.edge_count
+        width, edge_count = program.loads.shape[1], program.network.edge_count
         # The demand rows come after the edge rows: their bins are cut off.
         load = program.loads @ flows[:width] + np.bincount(
             rows, values * np.repeat(flows[width:], np.diff(ptr)),
@@ -719,7 +708,7 @@ def extension_bounds(
     label[list(nodes)] = np.arange(len(nodes))
     labels = label[pool._middlepoints]
     outside = (labels != -1).sum(axis=1)
-    volume = _volume(pool.demands)
+    volume = pool.demands.volumes
     commodities = len(volume)
     own = pool._order[outside[pool._order] == 0]  # by commodity
     least = _least(costs[own], pool._commodity[own], commodities)
@@ -732,6 +721,12 @@ def extension_bounds(
     ).reshape(len(nodes), commodities)
     positive = volume > 0
     return np.minimum(cheapest, least)[:, positive] @ volume[positive]
+
+
+def _padded(seqs: Sequence[tuple[int, ...]], pad: int, width: int) -> np.ndarray:
+    """The sequences as rows of ``width`` columns, padded with ``pad``."""
+    rows = [(*seq, *(pad,) * (width - len(seq))) for seq in seqs]
+    return np.array(rows, dtype=np.intp).reshape(len(rows), width)
 
 
 def _appended(array: np.ndarray, rows: Sequence) -> np.ndarray:
@@ -763,13 +758,10 @@ def _exact_columns(
     tunnels = [
         tun for group in _routable_tunnels(cache, demands, sequences) for tun in group
     ]
-    edge_rows, sizes, loads = _tunnel_loads(cache, tunnels)
     return (
         np.array([tun.commodity for tun in tunnels], dtype=np.intp),
         np.array([position[tun.middlepoints] for tun in tunnels], dtype=np.intp),
-        np.array(sizes, dtype=np.intp),
-        np.array(edge_rows, dtype=np.intp),
-        np.array(loads, dtype=float),
+        *_tunnel_loads(cache, tunnels),
     )
 
 
@@ -864,7 +856,7 @@ def _met_flows(
     of it raises ArithmeticError.
     """
     commodities = program.demands.commodities
-    volume = _volume(program.demands)
+    volume = program.demands.volumes
     if commodity is None:
         # MP: the = rows with a right side are the positive demands' source
         # balances, commodity by commodity.
@@ -945,7 +937,7 @@ def _certify(program: TeProgram, duals: np.ndarray, theta: float) -> None:
     stops once the reduced costs are within an absolute tolerance, which
     lets a program with tiny duals (capacities in a large unit) stop far
     from its optimum at a feasible point the other checks accept."""
-    volume = _volume(program.demands)
+    volume = program.demands.volumes
     weights = dual_weights(program.network, duals)
     if program.commodity is None:  # MP
         least = _path_costs(program.network, program.demands, weights)
@@ -977,7 +969,7 @@ def _decoded(program: TeProgram, sol: LpSolution, solve_ms: float) -> TeSolution
     """A solution of the program, whose point is in the program's column
     order, decoded into utilizations with theta checked against them; an LU
     theta is also certified by the row duals. An optimal solution keeps its
-    basis and duals."""
+    program, basis and duals."""
     result = TeSolution(
         program.kind, sol.status, solve_ms=solve_ms, basis=sol.basis,
         duals=sol.duals,
@@ -988,8 +980,7 @@ def _decoded(program: TeProgram, sol: LpSolution, solve_ms: float) -> TeSolution
     flows = sol.x[program.first_tunnel_var:]
     if program.kind == LU:
         flows = _met_flows(program, sol.x, flows, program.commodity)
-    result.tunnels = program.tunnels
-    result.flows = flows[:len(program.tunnels)].tolist()
+    result.program, result.flows = program, flows
     # Each row of the load matrix lists its tunnels in order, so every edge's
     # load is summed in tunnel order.
     result.utilization = (program.loads @ flows) / program.network.float_capacities
@@ -1028,7 +1019,7 @@ def build_mp_baseline(
     ends = np.array(tails + [e.head for e in network.edges], dtype=np.intp)
     sources = np.array([c.source for c in demands.commodities], dtype=np.intp)
     sinks = np.array([c.sink for c in demands.commodities], dtype=np.intp)
-    volume = _volume(demands)
+    volume = demands.volumes
     capacities = network.float_capacities
     index = np.arange(count)
     block = first + width * index  # commodity i's flow on edge e: block[i] + e
@@ -1070,6 +1061,6 @@ def build_mp_baseline(
     )
     loads = _csr([(flow_edges, flow_cols - first, ones)],
                  (edge_count, variables - first))
-    program = TeProgram(kind, network, demands, [], first, loads)
+    program = TeProgram(kind, network, demands, first, loads)
     program.lp = lp  # the arc-flow LP: not assembled from the loads
     return program

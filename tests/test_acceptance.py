@@ -83,7 +83,7 @@ def test_criterion_1_hand_lp_exactness():
         tunnels = tunnels_for_middlepoints(cache, demands, [1], 1)
         te = solve_te(build_te_lu(cache, demands, tunnels))
         assert te.theta == pytest.approx(3 / 5, abs=1e-6)
-        flows = {t.waypoints: f for t, f in zip(te.tunnels, te.flows)}
+        flows = {t.waypoints: f for t, f in zip(te.program.tunnels, te.flows)}
         assert flows[(0, 2)] == pytest.approx(9 / 5, abs=1e-6)
         assert flows[(0, 1, 2)] == pytest.approx(6 / 5, abs=1e-6)
         return "theta 0.6 and 3/5 with exact flows"

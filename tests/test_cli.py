@@ -1120,6 +1120,40 @@ class TestOracleSuites:
         assert out == "maxflow-mincut,3,0,pass\n"
 
 
+def test_tunnels_are_made_only_for_the_printed_solution(
+    capsys, tmp_path, monkeypatch
+):
+    """Sweeps and greedy rankings solve column slices of the tunnel pool as
+    arrays: a gsp sweep and a greedy selection make no ``Tunnel``, and
+    ``srte solve --method greedy`` makes only the tunnels it prints."""
+    import srte.te
+    from srte.selection import greedy_select
+
+    net = random_connected_digraph(30, 120, 4001, max_capacity=10)
+    demands = generate_gravity_demands(net, 100, 4501)
+    topo, dem = tmp_path / "t.topo", tmp_path / "t.dem"
+    topo.write_text(serialize_topology(net))
+    dem.write_text("".join(
+        f"DEMAND {net.node_names[c.source]} {net.node_names[c.sink]} "
+        f"{c.demand!r}\n" for c in demands.commodities
+    ))
+    made, real = [], srte.te.Tunnel
+    monkeypatch.setattr(
+        srte.te, "Tunnel", lambda *args: made.append(args) or real(*args)
+    )
+    inputs = ("--topology", topo, "--demands", dem, "--m", "1")
+    code, out, _ = run(capsys, "sweep", *inputs, "--method", "gsp", "--sweep-k", "1:6")
+    assert code == 0 and len(out.splitlines()) == 7
+    assert made == []
+    result = greedy_select(net, demands, range(net.node_count), 4, 1)
+    assert len(result.middlepoints) == 4 and result.subproblems_solved > 50
+    assert made == []
+    code, out, _ = run(capsys, "solve", *inputs, "--method", "greedy", "--k", "4")
+    assert code == 0
+    printed = json.loads(out)["split_ratios"]
+    assert len(made) == sum(len(tunnels) for tunnels in printed.values()) > 100
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

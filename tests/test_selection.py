@@ -301,14 +301,14 @@ class TestTunnelPoolSelection:
             evaluated.append(list(middlepoints))
             warm.append(False)
             result = real(pool, middlepoints)
-            pool_sizes.append(len(pool.tunnels))
+            pool_sizes.append(len(pool._commodity))
             return result
 
         def recording_warm(model, node):
             evaluated.append([*model.middlepoints, node])
             warm.append(True)
             result = real_theta(model, node)
-            pool_sizes.append(len(model._pool.tunnels))
+            pool_sizes.append(len(model._pool._commodity))
             return result
 
         def bounding(pool, middlepoints, nodes, duals):

@@ -246,6 +246,20 @@ class TestDualBound:
         assert 2 * costs[0] + 0.5 * costs[1] == pytest.approx(sol.theta, rel=1e-12)
 
 
+def loop_split_ratios(sol):
+    """The split ratios as a loop over the tunnels and their flows makes
+    them: each commodity's total in tunnel order, then flow / total, or 0.0
+    where the total is 0."""
+    tunnels, flows = sol.program.tunnels, sol.flows.tolist()
+    totals = {}
+    for tun, flow in zip(tunnels, flows):
+        totals[tun.commodity] = totals.get(tun.commodity, 0.0) + flow
+    return {
+        tun: (flow / totals[tun.commodity] if totals[tun.commodity] > 0 else 0.0)
+        for tun, flow in zip(tunnels, flows)
+    }
+
+
 class TestTeLu:
     def test_middlepoint_fixture_exact(self, middlepoint_fixture):
         """Direct cap 3 vs detour cap 2, demand 3: theta* = 3/5, 9/5 / 6/5."""
@@ -253,7 +267,7 @@ class TestTeLu:
         sol = solve_lu(middlepoint_fixture, demands, [1], 1)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.theta == pytest.approx(0.6, abs=1e-6)
-        flows = {t.waypoints: f for t, f in zip(sol.tunnels, sol.flows)}
+        flows = {t.waypoints: f for t, f in zip(sol.program.tunnels, sol.flows)}
         assert flows[(0, 2)] == pytest.approx(1.8, abs=1e-6)
         assert flows[(0, 1, 2)] == pytest.approx(1.2, abs=1e-6)
 
@@ -271,6 +285,7 @@ class TestTeLu:
         sol = solve_lu(middlepoint_fixture, make_demands((0, 2, 3)), [1], 1)
         total = sum(sol.split_ratios.values())
         assert total == pytest.approx(1.0, abs=1e-9)
+        assert sol.split_ratios == loop_split_ratios(sol)
 
     def test_max_utilization_equals_theta(self, middlepoint_fixture):
         sol = solve_lu(middlepoint_fixture, make_demands((0, 2, 3)), [1], 1)
@@ -480,18 +495,42 @@ class TestSparseAssembly:
         assert len(lp.rows) == a_ub.shape[0]
         assert sum(len(coeffs) for coeffs, _, _ in lp.rows) == a_ub.nnz
 
-    @pytest.mark.parametrize("kind", [LU, MF])
-    def test_utilization_equals_loop_decode(self, kind):
+    @pytest.mark.parametrize("kind, net, demands", [
+        pytest.param(
+            LU, random_connected_digraph(9, 24, 4, max_capacity=7),
+            make_demands((0, 5, 3), (2, 7, 2), (6, 1, 1.5), (8, 3, 2)), id="lu",
+        ),
+        pytest.param(
+            MF, random_connected_digraph(9, 24, 4, max_capacity=7),
+            make_demands((0, 5, 3), (2, 7, 2), (6, 1, 1.5), (8, 3, 2)), id="mf",
+        ),
+        # Commodity (2, 7) has no demand, so no flow.
+        pytest.param(
+            LU, random_connected_digraph(9, 24, 4, max_capacity=7),
+            make_demands((0, 5, 3), (2, 7, 0), (6, 1, 1.5), (8, 3, 2)),
+            id="lu-zero-demand",
+        ),
+        # Not strongly connected: (3, 0) has no tunnel, and (5, 6) has one
+        # but no demand, so neither is served.
+        pytest.param(
+            MF, random_digraph(9, 0.25, 1, max_capacity=7),
+            make_demands((0, 8, 3), (3, 0, 1), (5, 6, 0), (2, 4, 2)),
+            id="mf-unserved",
+        ),
+    ])
+    def test_utilization_equals_loop_decode(self, kind, net, demands):
         """The mat-vec decode adds each edge's loads in tunnel order, exactly
-        as a loop over tunnels does, so the floats are equal, not close."""
-        net = random_connected_digraph(9, 24, 4, max_capacity=7)
-        demands = make_demands((0, 5, 3), (2, 7, 2), (6, 1, 1.5), (8, 3, 2))
+        as a loop over tunnels does, so the floats are equal, not close; and
+        the split ratios are those of the loop over the tunnels, a commodity
+        without flow giving each of its tunnels 0.0."""
         cache = ShortestPathCache(net)
         groups = tunnels_for_middlepoints(cache, demands, range(9), 2)
         builder = build_te_lu if kind == LU else build_te_mf
         sol = solve_te(builder(cache, demands, groups))
+        assert isinstance(sol.flows, np.ndarray)
+        assert sol.split_ratios == loop_split_ratios(sol)
         expected = {eid: 0.0 for eid in range(net.edge_count)}
-        for tun, flow in zip(sol.tunnels, sol.flows):
+        for tun, flow in zip(sol.program.tunnels, sol.flows.tolist()):
             loads = {}
             for a, b in tun.segments:
                 for eid, frac in cache.fractions(a, b).fractions.items():
@@ -724,6 +763,12 @@ def assert_same_program(got, want):
         assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
+def pool_tunnels(pool):
+    """Every pool column's tunnel, in column order: the tunnels of the MF
+    program over all columns, made from the pool's arrays."""
+    return pool._slice(np.arange(len(pool._commodity)), MF).tunnels
+
+
 class TestTunnelPool:
     def test_width_is_at_most_the_node_count(self):
         """A tunnel's middlepoints are distinct nodes, so the pool's padded
@@ -737,7 +782,7 @@ class TestTunnelPool:
         exact = TunnelPool(cache, demands, net.node_count)
         for mids in ((), (2,), (1, 2, 4), range(6)):
             assert_same_program(huge.program(mids), exact.program(mids))
-        assert len(huge.tunnels) == len(exact.tunnels) > 100
+        assert len(huge._commodity) == len(exact._commodity) > 100
 
     def test_slices_equal_fresh_builds(self):
         """Every set's pool program is build_te_lu over that set's tunnels,
@@ -790,7 +835,8 @@ class TestTunnelPool:
                     for group in tunnels_for_middlepoints(cache, demands, mids, m)
                     for tun in group
                 }
-                assert len(pool.tunnels) == len(held) and set(pool.tunnels) == held
+                tunnels = pool_tunnels(pool)
+                assert len(tunnels) == len(held) and set(tunnels) == held
         assert all(seen.values()), seen
 
     def test_cover_only_appends(self):
@@ -803,10 +849,11 @@ class TestTunnelPool:
         names = ("_commodity", "_middlepoints", "_ptr", "_edge_rows", "_loads")
         slices = []
         for batch in ([(1,)], [(2, 6)], [(1, 4), (0, 3, 6)], [range(9)]):
-            held = (list(pool.tunnels), *(getattr(pool, n).copy() for n in names))
+            held = (pool_tunnels(pool), *(getattr(pool, n).copy() for n in names))
             pool.cover(batch)
-            assert len(pool.tunnels) > len(held[0])
-            assert pool.tunnels[:len(held[0])] == held[0]
+            tunnels = pool_tunnels(pool)
+            assert len(tunnels) > len(held[0])
+            assert tunnels[:len(held[0])] == held[0]
             for name, old in zip(names, held[1:]):
                 new = getattr(pool, name)
                 assert new.dtype == old.dtype and np.array_equal(new[:len(old)], old)
@@ -826,7 +873,7 @@ class TestTunnelPool:
             pool = TunnelPool(ShortestPathCache(net), demands, m)
             for batch in ([(3,)], [(0, 5)], [(1, 2, 4)], [range(7)]):
                 pool.cover(batch)
-                tunnels = pool.tunnels
+                tunnels = pool_tunnels(pool)
                 want = sorted(
                     range(len(tunnels)),
                     key=lambda j: (tunnels[j].commodity, tunnels[j].waypoints),
@@ -853,13 +900,13 @@ def assert_same_pool(got, want):
         x, y = getattr(got, name), getattr(want, name)
         assert x.dtype == y.dtype and x.shape == y.shape, name
         assert x.tobytes() == y.tobytes(), name
-    assert got.tunnels == want.tunnels
+    assert pool_tunnels(got) == pool_tunnels(want)
 
 
 def assert_exact_loads(pool):
     """Each column lists its tunnel's edges in order of first use, each load
     float(exact load), the segments' Fraction(count, sigma) summed."""
-    for j, tun in enumerate(pool.tunnels):
+    for j, tun in enumerate(pool_tunnels(pool)):
         exact = {}
         for a, b in tun.segments:
             seg = pool.cache.fractions(a, b)
@@ -919,7 +966,7 @@ class TestSegmentMatrixColumns:
                 seen["columns"] += len(pool._commodity)
                 seen["shared"] += sum(
                     srte.te._share_an_edge([cache.fractions(a, b) for a, b in tun.segments])
-                    for tun in pool.tunnels
+                    for tun in pool_tunnels(pool)
                 )
             assert_exact_loads(pool)
         assert seen["matrix"] == 8 and all(seen.values()), seen
@@ -934,7 +981,7 @@ class TestSegmentMatrixColumns:
                 pool.cover(batch)
                 want.cover(batch)
                 assert_same_pool(pool, want)
-            assert pool.tunnels == [] and pool._middlepoints.shape == (0, m)
+            assert pool_tunnels(pool) == [] and pool._middlepoints.shape == (0, m)
 
     def assert_exact_fallback(self, net, demands, sets, m=1):
         """The pool equals the exact cover and every set's fresh build, and
@@ -961,7 +1008,7 @@ class TestSegmentMatrixColumns:
         cache, pool = self.assert_exact_fallback(net, demands, [[3 * 27], [1], [end - 1]])
         assert cache.segments is None
         assert cache.forward(0).sigma[end] == 2**54
-        assert {tun.commodity for tun in pool.tunnels} == {0, 1, 2}
+        assert set(pool._commodity.tolist()) == {0, 1, 2}
 
     def test_scaled_distances_past_2_to_the_63(self):
         """Costs 1/p over the first 20 primes: the cost scale is their
@@ -974,7 +1021,7 @@ class TestSegmentMatrixColumns:
         demands = make_demands((0, 8, 1), (3, 1, 0), (5, 2, 2.5), (7, 6, 1))
         cache, pool = self.assert_exact_fallback(net, demands, [[1, 4], [2, 6], [0, 7]], m=2)
         assert cache.segments is None
-        assert len(pool.tunnels) > 20
+        assert len(pool._commodity) > 20
 
     def assert_sum_falls_back(self, edges, w, t, monkeypatch):
         """Commodities (0, t) and (w, t), and the tunnel (0, w, t): the
