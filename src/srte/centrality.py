@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graph import FlowNetwork
-from .paths import INT64_END, ShortestPathCache, ShortestPathDag, pair_arrays
+from .paths import INT64_END, ShortestPathCache, ShortestPathDag
 
 # The kernel finds the pairs of a block of candidates at a time: about this
 # many (candidate, s, t) entries, and never fewer than one candidate's n^2.
@@ -65,8 +65,8 @@ class _PairKernel:
     def __init__(self, net: FlowNetwork, cache: ShortestPathCache | None):
         n = net.node_count
         cache = cache if cache is not None else ShortestPathCache(net)
-        pairs = cache.pairs or pair_arrays([cache.forward(s) for s in range(n)])
-        dist, sigma = pairs[0], pairs[1].copy()
+        dist, sigma = cache.pairs
+        sigma = sigma.copy()
         np.fill_diagonal(sigma, 0)  # (s, s) is no pair
         pair = sigma != 0
         self.unit = math.lcm(*np.unique(sigma[pair]).tolist())

@@ -287,7 +287,10 @@ def cmd_sweep(args) -> int:
         runs = []
         for token in args.sweep_methods.split(","):
             method, _, seed = token.partition(":")
-            seed = int(seed) if seed else args.seed
+            try:
+                seed = int(seed) if seed else args.seed
+            except ValueError as exc:
+                raise UsageError(f"bad seed in sweep method {token!r}") from exc
             runs.append((token, method, args.k, args.m, seed))
             _check_point(network, args, method, args.k, args.m)
 

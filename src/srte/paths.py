@@ -8,11 +8,11 @@ edge is kept as an integer path count over the segment's path count, with
 its correctly rounded float.
 
 ``ShortestPathCache.pairs`` holds the all-pairs distances and path counts
-as int64 arrays, for networks where they fit (``pair_arrays``); the
-centralities rank on them. ``SegmentMatrix`` holds every segment's
-fractions at once, as CSR rows over the same arrays, for networks whose
-counts also fit a float exactly (``ShortestPathCache.segments``); the tunnel
-pool builds its load columns from it.
+as arrays (``pair_arrays``), int64 where they fit and Python ints
+otherwise; the centralities rank on them. ``SegmentMatrix`` holds every
+segment's fractions at once, as CSR rows over the same arrays
+(``ShortestPathCache.segments``), on every network; every tunnel load column
+is built from it.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from .graph import FlowNetwork
 
 # The all-pairs arrays are int64 while every scaled distance is below
 # DIST_LIMIT, so a sum of three fits, and every path count below INT64_END.
-# The segment matrix also needs every scaled cost below DIST_LIMIT and every
-# path count below FLOAT_EXACT, so a float holds it exactly and count /
-# sigma rounds once.
+# The segment matrix's distances are int64 while also every scaled cost is
+# below DIST_LIMIT, and its path counts while below FLOAT_EXACT, so a float
+# holds each exactly and count / sigma rounds once.
 DIST_LIMIT = 1 << 61
 FLOAT_EXACT = 1 << 53
 INT64_END = 1 << 63
@@ -202,13 +202,16 @@ def pair_arrays(dags: Sequence[ShortestPathDag]) -> tuple[np.ndarray, np.ndarray
 
 
 class SegmentMatrix:
-    """Every segment's ECMP loads as CSR rows over exact int64 arrays.
+    """Every segment's ECMP loads as CSR rows over exact all-pairs arrays.
 
-    ``dist`` and ``sigma`` are the all-pairs scaled distances and path counts
-    (n x n int64) of the forward DAGs: d(u, v) times ``cost_scale``, or
-    DIST_LIMIT where v is unreachable from u, and the number of shortest u-v
-    paths (0 where unreachable, 1 from a node to itself); ``reach`` is
-    dist < DIST_LIMIT. No backward DAG is needed: d(b, v) is dist[b, v].
+    ``dist`` and ``sigma`` are the cache's ``pairs``: the all-pairs scaled
+    distances (beyond every distance where v is unreachable from u) and path
+    counts (0 where unreachable, 1 from a node to itself) of the forward
+    DAGs; ``reach`` is sigma != 0. No backward DAG is needed: d(b, v) is
+    dist[b, v]. ``dist`` and the scaled costs are int64 where every scaled
+    cost and distance is below DIST_LIMIT, ``sigma`` and ``counts`` where
+    every path count is below FLOAT_EXACT, and each is Python ints
+    (``dtype=object``) otherwise: the same code, exact either way.
 
     Segment (u, v) is row u * n + v: entries ``starts[r]`` to ``starts[r] +
     sizes[r]`` of ``edges``, ``counts`` and ``loads``, in the order of
@@ -219,36 +222,27 @@ class SegmentMatrix:
     (u, u) stay.
     """
 
-    def __init__(self, cache: "ShortestPathCache", dist: np.ndarray, sigma: np.ndarray):
+    def __init__(self, cache: "ShortestPathCache"):
         network = cache.network
         n = network.node_count
+        dist, sigma = cache.pairs
+        if max(network.scaled_costs, default=0) >= DIST_LIMIT:
+            dist = dist.astype(object)
+        if sigma.max(initial=0) >= FLOAT_EXACT:
+            sigma = sigma.astype(object)
         self._cache = cache
-        self.dist = dist
-        self.sigma = sigma
-        self.reach = dist < DIST_LIMIT
+        self.dist, self.sigma = dist, sigma
+        self.reach = sigma != 0
         self._tails = np.array([e.tail for e in network.edges], dtype=np.int64)
         self._heads = np.array([e.head for e in network.edges], dtype=np.int64)
-        self._costs = np.array(network.scaled_costs, dtype=np.int64)
+        self._costs = np.array(network.scaled_costs, dtype=dist.dtype)
         self._built = np.zeros(n, dtype=bool)
         self.starts = np.zeros(n * n, dtype=np.int64)
         self.sizes = np.zeros(n * n, dtype=np.int64)
         self.edges = np.zeros(0, dtype=np.int64)
-        self.counts = np.zeros(0, dtype=np.int64)
+        self.counts = np.zeros(0, dtype=sigma.dtype)
         self.loads = np.zeros(0)
         self.masks = np.zeros((n * n, (network.edge_count + 7) // 8), dtype=np.uint8)
-
-    @classmethod
-    def of(cls, cache: "ShortestPathCache") -> Optional["SegmentMatrix"]:
-        """The matrix of the cache's network, on its ``pairs``, or None where
-        a scaled cost or distance or a path count is too large."""
-        pairs = cache.pairs
-        if (
-            pairs is None
-            or max(cache.network.scaled_costs, default=0) >= DIST_LIMIT
-            or pairs[1].max(initial=0) >= FLOAT_EXACT
-        ):
-            return None
-        return cls(cache, *pairs)
 
     def build(self, sources: np.ndarray) -> None:
         """Make the rows of every given source that has none yet."""
@@ -267,14 +261,15 @@ class SegmentMatrix:
             tails, heads = self._tails[order], self._heads[order]
             du = self.dist[u]
             # Edge (a, b) is on a shortest u-v path iff d(u, a) + cost +
-            # d(b, v) equals d(u, v); no sum reaches 2^63, and one with an
-            # unreachable term exceeds every distance.
+            # d(b, v) equals d(u, v); no int64 sum reaches 2^63, and one with
+            # an unreachable term exceeds every distance.
             on = du[tails] + self._costs[order] + self.dist[heads].T == du[:, None]
             v, k = np.nonzero(on)
             count = self.sigma[u, tails[k]] * self.sigma[heads[k], v]
             edges.append(order[k])
             counts.append(count)
-            loads.append(count / self.sigma[u, v])
+            # Python ints divide correctly rounded, as int64 below 2^53 do.
+            loads.append(np.asarray(count / self.sigma[u, v], dtype=float))
             rows = slice(u * n, (u + 1) * n)
             sizes = np.count_nonzero(on, axis=1)
             self.starts[rows] = end + np.cumsum(sizes) - sizes
@@ -326,19 +321,14 @@ class ShortestPathCache:
         return self._fractions[key]
 
     @cached_property
-    def pairs(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """The read-only int64 ``pair_arrays`` of the network's forward DAGs,
-        or None where a scaled distance reaches DIST_LIMIT or a path count
-        does not fit int64."""
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only ``pair_arrays`` of the network's forward DAGs."""
         pairs = pair_arrays([self.forward(u) for u in range(self.network.node_count)])
-        if any(array.dtype == object for array in pairs):
-            return None
         for array in pairs:
             array.setflags(write=False)
         return pairs
 
     @cached_property
-    def segments(self) -> Optional[SegmentMatrix]:
-        """The network's ``SegmentMatrix``, or None where its distances or
-        path counts do not fit int64 exactly."""
-        return SegmentMatrix.of(self)
+    def segments(self) -> SegmentMatrix:
+        """The network's ``SegmentMatrix``."""
+        return SegmentMatrix(self)

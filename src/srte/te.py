@@ -26,19 +26,19 @@ plus one node at once.
 A ``TunnelPool`` serves a selection run that solves many middlepoint sets: it
 enumerates and loads each tunnel once, and each set's program is a column
 slice of it, identical to the program built for that set alone, cut straight
-into CSR arrays. A cover builds its load columns in NumPy from the
-network's exact segment matrix (``ShortestPathCache.segments``): each
-tunnel's column is its segments' rows concatenated, and where two segments
-share an edge their loads are summed exactly, as an int64 numerator over the
-LCM of their path counts. Where the matrix or such a sum does not fit, the
-cover takes the per-segment Python path that ``tunnels_for_middlepoints``
-and the builders use. An ``ExtensionModel`` keeps one set's LU slice loaded in
-HiGHS at its optimal basis and solves the slice of the set plus one node by
-adding only the columns that node brings, built from the pool's arrays: the
-pool only appends, so a column never moves. A ``ChainModel`` solves a chain
-of growing sets in one such model, which keeps the columns each set brings
-and goes on from each set's optimal basis, and decodes each solution as
-``solve_te`` does.
+into CSR arrays. Every tunnel load column, of a pool or of a program built
+from given tunnels, comes from one kernel over the network's exact segment
+matrix (``ShortestPathCache.segments``): each tunnel's column is its segments'
+rows concatenated, and where two segments share an edge their loads are summed
+exactly, as an integer numerator over the LCM of their path counts: on int64
+while no sum can reach 2^53, and on Python ints otherwise. Which tunnels route
+is read from the same matrix. An ``ExtensionModel`` keeps one set's LU slice
+loaded in HiGHS at its optimal basis and solves the slice of the set plus one
+node by adding only the columns that node brings, built from the pool's
+arrays: the pool only appends, so a column never moves. A ``ChainModel``
+solves a chain of growing sets in one such model, which keeps the columns each
+set brings and goes on from each set's optimal basis, and decodes each
+solution as ``solve_te`` does.
 
 All-nodes enumeration refuses, before enumerating anything, more than
 ``ALL_NODES_PAIR_CAP`` (commodity, middlepoint sequence) pairs.
@@ -61,7 +61,7 @@ from scipy.sparse import csr_matrix
 
 from .graph import Commodity, DemandMatrix, FlowNetwork
 from .lp import LpModel, LpSolution, LpStatus, SparseLp, highs, solve_lp
-from .paths import FLOAT_EXACT, SegmentFractions, SegmentMatrix, ShortestPathCache
+from .paths import FLOAT_EXACT, SegmentMatrix, ShortestPathCache, UnreachableSegment
 
 LU = "lu"
 MF = "mf"
@@ -118,28 +118,6 @@ class Tunnel:
         return tuple(zip(self.waypoints, self.waypoints[1:]))
 
 
-def _routable_tunnels(
-    cache: ShortestPathCache,
-    demands: DemandMatrix,
-    sequences: Sequence[tuple[int, ...]],
-) -> list[list[Tunnel]]:
-    """Each commodity's tunnels through those middlepoint sequences that
-    avoid its endpoints and whose segments are all reachable, in sequence
-    order."""
-    groups = []
-    for i, c in enumerate(demands.commodities):
-        s, t = c.source, c.sink
-        tunnels = []
-        for seq in sequences:
-            if s in seq or t in seq:
-                continue
-            waypoints = (s, *seq, t)
-            if all(cache.reachable(a, b) for a, b in zip(waypoints, waypoints[1:])):
-                tunnels.append(Tunnel(i, waypoints))
-        groups.append(tunnels)
-    return groups
-
-
 def tunnels_for_middlepoints(
     cache: ShortestPathCache,
     demands: DemandMatrix,
@@ -176,9 +154,13 @@ def tunnels_for_middlepoints(
             f"{pairs} (commodity, middlepoint sequence) pairs exceed the "
             f"all-nodes cap of {ALL_NODES_PAIR_CAP}"
         )
-    groups = _routable_tunnels(cache, demands, [
-        seq for size in sizes for seq in itertools.permutations(mids, size)
-    ])
+    sequences = [seq for size in sizes for seq in itertools.permutations(mids, size)]
+    padded = _padded(sequences, cache.network.node_count, max(sizes, default=0))
+    routable = _routable(cache.segments, _ends(demands), padded)
+    groups: list[list[Tunnel]] = [[] for _ in demands.commodities]
+    for i, j in zip(*(a.tolist() for a in np.nonzero(routable))):
+        c = demands.commodities[i]
+        groups[i].append(Tunnel(i, (c.source, *sequences[j], c.sink)))
     for tunnels in groups:
         tunnels.sort(key=lambda tun: tun.waypoints)
     return groups
@@ -266,51 +248,6 @@ class TeSolution:
         return dict(enumerate(self.utilization.tolist()))
 
 
-def _share_an_edge(segments: Sequence[SegmentFractions]) -> bool:
-    seen: set[int] = set()
-    for seg in segments:
-        if not seen.isdisjoint(seg.counts):
-            return True
-        seen.update(seg.counts)
-    return False
-
-
-def _tunnel_loads(
-    cache: ShortestPathCache, tunnels: Sequence[Tunnel]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each tunnel's nonzero count in the load matrix, then the edge index
-    and load of every nonzero, tunnel by tunnel.
-
-    Each load equals float(exact load): a segment's own correctly rounded
-    count / sigma where one segment uses the edge, and otherwise the exact sum
-    over the segments as one integer numerator over the LCM of their sigmas,
-    divided once. Summing per-segment floats could be an ulp off.
-    """
-    edges: list[int] = []
-    sizes: list[int] = []
-    loads: list[float] = []
-    fractions = cache.fractions
-    for tun in tunnels:
-        segments = [fractions(a, b) for a, b in tun.segments]
-        if len(segments) == 1 or not _share_an_edge(segments):
-            start = len(edges)
-            for seg in segments:
-                edges.extend(seg.counts)
-                loads.extend(seg.loads)
-            sizes.append(len(edges) - start)
-            continue
-        denominator = math.lcm(*(seg.sigma for seg in segments))
-        numerators: dict[int, int] = {}
-        for seg in segments:
-            factor = denominator // seg.sigma
-            for eid, count in seg.counts.items():
-                numerators[eid] = numerators.get(eid, 0) + count * factor
-        edges.extend(numerators)
-        loads.extend(num / denominator for num in numerators.values())
-        sizes.append(len(numerators))
-    return np.array(sizes, dtype=np.intp), np.array(edges, dtype=np.intp), np.array(loads)
-
-
 def _csr(parts, shape) -> csr_matrix:
     """The CSR matrix of (rows, cols, data) COO parts; duplicates add up."""
     rows, cols, data = (np.concatenate(p) for p in zip(*parts))
@@ -345,13 +282,12 @@ def _build_tunnel_program(
     tunnels_by_commodity: Sequence[Sequence[Tunnel]],
 ) -> TeProgram:
     groups = tunnels_by_commodity
-    tunnels = [tun for group in groups for tun in group]
     commodity = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-    mids = [tun.middlepoints for tun in tunnels]
+    mids = [tun.middlepoints for group in groups for tun in group]
     middlepoints = _padded(mids, cache.network.node_count, max(map(len, mids), default=0))
     return _tunnel_program(
         kind, cache.network, demands, commodity, middlepoints,
-        *_tunnel_loads(cache, tunnels),
+        *_tunnel_columns(cache.segments, _ends(demands), commodity, middlepoints),
     )
 
 
@@ -484,20 +420,14 @@ class TunnelPool:
         self._loads = np.zeros(0)
         # The columns in (commodity, waypoints) order.
         self._order = np.zeros(0, dtype=np.intp)
-        # Each commodity's source and sink.
-        self._ends = np.array(
-            [(c.source, c.sink) for c in demands.commodities], dtype=np.intp
-        ).reshape(-1, 2).T
+        self._ends = _ends(demands)
 
     def cover(self, sets: Iterable[Iterable[int]]) -> None:
         """Append the tunnels of the given middlepoint sets that are missing.
 
         A tunnel belongs to every set that contains its middlepoints, so the
         pool tracks which sets of <= max_middlepoints middlepoints it holds
-        all tunnels of, and enumerates only the tunnels of new ones. Their
-        columns come from the network's segment matrix or, where it or a
-        tunnel's exact sum does not fit int64, from the per-segment
-        fractions.
+        all tunnels of, and enumerates only the tunnels of new ones.
         """
         fresh_sets = set()
         for nodes in sets:
@@ -512,14 +442,12 @@ class TunnelPool:
             perm for mids in fresh_sets for perm in itertools.permutations(mids)
         ]
         padded = _padded(sequences, node_count, self._middlepoints.shape[1])
-        columns = None
-        if self.cache.segments is not None:
-            columns = _matrix_columns(self.cache.segments, self._ends, padded)
-        if columns is None:
-            columns = _exact_columns(self.cache, self.demands, sequences)
-        commodity, which, sizes, edge_rows, loads = columns
+        matrix = self.cache.segments
+        commodity, which = np.nonzero(_routable(matrix, self._ends, padded))
+        padded = padded[which]
+        sizes, edge_rows, loads = _tunnel_columns(matrix, self._ends, commodity, padded)
         self._commodity = _appended(self._commodity, commodity)
-        self._middlepoints = _appended(self._middlepoints, padded[which])
+        self._middlepoints = _appended(self._middlepoints, padded)
         self._ptr = _appended(self._ptr, self._ptr[-1] + np.cumsum(sizes, dtype=np.intp))
         self._edge_rows = _appended(self._edge_rows, edge_rows)
         self._loads = _appended(self._loads, loads)
@@ -748,48 +676,68 @@ def _positions(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
 
 
-def _exact_columns(
-    cache: ShortestPathCache,
-    demands: DemandMatrix,
-    sequences: Sequence[tuple[int, ...]],
-) -> tuple[np.ndarray, ...]:
-    """``_matrix_columns`` from the per-segment fractions, on Python ints."""
-    position = {seq: j for j, seq in enumerate(sequences)}
-    tunnels = [
-        tun for group in _routable_tunnels(cache, demands, sequences) for tun in group
-    ]
+def _ends(demands: DemandMatrix) -> np.ndarray:
+    """Each commodity's source (row 0) and sink (row 1)."""
+    return np.array(
+        [(c.source, c.sink) for c in demands.commodities], dtype=np.intp
+    ).reshape(-1, 2).T
+
+
+def _segments(
+    n: int, ends: np.ndarray, commodity: np.ndarray, middlepoints: np.ndarray
+) -> np.ndarray:
+    """The segments of the tunnels of ``commodity`` through ``middlepoints``
+    (padded with n; the two broadcast), as rows u * n + v of the segment
+    matrix, each tunnel's padded with its sink's (t, t), which has no
+    entries and sigma 1."""
+    sources, sinks = ends[0][commodity, None], ends[1][commodity, None]
+    mids = np.where(middlepoints == n, sinks, middlepoints)
+    shape = (*mids.shape[:-1], 1)
+    waypoints = np.concatenate((
+        np.broadcast_to(sources, shape), mids, np.broadcast_to(sinks, shape),
+    ), axis=-1)
+    return waypoints[..., :-1] * n + waypoints[..., 1:]
+
+
+def _routable(
+    matrix: SegmentMatrix, ends: np.ndarray, sequences: np.ndarray
+) -> np.ndarray:
+    """Which (commodity, sequence) pairs have a tunnel, commodities x
+    sequences: those whose sequence (padded with node_count) avoids the
+    commodity's endpoints and whose segments are all reachable. ``ends``
+    holds each commodity's source and sink."""
+    commodity = np.arange(ends.shape[1])[:, None]
+    sources, sinks = ends[0][commodity, None], ends[1][commodity, None]
+    segments = _segments(len(matrix.dist), ends, commodity, sequences)
     return (
-        np.array([tun.commodity for tun in tunnels], dtype=np.intp),
-        np.array([position[tun.middlepoints] for tun in tunnels], dtype=np.intp),
-        *_tunnel_loads(cache, tunnels),
+        ~((sequences == sources) | (sequences == sinks)).any(axis=2)
+        & matrix.reach.ravel()[segments].all(axis=2)
     )
 
 
-def _matrix_columns(
-    matrix: SegmentMatrix, ends: np.ndarray, sequences: np.ndarray
-) -> Optional[tuple[np.ndarray, ...]]:
-    """The load columns of every routable (commodity, sequence) pair's
-    tunnel, in commodity-major, then sequence, order, as ``_routable_tunnels``
-    and ``_tunnel_loads`` give them: (commodity, sequence index, sizes, edge
-    rows, loads). ``ends`` holds each commodity's source and sink, and
-    ``sequences`` the middlepoints padded with node_count. None where the
-    exact sum over the segments sharing an edge does not fit.
+def _tunnel_columns(
+    matrix: SegmentMatrix, ends: np.ndarray, commodity: np.ndarray,
+    middlepoints: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The load columns of the tunnels of ``commodity`` through
+    ``middlepoints`` (tunnels x width, padded with node_count): each
+    column's entry count, then the edge row and load of every entry, column
+    after column. ``ends`` holds each commodity's source and sink.
+
+    A column lists its tunnel's edges in order of first use. Each load
+    equals float(exact load): a segment's own correctly rounded count /
+    sigma where one segment uses the edge, and otherwise the exact sum over
+    the segments as one integer numerator over the LCM of their sigmas,
+    divided once (summing per-segment floats could be an ulp off). A
+    segment whose end is unreachable from its start raises
+    ``UnreachableSegment``.
     """
     n = len(matrix.dist)
-    sources, sinks = ends[0][:, None, None], ends[1][:, None, None]
-    width = sequences.shape[1]
-    # Each pair's waypoints, padded with its sink: a segment (t, t) has no
-    # entries and sigma 1.
-    waypoints = np.concatenate((
-        np.broadcast_to(sources, (len(ends[0]), len(sequences), 1)),
-        np.where(sequences == n, sinks, sequences),
-        np.broadcast_to(sinks, (len(ends[0]), len(sequences), 1)),
-    ), axis=2)
-    segments = waypoints[..., :-1] * n + waypoints[..., 1:]
-    routable = ~((sequences == sources) | (sequences == sinks)).any(axis=2)
-    routable &= matrix.reach.ravel()[segments].all(axis=2)
-    commodity, which = np.nonzero(routable)
-    segments = segments[commodity, which]  # tunnels x (width + 1)
+    width = middlepoints.shape[1]
+    segments = _segments(n, ends, commodity, middlepoints)  # tunnels x (width + 1)
+    reach = matrix.reach.ravel()[segments]
+    if not reach.all():
+        raise UnreachableSegment(*divmod(int(segments[~reach][0]), n))
     matrix.build(segments[segments // n != segments % n] // n)
     flat = segments.ravel()
     segment_sizes = matrix.sizes[flat]
@@ -804,39 +752,46 @@ def _matrix_columns(
         shared |= (seen & masks[:, k]).any(axis=1)
         seen = seen | masks[:, k]
     if not shared.any():
-        return commodity, which, sizes, edge_rows, loads
-    # Their loads, as _tunnel_loads sums them: an integer numerator over the
-    # LCM of their sigmas per edge, in order of first occurrence. Each term
-    # is at most the LCM, and there are at most width + 1 per edge.
-    sigma = matrix.sigma.ravel()
-    lcm = sigma[segments[shared, 0]]
-    for k in range(1, width + 1):
-        step = sigma[segments[shared, k]]
-        lcm = lcm // np.gcd(lcm, step)
-        if (lcm > (FLOAT_EXACT - 1) // step).any():
-            return None
-        lcm = lcm * step
+        return sizes, edge_rows, loads
+    # Their loads: an integer numerator over the LCM of their sigmas per
+    # edge, in order of first use. Each term is at most the LCM, and there
+    # are at most width + 1 per edge: while the LCMs are int64, every sum is
+    # below 2^53 and float64 divides it correctly rounded; Python ints do so
+    # at any size.
+    sigma = matrix.sigma.ravel()[segments[shared]]
+    lcm = _row_lcms(sigma, (FLOAT_EXACT - 1) // (width + 1))
     # Their entries, tunnel by tunnel: position, tunnel, numerator.
     picked = _positions((np.cumsum(sizes) - sizes)[shared], sizes[shared])
     tunnel = np.repeat(np.arange(len(lcm)), sizes[shared])
-    factors = lcm[:, None] // sigma[segments[shared]]
     numerators = matrix.counts[positions[picked]] * np.repeat(
-        factors.ravel(), segment_sizes.reshape(segments.shape)[shared].ravel()
+        (lcm[:, None] // sigma).ravel(),
+        segment_sizes.reshape(segments.shape)[shared].ravel(),
     )
     edges = edge_rows[picked]
     order = np.argsort(tunnel * (int(edges.max()) + 1) + edges, kind="stable")
     tunnel, edges = tunnel[order], edges[order]
     starts = np.flatnonzero(np.diff(tunnel, prepend=-1) | np.diff(edges, prepend=-1))
     sums = np.add.reduceat(numerators[order], starts)
-    if sums.max() >= FLOAT_EXACT:
-        return None
     first = picked[order[starts]]  # each (tunnel, edge)'s first entry
-    loads[first] = sums / lcm[tunnel[starts]]
+    loads[first] = np.asarray(sums / lcm[tunnel[starts]], dtype=float)
     keep = np.ones(len(edge_rows), dtype=bool)
     keep[picked] = False
     keep[first] = True
     sizes[shared] = np.bincount(tunnel[starts], minlength=len(lcm))
-    return commodity, which, sizes, edge_rows[keep], loads[keep]
+    return sizes, edge_rows[keep], loads[keep]
+
+
+def _row_lcms(values: np.ndarray, limit: int) -> np.ndarray:
+    """The LCM of each row of positive integers: int64 for int64 rows whose
+    every LCM is at most ``limit`` (below 2^63), and Python ints
+    (``dtype=object``) otherwise."""
+    lcm = values[:, 0]
+    for k in range(1, values.shape[1]):
+        step = values[:, k] // np.gcd(lcm, values[:, k])
+        if lcm.dtype != object and (lcm > limit // step).any():
+            lcm = lcm.astype(object)
+        lcm = lcm * step
+    return lcm
 
 
 def _met_flows(

@@ -295,6 +295,51 @@ def reference_greedy_group_scores(net, k):
     return chosen, scores
 
 
+def segments_share_an_edge(segments):
+    """Whether two of the SegmentFractions use the same edge."""
+    seen: set[int] = set()
+    for seg in segments:
+        if not seen.isdisjoint(seg.counts):
+            return True
+        seen.update(seg.counts)
+    return False
+
+
+def reference_tunnel_loads(cache, tunnels):
+    """Each tunnel's nonzero count in the load matrix, then the edge index
+    and load of every nonzero, tunnel by tunnel, walked in Python over each
+    segment's fractions (``ShortestPathCache.fractions``): the reference
+    the segment matrix's load columns are tested against.
+
+    Each load equals float(exact load): a segment's own correctly rounded
+    count / sigma where one segment uses the edge, and otherwise the exact
+    sum over the segments as one integer numerator over the LCM of their
+    sigmas, divided once.
+    """
+    edges: list[int] = []
+    sizes: list[int] = []
+    loads: list[float] = []
+    for tun in tunnels:
+        segments = [cache.fractions(a, b) for a, b in tun.segments]
+        if not segments_share_an_edge(segments):
+            start = len(edges)
+            for seg in segments:
+                edges.extend(seg.counts)
+                loads.extend(seg.loads)
+            sizes.append(len(edges) - start)
+            continue
+        denominator = math.lcm(*(seg.sigma for seg in segments))
+        numerators: dict[int, int] = {}
+        for seg in segments:
+            factor = denominator // seg.sigma
+            for eid, count in seg.counts.items():
+                numerators[eid] = numerators.get(eid, 0) + count * factor
+        edges.extend(numerators)
+        loads.extend(num / denominator for num in numerators.values())
+        sizes.append(len(numerators))
+    return np.array(sizes, dtype=np.intp), np.array(edges, dtype=np.intp), np.array(loads)
+
+
 def split_lp():
     """Hand-solved two-route balance LP: theta* = 0.6, f1 = 1.8, f2 = 1.2.
 

@@ -66,9 +66,11 @@ def test_traced_solve_prints_the_same_and_counts_the_lp():
     assert t.counts["tunnels"] == lp.num_vars - 1
     assert t.calls["lp.solve_lp"] == t.calls["lp.linprog"] == 1
     assert t.counts["highs_iterations"] > 0
-    # Every segment's fractions were computed once, through the module global.
-    segments = {seg for group in tunnels for tun in group for seg in tun.segments}
-    assert t.calls["paths.segment_fractions"] == len(segments)
+    # Every load column comes from the segment matrix, which reads one
+    # forward DAG per node, each computed once through the module global;
+    # no segment takes the per-segment Python walk.
+    assert t.calls["paths.segment_fractions"] == 0
+    assert t.calls["paths.sp_dag"] == network.node_count
 
 
 def bound_sites():

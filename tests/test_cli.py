@@ -30,7 +30,7 @@ from srte.graph import (
 from srte.oracles import group_flow
 from srte.paths import ShortestPathCache
 
-from conftest import enumerate_shortest_paths
+from conftest import diamond_chain, enumerate_shortest_paths
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -179,6 +179,19 @@ class TestSolve:
         )
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
+
+    def test_golden_all_nodes_on_a_wide_network(self, capsys, tmp_path):
+        """54 diamonds in a chain: 2^54 shortest paths end to end, so the
+        segment matrix holds its path counts as Python ints."""
+        topo, dem = tmp_path / "chain54.topo", tmp_path / "chain54.dem"
+        topo.write_text(serialize_topology(diamond_chain(54)))
+        dem.write_text("DEMAND n0 n162 1\nDEMAND n3 n159 2\nDEMAND n156 n162 1\n")
+        code, out, _ = run(
+            capsys, "solve", "--topology", topo, "--demands", dem,
+            "--method", "all-nodes", "--m", "1",
+        )
+        assert code == 0
+        assert out == (GOLDEN / "solve_all_nodes_m1_chain54.json").read_text()
 
     @pytest.mark.parametrize("method", ["gsp", "greedy", "optimal"])
     def test_m_beyond_the_node_count_prints_the_same(self, capsys, method):
@@ -682,6 +695,14 @@ class TestInputErrors:
             f"base 10: {bad}\n"
         )
 
+    @pytest.mark.parametrize("token", ["random:x", "gsp:1.5"])
+    def test_malformed_sweep_seed_is_named(self, capsys, token):
+        err = self.assert_rejected(
+            capsys, "sweep", "--topology", DATA / "net10.topo",
+            "--demands", DATA / "net10.dem", "--sweep-methods", f"sp,{token}",
+        )
+        assert err == f"error: bad seed in sweep method {token!r}\n"
+
     @pytest.mark.parametrize("axes", [
         ("--sweep-k", "1:3", "--sweep-m", "1"),
         ("--sweep-k", "1", "--sweep-methods", "gsp"),
@@ -879,8 +900,8 @@ class TestInputErrors:
         import srte.te
 
         cap = srte.te.ALL_NODES_PAIR_CAP
-        real = srte.te._routable_tunnels
-        monkeypatch.setattr(srte.te, "_routable_tunnels", None)  # not reached
+        real = srte.te._routable
+        monkeypatch.setattr(srte.te, "_routable", None)  # not reached
         inputs = (
             "--topology", DATA / "net10.topo", "--demands", DATA / "net10.dem",
             "--method", "all-nodes",
@@ -890,7 +911,7 @@ class TestInputErrors:
             "error: 346405 (commodity, middlepoint sequence) pairs exceed the "
             f"all-nodes cap of {cap}\n"
         )
-        monkeypatch.setattr(srte.te, "_routable_tunnels", real)
+        monkeypatch.setattr(srte.te, "_routable", real)
         code, out, err = run(capsys, "sweep", *inputs, "--sweep-m", "1,100")
         first = run(capsys, "sweep", *inputs, "--sweep-m", "1")[1]
         assert code == 2

@@ -207,23 +207,33 @@ def test_segment_matrix_rows_equal_segment_fractions(net):
     the same edges in the same order, the same counts and sigma, and the
     same load bits; an unreachable segment's row is empty. The distances
     and path counts are those of the DAGs."""
+    assert_rows_are_segment_fractions(net)
+
+
+def assert_rows_are_segment_fractions(net, sources=None):
+    """The rows of the given sources (every node by default) are those of
+    segment_fractions; an unreachable node's distance is beyond every
+    distance, and at least DIST_LIMIT."""
     cache = ShortestPathCache(net)
     matrix = cache.segments
     n = net.node_count
-    matrix.build(np.arange(n))
-    checked = unreachable = 0
-    for u in range(n):
+    sources = range(n) if sources is None else sources
+    matrix.build(np.array(sources))
+    far = max(DIST_LIMIT, 1 + max(
+        d for u in range(n) for d in cache.forward(u).scaled_dist if d is not None
+    ))
+    checked = 0
+    for u in sources:
         dag = cache.forward(u)
         for v in range(n):
             want = dag.scaled_dist[v]
-            assert matrix.dist[u, v] == (DIST_LIMIT if want is None else want)
+            assert matrix.dist[u, v] == (far if want is None else want)
             assert matrix.sigma[u, v] == dag.sigma[v]
             row = u * n + v
             start, size = matrix.starts[row], matrix.sizes[row]
             entries = slice(start, start + size)
             if u == v or want is None:
                 assert size == 0 and not matrix.masks[row].any()
-                unreachable += want is None
                 continue
             seg = segment_fractions(net, u, v)
             assert matrix.edges[entries].tolist() == list(seg.counts)
@@ -235,7 +245,7 @@ def test_segment_matrix_rows_equal_segment_fractions(net):
             bits = np.unpackbits(matrix.masks[row], count=net.edge_count)
             assert np.flatnonzero(bits).tolist() == sorted(seg.counts)
             checked += 1
-    assert checked and matrix.reach.sum() == checked + n
+    assert checked and matrix.reach[sources].sum() == checked + len(sources)
 
 
 def test_segment_matrix_builds_each_source_once():
@@ -260,17 +270,23 @@ def test_pairs_are_read_only_and_the_matrix_shares_them():
 
 
 def test_pairs_refuse_what_int64_cannot_hold():
-    """Path counts below 2^63 and distances below 2^61 fit; 2^63 paths, or
-    a distance of 2^61, leave the cache without pairs."""
-    assert ShortestPathCache(diamond_chain(62)).pairs is not None
-    assert ShortestPathCache(diamond_chain(63)).pairs is None
-    assert ShortestPathCache(make_net([(0, 1, 1, 2**61 - 1)])).pairs is not None
-    assert ShortestPathCache(make_net([(0, 1, 1, 2**61)])).pairs is None
+    """Path counts below 2^63 and distances below 2^61 fit int64; 2^63
+    paths, or a distance of 2^61, are held as Python ints."""
+    def dtypes(net):
+        return tuple(array.dtype for array in ShortestPathCache(net).pairs)
+
+    int64, wide = np.dtype(np.int64), np.dtype(object)
+    assert dtypes(diamond_chain(62)) == (int64, int64)
+    assert dtypes(diamond_chain(63)) == (int64, wide)
+    assert ShortestPathCache(diamond_chain(63)).pairs[1][0, 3 * 63] == 2**63
+    assert dtypes(make_net([(0, 1, 1, 2**61 - 1)])) == (int64, int64)
+    assert dtypes(make_net([(0, 1, 1, 2**61)])) == (wide, int64)
 
 
 def test_segment_matrix_refuses_what_int64_cannot_hold():
-    """A path count of 2^53 or more, or scaled costs of 2^61 or more, leave
-    the cache without a matrix."""
+    """A path count of 2^53 or more makes the matrix hold its path counts as
+    Python ints, and a scaled cost of 2^61 or more its distances, and its
+    rows are still segment_fractions."""
     from srte.paths import FLOAT_EXACT
 
     # 53 diamonds in a chain: 2^53 shortest paths end to end.
@@ -278,10 +294,31 @@ def test_segment_matrix_refuses_what_int64_cannot_hold():
     for i in range(53):
         a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
         edges += [(a, b, 1), (a, c, 1), (b, a + 3, 1), (c, a + 3, 1)]
-    cache = ShortestPathCache(make_net(edges))
+    net = make_net(edges)
+    cache = ShortestPathCache(net)
     assert cache.forward(0).sigma[3 * 53] == FLOAT_EXACT
-    assert cache.segments is None
-    assert ShortestPathCache(make_net(edges[4:])).segments is not None
+    assert cache.pairs[1].dtype == np.int64
+    assert cache.segments.sigma.dtype == cache.segments.counts.dtype == object
+    assert cache.segments.dist.dtype == np.int64
+    assert ShortestPathCache(make_net(edges[4:])).segments.sigma.dtype == np.int64
     far = make_net([(0, 1, 1, Fraction(1, 3)), (1, 2, 1, 2**61)])
     assert far.scaled_costs[1] >= DIST_LIMIT
-    assert ShortestPathCache(far).segments is None
+    assert ShortestPathCache(far).pairs[0].dtype == object
+    # A cost past int64 on an edge no shortest path takes: the distances
+    # fit, the sums with that cost do not.
+    bypassed = make_net([(0, 2, 1), (2, 1, 1), (0, 1, 1, 2**70)])
+    matrix = ShortestPathCache(bypassed).segments
+    assert ShortestPathCache(bypassed).pairs[0].dtype == np.int64
+    assert matrix.dist.dtype == object and matrix.sigma.dtype == np.int64
+    assert_rows_are_segment_fractions(net, sources=[0, 1, 3 * 26, 3 * 53 - 1])
+    assert_rows_are_segment_fractions(far)
+    assert_rows_are_segment_fractions(bypassed)
+    # 34 fans of three paths: no float holds 3^34, so dividing a count by
+    # it in floats would be an ulp off 1/3.
+    fans = []
+    for i in range(34):
+        a = 4 * i
+        fans += [(a, a + j, 1) for j in (1, 2, 3)] + [(a + j, a + 4, 1) for j in (1, 2, 3)]
+    assert float(3**33) / float(3**34) != 1 / 3
+    assert ShortestPathCache(make_net(fans)).segments.sigma.dtype == object
+    assert_rows_are_segment_fractions(make_net(fans), sources=[0])

@@ -19,7 +19,7 @@ from srte.graph import (
     random_digraph,
 )
 from srte.lp import EQ, LE, LpStatus, solve_lp
-from srte.paths import ShortestPathCache
+from srte.paths import ShortestPathCache, UnreachableSegment
 import srte.te
 from srte.te import (
     LU,
@@ -37,7 +37,14 @@ from srte.te import (
     tunnels_for_middlepoints,
 )
 
-from conftest import RowLp, enumerate_shortest_paths, make_demands, make_net
+from conftest import (
+    RowLp,
+    enumerate_shortest_paths,
+    make_demands,
+    make_net,
+    reference_tunnel_loads,
+    segments_share_an_edge,
+)
 
 
 def solve_lu(network, demands, middlepoints, m, single=False):
@@ -125,7 +132,7 @@ class TestEnumerationCap:
             monkeypatch.setattr(srte.te, "ALL_NODES_PAIR_CAP", pairs)
             tunnels_for_middlepoints(cache, demands, mids, m, single)
             monkeypatch.setattr(srte.te, "ALL_NODES_PAIR_CAP", pairs - 1)
-            monkeypatch.setattr(srte.te, "_routable_tunnels", None)  # not reached
+            monkeypatch.setattr(srte.te, "_routable", None)  # not reached
             with pytest.raises(TunnelCapError, match=f"^{pairs} "):
                 tunnels_for_middlepoints(cache, demands, mids, m, single)
             monkeypatch.undo()
@@ -323,6 +330,15 @@ class TestTeLu:
         with pytest.raises(NoTunnelError):
             tunnels = tunnels_for_middlepoints(cache, demands, [], 1)
             build_te_lu(cache, demands, tunnels)
+
+    @pytest.mark.parametrize("build", [build_te_lu, build_te_mf])
+    def test_a_given_tunnel_with_an_unreachable_segment_raises(self, build):
+        """A tunnel handed to a builder whose middlepoint cannot reach the
+        sink is refused, not given an empty load column."""
+        net = make_net([(0, 1, 1), (0, 2, 1)], names=("s", "t", "x"))
+        demands = make_demands((0, 1, 1))
+        with pytest.raises(UnreachableSegment, match="^node 1 unreachable from node 2$"):
+            build(ShortestPathCache(net), demands, [[Tunnel(0, (0, 2, 1))]])
 
     def test_zero_demand_commodity_is_unconstrained(self):
         net = make_net([(0, 1, 1)], names=("s", "t"))
@@ -881,26 +897,74 @@ class TestTunnelPool:
                 assert pool._order.tolist() == want
 
 
-POOL_ARRAYS = ("_ptr", "_edge_rows", "_loads", "_commodity", "_middlepoints", "_order")
+def reference_tunnels(cache, demands, middlepoints, m):
+    """``tunnels_for_middlepoints`` by brute force: each commodity's tunnels
+    through every ordered selection of at most m distinct middlepoints that
+    avoids its endpoints and whose segments are all reachable, tested one
+    segment at a time (``ShortestPathCache.reachable``), by waypoints."""
+    mids = sorted(set(middlepoints))
+    groups = []
+    for i, c in enumerate(demands.commodities):
+        tunnels = []
+        for size in range(min(m, len(mids)) + 1):
+            for seq in itertools.permutations(mids, size):
+                waypoints = (c.source, *seq, c.sink)
+                if c.source not in seq and c.sink not in seq and all(
+                    cache.reachable(a, b) for a, b in zip(waypoints, waypoints[1:])
+                ):
+                    tunnels.append(Tunnel(i, waypoints))
+        groups.append(sorted(tunnels, key=lambda tun: tun.waypoints))
+    return groups
 
 
-def exact_cache(network):
-    """A cache without the segment matrix, as on a network whose distances
-    or path counts do not fit int64: its pools build every column from the
-    per-segment fractions (``_routable_tunnels`` and ``_tunnel_loads``).
-    Setting the cached property replaces the matrix."""
-    cache = ShortestPathCache(network)
-    cache.segments = None
-    return cache
+def reference_program(kind, cache, demands, groups):
+    """The program over the given tunnels, its load columns walked over the
+    per-segment fractions (``reference_tunnel_loads``)."""
+    tunnels = [tun for group in groups for tun in group]
+    commodity = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    mids = [tun.middlepoints for tun in tunnels]
+    middlepoints = srte.te._padded(
+        mids, cache.network.node_count, max(map(len, mids), default=0)
+    )
+    return srte.te._tunnel_program(
+        kind, cache.network, demands, commodity, middlepoints,
+        *reference_tunnel_loads(cache, tunnels),
+    )
 
 
-def assert_same_pool(got, want):
-    """Two pools hold the same arrays, dtype and bits, and tunnels."""
-    for name in POOL_ARRAYS:
-        x, y = getattr(got, name), getattr(want, name)
-        assert x.dtype == y.dtype and x.shape == y.shape, name
-        assert x.tobytes() == y.tobytes(), name
-    assert pool_tunnels(got) == pool_tunnels(want)
+def assert_reference_pool(pool, sets):
+    """Every pool column is its tunnel's ``reference_tunnel_loads`` column,
+    dtype and bits. Each set's tunnels are the brute-force enumeration's, and
+    its pool slices and fresh LU and MF builds equal the reference programs
+    (LU where every positive demand has a tunnel)."""
+    cache, demands, m = pool.cache, pool.demands, pool.max_middlepoints
+    sizes, edges, loads = reference_tunnel_loads(cache, pool_tunnels(pool))
+    ptr = np.concatenate(([0], np.cumsum(sizes))).astype(np.intp)
+    for got, want in ((pool._ptr, ptr), (pool._edge_rows, edges), (pool._loads, loads)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for mids in sets:
+        groups = tunnels_for_middlepoints(cache, demands, mids, m)
+        assert groups == reference_tunnels(cache, demands, mids, m)
+        builds = [(MF, build_te_mf)]
+        if all(g or c.demand == 0 for g, c in zip(groups, demands.commodities)):
+            builds.append((LU, build_te_lu))
+        for kind, build in builds:
+            want = reference_program(kind, cache, demands, groups)
+            assert_same_program(build(cache, demands, groups), want)
+            assert_same_program(pool.program(mids, kind), want)
+
+
+def spy_lcms(monkeypatch):
+    """The dtype of every array of shared-edge LCMs the kernel makes."""
+    dtypes, real = [], srte.te._row_lcms
+
+    def spy(values, limit):
+        lcm = real(values, limit)
+        dtypes.append(lcm.dtype)
+        return lcm
+
+    monkeypatch.setattr(srte.te, "_row_lcms", spy)
+    return dtypes
 
 
 def assert_exact_loads(pool):
@@ -936,13 +1000,15 @@ def staged(edges, start, stages, width, fresh):
 
 
 class TestSegmentMatrixColumns:
-    def test_pool_equals_the_exact_cover(self):
-        """Every pool array, and the tunnels, equal those of a pool built
-        from the per-segment fractions, bit for bit, cover after cover: m
-        0 to 3, digraphs that are not strongly connected, rational costs,
-        zero demands and sets holding commodity endpoints. Some tunnels
-        reuse an edge, so their loads are exact sums."""
-        seen = {"matrix": 0, "shared": 0, "zero": 0, "columns": 0}
+    def test_pool_equals_the_exact_cover(self, monkeypatch):
+        """Every pool column, every set's tunnels and every LU and MF
+        program, sliced or built fresh, equal the per-segment reference, bit
+        for bit, cover after cover: m 0 to 3, digraphs that are not strongly
+        connected, rational costs, zero demands and sets holding commodity
+        endpoints. Some tunnels reuse an edge, so their loads are exact
+        sums, here on int64."""
+        seen = {"shared": 0, "zero": 0, "columns": 0}
+        lcms = spy_lcms(monkeypatch)
         for seed in range(8):
             rng = random.Random(seed)
             net = random_digraph(8, 0.3, seed, max_capacity=5)
@@ -954,92 +1020,82 @@ class TestSegmentMatrixColumns:
             demands = make_demands(*((s, t, rng.choice([0, 1, 2.5])) for s, t in pairs))
             seen["zero"] += any(c.demand == 0 for c in demands.commodities)
             cache = ShortestPathCache(net)
-            seen["matrix"] += cache.segments is not None
+            assert cache.segments.sigma.dtype == np.int64
             for m in (0, 1, 2, 3):
                 pool = TunnelPool(cache, demands, m)
-                want = TunnelPool(exact_cache(net), demands, m)
                 for _ in range(3):
                     batch = [rng.sample(range(8), rng.randint(0, 4)) for _ in range(3)]
                     pool.cover(batch)
-                    want.cover(batch)
-                    assert_same_pool(pool, want)
+                    assert_reference_pool(pool, batch)
                 seen["columns"] += len(pool._commodity)
                 seen["shared"] += sum(
-                    srte.te._share_an_edge([cache.fractions(a, b) for a, b in tun.segments])
+                    segments_share_an_edge([cache.fractions(a, b) for a, b in tun.segments])
                     for tun in pool_tunnels(pool)
                 )
             assert_exact_loads(pool)
-        assert seen["matrix"] == 8 and all(seen.values()), seen
+        assert all(seen.values()), seen
+        assert lcms and set(lcms) == {np.dtype(np.int64)}
 
     def test_no_commodities(self):
         """Without commodities every cover appends nothing, at every m."""
         net = random_connected_digraph(6, 14, 2, max_capacity=3)
         for m in (0, 1, 2, 3):
             pool = TunnelPool(ShortestPathCache(net), DemandMatrix(()), m)
-            want = TunnelPool(exact_cache(net), DemandMatrix(()), m)
             for batch in ([()], [(1, 2, 3)], [range(6)]):
                 pool.cover(batch)
-                want.cover(batch)
-                assert_same_pool(pool, want)
+                assert_reference_pool(pool, batch)
             assert pool_tunnels(pool) == [] and pool._middlepoints.shape == (0, m)
+            assert pool._ptr.tolist() == [0] and pool._order.size == 0
 
-    def assert_exact_fallback(self, net, demands, sets, m=1):
-        """The pool equals the exact cover and every set's fresh build, and
-        each load is float(exact load)."""
+    def assert_exact_wide(self, net, demands, sets, m=1):
+        """The pool and every set's programs equal the reference, and each
+        load is float(exact load)."""
         cache = ShortestPathCache(net)
         pool = TunnelPool(cache, demands, m)
-        want = TunnelPool(exact_cache(net), demands, m)
         pool.cover(sets)
-        want.cover(sets)
-        assert_same_pool(pool, want)
+        assert_reference_pool(pool, sets)
         assert_exact_loads(pool)
-        for mids in sets:
-            groups = tunnels_for_middlepoints(cache, demands, mids, m)
-            assert_same_program(pool.program(mids), build_te_lu(cache, demands, groups))
         return cache, pool
 
     def test_path_counts_of_2_to_the_54(self):
         """54 diamonds in a chain: 2^54 shortest paths end to end do not fit
-        a float, so there is no matrix and the pool takes the exact path."""
+        a float, so the matrix holds Python ints."""
         edges = []
         end = staged(edges, 0, 54, 2, itertools.count(1))
         net = make_net(edges)
         demands = make_demands((0, end, 1), (3, end - 3, 2), (end - 6, end, 1))
-        cache, pool = self.assert_exact_fallback(net, demands, [[3 * 27], [1], [end - 1]])
-        assert cache.segments is None
-        assert cache.forward(0).sigma[end] == 2**54
+        cache, pool = self.assert_exact_wide(net, demands, [[3 * 27], [1], [end - 1]])
+        matrix = cache.segments
+        assert matrix.sigma.dtype == matrix.counts.dtype == object
+        assert cache.forward(0).sigma[end] == matrix.sigma[0, end] == 2**54
         assert set(pool._commodity.tolist()) == {0, 1, 2}
 
     def test_scaled_distances_past_2_to_the_63(self):
         """Costs 1/p over the first 20 primes: the cost scale is their
-        product, so every scaled cost exceeds 2^63 and the pool takes the
-        exact path."""
+        product, so every scaled cost exceeds 2^63 and the matrix holds
+        Python ints."""
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
         base = random_connected_digraph(9, 30, 4, max_capacity=4)
         net = base.with_costs([Fraction(1, primes[i % 20]) for i in range(base.edge_count)])
         assert min(net.scaled_costs) >= 2**63
         demands = make_demands((0, 8, 1), (3, 1, 0), (5, 2, 2.5), (7, 6, 1))
-        cache, pool = self.assert_exact_fallback(net, demands, [[1, 4], [2, 6], [0, 7]], m=2)
-        assert cache.segments is None
+        cache, pool = self.assert_exact_wide(net, demands, [[1, 4], [2, 6], [0, 7]], m=2)
+        assert cache.segments.dist.dtype == object
         assert len(pool._commodity) > 20
 
-    def assert_sum_falls_back(self, edges, w, t, monkeypatch):
+    def assert_sum_on_python_ints(self, edges, w, t, monkeypatch):
         """Commodities (0, t) and (w, t), and the tunnel (0, w, t): the
-        network's path counts fit the matrix, the tunnel's exact sum does
-        not, so the cover takes the exact path, and its pool is exact."""
+        network's path counts fit the int64 matrix, the tunnel's exact sum
+        does not fit a float, so its LCM and sums run on Python ints, and
+        the pool is exact."""
         net = make_net(edges)
         demands = make_demands((0, t, 1), (w, t, 2))
         cache = ShortestPathCache(net)
+        assert cache.segments.sigma.dtype == np.int64
         assert cache.segments.sigma.max() < 2**53
-        exact, real = [], srte.te._tunnel_loads
-        monkeypatch.setattr(
-            srte.te, "_tunnel_loads",
-            lambda cache, tunnels: exact.append(len(tunnels)) or real(cache, tunnels),
-        )
-        TunnelPool(cache, demands, 1).cover([[w]])
-        assert exact == [3]
-        monkeypatch.undo()
-        self.assert_exact_fallback(net, demands, [[w]])
+        lcms = spy_lcms(monkeypatch)
+        self.assert_exact_wide(net, demands, [[w]])
+        assert lcms and set(lcms) == {np.dtype(object)}
         return cache.segments.sigma
 
     def test_lcm_that_no_float_holds(self, monkeypatch):
@@ -1059,7 +1115,7 @@ class TestSegmentMatrixColumns:
         fan(edges, x, e, 5, fresh)
         edges.append((0, e, 1))
         t = staged(edges, e, 11, 5, fresh)
-        sigma = self.assert_sum_falls_back(edges, w, t, monkeypatch)
+        sigma = self.assert_sum_on_python_ints(edges, w, t, monkeypatch)
         assert (sigma[0, w], sigma[w, t]) == (3**16, 9 * 5**12)
         assert math.lcm(3**16, 9 * 5**12) > 2**53 > 2 * 3**16 * 5**12 // 3
 
@@ -1077,6 +1133,6 @@ class TestSegmentMatrixColumns:
         fan(edges, w, last, 1, fresh)
         edges += [(x, y, 1), (y, w, 1), (y, e, 1), (0, e, 1)]
         t = staged(edges, e, 26, 2, fresh)
-        sigma = self.assert_sum_falls_back(edges, w, t, monkeypatch)
+        sigma = self.assert_sum_on_python_ints(edges, w, t, monkeypatch)
         assert (sigma[0, w], sigma[w, t]) == (3**17, 3 * 2**26)
         assert math.lcm(3**17, 3 * 2**26) < 2**53 <= 2 * 3**17 * 2**26
