@@ -81,6 +81,8 @@ def _read_topology(args) -> FlowNetwork:
 
 def _load_inputs(args) -> tuple[FlowNetwork, DemandMatrix]:
     network = _read_topology(args)
+    if args.demands is not None and args.gravity is not None:
+        raise UsageError("give either --demands or --gravity, not both")
     if args.demands is not None:
         try:
             with open(args.demands) as fh:

@@ -9,10 +9,9 @@ its correctly rounded float.
 
 ``ShortestPathCache.pairs`` holds the all-pairs distances and path counts
 as arrays (``pair_arrays``), int64 where they fit and Python ints
-otherwise; the centralities rank on them. ``SegmentMatrix`` holds every
-segment's fractions at once, as CSR rows over the same arrays
-(``ShortestPathCache.segments``), on every network; every tunnel load column
-is built from it.
+otherwise; the centralities rank on them. ``segment_rows`` makes the
+fractions of the segments a caller asks for, as CSR rows over the same
+arrays, on every network; every tunnel load column is built from them.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -29,9 +28,9 @@ from .graph import FlowNetwork
 
 # The all-pairs arrays are int64 while every scaled distance is below
 # DIST_LIMIT, so a sum of three fits, and every path count below INT64_END.
-# The segment matrix's distances are int64 while also every scaled cost is
-# below DIST_LIMIT, and its path counts while below FLOAT_EXACT, so a float
-# holds each exactly and count / sigma rounds once.
+# Segment rows test distances on int64 while also every scaled cost is below
+# DIST_LIMIT, and hold path counts as int64 while below FLOAT_EXACT, so a
+# float holds each exactly and count / sigma rounds once.
 DIST_LIMIT = 1 << 61
 FLOAT_EXACT = 1 << 53
 INT64_END = 1 << 63
@@ -201,96 +200,91 @@ def pair_arrays(dags: Sequence[ShortestPathDag]) -> tuple[np.ndarray, np.ndarray
     )
 
 
-class SegmentMatrix:
-    """Every segment's ECMP loads as CSR rows over exact all-pairs arrays.
+class SegmentRows(NamedTuple):
+    """The ECMP loads of some segments as CSR rows (``segment_rows``)."""
 
-    ``dist`` and ``sigma`` are the cache's ``pairs``: the all-pairs scaled
-    distances (beyond every distance where v is unreachable from u) and path
-    counts (0 where unreachable, 1 from a node to itself) of the forward
-    DAGs; ``reach`` is sigma != 0. No backward DAG is needed: d(b, v) is
-    dist[b, v]. ``dist`` and the scaled costs are int64 where every scaled
-    cost and distance is below DIST_LIMIT, ``sigma`` and ``counts`` where
-    every path count is below FLOAT_EXACT, and each is Python ints
-    (``dtype=object``) otherwise: the same code, exact either way.
+    sigma: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    edges: np.ndarray
+    counts: np.ndarray
+    loads: np.ndarray
+    masks: np.ndarray
 
-    Segment (u, v) is row u * n + v: entries ``starts[r]`` to ``starts[r] +
-    sizes[r]`` of ``edges``, ``counts`` and ``loads``, in the order of
-    ``segment_fractions(u, v).counts``: by the settle rank of the edge's
-    tail in u's DAG, then by edge id, each load the correctly rounded
-    count / sigma. ``masks[r]`` holds the row's edges as packed bits. The
-    rows of a source are empty until ``build`` makes them, as those of
-    (u, u) stay.
+
+def segment_rows(cache: "ShortestPathCache", segments: np.ndarray) -> SegmentRows:
+    """The ECMP loads of the given segments, ascending flat ids u * n + v, as
+    CSR rows over the cache's exact all-pairs arrays (``pairs``).
+
+    Row r is segment segments[r], with ``sigma[r]`` shortest paths: entries
+    ``starts[r]`` to ``starts[r] + sizes[r]`` of ``edges``, ``counts`` and
+    ``loads``, in the order of ``segment_fractions(u, v).counts`` (by the
+    settle rank of the edge's tail in u's DAG, then by edge id), each load
+    the correctly rounded count / sigma; ``masks[r]`` holds its edges as
+    packed bits. A row (t, t) is empty with sigma 1, and one whose end is
+    unreachable empty with sigma 0.
+
+    Edge (a, b) is on (u, v) iff D[u, a] + c + D[b, v] equals D[u, v], with
+    count Sigma[u, a] * Sigma[b, v], so no backward DAG is needed; each
+    source is tested against the targets asked for only. The test runs on
+    int64 while every scaled cost and distance is below DIST_LIMIT, and
+    ``sigma`` and ``counts`` are int64 while every row's path count is
+    below FLOAT_EXACT; each is Python ints (``dtype=object``) otherwise.
     """
-
-    def __init__(self, cache: "ShortestPathCache"):
-        network = cache.network
-        n = network.node_count
-        dist, sigma = cache.pairs
-        if max(network.scaled_costs, default=0) >= DIST_LIMIT:
-            dist = dist.astype(object)
-        if sigma.max(initial=0) >= FLOAT_EXACT:
-            sigma = sigma.astype(object)
-        self._cache = cache
-        self.dist, self.sigma = dist, sigma
-        self.reach = sigma != 0
-        self._tails = np.array([e.tail for e in network.edges], dtype=np.int64)
-        self._heads = np.array([e.head for e in network.edges], dtype=np.int64)
-        self._costs = np.array(network.scaled_costs, dtype=dist.dtype)
-        self._built = np.zeros(n, dtype=bool)
-        self.starts = np.zeros(n * n, dtype=np.int64)
-        self.sizes = np.zeros(n * n, dtype=np.int64)
-        self.edges = np.zeros(0, dtype=np.int64)
-        self.counts = np.zeros(0, dtype=sigma.dtype)
-        self.loads = np.zeros(0)
-        self.masks = np.zeros((n * n, (network.edge_count + 7) // 8), dtype=np.uint8)
-
-    def build(self, sources: np.ndarray) -> None:
-        """Make the rows of every given source that has none yet."""
-        sources = np.unique(sources)
-        sources = sources[~self._built[sources]].tolist()
-        if not sources:
-            return
-        n, end = len(self.dist), len(self.edges)
-        edges, counts, loads = [self.edges], [self.counts], [self.loads]
-        for u in sources:
-            settled = self._cache.forward(u).settled
-            rank = np.full(n, n)
-            rank[list(settled)] = np.arange(len(settled))
-            # The edges by the settle rank of their tails, then by id.
-            order = np.argsort(rank[self._tails], kind="stable")
-            tails, heads = self._tails[order], self._heads[order]
-            du = self.dist[u]
-            # Edge (a, b) is on a shortest u-v path iff d(u, a) + cost +
-            # d(b, v) equals d(u, v); no int64 sum reaches 2^63, and one with
-            # an unreachable term exceeds every distance.
-            on = du[tails] + self._costs[order] + self.dist[heads].T == du[:, None]
-            v, k = np.nonzero(on)
-            count = self.sigma[u, tails[k]] * self.sigma[heads[k], v]
-            edges.append(order[k])
-            counts.append(count)
-            # Python ints divide correctly rounded, as int64 below 2^53 do.
-            loads.append(np.asarray(count / self.sigma[u, v], dtype=float))
-            rows = slice(u * n, (u + 1) * n)
-            sizes = np.count_nonzero(on, axis=1)
-            self.starts[rows] = end + np.cumsum(sizes) - sizes
-            self.sizes[rows] = sizes
-            end += len(k)
-            by_id = np.zeros_like(on)
-            by_id[:, order] = on
-            self.masks[rows] = np.packbits(by_id, axis=1)
-        self.edges = np.concatenate(edges)
-        self.counts = np.concatenate(counts)
-        self.loads = np.concatenate(loads)
-        self._built[sources] = True
+    network = cache.network
+    n = network.node_count
+    dist, sigma = cache.pairs
+    tails = np.array([e.tail for e in network.edges], dtype=np.int64)
+    heads = np.array([e.head for e in network.edges], dtype=np.int64)
+    wide_costs = max(network.scaled_costs, default=0) >= DIST_LIMIT
+    costs = np.array(network.scaled_costs, dtype=object if wide_costs else np.int64)
+    row_sigma = sigma.ravel()[segments]
+    dtype = object if row_sigma.max(initial=0) >= FLOAT_EXACT else np.int64
+    row_sigma = row_sigma.astype(dtype)
+    sizes = np.zeros(len(segments), dtype=np.int64)
+    edges, counts, loads = [np.zeros(0, np.int64)], [np.zeros(0, dtype)], [np.zeros(0)]
+    sources, firsts = np.unique(segments // n, return_index=True)
+    for u, rows in zip(sources.tolist(), np.split(np.arange(len(segments)), firsts[1:])):
+        targets = segments[rows] % n
+        settled = cache.forward(u).settled
+        rank = np.full(n, n)
+        rank[list(settled)] = np.arange(len(settled))
+        # The edges by the settle rank of their tails, then by id.
+        order = np.argsort(rank[tails], kind="stable")
+        tail, head = tails[order], heads[order]
+        du = dist[u]
+        # No int64 sum reaches 2^63, and one with an unreachable term exceeds
+        # every distance.
+        on = (
+            du[tail] + costs[order] + dist[head[None, :], targets[:, None]]
+            == du[targets, None]
+        )
+        v, k = np.nonzero(on)
+        count = (
+            np.asarray(sigma[u, tail[k]], dtype=dtype)
+            * np.asarray(sigma[head[k], targets[v]], dtype=dtype)
+        )
+        edges.append(order[k])
+        counts.append(count)
+        # Python ints divide correctly rounded, as int64 below 2^53 do.
+        loads.append(np.asarray(count / row_sigma[rows[v]], dtype=float))
+        sizes[rows] = np.count_nonzero(on, axis=1)
+    edges = np.concatenate(edges)
+    bits = np.zeros((len(segments), network.edge_count), dtype=bool)
+    bits[np.repeat(np.arange(len(segments)), sizes), edges] = True
+    return SegmentRows(
+        row_sigma, np.cumsum(sizes) - sizes, sizes, edges, np.concatenate(counts),
+        np.concatenate(loads), np.packbits(bits, axis=1),
+    )
 
 
 class ShortestPathCache:
     """Memoized shortest-path structure of one network: per-source and
-    per-sink DAGs, per-segment fractions, the all-pairs ``pairs`` arrays and
-    the ``segments`` matrix.
+    per-sink DAGs, per-segment fractions and the all-pairs ``pairs`` arrays.
 
     Each is computed on first use and kept for the life of the cache; the
-    matrix also grows, a source's rows at a time. Not for concurrent use.
+    rows of segments are not kept (``segment_rows`` makes them from
+    ``pairs`` on each call). Not for concurrent use.
     """
 
     def __init__(self, network: FlowNetwork):
@@ -309,9 +303,6 @@ class ShortestPathCache:
             self._backward[sink] = sp_dag_reverse(self.network, sink)
         return self._backward[sink]
 
-    def reachable(self, u: int, v: int) -> bool:
-        return self.forward(u).scaled_dist[v] is not None
-
     def fractions(self, u: int, v: int) -> SegmentFractions:
         key = (u, v)
         if key not in self._fractions:
@@ -327,8 +318,3 @@ class ShortestPathCache:
         for array in pairs:
             array.setflags(write=False)
         return pairs
-
-    @cached_property
-    def segments(self) -> SegmentMatrix:
-        """The network's ``SegmentMatrix``."""
-        return SegmentMatrix(self)

@@ -228,7 +228,7 @@ def _greedy_round(
     unranked = range(len(unexplored))  # ranked by a cold solve
     if parent is not None:
         bounds = extension_bounds(pool, chosen, unexplored, parent.duals)
-        model = ExtensionModel(pool, chosen, parent.basis)
+        model = ExtensionModel(pool, chosen, parent.program, parent.basis)
         least, unranked = math.inf, []
         for i in np.argsort(bounds, kind="stable").tolist():
             bound = bounds[i] - BOUND_TOL * max(1.0, abs(bounds[i]))

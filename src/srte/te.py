@@ -27,12 +27,13 @@ A ``TunnelPool`` serves a selection run that solves many middlepoint sets: it
 enumerates and loads each tunnel once, and each set's program is a column
 slice of it, identical to the program built for that set alone, cut straight
 into CSR arrays. Every tunnel load column, of a pool or of a program built
-from given tunnels, comes from one kernel over the network's exact segment
-matrix (``ShortestPathCache.segments``): each tunnel's column is its segments'
-rows concatenated, and where two segments share an edge their loads are summed
-exactly, as an integer numerator over the LCM of their path counts: on int64
-while no sum can reach 2^53, and on Python ints otherwise. Which tunnels route
-is read from the same matrix. An ``ExtensionModel`` keeps one set's LU slice
+from given tunnels, comes from one kernel over the exact rows of the
+segments those tunnels use (``segment_rows``, called once per build): each
+tunnel's column is its segments' rows concatenated, and where two segments
+share an edge their loads are summed exactly, as an integer numerator over the
+LCM of their path counts: on int64 while no sum can reach 2^53, and on Python
+ints otherwise. Which tunnels route is read from the all-pairs path counts
+(``ShortestPathCache.pairs``). An ``ExtensionModel`` keeps one set's LU slice
 loaded in HiGHS at its optimal basis and solves the slice of the set plus one
 node by adding only the columns that node brings, built from the pool's
 arrays: the pool only appends, so a column never moves. A ``ChainModel``
@@ -61,7 +62,7 @@ from scipy.sparse import csr_matrix
 
 from .graph import Commodity, DemandMatrix, FlowNetwork
 from .lp import LpModel, LpSolution, LpStatus, SparseLp, highs, solve_lp
-from .paths import FLOAT_EXACT, SegmentMatrix, ShortestPathCache, UnreachableSegment
+from .paths import FLOAT_EXACT, ShortestPathCache, UnreachableSegment, segment_rows
 
 LU = "lu"
 MF = "mf"
@@ -156,7 +157,7 @@ def tunnels_for_middlepoints(
         )
     sequences = [seq for size in sizes for seq in itertools.permutations(mids, size)]
     padded = _padded(sequences, cache.network.node_count, max(sizes, default=0))
-    routable = _routable(cache.segments, _ends(demands), padded)
+    routable = _routable(cache, _ends(demands), padded)
     groups: list[list[Tunnel]] = [[] for _ in demands.commodities]
     for i, j in zip(*(a.tolist() for a in np.nonzero(routable))):
         c = demands.commodities[i]
@@ -287,7 +288,7 @@ def _build_tunnel_program(
     middlepoints = _padded(mids, cache.network.node_count, max(map(len, mids), default=0))
     return _tunnel_program(
         kind, cache.network, demands, commodity, middlepoints,
-        *_tunnel_columns(cache.segments, _ends(demands), commodity, middlepoints),
+        *_tunnel_columns(cache, _ends(demands), commodity, middlepoints),
     )
 
 
@@ -442,10 +443,11 @@ class TunnelPool:
             perm for mids in fresh_sets for perm in itertools.permutations(mids)
         ]
         padded = _padded(sequences, node_count, self._middlepoints.shape[1])
-        matrix = self.cache.segments
-        commodity, which = np.nonzero(_routable(matrix, self._ends, padded))
+        commodity, which = np.nonzero(_routable(self.cache, self._ends, padded))
         padded = padded[which]
-        sizes, edge_rows, loads = _tunnel_columns(matrix, self._ends, commodity, padded)
+        sizes, edge_rows, loads = _tunnel_columns(
+            self.cache, self._ends, commodity, padded
+        )
         self._commodity = _appended(self._commodity, commodity)
         self._middlepoints = _appended(self._middlepoints, padded)
         self._ptr = _appended(self._ptr, self._ptr[-1] + np.cumsum(sizes, dtype=np.intp))
@@ -528,14 +530,16 @@ class ExtensionModel:
     """
 
     def __init__(
-        self, pool: TunnelPool, middlepoints: Sequence[int], basis: highs.HighsBasis
+        self, pool: TunnelPool, middlepoints: Sequence[int], program: TeProgram,
+        basis: highs.HighsBasis,
     ):
-        """``basis`` is optimal for the pool's LU slice of ``middlepoints``,
-        and the pool covers each set of them plus a node asked for."""
+        """``program`` is the pool's LU slice of ``middlepoints`` and
+        ``basis`` an optimal basis of it, and the pool covers each set of
+        them plus a node asked for."""
         self.middlepoints = tuple(middlepoints)
         self._pool = pool
-        self._program = pool.program(middlepoints)
-        self._model = LpModel(self._program.lp, basis)
+        self._program = program
+        self._model = LpModel(program.lp, basis)
 
     def theta(self, node: int) -> float:
         """Theta of the set plus ``node``, a node outside it. A solve without
@@ -687,9 +691,9 @@ def _segments(
     n: int, ends: np.ndarray, commodity: np.ndarray, middlepoints: np.ndarray
 ) -> np.ndarray:
     """The segments of the tunnels of ``commodity`` through ``middlepoints``
-    (padded with n; the two broadcast), as rows u * n + v of the segment
-    matrix, each tunnel's padded with its sink's (t, t), which has no
-    entries and sigma 1."""
+    (padded with n; the two broadcast), as flat ids u * n + v, each
+    tunnel's padded with its sink's (t, t), whose row has no entries and
+    sigma 1."""
     sources, sinks = ends[0][commodity, None], ends[1][commodity, None]
     mids = np.where(middlepoints == n, sinks, middlepoints)
     shape = (*mids.shape[:-1], 1)
@@ -700,23 +704,24 @@ def _segments(
 
 
 def _routable(
-    matrix: SegmentMatrix, ends: np.ndarray, sequences: np.ndarray
+    cache: ShortestPathCache, ends: np.ndarray, sequences: np.ndarray
 ) -> np.ndarray:
     """Which (commodity, sequence) pairs have a tunnel, commodities x
     sequences: those whose sequence (padded with node_count) avoids the
-    commodity's endpoints and whose segments are all reachable. ``ends``
-    holds each commodity's source and sink."""
+    commodity's endpoints and whose segments are all reachable (a nonzero
+    path count in ``pairs``). ``ends`` holds each commodity's source and
+    sink."""
     commodity = np.arange(ends.shape[1])[:, None]
     sources, sinks = ends[0][commodity, None], ends[1][commodity, None]
-    segments = _segments(len(matrix.dist), ends, commodity, sequences)
+    segments = _segments(cache.network.node_count, ends, commodity, sequences)
     return (
         ~((sequences == sources) | (sequences == sinks)).any(axis=2)
-        & matrix.reach.ravel()[segments].all(axis=2)
+        & (cache.pairs[1].ravel()[segments] != 0).all(axis=2)
     )
 
 
 def _tunnel_columns(
-    matrix: SegmentMatrix, ends: np.ndarray, commodity: np.ndarray,
+    cache: ShortestPathCache, ends: np.ndarray, commodity: np.ndarray,
     middlepoints: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The load columns of the tunnels of ``commodity`` through
@@ -730,23 +735,26 @@ def _tunnel_columns(
     the segments as one integer numerator over the LCM of their sigmas,
     divided once (summing per-segment floats could be an ulp off). A
     segment whose end is unreachable from its start raises
-    ``UnreachableSegment``.
+    ``UnreachableSegment``. The rows of the distinct segments come from one
+    ``segment_rows`` call.
     """
-    n = len(matrix.dist)
+    n = cache.network.node_count
     width = middlepoints.shape[1]
     segments = _segments(n, ends, commodity, middlepoints)  # tunnels x (width + 1)
-    reach = matrix.reach.ravel()[segments]
+    reach = cache.pairs[1].ravel()[segments] != 0
     if not reach.all():
         raise UnreachableSegment(*divmod(int(segments[~reach][0]), n))
-    matrix.build(segments[segments // n != segments % n] // n)
-    flat = segments.ravel()
-    segment_sizes = matrix.sizes[flat]
-    positions = _positions(matrix.starts[flat], segment_sizes)
+    ids, row = np.unique(segments, return_inverse=True)
+    row = row.reshape(segments.shape)  # each segment's row in ``rows``
+    rows = segment_rows(cache, ids)
+    flat = row.ravel()
+    segment_sizes = rows.sizes[flat]
+    positions = _positions(rows.starts[flat], segment_sizes)
     sizes = segment_sizes.reshape(segments.shape).sum(axis=1)
-    edge_rows, loads = matrix.edges[positions], matrix.loads[positions]
+    edge_rows, loads = rows.edges[positions], rows.loads[positions]
 
     # The tunnels two of whose segments share an edge.
-    masks = matrix.masks[segments]
+    masks = rows.masks[row]
     seen, shared = masks[:, 0], np.zeros(len(segments), dtype=bool)
     for k in range(1, width + 1):
         shared |= (seen & masks[:, k]).any(axis=1)
@@ -758,12 +766,12 @@ def _tunnel_columns(
     # are at most width + 1 per edge: while the LCMs are int64, every sum is
     # below 2^53 and float64 divides it correctly rounded; Python ints do so
     # at any size.
-    sigma = matrix.sigma.ravel()[segments[shared]]
+    sigma = rows.sigma[row[shared]]
     lcm = _row_lcms(sigma, (FLOAT_EXACT - 1) // (width + 1))
     # Their entries, tunnel by tunnel: position, tunnel, numerator.
     picked = _positions((np.cumsum(sizes) - sizes)[shared], sizes[shared])
     tunnel = np.repeat(np.arange(len(lcm)), sizes[shared])
-    numerators = matrix.counts[positions[picked]] * np.repeat(
+    numerators = rows.counts[positions[picked]] * np.repeat(
         (lcm[:, None] // sigma).ravel(),
         segment_sizes.reshape(segments.shape)[shared].ravel(),
     )

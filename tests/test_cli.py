@@ -648,6 +648,17 @@ class TestInputErrors:
         )
         assert "scale" in err
 
+    @pytest.mark.parametrize(
+        "command", [["solve"], ["sweep", "--sweep-k", "1:2"]], ids=["solve", "sweep"]
+    )
+    def test_demands_and_gravity_together(self, capsys, command):
+        """--gravity next to --demands was silently dropped."""
+        err = self.assert_rejected(
+            capsys, *command, "--topology", DATA / "net10.topo",
+            "--demands", DATA / "net10.dem", "--gravity", "10",
+        )
+        assert err == "error: give either --demands or --gravity, not both\n"
+
     def test_unreadable_demands(self, capsys, tmp_path):
         err = self.assert_rejected(
             capsys, "solve", "--topology", DATA / "net10.topo",

@@ -12,6 +12,7 @@ from srte.paths import (
     ShortestPathCache,
     UnreachableSegment,
     segment_fractions,
+    segment_rows,
     sp_dag,
     sp_dag_reverse,
 )
@@ -150,8 +151,9 @@ def test_cache_consistency_and_reuse():
         for v in range(net.node_count):
             if u == v:
                 continue
-            assert cache.reachable(u, v) == (sp_dag(net, u).scaled_dist[v] is not None)
-            if cache.reachable(u, v):
+            reachable = sp_dag(net, u).scaled_dist[v] is not None
+            assert (cache.pairs[1][u, v] != 0) == reachable
+            if reachable:
                 assert cache.fractions(u, v).fractions == segment_fractions(
                     net, u, v
                 ).fractions
@@ -179,7 +181,7 @@ def test_scaled_distances_and_segment_loads(seed):
             assert isinstance(scaled, int) or scaled is None
             assert dist(net, dag, v) == exact[u, v]
         for v in range(net.node_count):
-            if u == v or not cache.reachable(u, v):
+            if u == v or dag.scaled_dist[v] is None:
                 continue
             seg = cache.fractions(u, v)
             assert seg.sigma == dag.sigma[v]
@@ -203,70 +205,108 @@ def matrix_networks():
 
 @pytest.mark.parametrize("net", list(matrix_networks()))
 def test_segment_matrix_rows_equal_segment_fractions(net):
-    """Every row of the segment matrix is segment_fractions of its segment:
-    the same edges in the same order, the same counts and sigma, and the
-    same load bits; an unreachable segment's row is empty. The distances
-    and path counts are those of the DAGs."""
+    """Every segment's row from ``segment_rows`` is segment_fractions of the
+    segment: the same edges in the same order, the same counts and sigma,
+    and the same load bits; a row (u, u) or an unreachable segment's is
+    empty. The all-pairs distances and path counts are those of the DAGs."""
     assert_rows_are_segment_fractions(net)
 
 
+def every_segment(n, sources=None):
+    """The flat ids u * n + v of every segment from the sources (every node
+    by default), ascending."""
+    sources = range(n) if sources is None else sorted(sources)
+    return np.array([u * n + v for u in sources for v in range(n)], dtype=np.int64)
+
+
 def assert_rows_are_segment_fractions(net, sources=None):
-    """The rows of the given sources (every node by default) are those of
-    segment_fractions; an unreachable node's distance is beyond every
-    distance, and at least DIST_LIMIT."""
+    """The rows of every segment from the given sources (every node by
+    default) are those of segment_fractions; an unreachable node's distance
+    is beyond every distance, and at least DIST_LIMIT. Returns the rows."""
     cache = ShortestPathCache(net)
-    matrix = cache.segments
     n = net.node_count
-    sources = range(n) if sources is None else sources
-    matrix.build(np.array(sources))
+    segments = every_segment(n, sources)
+    rows = segment_rows(cache, segments)
+    dist, sigma = cache.pairs
     far = max(DIST_LIMIT, 1 + max(
         d for u in range(n) for d in cache.forward(u).scaled_dist if d is not None
     ))
     checked = 0
-    for u in sources:
+    for row, segment in enumerate(segments.tolist()):
+        u, v = divmod(segment, n)
         dag = cache.forward(u)
-        for v in range(n):
-            want = dag.scaled_dist[v]
-            assert matrix.dist[u, v] == (far if want is None else want)
-            assert matrix.sigma[u, v] == dag.sigma[v]
-            row = u * n + v
-            start, size = matrix.starts[row], matrix.sizes[row]
-            entries = slice(start, start + size)
-            if u == v or want is None:
-                assert size == 0 and not matrix.masks[row].any()
-                continue
-            seg = segment_fractions(net, u, v)
-            assert matrix.edges[entries].tolist() == list(seg.counts)
-            assert matrix.counts[entries].tolist() == list(seg.counts.values())
-            assert matrix.sigma[u, v] == seg.sigma
-            assert matrix.loads[entries].view(np.int64).tolist() == np.array(
-                seg.loads
-            ).view(np.int64).tolist()
-            bits = np.unpackbits(matrix.masks[row], count=net.edge_count)
-            assert np.flatnonzero(bits).tolist() == sorted(seg.counts)
-            checked += 1
-    assert checked and matrix.reach[sources].sum() == checked + len(sources)
+        want = dag.scaled_dist[v]
+        assert dist[u, v] == (far if want is None else want)
+        assert sigma[u, v] == rows.sigma[row] == dag.sigma[v]
+        start, size = rows.starts[row], rows.sizes[row]
+        entries = slice(start, start + size)
+        if u == v or want is None:
+            assert size == 0 and not rows.masks[row].any()
+            continue
+        seg = segment_fractions(net, u, v)
+        assert rows.edges[entries].tolist() == list(seg.counts)
+        assert rows.counts[entries].tolist() == list(seg.counts.values())
+        assert rows.sigma[row] == seg.sigma
+        assert rows.loads[entries].view(np.int64).tolist() == np.array(
+            seg.loads
+        ).view(np.int64).tolist()
+        bits = np.unpackbits(rows.masks[row], count=net.edge_count)
+        assert np.flatnonzero(bits).tolist() == sorted(seg.counts)
+        checked += 1
+    # The reachable rows: those checked, and each source's own (u, u).
+    assert checked and np.count_nonzero(rows.sigma) == checked + len(segments) // n
+    assert rows.starts.tolist() == (np.cumsum(rows.sizes) - rows.sizes).tolist()
+    return rows
 
 
-def test_segment_matrix_builds_each_source_once():
-    """Rows appear only for the sources built, and building a source again
-    changes nothing."""
-    net = random_digraph(8, 0.35, 5)
-    n = net.node_count
-    matrix = ShortestPathCache(net).segments
-    matrix.build(np.array([3, 3, 1]))
-    built = [u for u in range(n) if matrix.sizes[u * n:(u + 1) * n].any()]
-    assert built == [1, 3]
-    held = matrix.edges.copy()
-    matrix.build(np.array([1]))
-    assert np.array_equal(matrix.edges, held)
+def assert_same_rows(got, want, picked):
+    """``got`` holds the rows ``picked`` of ``want``, in order: the same
+    sigma, entries (load bits included) and masks, dtypes too."""
+    assert got.sigma.dtype == want.sigma.dtype and got.counts.dtype == want.counts.dtype
+    assert got.sigma.tolist() == want.sigma[picked].tolist()
+    assert got.sizes.tolist() == want.sizes[picked].tolist()
+    assert np.array_equal(got.masks, want.masks[picked])
+    for r, w in enumerate(picked):
+        mine = slice(got.starts[r], got.starts[r] + got.sizes[r])
+        theirs = slice(want.starts[w], want.starts[w] + want.sizes[w])
+        assert got.edges[mine].tolist() == want.edges[theirs].tolist()
+        assert got.counts[mine].tolist() == want.counts[theirs].tolist()
+        assert got.loads[mine].tobytes() == want.loads[theirs].tobytes()
+
+
+def test_segment_rows_of_any_ascending_subset_are_the_full_rows():
+    """The rows of any ascending subset of the segments are those rows of
+    every segment's: a row depends on its segment only, whatever else is
+    asked for in the same call, the empty subset and a single diagonal pad
+    included."""
+    rng = np.random.default_rng(7)
+    for net in (
+        random_digraph(8, 0.35, 5),
+        random_digraph(9, 0.25, 2, max_capacity=3),
+        parse_topology((DATA / "net10.topo").read_text()),
+    ):
+        cache = ShortestPathCache(net)
+        n = net.node_count
+        full = segment_rows(cache, np.arange(n * n, dtype=np.int64))
+        subsets = [[], [0], [n * n - 1], [3 * n + 3], list(range(2 * n, 3 * n))]
+        subsets += [
+            np.flatnonzero(rng.random(n * n) < p).tolist() for p in (0.05, 0.3, 0.8)
+        ]
+        for subset in subsets:
+            picked = np.array(subset, dtype=np.int64)
+            assert_same_rows(segment_rows(cache, picked), full, picked)
 
 
 def test_pairs_are_read_only_and_the_matrix_shares_them():
+    """The all-pairs arrays are read-only, and segment rows read them: each
+    row's sigma is its path count there, and no backward DAG is built."""
     cache = ShortestPathCache(random_digraph(8, 0.35, 5))
     dist, sigma = cache.pairs
     assert not dist.flags.writeable and not sigma.flags.writeable
-    assert cache.segments.dist is dist and cache.segments.sigma is sigma
+    segments = every_segment(8)
+    assert segment_rows(cache, segments).sigma.tolist() == sigma.ravel().tolist()
+    assert cache.pairs[0] is dist and cache.pairs[1] is sigma
+    assert not cache._backward
 
 
 def test_pairs_refuse_what_int64_cannot_hold():
@@ -284,9 +324,9 @@ def test_pairs_refuse_what_int64_cannot_hold():
 
 
 def test_segment_matrix_refuses_what_int64_cannot_hold():
-    """A path count of 2^53 or more makes the matrix hold its path counts as
-    Python ints, and a scaled cost of 2^61 or more its distances, and its
-    rows are still segment_fractions."""
+    """A row's path count of 2^53 or more makes the kernel hold the rows'
+    path counts as Python ints, and a scaled cost of 2^61 or more makes it
+    test distances on them, and its rows are still segment_fractions."""
     from srte.paths import FLOAT_EXACT
 
     # 53 diamonds in a chain: 2^53 shortest paths end to end.
@@ -296,23 +336,26 @@ def test_segment_matrix_refuses_what_int64_cannot_hold():
         edges += [(a, b, 1), (a, c, 1), (b, a + 3, 1), (c, a + 3, 1)]
     net = make_net(edges)
     cache = ShortestPathCache(net)
+    n = net.node_count
     assert cache.forward(0).sigma[3 * 53] == FLOAT_EXACT
     assert cache.pairs[1].dtype == np.int64
-    assert cache.segments.sigma.dtype == cache.segments.counts.dtype == object
-    assert cache.segments.dist.dtype == np.int64
-    assert ShortestPathCache(make_net(edges[4:])).segments.sigma.dtype == np.int64
+    rows = assert_rows_are_segment_fractions(net, sources=[0, 1, 3 * 26, 3 * 53 - 1])
+    assert rows.sigma.dtype == rows.counts.dtype == object
+    # The dtype is chosen from the rows asked for: (0, 3) has 2 paths.
+    short = segment_rows(cache, np.array([3]))
+    assert short.sigma.dtype == short.counts.dtype == np.int64
+    assert segment_rows(cache, every_segment(n, [1])).sigma.dtype == np.int64
+    rows = assert_rows_are_segment_fractions(make_net(edges[4:]))
+    assert rows.sigma.dtype == np.int64
     far = make_net([(0, 1, 1, Fraction(1, 3)), (1, 2, 1, 2**61)])
     assert far.scaled_costs[1] >= DIST_LIMIT
     assert ShortestPathCache(far).pairs[0].dtype == object
+    assert_rows_are_segment_fractions(far)
     # A cost past int64 on an edge no shortest path takes: the distances
     # fit, the sums with that cost do not.
     bypassed = make_net([(0, 2, 1), (2, 1, 1), (0, 1, 1, 2**70)])
-    matrix = ShortestPathCache(bypassed).segments
     assert ShortestPathCache(bypassed).pairs[0].dtype == np.int64
-    assert matrix.dist.dtype == object and matrix.sigma.dtype == np.int64
-    assert_rows_are_segment_fractions(net, sources=[0, 1, 3 * 26, 3 * 53 - 1])
-    assert_rows_are_segment_fractions(far)
-    assert_rows_are_segment_fractions(bypassed)
+    assert_rows_are_segment_fractions(bypassed).sigma.dtype == np.int64
     # 34 fans of three paths: no float holds 3^34, so dividing a count by
     # it in floats would be an ulp off 1/3.
     fans = []
@@ -320,5 +363,5 @@ def test_segment_matrix_refuses_what_int64_cannot_hold():
         a = 4 * i
         fans += [(a, a + j, 1) for j in (1, 2, 3)] + [(a + j, a + 4, 1) for j in (1, 2, 3)]
     assert float(3**33) / float(3**34) != 1 / 3
-    assert ShortestPathCache(make_net(fans)).segments.sigma.dtype == object
-    assert_rows_are_segment_fractions(make_net(fans), sources=[0])
+    rows = assert_rows_are_segment_fractions(make_net(fans), sources=[0])
+    assert rows.sigma.dtype == object

@@ -821,7 +821,7 @@ class TestTunnelPool:
             cache = ShortestPathCache(net)
             for c in demands.commodities:
                 seen["zero"] += c.demand == 0
-                seen["unroutable"] += not cache.reachable(c.source, c.sink)
+                seen["unroutable"] += cache.forward(c.source).scaled_dist[c.sink] is None
             for m in (0, 1, 2):
                 pool = TunnelPool(cache, demands, m)
                 sets = [rng.sample(range(8), rng.randint(0, 4)) for _ in range(8)]
@@ -901,7 +901,7 @@ def reference_tunnels(cache, demands, middlepoints, m):
     """``tunnels_for_middlepoints`` by brute force: each commodity's tunnels
     through every ordered selection of at most m distinct middlepoints that
     avoids its endpoints and whose segments are all reachable, tested one
-    segment at a time (``ShortestPathCache.reachable``), by waypoints."""
+    segment at a time on its start's DAG, by waypoints."""
     mids = sorted(set(middlepoints))
     groups = []
     for i, c in enumerate(demands.commodities):
@@ -910,7 +910,8 @@ def reference_tunnels(cache, demands, middlepoints, m):
             for seq in itertools.permutations(mids, size):
                 waypoints = (c.source, *seq, c.sink)
                 if c.source not in seq and c.sink not in seq and all(
-                    cache.reachable(a, b) for a, b in zip(waypoints, waypoints[1:])
+                    cache.forward(a).scaled_dist[b] is not None
+                    for a, b in zip(waypoints, waypoints[1:])
                 ):
                     tunnels.append(Tunnel(i, waypoints))
         groups.append(sorted(tunnels, key=lambda tun: tun.waypoints))
@@ -967,6 +968,24 @@ def spy_lcms(monkeypatch):
     return dtypes
 
 
+def spy_rows(monkeypatch):
+    """The segments and rows of every ``segment_rows`` call the kernel makes."""
+    calls, real = [], srte.te.segment_rows
+
+    def spy(cache, segments):
+        rows = real(cache, segments)
+        calls.append((segments, rows))
+        return rows
+
+    monkeypatch.setattr(srte.te, "segment_rows", spy)
+    return calls
+
+
+def row_dtypes(calls):
+    """The (sigma, counts) dtypes of the rows of the given calls."""
+    return {(rows.sigma.dtype, rows.counts.dtype) for _, rows in calls}
+
+
 def assert_exact_loads(pool):
     """Each column lists its tunnel's edges in order of first use, each load
     float(exact load), the segments' Fraction(count, sigma) summed."""
@@ -1009,6 +1028,7 @@ class TestSegmentMatrixColumns:
         sums, here on int64."""
         seen = {"shared": 0, "zero": 0, "columns": 0}
         lcms = spy_lcms(monkeypatch)
+        calls = spy_rows(monkeypatch)
         for seed in range(8):
             rng = random.Random(seed)
             net = random_digraph(8, 0.3, seed, max_capacity=5)
@@ -1020,7 +1040,6 @@ class TestSegmentMatrixColumns:
             demands = make_demands(*((s, t, rng.choice([0, 1, 2.5])) for s, t in pairs))
             seen["zero"] += any(c.demand == 0 for c in demands.commodities)
             cache = ShortestPathCache(net)
-            assert cache.segments.sigma.dtype == np.int64
             for m in (0, 1, 2, 3):
                 pool = TunnelPool(cache, demands, m)
                 for _ in range(3):
@@ -1035,6 +1054,7 @@ class TestSegmentMatrixColumns:
             assert_exact_loads(pool)
         assert all(seen.values()), seen
         assert lcms and set(lcms) == {np.dtype(np.int64)}
+        assert row_dtypes(calls) == {(np.dtype(np.int64),) * 2}
 
     def test_no_commodities(self):
         """Without commodities every cover appends nothing, at every m."""
@@ -1057,46 +1077,65 @@ class TestSegmentMatrixColumns:
         assert_exact_loads(pool)
         return cache, pool
 
-    def test_path_counts_of_2_to_the_54(self):
+    def test_path_counts_of_2_to_the_54(self, monkeypatch):
         """54 diamonds in a chain: 2^54 shortest paths end to end do not fit
-        a float, so the matrix holds Python ints."""
+        a float, so the segment rows hold Python ints."""
         edges = []
         end = staged(edges, 0, 54, 2, itertools.count(1))
         net = make_net(edges)
         demands = make_demands((0, end, 1), (3, end - 3, 2), (end - 6, end, 1))
+        calls = spy_rows(monkeypatch)
         cache, pool = self.assert_exact_wide(net, demands, [[3 * 27], [1], [end - 1]])
-        matrix = cache.segments
-        assert matrix.sigma.dtype == matrix.counts.dtype == object
-        assert cache.forward(0).sigma[end] == matrix.sigma[0, end] == 2**54
+        assert row_dtypes(calls) == {(np.dtype(object),) * 2}
+        assert cache.forward(0).sigma[end] == cache.pairs[1][0, end] == 2**54
         assert set(pool._commodity.tolist()) == {0, 1, 2}
 
     def test_scaled_distances_past_2_to_the_63(self):
         """Costs 1/p over the first 20 primes: the cost scale is their
-        product, so every scaled cost exceeds 2^63 and the matrix holds
-        Python ints."""
+        product, so every scaled cost exceeds 2^63, the all-pairs distances
+        are Python ints and segment rows test distances on them."""
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
         base = random_connected_digraph(9, 30, 4, max_capacity=4)
         net = base.with_costs([Fraction(1, primes[i % 20]) for i in range(base.edge_count)])
         assert min(net.scaled_costs) >= 2**63
         demands = make_demands((0, 8, 1), (3, 1, 0), (5, 2, 2.5), (7, 6, 1))
         cache, pool = self.assert_exact_wide(net, demands, [[1, 4], [2, 6], [0, 7]], m=2)
-        assert cache.segments.dist.dtype == object
+        assert cache.pairs[0].dtype == object
         assert len(pool._commodity) > 20
+
+    def test_all_nodes_asks_only_for_its_tunnels_segments(self, monkeypatch):
+        """All-nodes m=1 on a 300-node network with 5 demands asks the
+        kernel, once, for exactly its tunnels' segments (and the direct
+        tunnels' pads (t, t)): 2,970 of the 90,000."""
+        net = random_connected_digraph(300, 1200, 4000)
+        demands = generate_gravity_demands(net, 5, 4500)
+        cache = ShortestPathCache(net)
+        groups = tunnels_for_middlepoints(cache, demands, range(300), 1)
+        calls = spy_rows(monkeypatch)
+        build_te_lu(cache, demands, groups)
+        want = set()
+        for tun in (tun for group in groups for tun in group):
+            want.update(a * 300 + b for a, b in tun.segments)
+            if not tun.middlepoints:
+                want.add(tun.waypoints[-1] * 301)
+        assert len(calls) == 1
+        assert calls[0][0].tolist() == sorted(want)
+        assert sum(map(len, groups)) > 1000 and len(want) < 3000
 
     def assert_sum_on_python_ints(self, edges, w, t, monkeypatch):
         """Commodities (0, t) and (w, t), and the tunnel (0, w, t): the
-        network's path counts fit the int64 matrix, the tunnel's exact sum
+        network's path counts fit int64 segment rows, the tunnel's exact sum
         does not fit a float, so its LCM and sums run on Python ints, and
         the pool is exact."""
         net = make_net(edges)
         demands = make_demands((0, t, 1), (w, t, 2))
-        cache = ShortestPathCache(net)
-        assert cache.segments.sigma.dtype == np.int64
-        assert cache.segments.sigma.max() < 2**53
-        lcms = spy_lcms(monkeypatch)
+        sigma = ShortestPathCache(net).pairs[1]
+        assert sigma.dtype == np.int64 and sigma.max() < 2**53
+        lcms, calls = spy_lcms(monkeypatch), spy_rows(monkeypatch)
         self.assert_exact_wide(net, demands, [[w]])
+        assert row_dtypes(calls) == {(np.dtype(np.int64),) * 2}
         assert lcms and set(lcms) == {np.dtype(object)}
-        return cache.segments.sigma
+        return sigma
 
     def test_lcm_that_no_float_holds(self, monkeypatch):
         """Segment (s, w) crosses 16 fans of three paths, the last but one

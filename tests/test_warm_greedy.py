@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import srte.selection
+import srte.te
 from srte import cli
 from srte.te import BOUND_TOL, ExtensionModel, TunnelPool
 from srte.paths import ShortestPathCache
@@ -301,7 +302,7 @@ def test_each_probe_leaves_the_model_at_the_chosen_set():
         theta, parent, _ = srte.selection._evaluate(pool, chosen)
         if theta == math.inf:
             continue
-        model = ExtensionModel(pool, chosen, parent.basis)
+        model = ExtensionModel(pool, chosen, parent.program, parent.basis)
         for v in others:
             model.theta(v)
             again = model._model.solve_with(*no_columns)
@@ -389,3 +390,24 @@ def test_screened_candidates_count_as_subproblems_and_cannot_win(monkeypatch):
                 assert (cold, v) > (theta_w, w)
     assert ranked + screened == result.subproblems_solved - 1
     assert screened > 0
+
+
+def test_a_round_reuses_the_chosen_sets_assembled_lp(monkeypatch):
+    """A greedy k=3 run assembles one LP per cold solve and no more: each
+    round's ``ExtensionModel`` loads the LP of the chosen set's solution
+    instead of slicing and assembling it again."""
+    net = random_connected_digraph(30, 120, 4000)
+    demands = generate_gravity_demands(net, 100, 4500)
+    counts = {"assembled": 0, "cold": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(srte.te, "_tunnel_lp", counted("assembled", srte.te._tunnel_lp))
+    monkeypatch.setattr(srte.te, "solve_lp", counted("cold", srte.te.solve_lp))
+    result = greedy_select(net, demands, range(30), 3, 1)
+    assert len(result.middlepoints) == 3
+    assert counts["assembled"] == counts["cold"] >= 4
