@@ -217,7 +217,8 @@ def _parse_positive(token: str, lineno: int, what: str) -> Fraction:
 
 
 def parse_topology(text: str) -> FlowNetwork:
-    """Parse a TOPOLOGY file into a validated FlowNetwork.
+    """Parse a TOPOLOGY file into a validated FlowNetwork with at least one
+    edge.
 
     Node indices are assigned in first-appearance order.
     """
@@ -251,6 +252,8 @@ def parse_topology(text: str) -> FlowNetwork:
         seen_pairs.add((u, v))
         edges.append(Edge(u, v, capacity, cost))
 
+    if not edges:
+        raise TopologyError("topology has no edges")
     return FlowNetwork(tuple(names), tuple(edges))
 
 

@@ -72,12 +72,11 @@ UTILIZATION_TOL = 1e-6
 # The float error allowed between a dual bound and the LU theta it bounds,
 # relative to max(1, theta) (or to max(1, |bound|) where only the bound is
 # known). An LU theta further above the bound at its own row duals is
-# refused as not optimal: over 1,141 cold LU tunnel solves of 80
-# benchmark-tier greedy and GSP-sweep runs the gap was at most 6.8e-16, and
-# over the MP programs of 20 benchmark-tier instances at most 2.5e-16. A
-# greedy candidate whose ``extension_bounds`` bound less it cannot win is
-# not solved: the bound exceeded the cold theta by at most 5.9e-16 over the
-# 7,697 candidates of 80 benchmark-tier greedy runs.
+# refused as not optimal (``_certify``): over 1,141 cold LU tunnel solves of
+# 80 benchmark-tier greedy and GSP-sweep runs the gap was at most 6.8e-16,
+# and over the MP programs of 20 benchmark-tier instances at most 2.5e-16.
+# It is the certificate's tolerance only: the greedy screens its candidates'
+# ``extension_bounds`` with the far narrower warm tie band.
 BOUND_TOL = 1e-9
 
 # The most (commodity, ordered middlepoint sequence) pairs all-nodes tests.
@@ -524,9 +523,11 @@ class ExtensionModel:
 
     The slice of the set plus a node holds the set's columns and the pool
     columns whose middlepoints are that node and members of the set, and the
-    set's rows. So each solve adds only that node's columns, built from the
-    pool's arrays (``TunnelPool._lu_columns``), for that solve. The solution
-    is checked as ``solve_te`` checks one.
+    set's rows. So each solve adds only that node's columns, for that solve.
+    Every node's columns are built at once, as one table of LU columns
+    (``TunnelPool._lu_columns``) from the pool's arrays, when the model is
+    made, and each solve adds its node's slice of it. The solution is
+    checked as ``solve_te`` checks one.
     """
 
     def __init__(
@@ -540,14 +541,40 @@ class ExtensionModel:
         self._pool = pool
         self._program = program
         self._model = LpModel(program.lp, basis)
+        # The pool columns with exactly one middlepoint outside the set, by
+        # that node (stably, so each node's in (commodity, waypoints) order):
+        # node v's are columns[starts[v]:starts[v + 1]].
+        node_count = pool.cache.network.node_count
+        outside = np.ones(node_count + 1, dtype=bool)
+        outside[[*self.middlepoints, node_count]] = False  # the padding too
+        mids = pool._middlepoints[pool._order]
+        out = outside[mids]
+        alone = out.sum(axis=1) == 1
+        nodes = (mids * out).sum(axis=1)[alone]
+        by_node = np.argsort(nodes, kind="stable")
+        self._columns = pool._order[alone][by_node]
+        self._starts = np.searchsorted(nodes[by_node], np.arange(node_count + 1))
+        self._table = pool._lu_columns(self._columns)
+
+    def _node_columns(
+        self, node: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The pool columns ``node`` adds to the set, in (commodity,
+        waypoints) order, and their LU columns as ``_lu_columns`` gives
+        them."""
+        first, stop = self._starts[node], self._starts[node + 1]
+        ptr, rows, values = self._table
+        start, end = ptr[first], ptr[stop]
+        return (
+            self._columns[first:stop], ptr[first:stop + 1] - start,
+            rows[start:end], values[start:end],
+        )
 
     def theta(self, node: int) -> float:
         """Theta of the set plus ``node``, a node outside it. A solve without
         an optimum or a point failing a check raises ``ArithmeticError``."""
         pool, program = self._pool, self._program
-        columns = pool._columns((*self.middlepoints, node))
-        columns = columns[(pool._middlepoints[columns] == node).any(axis=1)]
-        ptr, rows, values = pool._lu_columns(columns)
+        columns, ptr, rows, values = self._node_columns(node)
         sol = self._model.solve_with(ptr, rows, values)
         if sol.status is not LpStatus.OPTIMAL:
             raise ArithmeticError(f"LP solver failed: program is {sol.status.value}")

@@ -815,6 +815,21 @@ class TestInputErrors:
         )
         assert err == "error: unknown node name 'zz'\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--gravity", "3"),
+        ("sweep", "--gravity", "3", "--sweep-k", "1:2"),
+        ("centrality", "--method", "gsp"),
+        ("centrality",),
+    ], ids=["solve", "sweep", "centrality-gsp", "centrality"])
+    def test_topology_without_edges(self, capsys, tmp_path, argv):
+        """An empty or comment-only topology was read as a network of no
+        nodes: solve and gsp named a k or flow count out of [1, 0], and
+        centrality printed an empty table and exited 0."""
+        topo = tmp_path / "none.topo"
+        topo.write_text("# no edges\n\n")
+        err = self.assert_rejected(capsys, *argv, "--topology", topo)
+        assert err == "error: topology has no edges\n"
+
     @pytest.mark.parametrize("k", ["0", "-1", "11"])
     def test_gsp_centrality_k_out_of_range(self, capsys, k):
         err = self.assert_rejected(

@@ -69,6 +69,11 @@ class TestParseTopology:
         with pytest.raises(TopologyError, match=fragment):
             parse_topology(text)
 
+    @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n"])
+    def test_a_topology_without_edges_is_refused(self, text):
+        with pytest.raises(TopologyError, match="^topology has no edges$"):
+            parse_topology(text)
+
     def test_roundtrip_exact(self):
         net = parse_topology("EDGE a b 3/2\nEDGE b a 7 2/5\nEDGE a c 1\n")
         assert parse_topology(serialize_topology(net)) == net

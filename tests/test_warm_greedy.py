@@ -16,7 +16,7 @@ import pytest
 import srte.selection
 import srte.te
 from srte import cli
-from srte.te import BOUND_TOL, ExtensionModel, TunnelPool
+from srte.te import ExtensionModel, TunnelPool
 from srte.paths import ShortestPathCache
 from srte.graph import (
     generate_gravity_demands,
@@ -226,7 +226,9 @@ def test_a_cold_winner_that_does_not_improve_ends_the_expansion(
 ):
     """Warm thetas reported 2 * IMPROVEMENT_TOL low make a round that cannot
     improve look as if it could: its cold confirmations find no improvement,
-    and the expansion ends where the all-cold loop's ends."""
+    and the expansion ends where the all-cold loop's ends. Every candidate
+    is ranked (no screening): the screen would skip each of these last
+    rounds before any solve."""
     runs = [instances()[i] for i in (12, 19, 20, 43, 45)]
     real = srte.selection._evaluate
     real_theta = ExtensionModel.theta
@@ -251,6 +253,7 @@ def test_a_cold_winner_that_does_not_improve_ends_the_expansion(
         return winner
 
     with monkeypatch.context() as patch:
+        no_screening(patch)
         patch.setattr(srte.selection, "_evaluate", evaluate)
         patch.setattr(ExtensionModel, "theta", low)
         patch.setattr(srte.selection, "_greedy_round", round_)
@@ -259,6 +262,84 @@ def test_a_cold_winner_that_does_not_improve_ends_the_expansion(
     monkeypatch.setattr(srte.selection, "_greedy_points", cold_greedy_points)
     for run, out in zip(runs, got):
         assert out == printed(tmp_path, *run), run[1:]
+
+
+def test_a_round_that_cannot_improve_ranks_no_candidate(tmp_path, monkeypatch):
+    """Each of these five expansions ends in a round of theta above 1 with
+    no winner, where every candidate's dual bound less its tie band cannot
+    improve on theta: the round ranks none of its candidates and solves
+    none cold, and the expansion ends where the all-cold loop's ends."""
+    runs = [instances()[i] for i in (12, 19, 20, 43, 45)]
+    real_round = srte.selection._greedy_round
+    real_theta = ExtensionModel.theta
+    real_evaluate = srte.selection._evaluate
+    rounds, last = [], []
+
+    def round_(pool, chosen, unexplored, theta, parent):
+        rounds.append({"theta": theta, "candidates": len(unexplored), "solves": 0})
+        return real_round(pool, chosen, unexplored, theta, parent)
+
+    def theta_(model, node):
+        rounds[-1]["solves"] += 1
+        return real_theta(model, node)
+
+    def evaluate(pool, middlepoints):
+        if rounds:
+            rounds[-1]["solves"] += 1
+        return real_evaluate(pool, middlepoints)
+
+    got = []
+    with monkeypatch.context() as patch:
+        patch.setattr(srte.selection, "_greedy_round", round_)
+        patch.setattr(ExtensionModel, "theta", theta_)
+        patch.setattr(srte.selection, "_evaluate", evaluate)
+        for run in runs:
+            rounds.clear()
+            got.append(printed(tmp_path, *run))
+            last.append(rounds[-1])
+    for end in last:
+        assert end["theta"] > 1
+        assert end["candidates"] >= 6
+        assert end["solves"] == 0
+    monkeypatch.setattr(srte.selection, "_greedy_points", cold_greedy_points)
+    for run, out in zip(runs, got):
+        assert out == printed(tmp_path, *run), run[1:]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_each_nodes_columns_are_its_filtered_pool_columns(m):
+    """Each node's slice of the model's column table is, array for array
+    and dtype for dtype, the pool columns of the set plus the node that
+    hold the node, and their ``_lu_columns``: from the empty set and from
+    initial sets, with candidates a strict subset of the nodes (the others
+    bring no column), at m = 0, 1 and 2."""
+    models = sliced = 0
+    for text, gravity, seed, _, _, initial in instances()[::7]:
+        net = parse_topology(text)
+        demands = generate_gravity_demands(net, gravity, seed)
+        pool = TunnelPool(ShortestPathCache(net), demands, m)
+        chosen = list(initial)
+        others = [v for v in range(net.node_count) if v not in chosen]
+        candidates = others[::2]
+        pool.cover(chosen + [v] for v in candidates)
+        theta, parent, _ = srte.selection._evaluate(pool, chosen)
+        if theta == math.inf:
+            continue
+        model = ExtensionModel(pool, chosen, parent.program, parent.basis)
+        models += 1
+        for v in others:
+            columns = pool._columns((*chosen, v))
+            columns = columns[(pool._middlepoints[columns] == v).any(axis=1)]
+            want = (columns, *pool._lu_columns(columns))
+            got = model._node_columns(v)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+            if m == 0 or v not in candidates:
+                assert len(got[0]) == 0
+            sliced += len(got[0]) > 0
+    assert models >= 6
+    assert sliced > 20 if m else sliced == 0
 
 
 def test_incremental_theta_is_within_the_tie_tolerance_of_the_cold_theta(
@@ -316,8 +397,8 @@ def test_dual_bound_is_at_most_the_cold_theta_of_every_candidate(
     tmp_path, monkeypatch
 ):
     """On every candidate of every round of the 50 runs, the dual bound at
-    the chosen set's duals, less BOUND_TOL, is at most the theta of the
-    candidate's set solved cold."""
+    the chosen set's duals, less its tie band (the screen's margin), is at
+    most the theta of the candidate's set solved cold."""
     real = srte.selection.extension_bounds
     evaluate = srte.selection._evaluate
     checked = []
@@ -326,7 +407,7 @@ def test_dual_bound_is_at_most_the_cold_theta_of_every_candidate(
         bounds = real(pool, middlepoints, nodes, duals)
         for v, bound in zip(nodes, bounds.tolist()):
             cold, _, _ = evaluate(pool, [*middlepoints, v])
-            assert bound - BOUND_TOL * max(1.0, abs(bound)) <= cold, (
+            assert bound - srte.selection.WARM_TIE_TOL * max(1.0, abs(bound)) <= cold, (
                 middlepoints, v, bound, cold,
             )
             checked.append(v)
