@@ -24,11 +24,11 @@ import sys
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import centrality as centrality_mod
-from . import oracles
 from .graph import (
     Commodity,
     DemandMatrix,
     FlowNetwork,
+    SizeCapExceededError,
     generate_gravity_demands,
     parse_demands,
     parse_topology,
@@ -354,6 +354,8 @@ def _random_swt(rng: random.Random, n: int) -> tuple[int, int, int]:
 
 
 def _suite_maxflow_mincut(args) -> list[str]:
+    from . import oracles
+
     failures = []
     for trial in range(args.trials):
         net = random_digraph(args.nodes, 0.3, args.seed + trial, max_capacity=3)
@@ -371,6 +373,8 @@ def _suite_maxflow_mincut(args) -> list[str]:
 
 
 def _suite_submodularity(args) -> list[str]:
+    from . import oracles
+
     failures = []
     for trial in range(args.trials):
         net = random_digraph(args.nodes, 0.35, args.seed + trial, max_capacity=4)
@@ -464,6 +468,10 @@ _SUITES = {
 
 
 def cmd_oracle(args) -> int:
+    # Imported here: the oracles load scipy.optimize and scipy.sparse, which
+    # no other command needs.
+    from . import oracles
+
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
     # maxflow-mincut samples three distinct nodes (s, w, t), the others two.
@@ -501,7 +509,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="rank sp, gsp or degree with 1/capacity edge weights",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int, default=DEFAULT_SUBPROBLEM_BUDGET)
+    parser.add_argument(
+        "--budget", type=int, default=DEFAULT_SUBPROBLEM_BUDGET,
+        help="refuse --method optimal when its middlepoint subsets number "
+        "more than this (default %(default)s); other methods ignore it",
+    )
     parser.add_argument(
         "--single-middlepoint", action="store_true",
         help="exclude the direct tunnel and force exactly one middlepoint",
@@ -554,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
 # Every library error ends in one stderr line and exit 2 (the run failed) or
 # exit 1 (the input was rejected).
 _FAILED = (NoTunnelError, BudgetExceededError, NotOptimalError, ArithmeticError)
-_REJECTED = (UsageError, ValueError, KeyError, oracles.SizeCapExceededError)
+_REJECTED = (UsageError, ValueError, KeyError, SizeCapExceededError)
 
 
 def _drop_stdout() -> None:

@@ -35,6 +35,12 @@ class UnknownNodeError(ValueError):
     """Raised for a node name the network does not have."""
 
 
+class SizeCapExceededError(Exception):
+    """Instance exceeds the brute-force size caps of ``srte.oracles``; defined
+    here so that the CLI catches it without importing the oracles, which
+    load SciPy."""
+
+
 @dataclass(frozen=True)
 class Edge:
     """Directed edge with a positive capacity and a positive routing cost."""

@@ -20,18 +20,67 @@ way, one model per round, and prices the candidates it need not solve at
 the chosen set's duals; a top-K sweep grows one model the second way, one
 point after the other. Only scipy 1.17.1's bindings are tested;
 ``tests/test_lp.py`` names every private binding used here.
+
+The matrices are ``CsrMatrix`` values, not scipy.sparse ones: HiGHS takes
+their CSR arrays as they are, and each mat-vec is one ``np.bincount`` that
+adds every row in stored order, as scipy's does, so bit for bit the same.
+
+The bindings, ``scipy.optimize._highspy._core``, are loaded by themselves from
+their file (``_load_highs``) and registered under their own name, without
+running ``scipy.optimize``'s ``__init__``, which imports scipy.sparse and most
+of SciPy's solvers and takes longer than all of srte's other imports. A later
+``import scipy.optimize`` reuses the registered module; after an earlier one,
+srte reuses scipy's. One limitation: when srte loads the module first, the
+attribute path ``scipy.optimize._highspy._core`` raises ``AttributeError``,
+because the package ``_highspy`` is imported after its submodule and so never
+gets the attribute; ``from scipy.optimize._highspy import _core`` finds the
+module in either order.
 """
 
 from __future__ import annotations
 
 import enum
+import importlib.util
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
+from types import ModuleType
 from typing import Optional
 
 import numpy as np
-from scipy.optimize._highspy import _core as highs
-from scipy.sparse import csr_matrix, vstack
+import scipy
+
+_HIGHS = "scipy.optimize._highspy._core"
+
+
+def _load_highs(folder: Path) -> ModuleType:
+    """The HiGHS extension module: the one already imported under its name,
+    else the one ``_core`` extension file in ``folder``, registered under its
+    name in ``sys.modules`` before it runs. No such file, or more than one,
+    raises ``ImportError``."""
+    module = sys.modules.get(_HIGHS)
+    if module is not None:
+        return module
+    found = [
+        path for path in (folder / f"_core{suffix}" for suffix in EXTENSION_SUFFIXES)
+        if path.is_file()
+    ]
+    if len(found) != 1:
+        raise ImportError(
+            f"expected one HiGHS extension file _core{{{','.join(EXTENSION_SUFFIXES)}}} "
+            f"in {folder} (scipy {scipy.__version__}), found {len(found)}"
+        )
+    spec = importlib.util.spec_from_file_location(_HIGHS, found[0])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+highs = _load_highs(Path(scipy.__file__).parent / "optimize" / "_highspy")
 
 FEASIBILITY_TOL = 1e-7
 
@@ -43,6 +92,44 @@ class LpStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
+
+
+@dataclass(frozen=True, eq=False)
+class CsrMatrix:
+    """A sparse matrix in the compressed sparse row arrays HiGHS takes: row
+    i's entries are ``data[indptr[i]:indptr[i + 1]]``, in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``. The builders keep scipy's canonical
+    form: int32 index arrays, each row's columns distinct and ascending."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    @cached_property
+    def entry_rows(self) -> np.ndarray:
+        """Each entry's row."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product with the vector ``x``: each row's entries times ``x``
+        at their columns, added from 0.0 in stored order by one
+        ``np.bincount``, as scipy's ``csr_matvec`` adds them (float even
+        without entries, where bincount counts in int). ``take`` gathers by
+        the int32 indices in a third of the time of ``x[indices]``."""
+        return np.bincount(
+            self.entry_rows, self.data * x.take(self.indices),
+            minlength=self.shape[0],
+        ).astype(float, copy=False)
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        np.add.at(dense, (self.entry_rows, self.indices), self.data)
+        return dense
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,9 +145,9 @@ class SparseLp:
     objective: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    a_ub: csr_matrix
+    a_ub: CsrMatrix
     b_ub: np.ndarray
-    a_eq: csr_matrix
+    a_eq: CsrMatrix
     b_eq: np.ndarray
 
     @property
@@ -108,7 +195,7 @@ class LpSolution:
     duals: Optional[np.ndarray] = None
 
 
-def _row_norms(a: csr_matrix) -> np.ndarray:
+def _row_norms(a: CsrMatrix) -> np.ndarray:
     """Each row's max |coefficient|, read from the arrays of a CSR matrix
     without duplicate entries (as built from COO); 0 for a row without any."""
     norms = np.zeros(a.shape[0])
@@ -171,7 +258,7 @@ _RESULT_TOL = 10 * np.sqrt(1e-9)
 
 def _loaded(
     lp: SparseLp, options: highs.HighsOptions
-) -> tuple[highs._Highs, csr_matrix, np.ndarray]:
+) -> tuple[highs._Highs, CsrMatrix, np.ndarray]:
     """A fresh solver holding the program after linprog's input checks, the
     rows as passed (the ``<=`` rows, then the ``=`` rows) and their upper
     bounds."""
@@ -191,7 +278,12 @@ def _loaded(
     elif not lp.a_ub.shape[0]:
         a = lp.a_eq
     else:
-        a = vstack((lp.a_ub, lp.a_eq), format="csr")
+        a = CsrMatrix(
+            np.concatenate((lp.a_ub.indptr, lp.a_ub.nnz + lp.a_eq.indptr[1:])),
+            np.concatenate((lp.a_ub.indices, lp.a_eq.indices)),
+            np.concatenate((lp.a_ub.data, lp.a_eq.data)),
+            (lp.a_ub.shape[0] + lp.a_eq.shape[0], lp.num_vars),
+        )
     row_lower = np.concatenate((np.full(len(lp.b_ub), -highs.kHighsInf), lp.b_eq))
     row_upper = np.concatenate((lp.b_ub, lp.b_eq))
     c = -lp.objective if lp.maximize else lp.objective

@@ -17,17 +17,13 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix, vstack
 
-from .graph import DemandMatrix, Edge, FlowNetwork
+from .graph import DemandMatrix, Edge, FlowNetwork, SizeCapExceededError
 from .lp import LpStatus, SparseLp, solve_lp
 
 NODE_CAP = 12
 MAX_PATHS = 40_000
 
 VALUE_TOL = 1e-6
-
-
-class SizeCapExceededError(Exception):
-    """Instance exceeds the configured brute-force size caps."""
 
 
 class ZeroMaxFlowError(Exception):

@@ -58,10 +58,9 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .graph import Commodity, DemandMatrix, FlowNetwork
-from .lp import LpModel, LpSolution, LpStatus, SparseLp, highs, solve_lp
+from .lp import CsrMatrix, LpModel, LpSolution, LpStatus, SparseLp, highs, solve_lp
 from .paths import FLOAT_EXACT, ShortestPathCache, UnreachableSegment, segment_rows
 
 LU = "lu"
@@ -184,7 +183,7 @@ class TeProgram:
     network: FlowNetwork
     demands: DemandMatrix
     first_tunnel_var: int
-    loads: csr_matrix
+    loads: CsrMatrix
     commodity: Optional[np.ndarray] = None
     middlepoints: Optional[np.ndarray] = None
 
@@ -248,13 +247,30 @@ class TeSolution:
         return dict(enumerate(self.utilization.tolist()))
 
 
-def _csr(parts, shape) -> csr_matrix:
-    """The CSR matrix of (rows, cols, data) COO parts; duplicates add up."""
+def _indptr(rows: np.ndarray, count: int) -> np.ndarray:
+    """The int32 row pointers of entries in these rows, sorted by row."""
+    indptr = np.zeros(count + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=count), out=indptr[1:])
+    return indptr
+
+
+def _csr(parts, shape) -> CsrMatrix:
+    """The CSR matrix of (rows, cols, data) COO parts in scipy's canonical
+    form: entries sorted by row, then column, and duplicates added up in the
+    order given."""
     rows, cols, data = (np.concatenate(p) for p in zip(*parts))
-    return csr_matrix((data, (rows, cols)), shape=shape)
+    order = np.lexsort((cols, rows))
+    rows, cols, data = rows[order], cols[order], data[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    if not new.all():
+        summed = data[new]
+        np.add.at(summed, np.cumsum(new)[~new] - 1, data[~new])
+        rows, cols, data = rows[new], cols[new], summed
+    return CsrMatrix(_indptr(rows, shape[0]), cols.astype(np.int32), data, shape)
 
 
-def _row_major(parts, shape) -> csr_matrix:
+def _row_major(parts, shape) -> CsrMatrix:
     """The CSR matrix of (rows, cols, data) COO parts without duplicates whose
     entries already ascend by column within each row, as entries listed
     column by column do: a stable sort by row, equal to ``_csr`` of them."""
@@ -262,17 +278,18 @@ def _row_major(parts, shape) -> csr_matrix:
     # NumPy sorts keys of up to 16 bits by radix, several times faster.
     keys = rows.astype(np.uint16) if shape[0] <= 1 << 16 else rows
     order = np.argsort(keys, kind="stable")
-    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return csr_matrix(
-        (data[order], cols[order].astype(np.int32), indptr), shape=shape
+    return CsrMatrix(
+        _indptr(rows, shape[0]), cols[order].astype(np.int32), data[order], shape
     )
 
 
 @functools.cache
-def _no_rows(width: int) -> csr_matrix:
+def _no_rows(width: int) -> CsrMatrix:
     """The empty = block of every tunnel program with this many columns."""
-    return csr_matrix((0, width))
+    return CsrMatrix(
+        np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0),
+        (0, width),
+    )
 
 
 def _build_tunnel_program(
@@ -330,7 +347,7 @@ def _tunnel_lp(program: TeProgram) -> SparseLp:
     first = program.first_tunnel_var
     variables = first + count
     # The load entries row by row, each row's by tunnel.
-    edge_rows = np.repeat(np.arange(edge_count), np.diff(load_matrix.indptr))
+    edge_rows = load_matrix.entry_rows
     tunnel_cols, loads = load_matrix.indices, load_matrix.data
     capacities = network.float_capacities
 
@@ -656,9 +673,9 @@ def extension_bounds(
     (node, commodity) pair.
     """
     network = pool.cache.network
-    costs = csr_matrix(
-        (pool._loads, pool._edge_rows, pool._ptr),
-        shape=(len(pool._commodity), network.edge_count),
+    costs = CsrMatrix(
+        pool._ptr, pool._edge_rows, pool._loads,
+        (len(pool._commodity), network.edge_count),
     ) @ dual_weights(network, duals)
     # Each middlepoint's label: -1 in the set (or padding), the node's
     # position among the nodes, or -2 for any other node.
@@ -905,7 +922,9 @@ def _path_costs(
 ) -> np.ndarray:
     """Each commodity's least path cost under the edge weights (inf if its
     sink is unreachable)."""
-    # Imported here: at module level it slows ``import srte.cli`` by ~5 ms.
+    # Imported here: only MP runs load scipy.sparse, which takes longer than
+    # all of srte's other imports.
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
     n = network.node_count

@@ -142,6 +142,12 @@ def strongly_connected(network):
     return len(reach(network.out_edges)) == n and len(reach(network.in_edges)) == n
 
 
+def scipy_csr(a):
+    """A copy of a CSR matrix (srte's own or scipy's) as scipy's csr_matrix,
+    for the reference computations the tests make with scipy.sparse."""
+    return csr_matrix((a.data, a.indices, a.indptr), shape=a.shape, copy=True)
+
+
 def dense_lp(objective, ub=(), eq=(), *, lower=None, upper=None,
              maximize=False):
     """A SparseLp written out densely: ``ub`` and ``eq`` list the <= and the

@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srte.cli
+import srte.graph
+import srte.oracles
 from srte.centrality import group_betweenness
 from srte.cli import SELECTION_METHODS, main
 from srte.graph import (
@@ -53,6 +55,17 @@ def test_parser_is_built_once_and_commands_are_looked_up_per_call(
     assert code == 0 and out.startswith("node,score,rank\n")
     monkeypatch.setattr(srte.cli, "cmd_centrality", lambda args: 7)
     assert run(capsys, *argv) == (7, "", "")
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_budget_help_says_what_it_caps(capsys, command):
+    """--budget caps only --method optimal's subset count, and says so."""
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert (
+        "--budget BUDGET refuse --method optimal when its middlepoint subsets "
+        "number more than this (default 10000); other methods ignore it"
+    ) in " ".join(out.split())
 
 
 @pytest.fixture
@@ -894,6 +907,13 @@ class TestInputErrors:
                 capsys, "oracle", suite, "--nodes", "13", "--trials", "1",
             )
             assert err == "error: 13 nodes exceed the oracle cap of 12\n"
+
+    def test_size_cap_error_is_one_class(self):
+        """The oracles raise, and the CLI rejects, the one
+        SizeCapExceededError, defined in srte.graph so that the CLI names it
+        without importing the oracles."""
+        assert srte.oracles.SizeCapExceededError is srte.graph.SizeCapExceededError
+        assert srte.graph.SizeCapExceededError in srte.cli._REJECTED
 
     def test_lemma1_is_not_capped(self, capsys):
         """lemma1 solves polynomial MP programs, so the brute-force cap does

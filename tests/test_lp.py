@@ -3,6 +3,9 @@
 import dataclasses
 import gc
 import math
+import pathlib
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from srte.graph import generate_gravity_demands, random_connected_digraph
 from srte.paths import ShortestPathCache
 from srte.lp import EQ, LE, LpStatus, dump_lp, solve_lp
 
-from conftest import dense_lp, split_lp
+from conftest import dense_lp, scipy_csr, split_lp
 
 
 def test_trivially_infeasible():
@@ -184,7 +187,7 @@ def test_feasibility_recheck(monkeypatch, point, ok):
 
 
 def scipy_row_norms(a):
-    return abs(a).max(axis=1).toarray().ravel()
+    return abs(scipy_csr(a)).max(axis=1).toarray().ravel()
 
 
 def test_row_norms_equal_scipys():
@@ -248,7 +251,8 @@ def scipy_arguments(lp):
     minimize, both blocks and an (n, 2) bounds array."""
     return {
         "c": -lp.objective if lp.maximize else lp.objective,
-        "A_ub": lp.a_ub, "b_ub": lp.b_ub, "A_eq": lp.a_eq, "b_eq": lp.b_eq,
+        "A_ub": scipy_csr(lp.a_ub), "b_ub": lp.b_ub,
+        "A_eq": scipy_csr(lp.a_eq), "b_eq": lp.b_eq,
         "bounds": np.column_stack((lp.lower, lp.upper)),
     }
 
@@ -396,7 +400,7 @@ def added_columns(pool, middlepoints, subset):
     the arrays ``LpModel.solve_with`` takes."""
     program = pool.program(middlepoints)
     new = np.isin(pool._columns(middlepoints), pool._columns(subset))
-    added = program.lp.a_ub.tocsc()[:, 1 + np.flatnonzero(~new)]
+    added = scipy_csr(program.lp.a_ub).tocsc()[:, 1 + np.flatnonzero(~new)]
     added.sort_indices()
     return (
         added.indptr.astype(np.int32), added.indices.astype(np.int32), added.data
@@ -598,6 +602,31 @@ def test_extended_model_keeps_its_columns_and_basis(monkeypatch):
     monkeypatch.setattr(srte.lp, "_solved", halved)
     with pytest.raises(ArithmeticError, match="infeasible point"):
         model.solve_with(*NO_COLUMNS)
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_highs_loader_wants_one_extension_file(tmp_path, monkeypatch, count):
+    """A folder without the HiGHS extension file, or with two, raises one
+    ImportError naming the folder and scipy's version; while the module is
+    registered, the loader reuses it and reads no folder."""
+    assert srte.lp._load_highs(tmp_path) is srte.lp.highs
+    monkeypatch.delitem(sys.modules, srte.lp._HIGHS)
+    for suffix in EXTENSION_SUFFIXES[:count]:
+        (tmp_path / f"_core{suffix}").write_bytes(b"")
+    with pytest.raises(ImportError, match=f"found {count}$") as raised:
+        srte.lp._load_highs(tmp_path)
+    assert str(tmp_path) in str(raised.value)
+    assert f"scipy {scipy.__version__}" in str(raised.value)
+
+
+def test_highs_loader_registers_the_module(monkeypatch):
+    """Unregistered, the extension loads from SciPy's folder and is in
+    ``sys.modules`` under its own name when the loader returns it."""
+    folder = pathlib.Path(scipy.__file__).parent / "optimize" / "_highspy"
+    monkeypatch.delitem(sys.modules, srte.lp._HIGHS)
+    module = srte.lp._load_highs(folder)
+    assert sys.modules[srte.lp._HIGHS] is module
+    assert module.__name__ == srte.lp._HIGHS and module._Highs is srte.lp.highs._Highs
 
 
 def test_private_highs_bindings_exist():

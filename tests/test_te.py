@@ -43,6 +43,7 @@ from conftest import (
     make_demands,
     make_net,
     reference_tunnel_loads,
+    scipy_csr,
     segments_share_an_edge,
 )
 
@@ -469,8 +470,8 @@ class TestSparseAssembly:
         cache = ShortestPathCache(net)
         groups = tunnels_for_middlepoints(cache, demands, range(8), 2)
         program = build_te_lu(cache, demands, groups)
-        loads = program.loads.tocsc()
-        capacity_block = program.lp.a_ub[: net.edge_count].tocsc()
+        loads = scipy_csr(program.loads).tocsc()
+        capacity_block = scipy_csr(program.lp.a_ub)[: net.edge_count].tocsc()
         paths_of, shared = {}, 0
         for j, tun in enumerate(program.tunnels):
             exact, overlap = exact_tunnel_loads(net, tun, paths_of)
@@ -556,6 +557,88 @@ class TestSparseAssembly:
         for eid, edge in enumerate(net.edges):
             expected[eid] /= float(edge.capacity)
         assert sol.edge_utilization == expected
+
+
+
+def same_bits(x, y):
+    """Two arrays hold the same dtype, shape and bytes: -0.0 is not 0.0."""
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def assert_scipy_csr(got, want):
+    """srte's CSR arrays are scipy's canonical ones, dtypes included."""
+    assert tuple(got.shape) == want.shape and got.nnz == want.nnz
+    for name in ("indptr", "indices", "data"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.toarray(), want.toarray())
+
+
+class TestCsrMatrix:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_builders_equal_scipys(self, seed):
+        """``_csr`` builds from COO parts the arrays scipy's csr_matrix does:
+        rows in order, each row's columns ascending and distinct, int32
+        indices, and duplicates added up. scipy sorts each row's entries by
+        an unstable sort, so the values are dyadic: every order of adding
+        them gives the same sum. ``_row_major`` of the entries listed column
+        by column, and ``_no_rows``, equal scipy's too."""
+        rng = np.random.default_rng(seed)
+        rows, cols = (int(v) for v in rng.integers(1, 30, size=2))
+        nnz = int(rng.integers(0, 3 * rows * cols))
+        parts = [(
+            rng.integers(0, rows, size=n), rng.integers(0, cols, size=n),
+            rng.choice([0.0, -1.0, 3.5, -0.25, 0.75], size=n),
+        ) for n in (nnz // 3, nnz - nnz // 3)]
+        row_ids, col_ids, data = (np.concatenate(p) for p in zip(*parts))
+        want = csr_matrix((data, (row_ids, col_ids)), shape=(rows, cols))
+        assert_scipy_csr(srte.te._csr(parts, (rows, cols)), want)
+
+        dense = want.toarray()
+        dense[rng.random(dense.shape) < 0.3] = 0.0
+        col_ids, row_ids = np.nonzero(dense.T)  # listed column by column
+        entries = (row_ids, col_ids, dense[row_ids, col_ids])
+        assert_scipy_csr(
+            srte.te._row_major([entries], (rows, cols)),
+            csr_matrix((entries[2], (row_ids, col_ids)), shape=(rows, cols)),
+        )
+        assert_scipy_csr(srte.te._no_rows(cols), csr_matrix((0, cols)))
+
+    def test_matvecs_equal_scipys(self, monkeypatch):
+        """Every mat-vec srte makes, one np.bincount each, is bit for bit
+        scipy's: the utilizations of LU, MF and MP solutions, both blocks of
+        each program at its point, and ``extension_bounds``, on
+        benchmark-tier instances (30 nodes, 120 edges, 100 demands)."""
+        checked = 0
+        for seed in (4100, 4101):
+            net = random_connected_digraph(30, 120, seed, max_capacity=10)
+            demands = generate_gravity_demands(net, 100, seed + 500)
+            pool = TunnelPool(ShortestPathCache(net), demands, 1)
+            chosen = [3, 17]
+            nodes = [v for v in range(30) if v not in chosen]
+            pool.cover([*chosen, v] for v in nodes)
+            programs = [pool.program(chosen, kind) for kind in (LU, MF)]
+            programs += [build_mp_baseline(net, demands, kind) for kind in (LU, MF)]
+            for program in programs:
+                sol = solve_te(program)
+                assert same_bits(
+                    sol.utilization,
+                    (scipy_csr(program.loads) @ sol.flows) / net.float_capacities,
+                )
+                x = solve_lp(program.lp).x
+                for block in (program.lp.a_ub, program.lp.a_eq):
+                    assert same_bits(block @ x, scipy_csr(block) @ x)
+                checked += 1
+            duals = solve_te(programs[0]).duals
+            ours = extension_bounds(pool, chosen, nodes, duals)
+            monkeypatch.setattr(
+                srte.te, "CsrMatrix",
+                lambda indptr, indices, data, shape: csr_matrix(
+                    (data, indices, indptr), shape=shape
+                ),
+            )
+            assert same_bits(ours, extension_bounds(pool, chosen, nodes, duals))
+            monkeypatch.undo()
+        assert checked == 8
 
 
 class TestTeMf:
