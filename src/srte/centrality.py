@@ -69,7 +69,7 @@ class _PairKernel:
         sigma = sigma.copy()
         np.fill_diagonal(sigma, 0)  # (s, s) is no pair
         pair = sigma != 0
-        self.unit = math.lcm(*np.unique(sigma[pair]).tolist())
+        self.unit = math.lcm(*set(sigma[pair].tolist()))
         if n * n * self.unit >= INT64_END:
             sigma = sigma.astype(object)
         self.sigma = sigma

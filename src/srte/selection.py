@@ -9,17 +9,18 @@ and random selection pick a global middlepoint set up front and solve once.
 does not depend on k once: one centrality ranking whose top k each point
 takes, one greedy expansion read at every k. Each run enumerates and loads
 its tunnels once, in one ``TunnelPool``, of which every subproblem's program
-is a column slice. A greedy round ranks its candidates in one HiGHS model
-of the chosen set's program, kept at its optimal basis, to which each
-candidate adds only its own tunnels for one solve. It ranks them in
-ascending order of a lower bound on their theta from the chosen set's duals
-and skips those whose bound shows they cannot win. It then solves only the
-near-ties cold, so it picks and prints what solving every candidate cold
-would; every candidate still counts as one subproblem. The LU points of a
-sp, gsp or degree sweep are solved as one chain: the first cold, and each
-point whose picks contain the last solved point's in one growing HiGHS model
-of that point's program, to which it adds only the tunnels its new
-middlepoints bring, from that point's optimal basis.
+is a column slice. Warm solves run in one kind of HiGHS model, a
+``PoolModel`` of a set's program kept at its optimal basis, to which a
+superset adds only the pool columns it brings. A greedy round ranks its
+candidates in one such model of the chosen set, each candidate's columns
+added for one solve. It ranks them in ascending order of a lower bound on
+their theta from the chosen set's duals and skips those whose bound shows
+they cannot win. It then solves only the near-ties cold, so it picks and
+prints what solving every candidate cold would; every candidate still
+counts as one subproblem. The LU points of a sp, gsp or degree sweep are
+solved as one chain: the first cold, and each point whose picks contain the
+last solved point's in one growing model, to which it adds for good the
+columns its new middlepoints bring, from the last point's optimal basis.
 """
 
 from __future__ import annotations
@@ -42,9 +43,8 @@ from .lp import LpStatus
 from .paths import ShortestPathCache
 from .te import (
     LU,
-    ChainModel,
-    ExtensionModel,
     NoTunnelError,
+    PoolModel,
     TeSolution,
     TunnelPool,
     build_te_lu,
@@ -200,13 +200,14 @@ def _greedy_round(
 
     The winner is the first candidate of least cold theta, as if every
     candidate were solved cold. Given ``parent``, the chosen set's optimal
-    solution, each candidate is solved warm in one ``ExtensionModel`` of the
-    chosen set from its basis, in a fraction of the simplex iterations, and
-    ranked by that theta, which is within WARM_TIE_TOL of its cold theta.
-    Then only the candidates within WARM_TIE_TOL of the least warm theta,
-    and those whose warm solve failed (all of them without a parent), are
-    solved cold and decide. A round whose least warm theta cannot improve
-    needs no cold solve.
+    solution, each candidate is solved warm in one ``PoolModel`` of the
+    chosen set from its basis (``PoolModel.theta``: the pool columns the
+    candidate brings, added for that solve only), in a fraction of the
+    simplex iterations, and ranked by that theta, which is within
+    WARM_TIE_TOL of its cold theta. Then only the candidates within
+    WARM_TIE_TOL of the least warm theta, and those whose warm solve failed
+    (all of them without a parent), are solved cold and decide. A round
+    whose least warm theta cannot improve needs no cold solve.
 
     The candidates are ranked in ascending order of their dual bounds at
     the parent's duals (``extension_bounds``; a stable sort), and the first
@@ -240,7 +241,7 @@ def _greedy_round(
             if bound >= theta - IMPROVEMENT_TOL or bound > least + _tie(least):
                 break  # the bounds ascend: no candidate from here on can win
             if model is None:  # made only for a round that ranks
-                model = ExtensionModel(pool, chosen, parent.program, parent.basis)
+                model = PoolModel(pool, chosen, parent.program, parent.basis)
             try:
                 ranks[i] = model.theta(unexplored[i])
             except ArithmeticError:  # only a cold solve tells
@@ -376,7 +377,9 @@ def _chained_points(
     pool: TunnelPool, method: str, picks: Sequence[list[int]]
 ) -> Iterator[Outcome]:
     """The TE_LU outcome of each set of covered picks, in order: a set that
-    contains the last one solved is solved warm in one ``ChainModel``.
+    contains the last one solved is solved warm in one ``PoolModel``
+    (``PoolModel.solve``: the pool columns its new middlepoints bring, added
+    for good).
 
     A set is solved cold when there is no chain to extend, or when its warm
     solve has no optimum or fails a check, and the chain restarts from that
@@ -388,7 +391,7 @@ def _chained_points(
     chain = None
     for mids in picks:
         solution = None
-        if chain is not None and chain.middlepoints <= set(mids):
+        if chain is not None and set(chain.middlepoints) <= set(mids):
             try:
                 solution = chain.solve(mids)
             except ArithmeticError:
@@ -402,7 +405,7 @@ def _chained_points(
                 yield exc
                 continue
             if solution.status is LpStatus.OPTIMAL:
-                chain = ChainModel(pool, mids, program, solution.basis)
+                chain = PoolModel(pool, mids, program, solution.basis)
         yield SelectionResult(_CENTRALITY_LABELS[method], mids, solution)
 
 

@@ -33,13 +33,13 @@ tunnel's column is its segments' rows concatenated, and where two segments
 share an edge their loads are summed exactly, as an integer numerator over the
 LCM of their path counts: on int64 while no sum can reach 2^53, and on Python
 ints otherwise. Which tunnels route is read from the all-pairs path counts
-(``ShortestPathCache.pairs``). An ``ExtensionModel`` keeps one set's LU slice
-loaded in HiGHS at its optimal basis and solves the slice of the set plus one
-node by adding only the columns that node brings, built from the pool's
-arrays: the pool only appends, so a column never moves. A ``ChainModel``
-solves a chain of growing sets in one such model, which keeps the columns each
-set brings and goes on from each set's optimal basis, and decodes each
-solution as ``solve_te`` does.
+(``ShortestPathCache.pairs``). Every LU program of a pool has the same rows,
+so the pool keeps each column's LU entries, loads and demand entry, once. A
+``PoolModel`` keeps one set's LU slice loaded in HiGHS at its optimal basis
+and solves a superset's slice by adding only the pool columns the superset
+brings, gathered from those entries: for one solve, as a greedy round ranks
+its candidates, or for good, as a sweep's chain of growing sets goes on from
+each set's optimal basis, decoding each solution as ``solve_te`` does.
 
 All-nodes enumeration refuses, before enumerating anything, more than
 ``ALL_NODES_PAIR_CAP`` (commodity, middlepoint sequence) pairs.
@@ -371,7 +371,7 @@ def _tunnel_lp(program: TeProgram) -> SparseLp:
         # Rows: load on e <= c(e) for every loaded edge, then flow of
         # commodity i <= demand(i) for every commodity with a tunnel.
         loaded = np.flatnonzero(np.diff(load_matrix.indptr))
-        served = np.unique(commodity)
+        served = np.flatnonzero(np.bincount(commodity, minlength=len(volume)))
         parts = [
             (np.searchsorted(loaded, edge_rows), tunnel_cols, loads),
             (len(loaded) + np.searchsorted(served, commodity),
@@ -408,15 +408,22 @@ def build_te_mf(
 class TunnelPool:
     """The tunnels of many middlepoint sets, each enumerated and loaded once.
 
-    The pool holds every tunnel of each set it has covered, with its load
-    column, and only appends: a column's position is its identity for the
-    life of the pool. A covered set's program is assembled from the pool
-    columns whose middlepoints all lie in the set, in (commodity, waypoints)
-    order: array for array the program ``build_te_lu`` or ``build_te_mf``
-    builds from ``tunnels_for_middlepoints`` for that set. A selection run
-    covers its sets (or each round's) at once, so the pool never holds a
-    tunnel no set uses. A column is arrays only: its commodity, padded
-    middlepoints and loads.
+    The pool holds every tunnel of each set it has covered, with its column,
+    and only appends: a column's position is its identity for the life of
+    the pool. A covered set's program is assembled from the pool columns
+    whose middlepoints all lie in the set, in (commodity, waypoints) order:
+    array for array the program ``build_te_lu`` or ``build_te_mf`` builds
+    from ``tunnels_for_middlepoints`` for that set. A selection run covers
+    its sets (or each round's) at once, so the pool never holds a tunnel no
+    set uses. A column is arrays only: its commodity, padded middlepoints
+    and LU entries.
+
+    Every LU program of the pool has the same rows, one per edge, then one
+    per positive demand, whatever its tunnels. So a column's LU entries
+    never change, and the pool keeps them in the one layout ``LpModel``
+    takes: its loads on edge rows, in order of first use, then -1 in its
+    commodity's demand row where that demand is positive. A program's loads
+    are each column's leading entries.
     """
 
     def __init__(
@@ -431,10 +438,10 @@ class TunnelPool:
         # contains when sliced. A tunnel's middlepoints are distinct nodes.
         width = min(max_middlepoints, cache.network.node_count)
         self._middlepoints = np.zeros((0, width), dtype=np.intp)
-        # Column j's loads are loads[ptr[j]:ptr[j + 1]] on those edge rows.
+        # Column j's LU entries are values[ptr[j]:ptr[j + 1]] in those rows.
         self._ptr = np.zeros(1, dtype=np.intp)
-        self._edge_rows = np.zeros(0, dtype=np.intp)
-        self._loads = np.zeros(0)
+        self._rows = np.zeros(0, dtype=np.int32)
+        self._values = np.zeros(0)
         # The columns in (commodity, waypoints) order.
         self._order = np.zeros(0, dtype=np.intp)
         self._ends = _ends(demands)
@@ -464,11 +471,17 @@ class TunnelPool:
         sizes, edge_rows, loads = _tunnel_columns(
             self.cache, self._ends, commodity, padded
         )
+        positive = self.demands.volumes > 0
+        demand_row = self.cache.network.edge_count + np.cumsum(positive) - 1
+        met = positive[commodity]
+        last = np.cumsum(sizes)[met]  # after each met column's loads
         self._commodity = _appended(self._commodity, commodity)
         self._middlepoints = _appended(self._middlepoints, padded)
-        self._ptr = _appended(self._ptr, self._ptr[-1] + np.cumsum(sizes, dtype=np.intp))
-        self._edge_rows = _appended(self._edge_rows, edge_rows)
-        self._loads = _appended(self._loads, loads)
+        self._ptr = _appended(self._ptr, self._ptr[-1] + np.cumsum(sizes + met))
+        self._rows = _appended(
+            self._rows, np.insert(edge_rows, last, demand_row[commodity[met]])
+        )
+        self._values = _appended(self._values, np.insert(loads, last, -1.0))
         # Padded with its sink, which is never a middlepoint, a column's
         # middlepoints sort as its waypoints do.
         key = np.where(
@@ -494,112 +507,92 @@ class TunnelPool:
         return self._slice(self._columns(middlepoints), kind)
 
     def _slice(self, keep: np.ndarray, kind: str) -> TeProgram:
-        """The TE program over the given columns, in order."""
-        positions, sizes = _gather(self._ptr, keep)
+        """The TE program over the given columns, in order, from each
+        column's leading load entries."""
+        commodity = self._commodity[keep]
+        starts = self._ptr[keep]
+        sizes = self._ptr[keep + 1] - starts - (self.demands.volumes[commodity] > 0)
+        positions = _positions(starts, sizes)
         return _tunnel_program(
-            kind, self.cache.network, self.demands, self._commodity[keep],
-            self._middlepoints[keep], sizes, self._edge_rows[positions],
-            self._loads[positions],
-        )
-
-    @cached_property
-    def _demand_row(self) -> np.ndarray:
-        """Each commodity's demand row in every LU program of the pool,
-        after the edge rows; -1 without one."""
-        positive = self.demands.volumes > 0
-        return np.where(
-            positive, self.cache.network.edge_count + np.cumsum(positive) - 1, -1
+            kind, self.cache.network, self.demands, commodity,
+            self._middlepoints[keep], sizes, self._rows[positions],
+            self._values[positions],
         )
 
     def _lu_columns(
         self, columns: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The given columns as LU program columns, in the arrays
-        ``LpModel.solve_with`` and ``LpModel.extend`` take: each column's
-        loads, then -1 in its commodity's demand row if the demand is
-        positive. Every LU program of the pool has the same rows, one per
-        edge and per positive demand, whatever its tunnels."""
-        positions, sizes = _gather(self._ptr, columns)
-        demand_row = self._demand_row[self._commodity[columns]]
-        met = demand_row >= 0
+        """The given columns' LU entries, in the arrays ``LpModel.solve_with``
+        and ``LpModel.extend`` take."""
+        starts = self._ptr.take(columns)
+        sizes = self._ptr.take(columns + 1) - starts
         ptr = np.zeros(len(columns) + 1, dtype=np.int32)
-        np.cumsum(sizes + met, out=ptr[1:])
-        demand_at = np.zeros(ptr[-1], dtype=bool)  # each column's last entry
-        demand_at[ptr[1:][met] - 1] = True
-        rows, values = np.empty(ptr[-1], dtype=np.int32), np.empty(ptr[-1])
-        rows[~demand_at] = self._edge_rows[positions]
-        values[~demand_at] = self._loads[positions]
-        rows[demand_at], values[demand_at] = demand_row[met], -1.0
-        return ptr, rows, values
+        np.cumsum(sizes, out=ptr[1:])
+        positions = _positions(starts, sizes)
+        return ptr, self._rows.take(positions), self._values.take(positions)
 
 
-class ExtensionModel:
-    """The TE_LU theta of a covered middlepoint set plus one node, for each
-    node solved in one kept ``LpModel`` of the set's LU slice, started from
-    the slice's optimal basis.
+class PoolModel:
+    """The TE_LU solutions of supersets of a covered middlepoint set, solved
+    in one kept ``LpModel`` of the set's LU slice, started from its optimal
+    basis.
 
-    The slice of the set plus a node holds the set's columns and the pool
-    columns whose middlepoints are that node and members of the set, and the
-    set's rows. So each solve adds only that node's columns, for that solve.
-    Every node's columns are built at once, as one table of LU columns
-    (``TunnelPool._lu_columns``) from the pool's arrays, when the model is
-    made, and each solve adds its node's slice of it. The solution is
-    checked as ``solve_te`` checks one.
+    The model holds the pool columns of its set, in the order they came:
+    the set's program, then the columns each later set brought. Every LU
+    program of the pool has the same rows, so a superset's program is the
+    held columns plus the pool columns of the superset the model lacks,
+    added from the pool's LU entries: for one solve (``theta``, which ranks
+    a greedy round's candidates) or for good (``solve``, which grows a
+    sweep's chain of sets from each one's optimal basis). The pool only
+    appends, so a column never moves.
     """
 
     def __init__(
-        self, pool: TunnelPool, middlepoints: Sequence[int], program: TeProgram,
+        self, pool: TunnelPool, middlepoints: Iterable[int], program: TeProgram,
         basis: highs.HighsBasis,
     ):
         """``program`` is the pool's LU slice of ``middlepoints`` and
-        ``basis`` an optimal basis of it, and the pool covers each set of
-        them plus a node asked for."""
+        ``basis`` an optimal basis of it, and the pool covers each superset
+        asked for."""
         self.middlepoints = tuple(middlepoints)
         self._pool = pool
         self._program = program
+        self._columns = pool._columns(self.middlepoints)  # held, in model order
         self._model = LpModel(program.lp, basis)
-        # The pool columns with exactly one middlepoint outside the set, by
-        # that node (stably, so each node's in (commodity, waypoints) order):
-        # node v's are columns[starts[v]:starts[v + 1]].
-        node_count = pool.cache.network.node_count
-        outside = np.ones(node_count + 1, dtype=bool)
-        outside[[*self.middlepoints, node_count]] = False  # the padding too
-        mids = pool._middlepoints[pool._order]
-        out = outside[mids]
-        alone = out.sum(axis=1) == 1
-        nodes = (mids * out).sum(axis=1)[alone]
-        by_node = np.argsort(nodes, kind="stable")
-        self._columns = pool._order[alone][by_node]
-        self._starts = np.searchsorted(nodes[by_node], np.arange(node_count + 1))
-        self._table = pool._lu_columns(self._columns)
 
-    def _node_columns(
-        self, node: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The pool columns ``node`` adds to the set, in (commodity,
-        waypoints) order, and their LU columns as ``_lu_columns`` gives
-        them."""
-        first, stop = self._starts[node], self._starts[node + 1]
-        ptr, rows, values = self._table
-        start, end = ptr[first], ptr[stop]
-        return (
-            self._columns[first:stop], ptr[first:stop + 1] - start,
-            rows[start:end], values[start:end],
-        )
+    def _added(self, middlepoints: Iterable[int]) -> np.ndarray:
+        """The pool columns of a superset of the model's set that the model
+        lacks, in (commodity, waypoints) order: those whose middlepoints all
+        lie in the superset but not all in the set."""
+        pool = self._pool
+        # Each middlepoint's label: 0 in the set (or padding), 1 in the
+        # superset only, 2 outside it; a column's is its largest.
+        label = np.full(pool.cache.network.node_count + 1, 2, dtype=np.int8)
+        label[list(middlepoints)] = 1
+        label[[*self.middlepoints, -1]] = 0
+        order = pool._order
+        return order[label[pool._middlepoints].max(axis=1, initial=0)[order] == 1]
 
     def theta(self, node: int) -> float:
-        """Theta of the set plus ``node``, a node outside it. A solve without
-        an optimum or a point failing a check raises ``ArithmeticError``."""
+        """Theta of the set plus ``node``, a node outside it, solved with the
+        columns it brings for that solve only and checked as ``solve_te``
+        checks one. A solve without an optimum or a point failing a check
+        raises ``ArithmeticError``."""
         pool, program = self._pool, self._program
-        columns, ptr, rows, values = self._node_columns(node)
-        sol = self._model.solve_with(ptr, rows, values)
+        new = self._added((*self.middlepoints, node))
+        width, edge_count = program.loads.shape[1], program.network.edge_count
+        # The solve's columns: the program's, the kept ones, then the new
+        # ones. The LU entries of those after the program's are gathered
+        # once, for the solve (the new ones') and for the loads.
+        columns = np.concatenate((self._columns, new))
+        ptr, rows, values = pool._lu_columns(columns[width:])
+        tail = ptr[len(ptr) - 1 - len(new):]  # the new columns'
+        sol = self._model.solve_with(tail - tail[0], rows[tail[0]:], values[tail[0]:])
         if sol.status is not LpStatus.OPTIMAL:
             raise ArithmeticError(f"LP solver failed: program is {sol.status.value}")
         flows = _met_flows(
-            program, sol.x, sol.x[program.first_tunnel_var:],
-            np.concatenate((program.commodity, pool._commodity[columns])),
+            program, sol.x, sol.x[program.first_tunnel_var:], pool._commodity[columns]
         )
-        width, edge_count = program.loads.shape[1], program.network.edge_count
         # The demand rows come after the edge rows: their bins are cut off.
         load = program.loads @ flows[:width] + np.bincount(
             rows, values * np.repeat(flows[width:], np.diff(ptr)),
@@ -608,44 +601,20 @@ class ExtensionModel:
         _check_theta(load / program.network.float_capacities, sol.objective_value)
         return sol.objective_value
 
-
-class ChainModel:
-    """The TE_LU solutions of a chain of covered middlepoint sets, each
-    containing the last, solved in one kept ``LpModel``, each from the last
-    one's optimal basis.
-
-    Every LU program of the pool has the same rows, so the model grows by
-    only the pool columns each set brings (``LpModel.extend``), and holds its
-    columns in the order they came: the first set's program, then each later
-    set's new columns. Each solution is mapped into the set's program column
-    order, then decoded and checked as ``solve_te`` does, certificate
-    included.
-    """
-
-    def __init__(
-        self, pool: TunnelPool, middlepoints: Iterable[int], program: TeProgram,
-        basis: highs.HighsBasis,
-    ):
-        """``program`` is the pool's LU slice of ``middlepoints`` and
-        ``basis`` an optimal basis of it."""
-        self.middlepoints = frozenset(middlepoints)
-        self._pool = pool
-        self._columns = pool._columns(self.middlepoints)  # after theta, in order
-        self._model = LpModel(program.lp, basis)
-
     def solve(self, middlepoints: Iterable[int]) -> TeSolution:
-        """The solution of a covered superset of the chain's last set, which
-        becomes its last set. It keeps no basis: the model's is in the
-        model's column order. A solve without an optimum or a point failing
-        a check raises ``ArithmeticError``, and the chain is not solved
-        again."""
+        """The solution of a covered superset of the model's set, which
+        becomes its set: the columns it brings are kept. The point is mapped
+        into the set's program column order, then decoded and checked as
+        ``solve_te`` does, certificate included. It keeps no basis: the
+        model's is in the model's column order. A solve without an optimum
+        or a point failing a check raises ``ArithmeticError``, and the model
+        is not solved again."""
         pool = self._pool
-        keep = pool._columns(middlepoints)
-        new = keep[~np.isin(keep, self._columns)]
+        keep, new = pool._columns(middlepoints), self._added(middlepoints)
         start = time.perf_counter()
         sol = self._model.extend(*pool._lu_columns(new))
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        self.middlepoints = frozenset(middlepoints)
+        self.middlepoints = tuple(middlepoints)
         self._columns = np.concatenate((self._columns, new))
         if sol.status is not LpStatus.OPTIMAL:
             raise ArithmeticError(f"LP solver failed: program is {sol.status.value}")
@@ -673,10 +642,16 @@ def extension_bounds(
     (node, commodity) pair.
     """
     network = pool.cache.network
+    volume = pool.demands.volumes
+    positive = volume > 0
+    # Weighted 0 in the demand rows, each column's last entry, whose -0.0
+    # leaves its cost as it was.
+    weights = np.concatenate(
+        (dual_weights(network, duals), np.zeros(np.count_nonzero(positive)))
+    )
     costs = CsrMatrix(
-        pool._ptr, pool._edge_rows, pool._loads,
-        (len(pool._commodity), network.edge_count),
-    ) @ dual_weights(network, duals)
+        pool._ptr, pool._rows, pool._values, (len(pool._commodity), len(weights))
+    ) @ weights
     # Each middlepoint's label: -1 in the set (or padding), the node's
     # position among the nodes, or -2 for any other node.
     label = np.full(network.node_count + 1, -2)
@@ -684,7 +659,6 @@ def extension_bounds(
     label[list(nodes)] = np.arange(len(nodes))
     labels = label[pool._middlepoints]
     outside = (labels != -1).sum(axis=1)
-    volume = pool.demands.volumes
     commodities = len(volume)
     own = pool._order[outside[pool._order] == 0]  # by commodity
     least = _least(costs[own], pool._commodity[own], commodities)
@@ -695,7 +669,6 @@ def extension_bounds(
     cheapest = _least(
         costs[one[order]], keys[order], len(nodes) * commodities
     ).reshape(len(nodes), commodities)
-    positive = volume > 0
     return np.minimum(cheapest, least)[:, positive] @ volume[positive]
 
 
@@ -709,13 +682,6 @@ def _appended(array: np.ndarray, rows: Sequence) -> np.ndarray:
     """``array`` with ``rows`` appended, in its dtype."""
     rows = np.array(rows, dtype=array.dtype).reshape(len(rows), *array.shape[1:])
     return np.concatenate((array, rows))
-
-
-def _gather(ptr: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The positions of the given columns' entries, column after column, and
-    each column's entry count, for columns whose entries are ptr[j]:ptr[j + 1]."""
-    sizes = ptr[columns + 1] - ptr[columns]
-    return _positions(ptr[columns], sizes), sizes
 
 
 def _positions(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from scipy.sparse import csr_matrix
 from srte.graph import Commodity, DemandMatrix, Edge, FlowNetwork
 from srte.lp import EQ, LE, SparseLp
 from srte.paths import sp_dag
+from srte.te import MF
 
 # Verdict lines collected by the acceptance tests; echoed after the run so
 # they survive pytest's output capture.
@@ -344,6 +345,32 @@ def reference_tunnel_loads(cache, tunnels):
         loads.extend(num / denominator for num in numerators.values())
         sizes.append(len(numerators))
     return np.array(sizes, dtype=np.intp), np.array(edges, dtype=np.intp), np.array(loads)
+
+
+def reference_lu_columns(pool, columns):
+    """The given pool columns as LU program columns, in the arrays
+    ``LpModel.solve_with`` takes (int32 ``ptr`` and rows, float values),
+    filled by boolean masks from their tunnels' ``reference_tunnel_loads``:
+    each column's loads, then -1 in its commodity's demand row if the demand
+    is positive. Every LU program of the pool has the same rows, one per
+    edge, then one per positive demand, whatever its tunnels."""
+    tunnels = pool._slice(columns, MF).tunnels
+    sizes, edges, loads = reference_tunnel_loads(pool.cache, tunnels)
+    positive = pool.demands.volumes > 0
+    row_of = np.where(
+        positive, pool.cache.network.edge_count + np.cumsum(positive) - 1, -1
+    )
+    demand_row = row_of[[tun.commodity for tun in tunnels]].astype(np.intp)
+    met = demand_row >= 0
+    ptr = np.zeros(len(tunnels) + 1, dtype=np.int32)
+    np.cumsum(sizes + met, out=ptr[1:])
+    demand_at = np.zeros(ptr[-1], dtype=bool)  # each column's last entry
+    demand_at[ptr[1:][met] - 1] = True
+    rows, values = np.empty(ptr[-1], dtype=np.int32), np.empty(ptr[-1])
+    rows[~demand_at] = edges
+    values[~demand_at] = loads
+    rows[demand_at], values[demand_at] = demand_row[met], -1.0
+    return ptr, rows, values
 
 
 def split_lp():

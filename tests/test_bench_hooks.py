@@ -104,7 +104,7 @@ def test_traced_greedy_prints_the_same_and_restores_every_site(monkeypatch):
     # Per round: its candidates, and those the round ranked.
     rounds = []
     real_bounds = srte.selection.extension_bounds
-    real_theta = srte.te.ExtensionModel.theta
+    real_theta = srte.te.PoolModel.theta
 
     def bounding(pool, middlepoints, nodes, duals):
         rounds.append((list(nodes), []))
@@ -117,7 +117,7 @@ def test_traced_greedy_prints_the_same_and_restores_every_site(monkeypatch):
     monkeypatch.setattr(srte.lp, "linprog", spy)  # the tracer wraps the spy
     monkeypatch.setattr(srte.lp.LpModel, "solve_with", ranking)
     monkeypatch.setattr(srte.selection, "extension_bounds", bounding)
-    monkeypatch.setattr(srte.te.ExtensionModel, "theta", ranked)
+    monkeypatch.setattr(srte.te.PoolModel, "theta", ranked)
     originals = bound_sites()
     t = tracer.Tracer()
     with t:

@@ -32,10 +32,11 @@ def python(code: str):
 
 # Runs srte.cli.main on each argv after ``import srte.cli`` and prints, for
 # the import and for each run: its exit code, its stdout and the modules of
-# scipy.optimize and scipy.sparse then in sys.modules.
+# ``heavy`` then in sys.modules.
+SCIPY = ("scipy.optimize", "scipy.sparse")
 RUNS = """
     import contextlib, io, json, sys
-    heavy = ("scipy.optimize", "scipy.sparse")
+    heavy = {heavy!r}
     loaded = lambda: [name for name in heavy if name in sys.modules]
     import srte.cli
     record = [(0, "", loaded())]
@@ -58,10 +59,25 @@ def test_import_and_lu_runs_load_neither_scipy_optimize_nor_scipy_sparse():
         ["sweep", *NET10, "--method", "gsp", "--sweep-k", "1:6", "--m", "1"],
         ["centrality", "--topology", NET10[1]],
     ]
-    record = python(RUNS.format(runs=runs))
+    record = python(RUNS.format(runs=runs, heavy=SCIPY))
     assert [(code, loaded) for code, _, loaded in record] == [(0, [])] * 5
     assert record[1][1] == (GOLDEN / "solve_gsp.json").read_text()
     assert record[2][1] == (GOLDEN / "solve_greedy_k3_m2.json").read_text()
+
+
+def test_tunnel_runs_never_load_numpy_ma():
+    """solve (gsp, greedy and MF), a GSP sweep and a GSP centrality table on
+    net10 leave numpy.ma unloaded: a plain ``np.unique`` call imports it,
+    about 10 ms once per process."""
+    runs = [
+        ["solve", *NET10, "--method", "gsp", "--k", "4", "--m", "1"],
+        ["solve", *NET10, "--method", "greedy", "--k", "3", "--m", "2"],
+        ["sweep", *NET10, "--method", "gsp", "--sweep-k", "1:6", "--m", "1"],
+        ["centrality", "--topology", NET10[1], "--method", "gsp"],
+        ["solve", *NET10, "--method", "gsp", "--k", "3", "--objective", "mf"],
+    ]
+    record = python(RUNS.format(runs=runs, heavy=("numpy.ma",)))
+    assert [(code, loaded) for code, _, loaded in record] == [(0, [])] * 6
 
 
 def test_mp_baseline_and_oracle_load_scipy_themselves():
@@ -72,7 +88,7 @@ def test_mp_baseline_and_oracle_load_scipy_themselves():
         ["solve", *NET10, "--method", "mp-baseline", "--objective", "lu"],
         ["oracle", "maxflow-mincut", "--nodes", "6", "--trials", "3"],
     ]
-    record = python(RUNS.format(runs=runs))
+    record = python(RUNS.format(runs=runs, heavy=SCIPY))
     assert record[0] == [0, "", []]
     assert record[1] == [
         0, (GOLDEN / "solve_mp_lu.json").read_text(), ["scipy.sparse"],

@@ -294,7 +294,7 @@ class TestTunnelPoolSelection:
         evaluated, pool_sizes, warm = [], [], []
         rounds = []  # each bounded round's chosen set and candidates
         real = srte.selection._evaluate
-        real_theta = srte.selection.ExtensionModel.theta
+        real_theta = srte.selection.PoolModel.theta
         real_bounds = srte.selection.extension_bounds
 
         def recording(pool, middlepoints):
@@ -316,7 +316,7 @@ class TestTunnelPoolSelection:
             return real_bounds(pool, middlepoints, nodes, duals)
 
         monkeypatch.setattr(srte.selection, "_evaluate", recording)
-        monkeypatch.setattr(srte.selection.ExtensionModel, "theta", recording_warm)
+        monkeypatch.setattr(srte.selection.PoolModel, "theta", recording_warm)
         monkeypatch.setattr(srte.selection, "extension_bounds", bounding)
         result = greedy_select(net, demands, range(30), 3, 2)
         confirmations = warm.count(False) - 1

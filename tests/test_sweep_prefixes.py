@@ -28,7 +28,7 @@ from srte.selection import (
     greedy_select,
     select_prefixes,
 )
-from srte.te import ChainModel, NoTunnelError
+from srte.te import NoTunnelError, PoolModel
 
 from conftest import make_demands
 
@@ -237,14 +237,14 @@ def test_repeated_sweep_point_is_solved_once(monkeypatch, argv, counted, solves)
 class ChainTrace:
     """Records, while installed, the sets an LU prefix sweep solves cold
     (``selection.solve_te``), starts a chain from and solves warm (the last
-    set and the new one of each ``ChainModel.solve`` call), with each
+    set and the new one of each ``PoolModel.solve`` call), with each
     theta: cold ones in ``cold``, warm ones in ``warm`` (None where the
     warm solve raised)."""
 
     def __init__(self, monkeypatch):
         self.cold, self.starts, self.warm = [], [], []
         real_solve = selection.solve_te
-        real_init, real_chain = ChainModel.__init__, ChainModel.solve
+        real_init, real_chain = PoolModel.__init__, PoolModel.solve
 
         def cold(program):
             solution = real_solve(program)
@@ -262,8 +262,8 @@ class ChainTrace:
             return solution
 
         monkeypatch.setattr(selection, "solve_te", cold)
-        monkeypatch.setattr(ChainModel, "__init__", start)
-        monkeypatch.setattr(ChainModel, "solve", warm)
+        monkeypatch.setattr(PoolModel, "__init__", start)
+        monkeypatch.setattr(PoolModel, "solve", warm)
 
 
 def middlepoints_of(program):

@@ -1,8 +1,10 @@
 """Tunnel enumeration and the TE_LU / TE_MF / multipath-baseline programs."""
 
+import copy
 import dataclasses
 import itertools
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from srte.graph import (
     Commodity,
     DemandMatrix,
     generate_gravity_demands,
+    parse_demands,
     parse_topology,
     random_connected_digraph,
     random_digraph,
@@ -42,6 +45,7 @@ from conftest import (
     enumerate_shortest_paths,
     make_demands,
     make_net,
+    reference_lu_columns,
     reference_tunnel_loads,
     scipy_csr,
     segments_share_an_edge,
@@ -945,7 +949,7 @@ class TestTunnelPool:
         net = random_connected_digraph(9, 24, 11, max_capacity=4)
         demands = make_demands((0, 8, 2), (3, 1, 1), (5, 2, 0), (7, 4, 1.5))
         pool = TunnelPool(ShortestPathCache(net), demands, 2)
-        names = ("_commodity", "_middlepoints", "_ptr", "_edge_rows", "_loads")
+        names = ("_commodity", "_middlepoints", "_ptr", "_rows", "_values")
         slices = []
         for batch in ([(1,)], [(2, 6)], [(1, 4), (0, 3, 6)], [range(9)]):
             held = (pool_tunnels(pool), *(getattr(pool, n).copy() for n in names))
@@ -978,6 +982,60 @@ class TestTunnelPool:
                     key=lambda j: (tunnels[j].commodity, tunnels[j].waypoints),
                 )
                 assert pool._order.tolist() == want
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_lu_columns_are_the_reference_fill(self, m):
+        """Gathering pool columns (``TunnelPool._lu_columns``) gives, dtype
+        for dtype, the reference mask fill of their loads and demand entries
+        (``reference_lu_columns``): every column, in column order and in
+        (commodity, waypoints) order. The pools cover a greedy round's sets
+        on benchmark-tier instances (n=30, 120 edges, capacities 1..10, 100
+        gravity demands) and every set of net10 with a zero-volume
+        commodity, whose columns carry no demand entry."""
+        data = pathlib.Path(__file__).parent / "data"
+        net10 = parse_topology((data / "net10.topo").read_text())
+        zero = (data / "net10.dem").read_text() + "DEMAND n1 n4 0\n"
+        runs = [(net10, parse_demands(zero).bind(net10), [range(10)])]
+        for seed in (0, 1):
+            net = random_connected_digraph(30, 120, 4000 + seed)
+            demands = generate_gravity_demands(net, 100, 4500 + seed)
+            runs.append((net, demands, [[3, 7, v] for v in range(30)]))
+        for net, demands, sets in runs:
+            pool = TunnelPool(ShortestPathCache(net), demands, m)
+            pool.cover(sets)
+            for columns in (np.arange(len(pool._commodity)), pool._order):
+                got = pool._lu_columns(columns)
+                for a, b in zip(got, reference_lu_columns(pool, columns)):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+            # Only net10's zero-volume commodity has columns without one.
+            met = demands.volumes[pool._commodity] > 0
+            assert len(met) and met.all() == (net is not net10)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_extension_bounds_ignore_the_demand_entries(self, m):
+        """``extension_bounds`` prices each column's LU entries with zero
+        weights on the demand rows, and the -0.0 each demand entry adds
+        leaves every bound bit for bit what the columns' loads alone give:
+        the same pool with its entries replaced by ``reference_tunnel_loads``
+        columns, on benchmark-tier instances."""
+        for seed in (0, 1):
+            net = random_connected_digraph(30, 120, 4000 + seed)
+            demands = generate_gravity_demands(net, 100, 4500 + seed)
+            pool = TunnelPool(ShortestPathCache(net), demands, m)
+            chosen = [3, 7]
+            nodes = [v for v in range(30) if v not in chosen]
+            pool.cover([*chosen, v] for v in nodes)
+            duals = solve_te(pool.program(chosen)).duals
+            loads_only = copy.copy(pool)
+            sizes, loads_only._rows, loads_only._values = reference_tunnel_loads(
+                pool.cache, pool_tunnels(pool)
+            )
+            loads_only._ptr = np.concatenate(([0], np.cumsum(sizes)))
+            assert len(loads_only._rows) < len(pool._rows)
+            assert same_bits(
+                extension_bounds(pool, chosen, nodes, duals),
+                extension_bounds(loads_only, chosen, nodes, duals),
+            )
 
 
 def reference_tunnels(cache, demands, middlepoints, m):
@@ -1017,14 +1075,21 @@ def reference_program(kind, cache, demands, groups):
 
 
 def assert_reference_pool(pool, sets):
-    """Every pool column is its tunnel's ``reference_tunnel_loads`` column,
-    dtype and bits. Each set's tunnels are the brute-force enumeration's, and
-    its pool slices and fresh LU and MF builds equal the reference programs
-    (LU where every positive demand has a tunnel)."""
+    """Every pool column's LU entries are its tunnel's
+    ``reference_tunnel_loads`` column, then its demand entry
+    (``reference_lu_columns``), dtype and bits, as the pool stores them and
+    as gathered in (commodity, waypoints) order. Each set's tunnels are the
+    brute-force enumeration's, and its pool slices and fresh LU and MF
+    builds equal the reference programs (LU where every positive demand has
+    a tunnel)."""
     cache, demands, m = pool.cache, pool.demands, pool.max_middlepoints
-    sizes, edges, loads = reference_tunnel_loads(cache, pool_tunnels(pool))
-    ptr = np.concatenate(([0], np.cumsum(sizes))).astype(np.intp)
-    for got, want in ((pool._ptr, ptr), (pool._edge_rows, edges), (pool._loads, loads)):
+    ptr, rows, values = reference_lu_columns(pool, np.arange(len(pool._commodity)))
+    stored = ((pool._ptr, ptr.astype(np.intp)), (pool._rows, rows),
+              (pool._values, values))
+    for got, want in stored:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    gathered = pool._lu_columns(pool._order)
+    for got, want in zip(gathered, reference_lu_columns(pool, pool._order)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     for mids in sets:
         groups = tunnels_for_middlepoints(cache, demands, mids, m)
@@ -1071,16 +1136,23 @@ def row_dtypes(calls):
 
 def assert_exact_loads(pool):
     """Each column lists its tunnel's edges in order of first use, each load
-    float(exact load), the segments' Fraction(count, sigma) summed."""
+    float(exact load), the segments' Fraction(count, sigma) summed, and then
+    -1 in its commodity's demand row if the demand is positive."""
+    positive = pool.demands.volumes > 0
+    demand_row = pool.cache.network.edge_count + np.cumsum(positive) - 1
     for j, tun in enumerate(pool_tunnels(pool)):
         exact = {}
         for a, b in tun.segments:
             seg = pool.cache.fractions(a, b)
             for eid, count in seg.counts.items():
                 exact[eid] = exact.get(eid, 0) + Fraction(count, seg.sigma)
+        rows, values = list(exact), [float(f) for f in exact.values()]
+        if positive[tun.commodity]:
+            rows.append(int(demand_row[tun.commodity]))
+            values.append(-1.0)
         span = slice(pool._ptr[j], pool._ptr[j + 1])
-        assert pool._edge_rows[span].tolist() == list(exact)
-        assert pool._loads[span].tolist() == [float(f) for f in exact.values()]
+        assert pool._rows[span].tolist() == rows
+        assert pool._values[span].tolist() == values
 
 
 def fan(edges, start, end, width, fresh):

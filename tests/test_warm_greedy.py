@@ -1,5 +1,5 @@
 """The greedy ranks each round's candidates by warm solves in one model of
-the chosen set (``ExtensionModel.theta``, the ranking seam), in ascending
+the chosen set (``PoolModel.theta``, the ranking seam), in ascending
 order of their dual bounds (``extension_bounds``, the screening seam), skips
 those the bounds show cannot win, and solves only near-ties cold: it must
 print exactly what the all-cold loop printed."""
@@ -13,10 +13,11 @@ import random
 import numpy as np
 import pytest
 
+import srte.lp
 import srte.selection
 import srte.te
 from srte import cli
-from srte.te import ExtensionModel, TunnelPool
+from srte.te import PoolModel, TunnelPool
 from srte.paths import ShortestPathCache
 from srte.graph import (
     generate_gravity_demands,
@@ -29,6 +30,8 @@ from srte.selection import (
     SelectionResult,
     greedy_select,
 )
+
+from conftest import reference_lu_columns
 
 # The relative gap within which warm thetas count as tied: a round solves
 # cold every candidate within 1e-12 * max(1, |least warm theta|) of it.
@@ -177,7 +180,7 @@ def test_warm_theta_noise_below_the_tie_tolerance_moves_no_pick(
     runs = [run for run in instances() if not run[-1]][::2]
     want = [printed(tmp_path, *run) for run in runs]
     no_screening(monkeypatch)
-    real = ExtensionModel.theta
+    real = PoolModel.theta
     moved = []
 
     def noisy(model, node):
@@ -188,7 +191,7 @@ def test_warm_theta_noise_below_the_tie_tolerance_moves_no_pick(
             theta += sign * TIE * max(1.0, abs(theta)) / 4
         return theta
 
-    monkeypatch.setattr(ExtensionModel, "theta", noisy)
+    monkeypatch.setattr(PoolModel, "theta", noisy)
     for phase in (0, 1):
         for run, expected in zip(runs, want):
             moved.clear()
@@ -202,7 +205,7 @@ def test_failed_warm_solves_are_solved_cold(tmp_path, monkeypatch):
     and every third of the others, leaves every printed byte as the all-cold
     loop printed it."""
     runs = [instances()[i] for i in (0, 12, 18, 19, 26, 43)]
-    real = ExtensionModel.theta
+    real = PoolModel.theta
     warm = []
 
     def failing(model, node):
@@ -213,7 +216,7 @@ def test_failed_warm_solves_are_solved_cold(tmp_path, monkeypatch):
         return real(model, node)
 
     with monkeypatch.context() as patch:
-        patch.setattr(ExtensionModel, "theta", failing)
+        patch.setattr(PoolModel, "theta", failing)
         got = [printed(tmp_path, *run) for run in runs]
     assert len(warm) >= 30
     monkeypatch.setattr(srte.selection, "_greedy_points", cold_greedy_points)
@@ -231,7 +234,7 @@ def test_a_cold_winner_that_does_not_improve_ends_the_expansion(
     rounds before any solve."""
     runs = [instances()[i] for i in (12, 19, 20, 43, 45)]
     real = srte.selection._evaluate
-    real_theta = ExtensionModel.theta
+    real_theta = PoolModel.theta
     real_round = srte.selection._greedy_round
     cold, refuted = [], []
 
@@ -255,7 +258,7 @@ def test_a_cold_winner_that_does_not_improve_ends_the_expansion(
     with monkeypatch.context() as patch:
         no_screening(patch)
         patch.setattr(srte.selection, "_evaluate", evaluate)
-        patch.setattr(ExtensionModel, "theta", low)
+        patch.setattr(PoolModel, "theta", low)
         patch.setattr(srte.selection, "_greedy_round", round_)
         got = [printed(tmp_path, *run) for run in runs]
     assert len(refuted) == len(runs)  # each run's last round
@@ -271,7 +274,7 @@ def test_a_round_that_cannot_improve_ranks_no_candidate(tmp_path, monkeypatch):
     none cold, and the expansion ends where the all-cold loop's ends."""
     runs = [instances()[i] for i in (12, 19, 20, 43, 45)]
     real_round = srte.selection._greedy_round
-    real_theta = ExtensionModel.theta
+    real_theta = PoolModel.theta
     real_evaluate = srte.selection._evaluate
     rounds, last = [], []
 
@@ -291,7 +294,7 @@ def test_a_round_that_cannot_improve_ranks_no_candidate(tmp_path, monkeypatch):
     got = []
     with monkeypatch.context() as patch:
         patch.setattr(srte.selection, "_greedy_round", round_)
-        patch.setattr(ExtensionModel, "theta", theta_)
+        patch.setattr(PoolModel, "theta", theta_)
         patch.setattr(srte.selection, "_evaluate", evaluate)
         for run in runs:
             rounds.clear()
@@ -307,12 +310,21 @@ def test_a_round_that_cannot_improve_ranks_no_candidate(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
-def test_each_nodes_columns_are_its_filtered_pool_columns(m):
-    """Each node's slice of the model's column table is, array for array
-    and dtype for dtype, the pool columns of the set plus the node that
-    hold the node, and their ``_lu_columns``: from the empty set and from
+def test_each_candidate_adds_the_pool_columns_the_model_lacks(m, monkeypatch):
+    """For each node, the columns the chosen set's model holds and those its
+    solve adds are together exactly the pool columns of the set plus the
+    node (``TunnelPool._columns``), and the arrays the solve adds
+    (``LpModel.solve_with``) are, dtype for dtype, the reference fill of the
+    added columns (``reference_lu_columns``): from the empty set and from
     initial sets, with candidates a strict subset of the nodes (the others
     bring no column), at m = 0, 1 and 2."""
+    added, real = [], srte.lp.LpModel.solve_with
+
+    def spy(model, *arrays):
+        added.append(arrays)
+        return real(model, *arrays)
+
+    monkeypatch.setattr(srte.lp.LpModel, "solve_with", spy)
     models = sliced = 0
     for text, gravity, seed, _, _, initial in instances()[::7]:
         net = parse_topology(text)
@@ -325,19 +337,24 @@ def test_each_nodes_columns_are_its_filtered_pool_columns(m):
         theta, parent, _ = srte.selection._evaluate(pool, chosen)
         if theta == math.inf:
             continue
-        model = ExtensionModel(pool, chosen, parent.program, parent.basis)
+        model = PoolModel(pool, chosen, parent.program, parent.basis)
         models += 1
+        held = model._columns
         for v in others:
+            added.clear()
+            with contextlib.suppress(ArithmeticError):
+                model.theta(v)
+            (arrays,) = added
             columns = pool._columns((*chosen, v))
-            columns = columns[(pool._middlepoints[columns] == v).any(axis=1)]
-            want = (columns, *pool._lu_columns(columns))
-            got = model._node_columns(v)
-            for a, b in zip(got, want):
+            new = columns[~np.isin(columns, held)]
+            assert np.isin(held, columns).all()
+            assert len(held) + len(new) == len(columns)
+            for a, b in zip(arrays, reference_lu_columns(pool, new)):
                 assert a.dtype == b.dtype
                 assert np.array_equal(a, b)
             if m == 0 or v not in candidates:
-                assert len(got[0]) == 0
-            sliced += len(got[0]) > 0
+                assert len(new) == 0
+            sliced += len(new) > 0
     assert models >= 6
     assert sliced > 20 if m else sliced == 0
 
@@ -350,7 +367,7 @@ def test_incremental_theta_is_within_the_tie_tolerance_of_the_cold_theta(
     the candidate's set solved cold. Every candidate is ranked (no
     screening), so each one is compared."""
     no_screening(monkeypatch)
-    real = ExtensionModel.theta
+    real = PoolModel.theta
     evaluate = srte.selection._evaluate
     gaps = []
 
@@ -360,7 +377,7 @@ def test_incremental_theta_is_within_the_tie_tolerance_of_the_cold_theta(
         gaps.append(abs(theta - cold) / max(1.0, abs(cold)))
         return theta
 
-    monkeypatch.setattr(ExtensionModel, "theta", compared)
+    monkeypatch.setattr(PoolModel, "theta", compared)
     for run in instances():
         printed(tmp_path, *run)
     assert len(gaps) > 1000
@@ -383,7 +400,7 @@ def test_each_probe_leaves_the_model_at_the_chosen_set():
         theta, parent, _ = srte.selection._evaluate(pool, chosen)
         if theta == math.inf:
             continue
-        model = ExtensionModel(pool, chosen, parent.program, parent.basis)
+        model = PoolModel(pool, chosen, parent.program, parent.basis)
         for v in others:
             model.theta(v)
             again = model._model.solve_with(*no_columns)
@@ -431,7 +448,7 @@ def test_screened_candidates_count_as_subproblems_and_cannot_win(monkeypatch):
     demands = generate_gravity_demands(net, 100, 500)
     real_round = srte.selection._greedy_round
     real_bounds = srte.selection.extension_bounds
-    real_theta = ExtensionModel.theta
+    real_theta = PoolModel.theta
     rounds = []
 
     def round_(pool, chosen, unexplored, theta, parent):
@@ -452,7 +469,7 @@ def test_screened_candidates_count_as_subproblems_and_cannot_win(monkeypatch):
 
     monkeypatch.setattr(srte.selection, "_greedy_round", round_)
     monkeypatch.setattr(srte.selection, "extension_bounds", bounds_)
-    monkeypatch.setattr(ExtensionModel, "theta", theta_)
+    monkeypatch.setattr(PoolModel, "theta", theta_)
     result = greedy_select(net, demands, range(30), 4, 1)
     ranked = screened = 0
     for r in rounds:
@@ -475,7 +492,7 @@ def test_screened_candidates_count_as_subproblems_and_cannot_win(monkeypatch):
 
 def test_a_round_reuses_the_chosen_sets_assembled_lp(monkeypatch):
     """A greedy k=3 run assembles one LP per cold solve and no more: each
-    round's ``ExtensionModel`` loads the LP of the chosen set's solution
+    round's ``PoolModel`` loads the LP of the chosen set's solution
     instead of slicing and assembling it again."""
     net = random_connected_digraph(30, 120, 4000)
     demands = generate_gravity_demands(net, 100, 4500)
