@@ -22,8 +22,8 @@ point after the other. Only scipy 1.17.1's bindings are tested;
 ``tests/test_lp.py`` names every private binding used here.
 
 The matrices are ``CsrMatrix`` values, not scipy.sparse ones: HiGHS takes
-their CSR arrays as they are, and each mat-vec is one ``np.bincount`` that
-adds every row in stored order, as scipy's does, so bit for bit the same.
+their CSR arrays as they are, and each product with a vector, on either
+side, is one ``np.bincount`` that adds in stored order: bit for bit scipy's.
 
 The bindings, ``scipy.optimize._highspy._core``, are loaded by themselves from
 their file (``_load_highs``) and registered under their own name, without
@@ -98,8 +98,11 @@ class LpStatus(enum.Enum):
 class CsrMatrix:
     """A sparse matrix in the compressed sparse row arrays HiGHS takes: row
     i's entries are ``data[indptr[i]:indptr[i + 1]]``, in the columns
-    ``indices[indptr[i]:indptr[i + 1]]``. The builders keep scipy's canonical
-    form: int32 index arrays, each row's columns distinct and ascending."""
+    ``indices[indptr[i]:indptr[i + 1]]`` (int32, distinct: ascending in the
+    LP blocks, as in scipy's canonical form, and in order of first use in a
+    TE program's ``columns``)."""
+
+    __array_ufunc__ = None  # so NumPy defers x @ m to __rmatmul__
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -116,20 +119,22 @@ class CsrMatrix:
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """The product with the vector ``x``: each row's entries times ``x``
-        at their columns, added from 0.0 in stored order by one
-        ``np.bincount``, as scipy's ``csr_matvec`` adds them (float even
-        without entries, where bincount counts in int). ``take`` gathers by
-        the int32 indices in a third of the time of ``x[indices]``."""
+        """``m @ x``: each row's entries times ``x`` at their columns, added
+        from 0.0 in stored order, as scipy's ``csr_matvec`` adds them (float
+        even without entries, where bincount counts in int). ``take`` gathers
+        by the int32 indices in a third of the time of ``x[indices]``."""
         return np.bincount(
             self.entry_rows, self.data * x.take(self.indices),
             minlength=self.shape[0],
         ).astype(float, copy=False)
 
-    def toarray(self) -> np.ndarray:
-        dense = np.zeros(self.shape)
-        np.add.at(dense, (self.entry_rows, self.indices), self.data)
-        return dense
+    def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
+        """``x @ m``: each entry times ``x`` at its row, added into its column
+        from 0.0 in stored order, as scipy's transposed product adds them."""
+        return np.bincount(
+            self.indices, self.data * np.repeat(x, np.diff(self.indptr)),
+            minlength=self.shape[1],
+        ).astype(float, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,12 +430,10 @@ class LpModel:
             norms = self._norms.copy()
             np.maximum.at(norms, rows, np.abs(values))
             x, first = sol.x, lp.num_vars
-            ptr, rows, values = self._kept_and(ptr, rows, values)
-            lhs = self._a @ x[:first] + np.bincount(
-                rows, values * np.repeat(x[first:], np.diff(ptr)),
-                minlength=len(norms),
+            columns = CsrMatrix(
+                *self._kept_and(ptr, rows, values), (len(x) - first, len(norms))
             )
-            _check_rows(lp, lhs, norms)
+            _check_rows(lp, self._a @ x[:first] + x[first:] @ columns, norms)
         return sol
 
     def solve_with(

@@ -349,7 +349,7 @@ def _centrality_picks(
     cache: ShortestPathCache,
 ) -> list[list[int]]:
     """Each k's middlepoints: the top k of one ranking, or a sample per k for
-    random (a k-sample is not a prefix of a larger one)."""
+    random (one seed's samples are not always prefixes of larger ones)."""
     if method == "random":
         return [random_select(network, k, seed) for k in ks]
     # The cache holds DAGs of the given costs; weighted SP and GSP use

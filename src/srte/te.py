@@ -5,13 +5,13 @@ flow on each segment splits over the segment's ECMP shortest paths per the
 exact path counts from paths.py. Tunnel segments may reuse an edge, in which
 case the loads add up on that edge (no acyclicity filtering).
 
-Builders assemble sparse matrices directly from COO arrays into one
-TeProgram type: one column per tunnel, whose entries are its per-edge loads
-(each the correctly rounded float of its exact rational value), or, for the
-unrestricted multipath (MP) baseline, one arc-flow column per commodity and
-edge. ``solve_te`` decodes both by one load-matrix mat-vec of the flow
-array into utilizations and checks theta against them. A tunnel column is
-its commodity and padded middlepoints; ``Tunnel`` values are made from
+One TeProgram type holds every program's columns in one layout: a
+tunnel's LU column (its per-edge loads, each the correctly rounded float of
+its exact rational value, then -1 in its commodity's demand row), or, for
+the multipath (MP) baseline, an arc-flow column per commodity and edge.
+``solve_te`` decodes both by one product of the flows with the columns, and
+``_row_major`` assembles every LP matrix from COO entries. A tunnel column
+is its commodity and padded middlepoints; ``Tunnel`` values are made from
 them only where a solution's split ratios are read.
 
 An LU tunnel program's optimal row duals give every LU tunnel program on the
@@ -25,16 +25,17 @@ plus one node at once.
 
 A ``TunnelPool`` serves a selection run that solves many middlepoint sets: it
 enumerates and loads each tunnel once, and each set's program is a column
-slice of it, identical to the program built for that set alone, cut straight
-into CSR arrays. Every tunnel load column, of a pool or of a program built
-from given tunnels, comes from one kernel over the exact rows of the
-segments those tunnels use (``segment_rows``, called once per build): each
-tunnel's column is its segments' rows concatenated, and where two segments
-share an edge their loads are summed exactly, as an integer numerator over the
-LCM of their path counts: on int64 while no sum can reach 2^53, and on Python
-ints otherwise. Which tunnels route is read from the all-pairs path counts
-(``ShortestPathCache.pairs``). Every LU program of a pool has the same rows,
-so the pool keeps each column's LU entries, loads and demand entry, once. A
+slice of it, identical to the program built for that set alone: its columns
+are gathered from the pool's. Every tunnel load column, of a pool or of a
+program built from given tunnels, comes from one kernel over the exact rows
+of the segments those tunnels use (``segment_rows``, called once per build):
+each tunnel's column is its segments' rows concatenated, and where two
+segments share an edge their loads are summed exactly, as an integer
+numerator over the LCM of their path counts: on int64 while no sum can reach
+2^53, and on Python ints otherwise. Which tunnels route is read from the
+all-pairs path counts (``ShortestPathCache.pairs``). Every LU program of a
+pool has the same rows, so the pool keeps each column's LU entries, loads and
+demand entry, once, in the layout of every program's ``columns``. A
 ``PoolModel`` keeps one set's LU slice loaded in HiGHS at its optimal basis
 and solves a superset's slice by adding only the pool columns the superset
 brings, gathered from those entries: for one solve, as a greedy round ranks
@@ -169,21 +170,22 @@ def tunnels_for_middlepoints(
 class TeProgram:
     """A TE program: the layout needed to decode its solution, and its LP.
 
-    Column j of ``loads`` (edges x variables) is the load one unit of variable
-    ``first_tunnel_var + j`` puts on each edge: the flow of the tunnel of
-    commodity ``commodity[j]`` through ``middlepoints[j]`` (padded with
-    node_count), or in the MP baseline (both None) each commodity's edge
-    flows (an identity block) and, for MF, its delivered amount (a zero
-    column). The LP and the ``tunnels`` are made when first read, so a
-    program that only decodes a solution found in another model never
-    assembles its LP, and only a printed solution's makes tunnels.
+    Row j of ``columns`` (variables x LP rows) holds the entries of variable
+    ``first_tunnel_var + j``: for the tunnel of commodity ``commodity[j]``
+    through ``middlepoints[j]`` (padded with node_count), its LU column as
+    the pool keeps it (MF reads only its edge rows); in the MP baseline
+    (both None), 1.0 on the edge of each commodity's edge flow, and nothing
+    for an MF delivered amount. The LP and the ``tunnels`` are made when
+    first read, so a program that only decodes a solution found in another
+    model never assembles its LP, and only a printed solution's makes
+    tunnels.
     """
 
     kind: str
     network: FlowNetwork
     demands: DemandMatrix
     first_tunnel_var: int
-    loads: CsrMatrix
+    columns: CsrMatrix
     commodity: Optional[np.ndarray] = None
     middlepoints: Optional[np.ndarray] = None
 
@@ -254,26 +256,10 @@ def _indptr(rows: np.ndarray, count: int) -> np.ndarray:
     return indptr
 
 
-def _csr(parts, shape) -> CsrMatrix:
-    """The CSR matrix of (rows, cols, data) COO parts in scipy's canonical
-    form: entries sorted by row, then column, and duplicates added up in the
-    order given."""
-    rows, cols, data = (np.concatenate(p) for p in zip(*parts))
-    order = np.lexsort((cols, rows))
-    rows, cols, data = rows[order], cols[order], data[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    if not new.all():
-        summed = data[new]
-        np.add.at(summed, np.cumsum(new)[~new] - 1, data[~new])
-        rows, cols, data = rows[new], cols[new], summed
-    return CsrMatrix(_indptr(rows, shape[0]), cols.astype(np.int32), data, shape)
-
-
 def _row_major(parts, shape) -> CsrMatrix:
-    """The CSR matrix of (rows, cols, data) COO parts without duplicates whose
-    entries already ascend by column within each row, as entries listed
-    column by column do: a stable sort by row, equal to ``_csr`` of them."""
+    """Scipy's canonical CSR matrix of (rows, cols, data) COO parts without
+    duplicates whose entries already ascend by column within each row, as
+    entries listed column by column do: a stable sort by row."""
     rows, cols, data = (np.concatenate(p) for p in zip(*parts))
     # NumPy sorts keys of up to 16 bits by radix, several times faster.
     keys = rows.astype(np.uint16) if shape[0] <= 1 << 16 else rows
@@ -304,8 +290,26 @@ def _build_tunnel_program(
     middlepoints = _padded(mids, cache.network.node_count, max(map(len, mids), default=0))
     return _tunnel_program(
         kind, cache.network, demands, commodity, middlepoints,
-        *_tunnel_columns(cache, _ends(demands), commodity, middlepoints),
+        *_lu_entries(cache, demands, _ends(demands), commodity, middlepoints),
     )
+
+
+def _lu_entries(
+    cache: ShortestPathCache, demands: DemandMatrix, ends: np.ndarray,
+    commodity: np.ndarray, middlepoints: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The LU columns, in the arrays ``LpModel.solve_with`` takes, of the
+    tunnels of ``commodity`` through ``middlepoints``: each one's load column
+    (``_tunnel_columns``), then -1 in its commodity's demand row if positive."""
+    sizes, edge_rows, loads = _tunnel_columns(cache, ends, commodity, middlepoints)
+    positive = demands.volumes > 0
+    demand_row = cache.network.edge_count + np.cumsum(positive) - 1
+    met = positive[commodity]
+    last = np.cumsum(sizes)[met]  # after each met column's loads
+    ptr = np.zeros(len(commodity) + 1, dtype=np.int32)
+    np.cumsum(sizes + met, out=ptr[1:])
+    rows = np.insert(edge_rows, last, demand_row[commodity[met]])
+    return ptr, rows.astype(np.int32), np.insert(loads, last, -1.0)
 
 
 def _tunnel_program(
@@ -314,66 +318,64 @@ def _tunnel_program(
     demands: DemandMatrix,
     commodity: np.ndarray,
     middlepoints: np.ndarray,
-    sizes: np.ndarray,
-    edge_rows: np.ndarray,
-    loads: np.ndarray,
+    ptr: np.ndarray,
+    rows: np.ndarray,
+    values: np.ndarray,
 ) -> TeProgram:
     """The program over the given tunnels in order: tunnel j of commodity
     ``commodity[j]`` through ``middlepoints[j]`` (padded with node_count),
-    whose loads are the next ``sizes[j]`` entries of ``edge_rows`` and
-    ``loads``, on distinct edges. The entries come column by column, so
-    every matrix is cut straight into CSR arrays.
-    """
+    whose LU column is ``values[ptr[j]:ptr[j + 1]]`` in the rows
+    ``rows[ptr[j]:ptr[j + 1]]``."""
     volume = demands.volumes
+    positive = volume > 0
     if kind == LU:
         served = np.bincount(commodity, minlength=len(volume))
-        missing = np.flatnonzero((volume > 0) & (served == 0))
+        missing = np.flatnonzero(positive & (served == 0))
         if missing.size:
             raise NoTunnelError(demands.commodities[missing[0]])
-    tunnel_cols = np.repeat(np.arange(len(commodity)), sizes)
-    load_matrix = _row_major(
-        [(edge_rows, tunnel_cols, loads)], (network.edge_count, len(commodity))
+    columns = CsrMatrix(
+        ptr, rows, values,
+        (len(commodity), network.edge_count + np.count_nonzero(positive)),
     )
     first = 1 if kind == LU else 0  # theta comes first in LU
-    return TeProgram(kind, network, demands, first, load_matrix, commodity, middlepoints)
+    return TeProgram(kind, network, demands, first, columns, commodity, middlepoints)
 
 
 def _tunnel_lp(program: TeProgram) -> SparseLp:
-    """The LU or MF LP of a tunnel program, assembled from its loads."""
+    """The LU or MF LP of a tunnel program, assembled from its columns."""
     kind, network, commodity = program.kind, program.network, program.commodity
     volume = program.demands.volumes
-    load_matrix = program.loads
-    count, edge_count = load_matrix.shape[1], network.edge_count
+    columns = program.columns
+    count, edge_count = columns.shape[0], network.edge_count
     first = program.first_tunnel_var
     variables = first + count
-    # The load entries row by row, each row's by tunnel.
-    edge_rows = load_matrix.entry_rows
-    tunnel_cols, loads = load_matrix.indices, load_matrix.data
+    # The entries column by column, each column's in order of first use,
+    # with their LP columns in int32, as the LP's matrix stores them.
+    rows, values, ptr = columns.indices, columns.data, columns.indptr
+    cols = np.repeat(np.arange(first, variables, dtype=np.int32), np.diff(ptr))
     capacities = network.float_capacities
 
     if kind == LU:
         # Rows: load on e - theta * c(e) <= 0 for every edge, then
-        # -(flow of commodity i) <= -demand(i) for positive demand.
-        positive = volume > 0
-        row_of = np.cumsum(positive) - 1
-        demand_cols = np.flatnonzero(positive[commodity])
+        # -(flow of commodity i) <= -demand(i) for positive demand: theta's
+        # column, then the tunnels' LU columns.
         parts = [
             (np.arange(edge_count), np.zeros(edge_count, dtype=np.intp),
              -capacities),
-            (edge_rows, first + tunnel_cols, loads),
-            (edge_count + row_of[commodity[demand_cols]], first + demand_cols,
-             np.full(len(demand_cols), -1.0)),
+            (rows, cols, values),
         ]
-        rhs = [np.zeros(edge_count), -volume[positive]]
+        rhs = [np.zeros(edge_count), -volume[volume > 0]]
         objective = np.zeros(variables)
         objective[0] = 1.0
     else:
         # Rows: load on e <= c(e) for every loaded edge, then flow of
         # commodity i <= demand(i) for every commodity with a tunnel.
-        loaded = np.flatnonzero(np.diff(load_matrix.indptr))
+        on_edge = rows < edge_count
+        edge_rows = rows[on_edge]
+        loaded = np.flatnonzero(np.bincount(edge_rows, minlength=edge_count))
         served = np.flatnonzero(np.bincount(commodity, minlength=len(volume)))
         parts = [
-            (np.searchsorted(loaded, edge_rows), tunnel_cols, loads),
+            (np.searchsorted(loaded, edge_rows), cols[on_edge], values[on_edge]),
             (len(loaded) + np.searchsorted(served, commodity),
              np.arange(count), np.ones(count)),
         ]
@@ -422,8 +424,8 @@ class TunnelPool:
     per positive demand, whatever its tunnels. So a column's LU entries
     never change, and the pool keeps them in the one layout ``LpModel``
     takes: its loads on edge rows, in order of first use, then -1 in its
-    commodity's demand row where that demand is positive. A program's loads
-    are each column's leading entries.
+    commodity's demand row where that demand is positive: the layout of
+    every program's ``columns``, which a slice gathers.
     """
 
     def __init__(
@@ -468,20 +470,14 @@ class TunnelPool:
         padded = _padded(sequences, node_count, self._middlepoints.shape[1])
         commodity, which = np.nonzero(_routable(self.cache, self._ends, padded))
         padded = padded[which]
-        sizes, edge_rows, loads = _tunnel_columns(
-            self.cache, self._ends, commodity, padded
+        ptr, rows, values = _lu_entries(
+            self.cache, self.demands, self._ends, commodity, padded
         )
-        positive = self.demands.volumes > 0
-        demand_row = self.cache.network.edge_count + np.cumsum(positive) - 1
-        met = positive[commodity]
-        last = np.cumsum(sizes)[met]  # after each met column's loads
         self._commodity = _appended(self._commodity, commodity)
         self._middlepoints = _appended(self._middlepoints, padded)
-        self._ptr = _appended(self._ptr, self._ptr[-1] + np.cumsum(sizes + met))
-        self._rows = _appended(
-            self._rows, np.insert(edge_rows, last, demand_row[commodity[met]])
-        )
-        self._values = _appended(self._values, np.insert(loads, last, -1.0))
+        self._ptr = _appended(self._ptr, self._ptr[-1] + ptr[1:])
+        self._rows = _appended(self._rows, rows)
+        self._values = _appended(self._values, values)
         # Padded with its sink, which is never a middlepoint, a column's
         # middlepoints sort as its waypoints do.
         key = np.where(
@@ -507,16 +503,11 @@ class TunnelPool:
         return self._slice(self._columns(middlepoints), kind)
 
     def _slice(self, keep: np.ndarray, kind: str) -> TeProgram:
-        """The TE program over the given columns, in order, from each
-        column's leading load entries."""
-        commodity = self._commodity[keep]
-        starts = self._ptr[keep]
-        sizes = self._ptr[keep + 1] - starts - (self.demands.volumes[commodity] > 0)
-        positions = _positions(starts, sizes)
+        """The TE program over the given columns, in order: their LU
+        columns, gathered."""
         return _tunnel_program(
-            kind, self.cache.network, self.demands, commodity,
-            self._middlepoints[keep], sizes, self._rows[positions],
-            self._values[positions],
+            kind, self.cache.network, self.demands, self._commodity[keep],
+            self._middlepoints[keep], *self._lu_columns(keep),
         )
 
     def _lu_columns(
@@ -580,7 +571,8 @@ class PoolModel:
         raises ``ArithmeticError``."""
         pool, program = self._pool, self._program
         new = self._added((*self.middlepoints, node))
-        width, edge_count = program.loads.shape[1], program.network.edge_count
+        width, height = program.columns.shape
+        edge_count = program.network.edge_count
         # The solve's columns: the program's, the kept ones, then the new
         # ones. The LU entries of those after the program's are gathered
         # once, for the solve (the new ones') and for the loads.
@@ -593,11 +585,9 @@ class PoolModel:
         flows = _met_flows(
             program, sol.x, sol.x[program.first_tunnel_var:], pool._commodity[columns]
         )
-        # The demand rows come after the edge rows: their bins are cut off.
-        load = program.loads @ flows[:width] + np.bincount(
-            rows, values * np.repeat(flows[width:], np.diff(ptr)),
-            minlength=edge_count,
-        )[:edge_count]
+        added = CsrMatrix(ptr, rows, values, (len(ptr) - 1, height))
+        # The demand rows come after the edge rows: their sums are cut off.
+        load = (flows[:width] @ program.columns + flows[width:] @ added)[:edge_count]
         _check_theta(load / program.network.float_capacities, sol.objective_value)
         return sol.objective_value
 
@@ -680,7 +670,7 @@ def _padded(seqs: Sequence[tuple[int, ...]], pad: int, width: int) -> np.ndarray
 
 def _appended(array: np.ndarray, rows: Sequence) -> np.ndarray:
     """``array`` with ``rows`` appended, in its dtype."""
-    rows = np.array(rows, dtype=array.dtype).reshape(len(rows), *array.shape[1:])
+    rows = np.asarray(rows, dtype=array.dtype).reshape(len(rows), *array.shape[1:])
     return np.concatenate((array, rows))
 
 
@@ -908,22 +898,21 @@ def _path_costs(
 def _certify(program: TeProgram, duals: np.ndarray, theta: float) -> None:
     """Theta of an LU program is within BOUND_TOL of the dual bound at its
     own row duals, which is at most its optimum: each commodity's least
-    tunnel cost or, in MP, least path cost, weighted by its demand. HiGHS
-    stops once the reduced costs are within an absolute tolerance, which
-    lets a program with tiny duals (capacities in a large unit) stop far
-    from its optimum at a feasible point the other checks accept."""
+    tunnel cost (its LU column priced at 0 on the demand rows) or, in MP,
+    least path cost, weighted by its demand. HiGHS stops once the reduced
+    costs are within an absolute tolerance, which lets a program with tiny
+    duals (capacities in a large unit) stop far from its optimum at a
+    feasible point the other checks accept."""
     volume = program.demands.volumes
     weights = dual_weights(program.network, duals)
     if program.commodity is None:  # MP
         least = _path_costs(program.network, program.demands, weights)
     else:
-        loads = program.loads  # edges x tunnels, CSR
-        # Each tunnel's cost load·w, in a third of the time of loads.T @ weights.
-        costs = np.bincount(
-            loads.indices, loads.data * np.repeat(weights, np.diff(loads.indptr)),
-            minlength=loads.shape[1],
-        )
-        least = _least(costs, program.commodity, len(volume))
+        priced = np.zeros(program.columns.shape[1])
+        priced[:len(weights)] = weights
+        # Priced through a new holder of the columns' arrays, so the entry
+        # rows the product caches are not kept with the program.
+        least = _least(replace(program.columns) @ priced, program.commodity, len(volume))
     positive = volume > 0
     bound = float(volume[positive] @ least[positive])
     if theta - bound > BOUND_TOL * max(1.0, theta):
@@ -956,9 +945,10 @@ def _decoded(program: TeProgram, sol: LpSolution, solve_ms: float) -> TeSolution
     if program.kind == LU:
         flows = _met_flows(program, sol.x, flows, program.commodity)
     result.program, result.flows = program, flows
-    # Each row of the load matrix lists its tunnels in order, so every edge's
-    # load is summed in tunnel order.
-    result.utilization = (program.loads @ flows) / program.network.float_capacities
+    # Each edge's load summed in tunnel order; the demand rows' are cut off.
+    network = program.network
+    load = (flows @ program.columns)[:network.edge_count]
+    result.utilization = load / network.float_capacities
 
     if program.kind == LU:
         result.theta = sol.objective_value
@@ -990,8 +980,8 @@ def build_mp_baseline(
     first = 1 if kind == LU else 0  # theta comes first in LU
     width = edge_count + (kind == MF)  # columns per commodity
     variables = first + count * width
-    tails = [e.tail for e in network.edges]  # ends: the tails, then the heads
-    ends = np.array(tails + [e.head for e in network.edges], dtype=np.intp)
+    # Each edge's tail, then its head, edge by edge.
+    ends = np.array([(e.tail, e.head) for e in network.edges], dtype=np.intp).ravel()
     sources = np.array([c.source for c in demands.commodities], dtype=np.intp)
     sinks = np.array([c.sink for c in demands.commodities], dtype=np.intp)
     volume = demands.volumes
@@ -1004,13 +994,14 @@ def build_mp_baseline(
     flows = (flow_edges, flow_cols, ones)
 
     # Balance rows, commodity-major: out-flow minus in-flow at each kept node.
+    # Listed edge by edge, each row's columns ascend.
     keep = np.tile(np.bincount(ends, minlength=n) > 0, (count, 1))
     keep[index, sources] = True
     keep[index, sinks] = False
     row_of = (np.cumsum(keep) - 1).reshape(count, n)
     commodity, end = np.nonzero(keep[:, ends])  # ends[end] is a kept node
-    eq = [(row_of[commodity, ends[end]], block[commodity] + end % edge_count,
-           np.where(end < edge_count, 1.0, -1.0))]
+    eq = [(row_of[commodity, ends[end]], block[commodity] + end // 2,
+           np.where(end % 2, -1.0, 1.0))]
     source_rows = row_of[index, sources]
     b_eq = np.zeros(int(keep.sum()))
     objective, upper = np.zeros(variables), np.full(variables, np.inf)
@@ -1031,11 +1022,13 @@ def build_mp_baseline(
 
     lp = SparseLp(
         kind == MF, objective, np.zeros(variables), upper,
-        _csr(ub, (len(b_ub), variables)), b_ub,
-        _csr(eq, (len(b_eq), variables)), b_eq,
+        _row_major(ub, (len(b_ub), variables)), b_ub,
+        _row_major(eq, (len(b_eq), variables)), b_eq,
     )
-    loads = _csr([(flow_edges, flow_cols - first, ones)],
-                 (edge_count, variables - first))
-    program = TeProgram(kind, network, demands, first, loads)
-    program.lp = lp  # the arc-flow LP: not assembled from the loads
+    columns = CsrMatrix(
+        _indptr(flow_cols - first, variables - first), flow_edges.astype(np.int32),
+        ones, (variables - first, edge_count),
+    )
+    program = TeProgram(kind, network, demands, first, columns)
+    program.lp = lp  # the arc-flow LP: not assembled from the columns
     return program

@@ -347,18 +347,17 @@ def reference_tunnel_loads(cache, tunnels):
     return np.array(sizes, dtype=np.intp), np.array(edges, dtype=np.intp), np.array(loads)
 
 
-def reference_lu_columns(pool, columns):
-    """The given pool columns as LU program columns, in the arrays
-    ``LpModel.solve_with`` takes (int32 ``ptr`` and rows, float values),
-    filled by boolean masks from their tunnels' ``reference_tunnel_loads``:
-    each column's loads, then -1 in its commodity's demand row if the demand
-    is positive. Every LU program of the pool has the same rows, one per
-    edge, then one per positive demand, whatever its tunnels."""
-    tunnels = pool._slice(columns, MF).tunnels
-    sizes, edges, loads = reference_tunnel_loads(pool.cache, tunnels)
-    positive = pool.demands.volumes > 0
+def reference_lu_entries(cache, demands, tunnels):
+    """The tunnels' LU program columns, in the arrays ``LpModel.solve_with``
+    takes (int32 ``ptr`` and rows, float values), filled by boolean masks
+    from their ``reference_tunnel_loads``: each column's loads, then -1 in
+    its commodity's demand row if the demand is positive. Every LU program
+    on the network has the same rows, one per edge, then one per positive
+    demand, whatever its tunnels."""
+    sizes, edges, loads = reference_tunnel_loads(cache, tunnels)
+    positive = demands.volumes > 0
     row_of = np.where(
-        positive, pool.cache.network.edge_count + np.cumsum(positive) - 1, -1
+        positive, cache.network.edge_count + np.cumsum(positive) - 1, -1
     )
     demand_row = row_of[[tun.commodity for tun in tunnels]].astype(np.intp)
     met = demand_row >= 0
@@ -371,6 +370,31 @@ def reference_lu_columns(pool, columns):
     values[~demand_at] = loads
     rows[demand_at], values[demand_at] = demand_row[met], -1.0
     return ptr, rows, values
+
+
+def reference_lu_columns(pool, columns):
+    """The given pool columns' ``reference_lu_entries``."""
+    tunnels = pool._slice(columns, MF).tunnels
+    return reference_lu_entries(pool.cache, pool.demands, tunnels)
+
+
+def reference_load_matrix(cache, program):
+    """The program's edges x variables load matrix as scipy's csr_matrix of
+    its COO entries, listed variable by variable: of a tunnel program, its
+    tunnels' ``reference_tunnel_loads``; of an MP program, 1.0 on each edge
+    at each commodity's flow on it (none at an MF delivered amount)."""
+    net = cache.network
+    if program.commodity is None:
+        count = len(program.demands.commodities)
+        width = net.edge_count + (program.kind == MF)
+        cols = (width * np.arange(count)[:, None] + np.arange(net.edge_count)).ravel()
+        edges, loads = np.tile(np.arange(net.edge_count), count), np.ones(len(cols))
+    else:
+        sizes, edges, loads = reference_tunnel_loads(cache, program.tunnels)
+        cols = np.repeat(np.arange(len(sizes)), sizes)
+    return csr_matrix(
+        (loads, (edges, cols)), shape=(net.edge_count, program.columns.shape[0])
+    )
 
 
 def split_lp():

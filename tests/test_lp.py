@@ -203,11 +203,10 @@ def test_row_norms_equal_scipys():
     for _ in range(40):
         rows, cols = rng.integers(1, 12, size=2)
         nnz = int(rng.integers(0, rows * cols + 1))
-        parts = [(
-            rng.integers(0, rows, size=nnz), rng.integers(0, cols, size=nnz),
-            rng.choice([0.0, -1.0, 3.5, -0.25, 1e-12], size=nnz),
-        )]
-        matrices.append(srte.te._csr(parts, (rows, cols)))
+        row_ids, col_ids = rng.integers(0, rows, size=nnz), rng.integers(0, cols, size=nnz)
+        data = rng.choice([0.0, -1.0, 3.5, -0.25, 1e-12], size=nnz)
+        # scipy sums duplicates: ``_row_norms`` reads matrices without any.
+        matrices.append(csr_matrix((data, (row_ids, col_ids)), shape=(rows, cols)))
         dense = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < 0.3)
         matrices.append(csr_matrix(dense))
     empty = explicit_zero = 0

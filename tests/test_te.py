@@ -21,7 +21,7 @@ from srte.graph import (
     random_connected_digraph,
     random_digraph,
 )
-from srte.lp import EQ, LE, LpStatus, solve_lp
+from srte.lp import EQ, LE, CsrMatrix, LpStatus, solve_lp
 from srte.paths import ShortestPathCache, UnreachableSegment
 import srte.te
 from srte.te import (
@@ -45,7 +45,9 @@ from conftest import (
     enumerate_shortest_paths,
     make_demands,
     make_net,
+    reference_load_matrix,
     reference_lu_columns,
+    reference_lu_entries,
     reference_tunnel_loads,
     scipy_csr,
     segments_share_an_edge,
@@ -177,7 +179,8 @@ class TestDualBound:
                 assert got.shape == (len(nodes),)
                 for v, bound in zip(nodes, got.tolist()):
                     program = pool.program([*chosen, v])
-                    costs = program.loads.toarray().T @ weights
+                    columns = scipy_csr(program.columns).toarray()
+                    costs = columns[:, :net.edge_count] @ weights
                     least = {}
                     for j, i in enumerate(program.commodity.tolist()):
                         least[i] = min(least.get(i, np.inf), costs[j])
@@ -474,15 +477,17 @@ class TestSparseAssembly:
         cache = ShortestPathCache(net)
         groups = tunnels_for_middlepoints(cache, demands, range(8), 2)
         program = build_te_lu(cache, demands, groups)
-        loads = scipy_csr(program.loads).tocsc()
+        columns = program.columns
         capacity_block = scipy_csr(program.lp.a_ub)[: net.edge_count].tocsc()
         paths_of, shared = {}, 0
         for j, tun in enumerate(program.tunnels):
             exact, overlap = exact_tunnel_loads(net, tun, paths_of)
             shared += overlap
             expected = {eid: float(load) for eid, load in exact.items()}
-            column = loads[:, [j]]
-            assert dict(zip(column.indices.tolist(), column.data.tolist())) == expected
+            lo, hi = columns.indptr[j], columns.indptr[j + 1]
+            column = dict(zip(columns.indices[lo:hi].tolist(), columns.data[lo:hi].tolist()))
+            # Every demand is positive: commodity i's demand row is edge_count + i.
+            assert column == {**expected, net.edge_count + tun.commodity: -1.0}
             lp_column = capacity_block[:, [program.first_tunnel_var + j]]
             assert dict(
                 zip(lp_column.indices.tolist(), lp_column.data.tolist())
@@ -574,18 +579,16 @@ def assert_scipy_csr(got, want):
     assert tuple(got.shape) == want.shape and got.nnz == want.nnz
     for name in ("indptr", "indices", "data"):
         assert same_bits(getattr(got, name), getattr(want, name)), name
-    assert np.array_equal(got.toarray(), want.toarray())
+    assert np.array_equal(scipy_csr(got).toarray(), want.toarray())
 
 
 class TestCsrMatrix:
     @pytest.mark.parametrize("seed", range(20))
     def test_builders_equal_scipys(self, seed):
-        """``_csr`` builds from COO parts the arrays scipy's csr_matrix does:
-        rows in order, each row's columns ascending and distinct, int32
-        indices, and duplicates added up. scipy sorts each row's entries by
-        an unstable sort, so the values are dyadic: every order of adding
-        them gives the same sum. ``_row_major`` of the entries listed column
-        by column, and ``_no_rows``, equal scipy's too."""
+        """``_row_major`` of COO entries listed column by column builds the
+        arrays scipy's csr_matrix does: rows in order, each row's columns
+        ascending and distinct, int32 indices. ``_no_rows`` equals scipy's
+        too."""
         rng = np.random.default_rng(seed)
         rows, cols = (int(v) for v in rng.integers(1, 30, size=2))
         nnz = int(rng.integers(0, 3 * rows * cols))
@@ -594,10 +597,7 @@ class TestCsrMatrix:
             rng.choice([0.0, -1.0, 3.5, -0.25, 0.75], size=n),
         ) for n in (nnz // 3, nnz - nnz // 3)]
         row_ids, col_ids, data = (np.concatenate(p) for p in zip(*parts))
-        want = csr_matrix((data, (row_ids, col_ids)), shape=(rows, cols))
-        assert_scipy_csr(srte.te._csr(parts, (rows, cols)), want)
-
-        dense = want.toarray()
+        dense = csr_matrix((data, (row_ids, col_ids)), shape=(rows, cols)).toarray()
         dense[rng.random(dense.shape) < 0.3] = 0.0
         col_ids, row_ids = np.nonzero(dense.T)  # listed column by column
         entries = (row_ids, col_ids, dense[row_ids, col_ids])
@@ -607,10 +607,47 @@ class TestCsrMatrix:
         )
         assert_scipy_csr(srte.te._no_rows(cols), csr_matrix((0, cols)))
 
+    def test_vector_times_matrix_equals_scipys(self):
+        """``x @ m`` (``CsrMatrix.__rmatmul__``) is bit for bit scipy's
+        ``x @ csr_matrix`` of the same arrays: on random matrices with empty
+        rows and columns, explicit zeros and each row's columns in random
+        order (as a program's ``columns`` keep them), and on matrices
+        without entries, whose product is float too."""
+        empty_rows = empty_cols = explicit_zeros = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            rows, cols = (int(v) for v in rng.integers(1, 30, size=2))
+            x = rng.normal(size=rows)
+            dense = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < 0.3)
+            stored = (dense != 0) | (rng.random((rows, cols)) < 0.05)
+            row_ids, col_ids = np.nonzero(stored)
+            # Each row's entries in a random order, rows in order.
+            order = rng.permutation(len(row_ids))
+            order = order[np.argsort(row_ids[order], kind="stable")]
+            row_ids, col_ids = row_ids[order], col_ids[order]
+            indptr = np.zeros(rows + 1, dtype=np.int32)
+            np.cumsum(np.bincount(row_ids, minlength=rows), out=indptr[1:])
+            m = CsrMatrix(
+                indptr, col_ids.astype(np.int32), dense[row_ids, col_ids], (rows, cols)
+            )
+            assert same_bits(x @ m, x @ scipy_csr(m))
+            none = CsrMatrix(
+                np.zeros(rows + 1, dtype=np.int32), np.zeros(0, dtype=np.int32),
+                np.zeros(0), (rows, cols),
+            )
+            assert (x @ none).dtype == np.float64
+            assert same_bits(x @ none, x @ csr_matrix((rows, cols)))
+            empty_rows += int((~stored.any(axis=1)).sum())
+            empty_cols += int((~stored.any(axis=0)).sum())
+            explicit_zeros += int((m.data == 0).sum())
+        assert empty_rows and empty_cols and explicit_zeros
+
     def test_matvecs_equal_scipys(self, monkeypatch):
         """Every mat-vec srte makes, one np.bincount each, is bit for bit
-        scipy's: the utilizations of LU, MF and MP solutions, both blocks of
-        each program at its point, and ``extension_bounds``, on
+        scipy's: the utilizations of LU, MF and MP solutions (the product of
+        the flows with the program's columns, also against scipy's product
+        with the row-major load matrix, ``reference_load_matrix``), both
+        blocks of each program at its point, and ``extension_bounds``, on
         benchmark-tier instances (30 nodes, 120 edges, 100 demands)."""
         checked = 0
         for seed in (4100, 4101):
@@ -624,9 +661,12 @@ class TestCsrMatrix:
             programs += [build_mp_baseline(net, demands, kind) for kind in (LU, MF)]
             for program in programs:
                 sol = solve_te(program)
+                loads = reference_load_matrix(pool.cache, program)
                 assert same_bits(
-                    sol.utilization,
-                    (scipy_csr(program.loads) @ sol.flows) / net.float_capacities,
+                    sol.utilization, (loads @ sol.flows) / net.float_capacities
+                )
+                assert same_bits(
+                    sol.flows @ program.columns, sol.flows @ scipy_csr(program.columns)
                 )
                 x = solve_lp(program.lp).x
                 for block in (program.lp.a_ub, program.lp.a_eq):
@@ -829,21 +869,40 @@ class TestMpAssembly:
         assert lp.maximize == expected.maximize
 
     @pytest.mark.parametrize("kind", [LU, MF])
+    def test_blocks_are_scipys_canonical_csr(self, kind):
+        """Both blocks, each one ``_row_major`` assembly, are scipy's
+        canonical csr_matrix, dtypes included: of their own COO entries
+        (rows in order, each row's columns ascending and distinct) and of
+        the dict-row build's, on two benchmark-tier instances (30 nodes, 120
+        edges, 100 gravity demands)."""
+        for seed in (4000, 4001):
+            net = random_connected_digraph(30, 120, seed, max_capacity=10)
+            demands = generate_gravity_demands(net, 100, seed + 500)
+            lp = build_mp_baseline(net, demands, kind).lp
+            expected = dict_row_mp(net, demands, kind).sparse()
+            for block in ("a_ub", "a_eq"):
+                got = getattr(lp, block)
+                entries = (got.data, (got.entry_rows, got.indices))
+                assert_scipy_csr(got, csr_matrix(entries, shape=got.shape))
+                assert_scipy_csr(got, getattr(expected, block))
+
+    @pytest.mark.parametrize("kind", [LU, MF])
     def test_load_columns_follow_the_variables(self, kind):
-        """Column j of the load matrix is variable first_tunnel_var + j: an
-        identity block per commodity, a zero column for each d[i]."""
+        """Row j of the columns is variable first_tunnel_var + j: an
+        identity block per commodity, no entry for each d[i]."""
         net = random_connected_digraph(6, 14, 2, max_capacity=5)
         demands = make_demands((0, 3, 1), (4, 1, 2))
         program = build_mp_baseline(net, demands, kind)
         assert program.tunnels == []
         assert program.first_tunnel_var == (1 if kind == LU else 0)
-        loads = program.loads.toarray()
+        columns = scipy_csr(program.columns).toarray()
         width = net.edge_count + (kind == MF)
-        assert loads.shape == (net.edge_count, 2 * width)
+        assert columns.shape == (2 * width, net.edge_count)
+        assert program.columns.nnz == 2 * net.edge_count
         for i in range(2):
-            block = loads[:, i * width:(i + 1) * width]
-            assert np.array_equal(block[:, :net.edge_count], np.eye(net.edge_count))
-            assert not block[:, net.edge_count:].any()
+            block = columns[i * width:(i + 1) * width]
+            assert np.array_equal(block[:net.edge_count], np.eye(net.edge_count))
+            assert not block[net.edge_count:].any()
 
 
 def assert_same_program(got, want):
@@ -860,9 +919,9 @@ def assert_same_program(got, want):
     assert got.lp.maximize == want.lp.maximize
     assert got.kind == want.kind and got.first_tunnel_var == want.first_tunnel_var
     assert got.tunnels == want.tunnels
-    assert got.loads.shape == want.loads.shape
+    assert got.columns.shape == want.columns.shape
     for name in ("indptr", "indices", "data"):
-        x, y = getattr(got.loads, name), getattr(want.loads, name)
+        x, y = getattr(got.columns, name), getattr(want.columns, name)
         assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
@@ -1060,8 +1119,8 @@ def reference_tunnels(cache, demands, middlepoints, m):
 
 
 def reference_program(kind, cache, demands, groups):
-    """The program over the given tunnels, its load columns walked over the
-    per-segment fractions (``reference_tunnel_loads``)."""
+    """The program over the given tunnels, its LU columns walked over the
+    per-segment fractions (``reference_lu_entries``)."""
     tunnels = [tun for group in groups for tun in group]
     commodity = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     mids = [tun.middlepoints for tun in tunnels]
@@ -1070,7 +1129,7 @@ def reference_program(kind, cache, demands, groups):
     )
     return srte.te._tunnel_program(
         kind, cache.network, demands, commodity, middlepoints,
-        *reference_tunnel_loads(cache, tunnels),
+        *reference_lu_entries(cache, demands, tunnels),
     )
 
 
