@@ -232,6 +232,14 @@ def parse_topology(text: str) -> FlowNetwork:
     index: dict[str, int] = {}
     edges: list[Edge] = []
     seen_pairs: set[tuple[int, int]] = set()
+    # Each valid capacity or cost token's value: a topology repeats a few
+    # numerals. A bad token is parsed, and refused, at each line it is on.
+    values: dict[str, Fraction] = {}
+
+    def positive(token: str, lineno: int, what: str) -> Fraction:
+        if token not in values:
+            values[token] = _parse_positive(token, lineno, what)
+        return values[token]
 
     def intern(name: str) -> int:
         if name not in index:
@@ -247,10 +255,10 @@ def parse_topology(text: str) -> FlowNetwork:
         u, v = intern(fields[1]), intern(fields[2])
         if u == v:
             raise TopologyError(f"line {lineno}: self-loop on {fields[1]!r}")
-        capacity = _parse_positive(fields[3], lineno, "capacity")
+        capacity = positive(fields[3], lineno, "capacity")
         cost = Fraction(1)
         if len(fields) == 5:
-            cost = _parse_positive(fields[4], lineno, "cost")
+            cost = positive(fields[4], lineno, "cost")
         if (u, v) in seen_pairs:
             raise TopologyError(
                 f"line {lineno}: duplicate edge {fields[1]} -> {fields[2]}"

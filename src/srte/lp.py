@@ -15,10 +15,13 @@ that outlives its solver. An ``LpModel`` keeps one program loaded at such a
 basis and solves it with a few columns added, whose prices alone the primal
 simplex has to fix: for one solve at a time, after which the model drops
 them and restores the basis, or for good, the model then going on from the
-new optimal basis. Greedy selection ranks each round's candidates the first
-way, one model per round, and prices the candidates it need not solve at
-the chosen set's duals; a top-K sweep grows one model the second way, one
-point after the other. Only scipy 1.17.1's bindings are tested;
+new optimal basis, or for good without a solve, at the basis a one-shot
+solve of the same columns returned. Greedy selection ranks each round's
+candidates the first way, prices the candidates it need not solve at the
+chosen set's duals, and lets a round's untied winner join the model the
+third way, for the next round to rank in; a top-K sweep grows one model
+the second way, one point after the other. Only scipy 1.17.1's bindings
+are tested;
 ``tests/test_lp.py`` names every private binding used here.
 
 The matrices are ``CsrMatrix`` values, not scipy.sparse ones: HiGHS takes
@@ -227,10 +230,16 @@ def _check_rows(lp: SparseLp, lhs: np.ndarray, norms: np.ndarray) -> None:
         )
 
 
+def _holder(a: CsrMatrix) -> CsrMatrix:
+    """A new holder of a CSR matrix's arrays, so the entry rows its products
+    cache are not kept with ``a`` (and the program holding it)."""
+    return CsrMatrix(a.indptr, a.indices, a.data, a.shape)
+
+
 def _check_feasibility(lp: SparseLp, x: np.ndarray) -> None:
     """Each row's residual over max(1, max |coefficient|) is within tolerance."""
     _check_rows(
-        lp, np.concatenate((lp.a_ub @ x, lp.a_eq @ x)),
+        lp, np.concatenate((_holder(lp.a_ub) @ x, _holder(lp.a_eq) @ x)),
         np.concatenate((_row_norms(lp.a_ub), _row_norms(lp.a_eq))),
     )
 
@@ -307,14 +316,11 @@ def _loaded(
 
 
 def _solved(
-    solver: highs._Highs,
-    lp: SparseLp,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    row_upper: np.ndarray,
+    solver: highs._Highs, lp: SparseLp, row_upper: np.ndarray
 ) -> LpSolution:
-    """Run the loaded program and check its result as linprog does; ``lower``
-    and ``upper`` bound every column the solver holds."""
+    """Run the loaded program and check its result as linprog does: the
+    program's columns within their bounds, and any the solver holds after
+    them (an ``LpModel``'s added columns) within [0, inf)."""
     ran = solver.run() != highs.HighsStatus.kError
     model_status = solver.getModelStatus()
     status = _STATUS.get(model_status) if ran else None
@@ -332,10 +338,11 @@ def _solved(
     # Each <= row's slack and each = row's residual.
     residual = row_upper - np.array(solution.row_value)
     slack, con = residual[:len(lp.b_ub)], residual[len(lp.b_ub):]
-    tol = _RESULT_TOL
+    tol, own = _RESULT_TOL, x[:lp.num_vars]
     if not (  # a NaN anywhere fails a comparison
         fun == fun
-        and (x >= lower - tol).all() and (x <= upper + tol).all()
+        and (own >= lp.lower - tol).all() and (own <= lp.upper + tol).all()
+        and (x[lp.num_vars:] >= -tol).all()
         and (slack >= -tol).all() and (np.abs(con) <= tol).all()
     ):
         raise ArithmeticError(
@@ -360,13 +367,14 @@ def linprog(lp: SparseLp) -> LpSolution:
     is stacked (rows: the ``<=`` rows, then the ``=`` rows).
     """
     solver, _, row_upper = _loaded(lp, _OPTIONS)
-    return _solved(solver, lp, lp.lower, lp.upper, row_upper)
+    return _solved(solver, lp, row_upper)
 
 
 class LpModel:
     """A program kept loaded in one HiGHS solver at a simplex basis and
-    solved with columns added: for good (``extend``) or for one solve only
-    (``solve_with``).
+    solved with columns added: for good (``extend``), for one solve only
+    (``solve_with``), or added for good unsolved, at a basis a one-shot
+    solve of them returned (``add``).
 
     Added columns are 0 in the objective and bounded by [0, inf), and
     ``addCols`` starts them nonbasic at 0: a primal feasible basis stays
@@ -383,13 +391,16 @@ class LpModel:
         there are rows (an optimal solve's ``basis``); HiGHS rejecting it
         raises ``ValueError``."""
         self._lp = lp
-        self._solver, self._a, self._row_upper = _loaded(lp, _WARM_OPTIONS)
+        self._solver, a, self._row_upper = _loaded(lp, _WARM_OPTIONS)
         self._basis = basis
         if self._solver.setBasis(basis) == highs.HighsStatus.kError:
             raise ValueError("HiGHS rejected the start basis")
-        # Each row's max |coefficient| over the program's and the kept
-        # columns, and the kept columns' entries, as ``solve_with`` takes them.
-        self._norms = _row_norms(self._a)
+        # The rows as passed, in a holder of the model's own (the entry rows
+        # its products cache live as long as the model); each row's max
+        # |coefficient| over the program's and the kept columns; and the
+        # kept columns' entries, as ``solve_with`` takes them.
+        self._a = _holder(a)
+        self._norms = _row_norms(a)
         self._ptr = np.zeros(1, dtype=np.int32)
         self._rows, self._values = np.zeros(0, dtype=np.int32), np.zeros(0)
 
@@ -403,29 +414,30 @@ class LpModel:
             np.concatenate((self._values, values)),
         )
 
-    def _solve(
-        self, ptr: np.ndarray, rows: np.ndarray, values: np.ndarray
-    ) -> LpSolution:
-        """Add the columns after the held ones and solve; the result is
-        checked as ``linprog`` and ``solve_lp`` check theirs."""
+    def _add(self, ptr: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+        """Add the columns after the held ones, after linprog's input check."""
         if not np.isfinite(values).all():
             raise ValueError(
                 "Invalid input for linprog: a_ub must not contain values inf, "
                 "nan, or None"
             )
-        lp, solver, count = self._lp, self._solver, len(ptr) - 1
+        count = len(ptr) - 1
         zeros = np.zeros(count)
-        added = solver.addCols(
+        added = self._solver.addCols(
             count, zeros, zeros, np.full(count, np.inf), len(values), ptr[:-1],
             rows, values,
         )
         if added == highs.HighsStatus.kError:
             raise ArithmeticError("LP solver failed: HiGHS rejected the columns")
-        extra = len(self._ptr) - 1 + count
-        sol = _solved(
-            solver, lp, np.concatenate((lp.lower, np.zeros(extra))),
-            np.concatenate((lp.upper, np.full(extra, np.inf))), self._row_upper,
-        )
+
+    def _solve(
+        self, ptr: np.ndarray, rows: np.ndarray, values: np.ndarray
+    ) -> LpSolution:
+        """Add the columns after the held ones and solve; the result is
+        checked as ``linprog`` and ``solve_lp`` check theirs."""
+        self._add(ptr, rows, values)
+        lp = self._lp
+        sol = _solved(self._solver, lp, self._row_upper)
         if sol.status is LpStatus.OPTIMAL:
             norms = self._norms.copy()
             np.maximum.at(norms, rows, np.abs(values))
@@ -435,6 +447,11 @@ class LpModel:
             )
             _check_rows(lp, self._a @ x[:first] + x[first:] @ columns, norms)
         return sol
+
+    def _keep(self, ptr: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+        """Hold the columns just added for good."""
+        self._ptr, self._rows, self._values = self._kept_and(ptr, rows, values)
+        np.maximum.at(self._norms, rows, np.abs(values))
 
     def solve_with(
         self, ptr: np.ndarray, rows: np.ndarray, values: np.ndarray
@@ -464,11 +481,26 @@ class LpModel:
         model whose ``extend`` raised or was not optimal is not solved
         again."""
         sol = self._solve(ptr, rows, values)
-        self._ptr, self._rows, self._values = self._kept_and(ptr, rows, values)
-        np.maximum.at(self._norms, rows, np.abs(values))
+        self._keep(ptr, rows, values)
         if sol.status is LpStatus.OPTIMAL:
             self._basis = sol.basis
         return sol
+
+    def add(
+        self, ptr: np.ndarray, rows: np.ndarray, values: np.ndarray,
+        basis: highs.HighsBasis,
+    ) -> None:
+        """Add columns, in the arrays ``solve_with`` takes, for good without
+        a solve, and go on from ``basis``: one status per column and row of
+        the grown program, such as the optimal basis a ``solve_with`` of the
+        same columns returned. HiGHS rejecting the columns raises
+        ``ArithmeticError``, rejecting the basis ``ValueError``; either way
+        the model is not solved again."""
+        self._add(ptr, rows, values)
+        if self._solver.setBasis(basis) == highs.HighsStatus.kError:
+            raise ValueError("HiGHS rejected the start basis")
+        self._keep(ptr, rows, values)
+        self._basis = basis
 
 
 def solve_lp(lp: SparseLp) -> LpSolution:

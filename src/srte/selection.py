@@ -17,10 +17,15 @@ added for one solve. It ranks them in ascending order of a lower bound on
 their theta from the chosen set's duals and skips those whose bound shows
 they cannot win. It then solves only the near-ties cold, so it picks and
 prints what solving every candidate cold would; every candidate still
-counts as one subproblem. The LU points of a sp, gsp or degree sweep are
-solved as one chain: the first cold, and each point whose picks contain the
-last solved point's in one growing model, to which it adds for good the
-columns its new middlepoints bring, from the last point's optimal basis.
+counts as one subproblem. A winner without a near-tie whose state the run
+does not return skips its cold solve: it joins the round's model, which
+the next round ranks in from its basis. The cold solves left, of near-ties
+and of every state a run returns, wait until the model is freed, so one
+HiGHS model at most is alive at a time. The LU points of a sp, gsp or
+degree sweep are solved as one chain: the first cold, and each point whose
+picks contain the last solved point's in one growing model, to which it
+adds for good the columns its new middlepoints bring, from the last point's
+optimal basis.
 """
 
 from __future__ import annotations
@@ -194,20 +199,38 @@ def _greedy_round(
     unexplored: list[int],
     theta: float,
     parent: Optional[TeSolution],
+    model: Optional[PoolModel] = None,
+    join: bool = False,
 ) -> Optional[tuple]:
-    """The round's winner, (v, ``_evaluate`` of chosen + [v] solved cold), if
-    it lowers theta by more than IMPROVEMENT_TOL, else None.
+    """The round's winner, if it lowers theta by more than IMPROVEMENT_TOL,
+    else None: (v, ``_evaluate`` of chosen + [v] solved cold, None), or, if
+    ``join`` and the winner joined the round's model, (v, (its theta, its
+    solution, None), the model).
 
     The winner is the first candidate of least cold theta, as if every
     candidate were solved cold. Given ``parent``, the chosen set's optimal
     solution, each candidate is solved warm in one ``PoolModel`` of the
-    chosen set from its basis (``PoolModel.theta``: the pool columns the
-    candidate brings, added for that solve only), in a fraction of the
+    chosen set from its optimal basis (``PoolModel.theta``: the pool columns
+    the candidate brings, added for that solve only), in a fraction of the
     simplex iterations, and ranked by that theta, which is within
     WARM_TIE_TOL of its cold theta. Then only the candidates within
     WARM_TIE_TOL of the least warm theta, and those whose warm solve failed
     (all of them without a parent), are solved cold and decide. A round
     whose least warm theta cannot improve needs no cold solve.
+
+    The winner's cold solve is skipped when ``join`` (its state is not one
+    the run returns), no warm solve failed, its warm theta is the only one
+    within the tie band of the least, and it clears the improvement
+    threshold by more than its tie band: it is the winner and improves, as
+    solved cold. It then joins the model (``PoolModel.join``: its point
+    decoded and certified as a cold one is, its columns added for good at
+    the basis of its ranking solve), and the next round ranks in that model
+    from its duals. Such a state's theta is warm, within its tie band of
+    the cold one: ``model`` is given, and that round widens each threshold
+    theta sets by the band, so a decision either way holds for the cold
+    theta too, or solves the chosen set cold to decide. A winner that fails
+    a check of the join is solved cold. The model is freed before any cold
+    solve, so one HiGHS model at most is alive at a time.
 
     The candidates are ranked in ascending order of their dual bounds at
     the parent's duals (``extension_bounds``; a stable sort), and the first
@@ -223,22 +246,30 @@ def _greedy_round(
     theta would not have been the least, so the least warm theta, the
     near-ties solved cold, the first-of-least winner and the improvement
     test are those of ranking every candidate; the winner's cold solve is
-    the same solve. Only a skipped candidate whose solves would have raised
-    no longer ends the expansion.
+    the same solve. Only a skipped candidate whose solves would have raised,
+    or a joined winner whose cold solve would have, no longer ends the
+    expansion.
 
     The margin is the tie band, not ``BOUND_TOL``, the certificate's
     tolerance: BOUND_TOL * theta exceeds IMPROVEMENT_TOL once theta > 1, so
     a bound equal to theta, the usual bound of a candidate that cannot
     help, would pass the improvement test and be ranked for nothing.
     """
+    # The band a warm theta lies within of the cold one.
+    slack = 0.0 if model is None else _tie(theta)
+
+    def clears(rank: float) -> bool:
+        """A warm rank improves on theta, whatever the cold thetas."""
+        return rank + _tie(rank) < theta - slack - IMPROVEMENT_TOL
+
     ranks: dict[int, float] = {}  # candidate position -> theta it ranks by
     unranked = range(len(unexplored))  # ranked by a cold solve
     if parent is not None:
         bounds = extension_bounds(pool, chosen, unexplored, parent.duals)
-        model, least, unranked = None, math.inf, []
+        least, unranked = math.inf, []
         for i in np.argsort(bounds, kind="stable").tolist():
             bound = bounds[i] - _tie(bounds[i])
-            if bound >= theta - IMPROVEMENT_TOL or bound > least + _tie(least):
+            if bound >= theta + slack - IMPROVEMENT_TOL or bound > least + _tie(least):
                 break  # the bounds ascend: no candidate from here on can win
             if model is None:  # made only for a round that ranks
                 model = PoolModel(pool, chosen, parent.program, parent.basis)
@@ -248,19 +279,31 @@ def _greedy_round(
                 unranked.append(i)
                 continue
             least = min(least, ranks[i])
-        del model  # free its solver before the cold solves: two at once raise peak RSS
+        near = [i for i, rank in ranks.items() if rank <= least + _tie(least)]
+        if join and not unranked and len(near) == 1 and clears(least):
+            v = unexplored[near[0]]
+            try:  # the joined state's theta is its ranking solve's, least
+                solution = model.join(v)
+            except ArithmeticError:
+                pass  # solved cold below
+            else:
+                return v, (solution.theta, solution, None), model
+    if model is not None:
+        model.close()  # two models at once raise peak RSS
     cold = {i: _evaluate(pool, chosen + [unexplored[i]]) for i in unranked}
     ranks.update((i, trial[0]) for i, trial in cold.items())
     least = min(ranks.values(), default=math.inf)
-    if least == math.inf or least >= theta - IMPROVEMENT_TOL + _tie(least):
+    if least == math.inf or least >= theta + slack - IMPROVEMENT_TOL + _tie(least):
         return None
     for i, rank in ranks.items():
         if rank <= least + _tie(least) and i not in cold:
             cold[i] = _evaluate(pool, chosen + [unexplored[i]])
     best = min(sorted(cold), key=lambda i: cold[i][0])  # the first of least
+    if slack and abs(cold[best][0] - (theta - IMPROVEMENT_TOL)) <= slack:
+        theta = _evaluate(pool, chosen)[0]  # a warm theta cannot decide
     if not cold[best][0] < theta - IMPROVEMENT_TOL:
         return None
-    return unexplored[best], cold[best]
+    return unexplored[best], cold[best], None
 
 
 def _greedy_points(
@@ -274,9 +317,12 @@ def _greedy_points(
     A run to k makes the same rounds as the run to the largest k until it
     holds k middlepoints or a round does not improve, so its outcome is the
     first state with k middlepoints, or else the state the expansion ended
-    in. A state keeps only its round winner's solution, always a cold solve.
-    A solve that fails ends the expansion, and every k it had not reached
-    yet fails with its ``ArithmeticError``.
+    in. A state keeps only its round winner's solution. Every state a run
+    returns is a cold solve: a winner joins its round's model only if its
+    set's size is no k and candidates remain after it, and if the expansion
+    ends in a joined set, that set is solved cold then. A solve that fails
+    ends the expansion, and every k it had not reached yet fails with its
+    ``ArithmeticError``.
     """
     chosen = list(initial)
     unexplored = [v for v in candidates if v not in chosen]
@@ -288,6 +334,7 @@ def _greedy_points(
         )
 
     states = []
+    model = None  # the chosen set's model, once the set joined it
     try:
         theta, current, error = _evaluate(pool, chosen)
         subproblems = 1
@@ -296,12 +343,16 @@ def _greedy_points(
         while len(chosen) < k_max and unexplored:
             pool.cover(chosen + [v] for v in unexplored)
             parent = current if theta < math.inf else None
-            winner = _greedy_round(pool, chosen, unexplored, theta, parent)
+            join = len(chosen) + 1 not in ks and len(unexplored) > 1
+            winner = _greedy_round(pool, chosen, unexplored, theta, parent, model, join)
             subproblems += len(unexplored)
             if winner is not None:
-                v, (theta, current, error) = winner
+                v, (theta, current, error), model = winner
                 chosen.append(v)
                 unexplored.remove(v)
+            elif model is not None:  # the round freed it: solve the state cold
+                model = None
+                theta, current, error = _evaluate(pool, chosen)
             states.append(state())
             if winner is None:
                 break

@@ -39,8 +39,11 @@ demand entry, once, in the layout of every program's ``columns``. A
 ``PoolModel`` keeps one set's LU slice loaded in HiGHS at its optimal basis
 and solves a superset's slice by adding only the pool columns the superset
 brings, gathered from those entries: for one solve, as a greedy round ranks
-its candidates, or for good, as a sweep's chain of growing sets goes on from
-each set's optimal basis, decoding each solution as ``solve_te`` does.
+its candidates (each one's columns grouped once per round, with the
+bounds, in the set's ``Extensions``), for good at the basis such a solve
+returned, as a round's winner joins the model, or for good and solved, as
+a sweep's chain of growing sets goes on from each set's optimal basis,
+decoding each solution as ``solve_te`` does.
 
 All-nodes enumeration refuses, before enumerating anything, more than
 ``ALL_NODES_PAIR_CAP`` (commodity, middlepoint sequence) pairs.
@@ -56,7 +59,7 @@ import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -305,11 +308,16 @@ def _lu_entries(
     positive = demands.volumes > 0
     demand_row = cache.network.edge_count + np.cumsum(positive) - 1
     met = positive[commodity]
-    last = np.cumsum(sizes)[met]  # after each met column's loads
     ptr = np.zeros(len(commodity) + 1, dtype=np.int32)
     np.cumsum(sizes + met, out=ptr[1:])
-    rows = np.insert(edge_rows, last, demand_row[commodity[met]])
-    return ptr, rows.astype(np.int32), np.insert(loads, last, -1.0)
+    # A met column's last entry is its demand entry, -1; the others are loads.
+    last = ptr[1:][met] - 1
+    load = np.ones(ptr[-1], dtype=bool)
+    load[last] = False
+    rows, values = np.empty(ptr[-1], dtype=np.int32), np.full(ptr[-1], -1.0)
+    rows[load], values[load] = edge_rows, loads
+    rows[last] = demand_row[commodity[met]]
+    return ptr, rows, values
 
 
 def _tunnel_program(
@@ -447,6 +455,7 @@ class TunnelPool:
         # The columns in (commodity, waypoints) order.
         self._order = np.zeros(0, dtype=np.intp)
         self._ends = _ends(demands)
+        self._last_extensions: Optional[tuple[tuple, Extensions]] = None
 
     def cover(self, sets: Iterable[Iterable[int]]) -> None:
         """Append the tunnels of the given middlepoint sets that are missing.
@@ -495,6 +504,15 @@ class TunnelPool:
         inside[-1] = True  # the padding
         return self._order[inside[self._middlepoints].all(axis=1)[self._order]]
 
+    def _extensions(self, middlepoints: Iterable[int]) -> "Extensions":
+        """The ``Extensions`` of a covered set. The last one asked for is
+        kept until the pool grows: a greedy round's bounds and its model's
+        ranking solves read the same."""
+        key = (frozenset(middlepoints), len(self._commodity))
+        if self._last_extensions is None or self._last_extensions[0] != key:
+            self._last_extensions = key, Extensions.of(self, key[0])
+        return self._last_extensions[1]
+
     def program(self, middlepoints: Iterable[int], kind: str = LU) -> TeProgram:
         """The TE program (LU or MF) of one middlepoint set, covered first if
         new."""
@@ -519,8 +537,43 @@ class TunnelPool:
         sizes = self._ptr.take(columns + 1) - starts
         ptr = np.zeros(len(columns) + 1, dtype=np.int32)
         np.cumsum(sizes, out=ptr[1:])
-        positions = _positions(starts, sizes)
+        positions = np.repeat(starts - ptr[:-1], sizes) + np.arange(ptr[-1])
         return ptr, self._rows.take(positions), self._values.take(positions)
+
+
+class Extensions(NamedTuple):
+    """A covered set's pool columns, and those each set of it plus one node
+    outside it brings, in (commodity, waypoints) order: ``own``, the columns
+    whose middlepoints all lie in the set, and ``columns``, grouped by node,
+    those with exactly one middlepoint outside the set: node v's are
+    ``columns[starts[v]:starts[v + 1]]``, the pool columns of the set plus v
+    that the set's lack."""
+
+    own: np.ndarray
+    columns: np.ndarray
+    nodes: np.ndarray  # the middlepoint outside the set of each of ``columns``
+    starts: np.ndarray
+
+    @classmethod
+    def of(cls, pool: TunnelPool, middlepoints: Iterable[int]) -> "Extensions":
+        node_count = pool.cache.network.node_count
+        inside = np.zeros(node_count + 1, dtype=bool)
+        inside[[*middlepoints, node_count]] = True  # the set and the padding
+        mids = pool._middlepoints[pool._order]
+        outside = np.where(inside[mids], -1, mids)
+        count = (outside >= 0).sum(axis=1)
+        one = np.flatnonzero(count == 1)
+        nodes = outside[one].max(axis=1, initial=-1)
+        by_node = np.argsort(nodes, kind="stable")  # keeps the order in a group
+        nodes = nodes[by_node]
+        return cls(
+            pool._order[count == 0], pool._order[one[by_node]], nodes,
+            np.searchsorted(nodes, np.arange(node_count + 1)),
+        )
+
+    def of_node(self, node: int) -> np.ndarray:
+        """The columns the set plus ``node`` brings."""
+        return self.columns[self.starts[node]:self.starts[node + 1]]
 
 
 class PoolModel:
@@ -533,9 +586,12 @@ class PoolModel:
     program of the pool has the same rows, so a superset's program is the
     held columns plus the pool columns of the superset the model lacks,
     added from the pool's LU entries: for one solve (``theta``, which ranks
-    a greedy round's candidates) or for good (``solve``, which grows a
-    sweep's chain of sets from each one's optimal basis). The pool only
-    appends, so a column never moves.
+    a greedy round's candidates, each one's columns read from the set's
+    ``Extensions``), for good from the solve of least theta since the set
+    last changed, at the basis it returned (``join``: a greedy round's
+    winner), or for good and solved (``solve``, which grows a sweep's chain
+    of sets from each one's optimal basis). The pool only appends, so a
+    column never moves.
     """
 
     def __init__(
@@ -545,11 +601,26 @@ class PoolModel:
         """``program`` is the pool's LU slice of ``middlepoints`` and
         ``basis`` an optimal basis of it, and the pool covers each superset
         asked for."""
-        self.middlepoints = tuple(middlepoints)
+        middlepoints = tuple(middlepoints)
         self._pool = pool
         self._program = program
-        self._columns = pool._columns(self.middlepoints)  # held, in model order
         self._model = LpModel(program.lp, basis)
+        self._grown(middlepoints, pool._columns(middlepoints))
+
+    def _grown(self, middlepoints: Iterable[int], columns: np.ndarray) -> None:
+        """The model's set is now ``middlepoints``, and ``columns`` the pool
+        columns it holds, in model order."""
+        self.middlepoints = tuple(middlepoints)
+        self._columns = columns
+        self._commodity = self._pool._commodity[columns]
+        self._kept: Optional[CsrMatrix] = None  # LU entries after the program's
+        # The ranking solve of least theta since: (theta, node, the node's
+        # columns, their LU entries, the solution, its milliseconds).
+        self._best: Optional[tuple] = None
+
+    def close(self) -> None:
+        """Free the model's HiGHS solver; the model is not solved again."""
+        self._model = None
 
     def _added(self, middlepoints: Iterable[int]) -> np.ndarray:
         """The pool columns of a superset of the model's set that the model
@@ -570,26 +641,51 @@ class PoolModel:
         checks one. A solve without an optimum or a point failing a check
         raises ``ArithmeticError``."""
         pool, program = self._pool, self._program
-        new = self._added((*self.middlepoints, node))
-        width, height = program.columns.shape
-        edge_count = program.network.edge_count
-        # The solve's columns: the program's, the kept ones, then the new
-        # ones. The LU entries of those after the program's are gathered
-        # once, for the solve (the new ones') and for the loads.
-        columns = np.concatenate((self._columns, new))
-        ptr, rows, values = pool._lu_columns(columns[width:])
-        tail = ptr[len(ptr) - 1 - len(new):]  # the new columns'
-        sol = self._model.solve_with(tail - tail[0], rows[tail[0]:], values[tail[0]:])
+        new = pool._extensions(self.middlepoints).of_node(node)
+        ptr, rows, values = pool._lu_columns(new)
+        start = time.perf_counter()
+        sol = self._model.solve_with(ptr, rows, values)
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
         if sol.status is not LpStatus.OPTIMAL:
             raise ArithmeticError(f"LP solver failed: program is {sol.status.value}")
+        width, height = program.columns.shape
+        held = len(self._columns)
         flows = _met_flows(
-            program, sol.x, sol.x[program.first_tunnel_var:], pool._commodity[columns]
+            program, sol.x, sol.x[program.first_tunnel_var:],
+            np.concatenate((self._commodity, pool._commodity[new])),
         )
-        added = CsrMatrix(ptr, rows, values, (len(ptr) - 1, height))
+        added = CsrMatrix(ptr, rows, values, (len(new), height))
         # The demand rows come after the edge rows: their sums are cut off.
-        load = (flows[:width] @ program.columns + flows[width:] @ added)[:edge_count]
-        _check_theta(load / program.network.float_capacities, sol.objective_value)
-        return sol.objective_value
+        load = flows[:width] @ program.columns + flows[held:] @ added
+        if held > width:
+            if self._kept is None:
+                self._kept = CsrMatrix(
+                    *pool._lu_columns(self._columns[width:]), (held - width, height)
+                )
+            load += flows[width:held] @ self._kept
+        network, theta = program.network, sol.objective_value
+        _check_theta(load[:network.edge_count] / network.float_capacities, theta)
+        if self._best is None or theta < self._best[0]:
+            self._best = (theta, node, new, (ptr, rows, values), sol, elapsed_ms)
+        return theta
+
+    def join(self, node: int) -> TeSolution:
+        """The solution of the set plus ``node``, whose ranking solve
+        (``theta``) was the one of least theta since the set last changed,
+        decoded and checked as ``solve`` decodes one, certificate included;
+        then the set plus ``node`` is the model's set, its columns added for
+        good at the optimal basis that solve returned. Any other node, or a
+        point failing a check, raises ``ArithmeticError`` and leaves the
+        model as it was."""
+        if self._best is None or self._best[1] != node:
+            raise ArithmeticError(f"node {node} was not ranked least")
+        _, _, new, arrays, sol, elapsed_ms = self._best
+        middlepoints = (*self.middlepoints, node)
+        columns = np.concatenate((self._columns, new))
+        solution = self._solution(middlepoints, columns, sol, elapsed_ms)
+        self._model.add(*arrays, sol.basis)
+        self._grown(middlepoints, columns)
+        return solution
 
     def solve(self, middlepoints: Iterable[int]) -> TeSolution:
         """The solution of a covered superset of the model's set, which
@@ -599,18 +695,27 @@ class PoolModel:
         model's is in the model's column order. A solve without an optimum
         or a point failing a check raises ``ArithmeticError``, and the model
         is not solved again."""
-        pool = self._pool
-        keep, new = pool._columns(middlepoints), self._added(middlepoints)
+        new = self._added(middlepoints)
         start = time.perf_counter()
-        sol = self._model.extend(*pool._lu_columns(new))
+        sol = self._model.extend(*self._pool._lu_columns(new))
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        self.middlepoints = tuple(middlepoints)
-        self._columns = np.concatenate((self._columns, new))
+        self._grown(middlepoints, np.concatenate((self._columns, new)))
         if sol.status is not LpStatus.OPTIMAL:
             raise ArithmeticError(f"LP solver failed: program is {sol.status.value}")
+        return self._solution(self.middlepoints, self._columns, sol, elapsed_ms)
+
+    def _solution(
+        self, middlepoints: Iterable[int], columns: np.ndarray, sol: LpSolution,
+        elapsed_ms: float,
+    ) -> TeSolution:
+        """An optimal solution over theta and the given pool columns, in
+        that order, mapped into the program column order of the set, then
+        decoded and checked as ``solve_te`` does."""
+        pool = self._pool
+        keep = pool._columns(middlepoints)
         # Each pool column's position in the model, theta being first.
         position = np.empty(len(pool._commodity), dtype=np.intp)
-        position[self._columns] = np.arange(1, len(self._columns) + 1)
+        position[columns] = np.arange(1, len(columns) + 1)
         x = sol.x[np.concatenate(([0], position[keep]))]
         return _decoded(
             pool._slice(keep, LU), replace(sol, x=x, basis=None), elapsed_ms
@@ -629,7 +734,8 @@ def extension_bounds(
     of each commodity's least cost among the set's columns: those of
     ``middlepoints`` or of the node's own. All come from one pass over the
     pool's arrays: each column's cost, then the least cost of each
-    (node, commodity) pair.
+    (node, commodity) pair over the set's ``Extensions``, whose groups a
+    round's model reads its candidates' columns from.
     """
     network = pool.cache.network
     volume = pool.demands.volumes
@@ -642,23 +748,15 @@ def extension_bounds(
     costs = CsrMatrix(
         pool._ptr, pool._rows, pool._values, (len(pool._commodity), len(weights))
     ) @ weights
-    # Each middlepoint's label: -1 in the set (or padding), the node's
-    # position among the nodes, or -2 for any other node.
-    label = np.full(network.node_count + 1, -2)
-    label[[*middlepoints, network.node_count]] = -1
-    label[list(nodes)] = np.arange(len(nodes))
-    labels = label[pool._middlepoints]
-    outside = (labels != -1).sum(axis=1)
+    extensions = pool._extensions(middlepoints)
+    own, columns = extensions.own, extensions.columns
     commodities = len(volume)
-    own = pool._order[outside[pool._order] == 0]  # by commodity
     least = _least(costs[own], pool._commodity[own], commodities)
-    # Columns whose one middlepoint outside the set is one of the nodes.
-    one = np.flatnonzero((outside == 1) & (labels >= -1).all(axis=1))
-    keys = labels[one].max(axis=1, initial=-1) * commodities + pool._commodity[one]
-    order = np.argsort(keys, kind="stable")
+    # Each node's columns come by commodity: the keys ascend.
+    keys = extensions.nodes * commodities + pool._commodity[columns]
     cheapest = _least(
-        costs[one[order]], keys[order], len(nodes) * commodities
-    ).reshape(len(nodes), commodities)
+        costs[columns], keys, network.node_count * commodities
+    ).reshape(network.node_count, commodities)[list(nodes)]
     return np.minimum(cheapest, least)[:, positive] @ volume[positive]
 
 

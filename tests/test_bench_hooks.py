@@ -114,6 +114,15 @@ def test_traced_greedy_prints_the_same_and_restores_every_site(monkeypatch):
         rounds[-1][1].append(node)
         return real_theta(model, node)
 
+    joined = []  # each winner that joined its round's model: not solved cold
+    real_join = srte.te.PoolModel.join
+
+    def join(model, node):
+        solution = real_join(model, node)
+        joined.append(node)
+        return solution
+
+    monkeypatch.setattr(srte.te.PoolModel, "join", join)
     monkeypatch.setattr(srte.lp, "linprog", spy)  # the tracer wraps the spy
     monkeypatch.setattr(srte.lp.LpModel, "solve_with", ranking)
     monkeypatch.setattr(srte.selection, "extension_bounds", bounding)
@@ -130,14 +139,14 @@ def test_traced_greedy_prints_the_same_and_restores_every_site(monkeypatch):
     # round's near-tie (a cold confirmation) returns its basis and duals,
     # which the next round's model and bounds start from, and is one LP
     # more; the tracer sees only the cold solves, the model's are not among
-    # its sites.
+    # its sites. Each round's winner is confirmed cold or joins the model.
     subproblems = json.loads(untraced)["subproblems"]
     confirmations = len(cold) - 1
     screened = sum(len(nodes) - len(solved) for nodes, solved in rounds)
     assert all(len(set(solved)) == len(solved) for _, solved in rounds)
     assert all(sol.basis is not None and sol.duals is not None for sol in cold)
     assert len(warm) + screened == subproblems - 1
-    assert confirmations >= 3  # at least the winner of each of 3 rounds
+    assert confirmations + len(joined) >= 3  # the winner of each of 3 rounds
     assert (
         t.calls["te.solve_te"] == t.calls["lp.linprog"]
         == 1 + confirmations

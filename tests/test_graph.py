@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,37 @@ class TestParseTopology:
     def test_errors_carry_line_numbers(self, text, fragment):
         with pytest.raises(TopologyError, match=fragment):
             parse_topology(text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("EDGE a b 2\nEDGE b c 2 2\nEDGE c a 1/0\nEDGE a c 1/0\n",
+             "line 3: bad capacity '1/0'"),
+            ("EDGE a b 2\nEDGE b c 3 x\nEDGE c a x\n", "line 2: bad cost 'x'"),
+            ("EDGE a b 1e999\nEDGE b a 1e999\n",
+             "line 1: capacity '1e999' is out of floating-point range"),
+            ("EDGE a b 2\nEDGE b a 1 2\nEDGE b c 0 2\nEDGE c b 0\n",
+             "line 3: capacity must be positive"),
+            ("EDGE a b 2 3\nEDGE b a 3 -3\nEDGE c b -3\n",
+             "line 2: cost must be positive"),
+        ],
+    )
+    def test_a_repeated_token_is_refused_at_its_first_line(self, text, message):
+        """Numerals that repeat, as capacities and as costs, are parsed once
+        per file; a bad one is refused at the first line it is on, with that
+        line's field, and again in another file at its own line there."""
+        with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+            parse_topology(text)
+        line = int(message.split()[1].rstrip(":"))
+        shifted = message.replace(f"line {line}:", f"line {line + 2}:")
+        with pytest.raises(TopologyError, match=f"^{re.escape(shifted)}$"):
+            parse_topology("EDGE p q 2 2\nEDGE q p 3\n" + text)
+
+    def test_repeated_numerals_share_one_parse(self):
+        net = parse_topology("EDGE a b 3/2 1/3\nEDGE b c 3/2\nEDGE c a 1/3 3/2\n")
+        half, third = Fraction(3, 2), Fraction(1, 3)
+        assert [e.capacity for e in net.edges] == [half, half, third]
+        assert [e.cost for e in net.edges] == [third, Fraction(1), half]
 
     @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n"])
     def test_a_topology_without_edges_is_refused(self, text):

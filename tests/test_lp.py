@@ -603,6 +603,67 @@ def test_extended_model_keeps_its_columns_and_basis(monkeypatch):
         model.solve_with(*NO_COLUMNS)
 
 
+def test_solves_leave_no_cached_entry_rows_with_the_program():
+    """A cold solve's feasibility re-check and a kept model's re-checks
+    multiply through holders of their own, so the program's LP, which a
+    kept solution holds for its life, caches no entry rows (one intp per
+    entry); a model's holder keeps them for its own solves."""
+    net = random_connected_digraph(30, 120, 4000, max_capacity=10)
+    pool = srte.te.TunnelPool(
+        ShortestPathCache(net), generate_gravity_demands(net, 100, 4500), 1
+    )
+    pool.cover([(3,)])
+    program = pool.program(())
+    solution = srte.te.solve_te(program)
+    assert "entry_rows" not in vars(program.lp.a_ub)
+    model = srte.lp.LpModel(program.lp, solution.basis)
+    for _ in range(2):
+        model.solve_with(*added_columns(pool, (3,), ()))
+    assert "entry_rows" not in vars(program.lp.a_ub)
+    assert "entry_rows" in vars(model._a)
+
+
+def test_added_columns_go_on_from_the_one_shot_basis(monkeypatch):
+    """``add`` keeps columns for good without a solve, at the optimal basis
+    a ``solve_with`` of the same columns returned: the model restarts at
+    that optimum in no iteration, later one-shot solves start from it, and
+    the row re-check covers the added entries (a point halved on them fails
+    it). A basis of another size is rejected."""
+    net = random_connected_digraph(30, 120, 4000, max_capacity=10)
+    pool = srte.te.TunnelPool(
+        ShortestPathCache(net), generate_gravity_demands(net, 100, 4500), 1
+    )
+    pool.cover([(3,), (3, 7)])
+    parent = pool.program(())
+    basis = srte.te.solve_te(parent).basis
+    model = srte.lp.LpModel(parent.lp, basis)
+    columns = added_columns(pool, (3,), ())
+    once = model.solve_with(*columns)
+    model.add(*columns, once.basis)
+    again = model.solve_with(*NO_COLUMNS)
+    assert again.nit == 0 and again.objective_value == once.objective_value
+    assert again.x.size == once.x.size
+    warm = model.solve_with(*added_columns(pool, (3, 7), (3,)))
+    cold = srte.lp.linprog(pool.program((3, 7)).lp)
+    tie = 1e-12 * max(1.0, cold.objective_value)
+    assert abs(warm.objective_value - cold.objective_value) <= tie / 100
+    real = srte.lp._solved
+
+    def halved(*args):
+        sol = real(*args)
+        x = sol.x.copy()
+        x[parent.lp.num_vars:] *= 0.5
+        return dataclasses.replace(sol, x=x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(srte.lp, "_solved", halved)
+        with pytest.raises(ArithmeticError, match="infeasible point"):
+            model.solve_with(*NO_COLUMNS)
+    other = srte.lp.LpModel(parent.lp, basis)
+    with pytest.raises(ValueError, match="rejected the start basis"):
+        other.add(*columns, basis)
+
+
 @pytest.mark.parametrize("count", [0, 2])
 def test_highs_loader_wants_one_extension_file(tmp_path, monkeypatch, count):
     """A folder without the HiGHS extension file, or with two, raises one

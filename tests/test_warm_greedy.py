@@ -9,6 +9,7 @@ import io
 import json
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -145,9 +146,24 @@ def printed(tmp_path, text, gravity, seed, k, m, initial):
     return json.dumps(cli._solution_document(net, result, False), indent=2) + "\n"
 
 
+def joins(patch):
+    """The sets that joined a round's model (``PoolModel.join`` returned),
+    recorded while installed."""
+    joined, real = [], PoolModel.join
+
+    def join(model, node):
+        solution = real(model, node)
+        joined.append(model.middlepoints)
+        return solution
+
+    patch.setattr(PoolModel, "join", join)
+    return joined
+
+
 def test_warm_ranked_greedy_prints_what_the_cold_loop_printed(tmp_path, monkeypatch):
     """Byte-identical greedy JSON on 50 runs, with near-ties that take more
-    than one cold confirmation in some rounds (the rings and grids)."""
+    than one cold confirmation in some rounds (the rings and grids), and
+    intermediate winners that joined their round's model instead."""
     runs = instances()
     assert len(runs) >= 40
     cold = []
@@ -160,15 +176,17 @@ def test_warm_ranked_greedy_prints_what_the_cold_loop_printed(tmp_path, monkeypa
     warm, rounds = [], 0
     with monkeypatch.context() as patch:
         patch.setattr(srte.selection, "_evaluate", counting)
+        joined = joins(patch)
         for run in runs:
             warm.append(printed(tmp_path, *run))
             rounds += 1 + len(json.loads(warm[-1])["middlepoints"]) - len(run[-1])
     monkeypatch.setattr(srte.selection, "_greedy_points", cold_greedy_points)
     for run, got in zip(runs, warm):
         assert got == printed(tmp_path, *run), run[1:]
-    # Each run solves cold its initial set and each cold confirmation, one
-    # per improving round at least; more means near-ties.
-    assert len(cold) > rounds
+    # Each run solves cold its initial set and each round's winner, one per
+    # improving round, unless the winner joined; more means near-ties.
+    assert len(joined) >= 30
+    assert len(cold) + len(joined) > rounds
 
 
 def test_warm_theta_noise_below_the_tie_tolerance_moves_no_pick(
@@ -271,23 +289,28 @@ def test_a_round_that_cannot_improve_ranks_no_candidate(tmp_path, monkeypatch):
     """Each of these five expansions ends in a round of theta above 1 with
     no winner, where every candidate's dual bound less its tie band cannot
     improve on theta: the round ranks none of its candidates and solves
-    none cold, and the expansion ends where the all-cold loop's ends."""
+    none cold, and the expansion ends where the all-cold loop's ends. (A set
+    that joined the round before is solved cold after the round: the state
+    the run returns.)"""
     runs = [instances()[i] for i in (12, 19, 20, 43, 45)]
     real_round = srte.selection._greedy_round
     real_theta = PoolModel.theta
     real_evaluate = srte.selection._evaluate
     rounds, last = [], []
 
-    def round_(pool, chosen, unexplored, theta, parent):
+    def round_(pool, chosen, unexplored, theta, *args):
         rounds.append({"theta": theta, "candidates": len(unexplored), "solves": 0})
-        return real_round(pool, chosen, unexplored, theta, parent)
+        try:
+            return real_round(pool, chosen, unexplored, theta, *args)
+        finally:
+            rounds[-1]["ended"] = True
 
     def theta_(model, node):
         rounds[-1]["solves"] += 1
         return real_theta(model, node)
 
     def evaluate(pool, middlepoints):
-        if rounds:
+        if rounds and "ended" not in rounds[-1]:
             rounds[-1]["solves"] += 1
         return real_evaluate(pool, middlepoints)
 
@@ -451,12 +474,12 @@ def test_screened_candidates_count_as_subproblems_and_cannot_win(monkeypatch):
     real_theta = PoolModel.theta
     rounds = []
 
-    def round_(pool, chosen, unexplored, theta, parent):
+    def round_(pool, chosen, unexplored, theta, *args):
         rounds.append({
             "pool": pool, "chosen": list(chosen), "candidates": list(unexplored),
             "theta": theta, "bounds": None, "ranked": [],
         })
-        rounds[-1]["winner"] = real_round(pool, chosen, unexplored, theta, parent)
+        rounds[-1]["winner"] = real_round(pool, chosen, unexplored, theta, *args)
         return rounds[-1]["winner"]
 
     def bounds_(pool, middlepoints, nodes, duals):
@@ -484,7 +507,8 @@ def test_screened_candidates_count_as_subproblems_and_cannot_win(monkeypatch):
             if r["winner"] is None:
                 assert cold >= r["theta"] - IMPROVEMENT_TOL
             else:
-                w, (theta_w, _, _) = r["winner"]
+                w = r["winner"][0]  # solved cold, or joined the round's model
+                theta_w, _, _ = srte.selection._evaluate(r["pool"], [*r["chosen"], w])
                 assert (cold, v) > (theta_w, w)
     assert ranked + screened == result.subproblems_solved - 1
     assert screened > 0
@@ -493,7 +517,9 @@ def test_screened_candidates_count_as_subproblems_and_cannot_win(monkeypatch):
 def test_a_round_reuses_the_chosen_sets_assembled_lp(monkeypatch):
     """A greedy k=3 run assembles one LP per cold solve and no more: each
     round's ``PoolModel`` loads the LP of the chosen set's solution
-    instead of slicing and assembling it again."""
+    instead of slicing and assembling it again, and a round whose chosen
+    set joined the last round's model ranks in that model, loading none.
+    The initial set and each round's winner are solved cold or joined."""
     net = random_connected_digraph(30, 120, 4000)
     demands = generate_gravity_demands(net, 100, 4500)
     counts = {"assembled": 0, "cold": 0}
@@ -506,6 +532,238 @@ def test_a_round_reuses_the_chosen_sets_assembled_lp(monkeypatch):
 
     monkeypatch.setattr(srte.te, "_tunnel_lp", counted("assembled", srte.te._tunnel_lp))
     monkeypatch.setattr(srte.te, "solve_lp", counted("cold", srte.te.solve_lp))
+    joined = joins(monkeypatch)
     result = greedy_select(net, demands, range(30), 3, 1)
     assert len(result.middlepoints) == 3
-    assert counts["assembled"] == counts["cold"] >= 4
+    assert counts["assembled"] == counts["cold"]
+    assert counts["cold"] + len(joined) >= 4
+
+
+def round_inputs(seed=4000):
+    """A benchmark-tier pool and its empty set's cold solve (n=30, 120
+    edges, 100 gravity demands, m=1), every first round set covered."""
+    net = random_connected_digraph(30, 120, seed)
+    demands = generate_gravity_demands(net, 100, seed + 500)
+    pool = TunnelPool(ShortestPathCache(net), demands, 1)
+    pool.cover([v] for v in range(30))
+    theta, parent, _ = srte.selection._evaluate(pool, [])
+    return pool, list(range(30)), theta, parent
+
+
+def test_a_winner_within_the_tie_band_of_the_threshold_is_solved_cold(monkeypatch):
+    """A first round whose untied winner joins its model at the empty set's
+    theta joins none when theta is moved so that the winner's warm theta is
+    within its tie band of theta - IMPROVEMENT_TOL, above or below it: the
+    winner is solved cold, and wins only if its cold theta is below the
+    threshold."""
+    pool, nodes, theta, parent = round_inputs()
+    w, (theta_w, joined, _), model = srte.selection._greedy_round(
+        pool, [], nodes, theta, parent, None, True
+    )
+    assert model is not None and joined.basis is None  # a warm solution
+    model.close()
+    cold, real = [], srte.selection._evaluate
+
+    def evaluate(pool, middlepoints):
+        cold.append(list(middlepoints))
+        return real(pool, middlepoints)
+
+    monkeypatch.setattr(srte.selection, "_evaluate", evaluate)
+    joins_ = joins(monkeypatch)
+    tie = TIE * max(1.0, abs(theta_w))
+    for shift, wins in ((tie / 2, True), (-tie / 2, False)):
+        cold.clear()
+        moved = theta_w + shift + IMPROVEMENT_TOL  # the threshold: theta_w + shift
+        winner = srte.selection._greedy_round(
+            pool, [], nodes, moved, parent, None, True
+        )
+        assert [w] in cold and not joins_
+        if wins:
+            v, (cold_theta, solution, _), model = winner
+            assert (v, model) == (w, None) and solution.basis is not None
+            assert abs(cold_theta - theta_w) <= tie
+        else:
+            assert winner is None
+
+
+def test_a_warm_theta_that_cannot_decide_is_solved_cold(monkeypatch):
+    """In the round after a join, with the joined set's warm theta moved so
+    that the best cold theta is exactly theta - IMPROVEMENT_TOL, the warm
+    theta cannot decide the improvement test: the joined set is solved
+    cold, and its cold theta decides (the round's winner improves on it)."""
+    pool, nodes, theta, parent = round_inputs()
+    w, (theta_w, warm, _), model = srte.selection._greedy_round(
+        pool, [], nodes, theta, parent, None, True
+    )
+    chosen, rest = [w], [v for v in nodes if v != w]
+    pool.cover(chosen + [v] for v in rest)
+    best = min(srte.selection._evaluate(pool, chosen + [v])[0] for v in rest)
+    assert best < theta_w - IMPROVEMENT_TOL
+    cold, real = [], srte.selection._evaluate
+
+    def evaluate(pool, middlepoints):
+        cold.append(list(middlepoints))
+        return real(pool, middlepoints)
+
+    monkeypatch.setattr(srte.selection, "_evaluate", evaluate)
+    winner = srte.selection._greedy_round(
+        pool, chosen, rest, best + IMPROVEMENT_TOL, warm, model, True
+    )
+    assert chosen in cold  # the joined set, solved cold to decide
+    v, (theta_v, solution, _), model = winner
+    assert model is None and theta_v == best and solution.basis is not None
+
+
+class RankingModel:
+    """A round's model whose ranking solves return given warm thetas."""
+
+    def __init__(self, warm):
+        self.warm, self.closed = warm, False
+
+    def theta(self, node):
+        return self.warm[node]
+
+    def close(self):
+        self.closed = True
+
+
+@pytest.mark.parametrize("bound, warm, cold", [
+    (1.5e-12, 0.6e-12, 0.6e-12),  # the bound above the cold theta
+    (0.7e-12, 1.5e-12, 0.7e-12),  # the warm theta above the cold theta
+])
+def test_a_joined_sets_warm_theta_widens_each_threshold_by_its_band(
+    monkeypatch, bound, warm, cold
+):
+    """After a join the chosen set's theta is warm, and its cold theta may
+    lie up to its tie band above it. A candidate whose cold theta improves
+    on the cold theta but not on the warm one, by less than the band, is
+    still ranked though its bound less its band reaches theta -
+    IMPROVEMENT_TOL, still solved cold though its warm theta less its band
+    does, and wins once the chosen set's cold solve decides. (Figures are
+    offsets from theta - IMPROVEMENT_TOL, at theta 1.)"""
+    theta = 1.0  # the joined set's warm theta
+    zero = theta - IMPROVEMENT_TOL
+    thetas = {(): theta + 0.9e-12, (0,): zero + cold, (1,): 2.0}
+    monkeypatch.setattr(
+        srte.selection, "extension_bounds",
+        lambda pool, chosen, nodes, duals: np.array([zero + bound, 2.0]),
+    )
+    monkeypatch.setattr(
+        srte.selection, "_evaluate",
+        lambda pool, middlepoints: (thetas[tuple(middlepoints)], None, None),
+    )
+    model = RankingModel({0: zero + warm, 1: 2.0})
+    parent = types.SimpleNamespace(duals=None)  # what the bounds read
+    winner = srte.selection._greedy_round(None, [], [0, 1], theta, parent, model, True)
+    assert winner == (0, (zero + cold, None, None), None) and model.closed
+
+
+def test_every_returned_state_is_a_cold_solution(monkeypatch):
+    """Every outcome of greedy runs whose intermediate winners join their
+    round's model is a cold solve's solution: read at ks with gaps (the
+    sizes between them join), and at k = n, where expansions end early,
+    some in a joined set, which is then solved cold."""
+    runs = instances()[::3]
+    cold, real = [], srte.selection._evaluate
+
+    def evaluate(pool, middlepoints):
+        cold.append((tuple(sorted(middlepoints)), real(pool, middlepoints)))
+        return cold[-1][1]
+
+    monkeypatch.setattr(srte.selection, "_evaluate", evaluate)
+    joined = joins(monkeypatch)
+    outcomes = 0
+    ended_joined = 0
+    for text, gravity, seed, _, m, initial in runs:
+        net = parse_topology(text)
+        demands = generate_gravity_demands(net, gravity, seed)
+        n = net.node_count
+        for ks in ([n], [2, 4, n], [1, 3]):
+            cold.clear()
+            del joined[:]
+            points = list(srte.selection.select_prefixes(net, demands, "greedy", ks, m))
+            solutions = {id(trial[1]) for _, trial in cold}
+            for point in points:
+                if isinstance(point, SelectionResult):
+                    assert id(point.solution) in solutions
+                    assert point.solution.basis is not None
+                    outcomes += 1
+            # The expansion ended in the set that joined last: solved cold.
+            ended_joined += bool(joined and tuple(sorted(joined[-1])) == cold[-1][0])
+    assert outcomes >= 40
+    assert ended_joined >= 3
+
+
+@pytest.mark.parametrize("module, check", [
+    (srte.te, "_certify"), (srte.lp, "_check_rows"),
+])
+def test_a_warm_winner_failing_a_check_is_solved_cold(
+    tmp_path, monkeypatch, module, check
+):
+    """Each set that joined its round's model in these runs, refused by the
+    check in its warm solves (``_check_rows``: its ranking solve, which
+    raises, so it is ranked cold; ``_certify``: the join's certificate), is
+    solved cold instead, and every printed byte is the all-cold loop's."""
+    runs = [run for run in instances() if not run[-1]][:14]
+    with monkeypatch.context() as patch:
+        joined = joins(patch)
+        want = [printed(tmp_path, *run) for run in runs]
+    refused = {frozenset(mids) for mids in joined}
+    assert len(refused) >= 8
+    real = getattr(module, check)
+    real_theta, real_join = PoolModel.theta, PoolModel.join
+    warm, cold, calls = [], [], []
+
+    def in_warm(real_method):
+        def method(model, node):
+            warm.append(frozenset((*model.middlepoints, node)))
+            try:
+                return real_method(model, node)
+            finally:
+                warm.pop()
+        return method
+
+    def refusing(*args):
+        if warm and warm[-1] in refused:
+            calls.append(warm[-1])
+            raise ArithmeticError("LP solver failed: injected")
+        return real(*args)
+
+    real_evaluate = srte.selection._evaluate
+
+    def evaluate(pool, middlepoints):
+        cold.append(frozenset(middlepoints))
+        return real_evaluate(pool, middlepoints)
+
+    monkeypatch.setattr(PoolModel, "theta", in_warm(real_theta))
+    monkeypatch.setattr(PoolModel, "join", in_warm(real_join))
+    monkeypatch.setattr(module, check, refusing)
+    monkeypatch.setattr(srte.selection, "_evaluate", evaluate)
+    got = [printed(tmp_path, *run) for run in runs]
+    assert got == want
+    assert refused <= set(calls) and refused <= set(cold)
+    monkeypatch.setattr(srte.selection, "_greedy_points", cold_greedy_points)
+    assert want == [printed(tmp_path, *run) for run in runs]
+
+
+def test_one_highs_model_at_most_is_alive(tmp_path, monkeypatch):
+    """No round's model is alive while a cold solve runs or another model
+    loads: each HiGHS solver is freed before the next one is made, through
+    rounds that rank, join, confirm near-ties cold and end in a joined set."""
+    live, most = [0], [0]
+
+    class Solver(srte.lp.highs._Highs):
+        def __init__(self):
+            super().__init__()
+            live[0] += 1
+            most[0] = max(most[0], live[0])
+
+        def __del__(self):
+            live[0] -= 1
+
+    monkeypatch.setattr(srte.lp.highs, "_Highs", Solver)
+    joined = joins(monkeypatch)
+    for run in instances()[::4]:
+        printed(tmp_path, *run)
+        assert live[0] <= 1
+    assert most[0] == 1 and len(joined) >= 5
