@@ -18,11 +18,11 @@ them and restores the basis, or for good, the model then going on from the
 new optimal basis, or for good without a solve, at the basis a one-shot
 solve of the same columns returned. Greedy selection ranks each round's
 candidates the first way, prices the candidates it need not solve at the
-chosen set's duals, and lets a round's untied winner join the model the
-third way, for the next round to rank in; a top-K sweep grows one model
-the second way, one point after the other. Only scipy 1.17.1's bindings
-are tested;
-``tests/test_lp.py`` names every private binding used here.
+chosen set's duals and at its ranking solves', and lets a round's untied
+winner join the model the third way, for the next round to rank in; a
+top-K sweep grows one model the second way, one point after the other.
+Only scipy 1.17.1's bindings are tested; ``tests/test_lp.py`` names every
+private binding used here.
 
 The matrices are ``CsrMatrix`` values, not scipy.sparse ones: HiGHS takes
 their CSR arrays as they are, and each product with a vector, on either
@@ -103,7 +103,11 @@ class CsrMatrix:
     i's entries are ``data[indptr[i]:indptr[i + 1]]``, in the columns
     ``indices[indptr[i]:indptr[i + 1]]`` (int32, distinct: ascending in the
     LP blocks, as in scipy's canonical form, and in order of first use in a
-    TE program's ``columns``)."""
+    TE program's ``columns``). Both products read each entry's row from
+    ``entry_rows``, made at the first product and cached with the holder: a
+    matrix kept for long, such as a solution's program, is multiplied
+    through a new holder of its arrays (``_holder``), which caches them for
+    that product only."""
 
     __array_ufunc__ = None  # so NumPy defers x @ m to __rmatmul__
 
@@ -135,7 +139,7 @@ class CsrMatrix:
         """``x @ m``: each entry times ``x`` at its row, added into its column
         from 0.0 in stored order, as scipy's transposed product adds them."""
         return np.bincount(
-            self.indices, self.data * np.repeat(x, np.diff(self.indptr)),
+            self.indices, self.data * x.take(self.entry_rows),
             minlength=self.shape[1],
         ).astype(float, copy=False)
 

@@ -14,18 +14,19 @@ is a column slice. Warm solves run in one kind of HiGHS model, a
 superset adds only the pool columns it brings. A greedy round ranks its
 candidates in one such model of the chosen set, each candidate's columns
 added for one solve. It ranks them in ascending order of a lower bound on
-their theta from the chosen set's duals and skips those whose bound shows
-they cannot win. It then solves only the near-ties cold, so it picks and
-prints what solving every candidate cold would; every candidate still
-counts as one subproblem. A winner without a near-tie whose state the run
-does not return skips its cold solve: it joins the round's model, which
-the next round ranks in from its basis. The cold solves left, of near-ties
-and of every state a run returns, wait until the model is freed, so one
-HiGHS model at most is alive at a time. The LU points of a sp, gsp or
-degree sweep are solved as one chain: the first cold, and each point whose
-picks contain the last solved point's in one growing model, to which it
-adds for good the columns its new middlepoints bring, from the last point's
-optimal basis.
+their theta from the chosen set's duals, and skips those whose greatest
+bound, from those duals or from the duals of any ranking solve the round
+has made, shows they cannot win. It then solves only the near-ties cold,
+so it picks and prints what solving every candidate cold would; every
+candidate still counts as one subproblem. A winner without a near-tie
+whose state the run does not return skips its cold solve: it joins the
+round's model, which the next round ranks in from its basis. The cold
+solves left, of near-ties and of every state a run returns, wait until the
+model is freed, so one HiGHS model at most is alive at a time. The LU
+points of a sp, gsp or degree sweep are solved as one chain: the first
+cold, and each point whose picks contain the last solved point's in one
+growing model, to which it adds for good the columns its new middlepoints
+bring, from the last point's optimal basis.
 """
 
 from __future__ import annotations
@@ -68,7 +69,10 @@ IMPROVEMENT_TOL = 1e-9
 # model from its optimal basis, and cold gives thetas far closer than this
 # (at most 1.7e-15 apart over 1,003 warm solves of ten benchmark-tier greedy
 # runs), so warm thetas within it of the least are near-ties that a cold
-# solve decides.
+# solve decides. A round's dual bounds, at the chosen set's duals or at its
+# ranking solves', exceed the cold thetas they bound by far less (at most
+# 8.4e-16, relative, over 11,786 bounds of 82 greedy runs), so a candidate
+# whose bound less this band cannot win or tie is skipped.
 WARM_TIE_TOL = 1e-12
 
 
@@ -236,19 +240,30 @@ def _greedy_round(
     the parent's duals (``extension_bounds``; a stable sort), and the first
     whose bound less its tie band (``_tie``) is above the least theta so far
     plus its tie band, or is at least theta - IMPROVEMENT_TOL, ends the
-    ranking: the candidates from it on are never solved. This changes no
-    outcome. Each skipped candidate's cold theta is at least its bound less
-    its tie band (the bound exceeded the cold theta by at most 8.5e-16,
-    relative, over 3,275 candidates of 34 benchmark-tier m=1 and m=2 runs),
-    so it either cannot improve on theta, or is above the cold theta of the
-    candidate of least warm theta so far (whose cold theta is within the tie
-    band of its warm one). Either way it is not the winner, and its warm
-    theta would not have been the least, so the least warm theta, the
-    near-ties solved cold, the first-of-least winner and the improvement
-    test are those of ranking every candidate; the winner's cold solve is
-    the same solve. Only a skipped candidate whose solves would have raised,
-    or a joined winner whose cold solve would have, no longer ends the
-    expansion.
+    ranking: the candidates from it on are never solved. Each ranking
+    solve's row duals bound the candidates after it as well, those that can
+    still be ranked: a candidate whose greatest bound so far, at the
+    parent's duals or at a ranking solve's, meets the same test is skipped,
+    and the ranking goes on. The row duals y of any LU program on the
+    network give every LU program on it a dual solution (``dual_weights``:
+    edge weights w = max(0, -y) scaled to c·w <= 1, each commodity priced at
+    its least tunnel cost), so by weak duality a bound at any dual point is
+    at most the theta of the candidate's program, whichever program's duals
+    it is read at, and so is the greatest of its bounds.
+
+    This changes no outcome. Each skipped candidate's cold theta is at least
+    each of its bounds less its tie band (a bound exceeded the cold theta by
+    at most 8.4e-16, relative, over 11,786 bounds, 7,144 of them at ranking
+    solves' duals, of the 50 runs of ``tests/test_warm_greedy.py`` and 32
+    benchmark-tier m=1 and m=2 runs), so it either cannot improve on
+    theta, or is above the cold theta of the candidate of least warm theta
+    so far (whose cold theta is within the tie band of its warm one).
+    Either way it is not the winner, and its warm theta would not have been
+    the least, so the least warm theta, the near-ties solved cold, the
+    first-of-least winner and the improvement test are those of ranking
+    every candidate; the winner's cold solve is the same solve. Only a
+    skipped candidate whose solves would have raised, or a joined winner
+    whose cold solve would have, no longer ends the expansion.
 
     The margin is the tie band, not ``BOUND_TOL``, the certificate's
     tolerance: BOUND_TOL * theta exceeds IMPROVEMENT_TOL once theta > 1, so
@@ -265,12 +280,24 @@ def _greedy_round(
     ranks: dict[int, float] = {}  # candidate position -> theta it ranks by
     unranked = range(len(unexplored))  # ranked by a cold solve
     if parent is not None:
-        bounds = extension_bounds(pool, chosen, unexplored, parent.duals)
         least, unranked = math.inf, []
-        for i in np.argsort(bounds, kind="stable").tolist():
-            bound = bounds[i] - _tie(bounds[i])
-            if bound >= theta + slack - IMPROVEMENT_TOL or bound > least + _tie(least):
+
+        def screened(bound: float) -> bool:
+            """A candidate whose cold theta is at least this bound less its
+            tie band can neither win nor tie."""
+            bound -= _tie(bound)
+            return (
+                bound >= theta + slack - IMPROVEMENT_TOL or bound > least + _tie(least)
+            )
+
+        bounds = extension_bounds(pool, chosen, unexplored, parent.duals)
+        order = np.argsort(bounds, kind="stable").tolist()
+        running = bounds.copy()  # each candidate's greatest bound so far
+        for at, i in enumerate(order):
+            if screened(bounds[i]):
                 break  # the bounds ascend: no candidate from here on can win
+            if screened(running[i]):
+                continue  # bounded at the duals of a ranking solve
             if model is None:  # made only for a round that ranks
                 model = PoolModel(pool, chosen, parent.program, parent.basis)
             try:
@@ -279,6 +306,18 @@ def _greedy_round(
                 unranked.append(i)
                 continue
             least = min(least, ranks[i])
+            # Its duals bound the candidates after it that can still be
+            # ranked: those before the break not yet screened.
+            pending = []
+            for j in order[at + 1:]:
+                if screened(bounds[j]):
+                    break
+                if not screened(running[j]):
+                    pending.append(j)
+            if pending:
+                running[pending] = np.maximum(running[pending], extension_bounds(
+                    pool, chosen, [unexplored[j] for j in pending], model.duals,
+                ))
         near = [i for i, rank in ranks.items() if rank <= least + _tie(least)]
         if join and not unranked and len(near) == 1 and clears(least):
             v = unexplored[near[0]]

@@ -20,8 +20,9 @@ under which a tunnel costs its load·w. By weak duality any tunnel set's
 theta is at least the demand-weighted sum of each commodity's least tunnel
 cost, and the MP theta at least that of each commodity's least path cost.
 ``solve_te`` certifies each LU theta it returns by this bound at its own
-duals, and ``extension_bounds`` prices, at a set's duals, every set of it
-plus one node at once.
+duals, and ``extension_bounds`` prices, at any LU program's duals, every
+set of a covered set plus one node at once: a greedy round prices its
+candidates at the chosen set's duals and at each of its ranking solves'.
 
 A ``TunnelPool`` serves a selection run that solves many middlepoint sets: it
 enumerates and loads each tunnel once, and each set's program is a column
@@ -59,7 +60,7 @@ import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -506,12 +507,19 @@ class TunnelPool:
 
     def _extensions(self, middlepoints: Iterable[int]) -> "Extensions":
         """The ``Extensions`` of a covered set. The last one asked for is
-        kept until the pool grows: a greedy round's bounds and its model's
-        ranking solves read the same."""
+        kept until the pool grows, another set is asked for or it is
+        released: a greedy round's bounds and its model's ranking solves
+        read the same."""
         key = (frozenset(middlepoints), len(self._commodity))
         if self._last_extensions is None or self._last_extensions[0] != key:
-            self._last_extensions = key, Extensions.of(self, key[0])
+            self._last_extensions = None  # one alive at a time
+            self._last_extensions = key, Extensions(self, key[0])
         return self._last_extensions[1]
+
+    def release(self) -> None:
+        """Drop the kept ``Extensions``, and with them their pricing
+        table."""
+        self._last_extensions = None
 
     def program(self, middlepoints: Iterable[int], kind: str = LU) -> TeProgram:
         """The TE program (LU or MF) of one middlepoint set, covered first if
@@ -541,21 +549,21 @@ class TunnelPool:
         return ptr, self._rows.take(positions), self._values.take(positions)
 
 
-class Extensions(NamedTuple):
+class Extensions:
     """A covered set's pool columns, and those each set of it plus one node
     outside it brings, in (commodity, waypoints) order: ``own``, the columns
     whose middlepoints all lie in the set, and ``columns``, grouped by node,
     those with exactly one middlepoint outside the set: node v's are
     ``columns[starts[v]:starts[v + 1]]``, the pool columns of the set plus v
-    that the set's lack."""
+    that the set's lack.
 
-    own: np.ndarray
-    columns: np.ndarray
-    nodes: np.ndarray  # the middlepoint outside the set of each of ``columns``
-    starts: np.ndarray
+    It is also the pricing table of those sets (``least``): each pool entry
+    with its column, and the columns priced, ``columns`` then ``own``, with
+    their keys, node * commodities + commodity, ``own`` counting as node
+    node_count. The keys ascend.
+    """
 
-    @classmethod
-    def of(cls, pool: TunnelPool, middlepoints: Iterable[int]) -> "Extensions":
+    def __init__(self, pool: TunnelPool, middlepoints: Iterable[int]):
         node_count = pool.cache.network.node_count
         inside = np.zeros(node_count + 1, dtype=bool)
         inside[[*middlepoints, node_count]] = True  # the set and the padding
@@ -565,15 +573,54 @@ class Extensions(NamedTuple):
         one = np.flatnonzero(count == 1)
         nodes = outside[one].max(axis=1, initial=-1)
         by_node = np.argsort(nodes, kind="stable")  # keeps the order in a group
-        nodes = nodes[by_node]
-        return cls(
-            pool._order[count == 0], pool._order[one[by_node]], nodes,
-            np.searchsorted(nodes, np.arange(node_count + 1)),
+        self.own = pool._order[count == 0]
+        self.columns = pool._order[one[by_node]]
+        self.starts = np.searchsorted(nodes[by_node], np.arange(node_count + 1))
+
+        self._pool = pool
+        self._entry_columns = np.repeat(
+            np.arange(len(pool._commodity), dtype=np.int32), np.diff(pool._ptr)
         )
+        self._priced = np.concatenate((self.columns, self.own))
+        node = np.repeat(
+            np.arange(node_count + 1), np.diff([*self.starts, len(self._priced)])
+        )
+        keys = node * len(pool.demands.volumes) + pool._commodity[self._priced]
+        # Where each key's columns start among those priced.
+        self._firsts = np.flatnonzero(np.diff(keys, prepend=-1))
+        self._keys = keys[self._firsts]
 
     def of_node(self, node: int) -> np.ndarray:
         """The columns the set plus ``node`` brings."""
         return self.columns[self.starts[node]:self.starts[node + 1]]
+
+    def least(self, weights: np.ndarray) -> np.ndarray:
+        """Each commodity's least cost over the columns each node brings,
+        and over ``own`` (row node_count), under the edge weights: (nodes +
+        1) x commodities, inf where a node brings no column of it.
+
+        A column's cost is its edge entries times their weights, added from
+        0.0 in stored order: bit for bit the product of the weights, zero on
+        the demand rows, with its LU column. Only the entries on edges of
+        nonzero weight are read: the others add zeros, which leave a sum of
+        non-negative terms from 0.0 as it was.
+        """
+        pool = self._pool
+        commodities = len(pool.demands.volumes)
+        # More rows than an LU program has: its demand rows weigh nothing.
+        weighted = np.zeros(len(weights) + commodities, dtype=bool)
+        weighted[:len(weights)] = weights != 0
+        read = np.flatnonzero(weighted.take(pool._rows))
+        costs = np.bincount(
+            self._entry_columns.take(read),
+            pool._values.take(read) * weights.take(pool._rows.take(read)),
+            minlength=len(pool._commodity),
+        )
+        least = np.full((len(self.starts), commodities), np.inf)
+        least.ravel()[self._keys] = np.minimum.reduceat(
+            costs.take(self._priced), self._firsts
+        )
+        return least
 
 
 class PoolModel:
@@ -604,7 +651,11 @@ class PoolModel:
         middlepoints = tuple(middlepoints)
         self._pool = pool
         self._program = program
+        # The program's LU entries in a holder of the model's own: the entry
+        # rows its products cache live as long as the model.
+        self._loads = replace(program.columns)
         self._model = LpModel(program.lp, basis)
+        self.duals: Optional[np.ndarray] = None  # the last ranking solve's
         self._grown(middlepoints, pool._columns(middlepoints))
 
     def _grown(self, middlepoints: Iterable[int], columns: np.ndarray) -> None:
@@ -619,8 +670,10 @@ class PoolModel:
         self._best: Optional[tuple] = None
 
     def close(self) -> None:
-        """Free the model's HiGHS solver; the model is not solved again."""
+        """Free the model's HiGHS solver, and the set's ``Extensions`` the
+        pool keeps; the model is not solved again."""
         self._model = None
+        self._pool.release()
 
     def _added(self, middlepoints: Iterable[int]) -> np.ndarray:
         """The pool columns of a superset of the model's set that the model
@@ -638,8 +691,9 @@ class PoolModel:
     def theta(self, node: int) -> float:
         """Theta of the set plus ``node``, a node outside it, solved with the
         columns it brings for that solve only and checked as ``solve_te``
-        checks one. A solve without an optimum or a point failing a check
-        raises ``ArithmeticError``."""
+        checks one; its row duals are kept (``duals``) until the next. A
+        solve without an optimum or a point failing a check raises
+        ``ArithmeticError``."""
         pool, program = self._pool, self._program
         new = pool._extensions(self.middlepoints).of_node(node)
         ptr, rows, values = pool._lu_columns(new)
@@ -656,7 +710,7 @@ class PoolModel:
         )
         added = CsrMatrix(ptr, rows, values, (len(new), height))
         # The demand rows come after the edge rows: their sums are cut off.
-        load = flows[:width] @ program.columns + flows[held:] @ added
+        load = flows[:width] @ self._loads + flows[held:] @ added
         if held > width:
             if self._kept is None:
                 self._kept = CsrMatrix(
@@ -667,6 +721,7 @@ class PoolModel:
         _check_theta(load[:network.edge_count] / network.float_capacities, theta)
         if self._best is None or theta < self._best[0]:
             self._best = (theta, node, new, (ptr, rows, values), sol, elapsed_ms)
+        self.duals = sol.duals
         return theta
 
     def join(self, node: int) -> TeSolution:
@@ -685,6 +740,7 @@ class PoolModel:
         solution = self._solution(middlepoints, columns, sol, elapsed_ms)
         self._model.add(*arrays, sol.basis)
         self._grown(middlepoints, columns)
+        self._pool.release()  # the last set's Extensions
         return solution
 
     def solve(self, middlepoints: Iterable[int]) -> TeSolution:
@@ -733,31 +789,15 @@ def extension_bounds(
     Each set's bound is the demand-weighted sum, over the positive demands,
     of each commodity's least cost among the set's columns: those of
     ``middlepoints`` or of the node's own. All come from one pass over the
-    pool's arrays: each column's cost, then the least cost of each
-    (node, commodity) pair over the set's ``Extensions``, whose groups a
-    round's model reads its candidates' columns from.
+    set's pricing table (its ``Extensions``, whose groups a round's model
+    reads its candidates' columns from).
     """
-    network = pool.cache.network
     volume = pool.demands.volumes
     positive = volume > 0
-    # Weighted 0 in the demand rows, each column's last entry, whose -0.0
-    # leaves its cost as it was.
-    weights = np.concatenate(
-        (dual_weights(network, duals), np.zeros(np.count_nonzero(positive)))
+    least = pool._extensions(middlepoints).least(
+        dual_weights(pool.cache.network, duals)
     )
-    costs = CsrMatrix(
-        pool._ptr, pool._rows, pool._values, (len(pool._commodity), len(weights))
-    ) @ weights
-    extensions = pool._extensions(middlepoints)
-    own, columns = extensions.own, extensions.columns
-    commodities = len(volume)
-    least = _least(costs[own], pool._commodity[own], commodities)
-    # Each node's columns come by commodity: the keys ascend.
-    keys = extensions.nodes * commodities + pool._commodity[columns]
-    cheapest = _least(
-        costs[columns], keys, network.node_count * commodities
-    ).reshape(network.node_count, commodities)[list(nodes)]
-    return np.minimum(cheapest, least)[:, positive] @ volume[positive]
+    return np.minimum(least[list(nodes)], least[-1])[:, positive] @ volume[positive]
 
 
 def _padded(seqs: Sequence[tuple[int, ...]], pad: int, width: int) -> np.ndarray:
@@ -920,10 +960,11 @@ def _met_flows(
     volume = program.demands.volumes
     if commodity is None:
         # MP: the = rows with a right side are the positive demands' source
-        # balances, commodity by commodity.
+        # balances, commodity by commodity; multiplied through a new holder,
+        # so the program caches no entry rows.
         delivered = np.zeros(len(volume))
         lp = program.lp
-        delivered[volume > 0] = (lp.a_eq @ x)[lp.b_eq != 0]
+        delivered[volume > 0] = (replace(lp.a_eq) @ x)[lp.b_eq != 0]
     else:
         delivered = np.bincount(commodity, flows, minlength=len(volume))
         over = delivered > volume * (1 + UTILIZATION_TOL)
@@ -1044,8 +1085,10 @@ def _decoded(program: TeProgram, sol: LpSolution, solve_ms: float) -> TeSolution
         flows = _met_flows(program, sol.x, flows, program.commodity)
     result.program, result.flows = program, flows
     # Each edge's load summed in tunnel order; the demand rows' are cut off.
+    # Through a new holder of the columns' arrays, so the entry rows the
+    # product caches are not kept with the program.
     network = program.network
-    load = (flows @ program.columns)[:network.edge_count]
+    load = (flows @ replace(program.columns))[:network.edge_count]
     result.utilization = load / network.float_capacities
 
     if program.kind == LU:

@@ -17,7 +17,7 @@ from scipy.sparse import csr_matrix
 from srte.graph import Commodity, DemandMatrix, Edge, FlowNetwork
 from srte.lp import EQ, LE, SparseLp
 from srte.paths import sp_dag
-from srte.te import MF
+from srte.te import MF, dual_weights
 
 # Verdict lines collected by the acceptance tests; echoed after the run so
 # they survive pytest's output capture.
@@ -395,6 +395,30 @@ def reference_load_matrix(cache, program):
     return csr_matrix(
         (loads, (edges, cols)), shape=(net.edge_count, program.columns.shape[0])
     )
+
+
+def reference_extension_bounds(pool, middlepoints, nodes, duals):
+    """Each node's dual bound from one product of the whole pool (scipy's
+    csr_matrix of its LU columns) with the dual weights, zero on the demand
+    rows, then each commodity's least cost over the columns of the set plus
+    the node: the pool columns none of whose middlepoints lies outside both."""
+    net = pool.cache.network
+    volume = pool.demands.volumes
+    positive = volume > 0
+    weights = np.concatenate(
+        (dual_weights(net, duals), np.zeros(np.count_nonzero(positive)))
+    )
+    costs = csr_matrix(
+        (pool._values, pool._rows, pool._ptr),
+        shape=(len(pool._commodity), len(weights)),
+    ) @ weights
+    mids = pool._middlepoints
+    inside = np.isin(mids, [*middlepoints, net.node_count])
+    least = np.full((len(nodes), len(volume)), np.inf)
+    for row, v in zip(least, nodes):
+        ok = (inside | (mids == v)).all(axis=1)
+        np.minimum.at(row, pool._commodity[ok], costs[ok])
+    return least[:, positive] @ volume[positive]
 
 
 def split_lp():

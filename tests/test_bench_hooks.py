@@ -12,6 +12,8 @@ import json
 import pathlib
 import sys
 
+import numpy as np
+
 import srte.lp
 import srte.paths
 import srte.selection
@@ -101,17 +103,21 @@ def test_traced_greedy_prints_the_same_and_restores_every_site(monkeypatch):
         warm.append(args)
         return real_solve(model, *args)
 
-    # Per round: its candidates, and those the round ranked.
+    # Per round: its chosen set, its candidates, their bounds at the chosen
+    # set's duals, and those the round ranked. Its later bounds, at its
+    # ranking solves' duals, are of some candidates only.
     rounds = []
     real_bounds = srte.selection.extension_bounds
     real_theta = srte.te.PoolModel.theta
 
     def bounding(pool, middlepoints, nodes, duals):
-        rounds.append((list(nodes), []))
-        return real_bounds(pool, middlepoints, nodes, duals)
+        bounds = real_bounds(pool, middlepoints, nodes, duals)
+        if not rounds or rounds[-1][0] != list(middlepoints):
+            rounds.append((list(middlepoints), list(nodes), bounds, []))
+        return bounds
 
     def ranked(model, node):
-        rounds[-1][1].append(node)
+        rounds[-1][3].append(node)
         return real_theta(model, node)
 
     joined = []  # each winner that joined its round's model: not solved cold
@@ -140,10 +146,14 @@ def test_traced_greedy_prints_the_same_and_restores_every_site(monkeypatch):
     # which the next round's model and bounds start from, and is one LP
     # more; the tracer sees only the cold solves, the model's are not among
     # its sites. Each round's winner is confirmed cold or joins the model.
+    # A round ranks its candidates in ascending order of their first bounds:
+    # those it ranks are a subsequence of that order.
     subproblems = json.loads(untraced)["subproblems"]
     confirmations = len(cold) - 1
-    screened = sum(len(nodes) - len(solved) for nodes, solved in rounds)
-    assert all(len(set(solved)) == len(solved) for _, solved in rounds)
+    screened = sum(len(nodes) - len(solved) for _, nodes, _, solved in rounds)
+    for _, nodes, bounds, solved in rounds:
+        order = [nodes[i] for i in np.argsort(bounds, kind="stable")]
+        assert solved == [v for v in order if v in solved]
     assert all(sol.basis is not None and sol.duals is not None for sol in cold)
     assert len(warm) + screened == subproblems - 1
     assert confirmations + len(joined) >= 3  # the winner of each of 3 rounds

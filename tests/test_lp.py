@@ -604,10 +604,11 @@ def test_extended_model_keeps_its_columns_and_basis(monkeypatch):
 
 
 def test_solves_leave_no_cached_entry_rows_with_the_program():
-    """A cold solve's feasibility re-check and a kept model's re-checks
-    multiply through holders of their own, so the program's LP, which a
-    kept solution holds for its life, caches no entry rows (one intp per
-    entry); a model's holder keeps them for its own solves."""
+    """A cold solve's feasibility re-check and decode, and a kept model's
+    re-checks and ranking solves, multiply through holders of their own, so
+    the program's LP and columns, which a kept solution holds for its life,
+    cache no entry rows (one intp per entry); a model's holder keeps them
+    for its own solves."""
     net = random_connected_digraph(30, 120, 4000, max_capacity=10)
     pool = srte.te.TunnelPool(
         ShortestPathCache(net), generate_gravity_demands(net, 100, 4500), 1
@@ -616,11 +617,24 @@ def test_solves_leave_no_cached_entry_rows_with_the_program():
     program = pool.program(())
     solution = srte.te.solve_te(program)
     assert "entry_rows" not in vars(program.lp.a_ub)
+    assert "entry_rows" not in vars(program.columns)
     model = srte.lp.LpModel(program.lp, solution.basis)
     for _ in range(2):
         model.solve_with(*added_columns(pool, (3,), ()))
     assert "entry_rows" not in vars(program.lp.a_ub)
     assert "entry_rows" in vars(model._a)
+    # A pool model's ranking solves multiply through its own holder of the
+    # program's columns.
+    ranking = srte.te.PoolModel(pool, (), program, solution.basis)
+    for _ in range(2):
+        ranking.theta(3)
+    assert "entry_rows" not in vars(program.columns)
+    assert "entry_rows" in vars(ranking._loads)
+    # Nor does an MP program's decode, which reads its = block.
+    mp = srte.te.build_mp_baseline(net, pool.demands, srte.te.LU)
+    srte.te.solve_te(mp)
+    for block in (mp.lp.a_ub, mp.lp.a_eq, mp.columns):
+        assert "entry_rows" not in vars(block)
 
 
 def test_added_columns_go_on_from_the_one_shot_basis(monkeypatch):

@@ -241,6 +241,16 @@ def assert_same_outcome(got, want):
 
 
 class TestTunnelPoolSelection:
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_greedy_without_a_demand_prices_an_empty_pool(self, m):
+        """Without any demand the pool holds no column: each round prices
+        its candidates over none, none improves on theta 0, and the
+        expansion ends at the empty set."""
+        net = make_net([(0, 1, 1)])
+        result = greedy_select(net, make_demands(), range(2), 2, m)
+        assert result.middlepoints == [] and result.solution.theta == 0.0
+        assert result.subproblems_solved == 3
+
     def test_greedy_and_optimal_equal_fresh_builds(self):
         """Greedy (also from an initial set) and optimal selection over one
         tunnel pool give exactly the picks, theta, split ratios,
@@ -292,7 +302,7 @@ class TestTunnelPoolSelection:
         net = random_connected_digraph(30, 120, 7)
         demands = generate_gravity_demands(net, 20, 507)
         evaluated, pool_sizes, warm = [], [], []
-        rounds = []  # each bounded round's chosen set and candidates
+        rounds = {}  # each bounded round's chosen set and candidates
         real = srte.selection._evaluate
         real_theta = srte.selection.PoolModel.theta
         real_bounds = srte.selection.extension_bounds
@@ -312,7 +322,9 @@ class TestTunnelPoolSelection:
             return result
 
         def bounding(pool, middlepoints, nodes, duals):
-            rounds.append((list(middlepoints), list(nodes)))
+            # A round's first bounds, at the chosen set's duals, are of
+            # every candidate; those at its ranking solves' of some.
+            rounds.setdefault(tuple(middlepoints), list(nodes))
             return real_bounds(pool, middlepoints, nodes, duals)
 
         monkeypatch.setattr(srte.selection, "_evaluate", recording)
@@ -321,7 +333,7 @@ class TestTunnelPoolSelection:
         result = greedy_select(net, demands, range(30), 3, 2)
         confirmations = warm.count(False) - 1
         skipped = [
-            [*chosen, v] for chosen, nodes in rounds for v in nodes
+            [*chosen, v] for chosen, nodes in rounds.items() for v in nodes
             if [*chosen, v] not in evaluated
         ]
         assert sum(warm) + len(skipped) == result.subproblems_solved - 1

@@ -28,6 +28,7 @@ from srte.te import (
     LU,
     MF,
     NoTunnelError,
+    PoolModel,
     Tunnel,
     TunnelCapError,
     TunnelPool,
@@ -45,6 +46,7 @@ from conftest import (
     enumerate_shortest_paths,
     make_demands,
     make_net,
+    reference_extension_bounds,
     reference_load_matrix,
     reference_lu_columns,
     reference_lu_entries,
@@ -642,13 +644,15 @@ class TestCsrMatrix:
             explicit_zeros += int((m.data == 0).sum())
         assert empty_rows and empty_cols and explicit_zeros
 
-    def test_matvecs_equal_scipys(self, monkeypatch):
+    def test_matvecs_equal_scipys(self):
         """Every mat-vec srte makes, one np.bincount each, is bit for bit
         scipy's: the utilizations of LU, MF and MP solutions (the product of
         the flows with the program's columns, also against scipy's product
         with the row-major load matrix, ``reference_load_matrix``), both
-        blocks of each program at its point, and ``extension_bounds``, on
-        benchmark-tier instances (30 nodes, 120 edges, 100 demands)."""
+        blocks of each program at its point, and ``extension_bounds``
+        (against one product of the whole pool by scipy,
+        ``reference_extension_bounds``), on benchmark-tier instances (30
+        nodes, 120 edges, 100 demands)."""
         checked = 0
         for seed in (4100, 4101):
             net = random_connected_digraph(30, 120, seed, max_capacity=10)
@@ -673,15 +677,10 @@ class TestCsrMatrix:
                     assert same_bits(block @ x, scipy_csr(block) @ x)
                 checked += 1
             duals = solve_te(programs[0]).duals
-            ours = extension_bounds(pool, chosen, nodes, duals)
-            monkeypatch.setattr(
-                srte.te, "CsrMatrix",
-                lambda indptr, indices, data, shape: csr_matrix(
-                    (data, indices, indptr), shape=shape
-                ),
+            assert same_bits(
+                extension_bounds(pool, chosen, nodes, duals),
+                reference_extension_bounds(pool, chosen, nodes, duals),
             )
-            assert same_bits(ours, extension_bounds(pool, chosen, nodes, duals))
-            monkeypatch.undo()
         assert checked == 8
 
 
@@ -1069,6 +1068,37 @@ class TestTunnelPool:
             # Only net10's zero-volume commodity has columns without one.
             met = demands.volumes[pool._commodity] > 0
             assert len(met) and met.all() == (net is not net10)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_extension_bounds_are_whole_pool_products_bit_for_bit(self, m):
+        """``extension_bounds``, which reads only the entries on edges of
+        nonzero weight, gives bit for bit the bounds of one product of the
+        whole pool with the weights (``reference_extension_bounds``): at a
+        set's own duals and at those of the warm solves of the set plus a
+        node, for every node outside the set and for one, from sets of 0 to
+        2 nodes, on benchmark-tier instances."""
+        checked = 0
+        for seed in (0, 1):
+            net = random_connected_digraph(30, 120, 4000 + seed, max_capacity=10)
+            demands = generate_gravity_demands(net, 100, 4500 + seed)
+            pool = TunnelPool(ShortestPathCache(net), demands, m)
+            for chosen in ([], [5], [5, 11]):
+                nodes = [v for v in range(30) if v not in chosen]
+                pool.cover([*chosen, v] for v in nodes)
+                parent = solve_te(pool.program(chosen))
+                model = PoolModel(pool, chosen, parent.program, parent.basis)
+                points = [parent.duals]
+                for v in nodes[::9]:
+                    model.theta(v)
+                    points.append(model.duals)
+                for duals in points:
+                    for asked in (nodes, nodes[3:4]):
+                        assert same_bits(
+                            extension_bounds(pool, chosen, asked, duals),
+                            reference_extension_bounds(pool, chosen, asked, duals),
+                        )
+                        checked += 1
+        assert checked == 2 * 3 * 5 * 2
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_extension_bounds_ignore_the_demand_entries(self, m):

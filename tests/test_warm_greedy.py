@@ -1,8 +1,9 @@
 """The greedy ranks each round's candidates by warm solves in one model of
 the chosen set (``PoolModel.theta``, the ranking seam), in ascending
-order of their dual bounds (``extension_bounds``, the screening seam), skips
-those the bounds show cannot win, and solves only near-ties cold: it must
-print exactly what the all-cold loop printed."""
+order of their dual bounds at the chosen set's duals (``extension_bounds``,
+the screening seam, which also bounds them at each ranking solve's duals),
+skips those the bounds show cannot win, and solves only near-ties cold: it
+must print exactly what the all-cold loop printed."""
 
 import contextlib
 import io
@@ -437,11 +438,13 @@ def test_dual_bound_is_at_most_the_cold_theta_of_every_candidate(
     tmp_path, monkeypatch
 ):
     """On every candidate of every round of the 50 runs, the dual bound at
-    the chosen set's duals, less its tie band (the screen's margin), is at
-    most the theta of the candidate's set solved cold."""
+    every dual point the round prices it at, the chosen set's and each of
+    its ranking solves', less its tie band (the screen's margin), is at most
+    the theta of the candidate's set solved cold."""
     real = srte.selection.extension_bounds
     evaluate = srte.selection._evaluate
-    checked = []
+    checked, later = [], []
+    rounds = set()  # the chosen sets bounded so far, at their own duals
 
     def compared(pool, middlepoints, nodes, duals):
         bounds = real(pool, middlepoints, nodes, duals)
@@ -451,22 +454,30 @@ def test_dual_bound_is_at_most_the_cold_theta_of_every_candidate(
                 middlepoints, v, bound, cold,
             )
             checked.append(v)
+            if tuple(middlepoints) in rounds:
+                later.append(v)
+        rounds.add(tuple(middlepoints))
         return bounds
 
     monkeypatch.setattr(srte.selection, "extension_bounds", compared)
     for run in instances():
+        rounds.clear()
         printed(tmp_path, *run)
     assert len(checked) > 1000
+    assert len(later) > 300  # at the duals of ranking solves
 
 
 def test_screened_candidates_count_as_subproblems_and_cannot_win(monkeypatch):
     """On a benchmark-tier instance (n=30, 120 edges, capacities 1..10, 100
-    gravity demands, k=4, m=1) each round ranks a prefix of its candidates
-    in ascending bound order and skips the rest. Ranking solves plus skipped
-    candidates are the printed subproblems less the initial set, some are
-    skipped, and each skipped candidate's cold theta is above the round
-    winner's (or, first of least, ties it after it in node order), or cannot
-    improve when the round has no winner."""
+    gravity demands, k=4, m=1) each round ranks some of its candidates in
+    ascending order of their bounds at the chosen set's duals and skips the
+    rest: those whose bound at a ranking solve's duals shows they cannot
+    win, and all from the first whose bound at the chosen set's does.
+    Ranking solves plus skipped candidates are the printed subproblems less
+    the initial set, some are skipped ahead of a ranked one, and each
+    skipped candidate's cold theta is above the round winner's (or, first
+    of least, ties it after it in node order), or cannot improve when the
+    round has no winner."""
     net = random_connected_digraph(30, 120, 0, max_capacity=10)
     demands = generate_gravity_demands(net, 100, 500)
     real_round = srte.selection._greedy_round
@@ -483,8 +494,10 @@ def test_screened_candidates_count_as_subproblems_and_cannot_win(monkeypatch):
         return rounds[-1]["winner"]
 
     def bounds_(pool, middlepoints, nodes, duals):
-        rounds[-1]["bounds"] = real_bounds(pool, middlepoints, nodes, duals)
-        return rounds[-1]["bounds"]
+        bounds = real_bounds(pool, middlepoints, nodes, duals)
+        if rounds[-1]["bounds"] is None:  # at the chosen set's duals
+            rounds[-1]["bounds"] = bounds
+        return bounds
 
     def theta_(model, node):
         rounds[-1]["ranked"].append(node)
@@ -494,15 +507,18 @@ def test_screened_candidates_count_as_subproblems_and_cannot_win(monkeypatch):
     monkeypatch.setattr(srte.selection, "extension_bounds", bounds_)
     monkeypatch.setattr(PoolModel, "theta", theta_)
     result = greedy_select(net, demands, range(30), 4, 1)
-    ranked = screened = 0
+    ranked = screened = ahead = 0
     for r in rounds:
         assert r["bounds"] is not None  # every round has a parent optimum
         order = [r["candidates"][i] for i in np.argsort(r["bounds"], kind="stable")]
-        count = len(r["ranked"])
-        assert r["ranked"] == order[:count]
-        ranked += count
-        screened += len(order) - count
-        for v in order[count:]:
+        assert r["ranked"] == [v for v in order if v in r["ranked"]]  # a subsequence
+        skipped = [v for v in order if v not in r["ranked"]]
+        ranked += len(r["ranked"])
+        screened += len(skipped)
+        if r["ranked"]:
+            last = order.index(r["ranked"][-1])
+            ahead += sum(order.index(v) < last for v in skipped)
+        for v in skipped:
             cold, _, _ = srte.selection._evaluate(r["pool"], [*r["chosen"], v])
             if r["winner"] is None:
                 assert cold >= r["theta"] - IMPROVEMENT_TOL
@@ -511,7 +527,7 @@ def test_screened_candidates_count_as_subproblems_and_cannot_win(monkeypatch):
                 theta_w, _, _ = srte.selection._evaluate(r["pool"], [*r["chosen"], w])
                 assert (cold, v) > (theta_w, w)
     assert ranked + screened == result.subproblems_solved - 1
-    assert screened > 0
+    assert ahead > 0  # skipped at a ranking solve's duals, not by the break
 
 
 def test_a_round_reuses_the_chosen_sets_assembled_lp(monkeypatch):
@@ -548,6 +564,19 @@ def round_inputs(seed=4000):
     pool.cover([v] for v in range(30))
     theta, parent, _ = srte.selection._evaluate(pool, [])
     return pool, list(range(30)), theta, parent
+
+
+@pytest.mark.parametrize("join", [False, True])
+def test_a_round_frees_its_pricing_table_with_its_model(join):
+    """A first round that ranks its candidates leaves the pool no
+    ``Extensions`` (the round's pricing table), whether its winner is
+    solved cold after the model is freed or joins the model."""
+    pool, nodes, theta, parent = round_inputs()
+    _, _, model = srte.selection._greedy_round(
+        pool, [], nodes, theta, parent, None, join
+    )
+    assert (model is not None) == join
+    assert pool._last_extensions is None
 
 
 def test_a_winner_within_the_tie_band_of_the_threshold_is_solved_cold(monkeypatch):
